@@ -1,0 +1,6 @@
+"""Allows `python -m macdet <experiment> --config <path> ...`."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -41,7 +41,6 @@ from .exponents import (
     bound_c,
     bounds_asymptotic,
     e_awgn,
-    e_csis1_numeric,
     e_csis1_rayleigh_closed,
     e_nocsis,
     e_po1,
@@ -167,10 +166,15 @@ class ExperimentConfig:
     format: str
 
 
-def _as_bool_free_number(key: str, value) -> float:
+def _as_bool_free_number(key: str, value, allow_inf: bool = False) -> float:
+    # NaN and -inf are never valid; +inf only where allow_inf says it
+    # means something (gamma_s = inf is noise-free sensing)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
-    return float(value)
+    value = float(value)
+    if not (math.isfinite(value) or (allow_inf and value == math.inf)):
+        raise ConfigError(f"{key} must be finite" + (" or +Infinity" if allow_inf else ""))
+    return value
 
 
 def _as_int(key: str, value) -> int:
@@ -217,23 +221,21 @@ def _parse_sweep(raw_sweep, experiment: str) -> tuple[str, tuple[float, ...]]:
     raw_grid = raw_sweep["grid"]
     if not isinstance(raw_grid, list) or not raw_grid:
         raise ConfigError("sweep.grid must be a non-empty list")
-    grid = tuple(_as_bool_free_number("sweep.grid entry", g) for g in raw_grid)
+    grid = tuple(
+        _as_bool_free_number("sweep.grid entry", g, allow_inf=variable == "gamma_s")
+        for g in raw_grid
+    )
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep.grid must be strictly increasing")
     if variable in ("N", "L"):
         if any(not float(g).is_integer() or g < 1 for g in grid):
             raise ConfigError(f"sweep.grid for {variable} must hold integers >= 1")
     elif variable == "K":
-        if any(g < 0.0 or math.isinf(g) for g in grid):
-            raise ConfigError("sweep.grid for K must hold finite values >= 0")
-    elif variable == "beta":
-        if any(g <= 0.0 or math.isinf(g) for g in grid):
-            raise ConfigError("sweep.grid for beta must hold finite values > 0")
+        if any(g < 0.0 for g in grid):
+            raise ConfigError("sweep.grid for K must hold values >= 0")
     else:
         if any(g <= 0.0 for g in grid):
             raise ConfigError(f"sweep.grid for {variable} must hold values > 0")
-        if variable == "gamma_c" and any(math.isinf(g) for g in grid):
-            raise ConfigError("sweep.grid for gamma_c must be finite")
         if variable == "gamma_s" and experiment in ("schemes", "sdr-compare"):
             if any(math.isinf(g) for g in grid):
                 raise ConfigError(f"sweep.grid for gamma_s must be finite for {experiment}")
@@ -300,9 +302,15 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
             raise ConfigError("sigma_eta_sq must be >= 0")
     elif "gamma_s" in given or "gamma_s_db" in given:
         if "gamma_s" in given:
-            gamma_s = _positive("gamma_s", _as_bool_free_number("gamma_s", raw["gamma_s"]))
+            gamma_s = _positive(
+                "gamma_s", _as_bool_free_number("gamma_s", raw["gamma_s"], allow_inf=True)
+            )
         else:
-            gamma_s = snr_from_db(_as_bool_free_number("gamma_s_db", raw["gamma_s_db"]))
+            gamma_s = snr_from_db(
+                _as_bool_free_number("gamma_s_db", raw["gamma_s_db"], allow_inf=True)
+            )
+            if gamma_s == 0.0:
+                raise ConfigError("gamma_s_db is so low that gamma_s underflows to 0")
         sigma_eta_sq = 0.0 if math.isinf(gamma_s) else theta**2 / gamma_s
 
     total_power = 1.0
@@ -315,8 +323,8 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
             gamma_c = _as_bool_free_number("gamma_c", raw["gamma_c"])
         else:
             gamma_c = snr_from_db(_as_bool_free_number("gamma_c_db", raw["gamma_c_db"]))
-        if not (gamma_c > 0.0 and math.isfinite(gamma_c)):
-            raise ConfigError("gamma_c must be finite and > 0")
+        if not gamma_c > 0.0:
+            raise ConfigError("gamma_c must be > 0")
         total_power = gamma_c * sigma_nu_sq
 
     channel = _as_str("channel", raw.get("channel", "awgn"))
@@ -335,8 +343,8 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
             if "ricean_k" not in given:
                 raise ConfigError("ricean channel requires ricean_k")
             k = _as_bool_free_number("ricean_k", raw["ricean_k"])
-            if k < 0.0 or math.isinf(k):
-                raise ConfigError("ricean_k must be finite and >= 0")
+            if k < 0.0:
+                raise ConfigError("ricean_k must be >= 0")
             model = ChannelModel.ricean(k)
     else:
         raise ConfigError(f"unknown channel {channel!r}")
@@ -551,7 +559,7 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
                 RandomSource(cfg.seed, stream_id=1 + i * draws + d),
                 noise,
             )
-            errors += round(est.p_hat * cfg.trials)
+            errors += est.errors
             pes.append(pe_conditional(channel, alpha, params_x, noise))
         total = PeEstimate.from_counts(errors, cfg.trials * draws)
         tag = "" if var == "N" else f",N={params_x.num_antennas}"

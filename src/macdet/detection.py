@@ -18,6 +18,7 @@ analytic Gaussian tail of the dominant term.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -82,28 +83,36 @@ class ReceivedSignal:
 
 @dataclass(frozen=True)
 class PeEstimate:
-    """Monte Carlo error-rate estimate with its 95% binomial halfwidth."""
+    """Monte Carlo error-rate estimate with its 95% binomial halfwidth and
+    the integer error count it was formed from."""
 
     p_hat: float
     trials: int
     ci95_halfwidth: float
+    errors: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_hat <= 1.0:
             raise ValueError("p_hat must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if isinstance(self.errors, bool) or not isinstance(self.errors, int):
+            raise ValueError("errors must be an integer count")
+        if self.errors / self.trials != self.p_hat:
+            raise ValueError("p_hat inconsistent with errors and trials")
         expected = 1.96 * math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
         if abs(self.ci95_halfwidth - expected) > 1e-12 * (1.0 + expected):
             raise ValueError("ci95_halfwidth inconsistent with p_hat and trials")
 
     @classmethod
     def from_counts(cls, errors: int, trials: int) -> "PeEstimate":
+        errors = operator.index(errors)  # accepts NumPy integers, not floats
         p = errors / trials
         return cls(
             p_hat=p,
             trials=trials,
             ci95_halfwidth=1.96 * math.sqrt(p * (1.0 - p) / trials),
+            errors=errors,
         )
 
 

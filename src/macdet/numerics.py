@@ -4,7 +4,10 @@ throughout the package (Gaussian tail Q, exponential integral E1).
 All eigen-decompositions share one deterministic convention so downstream
 results are reproducible bit-for-bit: eigenvalues ascending, and each
 eigenvector rotated so that its largest-magnitude component (lowest index
-on ties) is real and positive.
+on ties) is real and positive.  The rotation is applied to all columns in
+one vectorized pass (`_canonical_phase_columns`), which `canonical_phase`
+and `hermitian_eig` share; it is bit-identical to rotating each column on
+its own.
 """
 
 from __future__ import annotations
@@ -53,32 +56,54 @@ def _check_square_hermitian(a: np.ndarray, rtol: float) -> np.ndarray:
     return a.astype(np.complex128, copy=False)
 
 
+def _canonical_phase_columns(v: np.ndarray) -> np.ndarray:
+    """Rotate every column of a 2-D complex array by a unit scalar so its
+    largest-magnitude entry (lowest index on ties) becomes real and
+    positive; all-zero columns pass through unchanged.  Returns a new
+    array with the memory layout of `v`.
+
+    Bit-identical to rotating each column separately with
+    `v[:, k] * (conj(p) / abs(p))`.  The pivot magnitude is taken with
+    hypot, which rounds like the scalar abs() (array np.abs does not).  The
+    product is spelled `(v.T * phase[:, None]).T`: for a single column this
+    keeps the phase as the broadcast second operand, as in a column times a
+    scalar, whereas `v * phase` can round a length-1 column differently in
+    the last bit.
+    """
+    cols = np.arange(v.shape[1])
+    rows = np.abs(v).argmax(axis=0)
+    pivot = v[rows, cols]
+    mag = np.hypot(pivot.real, pivot.imag)
+    zero = mag == 0.0
+    has_zero = zero.any()
+    if has_zero:
+        mag[zero] = 1.0
+    out = (v.T * (pivot.conj() / mag)[:, None]).T
+    # kill the residual imaginary part of each pivot introduced by rounding
+    out.imag[rows, cols] = 0.0
+    if has_zero:
+        out[:, zero] = v[:, zero]
+    return out
+
+
 def canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a complex vector by a unit scalar so its largest-magnitude
     component (lowest index on ties) becomes real and positive."""
     v = np.asarray(v, dtype=np.complex128)
-    i = int(np.argmax(np.abs(v)))
-    pivot = v[i]
-    if pivot == 0:
-        return v.copy()
-    out = v * (pivot.conjugate() / abs(pivot))
-    # kill the residual imaginary part of the pivot introduced by rounding
-    out[i] = out[i].real
-    return out
+    return _canonical_phase_columns(v[:, None])[:, 0]
 
 
 def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Full eigendecomposition of a Hermitian matrix.
 
     Rejects non-square or non-Hermitian (relative tolerance 1e-10) input.
-    Identical input yields an identical decomposition.
+    Identical input yields an identical decomposition.  The phase
+    convention is applied to all eigenvectors in one vectorized pass,
+    bit-identical to `canonical_phase` on each column.
     """
     a = _check_square_hermitian(a, _HERMITIAN_RTOL)
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    v = np.asarray(v, dtype=np.complex128)
-    for k in range(v.shape[1]):
-        v[:, k] = canonical_phase(v[:, k])
-    return HermitianEig(eigenvalues=w, eigenvectors=v)
+    return HermitianEig(eigenvalues=w, eigenvectors=_canonical_phase_columns(v))
 
 
 def solve_hermitian_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -334,6 +337,128 @@ class TestMainEndToEnd:
     def test_compact_figure_name_conflict(self, tmp_path, capsys):
         path = self.write(tmp_path, {"figure_id": 5})
         assert cli.main(["figure7", "--config", path]) == 2
+
+
+MC_BASE = {
+    "num_antennas": 2,
+    "channel": "rayleigh",
+    "trials": 1000,
+    "channel_draws": 1,
+    "sweep": sweep("L", [4, 8]),
+}
+
+# (experiment, config without the key under test, key): every numeric key
+# of the config language, each placed in a config that is otherwise valid
+NUMERIC_KEY_CASES = [
+    ("montecarlo", MC_BASE, key)
+    for key in (
+        "theta", "sigma_eta_sq", "sigma_nu_sq", "p1", "total_power",
+        "gamma_s", "gamma_s_db", "gamma_c", "gamma_c_db",
+        "num_antennas", "trials", "channel_draws", "seed",
+    )
+] + [
+    ("montecarlo", {**MC_BASE, "sweep": sweep("gamma_c", [1.0])}, "num_sensors"),
+    ("montecarlo", {**MC_BASE, "channel": "ricean"}, "ricean_k"),
+    ("montecarlo", {**MC_BASE, "noise": "ar1"}, "noise_corr"),
+    ("figure", {"figure_id": 5}, "trials"),
+]
+
+# sweep grids: (experiment, base config, sweep variable)
+MC_NO_SWEEP = {k: v for k, v in MC_BASE.items() if k != "sweep"}
+GRID_CASES = [
+    ("montecarlo", MC_NO_SWEEP, variable) for variable in ("L", "N", "gamma_c", "gamma_s")
+] + [
+    ("schemes", {"channel": "ricean", "ricean_k": 1.0}, "gamma_s"),
+    ("exponent-sweep", {"channel": "ricean"}, "K"),
+    ("asymptotic", {}, "beta"),
+]
+
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _noise_free(variable, experiment, value):
+    # gamma_s = +Infinity deliberately means noise-free sensing, except on
+    # the schemes grid, which needs finite points
+    return variable in ("gamma_s", "gamma_s_db") and value == math.inf and experiment != "schemes"
+
+
+KEY_PARAMS = [
+    pytest.param(experiment, base, key, value, id=f"{key}-{name}")
+    for experiment, base, key in NUMERIC_KEY_CASES
+    for name, value in NON_FINITE.items()
+    if not _noise_free(key, experiment, value)
+]
+
+GRID_PARAMS = [
+    pytest.param(experiment, base, variable, value, id=f"{experiment}-{variable}-{name}")
+    for experiment, base, variable in GRID_CASES
+    for name, value in NON_FINITE.items()
+    if not _noise_free(variable, experiment, value)
+]
+
+
+class TestNonFiniteConfig:
+    """NaN and +-Infinity (which Python's json reads) are config errors."""
+
+    def run_main(self, tmp_path, capsys, experiment, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))  # writes NaN / Infinity / -Infinity
+        code = cli.main([experiment, "--config", str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,base,key,value", KEY_PARAMS)
+    def test_numeric_key_rejected(self, tmp_path, capsys, experiment, base, key, value):
+        code, err = self.run_main(tmp_path, capsys, experiment, {**base, key: value})
+        assert code == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("experiment,base,variable,value", GRID_PARAMS)
+    def test_sweep_grid_entry_rejected(self, tmp_path, capsys, experiment, base, variable, value):
+        raw = {**base, "sweep": sweep(variable, [1.0, value])}
+        code, err = self.run_main(tmp_path, capsys, experiment, raw)
+        assert code == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_n_list_entry_rejected(self, tmp_path, capsys, value):
+        raw = {"n_list": [1, value], "sweep": sweep("gamma_c", [1.0, 2.0])}
+        code, err = self.run_main(tmp_path, capsys, "exponent-sweep", raw)
+        assert code == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("key", ["gamma_s", "gamma_s_db"])
+    def test_infinite_gamma_s_is_noise_free_sensing(self, key):
+        cfg = cli.parse_config({**MC_BASE, key: math.inf}, "montecarlo")
+        assert cfg.params.sigma_eta_sq == 0.0
+
+    def test_gamma_s_db_underflow_rejected(self, tmp_path, capsys):
+        code, err = self.run_main(tmp_path, capsys, "montecarlo", {**MC_BASE, "gamma_s_db": -4000.0})
+        assert code == 2
+        assert "underflows" in err
+
+    def test_infinite_gamma_s_grid_still_runs(self, tmp_path, capsys):
+        raw = {**MC_BASE, "sweep": sweep("gamma_s", [1.0, math.inf])}
+        code, _ = self.run_main(tmp_path, capsys, "montecarlo", raw)
+        assert code == 0
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_macdet(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "macdet", "figure5", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = cli.rows_to_csv(cli.run(cli.parse_config({"figure_id": 5}, "figure"))[0])
+        assert proc.stdout == expected
 
 
 class TestSchemesExperiment:

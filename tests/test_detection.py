@@ -73,13 +73,31 @@ class TestPeEstimate:
             1.96 * math.sqrt(0.025 * 0.975 / 10_000)
         )
 
+    def test_from_counts_carries_integer_errors(self):
+        est = PeEstimate.from_counts(250, 10_000)
+        assert est.errors == 250 and isinstance(est.errors, int)
+        assert PeEstimate.from_counts(np.int64(250), 10_000) == est
+        with pytest.raises(TypeError):
+            PeEstimate.from_counts(250.0, 10_000)
+
+    def test_rejects_errors_inconsistent_with_rate(self):
+        with pytest.raises(ValueError):
+            PeEstimate(p_hat=0.025, trials=10_000, ci95_halfwidth=0.0030601, errors=251)
+
+    def test_montecarlo_estimate_carries_its_count(self):
+        params = make_params(l=4, n=2)
+        h = np.ones((2, 4), dtype=complex)
+        est = estimate_pe_montecarlo(h, np.ones(4), params, 1000, RandomSource(3))
+        assert est.errors == round(est.p_hat * est.trials)
+        assert est.p_hat == est.errors / est.trials
+
     def test_rejects_inconsistent_halfwidth(self):
         with pytest.raises(ValueError):
-            PeEstimate(p_hat=0.1, trials=1000, ci95_halfwidth=0.5)
+            PeEstimate(p_hat=0.1, trials=1000, ci95_halfwidth=0.5, errors=100)
 
     def test_rejects_out_of_range_rate(self):
         with pytest.raises(ValueError):
-            PeEstimate(p_hat=1.5, trials=1000, ci95_halfwidth=0.0)
+            PeEstimate(p_hat=1.5, trials=1000, ci95_halfwidth=0.0, errors=1500)
 
 
 class TestCovarianceR:

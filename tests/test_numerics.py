@@ -263,3 +263,102 @@ class TestCanonicalPhase:
     def test_zero_vector_passthrough(self):
         v = np.zeros(3, dtype=complex)
         assert np.array_equal(numerics.canonical_phase(v), v)
+
+
+def _loop_canonical_phase(v):
+    # oracle: the original one-column-at-a-time convention
+    v = np.asarray(v, dtype=np.complex128)
+    i = int(np.argmax(np.abs(v)))
+    pivot = v[i]
+    if pivot == 0:
+        return v.copy()
+    out = v * (pivot.conjugate() / abs(pivot))
+    out[i] = out[i].real
+    return out
+
+
+def _loop_hermitian_eig(a):
+    # oracle: eigh followed by the per-column phase loop
+    a = np.asarray(a).astype(np.complex128)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    v = np.asarray(v, dtype=np.complex128)
+    for k in range(v.shape[1]):
+        v[:, k] = _loop_canonical_phase(v[:, k])
+    return w, v
+
+
+def _bits(x):
+    # exact comparison, including signed zeros and NaN payloads
+    return np.ascontiguousarray(x).view(np.float64)
+
+
+class TestPhaseConventionOracle:
+    """The vectorized convention is bit-identical to the per-column loop."""
+
+    def assert_eig_matches_loop(self, a):
+        eig = numerics.hermitian_eig(a)
+        w, v = _loop_hermitian_eig(a)
+        assert np.array_equal(eig.eigenvalues.view(np.float64), w.view(np.float64))
+        assert np.array_equal(_bits(eig.eigenvectors), _bits(v))
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_random_complex_hermitian(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for scale in (1e-6, 1.0, 1e6):
+            self.assert_eig_matches_loop(random_hermitian(rng, n, scale))
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_random_real_symmetric(self, n):
+        rng = np.random.default_rng(2000 + n)
+        a = rng.standard_normal((n, n))
+        self.assert_eig_matches_loop((a + a.T) / 2.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33])
+    def test_tied_magnitudes(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_eig_matches_loop(np.eye(n))
+        self.assert_eig_matches_loop(np.ones((n, n)))
+        u = 1j ** np.arange(n)  # unit-modulus entries: every magnitude ties
+        self.assert_eig_matches_loop(np.outer(u, u.conj()) + np.eye(n))
+        self.assert_eig_matches_loop(np.diag(rng.standard_normal(n)))
+        self.assert_eig_matches_loop(np.diag(np.repeat([2.0, -1.0], n)))
+
+    def test_vectors_of_length_one(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            v = (rng.standard_normal(1) + 1j * rng.standard_normal(1)) * 10.0 ** rng.uniform(-8, 8)
+            assert np.array_equal(_bits(numerics.canonical_phase(v)), _bits(_loop_canonical_phase(v)))
+        for v in ([3.0], [-2.5], [1j], [-1j], [0.0], [-0.0]):
+            assert np.array_equal(_bits(numerics.canonical_phase(v)), _bits(_loop_canonical_phase(v)))
+
+    def test_all_zero_vectors_pass_through(self):
+        for v in (
+            np.zeros(1, dtype=complex),
+            np.zeros(5, dtype=complex),
+            np.array([-0.0, 0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]),
+        ):
+            out = numerics.canonical_phase(v)
+            assert np.array_equal(_bits(out), _bits(_loop_canonical_phase(v)))
+            assert np.array_equal(_bits(out), _bits(v))
+            assert not np.shares_memory(out, v)
+
+    def test_tied_magnitude_vectors_pick_lowest_index(self):
+        cases = (
+            np.array([1.0, -1.0, 1j, -1j]),
+            np.array([-1j, 1.0, 1.0]),
+            np.array([0.6 + 0.8j, -0.8 + 0.6j, 1.0]),
+            np.full(7, -0.5 - 0.5j),
+        )
+        for v in cases:
+            out = numerics.canonical_phase(v)
+            assert np.array_equal(_bits(out), _bits(_loop_canonical_phase(v)))
+            assert out[0].imag == 0.0 and out[0].real > 0.0
+
+    def test_random_and_strided_vectors(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 70):
+            m = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            for v in (m[:, 0], m[:, 2], m[:, 1].real, m[:, 1].copy()):
+                assert np.array_equal(
+                    _bits(numerics.canonical_phase(v)), _bits(_loop_canonical_phase(v))
+                )
