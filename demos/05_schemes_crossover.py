@@ -4,7 +4,9 @@ Method I beamforms every sensor at the single best receive antenna;
 Method II points the sensors along the top eigenvector of H^H H.
 Their mean exponents cross as the sensing SNR grows, and the hybrid
 scheme switches between them at a crossover calibrated from common
-channel draws.
+channel draws.  The Method II direction depends on the channel alone
+(the sensing SNR only rescales it), so it is computed once per draw and
+reused at every grid point.
 """
 
 import dataclasses
@@ -14,10 +16,8 @@ import numpy as np
 from macdet.allocation import (
     NoCrossoverError,
     calibrate_crossover,
-    finite_exponent,
-    hybrid,
-    method1,
-    method2,
+    method2_direction,
+    method_exponents,
 )
 from macdet.exponents import snr_to_db
 from macdet.model import ChannelModel, NetworkParams, RandomSource, sample_channel
@@ -49,14 +49,16 @@ def main() -> None:
         sample_channel(model, params.num_antennas, params.num_sensors, src.substream("h", d)).entries
         for d in range(draws)
     ]
+    directions = [method2_direction(h) for h in channels]
     print()
     print(f"{'gamma_s dB':>10} {'method1':>9} {'method2':>9} {'hybrid':>9}")
     for gamma_s in grid:
         p = dataclasses.replace(params, sigma_eta_sq=1.0 / gamma_s)
-        fe1 = np.mean([finite_exponent(h, method1(h, p)[0], p) for h in channels])
-        fe2 = np.mean([finite_exponent(h, method2(h, p), p) for h in channels])
+        per_draw1, per_draw2 = method_exponents(channels, directions, p)
+        fe1, fe2 = np.mean(per_draw1), np.mean(per_draw2)
         if crossover is not None:
-            feh = np.mean([finite_exponent(h, hybrid(h, p, crossover), p) for h in channels])
+            # hybrid: method1 below the crossover, method2 at or above it
+            feh = fe1 if gamma_s < crossover else fe2
         else:
             feh = max(fe1, fe2)
         print(f"{snr_to_db(gamma_s):10.1f} {fe1:9.5f} {fe2:9.5f} {feh:9.5f}")

@@ -53,6 +53,8 @@ __all__ = [
     "alpha_phase_only_n1",
     "method1",
     "method2",
+    "method2_direction",
+    "method_exponents",
     "hybrid",
     "calibrate_crossover",
     "alpha_sdr_phase",
@@ -236,27 +238,34 @@ def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     return alpha_opt_n1(h[selected], params), selected
 
 
-def method2(channel, params: NetworkParams) -> GainVector:
-    """Top-eigenvector beamforming: sqrt(P) times the unit top
-    eigenvector of H^H H (the optimal direction when sensing noise is
-    absent).  For N < L the eigenvector is recovered from the small
-    Gram matrix H H^H."""
+def method2_direction(channel) -> np.ndarray:
+    """Unit top eigenvector of H^H H in the canonical phase: the
+    direction method2 scales by sqrt(P).  It depends on the channel
+    alone (gamma_s only moves P), so a gamma_s sweep computes it once
+    per channel.  For N < L the eigenvector is recovered from the small
+    Gram matrix H H^H; when that has no positive eigenvalue (an
+    all-zero channel) the big Gram matrix H^H H is decomposed instead."""
     h = _entries(channel)
-    if h.shape != (params.num_antennas, params.num_sensors):
-        raise ValueError("channel shape does not match params")
     n_ant, n_sens = h.shape
-    v = None
     if n_ant < n_sens:
         small = hermitian_eig(h @ h.conj().T)
         if small.eigenvalues[-1] > 0.0:
             u = small.eigenvectors[:, -1]
             v = h.conj().T @ u
-            v = canonical_phase(v / np.linalg.norm(v))
-    if v is None:
-        big = hermitian_eig(h.conj().T @ h)
-        v = big.eigenvectors[:, -1]
+            return canonical_phase(v / np.linalg.norm(v))
+    return hermitian_eig(h.conj().T @ h).eigenvectors[:, -1]
+
+
+def method2(channel, params: NetworkParams) -> GainVector:
+    """Top-eigenvector beamforming: sqrt(P) times the unit top
+    eigenvector of H^H H (the optimal direction when sensing noise is
+    absent), as given by method2_direction.  For N < L the eigenvector
+    is recovered from the small Gram matrix H H^H."""
+    h = _entries(channel)
+    if h.shape != (params.num_antennas, params.num_sensors):
+        raise ValueError("channel shape does not match params")
     p = params.gain_budget
-    return GainVector(values=math.sqrt(p) * v, budget=p)
+    return GainVector(values=math.sqrt(p) * method2_direction(h), budget=p)
 
 
 def hybrid(channel, params: NetworkParams, crossover_gamma_s: float) -> GainVector:
@@ -267,15 +276,28 @@ def hybrid(channel, params: NetworkParams, crossover_gamma_s: float) -> GainVect
     return method2(channel, params)
 
 
+def method_exponents(
+    channels: list[np.ndarray], directions: list[np.ndarray], params: NetworkParams
+) -> tuple[list[float], list[float]]:
+    """Per-channel finite exponents of method1 and method2 at one
+    operating point.  `directions` holds each channel's
+    method2_direction, which does not depend on gamma_s, so a sweep
+    passes the same list at every point; the method2 gains are exactly
+    those method2 builds."""
+    p = params.gain_budget
+    fe1 = [finite_exponent(h, method1(h, params)[0], params) for h in channels]
+    fe2 = [
+        finite_exponent(h, GainVector(values=math.sqrt(p) * v, budget=p), params)
+        for h, v in zip(channels, directions, strict=True)
+    ]
+    return fe1, fe2
+
+
 def _mean_exponent_gap(
-    channels: list[np.ndarray], params: NetworkParams
+    channels: list[np.ndarray], directions: list[np.ndarray], params: NetworkParams
 ) -> float:
-    gaps = []
-    for h in channels:
-        fe1 = finite_exponent(h, method1(h, params)[0], params)
-        fe2 = finite_exponent(h, method2(h, params), params)
-        gaps.append(fe1 - fe2)
-    return float(np.mean(gaps))
+    fe1, fe2 = method_exponents(channels, directions, params)
+    return float(np.mean([a - b for a, b in zip(fe1, fe2)]))
 
 
 def calibrate_crossover(
@@ -316,12 +338,13 @@ def calibrate_crossover(
         ).entries
         for t in range(trials)
     ]
+    directions = [method2_direction(h) for h in channels]
 
     def params_at(gamma_s: float) -> NetworkParams:
         sigma = 0.0 if math.isinf(gamma_s) else base_params.theta**2 / gamma_s
         return replace(base_params, sigma_eta_sq=sigma)
 
-    gaps = [_mean_exponent_gap(channels, params_at(g)) for g in grid]
+    gaps = [_mean_exponent_gap(channels, directions, params_at(g)) for g in grid]
     bracket = None
     for i in range(len(grid) - 1):
         if gaps[i] == 0.0 and math.isfinite(grid[i]):
@@ -338,7 +361,7 @@ def calibrate_crossover(
     gap_lo = gaps[bracket]
     while 10.0 * math.log10(hi / lo) > tol_db:
         mid = math.sqrt(lo * hi)
-        gap_mid = _mean_exponent_gap(channels, params_at(mid))
+        gap_mid = _mean_exponent_gap(channels, directions, params_at(mid))
         if gap_mid == 0.0:
             return mid
         if (gap_mid > 0.0) == (gap_lo > 0.0):

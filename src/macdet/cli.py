@@ -29,8 +29,8 @@ from .allocation import (
     alpha_uniform,
     calibrate_crossover,
     finite_exponent,
-    method1,
-    method2,
+    method2_direction,
+    method_exponents,
 )
 from .allocation import GainVector
 from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo, pe_conditional
@@ -195,6 +195,28 @@ def _positive(key: str, value: float) -> float:
     return value
 
 
+def _no_overflow(what: str, compute, *args) -> float:
+    try:
+        return compute(*args)
+    except OverflowError:
+        raise ConfigError(f"{what} overflows") from None
+
+
+def _check_budget(params: NetworkParams, where: str = "") -> None:
+    # finite inputs can still overflow the derived powers, and every gain
+    # rule needs a positive finite budget P
+    if not math.isfinite(params.total_power):
+        raise ConfigError(f"total_power = gamma_c * sigma_nu_sq overflows{where}")
+    if not math.isfinite(params.sigma_eta_sq):
+        raise ConfigError(f"sigma_eta_sq = theta^2 / gamma_s overflows{where}")
+    budget = params.gain_budget
+    if not (math.isfinite(budget) and budget > 0.0):
+        raise ConfigError(
+            f"gain budget total_power / (p1 theta^2 + sigma_eta_sq) = {budget!r}{where}"
+            " is not a positive finite number"
+        )
+
+
 def _reject(given: set, keys: tuple, why: str) -> None:
     clash = sorted(k for k in keys if k in given)
     if clash:
@@ -281,6 +303,7 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
         raise ConfigError("figure_id is only valid for the figure experiment")
 
     theta = _positive("theta", _as_bool_free_number("theta", raw.get("theta", 1.0)))
+    _no_overflow("theta^2", pow, theta, 2)
     sigma_nu_sq = _positive(
         "sigma_nu_sq", _as_bool_free_number("sigma_nu_sq", raw.get("sigma_nu_sq", 1.0))
     )
@@ -306,8 +329,10 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
                 "gamma_s", _as_bool_free_number("gamma_s", raw["gamma_s"], allow_inf=True)
             )
         else:
-            gamma_s = snr_from_db(
-                _as_bool_free_number("gamma_s_db", raw["gamma_s_db"], allow_inf=True)
+            gamma_s = _no_overflow(
+                "gamma_s from gamma_s_db",
+                snr_from_db,
+                _as_bool_free_number("gamma_s_db", raw["gamma_s_db"], allow_inf=True),
             )
             if gamma_s == 0.0:
                 raise ConfigError("gamma_s_db is so low that gamma_s underflows to 0")
@@ -322,7 +347,11 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
         if "gamma_c" in given:
             gamma_c = _as_bool_free_number("gamma_c", raw["gamma_c"])
         else:
-            gamma_c = snr_from_db(_as_bool_free_number("gamma_c_db", raw["gamma_c_db"]))
+            gamma_c = _no_overflow(
+                "gamma_c from gamma_c_db",
+                snr_from_db,
+                _as_bool_free_number("gamma_c_db", raw["gamma_c_db"]),
+            )
         if not gamma_c > 0.0:
             raise ConfigError("gamma_c must be > 0")
         total_power = gamma_c * sigma_nu_sq
@@ -431,6 +460,11 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_budget(params)
+    if sweep_variable in ("gamma_s", "gamma_c"):
+        at_point = _at_gamma_s if sweep_variable == "gamma_s" else _at_gamma_c
+        for g in sweep_grid:
+            _check_budget(at_point(params, g), f" at {sweep_variable} = {g!r}")
 
     return ExperimentConfig(
         experiment=experiment,
@@ -594,6 +628,7 @@ def _run_schemes(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
         sample_channel(cfg.model, n, params.num_sensors, base.substream("schemes", d)).entries
         for d in range(draws)
     ]
+    directions = [method2_direction(h) for h in channels]
     try:
         crossover = calibrate_crossover(params, cfg.model, grid, draws, base.stream(1))
         dominant = None
@@ -603,8 +638,7 @@ def _run_schemes(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     rows: list[ResultRow] = []
     for x in grid:
         params_x = _at_gamma_s(params, x)
-        fe1 = [finite_exponent(h, method1(h, params_x)[0], params_x) for h in channels]
-        fe2 = [finite_exponent(h, method2(h, params_x), params_x) for h in channels]
+        fe1, fe2 = method_exponents(channels, directions, params_x)
         if crossover is not None:
             feh = fe1 if x < crossover else fe2
         else:
@@ -647,6 +681,7 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
         sample_channel(cfg.model, n, num_sensors, base.substream("sdr", d)).entries
         for d in range(draws)
     ]
+    directions = [method2_direction(h) for h in channels]
 
     # the SDP solution scales linearly in the diagonal value, so the
     # phase pattern is solved once per draw and reused across gamma_s
@@ -680,8 +715,7 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             for h, v in zip(channels, phase_vectors)
             if v is not None
         ]
-        fe1 = [finite_exponent(h, method1(h, params_x)[0], params_x) for h in channels]
-        fe2 = [finite_exponent(h, method2(h, params_x), params_x) for h in channels]
+        fe1, fe2 = method_exponents(channels, directions, params_x)
         if crossover is not None:
             feh = fe1 if x < crossover else fe2
         elif dominant is not None:

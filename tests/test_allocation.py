@@ -20,8 +20,11 @@ from macdet.allocation import (
     hybrid,
     method1,
     method2,
+    method2_direction,
+    method_exponents,
     received_covariance,
 )
+from macdet.allocation import _mean_exponent_gap
 from macdet.exponents import e_awgn, e_csis1_numeric, SnrPoint
 from macdet.model import (
     ChannelModel,
@@ -427,6 +430,72 @@ class TestMethod2:
         params = make_params(l=6, n=2)
         h = random_channel(np.random.default_rng(17), 2, 6)
         assert method2(h, params).power == pytest.approx(params.gain_budget, rel=1e-12)
+
+
+class TestMethod2Direction:
+    """method2 is sqrt(P) times method2_direction, bit for bit, so a
+    gamma_s sweep may compute the direction once per channel."""
+
+    @pytest.mark.parametrize(
+        "n,l,zero",
+        [(2, 6, False), (3, 3, False), (4, 3, False), (2, 5, True)],
+        ids=["N<L", "N=L", "N>L", "all-zero"],
+    )
+    def test_method2_is_scaled_direction(self, n, l, zero):
+        params = make_params(l=l, n=n)
+        h = random_channel(np.random.default_rng(40 + n + l), n, l)
+        if zero:
+            h = np.zeros_like(h)
+        expected = math.sqrt(params.gain_budget) * method2_direction(h)
+        got = method2(h, params).values
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
+    def test_direction_is_unit_norm(self):
+        h = random_channel(np.random.default_rng(47), 3, 9)
+        assert np.linalg.norm(method2_direction(h)) == pytest.approx(1.0, rel=1e-14)
+
+
+def _mean_exponent_gap_per_point(channels, params):
+    # the gap as it was computed before the direction was hoisted: a
+    # fresh method2 (and eigendecomposition) per channel at every point
+    gaps = []
+    for h in channels:
+        fe1 = finite_exponent(h, method1(h, params)[0], params)
+        fe2 = finite_exponent(h, method2(h, params), params)
+        gaps.append(fe1 - fe2)
+    return float(np.mean(gaps))
+
+
+class TestHoistedDirectionOracle:
+    """The hoisted method2 direction reproduces the per-point evaluation
+    exactly (==, not approx) on the paths calibrate_crossover and the
+    scheme runners take."""
+
+    @pytest.mark.parametrize(
+        "model", [ChannelModel.ricean(1.0), ChannelModel.rayleigh()], ids=["ricean", "rayleigh"]
+    )
+    @pytest.mark.parametrize("n,l", [(2, 12), (5, 40), (4, 3)])
+    @pytest.mark.parametrize("gamma_s", [0.1, 1.0, 7.5, 100.0, math.inf])
+    def test_matches_per_point_method2(self, model, n, l, gamma_s):
+        sigma = 0.0 if math.isinf(gamma_s) else 1.0 / gamma_s
+        params = make_params(l=l, n=n, sigma_eta_sq=sigma, total_power=10.0)
+        rng = RandomSource(master_seed=81)
+        channels = [
+            sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)
+        ]
+        directions = [method2_direction(h) for h in channels]
+        assert _mean_exponent_gap(channels, directions, params) == _mean_exponent_gap_per_point(
+            channels, params
+        )
+        fe1, fe2 = method_exponents(channels, directions, params)
+        assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
+        assert fe2 == [finite_exponent(h, method2(h, params), params) for h in channels]
+
+    def test_rejects_mismatched_directions(self):
+        params = make_params(l=6, n=2)
+        h = random_channel(np.random.default_rng(48), 2, 6)
+        with pytest.raises(ValueError):
+            method_exponents([h, h], [method2_direction(h)], params)
 
 
 class TestHybrid:

@@ -442,6 +442,37 @@ class TestNonFiniteConfig:
         assert code == 0
 
 
+# finite config values whose derived powers overflow double precision
+OVERFLOW_CASES = {
+    "gamma_s_db-overflows": {"gamma_s_db": 4000.0},
+    "gamma_c_db-overflows": {"gamma_c_db": 4000.0},
+    "theta-squared-overflows": {"theta": 1e200},
+    "total-power-overflows": {"gamma_c": 1e300, "sigma_nu_sq": 1e10},
+    "sigma-eta-sq-overflows": {"gamma_s": 1e-300, "theta": 1e10},
+    "gain-budget-overflows": {"total_power": 1e308, "gamma_s": 1e10, "theta": 1e-3},
+    "gamma_c-grid-point-overflows": {"sigma_nu_sq": 1e10, "sweep": sweep("gamma_c", [1.0, 1e300])},
+}
+
+
+class TestOverflowConfig:
+    """Finite inputs that overflow a derived power are config errors
+    (exit 2), never a traceback from deep inside a runner."""
+
+    @pytest.mark.parametrize("extra", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES.keys())
+    def test_rejected_with_exit_2(self, tmp_path, capsys, extra):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MC_BASE, **extra}))
+        code = cli.main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_large_finite_inputs_still_parse(self):
+        # just inside the limits: theta^2 and 10^(db/10) stay finite
+        cfg = cli.parse_config({**MC_BASE, "theta": 1e150, "gamma_c_db": 3000.0}, "montecarlo")
+        assert math.isfinite(cfg.params.gain_budget) and cfg.params.gain_budget > 0.0
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_macdet(self, tmp_path):
         path = tmp_path / "cfg.json"
