@@ -5,12 +5,15 @@ with a multi-antenna receiver.
 Submodules:
 
 * model       network parameters, channel/noise models, seeded sampling
-* numerics    Hermitian linear algebra, Q function, exponential integral
+* numerics    Hermitian linear algebra, Q function, scaled exponential integral
 * exponents   closed-form error exponents, gains, and asymptotic bounds
-* allocation  transmit-gain strategies and the finite-network exponent
+* allocation  transmit-gain strategies, the quadratic form v^H R^-1 v behind
+              both the finite-network exponent and the detector
 * sdr         diagonally-constrained SDP relaxation (ADMM) and rounding
 * detection   received-signal synthesis, LRT decisions, error probability
 * cli         the `macdet` experiment runner
+
+The power budget P is the property `NetworkParams.gain_budget`.
 """
 
 from .model import (
@@ -19,7 +22,6 @@ from .model import (
     NetworkParams,
     RandomSource,
     SensingNoiseModel,
-    derive_power,
     mean_abs_h,
     sample_channel,
     sample_sensing_noise,
@@ -31,7 +33,6 @@ __all__ = [
     "NetworkParams",
     "RandomSource",
     "SensingNoiseModel",
-    "derive_power",
     "mean_abs_h",
     "sample_channel",
     "sample_sensing_noise",

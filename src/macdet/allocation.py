@@ -20,7 +20,7 @@ modeled as noiseless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "SCHEME_KINDS",
     "NoCrossoverError",
     "received_covariance",
+    "quadratic_form",
     "finite_exponent",
     "alpha_uniform",
     "alpha_opt_n1",
@@ -172,20 +173,30 @@ def received_covariance(
     return r
 
 
-def finite_exponent(
+def quadratic_form(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
-) -> float:
-    """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha,
-    evaluated through a Cholesky solve (the covariance is never
-    inverted explicitly)."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The matched-filter quantities (v, R^{-1} v, q) with v = H alpha and
+    q = max(Re v^H R^{-1} v, 0), shared by the exponent statistic and the
+    detector.  R^{-1} v comes from a Cholesky solve (the covariance is
+    never inverted explicitly)."""
     h = _entries(channel)
     a = _gain_values(alpha)
     _check_dims(h, a, params)
     v = h @ a
     r = received_covariance(h, a, params, noise)
-    x = solve_hermitian_pd(r, v)
-    q = float(np.vdot(v, x).real)
-    return params.theta**2 * max(q, 0.0) / (8.0 * params.num_sensors)
+    w = solve_hermitian_pd(r, v)
+    return v, w, max(float(np.vdot(v, w).real), 0.0)
+
+
+def finite_exponent(
+    channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
+) -> float:
+    """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha, with
+    the quadratic form from quadratic_form (a Cholesky solve; the
+    covariance is never inverted explicitly)."""
+    q = quadratic_form(channel, alpha, params, noise)[2]
+    return params.theta**2 * q / (8.0 * params.num_sensors)
 
 
 def alpha_uniform(params: NetworkParams) -> GainVector:
@@ -339,12 +350,7 @@ def calibrate_crossover(
         for t in range(trials)
     ]
     directions = [method2_direction(h) for h in channels]
-
-    def params_at(gamma_s: float) -> NetworkParams:
-        sigma = 0.0 if math.isinf(gamma_s) else base_params.theta**2 / gamma_s
-        return replace(base_params, sigma_eta_sq=sigma)
-
-    gaps = [_mean_exponent_gap(channels, directions, params_at(g)) for g in grid]
+    gaps = [_mean_exponent_gap(channels, directions, base_params.at_gamma_s(g)) for g in grid]
     bracket = None
     for i in range(len(grid) - 1):
         if gaps[i] == 0.0 and math.isfinite(grid[i]):
@@ -361,7 +367,7 @@ def calibrate_crossover(
     gap_lo = gaps[bracket]
     while 10.0 * math.log10(hi / lo) > tol_db:
         mid = math.sqrt(lo * hi)
-        gap_mid = _mean_exponent_gap(channels, directions, params_at(mid))
+        gap_mid = _mean_exponent_gap(channels, directions, base_params.at_gamma_s(mid))
         if gap_mid == 0.0:
             return mid
         if (gap_mid > 0.0) == (gap_lo > 0.0):

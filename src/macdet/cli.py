@@ -121,6 +121,11 @@ _RUN_CONTROL_KEYS = frozenset(
     {"experiment", "figure_id", "trials", "channel_draws", "seed", "output", "format"}
 )
 
+# asymptotic draws an n x L channel with n = max(1, round(L / beta)) and
+# decomposes its n x n Gram matrix; at n = 8192 that complex matrix alone
+# takes 1 GiB, so larger antenna counts are config errors
+_MAX_ASYMPTOTIC_ANTENNAS = 8192
+
 _CSV_HEADER = ("experiment", "series", "x_name", "x_value", "value", "ci95", "seed")
 
 _DB_COMMENT = (
@@ -415,6 +420,14 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
 
     num_sensors = _as_int("num_sensors", raw.get("num_sensors", 200))
     num_antennas = _as_int("num_antennas", raw.get("num_antennas", 1))
+    if sweep_variable == "beta":
+        for beta in sweep_grid:
+            # compares the float L / beta, since round() raises on inf:
+            # round(r) > cap exactly when r > cap + 0.5 (round(8192.5) = 8192)
+            if num_sensors / beta > _MAX_ASYMPTOTIC_ANTENNAS + 0.5:
+                raise ConfigError(
+                    f"beta = {beta!r} needs N = round(L / beta) > {_MAX_ASYMPTOTIC_ANTENNAS}"
+                )
 
     n_list = None
     if "n_list" in given:
@@ -462,9 +475,9 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     _check_budget(params)
     if sweep_variable in ("gamma_s", "gamma_c"):
-        at_point = _at_gamma_s if sweep_variable == "gamma_s" else _at_gamma_c
         for g in sweep_grid:
-            _check_budget(at_point(params, g), f" at {sweep_variable} = {g!r}")
+            at_g = params.at_gamma_s(g) if sweep_variable == "gamma_s" else _at_gamma_c(params, g)
+            _check_budget(at_g, f" at {sweep_variable} = {g!r}")
 
     return ExperimentConfig(
         experiment=experiment,
@@ -499,11 +512,6 @@ def load_config(path: str, experiment: str) -> ExperimentConfig:
     return parse_config(_read_json(path), experiment)
 
 
-def _at_gamma_s(params: NetworkParams, gamma_s: float) -> NetworkParams:
-    se2 = 0.0 if math.isinf(gamma_s) else params.theta**2 / gamma_s
-    return dataclasses.replace(params, sigma_eta_sq=se2)
-
-
 def _at_gamma_c(params: NetworkParams, gamma_c: float) -> NetworkParams:
     return dataclasses.replace(params, total_power=gamma_c * params.sigma_nu_sq)
 
@@ -524,17 +532,25 @@ def _mean_ci(values) -> tuple[float, float | None]:
     return mean, float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _snr_point(params: NetworkParams, k_factor: float) -> SnrPoint:
-    return SnrPoint.from_params(params, k_factor=k_factor)
+def _row(
+    cfg: ExperimentConfig, series: str, x_name: str, x_value, value, ci95: float | None = None
+) -> ResultRow:
+    return ResultRow(cfg.experiment, series, x_name, float(x_value), value, ci95, cfg.seed)
+
+
+def _bound_row(cfg: ExperimentConfig, params_x: NetworkParams, gamma_s: float) -> ResultRow:
+    # the full-CSI ceiling C(N, K) at one point of a gamma_s sweep
+    k = cfg.model.k_factor
+    pt = SnrPoint.from_params(params_x, k_factor=k)
+    return _row(cfg, f"C({params_x.num_antennas},{k:g})", "gamma_s", gamma_s, bound_c(pt))
 
 
 def _run_exponent_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     params = cfg.params
     var = cfg.sweep_variable
-    k = cfg.model.k_factor if not cfg.model.is_awgn else 0.0
     rows: list[ResultRow] = []
     for x in cfg.sweep_grid:
-        gamma_s, gamma_c, k_here = params.gamma_s, params.gamma_c, k
+        gamma_s, gamma_c, k_here = params.gamma_s, params.gamma_c, cfg.model.k_factor
         if var == "gamma_s":
             gamma_s = x
         elif var == "gamma_c":
@@ -547,15 +563,9 @@ def _run_exponent_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
                 gamma_s=gamma_s, gamma_c=gamma_c, p1=params.p1, k_factor=k_here, num_antennas=n
             )
             tag = "" if var == "N" else f"(N={n})"
-            rows.append(
-                ResultRow(cfg.experiment, f"E_AWGN{tag}", var, float(x), e_awgn(pt), None, cfg.seed)
-            )
+            rows.append(_row(cfg, f"E_AWGN{tag}", var, x, e_awgn(pt)))
             if not cfg.model.is_awgn:
-                rows.append(
-                    ResultRow(
-                        cfg.experiment, f"E_NoCSIS{tag}", var, float(x), e_nocsis(pt), None, cfg.seed
-                    )
-                )
+                rows.append(_row(cfg, f"E_NoCSIS{tag}", var, x, e_nocsis(pt)))
     return rows, 0
 
 
@@ -571,7 +581,7 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
         elif var == "N":
             params_x = dataclasses.replace(params, num_antennas=int(x))
         elif var == "gamma_s":
-            params_x = _at_gamma_s(params, x)
+            params_x = params.at_gamma_s(x)
         else:
             params_x = _at_gamma_c(params, x)
         noise = _noise_for(cfg, params_x)
@@ -598,116 +608,81 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
         total = PeEstimate.from_counts(errors, cfg.trials * draws)
         tag = "" if var == "N" else f",N={params_x.num_antennas}"
         label = f"({cfg.model.label}{tag})"
-        rows.append(
-            ResultRow(
-                cfg.experiment,
-                f"Pe_MC{label}",
-                var,
-                float(x),
-                total.p_hat,
-                total.ci95_halfwidth,
-                cfg.seed,
-            )
-        )
-        rows.append(
-            ResultRow(
-                cfg.experiment, f"Pe{label}", var, float(x), float(np.mean(pes)), None, cfg.seed
-            )
-        )
+        rows.append(_row(cfg, f"Pe_MC{label}", var, x, total.p_hat, total.ci95_halfwidth))
+        rows.append(_row(cfg, f"Pe{label}", var, x, float(np.mean(pes))))
     return rows, 0
 
 
-def _run_schemes(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _scheme_sweep(cfg: ExperimentConfig, grid, label: str, draws: int):
+    """The method1/method2 exponents and the hybrid pick at each gamma_s
+    of `grid`, on `draws` channels drawn from substream(label, d).
+
+    Returns (channels, crossover, points), where each point is (gamma_s,
+    params at gamma_s, method1 exponents, method2 exponents, hybrid
+    exponents).  A grid of two or more points calibrates the crossover
+    on its own channels (stream 1); without a crossover the hybrid
+    follows the dominant method, and on a one-point grid it takes the
+    method with the larger mean.
+    """
     params = cfg.params
-    grid = cfg.sweep_grid
-    draws = cfg.channel_draws or 25
-    n = params.num_antennas
-    k = cfg.model.k_factor if not cfg.model.is_awgn else 0.0
     base = RandomSource(cfg.seed)
     channels = [
-        sample_channel(cfg.model, n, params.num_sensors, base.substream("schemes", d)).entries
+        sample_channel(
+            cfg.model, params.num_antennas, params.num_sensors, base.substream(label, d)
+        ).entries
         for d in range(draws)
     ]
     directions = [method2_direction(h) for h in channels]
-    try:
-        crossover = calibrate_crossover(params, cfg.model, grid, draws, base.stream(1))
-        dominant = None
-    except NoCrossoverError as exc:
-        crossover = None
-        dominant = exc.dominant
-    rows: list[ResultRow] = []
-    for x in grid:
-        params_x = _at_gamma_s(params, x)
-        fe1, fe2 = method_exponents(channels, directions, params_x)
-        if crossover is not None:
-            feh = fe1 if x < crossover else fe2
-        else:
-            feh = fe1 if dominant == "method1" else fe2
-        for series, values in (
-            (f"method1(N={n})", fe1),
-            (f"method2(N={n})", fe2),
-            (f"hybrid(N={n})", feh),
-        ):
-            mean, ci = _mean_ci(values)
-            rows.append(ResultRow(cfg.experiment, series, "gamma_s", float(x), mean, ci, cfg.seed))
-        pt = _snr_point(params_x, k).with_antennas(n)
-        rows.append(
-            ResultRow(
-                cfg.experiment, f"C({n},{k:g})", "gamma_s", float(x), bound_c(pt), None, cfg.seed
-            )
-        )
-    rows.append(
-        ResultRow(
-            cfg.experiment,
-            f"crossover(N={n})",
-            "gamma_s",
-            math.nan,
-            math.nan if crossover is None else crossover,
-            None,
-            cfg.seed,
-        )
-    )
-    return rows, 0
-
-
-def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    params = cfg.params
-    grid = cfg.sweep_grid or (params.gamma_s,)
-    draws = cfg.channel_draws or 10
-    n, num_sensors = params.num_antennas, params.num_sensors
-    k = cfg.model.k_factor if not cfg.model.is_awgn else 0.0
-    base = RandomSource(cfg.seed)
-    channels = [
-        sample_channel(cfg.model, n, num_sensors, base.substream("sdr", d)).entries
-        for d in range(draws)
-    ]
-    directions = [method2_direction(h) for h in channels]
-
-    # the SDP solution scales linearly in the diagonal value, so the
-    # phase pattern is solved once per draw and reused across gamma_s
-    phase_vectors = []
-    failures = 0
-    for h in channels:
-        problem = SdpProblem(cost=h.conj().T @ h, diag_value=1.0)
-        solution = solve_sdp(problem)
-        if solution.converged:
-            phase_vectors.append(extract_phases(solution))
-        else:
-            phase_vectors.append(None)
-            failures += 1
-
-    crossover = None
-    dominant = None
+    crossover = dominant = None
     if len(grid) >= 2:
         try:
             crossover = calibrate_crossover(params, cfg.model, grid, draws, base.stream(1))
         except NoCrossoverError as exc:
             dominant = exc.dominant
+    points = []
+    for x in grid:
+        params_x = params.at_gamma_s(x)
+        fe1, fe2 = method_exponents(channels, directions, params_x)
+        if crossover is not None:
+            use_method1 = x < crossover
+        elif dominant is not None:
+            use_method1 = dominant == "method1"
+        else:
+            use_method1 = float(np.mean(fe1)) >= float(np.mean(fe2))
+        points.append((x, params_x, fe1, fe2, fe1 if use_method1 else fe2))
+    return channels, crossover, points
+
+
+def _run_schemes(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+    n = cfg.params.num_antennas
+    _, crossover, points = _scheme_sweep(cfg, cfg.sweep_grid, "schemes", cfg.channel_draws or 25)
+    rows: list[ResultRow] = []
+    for x, params_x, fe1, fe2, feh in points:
+        for name, values in (("method1", fe1), ("method2", fe2), ("hybrid", feh)):
+            rows.append(_row(cfg, f"{name}(N={n})", "gamma_s", x, *_mean_ci(values)))
+        rows.append(_bound_row(cfg, params_x, x))
+    value = math.nan if crossover is None else crossover
+    rows.append(_row(cfg, f"crossover(N={n})", "gamma_s", math.nan, value))
+    return rows, 0
+
+
+def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+    params = cfg.params
+    n, num_sensors = params.num_antennas, params.num_sensors
+    grid = cfg.sweep_grid or (params.gamma_s,)
+    channels, _, points = _scheme_sweep(cfg, grid, "sdr", cfg.channel_draws or 10)
+
+    # the SDP solution scales linearly in the diagonal value, so the
+    # phase pattern is solved once per draw and reused across gamma_s
+    phase_vectors = []
+    for h in channels:
+        solution = solve_sdp(SdpProblem(cost=h.conj().T @ h, diag_value=1.0))
+        phase_vectors.append(extract_phases(solution) if solution.converged else None)
+    failures = sum(v is None for v in phase_vectors)
 
     rows: list[ResultRow] = []
     sdr_series = f"sdr_phase(N={n})" + ("[nonconverged]" if failures else "")
-    for x in grid:
-        params_x = _at_gamma_s(params, x)
+    for x, params_x, _, _, feh in points:
         budget = params_x.gain_budget
         scale = math.sqrt(budget / num_sensors)
         fe_sdr = [
@@ -715,32 +690,10 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             for h, v in zip(channels, phase_vectors)
             if v is not None
         ]
-        fe1, fe2 = method_exponents(channels, directions, params_x)
-        if crossover is not None:
-            feh = fe1 if x < crossover else fe2
-        elif dominant is not None:
-            feh = fe1 if dominant == "method1" else fe2
-        else:
-            feh = fe1 if float(np.mean(fe1)) >= float(np.mean(fe2)) else fe2
-        if fe_sdr:
-            mean_sdr, ci_sdr = _mean_ci(fe_sdr)
-        else:
-            mean_sdr, ci_sdr = math.nan, None
-        rows.append(
-            ResultRow(cfg.experiment, sdr_series, "gamma_s", float(x), mean_sdr, ci_sdr, cfg.seed)
-        )
-        mean_h, ci_h = _mean_ci(feh)
-        rows.append(
-            ResultRow(
-                cfg.experiment, f"hybrid(N={n})", "gamma_s", float(x), mean_h, ci_h, cfg.seed
-            )
-        )
-        pt = _snr_point(params_x, k).with_antennas(n)
-        rows.append(
-            ResultRow(
-                cfg.experiment, f"C({n},{k:g})", "gamma_s", float(x), bound_c(pt), None, cfg.seed
-            )
-        )
+        sdr_mean_ci = _mean_ci(fe_sdr) if fe_sdr else (math.nan, None)
+        rows.append(_row(cfg, sdr_series, "gamma_s", x, *sdr_mean_ci))
+        rows.append(_row(cfg, f"hybrid(N={n})", "gamma_s", x, *_mean_ci(feh)))
+        rows.append(_bound_row(cfg, params_x, x))
     return rows, 3 if failures else 0
 
 
@@ -748,9 +701,8 @@ def _run_asymptotic(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     params = cfg.params
     draws = cfg.channel_draws or 20
     num_sensors = params.num_sensors
-    k = cfg.model.k_factor if not cfg.model.is_awgn else 0.0
     zeta = ZetaFactor.from_model(cfg.model)
-    pt = _snr_point(params, k).with_antennas(1)
+    pt = SnrPoint.from_params(params, k_factor=cfg.model.k_factor).with_antennas(1)
     base = RandomSource(cfg.seed)
     rows: list[ResultRow] = []
     for i, beta in enumerate(cfg.sweep_grid):
@@ -762,7 +714,7 @@ def _run_asymptotic(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             ("C_inf", bounds.c_inf),
             ("G_inf_bound", gain_inf_bound(beta, zeta)),
         ):
-            rows.append(ResultRow(cfg.experiment, series, "beta", float(beta), value, None, cfg.seed))
+            rows.append(_row(cfg, series, "beta", beta, value))
         n = max(1, round(num_sensors / beta))
         lams = []
         for d in range(draws):
@@ -770,22 +722,8 @@ def _run_asymptotic(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             gram = h @ h.conj().T / num_sensors
             lams.append(float(hermitian_eig(gram).eigenvalues[-1]))
         mean, ci = _mean_ci(lams)
-        rows.append(
-            ResultRow(
-                cfg.experiment,
-                f"lambda_max_empirical(L={num_sensors})",
-                "beta",
-                float(beta),
-                mean,
-                ci,
-                cfg.seed,
-            )
-        )
+        rows.append(_row(cfg, f"lambda_max_empirical(L={num_sensors})", "beta", beta, mean, ci))
     return rows, 0
-
-
-def _preset(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    return dataclasses.replace(cfg, **overrides)
 
 
 def _base_preset_params(num_sensors: int, num_antennas: int, gamma_c: float) -> NetworkParams:
@@ -806,13 +744,12 @@ def _figure_2(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     grid = tuple(float(l) for l in range(1, 16))
     for model in (ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh()):
         for n in (2, 10):
-            sub = _preset(
+            sub = dataclasses.replace(
                 cfg,
                 params=_base_preset_params(15, n, 1.0),
                 model=model,
                 sweep_variable="L",
                 sweep_grid=grid,
-                channel_draws=cfg.channel_draws or 10,
             )
             rows.extend(_run_montecarlo(sub)[0])
     return rows, 0
@@ -829,25 +766,17 @@ def _figure_3(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
         )
         label = model.label
         for l, value in zip(curve.l_grid, curve.values):
-            rows.append(
-                ResultRow(cfg.experiment, f"exponent({label},N=5)", "L", float(l), value, None, cfg.seed)
-            )
-        rows.append(
-            ResultRow(
-                cfg.experiment, f"plateau({label},N=5)", "L", math.nan, curve.plateau, None, cfg.seed
-            )
-        )
-        pt = _snr_point(params, model.k_factor)
+            rows.append(_row(cfg, f"exponent({label},N=5)", "L", l, value))
+        rows.append(_row(cfg, f"plateau({label},N=5)", "L", math.nan, curve.plateau))
+        pt = SnrPoint.from_params(params, k_factor=model.k_factor)
         closed = ("E_AWGN(N=5)", e_awgn(pt)) if model.is_awgn else ("E_NoCSIS(N=5)", e_nocsis(pt))
         for l in grid:
-            rows.append(
-                ResultRow(cfg.experiment, closed[0], "L", float(l), closed[1], None, cfg.seed)
-            )
+            rows.append(_row(cfg, closed[0], "L", l, closed[1]))
     return rows, 0
 
 
 def _figure_4(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    sub = _preset(
+    sub = dataclasses.replace(
         cfg,
         params=_base_preset_params(200, 1, 1.0),
         model=ChannelModel.ricean(1.0),
@@ -869,7 +798,7 @@ def _figure_5(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             ("E_NoCSIS(N=1,K=10)", e_nocsis(dataclasses.replace(pt, k_factor=10.0))),
             ("E_NoCSIS(N=1,K=20)", e_nocsis(dataclasses.replace(pt, k_factor=20.0))),
         ):
-            rows.append(ResultRow(cfg.experiment, series, "gamma_c", gamma_c, value, None, cfg.seed))
+            rows.append(_row(cfg, series, "gamma_c", gamma_c, value))
     return rows, 0
 
 
@@ -886,7 +815,7 @@ def _figure_6(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             ("C(N=1)", bound_c(pt)),
             ("E_CSIS(1)", e_csis1_rayleigh_closed(pt)),
         ):
-            rows.append(ResultRow(cfg.experiment, series, "gamma_c_db", db, value, None, cfg.seed))
+            rows.append(_row(cfg, series, "gamma_c_db", db, value))
     return rows, 0
 
 
@@ -903,72 +832,56 @@ def _figure_7(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             ("2zeta", 2.0 * zeta_rayleigh.zeta),
             ("N_line", float(n)),
         ):
-            rows.append(ResultRow(cfg.experiment, series, "N", float(n), value, None, cfg.seed))
+            rows.append(_row(cfg, series, "N", n, value))
     return rows, 0
+
+
+def _in_db(rows: list[ResultRow], grid, db_grid) -> list[ResultRow]:
+    # relabels a gamma_s sweep built on snr_from_db(db_grid) onto the dB
+    # grid; a crossover row carries its gamma_s as the value, moved to dB
+    to_db = dict(zip(grid, db_grid))
+    out = []
+    for row in rows:
+        if row.series.startswith("crossover("):
+            db = math.nan if math.isnan(row.value) else snr_to_db(row.value)
+            series = row.series.replace("crossover(", "crossover_db(")
+            out.append(dataclasses.replace(row, series=series, x_name="gamma_s_db", value=db))
+        else:
+            out.append(dataclasses.replace(row, x_name="gamma_s_db", x_value=to_db[row.x_value]))
+    return out
 
 
 def _figure_8(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     rows: list[ResultRow] = []
     db_grid = tuple(float(db) for db in range(-5, 16))
     grid = tuple(snr_from_db(db) for db in db_grid)
-    to_db = dict(zip(grid, db_grid))
     for n in (5, 50):
-        sub = _preset(
+        sub = dataclasses.replace(
             cfg,
             params=_base_preset_params(200, n, 10.0),
             model=ChannelModel.ricean(1.0),
             sweep_variable="gamma_s",
             sweep_grid=grid,
-            channel_draws=cfg.channel_draws or 25,
         )
-        for row in _run_schemes(sub)[0]:
-            if row.series.startswith("crossover"):
-                rows.append(
-                    dataclasses.replace(
-                        row,
-                        series=f"crossover_db(N={n})",
-                        x_name="gamma_s_db",
-                        value=math.nan if math.isnan(row.value) else snr_to_db(row.value),
-                    )
-                )
-            else:
-                rows.append(
-                    dataclasses.replace(row, x_name="gamma_s_db", x_value=to_db[row.x_value])
-                )
+        rows.extend(_in_db(_run_schemes(sub)[0], grid, db_grid))
     for db, x in zip(db_grid, grid):
         pt = SnrPoint(gamma_s=x, gamma_c=10.0, p1=0.5, k_factor=0.0, num_antennas=1)
-        rows.append(
-            ResultRow(
-                cfg.experiment,
-                "E_CSIS(1)",
-                "gamma_s_db",
-                db,
-                e_csis1_rayleigh_closed(pt),
-                None,
-                cfg.seed,
-            )
-        )
+        rows.append(_row(cfg, "E_CSIS(1)", "gamma_s_db", db, e_csis1_rayleigh_closed(pt)))
     return rows, 0
 
 
 def _figure_9(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     db_grid = tuple(-5.0 + 2.5 * step for step in range(7))
     grid = tuple(snr_from_db(db) for db in db_grid)
-    to_db = dict(zip(grid, db_grid))
-    sub = _preset(
+    sub = dataclasses.replace(
         cfg,
         params=_base_preset_params(32, 3, 10.0),
         model=ChannelModel.ricean(1.0),
         sweep_variable="gamma_s",
         sweep_grid=grid,
-        channel_draws=cfg.channel_draws or 10,
     )
-    raw_rows, code = _run_sdr_compare(sub)
-    rows = [
-        dataclasses.replace(row, x_name="gamma_s_db", x_value=to_db[row.x_value])
-        for row in raw_rows
-    ]
-    return rows, code
+    rows, code = _run_sdr_compare(sub)
+    return _in_db(rows, grid, db_grid), code
 
 
 _FIGURES = {
@@ -1104,12 +1017,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output=args.out)
-    if args.format is not None:
-        cfg = dataclasses.replace(cfg, format=args.format)
+    overrides = {"seed": args.seed, "output": args.out, "format": args.format}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     rows, code = run(cfg)
     text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)

@@ -25,13 +25,7 @@ from enum import IntEnum
 import numpy as np
 from scipy.special import logsumexp
 
-from .allocation import (
-    _check_dims,
-    _entries,
-    _gain_values,
-    alpha_uniform,
-    received_covariance,
-)
+from .allocation import _check_dims, _entries, _gain_values, alpha_uniform, quadratic_form
 from .model import (
     ChannelModel,
     NetworkParams,
@@ -41,14 +35,13 @@ from .model import (
     complex_normal,
     sample_channel,
 )
-from .numerics import log_q, q_function, solve_hermitian_pd
+from .numerics import log_q, q_function
 
 __all__ = [
     "Hypothesis",
     "ReceivedSignal",
     "PeEstimate",
     "ExponentCurve",
-    "covariance_r",
     "synthesize",
     "decide",
     "pe_conditional",
@@ -116,26 +109,6 @@ class PeEstimate:
         )
 
 
-def covariance_r(
-    channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
-) -> np.ndarray:
-    """Covariance of the received signal under either hypothesis."""
-    return received_covariance(channel, alpha, params, noise)
-
-
-def _matched_filter(channel, alpha, params, noise):
-    # returns (H alpha, R^{-1} H alpha, q) shared by the decision rule
-    # and the error-probability formulas
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    _check_dims(h, a, params)
-    v = h @ a
-    r = received_covariance(h, a, params, noise)
-    w = solve_hermitian_pd(r, v)
-    q = max(float(np.vdot(v, w).real), 0.0)
-    return h, a, v, w, q
-
-
 def synthesize(
     channel,
     alpha,
@@ -172,7 +145,7 @@ def decide(
 ) -> Hypothesis:
     """Likelihood-ratio decision; ties go to H1 (a probability-zero
     event under either hypothesis)."""
-    _, _, v, w, q = _matched_filter(channel, alpha, params, noise)
+    _, w, q = quadratic_form(channel, alpha, params, noise)
     y = np.asarray(y, dtype=np.complex128)
     statistic = params.theta * float(np.vdot(y, w).real)
     threshold = 0.5 * params.theta**2 * q + params.tau
@@ -196,7 +169,7 @@ def pe_conditional(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Error probability conditioned on the channel realization."""
-    *_, q = _matched_filter(channel, alpha, params, noise)
+    q = quadratic_form(channel, alpha, params, noise)[2]
     omega = _omega(params, q)
     if omega == 0.0:
         return _degenerate_pe(params)
@@ -210,7 +183,7 @@ def log_pe_conditional(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Natural log of pe_conditional, stable far below underflow."""
-    *_, q = _matched_filter(channel, alpha, params, noise)
+    q = quadratic_form(channel, alpha, params, noise)[2]
     omega = _omega(params, q)
     if omega == 0.0:
         return math.log(_degenerate_pe(params))
@@ -242,7 +215,9 @@ def estimate_pe_montecarlo(
         raise ValueError("trials must be >= 1000 for a meaningful estimate")
     if not isinstance(rng, RandomSource):
         raise TypeError("rng must be a RandomSource (block substreams required)")
-    h, a, v, w, q = _matched_filter(channel, alpha, params, noise)
+    h = _entries(channel)
+    a = _gain_values(alpha)
+    v, w, q = quadratic_form(h, a, params, noise)
     threshold = 0.5 * params.theta**2 * q + params.tau
     model = noise if noise is not None else SensingNoiseModel(
         sigma_eta_sq=params.sigma_eta_sq

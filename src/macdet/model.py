@@ -27,7 +27,6 @@ __all__ = [
     "ChannelModel",
     "ChannelMatrix",
     "SensingNoiseModel",
-    "derive_power",
     "mean_abs_h",
     "sample_channel",
     "sample_sensing_noise",
@@ -139,7 +138,9 @@ class NetworkParams:
 
     @property
     def gain_budget(self) -> float:
-        """Amplification budget P = P_T / (p1 * theta^2 + sigma_eta_sq)."""
+        """Amplification budget P = P_T / (p1 * theta^2 + sigma_eta_sq).  A
+        sensor transmits |alpha_l|^2 (p1 theta^2 + sigma_eta_sq) on average,
+        so gains with sum |alpha_l|^2 <= P spend at most P_T in expectation."""
         return self.total_power / (self.p1 * self.theta**2 + self.sigma_eta_sq)
 
     @property
@@ -148,6 +149,12 @@ class NetworkParams:
         if self.sigma_eta_sq == 0.0:
             return math.inf
         return self.theta**2 / self.sigma_eta_sq
+
+    def at_gamma_s(self, gamma_s: float) -> "NetworkParams":
+        """The same network at sensing SNR gamma_s: sigma_eta_sq =
+        theta^2 / gamma_s, or 0 (noise-free sensing) when gamma_s = inf."""
+        sigma_eta_sq = 0.0 if math.isinf(gamma_s) else self.theta**2 / gamma_s
+        return dataclasses.replace(self, sigma_eta_sq=sigma_eta_sq)
 
     @property
     def gamma_c(self) -> float:
@@ -158,16 +165,6 @@ class NetworkParams:
     def tau(self) -> float:
         """Bayesian log-likelihood threshold (1/2) ln(p0/p1)."""
         return 0.5 * math.log(self.p0 / self.p1)
-
-
-def derive_power(params: NetworkParams) -> float:
-    """Amplification budget P enforcing the expected total-power constraint.
-
-    P = P_T / (p1 * theta^2 + sigma_eta_sq): each sensor's transmitted
-    power is |alpha_l|^2 (p1 theta^2 + sigma_eta_sq), so any gain vector
-    with sum |alpha_l|^2 <= P spends at most P_T in expectation.
-    """
-    return params.gain_budget
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ __all__ = [
     "canonical_phase",
     "q_function",
     "log_q",
-    "exp_integral_e1",
     "exp_e1_scaled",
 ]
 
@@ -145,7 +144,9 @@ def q_function(x):
 def log_q(x: float) -> float:
     """Natural log of Q(x), safe for arguments far beyond erfc underflow.
 
-    Uses the erfc branch up to x = 25 and the asymptotic tail
+    Below x = -1, Q(x) = 1 - Q(-x) lies next to 1, so log Q(x) is taken
+    as log1p(-Q(-x)) to keep its relative accuracy; the erfc branch
+    serves -1 <= x <= 25, and the asymptotic tail
     Q(x) = phi(x)/x * (1 - x^-2 + 3 x^-4 - ...) beyond.
     """
     x = float(x)
@@ -155,6 +156,8 @@ def log_q(x: float) -> float:
         return 0.0
     if x == math.inf:
         return -math.inf
+    if x < -1.0:
+        return math.log1p(-0.5 * erfc(-x / math.sqrt(2.0)))
     if x <= 25.0:
         return math.log(0.5 * erfc(x / math.sqrt(2.0)))
     inv2 = 1.0 / (x * x)
@@ -203,26 +206,11 @@ def _e1_scaled_cf(x: float) -> float:
     raise ValueError(f"continued fraction for E1 did not converge at x={x}")
 
 
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_x^inf e^-t / t dt for x > 0.
-
-    Series expansion for x <= 1, continued fraction for x > 1; relative
-    error <= 1e-10 over the normal range.  Underflows to 0 for x above
-    ~700 where e^-x is subnormal.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"E1 requires x > 0, got {x}")
-    if x <= 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * _e1_scaled_cf(x)
-
-
 def exp_e1_scaled(x: float) -> float:
-    """The scaled product e^x * E1(x), computable without overflow for
-    arbitrarily large x (decays like 1/x).  Same relative accuracy as
-    exp_integral_e1 (<= 1e-10), which shares its series and continued
-    fraction."""
+    """The scaled product e^x * E1(x), E1(x) = int_x^inf e^-t / t dt, for
+    x > 0, computable without overflow for arbitrarily large x (decays
+    like 1/x).  Series expansion for x <= 1, continued fraction for x > 1;
+    relative error <= 1e-10."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"scaled E1 requires x > 0, got {x}")

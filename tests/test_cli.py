@@ -635,6 +635,30 @@ class TestAsymptoticExperiment:
         assert '"inf"' in text
 
 
+    # 20 / 8193 is the first beta whose antenna count round(L / beta) at
+    # L = 20 is over the cap of 8192; 1e-300 and 1e-310 once raised a NumPy
+    # ValueError and an OverflowError from round(inf)
+    @pytest.mark.parametrize("beta", [1e-310, 1e-300, 20 / 8193], ids=["1e-310", "1e-300", "cap+1"])
+    def test_tiny_beta_rejected_with_exit_2(self, tmp_path, capsys, beta):
+        path = tmp_path / "cfg.json"
+        raw = {"channel": "rayleigh", "num_sensors": 20, "sweep": sweep("beta", [beta, 1.0])}
+        path.write_text(json.dumps(raw))
+        code = cli.main(["asymptotic", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_beta_at_the_cap_still_parses(self):
+        # parsed, never run: round(20 / beta) = 8192 antennas is allowed
+        beta = 20 / 8192
+        assert round(20 / beta) == 8192
+        cfg = parse(
+            {"channel": "rayleigh", "num_sensors": 20, "sweep": sweep("beta", [beta, 1.0])},
+            experiment="asymptotic",
+        )
+        assert cfg.sweep_grid == (beta, 1.0)
+
+
 class TestFigurePresets:
     def test_figure7_series_and_values(self):
         cfg = parse({"figure_id": 7}, experiment="figure")

@@ -6,13 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from macdet.allocation import alpha_opt_n1, alpha_phase_only_n1, alpha_uniform, method1
+from macdet.allocation import (
+    alpha_opt_n1,
+    alpha_phase_only_n1,
+    alpha_uniform,
+    method1,
+    quadratic_form,
+    received_covariance,
+)
 from macdet.detection import (
     ExponentCurve,
     Hypothesis,
     PeEstimate,
     ReceivedSignal,
-    covariance_r,
     decide,
     empirical_exponent,
     estimate_pe_montecarlo,
@@ -105,13 +111,13 @@ class TestCovarianceR:
         params = make_params(l=4, n=3)
         h = np.ones((3, 4), dtype=complex)
         assert np.allclose(
-            covariance_r(h, np.zeros(4), params), params.sigma_nu_sq * np.eye(3)
+            received_covariance(h, np.zeros(4), params), params.sigma_nu_sq * np.eye(3)
         )
 
     def test_unit_channel_uniform_structure(self):
         params = make_params(l=20, n=2, sigma_eta_sq=0.5)
         h = np.ones((2, 20), dtype=complex)
-        r = covariance_r(h, alpha_uniform(params), params)
+        r = received_covariance(h, alpha_uniform(params), params)
         p = params.gain_budget
         assert np.allclose(r, 0.5 * p * np.ones((2, 2)) + np.eye(2), rtol=1e-12)
 
@@ -121,8 +127,8 @@ class TestCovarianceR:
         h = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
         alpha = alpha_uniform(params)
         assert np.array_equal(
-            covariance_r(h, alpha, params),
-            covariance_r(h, alpha, params, SensingNoiseModel(r_eta=0.9 * np.eye(5))),
+            received_covariance(h, alpha, params),
+            received_covariance(h, alpha, params, SensingNoiseModel(r_eta=0.9 * np.eye(5))),
         )
 
 
@@ -146,7 +152,7 @@ class TestSynthesize:
         for t in range(n_draws):
             ys[t] = synthesize(h, alpha, params, Hypothesis.H0, gen).y
         sample = ys.T @ ys.conj() / n_draws
-        r = covariance_r(h, alpha, params)
+        r = received_covariance(h, alpha, params)
         se = np.sqrt(np.outer(np.diag(r).real, np.diag(r).real) / n_draws)
         assert np.all(np.abs(sample - r) <= 3.0 * se)
 
@@ -162,7 +168,7 @@ class TestSynthesize:
             total += synthesize(h, alpha, params, Hypothesis.H1, gen).y
         mean = total / n_draws
         expected = params.theta * (h @ alpha.values)
-        r = covariance_r(h, alpha, params)
+        r = received_covariance(h, alpha, params)
         se = np.sqrt(np.diag(r).real / n_draws)
         assert np.all(np.abs(mean - expected) <= 3.0 * se)
 
@@ -202,9 +208,7 @@ class TestPeConditional:
         params = params_for(gamma_s=1.0, gamma_c=3.0, l=6, n=2, p1=0.5)
         h = sample_channel(ChannelModel.rayleigh(), 2, 6, RandomSource(8)).entries
         alpha = alpha_uniform(params)
-        from macdet.detection import _matched_filter
-
-        *_, q = _matched_filter(h, alpha.values, params, None)
+        q = quadratic_form(h, alpha.values, params)[2]
         omega = params.theta * math.sqrt(q / 2.0)
         assert pe_conditional(h, alpha, params) == pytest.approx(
             float(q_function(omega)), rel=1e-12

@@ -8,7 +8,6 @@ from macdet.model import (
     NetworkParams,
     RandomSource,
     SensingNoiseModel,
-    derive_power,
     mean_abs_h,
     sample_channel,
     sample_sensing_noise,
@@ -31,16 +30,16 @@ def make_params(**overrides):
 
 class TestNetworkParams:
     def test_derive_power_default(self):
-        assert derive_power(make_params()) == pytest.approx(1.0 / 1.5, rel=1e-15)
+        assert make_params().gain_budget == pytest.approx(1.0 / 1.5, rel=1e-15)
 
     def test_derive_power_noise_free(self):
         p = make_params(sigma_eta_sq=0.0, total_power=2.0)
-        assert derive_power(p) == pytest.approx(4.0, rel=1e-15)
+        assert p.gain_budget == pytest.approx(4.0, rel=1e-15)
 
     def test_derive_power_hand_value(self):
         # p1 theta^2 + sigma_eta^2 = 0.25*4 + 1 = 2, P_T = 2 -> P = 1
         p = make_params(theta=2.0, p1=0.25, total_power=2.0)
-        assert derive_power(p) == pytest.approx(1.0, rel=1e-15)
+        assert p.gain_budget == pytest.approx(1.0, rel=1e-15)
 
     def test_snr_properties(self):
         p = make_params(theta=2.0, sigma_eta_sq=0.5, total_power=3.0, sigma_nu_sq=1.5)
