@@ -43,8 +43,6 @@ from .sdr import (
 
 __all__ = [
     "GainVector",
-    "SchemeChoice",
-    "SCHEME_KINDS",
     "NoCrossoverError",
     "received_covariance",
     "quadratic_form",
@@ -59,18 +57,11 @@ __all__ = [
     "hybrid",
     "calibrate_crossover",
     "alpha_sdr_phase",
-    "build_gains",
 ]
 
-SCHEME_KINDS = (
-    "uniform",
-    "opt_single",
-    "phase_only_n1",
-    "method1",
-    "method2",
-    "hybrid",
-    "sdr_phase",
-)
+# calibrate_crossover bisects in log gamma_s until the bracket is this
+# narrow, in dB
+_CROSSOVER_TOL_DB = 0.05
 
 
 @dataclass(frozen=True)
@@ -99,24 +90,6 @@ class GainVector:
     @property
     def power(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
-
-
-@dataclass(frozen=True)
-class SchemeChoice:
-    """Named gain strategy; hybrid carries its calibrated switch point."""
-
-    kind: str
-    gamma_s_crossover: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "hybrid":
-            c = self.gamma_s_crossover
-            if c is None or not math.isfinite(c):
-                raise ValueError("hybrid requires a finite gamma_s_crossover")
-        elif self.gamma_s_crossover is not None:
-            raise ValueError("gamma_s_crossover only applies to hybrid")
 
 
 class NoCrossoverError(RuntimeError):
@@ -317,15 +290,18 @@ def calibrate_crossover(
     gamma_s_grid,
     trials: int,
     rng: RandomSource,
-    tol_db: float = 0.05,
 ) -> float:
     """Sensing SNR at which the mean exponents of the two
     reduced-complexity methods cross, averaged over `trials` common
     channel draws per grid point and refined by bisection in log
-    gamma_s to within tol_db.
+    gamma_s to within _CROSSOVER_TOL_DB.
 
-    Raises NoCrossoverError (carrying the dominant method) when the
-    ordering never flips on the grid.
+    Grid points where the methods tie (a zero mean gap) are skipped: the
+    crossover is bracketed by consecutive nonzero gaps of opposite sign.
+    A tie strictly inside that bracket is returned as the crossover;
+    otherwise the bracket is bisected.  Raises NoCrossoverError when the
+    sign never flips; its dominant method follows the sign of the first
+    nonzero gap, and is method1 when every gap is zero.
     """
     grid = [float(g) for g in gamma_s_grid]
     if len(grid) < 2:
@@ -351,21 +327,17 @@ def calibrate_crossover(
     ]
     directions = [method2_direction(h) for h in channels]
     gaps = [_mean_exponent_gap(channels, directions, base_params.at_gamma_s(g)) for g in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if gaps[i] == 0.0 and math.isfinite(grid[i]):
-            return grid[i]
-        if gaps[i] * gaps[i + 1] < 0.0:
-            bracket = i
-            break
-    if bracket is None:
-        if gaps[-1] == 0.0 and math.isfinite(grid[-1]):
-            return grid[-1]
-        raise NoCrossoverError("method1" if gaps[0] > 0.0 else "method2")
+    nonzero = [i for i, gap in enumerate(gaps) if gap != 0.0]
+    brackets = [(i, j) for i, j in zip(nonzero, nonzero[1:]) if (gaps[i] > 0.0) != (gaps[j] > 0.0)]
+    if not brackets:
+        raise NoCrossoverError("method2" if nonzero and gaps[nonzero[0]] < 0.0 else "method1")
+    i, j = brackets[0]
+    if j > i + 1:
+        return grid[i + 1]
 
-    lo, hi = grid[bracket], grid[bracket + 1]
-    gap_lo = gaps[bracket]
-    while 10.0 * math.log10(hi / lo) > tol_db:
+    lo, hi = grid[i], grid[j]
+    gap_lo = gaps[i]
+    while 10.0 * math.log10(hi / lo) > _CROSSOVER_TOL_DB:
         mid = math.sqrt(lo * hi)
         gap_mid = _mean_exponent_gap(channels, directions, base_params.at_gamma_s(mid))
         if gap_mid == 0.0:
@@ -398,28 +370,3 @@ def alpha_sdr_phase(
     values = math.sqrt(p / params.num_sensors) * phases
     return GainVector(values=values, budget=p)
 
-
-def build_gains(
-    choice: SchemeChoice,
-    channel,
-    params: NetworkParams,
-    settings: AdmmSettings | None = None,
-) -> GainVector:
-    """Dispatches a SchemeChoice to its constructor.  Single-antenna
-    rules require N = 1."""
-    kind = choice.kind
-    if kind == "uniform":
-        return alpha_uniform(params)
-    if kind in ("opt_single", "phase_only_n1"):
-        h = _entries(channel)
-        if h.shape[0] != 1:
-            raise ValueError(f"{kind} requires a single-antenna channel")
-        builder = alpha_opt_n1 if kind == "opt_single" else alpha_phase_only_n1
-        return builder(h[0], params)
-    if kind == "method1":
-        return method1(channel, params)[0]
-    if kind == "method2":
-        return method2(channel, params)
-    if kind == "hybrid":
-        return hybrid(channel, params, choice.gamma_s_crossover)
-    return alpha_sdr_phase(channel, params, settings)

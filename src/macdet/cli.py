@@ -67,7 +67,6 @@ __all__ = [
     "ResultRow",
     "ExperimentConfig",
     "parse_config",
-    "load_config",
     "run",
     "rows_to_csv",
     "rows_to_json",
@@ -75,16 +74,14 @@ __all__ = [
     "console_main",
 ]
 
-EXPERIMENTS = ("exponent-sweep", "montecarlo", "schemes", "sdr-compare", "asymptotic", "figure")
-
-SWEEP_VARIABLES = ("gamma_s", "gamma_c", "N", "L", "K", "beta")
-
-_SWEEP_BY_EXPERIMENT = {
-    "exponent-sweep": ("gamma_s", "gamma_c", "N", "K"),
-    "montecarlo": ("gamma_s", "gamma_c", "N", "L"),
-    "schemes": ("gamma_s",),
-    "sdr-compare": ("gamma_s",),
-    "asymptotic": ("beta",),
+# each sweep variable and the config keys its grid overwrites
+_SWEEPS = {
+    "gamma_s": ("gamma_s", "gamma_s_db", "sigma_eta_sq"),
+    "gamma_c": ("gamma_c", "gamma_c_db", "total_power"),
+    "N": ("num_antennas", "n_list"),
+    "L": ("num_sensors",),
+    "K": ("ricean_k",),
+    "beta": (),
 }
 
 _KNOWN_KEYS = frozenset(
@@ -207,21 +204,6 @@ def _no_overflow(what: str, compute, *args) -> float:
         raise ConfigError(f"{what} overflows") from None
 
 
-def _check_budget(params: NetworkParams, where: str = "") -> None:
-    # finite inputs can still overflow the derived powers, and every gain
-    # rule needs a positive finite budget P
-    if not math.isfinite(params.total_power):
-        raise ConfigError(f"total_power = gamma_c * sigma_nu_sq overflows{where}")
-    if not math.isfinite(params.sigma_eta_sq):
-        raise ConfigError(f"sigma_eta_sq = theta^2 / gamma_s overflows{where}")
-    budget = params.gain_budget
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise ConfigError(
-            f"gain budget total_power / (p1 theta^2 + sigma_eta_sq) = {budget!r}{where}"
-            " is not a positive finite number"
-        )
-
-
 def _reject(given: set, keys: tuple, why: str) -> None:
     clash = sorted(k for k in keys if k in given)
     if clash:
@@ -237,9 +219,9 @@ def _parse_sweep(raw_sweep, experiment: str) -> tuple[str, tuple[float, ...]]:
     if "variable" not in raw_sweep or "grid" not in raw_sweep:
         raise ConfigError("sweep requires both variable and grid")
     variable = _as_str("sweep.variable", raw_sweep["variable"])
-    if variable not in SWEEP_VARIABLES:
+    if variable not in _SWEEPS:
         raise ConfigError(f"unknown sweep variable {variable!r}")
-    allowed = _SWEEP_BY_EXPERIMENT.get(experiment, ())
+    allowed = _EXPERIMENTS[experiment][1]
     if variable not in allowed:
         raise ConfigError(
             f"sweep variable {variable!r} is not valid for {experiment} "
@@ -276,7 +258,7 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     directly and through an SNR), and keys a sweep would overwrite are
     all rejected.
     """
-    if experiment not in EXPERIMENTS:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -307,11 +289,18 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     elif "figure_id" in raw:
         raise ConfigError("figure_id is only valid for the figure experiment")
 
-    theta = _positive("theta", _as_bool_free_number("theta", raw.get("theta", 1.0)))
-    _no_overflow("theta^2", pow, theta, 2)
-    sigma_nu_sq = _positive(
-        "sigma_nu_sq", _as_bool_free_number("sigma_nu_sq", raw.get("sigma_nu_sq", 1.0))
-    )
+    sweep_variable = None
+    sweep_grid = None
+    if "sweep" in given:
+        sweep_variable, sweep_grid = _parse_sweep(raw["sweep"], experiment)
+        _reject(given, _SWEEPS[sweep_variable], f"when sweeping {sweep_variable}")
+    elif experiment not in ("sdr-compare", "figure"):
+        raise ConfigError(f"{experiment} requires a sweep block")
+    if experiment == "schemes" and len(sweep_grid) < 2:
+        raise ConfigError("schemes requires a gamma_s grid with at least two points")
+
+    theta = _as_bool_free_number("theta", raw.get("theta", 1.0))
+    sigma_nu_sq = _as_bool_free_number("sigma_nu_sq", raw.get("sigma_nu_sq", 1.0))
     p1 = _as_bool_free_number("p1", raw.get("p1", 0.5))
 
     if "gamma_s" in given and "gamma_s_db" in given:
@@ -323,32 +312,23 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     if ("gamma_c" in given or "gamma_c_db" in given) and "total_power" in given:
         raise ConfigError("total_power conflicts with gamma_c / gamma_c_db")
 
-    sigma_eta_sq = 1.0
-    if "sigma_eta_sq" in given:
-        sigma_eta_sq = _as_bool_free_number("sigma_eta_sq", raw["sigma_eta_sq"])
-        if sigma_eta_sq < 0.0:
-            raise ConfigError("sigma_eta_sq must be >= 0")
-    elif "gamma_s" in given or "gamma_s_db" in given:
-        if "gamma_s" in given:
-            gamma_s = _positive(
-                "gamma_s", _as_bool_free_number("gamma_s", raw["gamma_s"], allow_inf=True)
-            )
-        else:
-            gamma_s = _no_overflow(
-                "gamma_s from gamma_s_db",
-                snr_from_db,
-                _as_bool_free_number("gamma_s_db", raw["gamma_s_db"], allow_inf=True),
-            )
-            if gamma_s == 0.0:
-                raise ConfigError("gamma_s_db is so low that gamma_s underflows to 0")
-        sigma_eta_sq = 0.0 if math.isinf(gamma_s) else theta**2 / gamma_s
-
-    total_power = 1.0
-    if "total_power" in given:
-        total_power = _positive(
-            "total_power", _as_bool_free_number("total_power", raw["total_power"])
+    sigma_eta_sq = _as_bool_free_number("sigma_eta_sq", raw.get("sigma_eta_sq", 1.0))
+    gamma_s = None
+    if "gamma_s" in given:
+        gamma_s = _positive(
+            "gamma_s", _as_bool_free_number("gamma_s", raw["gamma_s"], allow_inf=True)
         )
-    elif "gamma_c" in given or "gamma_c_db" in given:
+    elif "gamma_s_db" in given:
+        gamma_s = _no_overflow(
+            "gamma_s from gamma_s_db",
+            snr_from_db,
+            _as_bool_free_number("gamma_s_db", raw["gamma_s_db"], allow_inf=True),
+        )
+        if gamma_s == 0.0:
+            raise ConfigError("gamma_s_db is so low that gamma_s underflows to 0")
+
+    total_power = _as_bool_free_number("total_power", raw.get("total_power", 1.0))
+    if "gamma_c" in given or "gamma_c_db" in given:
         if "gamma_c" in given:
             gamma_c = _as_bool_free_number("gamma_c", raw["gamma_c"])
         else:
@@ -357,31 +337,19 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
                 snr_from_db,
                 _as_bool_free_number("gamma_c_db", raw["gamma_c_db"]),
             )
-        if not gamma_c > 0.0:
-            raise ConfigError("gamma_c must be > 0")
-        total_power = gamma_c * sigma_nu_sq
+        total_power = _positive("gamma_c", gamma_c) * sigma_nu_sq
 
     channel = _as_str("channel", raw.get("channel", "awgn"))
-    if channel == "awgn":
-        _reject(given, ("ricean_k",), "for an AWGN channel")
-        model = ChannelModel.awgn()
-    elif channel == "rayleigh":
-        _reject(given, ("ricean_k",), "for a Rayleigh channel")
-        model = ChannelModel.rayleigh()
-    elif channel == "ricean":
-        sweep_is_k = isinstance(raw.get("sweep"), dict) and raw["sweep"].get("variable") == "K"
-        if sweep_is_k:
-            _reject(given, ("ricean_k",), "when sweeping K")
-            model = ChannelModel.ricean(1.0)  # placeholder; the grid supplies K
-        else:
-            if "ricean_k" not in given:
-                raise ConfigError("ricean channel requires ricean_k")
-            k = _as_bool_free_number("ricean_k", raw["ricean_k"])
-            if k < 0.0:
-                raise ConfigError("ricean_k must be >= 0")
-            model = ChannelModel.ricean(k)
-    else:
+    if channel not in ("awgn", "rayleigh", "ricean"):
         raise ConfigError(f"unknown channel {channel!r}")
+    if channel != "ricean":
+        _reject(given, ("ricean_k",), f"for a {channel} channel")
+    elif "ricean_k" not in given and sweep_variable != "K":
+        raise ConfigError("ricean channel requires ricean_k")
+    if sweep_variable == "K" and channel != "ricean":
+        raise ConfigError("sweeping K requires a ricean channel")
+    # a K sweep's grid supplies K; the model's own K is then never read
+    ricean_k = _as_bool_free_number("ricean_k", raw.get("ricean_k", 0.0))
 
     noise_kind = _as_str("noise", raw.get("noise", "iid"))
     noise_corr = None
@@ -395,28 +363,6 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
             raise ConfigError("noise_corr must lie strictly between -1 and 1")
     else:
         raise ConfigError(f"unknown noise kind {noise_kind!r}")
-
-    sweep_variable = None
-    sweep_grid = None
-    if "sweep" in given:
-        if experiment == "figure":
-            raise ConfigError("figure presets do not accept a sweep block")
-        sweep_variable, sweep_grid = _parse_sweep(raw["sweep"], experiment)
-    elif experiment in ("exponent-sweep", "montecarlo", "schemes", "asymptotic"):
-        raise ConfigError(f"{experiment} requires a sweep block")
-    if experiment == "schemes" and sweep_grid is not None and len(sweep_grid) < 2:
-        raise ConfigError("schemes requires a gamma_s grid with at least two points")
-
-    if sweep_variable == "gamma_s":
-        _reject(given, ("gamma_s", "gamma_s_db", "sigma_eta_sq"), "when sweeping gamma_s")
-    if sweep_variable == "gamma_c":
-        _reject(given, ("gamma_c", "gamma_c_db", "total_power"), "when sweeping gamma_c")
-    if sweep_variable == "N":
-        _reject(given, ("num_antennas", "n_list"), "when sweeping N")
-    if sweep_variable == "L":
-        _reject(given, ("num_sensors",), "when sweeping L")
-    if sweep_variable == "K" and channel != "ricean":
-        raise ConfigError("sweeping K requires a ricean channel")
 
     num_sensors = _as_int("num_sensors", raw.get("num_sensors", 200))
     num_antennas = _as_int("num_antennas", raw.get("num_antennas", 1))
@@ -461,7 +407,11 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
 
+    # the model types validate the seed and the network; every sweep point
+    # must be a valid network too
     try:
+        RandomSource(seed)
+        model = ChannelModel.awgn() if channel == "awgn" else ChannelModel.ricean(ricean_k)
         params = NetworkParams(
             num_sensors=num_sensors,
             num_antennas=num_antennas,
@@ -471,13 +421,15 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
             p1=p1,
             total_power=total_power,
         )
+        if gamma_s is not None:
+            params = params.at_gamma_s(gamma_s)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_budget(params)
-    if sweep_variable in ("gamma_s", "gamma_c"):
-        for g in sweep_grid:
-            at_g = params.at_gamma_s(g) if sweep_variable == "gamma_s" else _at_gamma_c(params, g)
-            _check_budget(at_g, f" at {sweep_variable} = {g!r}")
+    for x in sweep_grid or ():
+        try:
+            _params_at(params, sweep_variable, x)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} at {sweep_variable} = {x!r}") from exc
 
     return ExperimentConfig(
         experiment=experiment,
@@ -507,17 +459,23 @@ def _read_json(path: str):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def load_config(path: str, experiment: str) -> ExperimentConfig:
-    """Reads and validates a JSON config file."""
-    return parse_config(_read_json(path), experiment)
-
-
-def _at_gamma_c(params: NetworkParams, gamma_c: float) -> NetworkParams:
-    return dataclasses.replace(params, total_power=gamma_c * params.sigma_nu_sq)
+def _params_at(params: NetworkParams, variable: str, x: float) -> NetworkParams:
+    """The network at point x of a sweep over `variable`; K and beta
+    leave it unchanged."""
+    if variable == "gamma_s":
+        return params.at_gamma_s(x)
+    if variable == "gamma_c":
+        return dataclasses.replace(params, total_power=x * params.sigma_nu_sq)
+    if variable == "N":
+        return dataclasses.replace(params, num_antennas=int(x))
+    if variable == "L":
+        return dataclasses.replace(params, num_sensors=int(x))
+    return params
 
 
 def _noise_for(cfg: ExperimentConfig, params: NetworkParams) -> SensingNoiseModel | None:
-    if cfg.noise_kind == "iid":
+    # AR(1) noise of zero power (noise-free sensing) is no noise at all
+    if cfg.noise_kind == "iid" or params.sigma_eta_sq == 0.0:
         return None
     idx = np.arange(params.num_sensors)
     r = params.sigma_eta_sq * cfg.noise_corr ** np.abs(idx[:, None] - idx[None, :])
@@ -576,14 +534,7 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     base = RandomSource(cfg.seed)
     rows: list[ResultRow] = []
     for i, x in enumerate(cfg.sweep_grid):
-        if var == "L":
-            params_x = dataclasses.replace(params, num_sensors=int(x))
-        elif var == "N":
-            params_x = dataclasses.replace(params, num_antennas=int(x))
-        elif var == "gamma_s":
-            params_x = params.at_gamma_s(x)
-        else:
-            params_x = _at_gamma_c(params, x)
+        params_x = _params_at(params, var, x)
         noise = _noise_for(cfg, params_x)
         alpha = alpha_uniform(params_x)
         errors = 0
@@ -896,18 +847,24 @@ _FIGURES = {
 }
 
 
+def _run_figure(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+    return _FIGURES[cfg.figure_id](cfg)
+
+
+# each experiment's runner and the sweep variables it accepts
+_EXPERIMENTS = {
+    "exponent-sweep": (_run_exponent_sweep, ("gamma_s", "gamma_c", "N", "K")),
+    "montecarlo": (_run_montecarlo, ("gamma_s", "gamma_c", "N", "L")),
+    "schemes": (_run_schemes, ("gamma_s",)),
+    "sdr-compare": (_run_sdr_compare, ("gamma_s",)),
+    "asymptotic": (_run_asymptotic, ("beta",)),
+    "figure": (_run_figure, ()),
+}
+
+
 def run(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     """Executes the configured experiment; returns (rows, exit code)."""
-    if cfg.experiment == "figure":
-        return _FIGURES[cfg.figure_id](cfg)
-    runner = {
-        "exponent-sweep": _run_exponent_sweep,
-        "montecarlo": _run_montecarlo,
-        "schemes": _run_schemes,
-        "sdr-compare": _run_sdr_compare,
-        "asymptotic": _run_asymptotic,
-    }[cfg.experiment]
-    return runner(cfg)
+    return _EXPERIMENTS[cfg.experiment][0](cfg)
 
 
 def _csv_num(value: float | None) -> str:
@@ -1004,21 +961,22 @@ def main(argv=None) -> int:
             return 2
         experiment, figure_id = "figure", int(tail)
 
+    overrides = {"seed": args.seed, "output": args.out, "format": args.format}
     try:
         raw = _read_json(args.config)
-        if figure_id is not None and isinstance(raw, dict):
-            named = raw.setdefault("figure_id", figure_id)
-            if named != figure_id:
-                raise ConfigError(
-                    f"config figure_id {named} does not match {args.experiment!r}"
-                )
+        if isinstance(raw, dict):
+            if figure_id is not None:
+                named = raw.setdefault("figure_id", figure_id)
+                if named != figure_id:
+                    raise ConfigError(
+                        f"config figure_id {named} does not match {args.experiment!r}"
+                    )
+            # the flags replace their config keys, and are validated as those
+            raw.update({k: v for k, v in overrides.items() if v is not None})
         cfg = parse_config(raw, experiment)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    overrides = {"seed": args.seed, "output": args.out, "format": args.format}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     rows, code = run(cfg)
     text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)

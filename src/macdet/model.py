@@ -21,6 +21,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import i0e
 
+from .numerics import _check_square_hermitian
+
 __all__ = [
     "RandomSource",
     "NetworkParams",
@@ -106,6 +108,10 @@ class NetworkParams:
     sigma_nu_sq:   per-antenna receiver-noise power, > 0.
     p1:            prior probability of H1, in (0, 1).
     total_power:   P_T, expected total transmit power across the network.
+
+    Every power is finite, p1 theta^2 neither overflows nor underflows
+    to 0, and the gain budget P is a positive finite number, so every
+    quantity derived from a valid network is finite.
     """
 
     num_sensors: int
@@ -121,16 +127,25 @@ class NetworkParams:
             raise ValueError("num_sensors must be >= 1")
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be >= 1")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be > 0")
-        if self.sigma_eta_sq < 0.0:
-            raise ValueError("sigma_eta_sq must be >= 0")
-        if not self.sigma_nu_sq > 0.0:
-            raise ValueError("sigma_nu_sq must be > 0")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be > 0 and finite")
+        if not 0.0 <= self.sigma_eta_sq < math.inf:
+            raise ValueError("sigma_eta_sq must be >= 0 and finite")
+        if not 0.0 < self.sigma_nu_sq < math.inf:
+            raise ValueError("sigma_nu_sq must be > 0 and finite")
         if not 0.0 < self.p1 < 1.0:
             raise ValueError("p1 must lie strictly between 0 and 1")
-        if not self.total_power > 0.0:
-            raise ValueError("total_power must be > 0")
+        if not 0.0 < self.total_power < math.inf:
+            raise ValueError("total_power must be > 0 and finite")
+        # theta * theta is theta**2 without the OverflowError
+        if not 0.0 < self.p1 * (self.theta * self.theta) < math.inf:
+            raise ValueError(f"p1 theta^2 overflows or underflows to 0 at theta = {self.theta!r}")
+        budget = self.gain_budget
+        if not 0.0 < budget < math.inf:
+            raise ValueError(
+                f"gain budget total_power / (p1 theta^2 + sigma_eta_sq) = {budget!r}"
+                " is not a positive finite number"
+            )
 
     @property
     def p0(self) -> float:
@@ -263,8 +278,6 @@ class ChannelMatrix:
     """One realization of the N x L fading matrix."""
 
     entries: np.ndarray
-    model: ChannelModel
-    seed_tag: int
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=np.complex128)
@@ -288,13 +301,10 @@ def sample_channel(
     num_antennas: int,
     num_sensors: int,
     rng: "RandomSource | np.random.Generator",
-    seed_tag: int | None = None,
 ) -> ChannelMatrix:
     """Draw one channel realization for the given model."""
     if num_antennas < 1 or num_sensors < 1:
         raise ValueError("channel dimensions must be >= 1")
-    if seed_tag is None:
-        seed_tag = rng.stream_id if isinstance(rng, RandomSource) else -1
     shape = (num_antennas, num_sensors)
     if model.is_awgn:
         entries = np.ones(shape, dtype=np.complex128)
@@ -303,7 +313,7 @@ def sample_channel(
         entries = model.los_amplitude + complex_normal(
             gen, shape, model.diffuse_variance
         )
-    return ChannelMatrix(entries=entries, model=model, seed_tag=seed_tag)
+    return ChannelMatrix(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -322,12 +332,7 @@ class SensingNoiseModel:
                 raise ValueError("sigma_eta_sq must be >= 0")
             object.__setattr__(self, "_chol", None)
             return
-        r = np.asarray(self.r_eta, dtype=np.complex128)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError("r_eta must be a square matrix")
-        scale = max(np.max(np.abs(r)), 1e-300)
-        if np.max(np.abs(r - r.conj().T)) > 1e-12 * scale:
-            raise ValueError("r_eta is not Hermitian within tolerance")
+        r = _check_square_hermitian(self.r_eta, 1e-12)
         try:
             chol = np.linalg.cholesky(r)
         except np.linalg.LinAlgError as exc:
@@ -375,14 +380,6 @@ class SensingNoiseModel:
                 f"network has {num_sensors} sensors"
             )
         return self._chol
-
-    def covariance(self, num_sensors: int) -> np.ndarray:
-        """Dense covariance matrix of the sensing-noise vector."""
-        if self.is_iid:
-            return self.sigma_eta_sq * np.eye(num_sensors, dtype=np.complex128)
-        if self.r_eta.shape[0] != num_sensors:
-            raise ValueError("correlated covariance dimension mismatch")
-        return np.array(self.r_eta)
 
 
 def sample_sensing_noise(

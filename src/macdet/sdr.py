@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import canonical_phase, hermitian_eig, psd_project
+from .numerics import _check_square_hermitian, canonical_phase, hermitian_eig, psd_project
 
 __all__ = [
     "SdpProblem",
@@ -47,12 +47,7 @@ class SdpProblem:
     diag_value: float
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.cost, dtype=np.complex128)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("cost must be a square matrix")
-        scale = max(np.max(np.abs(c)), 1e-300)
-        if np.max(np.abs(c - c.conj().T)) > 1e-10 * scale:
-            raise ValueError("cost must be Hermitian")
+        c = _check_square_hermitian(self.cost, 1e-10)
         if not self.diag_value > 0.0:
             raise ValueError("diag_value must be > 0")
         c = (c + c.conj().T) / 2.0

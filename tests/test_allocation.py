@@ -9,12 +9,10 @@ import pytest
 from macdet.allocation import (
     GainVector,
     NoCrossoverError,
-    SchemeChoice,
     alpha_opt_n1,
     alpha_phase_only_n1,
     alpha_sdr_phase,
     alpha_uniform,
-    build_gains,
     calibrate_crossover,
     finite_exponent,
     hybrid,
@@ -24,6 +22,7 @@ from macdet.allocation import (
     method_exponents,
     received_covariance,
 )
+from macdet import allocation
 from macdet.allocation import _mean_exponent_gap
 from macdet.exponents import e_awgn, e_csis1_numeric, SnrPoint
 from macdet.model import (
@@ -99,30 +98,6 @@ class TestGainVector:
     def test_rejects_bad_budget(self, budget):
         with pytest.raises(ValueError):
             GainVector(values=np.zeros(2), budget=budget)
-
-
-class TestSchemeChoice:
-    @pytest.mark.parametrize(
-        "kind",
-        ["uniform", "opt_single", "phase_only_n1", "method1", "method2", "sdr_phase"],
-    )
-    def test_accepts_plain_kinds(self, kind):
-        SchemeChoice(kind=kind)
-
-    def test_hybrid_requires_finite_crossover(self):
-        SchemeChoice(kind="hybrid", gamma_s_crossover=2.0)
-        with pytest.raises(ValueError):
-            SchemeChoice(kind="hybrid")
-        with pytest.raises(ValueError):
-            SchemeChoice(kind="hybrid", gamma_s_crossover=math.inf)
-
-    def test_crossover_rejected_elsewhere(self):
-        with pytest.raises(ValueError):
-            SchemeChoice(kind="uniform", gamma_s_crossover=1.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SchemeChoice(kind="oracle")
 
 
 class TestReceivedCovariance:
@@ -552,6 +527,57 @@ class TestCalibrateCrossover:
             calibrate_crossover(params, model, [1.0, 2.0], trials=0, rng=rng)
 
 
+class TestCrossoverRule:
+    """calibrate_crossover on scripted mean gaps (method1 - method2):
+    ties are skipped, a tie inside a sign-change bracket is the
+    crossover, and without a sign change the first nonzero gap names the
+    dominant method (method1 when every gap ties)."""
+
+    def calibrate(self, monkeypatch, grid, gap_at):
+        calls = []
+
+        def scripted(channels, directions, params):
+            calls.append(params.gamma_s)
+            return gap_at(params.gamma_s)
+
+        monkeypatch.setattr(allocation, "_mean_exponent_gap", scripted)
+        params = params_for(gamma_s=1.0, gamma_c=5.0, l=4, n=2)
+        crossover = calibrate_crossover(
+            params, ChannelModel.awgn(), grid, trials=1, rng=RandomSource(master_seed=5)
+        )
+        return crossover, calls
+
+    @pytest.mark.parametrize(
+        "grid,gap_at,dominant",
+        [
+            pytest.param([1.0, 2.0], lambda g: 0.0, "method1", id="0,0"),
+            pytest.param([1.0, 2.0], lambda g: 0.0 if g < 1.5 else -1.0, "method2", id="0,-"),
+            pytest.param(
+                [1.0, 2.0, 4.0], lambda g: 0.0 if 1.5 < g < 3.0 else 1.0, "method1", id="+,0,+"
+            ),
+        ],
+    )
+    def test_no_sign_change(self, monkeypatch, grid, gap_at, dominant):
+        with pytest.raises(NoCrossoverError) as err:
+            self.calibrate(monkeypatch, grid, gap_at)
+        assert err.value.dominant == dominant
+
+    def test_tie_inside_bracket_is_the_crossover(self, monkeypatch):
+        # [+, 0, -]: the tied grid point is returned without bisecting
+        gap_at = lambda g: 1.0 if g < 1.5 else (0.0 if g < 3.0 else -1.0)
+        crossover, calls = self.calibrate(monkeypatch, [1.0, 2.0, 4.0], gap_at)
+        assert crossover == 2.0
+        assert len(calls) == 3
+
+    def test_sign_change_is_bisected(self, monkeypatch):
+        # [+, -]: bisection in log gamma_s to within 0.05 dB of the flip
+        crossover, calls = self.calibrate(
+            monkeypatch, [1.0, 4.0], lambda g: 1.0 if g < 2.5 else -1.0
+        )
+        assert abs(10.0 * math.log10(crossover / 2.5)) <= 0.05
+        assert len(calls) > 2
+
+
 class TestAlphaSdrPhase:
     def test_single_antenna_aligns_with_channel_phases(self):
         params = make_params(l=6, n=1)
@@ -593,37 +619,6 @@ class TestAlphaSdrPhase:
         h = random_channel(np.random.default_rng(22), 2, 6)
         with pytest.raises(AdmmNonConvergence):
             alpha_sdr_phase(h, params, AdmmSettings(max_iter=1))
-
-
-class TestBuildGains:
-    def test_dispatch_matches_direct_calls(self):
-        params = params_for(gamma_s=1.0, gamma_c=5.0, l=6, n=1)
-        h = random_channel(np.random.default_rng(23), 1, 6)
-        cases = {
-            "uniform": alpha_uniform(params).values,
-            "opt_single": alpha_opt_n1(h[0], params).values,
-            "phase_only_n1": alpha_phase_only_n1(h[0], params).values,
-            "method1": method1(h, params)[0].values,
-            "method2": method2(h, params).values,
-            "sdr_phase": alpha_sdr_phase(h, params).values,
-        }
-        for kind, expected in cases.items():
-            got = build_gains(SchemeChoice(kind=kind), h, params)
-            assert np.array_equal(got.values, expected), kind
-
-    def test_hybrid_dispatch(self):
-        params = params_for(gamma_s=0.5, gamma_c=5.0, l=6, n=2)
-        h = random_channel(np.random.default_rng(24), 2, 6)
-        choice = SchemeChoice(kind="hybrid", gamma_s_crossover=1.0)
-        assert np.array_equal(
-            build_gains(choice, h, params).values, method1(h, params)[0].values
-        )
-
-    def test_single_antenna_rules_reject_arrays(self):
-        params = make_params(l=6, n=2)
-        h = random_channel(np.random.default_rng(25), 2, 6)
-        with pytest.raises(ValueError):
-            build_gains(SchemeChoice(kind="opt_single"), h, params)
 
 
 if __name__ == "__main__":

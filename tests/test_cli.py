@@ -442,11 +442,53 @@ class TestNonFiniteConfig:
         assert code == 0
 
 
-# finite config values whose derived powers overflow double precision
+AR1_BASE = {
+    "num_sensors": 4,
+    "channel": "rayleigh",
+    "noise": "ar1",
+    "noise_corr": 0.5,
+    "trials": 1000,
+    "channel_draws": 1,
+    "sweep": sweep("gamma_c", [1.0, 2.0]),
+}
+
+
+class TestAr1NoiseFreeSensing:
+    """AR(1) sensing noise of zero power is noise-free sensing, as for
+    iid noise, not a singular covariance."""
+
+    def run_main(self, tmp_path, raw, name="ar1"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"{name}.csv"
+        code = cli.main(["montecarlo", "--config", str(path), "--out", str(out)])
+        return code, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("extra", [{"gamma_s": math.inf}, {"sigma_eta_sq": 0.0}],
+                             ids=["gamma_s-inf", "sigma_eta_sq-0"])
+    def test_matches_iid_noise(self, tmp_path, extra):
+        code, ar1 = self.run_main(tmp_path, {**AR1_BASE, **extra})
+        assert code == 0
+        iid = {k: v for k, v in AR1_BASE.items() if k not in ("noise", "noise_corr")}
+        iid_code, iid_csv = self.run_main(tmp_path, {**iid, **extra}, name="iid")
+        assert iid_code == 0
+        assert ar1 == iid_csv
+
+    def test_gamma_s_grid_reaching_infinity(self, tmp_path):
+        code, text = self.run_main(
+            tmp_path, {**AR1_BASE, "sweep": sweep("gamma_s", [2.0, math.inf])}
+        )
+        assert code == 0
+        assert text.count(b"\n") == 6  # comment, header, 2 rows per point
+
+
+# finite config values whose derived powers overflow double precision, or
+# underflow to 0 where a power must be positive
 OVERFLOW_CASES = {
     "gamma_s_db-overflows": {"gamma_s_db": 4000.0},
     "gamma_c_db-overflows": {"gamma_c_db": 4000.0},
     "theta-squared-overflows": {"theta": 1e200},
+    "theta-squared-underflows": {"theta": 1e-300},
     "total-power-overflows": {"gamma_c": 1e300, "sigma_nu_sq": 1e10},
     "sigma-eta-sq-overflows": {"gamma_s": 1e-300, "theta": 1e10},
     "gain-budget-overflows": {"total_power": 1e308, "gamma_s": 1e10, "theta": 1e-3},
@@ -542,6 +584,24 @@ class TestSchemesExperiment:
             for x in {r.x_value for r in below if not math.isnan(r.x_value)}:
                 at_x = {r.series: r.value for r in rows if r.x_value == x}
                 assert at_x["hybrid(N=2)"] == at_x["method1(N=2)"]
+
+
+    def test_tied_methods_report_no_crossover(self, tmp_path):
+        # on AWGN channels both methods spend the budget on the same
+        # uniform gains, so every method1 - method2 gap is exactly 0
+        raw = {"channel": "awgn", "num_antennas": 2, "num_sensors": 6,
+               "sweep": sweep("gamma_s", [0.5, 2.0])}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "rows.csv"
+        assert cli.main(["schemes", "--config", str(path), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(line for line in out.read_text().splitlines()
+                                   if not line.startswith("#")))
+        crossover = [r for r in rows if r["series"] == "crossover(N=2)"]
+        assert len(crossover) == 1 and math.isnan(float(crossover[0]["value"]))
+        for x in ("0.5", "2.0"):
+            at_x = {r["series"]: r["value"] for r in rows if r["x_value"] == x}
+            assert at_x["hybrid(N=2)"] == at_x["method1(N=2)"] == at_x["method2(N=2)"]
 
 
 class TestSdrCompareExperiment:

@@ -21,13 +21,24 @@ over N on AWGN; and `asymptotic` on Rayleigh channels, L=20, beta in
 
 The digests were taken with NumPy 2.4.6 and SciPy 1.17.1 on x86-64.  Other
 NumPy/SciPy/BLAS builds may round differently in the last bit.
+
+The pinned CSVs themselves are stored as tests/golden/<name>.csv (figure
+N as figureN.csv).  When a digest moves, the failure message is the
+`csvdrift` report of the stored CSV against the new one: per series, the
+largest absolute and relative change, and any difference in row order,
+non-numeric fields or NaN/inf pattern.  The digest check itself stays
+bit-exact.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
+import csvdrift
 from macdet import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SEED = 7
 
@@ -52,8 +63,7 @@ def test_figure_csv_digest(figure_id):
     cfg = cli.parse_config({"figure_id": figure_id, "seed": SEED, **sizing}, "figure")
     rows, code = cli.run(cfg)
     assert code == 0
-    text = cli.rows_to_csv(rows)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert_digest(f"figure{figure_id}", cli.rows_to_csv(rows), digest)
 
 
 RICEAN = {"channel": "ricean", "ricean_k": 1.0}
@@ -147,5 +157,72 @@ def test_experiment_csv_digest(name):
     cfg = cli.parse_config({**raw, "seed": SEED}, experiment)
     rows, code = cli.run(cfg)
     assert code == 0
-    text = cli.rows_to_csv(rows)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert_digest(name, cli.rows_to_csv(rows), digest)
+
+
+DIGESTS = {f"figure{f}": digest for f, (_, digest) in GOLDEN.items()} | {
+    name: digest for name, (_, _, digest) in EXPERIMENTS.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_stored_csv_matches_its_digest(name):
+    data = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
+
+
+def stored(name):
+    return (GOLDEN_DIR / f"{name}.csv").read_bytes().decode("utf-8")
+
+
+class TestCsvDrift:
+    def test_file_against_itself_has_no_drift(self):
+        text = stored("schemes-crossover")
+        changes, problems = csvdrift.drift(text, text)
+        assert problems == []
+        assert changes and all(c == (0.0, 0.0) for c in changes.values())
+
+    def test_perturbed_value_is_reported_per_series(self):
+        old = stored("schemes-crossover")
+        lines = old.splitlines(keepends=True)
+        fields = lines[2].split(",")
+        value = float(fields[4])
+        fields[4] = repr(value * (1.0 + 1e-9))
+        new = "".join(lines[:2] + [",".join(fields)] + lines[3:])
+        changes, problems = csvdrift.drift(old, new)
+        assert problems == []
+        moved = {series: c for series, c in changes.items() if c != (0.0, 0.0)}
+        assert list(moved) == [fields[1]]
+        assert moved[fields[1]][0] == pytest.approx(abs(value) * 1e-9)
+        assert moved[fields[1]][1] == pytest.approx(1e-9)
+        assert fields[1] in csvdrift.report(changes, problems)
+
+    def test_swapped_rows_fail(self):
+        old = stored("schemes-crossover")
+        lines = old.splitlines(keepends=True)
+        new = "".join(lines[:2] + [lines[3], lines[2]] + lines[4:])
+        _, problems = csvdrift.drift(old, new)
+        assert "the same rows in a different order" in problems
+
+    def test_renamed_series_fails(self):
+        old = stored("schemes-crossover")
+        new = old.replace("method1(N=5)", "method3(N=5)")
+        _, problems = csvdrift.drift(old, new)
+        assert problems and all("method3(N=5)" in p for p in problems)
+
+    def test_nan_pattern_change_fails(self):
+        old = stored("schemes-crossover")
+        lines = old.splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[4] = "nan"
+        new = "".join(lines[:2] + [",".join(fields)] + lines[3:])
+        _, problems = csvdrift.drift(old, new)
+        assert len(problems) == 1 and "'nan'" in problems[0]
+
+
+def assert_digest(name, text, digest):
+    # bit-exact; on a mismatch the message shows which series moved and how
+    actual = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert actual == digest, f"{name} CSV moved:\n" + csvdrift.report(
+        *csvdrift.drift(stored(name), text)
+    )
