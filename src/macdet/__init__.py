@@ -9,7 +9,8 @@ Submodules:
 * exponents   closed-form error exponents, gains, and asymptotic bounds
 * allocation  transmit-gain strategies, the quadratic form v^H R^-1 v behind
               both the finite-network exponent and the detector
-* sdr         diagonally-constrained SDP relaxation (ADMM) and rounding
+* sdr         diagonally-constrained SDP relaxation (certified
+              Burer-Monteiro solve) and rounding
 * detection   received-signal synthesis, LRT decisions, error probability
 * cli         the `macdet` experiment runner
 

@@ -33,13 +33,7 @@ from .model import (
     sample_channel,
 )
 from .numerics import canonical_phase, hermitian_eig, solve_hermitian_pd
-from .sdr import (
-    AdmmNonConvergence,
-    AdmmSettings,
-    SdpProblem,
-    extract_phases,
-    solve_sdp,
-)
+from .sdr import SdpNonConvergence, SdpProblem, extract_phases, solve_sdp
 
 __all__ = [
     "GainVector",
@@ -349,23 +343,21 @@ def calibrate_crossover(
     return math.sqrt(lo * hi)
 
 
-def alpha_sdr_phase(
-    channel, params: NetworkParams, settings: AdmmSettings | None = None
-) -> GainVector:
+def alpha_sdr_phase(channel, params: NetworkParams) -> GainVector:
     """Phase-only gains from the semidefinite relaxation of
     max alpha^H H^H H alpha over |alpha_l|^2 = P/L, rounded through the
     top eigenvector of the SDP solution.
 
-    Raises AdmmNonConvergence when the solver hits its iteration cap.
+    Raises SdpNonConvergence when the solver's gap is not certified.
     """
     h = _entries(channel)
     if h.shape != (params.num_antennas, params.num_sensors):
         raise ValueError("channel shape does not match params")
     p = params.gain_budget
     problem = SdpProblem(cost=h.conj().T @ h, diag_value=p / params.num_sensors)
-    solution = solve_sdp(problem, settings)
+    solution = solve_sdp(problem)
     if not solution.converged:
-        raise AdmmNonConvergence(solution)
+        raise SdpNonConvergence(solution)
     phases = extract_phases(solution)
     values = math.sqrt(p / params.num_sensors) * phases
     return GainVector(values=values, budget=p)

@@ -626,8 +626,14 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     # the SDP solution scales linearly in the diagonal value, so the
     # phase pattern is solved once per draw and reused across gamma_s
     phase_vectors = []
-    for h in channels:
+    for d, h in enumerate(channels):
         solution = solve_sdp(SdpProblem(cost=h.conj().T @ h, diag_value=1.0))
+        if not solution.converged:
+            print(
+                f"sdr: channel draw {d} not certified after {solution.iterations} "
+                f"iterations (gap {solution.gap:.3e})",
+                file=sys.stderr,
+            )
         phase_vectors.append(extract_phases(solution) if solution.converged else None)
     failures = sum(v is None for v in phase_vectors)
 

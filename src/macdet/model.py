@@ -18,8 +18,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import i0e
+from scipy.special import i0e, i1e
 
 from .numerics import _check_square_hermitian
 
@@ -245,32 +244,20 @@ class ChannelModel:
 def mean_abs_h(model: ChannelModel) -> float:
     """E|h| for the channel model.
 
-    Closed forms for the deterministic channel (1) and Rayleigh
-    (sqrt(pi)/2); otherwise quadrature of the Ricean amplitude density
-    to absolute accuracy 1e-10.
+    1 for the deterministic channel; for Ricean K the closed-form Rice mean
+
+        E|h| = sqrt(pi / (4 (K + 1))) ((1 + K) i0e(K/2) + K i1e(K/2)),
+
+    with the exponentially scaled Bessel functions i_ne(x) = e^-x I_n(x),
+    which keep every factor finite for any finite K.  It is sqrt(pi)/2 at
+    K = 0 (Rayleigh) and tends to 1 as K grows; relative error within
+    1e-15 of the exact mean.
     """
     if model.is_awgn:
         return 1.0
-    if model.k_factor == 0.0:
-        return math.sqrt(math.pi) / 2.0
-    s = model.los_amplitude
-    sig2 = model.diffuse_variance / 2.0  # per-component variance
-    sig = math.sqrt(sig2)
-
-    def integrand(r: float) -> float:
-        # r * Rice pdf, with the Bessel factor exponentially scaled for
-        # numerical stability at large K
-        z = r * s / sig2
-        return r * (r / sig2) * i0e(z) * math.exp(-((r - s) ** 2) / (2.0 * sig2))
-
-    lower = max(0.0, s - 14.0 * sig)
-    upper = s + 14.0 * sig
-    val, err = integrate.quad(
-        integrand, lower, upper, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    if err > 1e-10:
-        raise ValueError(f"amplitude quadrature error {err:g} above tolerance")
-    return val
+    k = model.k_factor
+    bessel = (1.0 + k) * i0e(k / 2.0) + k * i1e(k / 2.0)
+    return math.sqrt(math.pi / (4.0 * (k + 1.0))) * float(bessel)
 
 
 @dataclass(frozen=True)

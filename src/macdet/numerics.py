@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.special import erfc
+from scipy.special import erfc, log_ndtr
 
 __all__ = [
     "HermitianEig",
@@ -142,27 +142,10 @@ def q_function(x):
 
 
 def log_q(x: float) -> float:
-    """Natural log of Q(x), safe for arguments far beyond erfc underflow.
-
-    Below x = -1, Q(x) = 1 - Q(-x) lies next to 1, so log Q(x) is taken
-    as log1p(-Q(-x)) to keep its relative accuracy; the erfc branch
-    serves -1 <= x <= 25, and the asymptotic tail
-    Q(x) = phi(x)/x * (1 - x^-2 + 3 x^-4 - ...) beyond.
-    """
-    x = float(x)
-    if x != x:  # NaN
-        return math.nan
-    if x == -math.inf:
-        return 0.0
-    if x == math.inf:
-        return -math.inf
-    if x < -1.0:
-        return math.log1p(-0.5 * erfc(-x / math.sqrt(2.0)))
-    if x <= 25.0:
-        return math.log(0.5 * erfc(x / math.sqrt(2.0)))
-    inv2 = 1.0 / (x * x)
-    return (-0.5 * x * x - math.log(x * math.sqrt(2.0 * math.pi))
-            + math.log1p(-inv2 + 3.0 * inv2 * inv2))
+    """Natural log of Q(x), safe for arguments far beyond erfc underflow:
+    scipy's log_ndtr(-x), which keeps its relative accuracy on both
+    tails (log Q(x) is about -Q(-x) below x = -1)."""
+    return float(log_ndtr(-float(x)))
 
 
 _EULER_GAMMA = 0.57721566490153286061

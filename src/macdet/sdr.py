@@ -3,14 +3,24 @@
 The phase problem  max_alpha alpha^H C alpha  s.t. |alpha_l|^2 = d  relaxes
 to the SDP
 
-    max  tr(C X)   s.t.  X >= 0,  X_ll = d,
+    max  tr(C X)   s.t.  X >= 0,  X_ll = d.
 
-solved here by ADMM: the affine step fixes the diagonal in closed form,
-the projection step clamps eigenvalues, and only dense Hermitian
-eigendecompositions are required (O(L^3) per iteration; intended for
-L <= ~128).  Rank-one rounding of the top eigenvector recovers a feasible
-phase vector; the relaxation is within a constant factor pi/4 of the
-rounded solution in the worst case for PSD costs.
+It is solved in the low-rank factorization X = V V^H of Burer and
+Monteiro, V of rank r = min(L, ceil(sqrt(2 L))) with rows of squared norm
+d, by the monotone ascent V <- sqrt(d) rownormalize(C' V) (the block form
+of the mixing method of Wang, Chang and Kolter), where
+C' = C + max(0, -lambda_min(C)) I is PSD; the diagonal shift adds the
+constant d L max(0, -lambda_min(C)) to every feasible objective and so
+leaves the maximizer unchanged.
+
+Every iterate carries a dual certificate.  With y_l = Re<v_l, (C V)_l> / d,
+d sum(y) is the objective, and y + mu 1 with
+mu = max(0, -lambda_min(Diag(y) - C)) is dual feasible, so
+objective + d L mu bounds the SDP optimum from above.  The solve stops
+once that gap is at most 1e-12 max(|objective|, d).  Rank-one rounding of
+the top eigenvector recovers a feasible phase vector; the relaxation is
+within a constant factor pi/4 of the rounded solution in the worst case
+for PSD costs.
 
 Scaling note: the optimal X is linear in d with unchanged eigenvectors,
 so one solve at d = 1 serves every power budget.
@@ -23,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_square_hermitian, canonical_phase, hermitian_eig, psd_project
+from .numerics import _check_square_hermitian, canonical_phase, hermitian_eig
 
 __all__ = [
     "SdpProblem",
-    "AdmmSettings",
     "SdpSolution",
-    "AdmmNonConvergence",
+    "SdpNonConvergence",
     "solve_sdp",
     "extract_phases",
     "brute_force_phase",
@@ -37,6 +46,10 @@ __all__ = [
 
 _BRUTE_FORCE_LIMIT = 10**8
 _BRUTE_CHUNK = 1 << 16
+
+# certified relative gap at which the solve stops, and its iteration cap
+_GAP_TOL = 1e-12
+_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,114 +73,72 @@ class SdpProblem:
 
 
 @dataclass(frozen=True)
-class AdmmSettings:
-    """Solver knobs.  Residual tolerances default to 1e-7 * L * d,
-    scaling with the problem's natural magnitude."""
-
-    rho: float = 1.0
-    tol_primal: float | None = None
-    tol_dual: float | None = None
-    max_iter: int = 5000
-
-    def __post_init__(self) -> None:
-        if not self.rho > 0.0:
-            raise ValueError("rho must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-    def resolved_tols(self, problem: SdpProblem) -> tuple[float, float]:
-        default = 1e-7 * problem.size * problem.diag_value
-        tp = default if self.tol_primal is None else self.tol_primal
-        td = default if self.tol_dual is None else self.tol_dual
-        return tp, td
-
-
-@dataclass(frozen=True)
 class SdpSolution:
-    """Solver output.  x is Hermitian, PSD to within 1e-8 * d, and has
-    diagonal exactly d up to rounding (restored after convergence by a
-    PSD-preserving diagonal rescale)."""
+    """Solver output.  x = V V^H is Hermitian PSD with diagonal d up to
+    rounding; objective = tr(C x); gap >= 0 is the certified distance
+    from objective to an upper bound on the SDP optimum, and converged
+    says gap <= 1e-12 max(|objective|, d)."""
 
     x: np.ndarray
     objective: float
     iterations: int
     converged: bool
-    primal_residual: float
-    dual_residual: float
-    objective_history: np.ndarray
+    gap: float
 
 
-class AdmmNonConvergence(RuntimeError):
-    """Raised by callers that require a converged SDP solution."""
+class SdpNonConvergence(RuntimeError):
+    """Raised by callers that require a certified SDP solution."""
 
     def __init__(self, solution: SdpSolution):
         super().__init__(
-            f"ADMM stopped after {solution.iterations} iterations with "
-            f"residuals ({solution.primal_residual:.3e}, "
-            f"{solution.dual_residual:.3e})"
+            f"SDP solve stopped after {solution.iterations} iterations with "
+            f"certified gap {solution.gap:.3e}"
         )
         self.solution = solution
 
 
-def _restore_feasible(z: np.ndarray, d: float) -> np.ndarray:
-    # diagonal rescale s_l = sqrt(d / Z_ll): keeps PSD, pins the diagonal
-    diag = np.maximum(z.diagonal().real, 1e-300)
-    s = np.sqrt(d / diag)
-    x = z * np.outer(s, s)
-    x = (x + x.conj().T) / 2.0
-    return x
+def solve_sdp(problem: SdpProblem) -> SdpSolution:
+    """Burer-Monteiro solve of the diagonally-constrained SDP, stopped by
+    its dual certificate or after _MAX_ITER ascent steps.
 
-
-def solve_sdp(problem: SdpProblem, settings: AdmmSettings | None = None) -> SdpSolution:
-    """ADMM solve of the diagonally-constrained SDP.
-
-    Deterministic: identical problem and settings produce the identical
-    iterate sequence.  The returned objective is evaluated on the
-    feasibility-restored matrix.
+    Deterministic: the start is the top-r eigenvectors of C with each row
+    scaled to norm sqrt(d) (a zero row takes the first unit vector), and a
+    row whose ascent direction (C' V)_l is zero keeps its value.
     """
-    settings = settings or AdmmSettings()
     c = problem.cost
     d = problem.diag_value
     size = problem.size
-    tol_primal, tol_dual = settings.resolved_tols(problem)
-    rho = settings.rho
-    c_over_rho = c / rho
+    rank = min(size, math.ceil(math.sqrt(2 * size)))
+    eig = hermitian_eig(c)
+    shift = max(0.0, -float(eig.eigenvalues[0]))
 
-    x = d * np.eye(size, dtype=np.complex128)
-    z = x.copy()
-    u = np.zeros_like(x)
+    v = eig.eigenvectors[:, -rank:].copy()
+    v[~v.any(axis=1), 0] = 1.0
+    v *= (math.sqrt(d) / np.linalg.norm(v, axis=1))[:, None]
 
-    history = []
     converged = False
-    r_primal = math.inf
-    r_dual = math.inf
-    iterations = 0
-    for iterations in range(1, settings.max_iter + 1):
-        x = z - u + c_over_rho
-        np.fill_diagonal(x, d)
-        x = (x + x.conj().T) / 2.0
-
-        z_prev = z
-        z = psd_project(x + u)
-        u = u + x - z
-
-        r_primal = float(np.linalg.norm(x - z))
-        r_dual = float(rho * np.linalg.norm(z - z_prev))
-        history.append(float(np.vdot(x, c).real))
-        if r_primal <= tol_primal and r_dual <= tol_dual:
+    for iterations in range(_MAX_ITER + 1):
+        cv = c @ v
+        y = (v.conj() * cv).sum(axis=1).real / d
+        objective = d * float(y.sum())
+        gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - c)[0]))
+        if gap <= _GAP_TOL * max(abs(objective), d):
             converged = True
             break
+        if iterations == _MAX_ITER:
+            break
+        step = cv + shift * v
+        norms = np.linalg.norm(step, axis=1)
+        moving = norms > 0.0
+        v[moving] = step[moving] * (math.sqrt(d) / norms[moving])[:, None]
 
-    x_out = _restore_feasible(z, d)
-    objective = float(np.vdot(x_out, c).real)
+    x = v @ v.conj().T
     return SdpSolution(
-        x=x_out,
+        x=(x + x.conj().T) / 2.0,
         objective=objective,
         iterations=iterations,
         converged=converged,
-        primal_residual=r_primal,
-        dual_residual=r_dual,
-        objective_history=np.asarray(history),
+        gap=gap,
     )
 
 

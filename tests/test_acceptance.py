@@ -369,7 +369,8 @@ def test_criterion_11_sdr_phase_design():
         brute, _ = brute_force_phase(cost, 1.0, 16)
         phases = extract_phases(solution)
         rounded = float(np.vdot(phases, cost @ phases).real)
-        # float slack covers the ADMM stopping tolerance
+        # float slack covers the certified gap (solution.gap, at most
+        # 1e-12 relative)
         if brute > solution.objective * (1.0 + 1e-6):
             _check(
                 11,

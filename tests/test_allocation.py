@@ -22,7 +22,7 @@ from macdet.allocation import (
     method_exponents,
     received_covariance,
 )
-from macdet import allocation
+from macdet import allocation, sdr
 from macdet.allocation import _mean_exponent_gap
 from macdet.exponents import e_awgn, e_csis1_numeric, SnrPoint
 from macdet.model import (
@@ -33,7 +33,7 @@ from macdet.model import (
     sample_channel,
 )
 from macdet.numerics import hermitian_eig
-from macdet.sdr import AdmmNonConvergence, AdmmSettings, SdpProblem, solve_sdp
+from macdet.sdr import SdpNonConvergence, SdpProblem, solve_sdp
 
 
 def make_params(l=8, n=2, sigma_eta_sq=1.0, sigma_nu_sq=1.0, p1=0.5, total_power=1.5):
@@ -614,11 +614,12 @@ class TestAlphaSdrPhase:
         slack = 1.0 - math.cos(math.pi / 16)
         assert rounded >= (math.pi / 4.0) * best_grid * (1 - slack)
 
-    def test_propagates_non_convergence(self):
+    def test_propagates_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(sdr, "_MAX_ITER", 1)
         params = make_params(l=6, n=2)
         h = random_channel(np.random.default_rng(22), 2, 6)
-        with pytest.raises(AdmmNonConvergence):
-            alpha_sdr_phase(h, params, AdmmSettings(max_iter=1))
+        with pytest.raises(SdpNonConvergence):
+            alpha_sdr_phase(h, params)
 
 
 if __name__ == "__main__":

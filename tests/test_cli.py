@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -23,12 +25,12 @@ from macdet.exponents import (
     gain_nocsis,
 )
 from macdet.model import ChannelModel
-from macdet.sdr import AdmmSettings, solve_sdp
+from macdet.sdr import solve_sdp
 
 
-def _stalled_solve(problem, settings=None):
-    # tiny iteration cap with unreachable tolerances: converged is False
-    return solve_sdp(problem, AdmmSettings(max_iter=1, tol_primal=0.0, tol_dual=0.0))
+def _stalled_solve(problem):
+    # a real solve reported as uncertified
+    return dataclasses.replace(solve_sdp(problem), converged=False)
 
 
 def parse(raw, experiment="exponent-sweep"):
@@ -653,6 +655,32 @@ class TestSdrCompareExperiment:
         out = str(tmp_path / "rows.csv")
         assert cli.main(["sdr-compare", "--config", str(path), "--out", out]) == 3
         assert "[nonconverged]" in open(out).read()
+
+    def test_nonconvergence_reasons_on_stderr(self, tmp_path, monkeypatch, capsys):
+        # one stderr line per uncertified draw; stdout carries the CSV
+        # alone, byte-equal to the output before the stderr lines existed
+        monkeypatch.setattr(cli, "solve_sdp", _stalled_solve)
+        raw = {
+            "channel": "ricean",
+            "ricean_k": 1.0,
+            "num_sensors": 8,
+            "num_antennas": 2,
+            "gamma_c": 10.0,
+            "channel_draws": 2,
+            "sweep": sweep("gamma_s", [0.5, 2.0]),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["sdr-compare", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "39a508fbb329f7c06423b82e5de2a5000aba435eda074bd59d4ef4d36a8213d8"
+        )
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        for draw, line in enumerate(lines):
+            assert line.startswith(f"sdr: channel draw {draw} not certified after ")
+            assert " iterations (gap " in line
 
 
 class TestAsymptoticExperiment:

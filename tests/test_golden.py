@@ -45,7 +45,7 @@ SEED = 7
 GOLDEN = {
     2: ({"trials": 1000, "channel_draws": 1},
         "a1202ca518d452277a49562fa6b71df357206b2bf93fc24e5f97e328ce14f24e"),
-    3: ({}, "6faedbdcb513029059feb0947358b50514b6cd7e3187b39b08a02dbeb4260da4"),
+    3: ({}, "15fba7b43375bba1bb01be6efe981854395e974a541da5ceeea316b06836aec2"),
     4: ({}, "49baefd47cc5d99adc843f8c132122bb4d1ad1c67e1de855d871df5fe8d287a1"),
     5: ({}, "767221be814242cd397f011e17f983f73a35fd3a8364f6a5cdfc014b72d4bc4b"),
     6: ({}, "bd8019e0b607e5bafc84e7247da314f0fbe59e70ba5484c5e923b298f438f7c0"),
@@ -53,7 +53,7 @@ GOLDEN = {
     8: ({"channel_draws": 2},
         "3809f2a54657fb96f59bbddef37f1ddc6c33e605f5126dddbec8a12c0bcfd86a"),
     9: ({"channel_draws": 1},
-        "dbdd53eb27016f86bf0e82a154afa08c2116591e85c61d64ed22c4e5256006e8"),
+        "5e12c2224b0d299aa27d802c55a6ad2425aa3e6b50908d4a32d82c830ec26277"),
 }
 
 
@@ -91,13 +91,13 @@ EXPERIMENTS = {
         "sdr-compare",
         {**RICEAN, "num_antennas": 3, "num_sensors": 8, "gamma_s": 2.0, "gamma_c": 10.0,
          "channel_draws": 2},
-        "ec935381016850f1e201ee9248e6ba94bef121d46e995d45a7058bac1d12c895",
+        "b043edd8aa6ed6eaeb4012a6c7adbba94fe7cde6f2fb25c8ed9f7337573a897b",
     ),
     "sdr-compare-sweep": (
         "sdr-compare",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 8, "gamma_c": 10.0,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "00e43aec070c7e4cbecc4c6d418a326a9968bc4a355384c5c7f27f7d576552cc",
+        "1cdc05aec0c3a557b297943a16d9e4948ccbdcbe46a2ddf5b34e87b28be5b67c",
     ),
     "exponent-sweep-gamma_s": (
         "exponent-sweep",
