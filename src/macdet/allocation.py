@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ChannelMatrix,
-    ChannelModel,
-    NetworkParams,
-    RandomSource,
-    SensingNoiseModel,
-    sample_channel,
-)
+from .model import ChannelMatrix, NetworkParams, SensingNoiseModel
 from .numerics import canonical_phase, hermitian_eig, solve_hermitian_pd
 from .sdr import SdpNonConvergence, SdpProblem, extract_phases, solve_sdp
 
@@ -271,24 +264,19 @@ def method_exponents(
     return fe1, fe2
 
 
-def _mean_exponent_gap(
-    channels: list[np.ndarray], directions: list[np.ndarray], params: NetworkParams
-) -> float:
-    fe1, fe2 = method_exponents(channels, directions, params)
-    return float(np.mean([a - b for a, b in zip(fe1, fe2)]))
+def _mean_exponent_gap(fe1: list[float], fe2: list[float]) -> float:
+    """Mean method1 - method2 exponent gap over common channels, from
+    the two lists method_exponents returns at one gamma_s."""
+    return float(np.mean([a - b for a, b in zip(fe1, fe2, strict=True)]))
 
 
-def calibrate_crossover(
-    base_params: NetworkParams,
-    model: ChannelModel,
-    gamma_s_grid,
-    trials: int,
-    rng: RandomSource,
-) -> float:
+def calibrate_crossover(gamma_s_grid, gaps, gap_at) -> float:
     """Sensing SNR at which the mean exponents of the two
-    reduced-complexity methods cross, averaged over `trials` common
-    channel draws per grid point and refined by bisection in log
-    gamma_s to within _CROSSOVER_TOL_DB.
+    reduced-complexity methods cross.  `gaps` holds the mean gap
+    (method1 - method2, see _mean_exponent_gap) at each point of
+    `gamma_s_grid`, and `gap_at(gamma_s)` evaluates it at a bisection
+    point, on the same channels; the crossover is refined by bisection
+    in log gamma_s to within _CROSSOVER_TOL_DB.
 
     Grid points where the methods tie (a zero mean gap) are skipped: the
     crossover is bracketed by consecutive nonzero gaps of opposite sign.
@@ -300,6 +288,8 @@ def calibrate_crossover(
     grid = [float(g) for g in gamma_s_grid]
     if len(grid) < 2:
         raise ValueError("gamma_s_grid needs at least two points")
+    if len(gaps) != len(grid):
+        raise ValueError(f"{len(gaps)} gaps for {len(grid)} gamma_s_grid points")
     for a, b in zip(grid, grid[1:]):
         # repeated entries are only meaningful at gamma_s = inf, where
         # the whole grid collapses to the zero-sensing-noise point
@@ -310,17 +300,7 @@ def calibrate_crossover(
     finite = [math.isfinite(g) for g in grid]
     if any(finite) and not all(finite):
         raise ValueError("gamma_s_grid mixes finite and infinite entries")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
-    channels = [
-        sample_channel(
-            model, base_params.num_antennas, base_params.num_sensors, rng.substream("calibrate", t)
-        ).entries
-        for t in range(trials)
-    ]
-    directions = [method2_direction(h) for h in channels]
-    gaps = [_mean_exponent_gap(channels, directions, base_params.at_gamma_s(g)) for g in grid]
     nonzero = [i for i, gap in enumerate(gaps) if gap != 0.0]
     brackets = [(i, j) for i, j in zip(nonzero, nonzero[1:]) if (gaps[i] > 0.0) != (gaps[j] > 0.0)]
     if not brackets:
@@ -333,7 +313,7 @@ def calibrate_crossover(
     gap_lo = gaps[i]
     while 10.0 * math.log10(hi / lo) > _CROSSOVER_TOL_DB:
         mid = math.sqrt(lo * hi)
-        gap_mid = _mean_exponent_gap(channels, directions, base_params.at_gamma_s(mid))
+        gap_mid = gap_at(mid)
         if gap_mid == 0.0:
             return mid
         if (gap_mid > 0.0) == (gap_lo > 0.0):

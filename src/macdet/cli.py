@@ -25,14 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import (
+    GainVector,
     NoCrossoverError,
+    _mean_exponent_gap,
     alpha_uniform,
     calibrate_crossover,
     finite_exponent,
     method2_direction,
     method_exponents,
 )
-from .allocation import GainVector
 from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo, pe_conditional
 from .exponents import (
     SnrPoint,
@@ -571,9 +572,10 @@ def _scheme_sweep(cfg: ExperimentConfig, grid, label: str, draws: int):
     Returns (channels, crossover, points), where each point is (gamma_s,
     params at gamma_s, method1 exponents, method2 exponents, hybrid
     exponents).  A grid of two or more points calibrates the crossover
-    on its own channels (stream 1); without a crossover the hybrid
-    follows the dominant method, and on a one-point grid it takes the
-    method with the larger mean.
+    on these same channels: from the mean gaps of the grid's own
+    exponents, plus one evaluation per bisection step.  Without a
+    crossover the hybrid follows the dominant method, and on a one-point
+    grid it takes the method with the larger mean.
     """
     params = cfg.params
     base = RandomSource(cfg.seed)
@@ -584,23 +586,28 @@ def _scheme_sweep(cfg: ExperimentConfig, grid, label: str, draws: int):
         for d in range(draws)
     ]
     directions = [method2_direction(h) for h in channels]
+    scored = [method_exponents(channels, directions, params.at_gamma_s(x)) for x in grid]
     crossover = dominant = None
     if len(grid) >= 2:
         try:
-            crossover = calibrate_crossover(params, cfg.model, grid, draws, base.stream(1))
+            crossover = calibrate_crossover(
+                grid,
+                [_mean_exponent_gap(fe1, fe2) for fe1, fe2 in scored],
+                lambda x: _mean_exponent_gap(
+                    *method_exponents(channels, directions, params.at_gamma_s(x))
+                ),
+            )
         except NoCrossoverError as exc:
             dominant = exc.dominant
     points = []
-    for x in grid:
-        params_x = params.at_gamma_s(x)
-        fe1, fe2 = method_exponents(channels, directions, params_x)
+    for x, (fe1, fe2) in zip(grid, scored):
         if crossover is not None:
             use_method1 = x < crossover
         elif dominant is not None:
             use_method1 = dominant == "method1"
         else:
             use_method1 = float(np.mean(fe1)) >= float(np.mean(fe2))
-        points.append((x, params_x, fe1, fe2, fe1 if use_method1 else fe2))
+        points.append((x, params.at_gamma_s(x), fe1, fe2, fe1 if use_method1 else fe2))
     return channels, crossover, points
 
 

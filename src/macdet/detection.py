@@ -127,9 +127,7 @@ def synthesize(
     model = noise if noise is not None else SensingNoiseModel(
         sigma_eta_sq=params.sigma_eta_sq
     )
-    factor = model.scale_factor(params.num_sensors)
-    std = complex_normal(gen, params.num_sensors)
-    eta = factor @ std if isinstance(factor, np.ndarray) else factor * std
+    eta = model.color(complex_normal(gen, params.num_sensors))
     nu = complex_normal(gen, params.num_antennas, params.sigma_nu_sq)
     signal = params.theta if hypothesis == Hypothesis.H1 else 0.0
     y = signal * (h @ a) + h @ (a * eta) + nu
@@ -222,15 +220,13 @@ def estimate_pe_montecarlo(
     model = noise if noise is not None else SensingNoiseModel(
         sigma_eta_sq=params.sigma_eta_sq
     )
-    factor = model.scale_factor(params.num_sensors)
 
     errors = 0
     for block, start in enumerate(range(0, trials, _MC_BLOCK)):
         count = min(_MC_BLOCK, trials - start)
         gen = rng.substream("montecarlo", block)
         truth = gen.random(count) < params.p1
-        std = complex_normal(gen, (params.num_sensors, count))
-        eta = factor @ std if isinstance(factor, np.ndarray) else factor * std
+        eta = model.color(complex_normal(gen, (params.num_sensors, count)))
         nu = complex_normal(gen, (count, params.num_antennas), params.sigma_nu_sq)
         y = (
             np.where(truth, params.theta, 0.0)[:, np.newaxis] * v[np.newaxis, :]

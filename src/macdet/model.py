@@ -68,7 +68,7 @@ class RandomSource:
         The path extends the spawn key, so substream(i, j) draws are
         independent of substream(i, k) for j != k and of the parent.
         String labels are admitted via a stable crc32 digest so callers
-        can name purposes ("calibrate", 3) without seed bookkeeping.
+        can name purposes ("mc-channel", 3) without seed bookkeeping.
         """
         key = tuple(
             zlib.crc32(p.encode()) if isinstance(p, str) else p for p in path
@@ -368,6 +368,14 @@ class SensingNoiseModel:
             )
         return self._chol
 
+    def color(self, std: np.ndarray) -> np.ndarray:
+        """Sensing noise from standard CN(0, 1) draws with the sensors
+        along the first axis: S @ std, or s * std when iid."""
+        factor = self.scale_factor(std.shape[0])
+        if self.is_iid:
+            return factor * std
+        return factor @ std
+
 
 def sample_sensing_noise(
     model: SensingNoiseModel,
@@ -379,9 +387,4 @@ def sample_sensing_noise(
     Both variants transform the same standard CN(0,1) draws, so an iid
     model and Correlated(sigma^2 I) produce identical samples.
     """
-    gen = as_generator(rng)
-    w = complex_normal(gen, num_sensors, 1.0)
-    factor = model.scale_factor(num_sensors)
-    if model.is_iid:
-        return factor * w
-    return factor @ w
+    return model.color(complex_normal(as_generator(rng), num_sensors, 1.0))

@@ -20,7 +20,10 @@ from macdet.allocation import (
     finite_exponent,
     method1,
     method2,
+    method2_direction,
+    method_exponents,
 )
+from macdet.allocation import _mean_exponent_gap
 from macdet.detection import empirical_exponent, estimate_pe_montecarlo, pe_conditional
 from macdet.exponents import (
     SnrPoint,
@@ -403,10 +406,20 @@ def test_criterion_12_hybrid_crossover_calibration():
     results = {}
     for n, target_db in ((5, 3.0), (50, 8.25)):
         params = _params(200, n, gamma_c=10.0)
-        try:
-            crossover = calibrate_crossover(
-                params, model, grid, 50, RandomSource(12, stream_id=n)
+        rng = RandomSource(12, stream_id=n)
+        channels = [
+            sample_channel(model, n, 200, rng.substream("calibrate", t)).entries
+            for t in range(50)
+        ]
+        directions = [method2_direction(h) for h in channels]
+
+        def gap_at(gamma_s):
+            return _mean_exponent_gap(
+                *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
             )
+
+        try:
+            crossover = calibrate_crossover(grid, [gap_at(g) for g in grid], gap_at)
             results[n] = snr_to_db(crossover)
         except NoCrossoverError as exc:
             results[n] = None

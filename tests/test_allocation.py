@@ -22,7 +22,7 @@ from macdet.allocation import (
     method_exponents,
     received_covariance,
 )
-from macdet import allocation, sdr
+from macdet import sdr
 from macdet.allocation import _mean_exponent_gap
 from macdet.exponents import e_awgn, e_csis1_numeric, SnrPoint
 from macdet.model import (
@@ -459,10 +459,8 @@ class TestHoistedDirectionOracle:
             sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)
         ]
         directions = [method2_direction(h) for h in channels]
-        assert _mean_exponent_gap(channels, directions, params) == _mean_exponent_gap_per_point(
-            channels, params
-        )
         fe1, fe2 = method_exponents(channels, directions, params)
+        assert _mean_exponent_gap(fe1, fe2) == _mean_exponent_gap_per_point(channels, params)
         assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
         assert fe2 == [finite_exponent(h, method2(h, params), params) for h in channels]
 
@@ -491,40 +489,54 @@ class TestHybrid:
         )
 
 
+def sampled_gaps(params, model, grid, trials, seed):
+    """calibrate_crossover's inputs on `trials` common channel draws: the
+    mean gap at each grid point and the evaluator for bisection points."""
+    rng = RandomSource(master_seed=seed)
+    n, l = params.num_antennas, params.num_sensors
+    channels = [sample_channel(model, n, l, rng.substream("cal", t)).entries for t in range(trials)]
+    directions = [method2_direction(h) for h in channels]
+
+    def gap_at(gamma_s):
+        return _mean_exponent_gap(
+            *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
+        )
+
+    return [gap_at(g) for g in grid], gap_at
+
+
 class TestCalibrateCrossover:
     def test_zero_sensing_noise_grid_has_no_crossover(self):
-        params = make_params(l=8, n=2)
-        rng = RandomSource(master_seed=61)
+        grid = [math.inf, math.inf]
+        gaps, gap_at = sampled_gaps(make_params(l=8, n=2), ChannelModel.rayleigh(), grid, 4, 61)
         with pytest.raises(NoCrossoverError) as err:
-            calibrate_crossover(
-                params, ChannelModel.rayleigh(), [math.inf, math.inf], trials=4, rng=rng
-            )
+            calibrate_crossover(grid, gaps, gap_at)
         assert err.value.dominant == "method2"
 
     def test_finds_deterministic_crossover(self):
         params = params_for(gamma_s=1.0, gamma_c=10.0, l=50, n=5)
-        model = ChannelModel.ricean(1.0)
         grid = [10 ** (db / 10.0) for db in range(-4, 13, 2)]
-        rng = RandomSource(master_seed=71)
-        first = calibrate_crossover(params, model, grid, trials=8, rng=rng)
-        second = calibrate_crossover(params, model, grid, trials=8, rng=rng)
+        gaps, gap_at = sampled_gaps(params, ChannelModel.ricean(1.0), grid, 8, 71)
+        first = calibrate_crossover(grid, gaps, gap_at)
+        second = calibrate_crossover(grid, gaps, gap_at)
         assert first == second
         assert grid[0] <= first <= grid[-1]
 
     def test_rejects_bad_grids(self):
-        params = make_params()
-        rng = RandomSource(master_seed=1)
-        model = ChannelModel.rayleigh()
-        with pytest.raises(ValueError):
-            calibrate_crossover(params, model, [1.0], trials=1, rng=rng)
-        with pytest.raises(ValueError):
-            calibrate_crossover(params, model, [2.0, 1.0], trials=1, rng=rng)
-        with pytest.raises(ValueError):
-            calibrate_crossover(params, model, [1.0, 1.0], trials=1, rng=rng)
-        with pytest.raises(ValueError):
-            calibrate_crossover(params, model, [1.0, math.inf], trials=1, rng=rng)
-        with pytest.raises(ValueError):
-            calibrate_crossover(params, model, [1.0, 2.0], trials=0, rng=rng)
+        def gap_at(gamma_s):
+            raise AssertionError("a rejected grid is never bisected")
+
+        for grid, gaps in (
+            ([1.0], [1.0]),
+            ([2.0, 1.0], [1.0, -1.0]),
+            ([1.0, 1.0], [1.0, -1.0]),
+            ([0.0, 1.0], [1.0, -1.0]),
+            ([1.0, math.inf], [1.0, -1.0]),
+            ([1.0, 2.0], [1.0]),
+            ([1.0, 2.0], [1.0, -1.0, -1.0]),
+        ):
+            with pytest.raises(ValueError):
+                calibrate_crossover(grid, gaps, gap_at)
 
 
 class TestCrossoverRule:
@@ -533,22 +545,18 @@ class TestCrossoverRule:
     crossover, and without a sign change the first nonzero gap names the
     dominant method (method1 when every gap ties)."""
 
-    def calibrate(self, monkeypatch, grid, gap_at):
+    def calibrate(self, grid, gap):
         calls = []
 
-        def scripted(channels, directions, params):
-            calls.append(params.gamma_s)
-            return gap_at(params.gamma_s)
+        def gap_at(gamma_s):
+            calls.append(gamma_s)
+            return gap(gamma_s)
 
-        monkeypatch.setattr(allocation, "_mean_exponent_gap", scripted)
-        params = params_for(gamma_s=1.0, gamma_c=5.0, l=4, n=2)
-        crossover = calibrate_crossover(
-            params, ChannelModel.awgn(), grid, trials=1, rng=RandomSource(master_seed=5)
-        )
+        crossover = calibrate_crossover(grid, [gap(g) for g in grid], gap_at)
         return crossover, calls
 
     @pytest.mark.parametrize(
-        "grid,gap_at,dominant",
+        "grid,gap,dominant",
         [
             pytest.param([1.0, 2.0], lambda g: 0.0, "method1", id="0,0"),
             pytest.param([1.0, 2.0], lambda g: 0.0 if g < 1.5 else -1.0, "method2", id="0,-"),
@@ -557,25 +565,24 @@ class TestCrossoverRule:
             ),
         ],
     )
-    def test_no_sign_change(self, monkeypatch, grid, gap_at, dominant):
+    def test_no_sign_change(self, grid, gap, dominant):
         with pytest.raises(NoCrossoverError) as err:
-            self.calibrate(monkeypatch, grid, gap_at)
+            self.calibrate(grid, gap)
         assert err.value.dominant == dominant
 
-    def test_tie_inside_bracket_is_the_crossover(self, monkeypatch):
+    def test_tie_inside_bracket_is_the_crossover(self):
         # [+, 0, -]: the tied grid point is returned without bisecting
-        gap_at = lambda g: 1.0 if g < 1.5 else (0.0 if g < 3.0 else -1.0)
-        crossover, calls = self.calibrate(monkeypatch, [1.0, 2.0, 4.0], gap_at)
+        gap = lambda g: 1.0 if g < 1.5 else (0.0 if g < 3.0 else -1.0)
+        crossover, calls = self.calibrate([1.0, 2.0, 4.0], gap)
         assert crossover == 2.0
-        assert len(calls) == 3
+        assert calls == []
 
-    def test_sign_change_is_bisected(self, monkeypatch):
-        # [+, -]: bisection in log gamma_s to within 0.05 dB of the flip
-        crossover, calls = self.calibrate(
-            monkeypatch, [1.0, 4.0], lambda g: 1.0 if g < 2.5 else -1.0
-        )
+    def test_sign_change_is_bisected(self):
+        # [+, -]: bisection in log gamma_s to within 0.05 dB of the flip,
+        # evaluating only points strictly inside the bracket
+        crossover, calls = self.calibrate([1.0, 4.0], lambda g: 1.0 if g < 2.5 else -1.0)
         assert abs(10.0 * math.log10(crossover / 2.5)) <= 0.05
-        assert len(calls) > 2
+        assert calls and all(1.0 < g < 4.0 for g in calls)
 
 
 class TestAlphaSdrPhase:

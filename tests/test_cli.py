@@ -7,11 +7,13 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macdet import cli
+from macdet import allocation, cli, model
 from macdet.exponents import (
     SnrPoint,
     ZetaFactor,
@@ -39,6 +41,22 @@ def parse(raw, experiment="exponent-sweep"):
 
 def sweep(variable, grid):
     return {"variable": variable, "grid": grid}
+
+
+def count_calls(monkeypatch, counts, module, name):
+    # patched in every macdet module that binds the function, since the
+    # modules import each other's names
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "macdet" or mod_name.startswith("macdet."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
 
 
 BASE_SWEEP = {"sweep": sweep("gamma_c", [1.0, 2.0])}
@@ -281,7 +299,7 @@ class TestMainEndToEnd:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert cli.main(["montecarlo", "--config", path, "--out", out1]) == 0
         assert cli.main(["montecarlo", "--config", path, "--out", out2]) == 0
-        a, b = open(out1, "rb").read(), open(out2, "rb").read()
+        a, b = Path(out1).read_bytes(), Path(out2).read_bytes()
         assert a == b
         assert b"Pe_MC(rayleigh,N=2)" in a
 
@@ -307,7 +325,7 @@ class TestMainEndToEnd:
             ["exponent-sweep", "--config", path, "--format", "json", "--out", out]
         )
         assert code == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload[0]["experiment"] == "exponent-sweep"
 
     def test_config_error_exit_2(self, tmp_path, capsys):
@@ -605,6 +623,48 @@ class TestSchemesExperiment:
             at_x = {r["series"]: r["value"] for r in rows if r["x_value"] == x}
             assert at_x["hybrid(N=2)"] == at_x["method1(N=2)"] == at_x["method2(N=2)"]
 
+    def test_each_channel_drawn_and_each_point_scored_once(self, monkeypatch):
+        # the crossover is calibrated on the sweep's own channels and grid
+        # exponents, so only the bisection steps add evaluations
+        grid = [0.3, 1.0, 3.0, 10.0, 30.0]
+        cfg = parse(
+            {
+                "channel": "ricean",
+                "ricean_k": 1.0,
+                "num_antennas": 5,
+                "num_sensors": 40,
+                "gamma_c": 10.0,
+                "channel_draws": 3,
+                "sweep": sweep("gamma_s", grid),
+            },
+            experiment="schemes",
+        )
+        counts = Counter()
+        count_calls(monkeypatch, counts, model, "sample_channel")
+        count_calls(monkeypatch, counts, allocation, "method_exponents")
+        rows, code = cli.run(cfg)
+        assert code == 0
+        crossover = rows[-1].value
+        lo, hi = next((a, b) for a, b in zip(grid, grid[1:]) if a < crossover < b)
+        # bisection halves the bracket in dB down to 0.05 dB
+        steps = math.ceil(math.log2(10.0 * math.log10(hi / lo) / 0.05))
+        assert counts["sample_channel"] == 3
+        assert counts["method_exponents"] == len(grid) + steps
+
+    def test_hybrid_is_the_better_method_on_figure8(self):
+        # figure8 at its golden sizing: the hybrid switches where the
+        # plotted mean exponents cross, so it never shows the worse one
+        cfg = parse({"figure_id": 8, "seed": 7, "channel_draws": 2}, experiment="figure")
+        rows, code = cli.run(cfg)
+        assert code == 0
+        for n in (5, 50):
+            points = {r.x_value for r in rows if r.series == f"hybrid(N={n})"}
+            assert len(points) == 21
+            for db in points:
+                at_x = {r.series: r.value for r in rows if r.x_value == db}
+                better = max(at_x[f"method1(N={n})"], at_x[f"method2(N={n})"])
+                assert at_x[f"hybrid(N={n})"] == better, (n, db)
+
 
 class TestSdrCompareExperiment:
     def config(self):
@@ -654,7 +714,7 @@ class TestSdrCompareExperiment:
         path.write_text(json.dumps(raw))
         out = str(tmp_path / "rows.csv")
         assert cli.main(["sdr-compare", "--config", str(path), "--out", out]) == 3
-        assert "[nonconverged]" in open(out).read()
+        assert "[nonconverged]" in Path(out).read_text()
 
     def test_nonconvergence_reasons_on_stderr(self, tmp_path, monkeypatch, capsys):
         # one stderr line per uncertified draw; stdout carries the CSV

@@ -11,7 +11,7 @@ digest and says which values moved and why.
 The non-figure configs (`EXPERIMENTS`, also at seed 7) reach every path
 of the scheme runners and the shared gamma_s rule: `schemes` with a
 calibrated crossover (Ricean K=1, N=5, L=40, crossover near gamma_s =
-6.83), without one where method1 dominates (Rayleigh, N=2) and where
+5.82), without one where method1 dominates (Rayleigh, N=2) and where
 method2 dominates (N=50, L=30); `sdr-compare` at a single gamma_s (the
 hybrid falls back to the larger mean) and over a gamma_s sweep;
 `exponent-sweep` over gamma_s with `n_list` and over K, N and gamma_c;
@@ -51,9 +51,9 @@ GOLDEN = {
     6: ({}, "bd8019e0b607e5bafc84e7247da314f0fbe59e70ba5484c5e923b298f438f7c0"),
     7: ({}, "8f303d1bcd3b2274eb405e6d62ae6465c81113887c2e72630cb0624dfb97b6e5"),
     8: ({"channel_draws": 2},
-        "3809f2a54657fb96f59bbddef37f1ddc6c33e605f5126dddbec8a12c0bcfd86a"),
+        "4c80c9bc2a9f1d619a4aa4b7e663abc69e4134888257ff1ef6ebc047480ae1ca"),
     9: ({"channel_draws": 1},
-        "5e12c2224b0d299aa27d802c55a6ad2425aa3e6b50908d4a32d82c830ec26277"),
+        "4736669fc0b14817166c28e84e06cd757cccbba1144514ec6b4759f7ebf432c6"),
 }
 
 
@@ -73,7 +73,7 @@ EXPERIMENTS = {
         "schemes",
         {**RICEAN, "num_antennas": 5, "num_sensors": 40, "gamma_c": 10.0, "channel_draws": 3,
          "sweep": {"variable": "gamma_s", "grid": [0.3, 1.0, 3.0, 10.0, 30.0]}},
-        "21f2a3fd736c94f370723c89c1389fc403aeef663aee7180a4ccb9cbaef3c9d6",
+        "ca4ffea6bea68877239fdeaa4e86dd0ebe948a5cf2e4cc7321472c2d9adf3bd6",
     ),
     "schemes-method1-dominant": (
         "schemes",

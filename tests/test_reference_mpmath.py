@@ -1,5 +1,6 @@
-"""Special functions and the Ricean amplitude mean against mpmath at 50
-significant digits, each held to the accuracy its docstring states."""
+"""Special functions, the Ricean amplitude mean and the single-antenna
+full-CSI exponent quadrature against mpmath (50 significant digits, 30
+for the quadrature), each held to the accuracy its docstring states."""
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from macdet import numerics
-from macdet.model import ChannelModel, mean_abs_h
+from macdet.exponents import e_csis1_numeric
+from macdet.model import ChannelModel, NetworkParams, mean_abs_h
 
 mp = pytest.importorskip("mpmath")
 
@@ -97,3 +99,38 @@ def test_mean_abs_h_ricean_documented_accuracy(k):
 def test_mean_rice_reference_matches_rayleigh_closed_form():
     # the reference itself: K = 0 must give sqrt(pi)/2
     assert float(mp_mean_rice(0)) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)
+
+
+def mp_e_csis1_ricean(params, k):
+    # (theta^2/8) E[P r^2 / (sigma_eta^2 P r^2 + sigma_nu^2)] over the Rice
+    # amplitude density with line of sight s and per-component variance
+    # sig2, split at the integrand's knee, at s and 20 sigma past it
+    s = mp.sqrt(mp.mpf(k) / (k + 1))
+    sig2 = 1 / (2 * (mp.mpf(k) + 1))
+    p, se2, sn2 = (mp.mpf(v) for v in (params.gain_budget, params.sigma_eta_sq, params.sigma_nu_sq))
+
+    def integrand(r):
+        density = (r / sig2) * mp.exp(-(r * r + s * s) / (2 * sig2)) * mp.besseli(0, r * s / sig2)
+        return density * p * r * r / (se2 * p * r * r + sn2)
+
+    knee = mp.sqrt(sn2 / (p * se2))
+    points = sorted({mp.mpf(0), knee, s, s + 20 * mp.sqrt(sig2)}) + [mp.inf]
+    return mp.mpf(params.theta) ** 2 / 8 * mp.quad(integrand, points)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 10.0, 20.0])
+@pytest.mark.parametrize("gamma_s,gamma_c", [(0.5, 10.0), (4.0, 1.0), (20.0, 100.0)])
+def test_e_csis1_numeric_ricean_documented_accuracy(k, gamma_s, gamma_c):
+    params = NetworkParams(
+        num_sensors=1,
+        num_antennas=1,
+        theta=1.0,
+        sigma_eta_sq=1.0 / gamma_s,
+        sigma_nu_sq=1.0,
+        p1=0.5,
+        total_power=gamma_c,
+    )
+    with mp.workdps(30):
+        reference = mp_e_csis1_ricean(params, k)
+    value = e_csis1_numeric(params, ChannelModel.ricean(k))
+    assert abs(value - float(reference)) <= 1e-9
