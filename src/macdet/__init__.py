@@ -11,7 +11,8 @@ Submodules:
               both the finite-network exponent and the detector
 * sdr         diagonally-constrained SDP relaxation (certified
               Burer-Monteiro solve) and rounding
-* detection   received-signal synthesis, LRT decisions, error probability
+* detection   conditional and Monte Carlo error probability of the LRT,
+              empirical exponents
 * cli         the `macdet` experiment runner
 
 The power budget P is the property `NetworkParams.gain_budget`.

@@ -1,4 +1,4 @@
-"""Signal synthesis, likelihood-ratio detection, and error-rate estimation.
+"""Likelihood-ratio detection and error-rate estimation.
 
 The fusion center observes y = H alpha Theta + H D(alpha) eta + nu with
 Theta = theta under H1 and 0 under H0, and applies the matched-filter
@@ -20,30 +20,23 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from enum import IntEnum
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .allocation import _check_dims, _entries, _gain_values, alpha_uniform, quadratic_form
+from .allocation import _entries, _gain_values, alpha_uniform, quadratic_form
 from .model import (
     ChannelModel,
     NetworkParams,
     RandomSource,
     SensingNoiseModel,
-    as_generator,
-    complex_normal,
     sample_channel,
 )
 from .numerics import log_q, q_function
 
 __all__ = [
-    "Hypothesis",
-    "ReceivedSignal",
     "PeEstimate",
     "ExponentCurve",
-    "synthesize",
-    "decide",
     "pe_conditional",
     "log_pe_conditional",
     "estimate_pe_montecarlo",
@@ -51,27 +44,6 @@ __all__ = [
 ]
 
 _MC_BLOCK = 8192
-
-
-class Hypothesis(IntEnum):
-    H0 = 0
-    H1 = 1
-
-
-@dataclass(frozen=True)
-class ReceivedSignal:
-    """Array observation y together with the hypothesis that produced it."""
-
-    y: np.ndarray
-    truth: Hypothesis
-
-    def __post_init__(self) -> None:
-        y = np.array(self.y, dtype=np.complex128)
-        if y.ndim != 1 or y.size == 0:
-            raise ValueError("y must be a non-empty vector")
-        y.flags.writeable = False
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "truth", Hypothesis(self.truth))
 
 
 @dataclass(frozen=True)
@@ -107,47 +79,6 @@ class PeEstimate:
             ci95_halfwidth=1.96 * math.sqrt(p * (1.0 - p) / trials),
             errors=errors,
         )
-
-
-def synthesize(
-    channel,
-    alpha,
-    params: NetworkParams,
-    hypothesis: Hypothesis,
-    rng,
-    noise: SensingNoiseModel | None = None,
-) -> ReceivedSignal:
-    """One draw of the received vector.  Sensing noise is drawn first,
-    receiver noise second, so a shared generator yields reproducible
-    pairs."""
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    _check_dims(h, a, params)
-    gen = as_generator(rng)
-    model = noise if noise is not None else SensingNoiseModel(
-        sigma_eta_sq=params.sigma_eta_sq
-    )
-    eta = model.color(complex_normal(gen, params.num_sensors))
-    nu = complex_normal(gen, params.num_antennas, params.sigma_nu_sq)
-    signal = params.theta if hypothesis == Hypothesis.H1 else 0.0
-    y = signal * (h @ a) + h @ (a * eta) + nu
-    return ReceivedSignal(y=y, truth=Hypothesis(hypothesis))
-
-
-def decide(
-    y,
-    channel,
-    alpha,
-    params: NetworkParams,
-    noise: SensingNoiseModel | None = None,
-) -> Hypothesis:
-    """Likelihood-ratio decision; ties go to H1 (a probability-zero
-    event under either hypothesis)."""
-    _, w, q = quadratic_form(channel, alpha, params, noise)
-    y = np.asarray(y, dtype=np.complex128)
-    statistic = params.theta * float(np.vdot(y, w).real)
-    threshold = 0.5 * params.theta**2 * q + params.tau
-    return Hypothesis.H1 if statistic >= threshold else Hypothesis.H0
 
 
 def _omega(params: NetworkParams, q: float) -> float:
@@ -207,7 +138,19 @@ def estimate_pe_montecarlo(
     Trials are processed in fixed-size blocks, each on its own
     substream, so the estimate is bit-reproducible no matter how blocks
     are scheduled across workers.  Within a block the draw order is
-    hypotheses, sensing noise, receiver noise.
+    hypotheses, sensing noise, receiver noise, each noise as a block of
+    real parts followed by a block of imaginary parts.
+
+    The received vector y is never formed.  With eta = S z, S the
+    sensing-noise factor (s when iid, the Cholesky factor when
+    correlated) and z ~ CN(0, I), the statistic theta Re(y^H w),
+    w = R^{-1} H alpha, is
+
+        theta [1{H1} theta Re(v^H w) + Re(z^H c) + Re(nu^H w)],
+        c = S^H (conj(alpha) * H^H w),
+
+    with c computed once per channel, so a trial costs O(L + N) from
+    the same draws as the y-forming loop (O(N L), O(L^2) correlated).
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000 for a meaningful estimate")
@@ -220,22 +163,28 @@ def estimate_pe_montecarlo(
     model = noise if noise is not None else SensingNoiseModel(
         sigma_eta_sq=params.sigma_eta_sq
     )
+    factor = model.scale_factor(params.num_sensors)
+    g = np.conj(a) * (h.conj().T @ w)
+    c = factor * g if model.is_iid else factor.conj().T @ g
+    # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
+    # drawn as sqrt(s/2) (X_re + i X_im)
+    sensing = math.sqrt(0.5) * np.concatenate((c.real, c.imag))
+    receiver = math.sqrt(params.sigma_nu_sq / 2.0) * np.stack((w.real, w.imag))
+    signal = params.theta * float(np.vdot(v, w).real)
 
     errors = 0
     for block, start in enumerate(range(0, trials, _MC_BLOCK)):
         count = min(_MC_BLOCK, trials - start)
         gen = rng.substream("montecarlo", block)
         truth = gen.random(count) < params.p1
-        eta = model.color(complex_normal(gen, (params.num_sensors, count)))
-        nu = complex_normal(gen, (count, params.num_antennas), params.sigma_nu_sq)
-        y = (
-            np.where(truth, params.theta, 0.0)[:, np.newaxis] * v[np.newaxis, :]
-            + (h @ (a[:, np.newaxis] * eta)).T
-            + nu
+        z = gen.standard_normal((2 * params.num_sensors, count))
+        nu = gen.standard_normal((2, count, params.num_antennas))
+        statistic = params.theta * (
+            np.where(truth, signal, 0.0)
+            + sensing @ z
+            + (nu[0] @ receiver[0] + nu[1] @ receiver[1])
         )
-        statistic = params.theta * (y.conj() @ w).real
-        decisions = statistic >= threshold
-        errors += int(np.sum(decisions != truth))
+        errors += int(np.count_nonzero((statistic >= threshold) != truth))
     return PeEstimate.from_counts(errors, trials)
 
 

@@ -15,10 +15,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate
-from scipy.special import i0e
-
 from .model import ChannelModel, NetworkParams, SensingNoiseModel, mean_abs_h
 from .numerics import exp_e1_scaled
 
@@ -26,12 +22,10 @@ __all__ = [
     "SnrPoint",
     "ZetaFactor",
     "AsymptoticBounds",
-    "NEYMAN_PEARSON_FACTOR",
     "e_awgn",
     "gain_awgn",
     "e_nocsis",
     "gain_nocsis",
-    "e_csis1_numeric",
     "e_csis1_rayleigh_closed",
     "e_csis1_rayleigh_mean",
     "e_po1",
@@ -48,11 +42,6 @@ __all__ = [
     "snr_from_db",
     "exponent_ratio_db",
 ]
-
-# A Neyman-Pearson design (false-alarm constrained, both tail exponents
-# driven by the same quadratic statistic) scales every exponent here by
-# exactly this constant; it is not modelled beyond that.
-NEYMAN_PEARSON_FACTOR = 4.0
 
 
 def snr_to_db(x: float) -> float:
@@ -200,61 +189,12 @@ def gain_nocsis(pt: SnrPoint) -> float:
     )
 
 
-def e_csis1_numeric(params: NetworkParams, model: ChannelModel) -> float:
-    """Single-antenna exponent with full transmit-side channel knowledge,
-    by quadrature of the amplitude average
-
-        E = (theta^2/8) E_h[ 1 / (sigma_eta^2 + sigma_nu^2/(P |h|^2)) ]
-
-    over the model's amplitude density, to absolute accuracy 1e-9.
-    """
-    th2 = params.theta**2
-    se2 = params.sigma_eta_sq
-    sn2 = params.sigma_nu_sq
-    p = params.gain_budget
-
-    def value_at(r2: float) -> float:
-        # integrand 1/(se2 + sn2/(P r^2)) written division-safe at r = 0
-        return p * r2 / (se2 * p * r2 + sn2)
-
-    if model.is_awgn:
-        return 0.125 * th2 * value_at(1.0)
-    if model.k_factor == 0.0:
-        # |h|^2 is Exp(1): integrate over the power variable directly
-        def integrand(x: float) -> float:
-            return math.exp(-x) * value_at(x)
-
-        knee = sn2 / (p * se2) if se2 > 0.0 else math.inf
-        pieces = [0.0, knee, math.inf] if math.isfinite(knee) else [0.0, math.inf]
-    else:
-        s = model.los_amplitude
-        sig2 = model.diffuse_variance / 2.0
-
-        def integrand(r: float) -> float:
-            z = r * s / sig2
-            dens = (r / sig2) * i0e(z) * math.exp(-((r - s) ** 2) / (2.0 * sig2))
-            return dens * value_at(r * r)
-
-        sig = math.sqrt(sig2)
-        lo, hi = max(0.0, s - 14.0 * sig), s + 14.0 * sig
-        knee = math.sqrt(sn2 / (p * se2)) if se2 > 0.0 else math.inf
-        pieces = sorted({lo, hi} | ({knee} if lo < knee < hi else set()))
-
-    total = 0.0
-    err_total = 0.0
-    for a, b in zip(pieces, pieces[1:]):
-        val, err = integrate.quad(integrand, a, b, epsabs=1e-10, epsrel=1e-11, limit=300)
-        total += val
-        err_total += err
-    scaled_err = 0.125 * th2 * err_total
-    if scaled_err > 1e-9 + 1e-9 * abs(0.125 * th2 * total):
-        raise ValueError(f"amplitude quadrature error {scaled_err:g} above tolerance")
-    return 0.125 * th2 * total
-
-
 def e_csis1_rayleigh_mean(pt: SnrPoint) -> float:
-    """Exact closed form of the Rayleigh amplitude average behind
-    e_csis1_numeric (unit-mean-square amplitudes, |h|^2 ~ Exp(1)):
+    """Single-antenna full-knowledge exponent, the amplitude average
+
+        E = (theta^2/8) E_h[ 1 / (sigma_eta^2 + sigma_nu^2/(P |h|^2)) ],
+
+    in exact closed form for Rayleigh fading (|h|^2 ~ Exp(1)):
 
         E = (gamma_s/8) (1 - a e^a E1(a)),  a = (p1 gamma_s + 1)/gamma_c.
     """

@@ -58,10 +58,6 @@ class RandomSource:
         """Fresh generator positioned at the start of this stream."""
         return self.substream()
 
-    def stream(self, stream_id: int) -> "RandomSource":
-        """Sibling source with the same master seed."""
-        return RandomSource(self.master_seed, stream_id)
-
     def substream(self, *path: "int | str") -> np.random.Generator:
         """Generator for a nested split of this stream.
 

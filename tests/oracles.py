@@ -1,0 +1,187 @@
+"""Reference implementations the package's fast paths are checked against.
+
+None of these is used by `macdet` itself:
+
+* `Hypothesis`, `ReceivedSignal`, `synthesize` and `decide` are the
+  per-trial signal model y = H alpha Theta + H D(alpha) eta + nu and the
+  likelihood-ratio rule, one draw at a time.
+* `reference_pe_montecarlo` is the block Monte Carlo loop that forms the
+  received vectors y (count x N) explicitly; `estimate_pe_montecarlo`
+  must count exactly the same errors from the same draws.
+* `e_csis1_numeric` is the single-antenna full-knowledge exponent by
+  quadrature of the amplitude density (scipy.integrate).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import IntEnum
+
+import numpy as np
+from scipy import integrate
+from scipy.special import i0e
+
+from macdet.allocation import _check_dims, _entries, _gain_values, quadratic_form
+from macdet.detection import _MC_BLOCK, PeEstimate
+from macdet.model import (
+    ChannelModel,
+    NetworkParams,
+    RandomSource,
+    SensingNoiseModel,
+    as_generator,
+    complex_normal,
+)
+
+
+class Hypothesis(IntEnum):
+    H0 = 0
+    H1 = 1
+
+
+@dataclass(frozen=True)
+class ReceivedSignal:
+    """Array observation y together with the hypothesis that produced it."""
+
+    y: np.ndarray
+    truth: Hypothesis
+
+    def __post_init__(self) -> None:
+        y = np.array(self.y, dtype=np.complex128)
+        if y.ndim != 1 or y.size == 0:
+            raise ValueError("y must be a non-empty vector")
+        y.flags.writeable = False
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "truth", Hypothesis(self.truth))
+
+
+def _noise_model(params: NetworkParams, noise: SensingNoiseModel | None) -> SensingNoiseModel:
+    return noise if noise is not None else SensingNoiseModel(sigma_eta_sq=params.sigma_eta_sq)
+
+
+def synthesize(
+    channel,
+    alpha,
+    params: NetworkParams,
+    hypothesis: Hypothesis,
+    rng,
+    noise: SensingNoiseModel | None = None,
+) -> ReceivedSignal:
+    """One draw of the received vector.  Sensing noise is drawn first,
+    receiver noise second, so a shared generator yields reproducible
+    pairs."""
+    h = _entries(channel)
+    a = _gain_values(alpha)
+    _check_dims(h, a, params)
+    gen = as_generator(rng)
+    eta = _noise_model(params, noise).color(complex_normal(gen, params.num_sensors))
+    nu = complex_normal(gen, params.num_antennas, params.sigma_nu_sq)
+    signal = params.theta if hypothesis == Hypothesis.H1 else 0.0
+    y = signal * (h @ a) + h @ (a * eta) + nu
+    return ReceivedSignal(y=y, truth=Hypothesis(hypothesis))
+
+
+def decide(
+    y,
+    channel,
+    alpha,
+    params: NetworkParams,
+    noise: SensingNoiseModel | None = None,
+) -> Hypothesis:
+    """Likelihood-ratio decision; ties go to H1 (a probability-zero
+    event under either hypothesis)."""
+    _, w, q = quadratic_form(channel, alpha, params, noise)
+    y = np.asarray(y, dtype=np.complex128)
+    statistic = params.theta * float(np.vdot(y, w).real)
+    threshold = 0.5 * params.theta**2 * q + params.tau
+    return Hypothesis.H1 if statistic >= threshold else Hypothesis.H0
+
+
+def reference_pe_montecarlo(
+    channel,
+    alpha,
+    params: NetworkParams,
+    trials: int,
+    rng: RandomSource,
+    noise: SensingNoiseModel | None = None,
+    block_size: int = _MC_BLOCK,
+) -> PeEstimate:
+    """The Monte Carlo error rate by forming every received vector: the
+    same blocks, substreams and draw order (hypotheses, sensing noise,
+    receiver noise) as `estimate_pe_montecarlo`, at O(N L) per trial.
+    With block_size 1 each trial's substream is drawn in the order a
+    `synthesize` call after one uniform draw consumes it."""
+    h = _entries(channel)
+    a = _gain_values(alpha)
+    v, w, q = quadratic_form(h, a, params, noise)
+    threshold = 0.5 * params.theta**2 * q + params.tau
+    model = _noise_model(params, noise)
+
+    errors = 0
+    for block, start in enumerate(range(0, trials, block_size)):
+        count = min(block_size, trials - start)
+        gen = rng.substream("montecarlo", block)
+        truth = gen.random(count) < params.p1
+        eta = model.color(complex_normal(gen, (params.num_sensors, count)))
+        nu = complex_normal(gen, (count, params.num_antennas), params.sigma_nu_sq)
+        y = (
+            np.where(truth, params.theta, 0.0)[:, np.newaxis] * v[np.newaxis, :]
+            + (h @ (a[:, np.newaxis] * eta)).T
+            + nu
+        )
+        statistic = params.theta * (y.conj() @ w).real
+        decisions = statistic >= threshold
+        errors += int(np.sum(decisions != truth))
+    return PeEstimate.from_counts(errors, trials)
+
+
+def e_csis1_numeric(params: NetworkParams, model: ChannelModel) -> float:
+    """Single-antenna exponent with full transmit-side channel knowledge,
+    by quadrature of the amplitude average
+
+        E = (theta^2/8) E_h[ 1 / (sigma_eta^2 + sigma_nu^2/(P |h|^2)) ]
+
+    over the model's amplitude density, to absolute accuracy 1e-9.
+    """
+    th2 = params.theta**2
+    se2 = params.sigma_eta_sq
+    sn2 = params.sigma_nu_sq
+    p = params.gain_budget
+
+    def value_at(r2: float) -> float:
+        # integrand 1/(se2 + sn2/(P r^2)) written division-safe at r = 0
+        return p * r2 / (se2 * p * r2 + sn2)
+
+    if model.is_awgn:
+        return 0.125 * th2 * value_at(1.0)
+    if model.k_factor == 0.0:
+        # |h|^2 is Exp(1): integrate over the power variable directly
+        def integrand(x: float) -> float:
+            return math.exp(-x) * value_at(x)
+
+        knee = sn2 / (p * se2) if se2 > 0.0 else math.inf
+        pieces = [0.0, knee, math.inf] if math.isfinite(knee) else [0.0, math.inf]
+    else:
+        s = model.los_amplitude
+        sig2 = model.diffuse_variance / 2.0
+
+        def integrand(r: float) -> float:
+            z = r * s / sig2
+            dens = (r / sig2) * i0e(z) * math.exp(-((r - s) ** 2) / (2.0 * sig2))
+            return dens * value_at(r * r)
+
+        sig = math.sqrt(sig2)
+        lo, hi = max(0.0, s - 14.0 * sig), s + 14.0 * sig
+        knee = math.sqrt(sn2 / (p * se2)) if se2 > 0.0 else math.inf
+        pieces = sorted({lo, hi} | ({knee} if lo < knee < hi else set()))
+
+    total = 0.0
+    err_total = 0.0
+    for a, b in zip(pieces, pieces[1:]):
+        val, err = integrate.quad(integrand, a, b, epsabs=1e-10, epsrel=1e-11, limit=300)
+        total += val
+        err_total += err
+    scaled_err = 0.125 * th2 * err_total
+    if scaled_err > 1e-9 + 1e-9 * abs(0.125 * th2 * total):
+        raise ValueError(f"amplitude quadrature error {scaled_err:g} above tolerance")
+    return 0.125 * th2 * total

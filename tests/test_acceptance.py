@@ -30,7 +30,6 @@ from macdet.exponents import (
     ZetaFactor,
     corr_noise_z,
     e_awgn,
-    e_csis1_numeric,
     e_csis1_rayleigh_closed,
     e_nocsis,
     exponent_ratio_db,
@@ -47,6 +46,7 @@ from macdet.model import (
     sample_channel,
 )
 from macdet.sdr import SdpProblem, brute_force_phase, extract_phases, solve_sdp
+from oracles import e_csis1_numeric
 
 
 def _check(num: int, name: str, ok: bool, detail: str) -> None:

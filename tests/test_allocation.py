@@ -24,7 +24,7 @@ from macdet.allocation import (
 )
 from macdet import sdr
 from macdet.allocation import _mean_exponent_gap
-from macdet.exponents import e_awgn, e_csis1_numeric, SnrPoint
+from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
     ChannelModel,
     NetworkParams,
@@ -34,6 +34,7 @@ from macdet.model import (
 )
 from macdet.numerics import hermitian_eig
 from macdet.sdr import SdpNonConvergence, SdpProblem, solve_sdp
+from oracles import e_csis1_numeric
 
 
 def make_params(l=8, n=2, sigma_eta_sq=1.0, sigma_nu_sq=1.0, p1=0.5, total_power=1.5):

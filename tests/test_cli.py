@@ -535,13 +535,18 @@ class TestOverflowConfig:
         assert math.isfinite(cfg.params.gain_budget) and cfg.params.gain_budget > 0.0
 
 
+def _env_with_src():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_macdet(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{}")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env = _env_with_src()
         proc = subprocess.run(
             [sys.executable, "-m", "macdet", "figure5", "--config", str(path)],
             capture_output=True,
@@ -552,6 +557,19 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         expected = cli.rows_to_csv(cli.run(cli.parse_config({"figure_id": 5}, "figure"))[0])
         assert proc.stdout == expected
+
+    def test_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate (and the scipy.optimize it pulls in) is test-side
+        # only; a fresh interpreter must not pay for it at startup
+        probe = (
+            "import sys, macdet.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_env_with_src(), timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSchemesExperiment:

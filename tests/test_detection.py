@@ -16,15 +16,11 @@ from macdet.allocation import (
 )
 from macdet.detection import (
     ExponentCurve,
-    Hypothesis,
     PeEstimate,
-    ReceivedSignal,
-    decide,
     empirical_exponent,
     estimate_pe_montecarlo,
     log_pe_conditional,
     pe_conditional,
-    synthesize,
 )
 from macdet.exponents import e_nocsis, SnrPoint
 from macdet.model import (
@@ -35,6 +31,7 @@ from macdet.model import (
     sample_channel,
 )
 from macdet.numerics import q_function
+from oracles import Hypothesis, ReceivedSignal, decide, reference_pe_montecarlo, synthesize
 
 
 def make_params(l=6, n=2, sigma_eta_sq=1.0, sigma_nu_sq=1.0, p1=0.5, total_power=1.5):
@@ -363,6 +360,60 @@ class TestEstimatePeMontecarlo:
                 )
             means.append(np.mean(rates))
         assert means[0] > means[1] > means[2]
+
+
+def _oracle_case(noise_kind, channel, n, l, p1):
+    # complex gains and a complex Hermitian covariance (a phase-modulated
+    # AR(1)), so that a dropped conjugate or transpose changes the count
+    sigma_eta_sq = {"iid": 1.0, "correlated": 1.0, "noise-free": 0.0}[noise_kind]
+    params = make_params(l=l, n=n, sigma_eta_sq=sigma_eta_sq, p1=p1, total_power=2.0)
+    ramp = np.exp(0.7j * np.arange(l) + 0.3j)
+    noise = None
+    if noise_kind == "correlated":
+        noise = SensingNoiseModel(r_eta=ar1_covariance(l, 0.5) * np.outer(ramp, ramp.conj()))
+    model = ChannelModel.awgn() if channel == "awgn" else ChannelModel.rayleigh()
+    h = sample_channel(model, n, l, RandomSource(31, n * 100 + l)).entries
+    alpha = alpha_uniform(params).values * ramp
+    if sigma_eta_sq == 0.0:
+        # receiver noise alone: q = |H alpha|^2 / sigma_nu_sq, set to 2
+        params = replace(params, sigma_nu_sq=float(np.sum(np.abs(h @ alpha) ** 2)) / 2.0)
+    return h, alpha, params, noise
+
+
+class TestMontecarloOracle:
+    """estimate_pe_montecarlo never forms y; the y-forming loop in
+    tests/oracles.py must count exactly the same errors from the same
+    draws, across block boundaries (8192 trials per block)."""
+
+    @pytest.mark.parametrize("trials", [1000, 10_000, 20_000])
+    @pytest.mark.parametrize("p1", [0.5, 0.2])
+    @pytest.mark.parametrize("n, l", [(2, 6), (1, 5), (3, 1)])
+    @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+    @pytest.mark.parametrize("noise_kind", ["iid", "correlated", "noise-free"])
+    def test_same_errors_as_y_forming_loop(self, noise_kind, channel, n, l, p1, trials):
+        h, alpha, params, noise = _oracle_case(noise_kind, channel, n, l, p1)
+        source = RandomSource(32, trials)
+        fast = estimate_pe_montecarlo(h, alpha, params, trials, source, noise)
+        reference = reference_pe_montecarlo(h, alpha, params, trials, source, noise)
+        assert fast == reference
+        assert 0 < fast.errors < trials
+
+    @pytest.mark.parametrize("noise_kind", ["iid", "correlated"])
+    def test_reference_agrees_with_per_trial_model(self, noise_kind):
+        # one trial per block: each substream yields one uniform, then the
+        # sensing and receiver noise exactly as synthesize draws them
+        h, alpha, params, noise = _oracle_case(noise_kind, "rayleigh", 2, 5, 0.4)
+        source = RandomSource(33)
+        trials = 300
+        errors = 0
+        for t in range(trials):
+            gen = source.substream("montecarlo", t)
+            truth = Hypothesis.H1 if gen.random() < params.p1 else Hypothesis.H0
+            sig = synthesize(h, alpha, params, truth, gen, noise)
+            errors += decide(sig.y, h, alpha, params, noise) != truth
+        reference = reference_pe_montecarlo(h, alpha, params, trials, source, noise, block_size=1)
+        assert reference.errors == errors
+        assert errors > 0
 
 
 class TestEmpiricalExponent:

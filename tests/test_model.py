@@ -140,11 +140,10 @@ class TestSampleChannel:
         assert np.max(np.abs(h.entries - 1.0)) < 1e-5
 
     def test_unit_second_moment(self):
-        rng = RandomSource(2)
         for i, model in enumerate(
             [ChannelModel.rayleigh(), ChannelModel.ricean(1.0), ChannelModel.ricean(5.0)]
         ):
-            h = sample_channel(model, 1, 1_000_000, rng.stream(i))
+            h = sample_channel(model, 1, 1_000_000, RandomSource(2, i))
             m2 = float(np.mean(np.abs(h.entries) ** 2))
             assert m2 == pytest.approx(1.0, rel=0.01)
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from macdet import numerics
-from macdet.exponents import e_csis1_numeric
 from macdet.model import ChannelModel, NetworkParams, mean_abs_h
+from oracles import e_csis1_numeric
 
 mp = pytest.importorskip("mpmath")
 
