@@ -2,9 +2,9 @@
 
 Strategies cover channel-independent uniform gains, the optimal and
 phase-only single-antenna rules, two reduced-complexity multi-antenna
-methods (best-antenna selection and top-eigenvector beamforming) with
-an empirically calibrated hybrid between them, and an SDP-based
-phase-only design.  Every strategy spends the gain budget
+methods (best-antenna selection and top-eigenvector beamforming), the
+calibration of the crossover at which a hybrid switches between them,
+and an SDP-based phase-only design.  Every strategy spends the gain budget
 P = total_power / (p1 theta^2 + sigma_eta_sq) with equality.
 
 Any (channel, gains) pair is scored by the statistic
@@ -12,7 +12,8 @@ Any (channel, gains) pair is scored by the statistic
     (theta^2 / (8 L)) alpha^H H^H R(alpha)^{-1} H alpha,
     R(alpha) = H D(alpha) R_eta D(alpha)^H H^H + sigma_nu^2 I,
 
-whose large-L limits are the closed forms in `exponents`.  Gains are
+whose large-L limits are the closed forms in `exponents`; under iid
+sensing noise it goes through one batched core (_iid_forms).  Gains are
 computed centrally from known channel state; feedback to the sensors is
 modeled as noiseless.
 """
@@ -34,14 +35,15 @@ __all__ = [
     "received_covariance",
     "quadratic_form",
     "finite_exponent",
+    "finite_exponents",
     "alpha_uniform",
     "alpha_opt_n1",
     "alpha_phase_only_n1",
     "method1",
     "method2",
     "method2_direction",
+    "scheme_channels",
     "method_exponents",
-    "hybrid",
     "calibrate_crossover",
     "alpha_sdr_phase",
 ]
@@ -49,6 +51,10 @@ __all__ = [
 # calibrate_crossover bisects in log gamma_s until the bracket is this
 # narrow, in dB
 _CROSSOVER_TOL_DB = 0.05
+
+# method_exponents scores channels in groups of at most this many channel
+# entries (N L each): a group's temporaries stay near 0.5 MB per gain vector
+_GROUP_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -133,19 +139,81 @@ def received_covariance(
     return r
 
 
+def _iid_forms(h, a, sigma_eta_sq: float, sigma_nu_sq: float, solve: bool = False):
+    """q = v^H R^-1 v with v = H a and R = sigma_eta_sq H D(|a|^2) H^H +
+    sigma_nu_sq I (iid sensing noise), for channels (..., N, L) broadcast
+    against gains (..., L): (v, q), or (v, R^-1 v, q) when `solve`.
+
+    R = sigma_nu_sq (B B^H + I) with B = sqrt(sigma_eta_sq / sigma_nu_sq)
+    H D(a).  The Cholesky factor of [[B B^H + I, v], [v^H, c]] holds
+    y = L^-1 v in its last row, so q = |y|^2 / sigma_nu_sq with no solve
+    (c = 2|v|^2 + 1 > |y|^2 keeps it positive definite).  Every step runs
+    item by item (per-item BLAS/LAPACK calls, elementwise along rows), so
+    an item gets the same bits in any batch.  Where B B^H swallows the
+    identity and Cholesky fails, _spectral_form answers exactly.
+    """
+    n = h.shape[-2]
+    m = np.empty(np.broadcast_shapes(h.shape[:-2], a.shape[:-1]) + (n + 1, n + 1), np.complex128)
+    b = h * (a * math.sqrt(sigma_eta_sq / sigma_nu_sq))[..., np.newaxis, :]
+    np.matmul(b, b.conj().swapaxes(-1, -2), out=m[..., :n, :n])
+    m.reshape(m.shape[:-2] + (-1,))[..., : n * (n + 2) : n + 2] += 1.0
+    v = np.matmul(h, a[..., np.newaxis], out=m[..., :n, n:])[..., 0]
+    m[..., n, :n] = v.conj()
+    m[..., n, n] = 2.0 * np.sum(v.real**2 + v.imag**2, axis=-1) + 1.0
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        if m.ndim == 2:
+            return _spectral_form(h, a, sigma_eta_sq, sigma_nu_sq, solve)
+        # item by item, so that each keeps the bits it gets alone
+        batch = m.shape[:-2]
+        hs = np.broadcast_to(h, batch + h.shape[-2:]).reshape((-1,) + h.shape[-2:])
+        gains = np.broadcast_to(a, batch + a.shape[-1:]).reshape(-1, a.shape[-1])
+        items = [_iid_forms(*item, sigma_eta_sq, sigma_nu_sq, solve) for item in zip(hs, gains)]
+        return tuple(np.reshape(part, batch + np.shape(part[0])) for part in zip(*items))
+    y = factor[..., n, :n].conj()
+    q = np.sum(y.real**2 + y.imag**2, axis=-1) / sigma_nu_sq
+    if not solve:
+        return v, q
+    upper = factor[..., :n, :n].conj().swapaxes(-1, -2)
+    return v, np.linalg.solve(upper, y[..., np.newaxis])[..., 0] / sigma_nu_sq, q
+
+
+def _spectral_form(h, a, sigma_eta_sq, sigma_nu_sq, solve):
+    """_iid_forms for one item in the normalized spectral form: with
+    p = |a|^2, u = a / sqrt(p), t = p / sigma_nu_sq, s = sigma_eta_sq t and
+    H D(u) (H D(u))^H = U diag(lambda) U^H, q = t sum_i z_i / (s lambda_i
+    + 1), z = |U^H H u|^2.  H u lies in the range of H D(u), so z_i <= L
+    lambda_i, and terms with lambda_i <= L eps lambda_max are rounding."""
+    p = float(np.sum(a.real**2 + a.imag**2))
+    u = a / math.sqrt(p)
+    b = h * u
+    lam, vecs = np.linalg.eigh(b @ b.conj().T)
+    keep = lam > h.shape[1] * np.finfo(float).eps * lam[-1]
+    c = vecs[:, keep].conj().T @ (h @ u)
+    # t / (s lambda + 1) first: t and s can both be near 1e300
+    k = (p / sigma_nu_sq) / ((sigma_eta_sq * p / sigma_nu_sq) * lam[keep] + 1.0)
+    q = np.sum((c.real**2 + c.imag**2) * k)
+    return (h @ a, vecs[:, keep] @ (k * c) / math.sqrt(p), q) if solve else (h @ a, q)
+
+
 def quadratic_form(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The matched-filter quantities (v, R^{-1} v, q) with v = H alpha and
-    q = max(Re v^H R^{-1} v, 0), shared by the exponent statistic and the
-    detector.  R^{-1} v comes from a Cholesky solve (the covariance is
-    never inverted explicitly)."""
+    q = v^H R^{-1} v, shared by the exponent statistic and the detector:
+    the batched core under iid sensing noise (see finite_exponents), the
+    received covariance and a Cholesky solve under correlated noise.  The
+    covariance is never inverted explicitly."""
     h = _entries(channel)
     a = _gain_values(alpha)
     _check_dims(h, a, params)
+    if noise is None or noise.is_iid:
+        se = params.sigma_eta_sq if noise is None else noise.sigma_eta_sq
+        v, w, q = _iid_forms(h, a, se, params.sigma_nu_sq, solve=True)
+        return v, w, float(q)
     v = h @ a
-    r = received_covariance(h, a, params, noise)
-    w = solve_hermitian_pd(r, v)
+    w = solve_hermitian_pd(received_covariance(h, a, params, noise), v)
     return v, w, max(float(np.vdot(v, w).real), 0.0)
 
 
@@ -153,9 +221,21 @@ def finite_exponent(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha, with
-    the quadratic form from quadratic_form (a Cholesky solve; the
-    covariance is never inverted explicitly)."""
+    the quadratic form from quadratic_form."""
     q = quadratic_form(channel, alpha, params, noise)[2]
+    return params.theta**2 * q / (8.0 * params.num_sensors)
+
+
+def finite_exponents(channels, alphas, params: NetworkParams) -> np.ndarray:
+    """finite_exponent under iid sensing noise for a batch: channels (N, L)
+    or (..., N, L) broadcast against gains (..., L), each item with the
+    bits finite_exponent gives it alone."""
+    h = np.asarray(channels, dtype=np.complex128)
+    a = np.asarray(alphas, dtype=np.complex128)
+    dims = (params.num_antennas, params.num_sensors)
+    if h.shape[-2:] != dims or a.shape[-1:] != dims[1:]:
+        raise ValueError(f"channels {h.shape} and gains {a.shape} do not match {dims}")
+    q = _iid_forms(h, a, params.sigma_eta_sq, params.sigma_nu_sq)[1]
     return params.theta**2 * q / (8.0 * params.num_sensors)
 
 
@@ -166,6 +246,26 @@ def alpha_uniform(params: NetworkParams) -> GainVector:
     return GainVector(values=values, budget=p)
 
 
+def _power(h: np.ndarray) -> np.ndarray:
+    # |h|^2 by real arithmetic, the same bits for a row or a whole matrix
+    return h.real**2 + h.imag**2
+
+
+def _opt_n1_values(h_row: np.ndarray, power: np.ndarray, params: NetworkParams) -> np.ndarray:
+    # alpha_opt_n1's gains for rows (..., L) and their |h|^2: magnitudes
+    # w = |h| r with r = 1 / (sigma_eta_sq P |h|^2 + sigma_nu_sq), phases
+    # conjugate to the channel, so alpha = c r conj(h).  w is rescaled by
+    # its largest entry before sum w^2, which then cannot underflow.
+    p = params.gain_budget
+    r = 1.0 / (params.sigma_eta_sq * p * power + params.sigma_nu_sq)
+    w = np.sqrt(power) * r
+    top = w.max(axis=-1, keepdims=True)
+    if not (top > 0.0).all():
+        raise ValueError("channel row is identically zero")
+    w = w / top
+    return np.sqrt(p / np.sum(w * w, axis=-1, keepdims=True)) * (r / top) * h_row.conj()
+
+
 def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
     """Optimal gains for a single receive antenna: magnitudes
     |h_l| / (sigma_eta_sq P |h_l|^2 + sigma_nu_sq) scaled to spend P,
@@ -173,14 +273,7 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
     if h.size != params.num_sensors:
         raise ValueError(f"expected {params.num_sensors} channel entries")
-    g = np.abs(h)
-    if not g.any():
-        raise ValueError("channel row is identically zero")
-    p = params.gain_budget
-    w = g / (params.sigma_eta_sq * p * g**2 + params.sigma_nu_sq)
-    scale = math.sqrt(p / float(np.sum(w**2)))
-    values = scale * w * np.exp(-1j * np.angle(h))
-    return GainVector(values=values, budget=p)
+    return GainVector(values=_opt_n1_values(h, _power(h), params), budget=params.gain_budget)
 
 
 def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
@@ -193,6 +286,17 @@ def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
     return GainVector(values=values, budget=p)
 
 
+def _method1_values(h: np.ndarray, power: np.ndarray, params: NetworkParams):
+    # method1's (gains, selected antenna) for channels (..., N, L) and their |h|^2
+    p = params.gain_budget
+    terms = p * power / (params.sigma_eta_sq * p * power + params.sigma_nu_sq)
+    metric = params.theta**2 / (8.0 * params.num_sensors) * terms.sum(axis=-1)
+    selected = metric.argmax(axis=-1)
+    index = selected[..., np.newaxis, np.newaxis]
+    rows = [np.take_along_axis(x, index, axis=-2)[..., 0, :] for x in (h, power)]
+    return _opt_n1_values(*rows, params), selected
+
+
 def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     """Best-antenna selection: picks the antenna maximizing
     (theta^2/(8L)) sum_l 1/(sigma_eta_sq + sigma_nu_sq/(P |h_nl|^2))
@@ -201,12 +305,8 @@ def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     h = _entries(channel)
     if h.shape != (params.num_antennas, params.num_sensors):
         raise ValueError("channel shape does not match params")
-    p = params.gain_budget
-    g2 = np.abs(h) ** 2
-    terms = p * g2 / (params.sigma_eta_sq * p * g2 + params.sigma_nu_sq)
-    metric = params.theta**2 / (8.0 * params.num_sensors) * terms.sum(axis=1)
-    selected = int(np.argmax(metric))
-    return alpha_opt_n1(h[selected], params), selected
+    values, selected = _method1_values(h, _power(h), params)
+    return GainVector(values=values, budget=params.gain_budget), int(selected)
 
 
 def method2_direction(channel) -> np.ndarray:
@@ -239,29 +339,32 @@ def method2(channel, params: NetworkParams) -> GainVector:
     return GainVector(values=math.sqrt(p) * method2_direction(h), budget=p)
 
 
-def hybrid(channel, params: NetworkParams, crossover_gamma_s: float) -> GainVector:
-    """Best-antenna gains below the calibrated sensing-SNR crossover,
-    top-eigenvector beamforming at or above it."""
-    if params.gamma_s < crossover_gamma_s:
-        return method1(channel, params)[0]
-    return method2(channel, params)
+def scheme_channels(channels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The channel-only inputs of method_exponents, computed once per
+    gamma_s sweep: the stacked channels (D, N, L), their |h|^2 (method1's
+    selection metric and gain magnitudes) and their method2_direction."""
+    entries = np.asarray(channels, dtype=np.complex128)
+    return entries, _power(entries), np.stack([method2_direction(h) for h in entries])
 
 
-def method_exponents(
-    channels: list[np.ndarray], directions: list[np.ndarray], params: NetworkParams
-) -> tuple[list[float], list[float]]:
+def method_exponents(channels, params: NetworkParams) -> tuple[list[float], list[float]]:
     """Per-channel finite exponents of method1 and method2 at one
-    operating point.  `directions` holds each channel's
-    method2_direction, which does not depend on gamma_s, so a sweep
-    passes the same list at every point; the method2 gains are exactly
-    those method2 builds."""
-    p = params.gain_budget
-    fe1 = [finite_exponent(h, method1(h, params)[0], params) for h in channels]
-    fe2 = [
-        finite_exponent(h, GainVector(values=math.sqrt(p) * v, budget=p), params)
-        for h, v in zip(channels, directions, strict=True)
-    ]
-    return fe1, fe2
+    operating point on scheme_channels' output, bit for bit
+    finite_exponent of method1 and method2 on each channel.  Channels go
+    through the batched core in groups of at most _GROUP_ENTRIES channel
+    entries, so the working set stays bounded at any N and L."""
+    entries, powers, directions = channels
+    if entries.shape[1:] != (params.num_antennas, params.num_sensors):
+        raise ValueError("channel shape does not match params")
+    sqrt_p = math.sqrt(params.gain_budget)
+    step = max(1, _GROUP_ENTRIES // entries[0].size)
+    scored = []
+    for group in (slice(i, i + step) for i in range(0, len(entries), step)):
+        method1_gains = _method1_values(entries[group], powers[group], params)[0]
+        gains = np.stack((method1_gains, sqrt_p * directions[group]), axis=1)
+        scored.append(finite_exponents(entries[group, np.newaxis], gains, params))
+    fe = np.concatenate(scored)
+    return fe[:, 0].tolist(), fe[:, 1].tolist()
 
 
 def _mean_exponent_gap(fe1: list[float], fe2: list[float]) -> float:

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import (
-    GainVector,
     NoCrossoverError,
     _mean_exponent_gap,
     alpha_uniform,
     calibrate_crossover,
-    finite_exponent,
-    method2_direction,
+    finite_exponents,
     method_exponents,
+    scheme_channels,
 )
 from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo, pe_conditional
 from .exponents import (
@@ -569,33 +568,32 @@ def _scheme_sweep(cfg: ExperimentConfig, grid, label: str, draws: int):
     """The method1/method2 exponents and the hybrid pick at each gamma_s
     of `grid`, on `draws` channels drawn from substream(label, d).
 
-    Returns (channels, crossover, points), where each point is (gamma_s,
-    params at gamma_s, method1 exponents, method2 exponents, hybrid
-    exponents).  A grid of two or more points calibrates the crossover
-    on these same channels: from the mean gaps of the grid's own
-    exponents, plus one evaluation per bisection step.  Without a
-    crossover the hybrid follows the dominant method, and on a one-point
-    grid it takes the method with the larger mean.
+    Returns (channels, crossover, points), where channels stacks the
+    draws (D, N, L) and each point is (gamma_s, params at gamma_s,
+    method1 exponents, method2 exponents, hybrid exponents).  A
+    grid of two or more points calibrates the crossover on these same
+    channels: from the mean gaps of the grid's own exponents, plus one
+    evaluation per bisection step.  The hybrid takes method1 below the
+    crossover and method2 at or above it; without a crossover it follows
+    the dominant method, and on a one-point grid it takes the method
+    with the larger mean.
     """
     params = cfg.params
     base = RandomSource(cfg.seed)
-    channels = [
-        sample_channel(
+    channels = np.empty((draws, params.num_antennas, params.num_sensors), dtype=np.complex128)
+    for d in range(draws):
+        channels[d] = sample_channel(
             cfg.model, params.num_antennas, params.num_sensors, base.substream(label, d)
         ).entries
-        for d in range(draws)
-    ]
-    directions = [method2_direction(h) for h in channels]
-    scored = [method_exponents(channels, directions, params.at_gamma_s(x)) for x in grid]
+    scheme = scheme_channels(channels)
+    scored = [method_exponents(scheme, params.at_gamma_s(x)) for x in grid]
     crossover = dominant = None
     if len(grid) >= 2:
         try:
             crossover = calibrate_crossover(
                 grid,
                 [_mean_exponent_gap(fe1, fe2) for fe1, fe2 in scored],
-                lambda x: _mean_exponent_gap(
-                    *method_exponents(channels, directions, params.at_gamma_s(x))
-                ),
+                lambda x: _mean_exponent_gap(*method_exponents(scheme, params.at_gamma_s(x))),
             )
         except NoCrossoverError as exc:
             dominant = exc.dominant
@@ -632,7 +630,7 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
 
     # the SDP solution scales linearly in the diagonal value, so the
     # phase pattern is solved once per draw and reused across gamma_s
-    phase_vectors = []
+    solved = []
     for d, h in enumerate(channels):
         solution = solve_sdp(SdpProblem(cost=h.conj().T @ h, diag_value=1.0))
         if not solution.converged:
@@ -641,20 +639,19 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
                 f"iterations (gap {solution.gap:.3e})",
                 file=sys.stderr,
             )
-        phase_vectors.append(extract_phases(solution) if solution.converged else None)
-    failures = sum(v is None for v in phase_vectors)
+            continue
+        solved.append((h, extract_phases(solution)))
+    failures = len(channels) - len(solved)
+    if solved:
+        hs, phases = (np.stack(parts) for parts in zip(*solved))
 
     rows: list[ResultRow] = []
     sdr_series = f"sdr_phase(N={n})" + ("[nonconverged]" if failures else "")
     for x, params_x, _, _, feh in points:
-        budget = params_x.gain_budget
-        scale = math.sqrt(budget / num_sensors)
-        fe_sdr = [
-            finite_exponent(h, GainVector(values=scale * v, budget=budget), params_x)
-            for h, v in zip(channels, phase_vectors)
-            if v is not None
-        ]
-        sdr_mean_ci = _mean_ci(fe_sdr) if fe_sdr else (math.nan, None)
+        scale = math.sqrt(params_x.gain_budget / num_sensors)
+        sdr_mean_ci = (
+            _mean_ci(finite_exponents(hs, scale * phases, params_x)) if solved else (math.nan, None)
+        )
         rows.append(_row(cfg, sdr_series, "gamma_s", x, *sdr_mean_ci))
         rows.append(_row(cfg, f"hybrid(N={n})", "gamma_s", x, *_mean_ci(feh)))
         rows.append(_bound_row(cfg, params_x, x))

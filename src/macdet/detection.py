@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .allocation import _entries, _gain_values, alpha_uniform, quadratic_form
+from .allocation import _entries, _gain_values, _iid_forms, alpha_uniform, quadratic_form
 from .model import (
     ChannelModel,
     NetworkParams,
@@ -32,7 +32,7 @@ from .model import (
     SensingNoiseModel,
     sample_channel,
 )
-from .numerics import log_q, q_function
+from .numerics import log_q
 
 __all__ = [
     "PeEstimate",
@@ -81,10 +81,6 @@ class PeEstimate:
         )
 
 
-def _omega(params: NetworkParams, q: float) -> float:
-    return params.theta * math.sqrt(q / 2.0)
-
-
 def _degenerate_pe(params: NetworkParams) -> float:
     # omega = 0: the statistic carries no signal, the rule follows tau
     if params.tau < 0.0:
@@ -94,34 +90,33 @@ def _degenerate_pe(params: NetworkParams) -> float:
     return 0.5
 
 
-def pe_conditional(
-    channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
-) -> float:
-    """Error probability conditioned on the channel realization."""
-    q = quadratic_form(channel, alpha, params, noise)[2]
-    omega = _omega(params, q)
-    if omega == 0.0:
-        return _degenerate_pe(params)
+def _log_pe(params: NetworkParams, q):
+    """log pe_conditional from the quadratic form q, elementwise over an
+    array of them: p0 Q(omega + tau/omega) + p1 Q(omega - tau/omega) with
+    omega = theta sqrt(q/2), in the log domain."""
+    omega = params.theta * np.sqrt(np.asarray(q, dtype=np.float64) / 2.0)
+    live = omega > 0.0
+    safe = np.where(live, omega, 1.0)
     tau = params.tau
-    return params.p0 * float(q_function(omega + tau / omega)) + params.p1 * float(
-        q_function(omega - tau / omega)
+    terms = (
+        math.log(params.p0) + log_q(safe + tau / safe),
+        math.log(params.p1) + log_q(safe - tau / safe),
     )
+    return np.where(live, logsumexp(terms, axis=0), math.log(_degenerate_pe(params)))
 
 
 def log_pe_conditional(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Natural log of pe_conditional, stable far below underflow."""
-    q = quadratic_form(channel, alpha, params, noise)[2]
-    omega = _omega(params, q)
-    if omega == 0.0:
-        return math.log(_degenerate_pe(params))
-    tau = params.tau
-    terms = (
-        math.log(params.p0) + float(log_q(omega + tau / omega)),
-        math.log(params.p1) + float(log_q(omega - tau / omega)),
-    )
-    return float(logsumexp(terms))
+    return float(_log_pe(params, quadratic_form(channel, alpha, params, noise)[2]))
+
+
+def pe_conditional(
+    channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
+) -> float:
+    """Error probability conditioned on the channel realization."""
+    return math.exp(log_pe_conditional(channel, alpha, params, noise))
 
 
 def estimate_pe_montecarlo(
@@ -227,22 +222,23 @@ def empirical_exponent(
     if noise is not None and not noise.is_iid and noise.dimension < l_max:
         raise ValueError("correlated noise model smaller than the largest grid point")
 
-    def noise_at(l: int) -> SensingNoiseModel | None:
-        if noise is None or noise.is_iid:
-            return noise
-        return SensingNoiseModel(r_eta=noise.r_eta[:l, :l])
-
-    noise_models = {l: noise_at(l) for l in grid}
+    # uniform gains of every grid size, zero beyond it: each row scores
+    # the leading columns of a draw (and of a correlated R_eta) at its L
+    gains = np.zeros((len(grid), l_max), dtype=np.complex128)
+    for i, l in enumerate(grid):
+        gains[i, :l] = alpha_uniform(replace(base_params, num_sensors=l)).values
+    params = replace(base_params, num_sensors=l_max)
+    if noise is not None and not noise.is_iid:
+        noise = SensingNoiseModel(r_eta=noise.r_eta[:l_max, :l_max])
     log_pe = np.empty((draws, len(grid)))
     for d in range(draws):
-        h_full = sample_channel(
-            model, base_params.num_antennas, l_max, rng.substream("exponent", d)
-        ).entries
-        for i, l in enumerate(grid):
-            params_l = replace(base_params, num_sensors=l)
-            log_pe[d, i] = log_pe_conditional(
-                h_full[:, :l], alpha_uniform(params_l), params_l, noise_models[l]
-            )
+        h = sample_channel(model, params.num_antennas, l_max, rng.substream("exponent", d)).entries
+        if noise is None or noise.is_iid:
+            se = params.sigma_eta_sq if noise is None else noise.sigma_eta_sq
+            q = _iid_forms(h, gains, se, params.sigma_nu_sq)[1]
+        else:
+            q = [quadratic_form(h, g, params, noise)[2] for g in gains]
+        log_pe[d] = _log_pe(params, q)
     averaged = logsumexp(log_pe, axis=0) - math.log(draws)
     values = -averaged / np.asarray(grid, dtype=float)
     return ExponentCurve(

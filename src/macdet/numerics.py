@@ -141,11 +141,11 @@ def q_function(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def log_q(x: float) -> float:
+def log_q(x):
     """Natural log of Q(x), safe for arguments far beyond erfc underflow:
     scipy's log_ndtr(-x), which keeps its relative accuracy on both
-    tails (log Q(x) is about -Q(-x) below x = -1)."""
-    return float(log_ndtr(-float(x)))
+    tails (log Q(x) is about -Q(-x) below x = -1).  Vectorized."""
+    return log_ndtr(-np.asarray(x, dtype=float))
 
 
 _EULER_GAMMA = 0.57721566490153286061

@@ -5,6 +5,10 @@ None of these is used by `macdet` itself:
 * `Hypothesis`, `ReceivedSignal`, `synthesize` and `decide` are the
   per-trial signal model y = H alpha Theta + H D(alpha) eta + nu and the
   likelihood-ratio rule, one draw at a time.
+* `reference_quadratic_form` is the per-item quadratic form
+  v^H R^-1 v: the received covariance R formed explicitly and solved by
+  Cholesky, the path every gain rule went through before the batched
+  iid core.
 * `reference_pe_montecarlo` is the block Monte Carlo loop that forms the
   received vectors y (count x N) explicitly; `estimate_pe_montecarlo`
   must count exactly the same errors from the same draws.
@@ -22,7 +26,13 @@ import numpy as np
 from scipy import integrate
 from scipy.special import i0e
 
-from macdet.allocation import _check_dims, _entries, _gain_values, quadratic_form
+from macdet.allocation import (
+    _check_dims,
+    _entries,
+    _gain_values,
+    quadratic_form,
+    received_covariance,
+)
 from macdet.detection import _MC_BLOCK, PeEstimate
 from macdet.model import (
     ChannelModel,
@@ -32,6 +42,7 @@ from macdet.model import (
     as_generator,
     complex_normal,
 )
+from macdet.numerics import solve_hermitian_pd
 
 
 class Hypothesis(IntEnum):
@@ -95,6 +106,19 @@ def decide(
     statistic = params.theta * float(np.vdot(y, w).real)
     threshold = 0.5 * params.theta**2 * q + params.tau
     return Hypothesis.H1 if statistic >= threshold else Hypothesis.H0
+
+
+def reference_quadratic_form(
+    channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(v, R^-1 v, q) with v = H alpha and q = max(Re v^H R^-1 v, 0): the
+    covariance from received_covariance, solved by Cholesky."""
+    h = _entries(channel)
+    a = _gain_values(alpha)
+    _check_dims(h, a, params)
+    v = h @ a
+    w = solve_hermitian_pd(received_covariance(h, a, params, noise), v)
+    return v, w, max(float(np.vdot(v, w).real), 0.0)
 
 
 def reference_pe_montecarlo(

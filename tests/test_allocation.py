@@ -15,14 +15,16 @@ from macdet.allocation import (
     alpha_uniform,
     calibrate_crossover,
     finite_exponent,
-    hybrid,
+    finite_exponents,
     method1,
     method2,
     method2_direction,
     method_exponents,
+    quadratic_form,
     received_covariance,
+    scheme_channels,
 )
-from macdet import sdr
+from macdet import cli, sdr
 from macdet.allocation import _mean_exponent_gap
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
@@ -34,7 +36,7 @@ from macdet.model import (
 )
 from macdet.numerics import hermitian_eig
 from macdet.sdr import SdpNonConvergence, SdpProblem, solve_sdp
-from oracles import e_csis1_numeric
+from oracles import e_csis1_numeric, reference_quadratic_form
 
 
 def make_params(l=8, n=2, sigma_eta_sq=1.0, sigma_nu_sq=1.0, p1=0.5, total_power=1.5):
@@ -171,6 +173,107 @@ class TestFiniteExponent:
         base = finite_exponent(h, alpha, params)
         corr = finite_exponent(h, alpha, params, SensingNoiseModel(r_eta=r_eta))
         assert corr != pytest.approx(base, rel=1e-6)
+
+
+def params_with_budget(budget, l, n, sigma_eta_sq=1.0, sigma_nu_sq=1.0):
+    # total power chosen so that gain_budget equals `budget`
+    return make_params(
+        l=l, n=n, sigma_eta_sq=sigma_eta_sq, sigma_nu_sq=sigma_nu_sq,
+        total_power=budget * (0.5 + sigma_eta_sq),
+    )
+
+
+class TestQuadraticFormOracle:
+    """The batched iid core against the received-covariance Cholesky
+    path it replaced (tests/oracles.py), on every gain rule."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh()],
+        ids=["awgn", "ricean", "rayleigh"],
+    )
+    @pytest.mark.parametrize("n,l", [(3, 8), (4, 4), (6, 3)], ids=["N<L", "N=L", "N>L"])
+    @pytest.mark.parametrize("budget", [0.1, 10.0, 1e4])
+    def test_agrees_with_cholesky_of_the_covariance(self, model, n, l, budget):
+        params = params_with_budget(budget, l, n, sigma_eta_sq=0.7)
+        rng = RandomSource(master_seed=90)
+        for t in range(4):
+            h = sample_channel(model, n, l, rng.substream("oracle", t)).entries
+            rules = [
+                alpha_uniform(params),
+                method1(h, params)[0],
+                method2(h, params),
+                random_feasible_gains(np.random.default_rng(t), 1, l, budget)[0],
+            ]
+            for alpha in rules:
+                v, w, q = quadratic_form(h, alpha, params)
+                v_ref, w_ref, q_ref = reference_quadratic_form(h, alpha, params)
+                assert np.array_equal(v, v_ref)
+                assert q == pytest.approx(q_ref, rel=1e-12, abs=0.0)
+                # w = R^-1 v is backward stable: its residual is rounding
+                # on the scale of R w (w itself is as ill-conditioned as R)
+                r = received_covariance(h, alpha, params)
+                scale = np.linalg.norm(r, 2) * np.linalg.norm(w) + np.linalg.norm(v)
+                assert np.linalg.norm(r @ w - v) <= 1e-14 * scale
+                fe = finite_exponent(h, alpha, params)
+                assert fe == params.theta**2 * q / (8.0 * l)
+
+
+class TestExtremePowers:
+    """Where s H D(|a|^2) H^H swallows the identity, Cholesky cannot
+    factor R, and the core answers from the normalized spectral form:
+    on AWGN, N=2, L=4 with uniform gains, q = P L N / (sigma_nu_sq +
+    sigma_eta_sq P N), whose limit at gamma_s = 1 is 4."""
+
+    @pytest.mark.parametrize(
+        "sigma_nu_sq,total_power", [(1.0, 1e300), (1e-300, 1.0)], ids=["gamma_c", "sigma_nu"]
+    )
+    def test_exact_limit_where_cholesky_fails(self, sigma_nu_sq, total_power):
+        params = make_params(l=4, n=2, sigma_nu_sq=sigma_nu_sq, total_power=total_power)
+        h = np.ones((2, 4), dtype=complex)
+        if sigma_nu_sq == 1.0:
+            with pytest.raises(ValueError, match="not positive definite"):
+                reference_quadratic_form(h, alpha_uniform(params), params)
+        for alpha in (alpha_uniform(params), method1(h, params)[0], method2(h, params)):
+            v, w, q = quadratic_form(h, alpha, params)
+            assert q == pytest.approx(4.0, rel=1e-14)
+            assert np.vdot(v, w).real == pytest.approx(4.0, rel=1e-14)
+            assert finite_exponent(h, alpha, params) == pytest.approx(4.0 / 32.0, rel=1e-14)
+
+    def test_batch_mixing_both_regimes(self):
+        # zero gains leave R = sigma_nu_sq I, which always factors
+        params = make_params(l=4, n=2, total_power=1e300)
+        h = np.ones((2, 4), dtype=complex)
+        gains = np.stack((alpha_uniform(params).values, np.zeros(4), method2(h, params).values))
+        batch = finite_exponents(h, gains, params)
+        assert batch.tolist() == [finite_exponent(h, a, params) for a in gains]
+        assert batch[1] == 0.0
+        assert batch[0] == pytest.approx(0.125, rel=1e-14)
+
+
+class TestBatchedCore:
+    """finite_exponents gives each item the bits of finite_exponent on
+    that item alone, whatever the batch around it."""
+
+    @pytest.mark.parametrize("n,l", [(1, 7), (3, 5), (5, 40), (4, 3), (2, 33)])
+    def test_stack_matches_items(self, n, l):
+        params = make_params(l=l, n=n, sigma_eta_sq=0.3, total_power=4.0)
+        rng = np.random.default_rng(100 + n + l)
+        hs = np.stack([random_channel(rng, n, l) for _ in range(5)])
+        gains = random_feasible_gains(rng, 5, l, params.gain_budget)
+        stacked = finite_exponents(hs, gains, params)
+        assert stacked.tolist() == [finite_exponent(h, a, params) for h, a in zip(hs, gains)]
+        # one channel broadcast against many gain vectors, and batches of one
+        broadcast = finite_exponents(hs[0], gains, params)
+        assert broadcast.tolist() == [finite_exponent(hs[0], a, params) for a in gains]
+        assert finite_exponents(hs[:1], gains[:1], params).tolist() == stacked[:1].tolist()
+
+    def test_rejects_mismatched_shapes(self):
+        params = make_params(l=4, n=2)
+        with pytest.raises(ValueError):
+            finite_exponents(np.ones((2, 5)), np.ones((3, 4)), params)
+        with pytest.raises(ValueError):
+            finite_exponents(np.ones((2, 4)), np.ones((3, 5)), params)
 
 
 class TestAlphaUniform:
@@ -323,6 +426,12 @@ class TestMethod1:
         assert selected == 0
         assert np.array_equal(gv.values, alpha_opt_n1(h[0], params).values)
 
+    def test_equal_magnitudes_give_exactly_the_uniform_gains(self):
+        # the rescaled weights are all 1, so the gains are sqrt(P/L) exactly
+        params = make_params(l=6, n=2, sigma_eta_sq=0.5)
+        h = np.ones((2, 6), dtype=complex)
+        assert np.array_equal(method1(h, params)[0].values, alpha_uniform(params).values)
+
     def test_selects_dominant_antenna(self):
         params = make_params(l=2, n=2)
         h = np.array([[1.0, 1.0], [2.0, 2.0]], dtype=complex)
@@ -459,8 +568,7 @@ class TestHoistedDirectionOracle:
         channels = [
             sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)
         ]
-        directions = [method2_direction(h) for h in channels]
-        fe1, fe2 = method_exponents(channels, directions, params)
+        fe1, fe2 = method_exponents(scheme_channels(channels), params)
         assert _mean_exponent_gap(fe1, fe2) == _mean_exponent_gap_per_point(channels, params)
         assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
         assert fe2 == [finite_exponent(h, method2(h, params), params) for h in channels]
@@ -468,26 +576,44 @@ class TestHoistedDirectionOracle:
     def test_rejects_mismatched_directions(self):
         params = make_params(l=6, n=2)
         h = random_channel(np.random.default_rng(48), 2, 6)
+        entries, powers, directions = scheme_channels([h, h])
         with pytest.raises(ValueError):
-            method_exponents([h, h], [method2_direction(h)], params)
+            method_exponents((entries, powers, directions[:1]), params)
+
+    def test_rejects_channels_of_another_size(self):
+        h = random_channel(np.random.default_rng(49), 2, 6)
+        with pytest.raises(ValueError):
+            method_exponents(scheme_channels([h]), make_params(l=5, n=2))
 
 
 class TestHybrid:
-    def test_low_sensing_snr_uses_antenna_selection(self):
-        params = params_for(gamma_s=0.5, gamma_c=5.0, l=6, n=2)
-        h = random_channel(np.random.default_rng(18), 2, 6)
-        assert np.array_equal(
-            hybrid(h, params, crossover_gamma_s=2.0).values,
-            method1(h, params)[0].values,
+    """The hybrid is the scheme sweep's switch: method1's exponents below
+    the calibrated crossover, method2's at or above it, each equal to
+    the public per-channel compositions."""
+
+    def sweep(self, grid):
+        cfg = cli.parse_config(
+            {"channel": "ricean", "ricean_k": 1.0, "num_antennas": 2, "num_sensors": 12,
+             "gamma_c": 10.0, "sweep": {"variable": "gamma_s", "grid": grid}},
+            "schemes",
         )
+        return cli._scheme_sweep(cfg, cfg.sweep_grid, "hybrid", 4)
+
+    def test_low_sensing_snr_uses_antenna_selection(self):
+        channels, crossover, points = self.sweep([0.05, 0.5, 5.0, 50.0, 500.0])
+        below = [p for p in points if p[0] < crossover]
+        assert below
+        for _, params, _, _, feh in below:
+            assert feh == [
+                finite_exponent(h, method1(h, params)[0], params) for h in channels
+            ]
 
     def test_high_sensing_snr_uses_beamforming(self):
-        params = params_for(gamma_s=8.0, gamma_c=5.0, l=6, n=2)
-        h = random_channel(np.random.default_rng(19), 2, 6)
-        assert np.array_equal(
-            hybrid(h, params, crossover_gamma_s=2.0).values,
-            method2(h, params).values,
-        )
+        channels, crossover, points = self.sweep([0.05, 0.5, 5.0, 50.0, 500.0])
+        above = [p for p in points if p[0] >= crossover]
+        assert above
+        for _, params, _, _, feh in above:
+            assert feh == [finite_exponent(h, method2(h, params), params) for h in channels]
 
 
 def sampled_gaps(params, model, grid, trials, seed):
@@ -496,12 +622,10 @@ def sampled_gaps(params, model, grid, trials, seed):
     rng = RandomSource(master_seed=seed)
     n, l = params.num_antennas, params.num_sensors
     channels = [sample_channel(model, n, l, rng.substream("cal", t)).entries for t in range(trials)]
-    directions = [method2_direction(h) for h in channels]
+    scheme = scheme_channels(channels)
 
     def gap_at(gamma_s):
-        return _mean_exponent_gap(
-            *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
-        )
+        return _mean_exponent_gap(*method_exponents(scheme, params.at_gamma_s(gamma_s)))
 
     return [gap_at(g) for g in grid], gap_at
 

@@ -13,8 +13,8 @@ grid then supplies.  A beta grid draws beta >= 2, so that the asymptotic
 antenna count round(L / beta) stays <= 3.  Figure presets run only the
 closed-form figures 4-7 (the others are pinned by tests/test_golden.py).
 
-Inputs beyond those ranges that still end in a traceback are pinned at
-the end of the file as strict xfails, one config per class.
+Inputs beyond those ranges that once ended in a traceback are pinned at
+the end of the file, one config per class.
 """
 
 import csv
@@ -191,16 +191,17 @@ def test_huge_ricean_k_runs():
     check_csv("asymptotic", text)
 
 
-# Beyond the drawn ranges, two classes of input still end in a
-# traceback (see CHANGES.md); one config each, strict so that a fix shows.
-TRACEBACKS = {
-    # sum w^2 underflows to 0 in alpha_opt_n1: ZeroDivisionError
+# Beyond the drawn ranges: AWGN at gamma_c = 1e300, where the received
+# covariance loses its receiver-noise identity in floating point.  Both
+# used to end in a traceback; see CHANGES.md.
+EXTREME_POWERS = {
+    # sum w^2 underflowed to 0 in alpha_opt_n1: ZeroDivisionError
     "schemes-gain-weights-underflow": (
         "schemes",
         {"channel": "awgn", "num_antennas": 2, "num_sensors": 4, "gamma_c": 1e300,
          "channel_draws": 1, "sweep": {"variable": "gamma_s", "grid": [2.0, 1000.0]}},
     ),
-    # solve_hermitian_pd: the received covariance is "not positive definite"
+    # solve_hermitian_pd: the received covariance was "not positive definite"
     "montecarlo-covariance-not-pd": (
         "montecarlo",
         {"channel": "awgn", "num_antennas": 2, "num_sensors": 4, "gamma_c": 1e300,
@@ -209,8 +210,10 @@ TRACEBACKS = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="traceback beyond the fuzzed ranges, see CHANGES.md")
-@pytest.mark.parametrize("name", sorted(TRACEBACKS))
-def test_known_traceback(name):
-    code, _ = run_main(*TRACEBACKS[name])
-    assert code in (0, 2, 3)
+@pytest.mark.parametrize("name", sorted(EXTREME_POWERS))
+def test_extreme_powers_end_in_a_result(name):
+    experiment, raw = EXTREME_POWERS[name]
+    code, text = run_main(experiment, raw)
+    assert code in (0, 2)
+    if code == 0:
+        check_csv(experiment, text)

@@ -478,6 +478,30 @@ class TestEmpiricalExponent:
         limit = e_nocsis(SnrPoint.from_params(params, k_factor=1.0).with_antennas(2))
         assert 1.8 <= curve.plateau / limit <= 2.2
 
+    @pytest.mark.parametrize("correlated", [False, True], ids=["iid", "ar1"])
+    def test_matches_the_per_size_loop(self, correlated):
+        # the reference: log_pe_conditional on each draw's leading columns
+        # with that size's uniform gains (and leading block of R_eta)
+        grid = [200, 210, 220, 240]
+        params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=3)
+        noise = SensingNoiseModel(r_eta=ar1_covariance(260, 0.4)) if correlated else None
+        curve = empirical_exponent(
+            params, ChannelModel.ricean(1.0), grid, RandomSource(25), noise=noise, draws=2
+        )
+        log_pe = np.empty((2, len(grid)))
+        for d in range(2):
+            h = sample_channel(
+                ChannelModel.ricean(1.0), 3, 240, RandomSource(25).substream("exponent", d)
+            ).entries
+            for i, l in enumerate(grid):
+                params_l = replace(params, num_sensors=l)
+                noise_l = SensingNoiseModel(r_eta=noise.r_eta[:l, :l]) if correlated else None
+                log_pe[d, i] = log_pe_conditional(
+                    h[:, :l], alpha_uniform(params_l), params_l, noise_l
+                )
+        expected = -(np.logaddexp(log_pe[0], log_pe[1]) - math.log(2)) / np.asarray(grid)
+        assert np.allclose(curve.values, expected, rtol=1e-12, atol=0.0)
+
     def test_correlated_noise_is_accepted_and_changes_curve(self):
         grid = [200, 210, 220, 240]
         params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=2)

@@ -44,16 +44,16 @@ SEED = 7
 
 GOLDEN = {
     2: ({"trials": 1000, "channel_draws": 1},
-        "a1202ca518d452277a49562fa6b71df357206b2bf93fc24e5f97e328ce14f24e"),
-    3: ({}, "15fba7b43375bba1bb01be6efe981854395e974a541da5ceeea316b06836aec2"),
+        "c977b937b070e98a79cfacbf7419bacde9dd57698b6b04ec654cccdcd792c824"),
+    3: ({}, "d3780d279376ed8a9cfe5507092d04caa392e67df8b6b1c63640fef6dc8592c7"),
     4: ({}, "49baefd47cc5d99adc843f8c132122bb4d1ad1c67e1de855d871df5fe8d287a1"),
     5: ({}, "767221be814242cd397f011e17f983f73a35fd3a8364f6a5cdfc014b72d4bc4b"),
     6: ({}, "bd8019e0b607e5bafc84e7247da314f0fbe59e70ba5484c5e923b298f438f7c0"),
     7: ({}, "8f303d1bcd3b2274eb405e6d62ae6465c81113887c2e72630cb0624dfb97b6e5"),
     8: ({"channel_draws": 2},
-        "4c80c9bc2a9f1d619a4aa4b7e663abc69e4134888257ff1ef6ebc047480ae1ca"),
+        "3efdbf5ea37e2f6eec2fc9351e9075b7960a7b032b1a12030f71acb42998edf1"),
     9: ({"channel_draws": 1},
-        "4736669fc0b14817166c28e84e06cd757cccbba1144514ec6b4759f7ebf432c6"),
+        "ad768962b8605bfa657ee9b38aef9c804b3ce0bdcb88bc07c3e26ba98985ee07"),
 }
 
 
@@ -73,31 +73,31 @@ EXPERIMENTS = {
         "schemes",
         {**RICEAN, "num_antennas": 5, "num_sensors": 40, "gamma_c": 10.0, "channel_draws": 3,
          "sweep": {"variable": "gamma_s", "grid": [0.3, 1.0, 3.0, 10.0, 30.0]}},
-        "ca4ffea6bea68877239fdeaa4e86dd0ebe948a5cf2e4cc7321472c2d9adf3bd6",
+        "f4f19b9f310e988044121f86442f99ce62796aa73ae78b365a72dd6aaeab4fd7",
     ),
     "schemes-method1-dominant": (
         "schemes",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 40, "channel_draws": 2,
          "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0]}},
-        "a03ab1866456a81eb1b60edc867e8b5791b78e037a37f0e3b47665bef53c2440",
+        "d52e3b7e967e117050346dd5097c8ae3b7b3e4029312d894c83d1b9a5db0c371",
     ),
     "schemes-method2-dominant": (
         "schemes",
         {**RICEAN, "num_antennas": 50, "num_sensors": 30, "gamma_c": 10.0, "channel_draws": 2,
          "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "8c4c486772c6689dbb58d3ce7e14a6b4312171e9ae7831353275a8292168db9e",
+        "bf70d308ebf7bc15a2da0d358a5637b1113325dd477392abe42c937e13648c6f",
     ),
     "sdr-compare-one-point": (
         "sdr-compare",
         {**RICEAN, "num_antennas": 3, "num_sensors": 8, "gamma_s": 2.0, "gamma_c": 10.0,
          "channel_draws": 2},
-        "b043edd8aa6ed6eaeb4012a6c7adbba94fe7cde6f2fb25c8ed9f7337573a897b",
+        "e0048c4f13bf1605cf983d3c72a08afe1907b261cb625b9b1e8e53fdb4bed29e",
     ),
     "sdr-compare-sweep": (
         "sdr-compare",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 8, "gamma_c": 10.0,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "1cdc05aec0c3a557b297943a16d9e4948ccbdcbe46a2ddf5b34e87b28be5b67c",
+        "879eb20675b349dd48efdee2bae2076eafb22a65df612e02864bb6f72e216d16",
     ),
     "exponent-sweep-gamma_s": (
         "exponent-sweep",
@@ -134,13 +134,13 @@ EXPERIMENTS = {
         {**RICEAN, "num_antennas": 2, "num_sensors": 6, "noise": "ar1", "noise_corr": 0.5,
          "gamma_s": 2.0, "trials": 1000, "channel_draws": 2,
          "sweep": {"variable": "gamma_c", "grid": [1.0, 4.0]}},
-        "53a36edc5424965faf5c9f650c51b22ead9760b335af38676675181533c62093",
+        "03f366937728338bcadb81f251036c1b68f32c89b5b6e644a87ddbc8c5384107",
     ),
     "montecarlo-N-awgn": (
         "montecarlo",
         {"channel": "awgn", "num_sensors": 5, "gamma_s": 1.0, "trials": 1000, "channel_draws": 1,
          "sweep": {"variable": "N", "grid": [1, 3]}},
-        "c15f6c30427ea73c0886194c4dde4d3dad4fb01cb10d080508dd2b3c99ac95a7",
+        "f58deed8336103c31244c0d97ca0f78be42ec98e1870c37d6a12a67b721d475a",
     ),
     "asymptotic-rayleigh": (
         "asymptotic",

@@ -134,3 +134,37 @@ def test_e_csis1_numeric_ricean_documented_accuracy(k, gamma_s, gamma_c):
         reference = mp_e_csis1_ricean(params, k)
     value = e_csis1_numeric(params, ChannelModel.ricean(k))
     assert abs(value - float(reference)) <= 1e-9
+
+
+def mp_quadratic_form(h, a, sigma_eta_sq, sigma_nu_sq):
+    # v^H R^-1 v with R = sigma_eta_sq H D(|a|^2) H^H + sigma_nu_sq I,
+    # formed and solved in mpmath from the double inputs
+    n, l = h.shape
+    hm = mp.matrix(h.tolist())
+    d = [abs(mp.mpc(x)) ** 2 for x in a.tolist()]
+    r = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            r[i, j] = sigma_eta_sq * mp.fsum(hm[i, k] * d[k] * mp.conj(hm[j, k]) for k in range(l))
+        r[i, i] += sigma_nu_sq
+    v = hm * mp.matrix(a.tolist())
+    return mp.re((v.H * mp.lu_solve(r, v))[0])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quadratic_form_at_extreme_powers(seed):
+    # N > L channels at P_T up to 1e60: the Gram matrix is rank deficient
+    # and, past about 1e16, swamps the identity in R; the core answers
+    # through Cholesky where it factors and the spectral form where not
+    from macdet.allocation import quadratic_form
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    l = int(rng.integers(1, n))
+    params = NetworkParams(l, n, 1.0, 1.0, 1.0, 0.5, 10.0 ** rng.uniform(10.0, 60.0))
+    h = rng.standard_normal((n, l)) + 1j * rng.standard_normal((n, l))
+    a = rng.standard_normal(l) + 1j * rng.standard_normal(l)
+    a *= math.sqrt(params.gain_budget) / np.linalg.norm(a)
+    with mp.workdps(120):
+        reference = mp_quadratic_form(h, a, params.sigma_eta_sq, params.sigma_nu_sq)
+        assert rel_err(quadratic_form(h, a, params)[2], reference) <= 1e-12
