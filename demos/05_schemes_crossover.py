@@ -17,8 +17,8 @@ from macdet.allocation import (
     NoCrossoverError,
     _mean_exponent_gap,
     calibrate_crossover,
+    method2_direction,
     method_exponents,
-    scheme_channels,
 )
 from macdet.exponents import snr_to_db
 from macdet.model import ChannelModel, NetworkParams, RandomSource, sample_channel
@@ -43,10 +43,10 @@ def main() -> None:
         sample_channel(model, params.num_antennas, params.num_sensors, src.substream("h", d)).entries
         for d in range(draws)
     ]
-    scheme = scheme_channels(channels)
+    directions = [method2_direction(h) for h in channels]
 
     def exponents_at(gamma_s):
-        return method_exponents(scheme, params.at_gamma_s(gamma_s))
+        return method_exponents(channels, directions, params.at_gamma_s(gamma_s))
 
     scored = [exponents_at(gamma_s) for gamma_s in grid]
     try:

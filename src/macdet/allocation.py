@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .model import ChannelMatrix, NetworkParams, SensingNoiseModel
 from .numerics import canonical_phase, hermitian_eig, solve_hermitian_pd
@@ -42,7 +43,6 @@ __all__ = [
     "method1",
     "method2",
     "method2_direction",
-    "scheme_channels",
     "method_exponents",
     "calibrate_crossover",
     "alpha_sdr_phase",
@@ -53,7 +53,11 @@ __all__ = [
 _CROSSOVER_TOL_DB = 0.05
 
 # method_exponents scores channels in groups of at most this many channel
-# entries (N L each): a group's temporaries stay near 0.5 MB per gain vector
+# entries (N L each): all ten figure8 channels at N = 5, three per group at
+# N = 50, L = 200.  On a 2-vCPU x86-64 host with one BLAS thread that was
+# the fastest split of an N = 50 point (5.4-5.8 ms; one channel per group
+# 5.9-6.8, all ten 7.0-8.0), and it raised fig8-schemes' peak RSS by 2 %
+# over unbatched scoring (one per group 1 %, all ten 12 %).
 _GROUP_ENTRIES = 1 << 15
 
 
@@ -147,22 +151,26 @@ def _iid_forms(h, a, sigma_eta_sq: float, sigma_nu_sq: float, solve: bool = Fals
     R = sigma_nu_sq (B B^H + I) with B = sqrt(sigma_eta_sq / sigma_nu_sq)
     H D(a).  The Cholesky factor of [[B B^H + I, v], [v^H, c]] holds
     y = L^-1 v in its last row, so q = |y|^2 / sigma_nu_sq with no solve
-    (c = 2|v|^2 + 1 > |y|^2 keeps it positive definite).  Every step runs
-    item by item (per-item BLAS/LAPACK calls, elementwise along rows), so
-    an item gets the same bits in any batch.  Where B B^H swallows the
-    identity and Cholesky fails, _spectral_form answers exactly.
+    (c = 2|v|^2 + 1 > |y|^2 keeps it positive definite); R^-1 v is one
+    back substitution, L^-H y / sigma_nu_sq.  Every step runs item by
+    item (per-item BLAS/LAPACK calls, elementwise along rows), so an item
+    gets the same bits in any batch.  Where B B^H overflows, or swallows
+    the identity so that Cholesky fails, _spectral_form answers exactly.
     """
     n = h.shape[-2]
     m = np.empty(np.broadcast_shapes(h.shape[:-2], a.shape[:-1]) + (n + 1, n + 1), np.complex128)
-    b = h * (a * math.sqrt(sigma_eta_sq / sigma_nu_sq))[..., np.newaxis, :]
-    np.matmul(b, b.conj().swapaxes(-1, -2), out=m[..., :n, :n])
-    m.reshape(m.shape[:-2] + (-1,))[..., : n * (n + 2) : n + 2] += 1.0
-    v = np.matmul(h, a[..., np.newaxis], out=m[..., :n, n:])[..., 0]
-    m[..., n, :n] = v.conj()
-    m[..., n, n] = 2.0 * np.sum(v.real**2 + v.imag**2, axis=-1) + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = h * (a * math.sqrt(sigma_eta_sq / sigma_nu_sq))[..., np.newaxis, :]
+        np.matmul(b, b.conj().swapaxes(-1, -2), out=m[..., :n, :n])
+        m.reshape(m.shape[:-2] + (-1,))[..., : n * (n + 2) : n + 2] += 1.0
+        v = np.matmul(h, a[..., np.newaxis], out=m[..., :n, n:])[..., 0]
+        m[..., n, :n] = v.conj()
+        m[..., n, n] = 2.0 * np.sum(v.real**2 + v.imag**2, axis=-1) + 1.0
     try:
-        factor = np.linalg.cholesky(m)
+        factor = np.linalg.cholesky(m) if np.isfinite(m).all() else None
     except np.linalg.LinAlgError:
+        factor = None
+    if factor is None:
         if m.ndim == 2:
             return _spectral_form(h, a, sigma_eta_sq, sigma_nu_sq, solve)
         # item by item, so that each keeps the bits it gets alone
@@ -175,26 +183,39 @@ def _iid_forms(h, a, sigma_eta_sq: float, sigma_nu_sq: float, solve: bool = Fals
     q = np.sum(y.real**2 + y.imag**2, axis=-1) / sigma_nu_sq
     if not solve:
         return v, q
-    upper = factor[..., :n, :n].conj().swapaxes(-1, -2)
-    return v, np.linalg.solve(upper, y[..., np.newaxis])[..., 0] / sigma_nu_sq, q
+    # solve is only asked of single items (quadratic_form): LAPACK's
+    # triangular solve with L^H, without solve_triangular's checks
+    w = scipy.linalg.lapack.ztrtrs(factor[:n, :n], y, lower=1, trans=2)[0]
+    return v, w / sigma_nu_sq, q
 
 
 def _spectral_form(h, a, sigma_eta_sq, sigma_nu_sq, solve):
     """_iid_forms for one item in the normalized spectral form: with
-    p = |a|^2, u = a / sqrt(p), t = p / sigma_nu_sq, s = sigma_eta_sq t and
-    H D(u) (H D(u))^H = U diag(lambda) U^H, q = t sum_i z_i / (s lambda_i
-    + 1), z = |U^H H u|^2.  H u lies in the range of H D(u), so z_i <= L
-    lambda_i, and terms with lambda_i <= L eps lambda_max are rounding."""
+    p = |a|^2, u = a / sqrt(p) and H D(u) (H D(u))^H = U diag(lambda) U^H,
+    q = sum_i z_i / (sigma_eta_sq lambda_i + sigma_nu_sq / p), z = |U^H H
+    u|^2, a form that neither overflows nor loses the sigma_nu_sq term.
+    H u lies in the range of H D(u), so z_i <= L lambda_i, and terms with
+    lambda_i <= L eps lambda_max are rounding."""
     p = float(np.sum(a.real**2 + a.imag**2))
     u = a / math.sqrt(p)
     b = h * u
     lam, vecs = np.linalg.eigh(b @ b.conj().T)
     keep = lam > h.shape[1] * np.finfo(float).eps * lam[-1]
     c = vecs[:, keep].conj().T @ (h @ u)
-    # t / (s lambda + 1) first: t and s can both be near 1e300
-    k = (p / sigma_nu_sq) / ((sigma_eta_sq * p / sigma_nu_sq) * lam[keep] + 1.0)
+    k = 1.0 / (sigma_eta_sq * lam[keep] + sigma_nu_sq / p)
     q = np.sum((c.real**2 + c.imag**2) * k)
     return (h @ a, vecs[:, keep] @ (k * c) / math.sqrt(p), q) if solve else (h @ a, q)
+
+
+def _forms(h, a, params: NetworkParams, noise: SensingNoiseModel | None, solve: bool):
+    # _iid_forms under iid sensing noise; under correlated noise the
+    # received covariance and a Cholesky solve, (v, R^-1 v, q) always
+    if noise is None or noise.is_iid:
+        se = params.sigma_eta_sq if noise is None else noise.sigma_eta_sq
+        return _iid_forms(h, a, se, params.sigma_nu_sq, solve)
+    v = h @ a
+    w = solve_hermitian_pd(received_covariance(h, a, params, noise), v)
+    return v, w, max(float(np.vdot(v, w).real), 0.0)
 
 
 def quadratic_form(
@@ -208,21 +229,19 @@ def quadratic_form(
     h = _entries(channel)
     a = _gain_values(alpha)
     _check_dims(h, a, params)
-    if noise is None or noise.is_iid:
-        se = params.sigma_eta_sq if noise is None else noise.sigma_eta_sq
-        v, w, q = _iid_forms(h, a, se, params.sigma_nu_sq, solve=True)
-        return v, w, float(q)
-    v = h @ a
-    w = solve_hermitian_pd(received_covariance(h, a, params, noise), v)
-    return v, w, max(float(np.vdot(v, w).real), 0.0)
+    v, w, q = _forms(h, a, params, noise, solve=True)
+    return v, w, float(q)
 
 
 def finite_exponent(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha, with
-    the quadratic form from quadratic_form."""
-    q = quadratic_form(channel, alpha, params, noise)[2]
+    the quadratic form of quadratic_form (no R^{-1} v under iid noise)."""
+    h = _entries(channel)
+    a = _gain_values(alpha)
+    _check_dims(h, a, params)
+    q = float(_forms(h, a, params, noise, solve=False)[-1])
     return params.theta**2 * q / (8.0 * params.num_sensors)
 
 
@@ -252,18 +271,18 @@ def _power(h: np.ndarray) -> np.ndarray:
 
 
 def _opt_n1_values(h_row: np.ndarray, power: np.ndarray, params: NetworkParams) -> np.ndarray:
-    # alpha_opt_n1's gains for rows (..., L) and their |h|^2: magnitudes
-    # w = |h| r with r = 1 / (sigma_eta_sq P |h|^2 + sigma_nu_sq), phases
-    # conjugate to the channel, so alpha = c r conj(h).  w is rescaled by
-    # its largest entry before sum w^2, which then cannot underflow.
+    # alpha_opt_n1's gains for rows (..., L) and their |h|^2.  The
+    # magnitudes are rescaled by their largest entry before sum w^2, which
+    # then cannot underflow, and normalized as method2_direction
+    # normalizes its direction, so equal directions give equal gains.
     p = params.gain_budget
-    r = 1.0 / (params.sigma_eta_sq * p * power + params.sigma_nu_sq)
-    w = np.sqrt(power) * r
+    w = np.sqrt(power) / (params.sigma_eta_sq * p * power + params.sigma_nu_sq)
     top = w.max(axis=-1, keepdims=True)
     if not (top > 0.0).all():
         raise ValueError("channel row is identically zero")
     w = w / top
-    return np.sqrt(p / np.sum(w * w, axis=-1, keepdims=True)) * (r / top) * h_row.conj()
+    w = w / np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
+    return math.sqrt(p) * w * np.exp(-1j * np.angle(h_row))
 
 
 def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
@@ -314,15 +333,17 @@ def method2_direction(channel) -> np.ndarray:
     direction method2 scales by sqrt(P).  It depends on the channel
     alone (gamma_s only moves P), so a gamma_s sweep computes it once
     per channel.  For N < L the eigenvector is recovered from the small
-    Gram matrix H H^H; when that has no positive eigenvalue (an
+    Gram matrix H H^H as H^H u, rescaled by its largest entry and then
+    normalized, as alpha_opt_n1 normalizes its magnitudes (on AWGN both
+    methods give the same bits); when that has no positive eigenvalue (an
     all-zero channel) the big Gram matrix H^H H is decomposed instead."""
     h = _entries(channel)
     n_ant, n_sens = h.shape
     if n_ant < n_sens:
         small = hermitian_eig(h @ h.conj().T)
         if small.eigenvalues[-1] > 0.0:
-            u = small.eigenvectors[:, -1]
-            v = h.conj().T @ u
+            v = h.conj().T @ small.eigenvectors[:, -1]
+            v = v / np.abs(v).max()
             return canonical_phase(v / np.linalg.norm(v))
     return hermitian_eig(h.conj().T @ h).eigenvectors[:, -1]
 
@@ -339,30 +360,29 @@ def method2(channel, params: NetworkParams) -> GainVector:
     return GainVector(values=math.sqrt(p) * method2_direction(h), budget=p)
 
 
-def scheme_channels(channels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The channel-only inputs of method_exponents, computed once per
-    gamma_s sweep: the stacked channels (D, N, L), their |h|^2 (method1's
-    selection metric and gain magnitudes) and their method2_direction."""
-    entries = np.asarray(channels, dtype=np.complex128)
-    return entries, _power(entries), np.stack([method2_direction(h) for h in entries])
-
-
-def method_exponents(channels, params: NetworkParams) -> tuple[list[float], list[float]]:
+def method_exponents(
+    channels, directions, params: NetworkParams
+) -> tuple[list[float], list[float]]:
     """Per-channel finite exponents of method1 and method2 at one
-    operating point on scheme_channels' output, bit for bit
-    finite_exponent of method1 and method2 on each channel.  Channels go
-    through the batched core in groups of at most _GROUP_ENTRIES channel
-    entries, so the working set stays bounded at any N and L."""
-    entries, powers, directions = channels
-    if entries.shape[1:] != (params.num_antennas, params.num_sensors):
-        raise ValueError("channel shape does not match params")
+    operating point, bit for bit finite_exponent of method1 and method2 on
+    each channel.  `directions` holds each channel's method2_direction,
+    which does not depend on gamma_s, so a sweep passes the same ones at
+    every point.  Channels go through the batched core in groups of at
+    most _GROUP_ENTRIES channel entries, so the working set stays bounded
+    at any N and L."""
+    entries = np.asarray(channels, dtype=np.complex128)
+    directions = np.asarray(directions, dtype=np.complex128)
+    dims = (params.num_antennas, params.num_sensors)
+    if entries.shape[1:] != dims or directions.shape != (len(entries), dims[1]):
+        raise ValueError(f"channels {entries.shape} and directions {directions.shape} do not match")
     sqrt_p = math.sqrt(params.gain_budget)
     step = max(1, _GROUP_ENTRIES // entries[0].size)
     scored = []
     for group in (slice(i, i + step) for i in range(0, len(entries), step)):
-        method1_gains = _method1_values(entries[group], powers[group], params)[0]
+        h = entries[group]
+        method1_gains = _method1_values(h, _power(h), params)[0]
         gains = np.stack((method1_gains, sqrt_p * directions[group]), axis=1)
-        scored.append(finite_exponents(entries[group, np.newaxis], gains, params))
+        scored.append(finite_exponents(h[:, np.newaxis], gains, params))
     fe = np.concatenate(scored)
     return fe[:, 0].tolist(), fe[:, 1].tolist()
 

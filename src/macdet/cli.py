@@ -30,8 +30,8 @@ from .allocation import (
     alpha_uniform,
     calibrate_crossover,
     finite_exponents,
+    method2_direction,
     method_exponents,
-    scheme_channels,
 )
 from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo, pe_conditional
 from .exponents import (
@@ -585,15 +585,17 @@ def _scheme_sweep(cfg: ExperimentConfig, grid, label: str, draws: int):
         channels[d] = sample_channel(
             cfg.model, params.num_antennas, params.num_sensors, base.substream(label, d)
         ).entries
-    scheme = scheme_channels(channels)
-    scored = [method_exponents(scheme, params.at_gamma_s(x)) for x in grid]
+    directions = [method2_direction(h) for h in channels]
+    scored = [method_exponents(channels, directions, params.at_gamma_s(x)) for x in grid]
     crossover = dominant = None
     if len(grid) >= 2:
         try:
             crossover = calibrate_crossover(
                 grid,
                 [_mean_exponent_gap(fe1, fe2) for fe1, fe2 in scored],
-                lambda x: _mean_exponent_gap(*method_exponents(scheme, params.at_gamma_s(x))),
+                lambda x: _mean_exponent_gap(
+                    *method_exponents(channels, directions, params.at_gamma_s(x))
+                ),
             )
         except NoCrossoverError as exc:
             dominant = exc.dominant

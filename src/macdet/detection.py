@@ -102,7 +102,7 @@ def _log_pe(params: NetworkParams, q):
         math.log(params.p0) + log_q(safe + tau / safe),
         math.log(params.p1) + log_q(safe - tau / safe),
     )
-    return np.where(live, logsumexp(terms, axis=0), math.log(_degenerate_pe(params)))
+    return np.where(live, np.logaddexp(*terms), math.log(_degenerate_pe(params)))
 
 
 def log_pe_conditional(

@@ -20,8 +20,8 @@ from macdet.allocation import (
     finite_exponents,
     method1,
     method2,
+    method2_direction,
     method_exponents,
-    scheme_channels,
 )
 from macdet.allocation import _mean_exponent_gap
 from macdet.detection import empirical_exponent, estimate_pe_montecarlo, pe_conditional
@@ -406,10 +406,12 @@ def test_criterion_12_hybrid_crossover_calibration():
             sample_channel(model, n, 200, rng.substream("calibrate", t)).entries
             for t in range(50)
         ]
-        scheme = scheme_channels(channels)
+        directions = [method2_direction(h) for h in channels]
 
         def gap_at(gamma_s):
-            return _mean_exponent_gap(*method_exponents(scheme, params.at_gamma_s(gamma_s)))
+            return _mean_exponent_gap(
+                *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
+            )
 
         try:
             crossover = calibrate_crossover(grid, [gap_at(g) for g in grid], gap_at)

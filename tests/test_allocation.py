@@ -22,7 +22,6 @@ from macdet.allocation import (
     method_exponents,
     quadratic_form,
     received_covariance,
-    scheme_channels,
 )
 from macdet import cli, sdr
 from macdet.allocation import _mean_exponent_gap
@@ -426,11 +425,14 @@ class TestMethod1:
         assert selected == 0
         assert np.array_equal(gv.values, alpha_opt_n1(h[0], params).values)
 
-    def test_equal_magnitudes_give_exactly_the_uniform_gains(self):
-        # the rescaled weights are all 1, so the gains are sqrt(P/L) exactly
-        params = make_params(l=6, n=2, sigma_eta_sq=0.5)
-        h = np.ones((2, 6), dtype=complex)
-        assert np.array_equal(method1(h, params)[0].values, alpha_uniform(params).values)
+    @pytest.mark.parametrize("n,l", [(1, 3), (2, 6), (3, 7), (5, 16)])
+    @pytest.mark.parametrize("sigma_eta_sq", [0.1, 0.5, 2.0, 10.0])
+    def test_awgn_gains_are_method2s_bits(self, n, l, sigma_eta_sq):
+        # both rescale their direction by its largest entry and divide by
+        # its norm, so on AWGN (N < L) the two methods agree bit for bit
+        params = make_params(l=l, n=n, sigma_eta_sq=sigma_eta_sq)
+        h = np.ones((n, l), dtype=complex)
+        assert np.array_equal(method1(h, params)[0].values, method2(h, params).values)
 
     def test_selects_dominant_antenna(self):
         params = make_params(l=2, n=2)
@@ -568,7 +570,8 @@ class TestHoistedDirectionOracle:
         channels = [
             sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)
         ]
-        fe1, fe2 = method_exponents(scheme_channels(channels), params)
+        directions = [method2_direction(h) for h in channels]
+        fe1, fe2 = method_exponents(channels, directions, params)
         assert _mean_exponent_gap(fe1, fe2) == _mean_exponent_gap_per_point(channels, params)
         assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
         assert fe2 == [finite_exponent(h, method2(h, params), params) for h in channels]
@@ -576,14 +579,13 @@ class TestHoistedDirectionOracle:
     def test_rejects_mismatched_directions(self):
         params = make_params(l=6, n=2)
         h = random_channel(np.random.default_rng(48), 2, 6)
-        entries, powers, directions = scheme_channels([h, h])
         with pytest.raises(ValueError):
-            method_exponents((entries, powers, directions[:1]), params)
+            method_exponents([h, h], [method2_direction(h)], params)
 
     def test_rejects_channels_of_another_size(self):
         h = random_channel(np.random.default_rng(49), 2, 6)
         with pytest.raises(ValueError):
-            method_exponents(scheme_channels([h]), make_params(l=5, n=2))
+            method_exponents([h], [method2_direction(h)], make_params(l=5, n=2))
 
 
 class TestHybrid:
@@ -622,10 +624,12 @@ def sampled_gaps(params, model, grid, trials, seed):
     rng = RandomSource(master_seed=seed)
     n, l = params.num_antennas, params.num_sensors
     channels = [sample_channel(model, n, l, rng.substream("cal", t)).entries for t in range(trials)]
-    scheme = scheme_channels(channels)
+    directions = [method2_direction(h) for h in channels]
 
     def gap_at(gamma_s):
-        return _mean_exponent_gap(*method_exponents(scheme, params.at_gamma_s(gamma_s)))
+        return _mean_exponent_gap(
+            *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
+        )
 
     return [gap_at(g) for g in grid], gap_at
 

@@ -51,9 +51,9 @@ GOLDEN = {
     6: ({}, "bd8019e0b607e5bafc84e7247da314f0fbe59e70ba5484c5e923b298f438f7c0"),
     7: ({}, "8f303d1bcd3b2274eb405e6d62ae6465c81113887c2e72630cb0624dfb97b6e5"),
     8: ({"channel_draws": 2},
-        "3efdbf5ea37e2f6eec2fc9351e9075b7960a7b032b1a12030f71acb42998edf1"),
+        "42b7703c3d4a58338fc06a57f6e55b725d3c0af3332203fc76066badf0ce75e9"),
     9: ({"channel_draws": 1},
-        "ad768962b8605bfa657ee9b38aef9c804b3ce0bdcb88bc07c3e26ba98985ee07"),
+        "8655385a2575f0aad7314cf88d8585803ded0d830d495cacf519fb07a8f79331"),
 }
 
 
@@ -73,31 +73,31 @@ EXPERIMENTS = {
         "schemes",
         {**RICEAN, "num_antennas": 5, "num_sensors": 40, "gamma_c": 10.0, "channel_draws": 3,
          "sweep": {"variable": "gamma_s", "grid": [0.3, 1.0, 3.0, 10.0, 30.0]}},
-        "f4f19b9f310e988044121f86442f99ce62796aa73ae78b365a72dd6aaeab4fd7",
+        "b4bc0b9e23671f10d891f1d418cce3c482f4b0e35da91dac4c265479abf3023f",
     ),
     "schemes-method1-dominant": (
         "schemes",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 40, "channel_draws": 2,
          "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0]}},
-        "d52e3b7e967e117050346dd5097c8ae3b7b3e4029312d894c83d1b9a5db0c371",
+        "f3c6831110fa065d218cecb3977a133f4d55fa0b3d01469435eb486e56203888",
     ),
     "schemes-method2-dominant": (
         "schemes",
         {**RICEAN, "num_antennas": 50, "num_sensors": 30, "gamma_c": 10.0, "channel_draws": 2,
          "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "bf70d308ebf7bc15a2da0d358a5637b1113325dd477392abe42c937e13648c6f",
+        "99caca7ac4abe6ce406dd05a7ccb4f743842e62653865d3caf0d7aab64af6047",
     ),
     "sdr-compare-one-point": (
         "sdr-compare",
         {**RICEAN, "num_antennas": 3, "num_sensors": 8, "gamma_s": 2.0, "gamma_c": 10.0,
          "channel_draws": 2},
-        "e0048c4f13bf1605cf983d3c72a08afe1907b261cb625b9b1e8e53fdb4bed29e",
+        "88b53e191db0f888cb4b8b20fbd4ea3af475cf26ed52cc58f7be09c3328d6222",
     ),
     "sdr-compare-sweep": (
         "sdr-compare",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 8, "gamma_c": 10.0,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "879eb20675b349dd48efdee2bae2076eafb22a65df612e02864bb6f72e216d16",
+        "e259bac9efcd76715a70b51125aa34fd0c203ac9fd0e3b52e41c9f90658423f3",
     ),
     "exponent-sweep-gamma_s": (
         "exponent-sweep",

@@ -168,3 +168,24 @@ def test_quadratic_form_at_extreme_powers(seed):
     with mp.workdps(120):
         reference = mp_quadratic_form(h, a, params.sigma_eta_sq, params.sigma_nu_sq)
         assert rel_err(quadratic_form(h, a, params)[2], reference) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [ChannelModel.rayleigh(), ChannelModel.ricean(1.0)],
+                         ids=["rayleigh", "ricean"])
+@pytest.mark.parametrize("l", [1, 3])
+def test_quadratic_form_where_the_scaled_gram_overflows(model, l):
+    # one antenna at sigma_nu_sq = 1e-300, gamma_c = 1e308, gamma_s = 0.01:
+    # the normalized Gram sigma_eta_sq/sigma_nu_sq H D(|a|^2) H^H is about
+    # gamma_c |h|^2 and overflows on a strong draw, where R itself is ~1e8
+    from macdet.allocation import alpha_uniform, method1, quadratic_form
+    from macdet.model import RandomSource, sample_channel
+
+    params = NetworkParams(l, 1, 1.0, 100.0, 1e-300, 0.5, 1e8)
+    scale = params.sigma_eta_sq / params.sigma_nu_sq * params.gain_budget / l
+    draws = (sample_channel(model, 1, l, RandomSource(5).substream("gram", d)).entries
+             for d in range(200))
+    h = next(h for h in draws if math.isinf(scale * float(np.sum(np.abs(h) ** 2))))
+    for a in (alpha_uniform(params).values, method1(h, params)[0].values):
+        with mp.workdps(60):
+            reference = mp_quadratic_form(h, a, params.sigma_eta_sq, params.sigma_nu_sq)
+            assert rel_err(quadratic_form(h, a, params)[2], reference) <= 1e-12
