@@ -12,8 +12,8 @@ Any (channel, gains) pair is scored by the statistic
     (theta^2 / (8 L)) alpha^H H^H R(alpha)^{-1} H alpha,
     R(alpha) = H D(alpha) R_eta D(alpha)^H H^H + sigma_nu^2 I,
 
-whose large-L limits are the closed forms in `exponents`; under iid
-sensing noise it goes through one batched core (_iid_forms).  Gains are
+whose large-L limits are the closed forms in `exponents`; under either
+sensing-noise model it goes through one batched core (_forms).  Gains are
 computed centrally from known channel state; feedback to the sensors is
 modeled as noiseless.
 """
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import ChannelMatrix, NetworkParams, SensingNoiseModel
-from .numerics import canonical_phase, hermitian_eig, solve_hermitian_pd
+from .numerics import canonical_phase, hermitian_eig
 from .sdr import SdpNonConvergence, SdpProblem, extract_phases, solve_sdp
 
 __all__ = [
@@ -122,6 +122,14 @@ def _check_dims(h: np.ndarray, a: np.ndarray, params: NetworkParams) -> None:
         raise ValueError(f"gain length {a.shape} does not match {params.num_sensors}")
 
 
+def _sensing(params: NetworkParams, noise: SensingNoiseModel | None):
+    # the core's sensing argument: sigma_eta_sq under iid sensing noise,
+    # the Cholesky factor S of R_eta under correlated noise
+    if noise is None:
+        return params.sigma_eta_sq
+    return noise.sigma_eta_sq if noise.is_iid else noise.scale_factor(params.num_sensors)
+
+
 def received_covariance(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> np.ndarray:
@@ -132,35 +140,37 @@ def received_covariance(
     h = _entries(channel)
     a = _gain_values(alpha)
     _check_dims(h, a, params)
-    model = noise if noise is not None else SensingNoiseModel(
-        sigma_eta_sq=params.sigma_eta_sq
-    )
-    factor = model.scale_factor(params.num_sensors)
+    sensing = _sensing(params, noise)
     b = h * a[np.newaxis, :]
-    bs = b @ factor if isinstance(factor, np.ndarray) else b * factor
+    bs = b @ sensing if isinstance(sensing, np.ndarray) else b * math.sqrt(sensing)
     r = bs @ bs.conj().T
     r[np.diag_indices_from(r)] += params.sigma_nu_sq
     return r
 
 
-def _iid_forms(h, a, sigma_eta_sq: float, sigma_nu_sq: float, solve: bool = False):
-    """q = v^H R^-1 v with v = H a and R = sigma_eta_sq H D(|a|^2) H^H +
-    sigma_nu_sq I (iid sensing noise), for channels (..., N, L) broadcast
-    against gains (..., L): (v, q), or (v, R^-1 v, q) when `solve`.
+def _forms(h, a, sensing, sigma_nu_sq: float, solve: bool = False):
+    """q = v^H R^-1 v with v = H a and R = H D(a) S S^H D(a)^H H^H +
+    sigma_nu_sq I, for channels (..., N, L) broadcast against gains
+    (..., L) and the sensing argument of _sensing (sigma_eta_sq, or S):
+    (v, q), or (v, R^-1 v, q) when `solve`.
 
-    R = sigma_nu_sq (B B^H + I) with B = sqrt(sigma_eta_sq / sigma_nu_sq)
-    H D(a).  The Cholesky factor of [[B B^H + I, v], [v^H, c]] holds
-    y = L^-1 v in its last row, so q = |y|^2 / sigma_nu_sq with no solve
-    (c = 2|v|^2 + 1 > |y|^2 keeps it positive definite); R^-1 v is one
-    back substitution, L^-H y / sigma_nu_sq.  Every step runs item by
-    item (per-item BLAS/LAPACK calls, elementwise along rows), so an item
-    gets the same bits in any batch.  Where B B^H overflows, or swallows
-    the identity so that Cholesky fails, _spectral_form answers exactly.
+    R = sigma_nu_sq (B B^H + I) with B = H D(a) S / sqrt(sigma_nu_sq),
+    or sqrt(sigma_eta_sq / sigma_nu_sq) H D(a) under iid noise.  The
+    Cholesky factor of [[B B^H + I, v], [v^H, c]] holds y = L^-1 v in its
+    last row, so q = |y|^2 / sigma_nu_sq with no solve (c = 2|v|^2 + 1 >
+    |y|^2 keeps it positive definite); R^-1 v is one back substitution,
+    L^-H y / sigma_nu_sq.  Every step runs item by item (per-item
+    BLAS/LAPACK calls, elementwise along rows), so an item gets the same
+    bits in any batch.  Where B B^H overflows, or swallows the identity
+    so that Cholesky fails, _spectral_form answers exactly.
     """
     n = h.shape[-2]
     m = np.empty(np.broadcast_shapes(h.shape[:-2], a.shape[:-1]) + (n + 1, n + 1), np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = h * (a * math.sqrt(sigma_eta_sq / sigma_nu_sq))[..., np.newaxis, :]
+        if isinstance(sensing, np.ndarray):
+            b = (h * a[..., np.newaxis, :]) @ (sensing / math.sqrt(sigma_nu_sq))
+        else:
+            b = h * (a * math.sqrt(sensing / sigma_nu_sq))[..., np.newaxis, :]
         np.matmul(b, b.conj().swapaxes(-1, -2), out=m[..., :n, :n])
         m.reshape(m.shape[:-2] + (-1,))[..., : n * (n + 2) : n + 2] += 1.0
         v = np.matmul(h, a[..., np.newaxis], out=m[..., :n, n:])[..., 0]
@@ -172,12 +182,12 @@ def _iid_forms(h, a, sigma_eta_sq: float, sigma_nu_sq: float, solve: bool = Fals
         factor = None
     if factor is None:
         if m.ndim == 2:
-            return _spectral_form(h, a, sigma_eta_sq, sigma_nu_sq, solve)
+            return _spectral_form(h, a, sensing, sigma_nu_sq, solve)
         # item by item, so that each keeps the bits it gets alone
         batch = m.shape[:-2]
         hs = np.broadcast_to(h, batch + h.shape[-2:]).reshape((-1,) + h.shape[-2:])
         gains = np.broadcast_to(a, batch + a.shape[-1:]).reshape(-1, a.shape[-1])
-        items = [_iid_forms(*item, sigma_eta_sq, sigma_nu_sq, solve) for item in zip(hs, gains)]
+        items = [_forms(*item, sensing, sigma_nu_sq, solve) for item in zip(hs, gains)]
         return tuple(np.reshape(part, batch + np.shape(part[0])) for part in zip(*items))
     y = factor[..., n, :n].conj()
     q = np.sum(y.real**2 + y.imag**2, axis=-1) / sigma_nu_sq
@@ -189,47 +199,38 @@ def _iid_forms(h, a, sigma_eta_sq: float, sigma_nu_sq: float, solve: bool = Fals
     return v, w / sigma_nu_sq, q
 
 
-def _spectral_form(h, a, sigma_eta_sq, sigma_nu_sq, solve):
-    """_iid_forms for one item in the normalized spectral form: with
-    p = |a|^2, u = a / sqrt(p) and H D(u) (H D(u))^H = U diag(lambda) U^H,
-    q = sum_i z_i / (sigma_eta_sq lambda_i + sigma_nu_sq / p), z = |U^H H
-    u|^2, a form that neither overflows nor loses the sigma_nu_sq term.
-    H u lies in the range of H D(u), so z_i <= L lambda_i, and terms with
-    lambda_i <= L eps lambda_max are rounding."""
+def _spectral_form(h, a, sensing, sigma_nu_sq, solve):
+    """_forms for one item in the normalized spectral form: with p =
+    |a|^2, u = a / sqrt(p), s = |S|_max (s^2 = sigma_eta_sq when iid) and
+    B = H D(u) S / s = U diag(lambda)^(1/2) V^H, q = sum_i z_i / (s^2
+    lambda_i + sigma_nu_sq / p), z = |U^H H u|^2, a form that neither
+    overflows nor loses the sigma_nu_sq term.  H u lies in the range of B,
+    and terms with lambda_i <= L eps lambda_max are rounding."""
     p = float(np.sum(a.real**2 + a.imag**2))
     u = a / math.sqrt(p)
     b = h * u
+    if isinstance(sensing, np.ndarray):
+        top = float(np.abs(sensing).max())
+        b, sensing = b @ (sensing / top), top * top
     lam, vecs = np.linalg.eigh(b @ b.conj().T)
     keep = lam > h.shape[1] * np.finfo(float).eps * lam[-1]
     c = vecs[:, keep].conj().T @ (h @ u)
-    k = 1.0 / (sigma_eta_sq * lam[keep] + sigma_nu_sq / p)
+    k = 1.0 / (sensing * lam[keep] + sigma_nu_sq / p)
     q = np.sum((c.real**2 + c.imag**2) * k)
     return (h @ a, vecs[:, keep] @ (k * c) / math.sqrt(p), q) if solve else (h @ a, q)
-
-
-def _forms(h, a, params: NetworkParams, noise: SensingNoiseModel | None, solve: bool):
-    # _iid_forms under iid sensing noise; under correlated noise the
-    # received covariance and a Cholesky solve, (v, R^-1 v, q) always
-    if noise is None or noise.is_iid:
-        se = params.sigma_eta_sq if noise is None else noise.sigma_eta_sq
-        return _iid_forms(h, a, se, params.sigma_nu_sq, solve)
-    v = h @ a
-    w = solve_hermitian_pd(received_covariance(h, a, params, noise), v)
-    return v, w, max(float(np.vdot(v, w).real), 0.0)
 
 
 def quadratic_form(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The matched-filter quantities (v, R^{-1} v, q) with v = H alpha and
-    q = v^H R^{-1} v, shared by the exponent statistic and the detector:
-    the batched core under iid sensing noise (see finite_exponents), the
-    received covariance and a Cholesky solve under correlated noise.  The
-    covariance is never inverted explicitly."""
+    q = v^H R^{-1} v, shared by the exponent statistic and the detector,
+    from the core of finite_exponents under either sensing-noise model.
+    The covariance is never formed or inverted."""
     h = _entries(channel)
     a = _gain_values(alpha)
     _check_dims(h, a, params)
-    v, w, q = _forms(h, a, params, noise, solve=True)
+    v, w, q = _forms(h, a, _sensing(params, noise), params.sigma_nu_sq, solve=True)
     return v, w, float(q)
 
 
@@ -237,24 +238,25 @@ def finite_exponent(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha, with
-    the quadratic form of quadratic_form (no R^{-1} v under iid noise)."""
+    the quadratic form of quadratic_form (without R^{-1} v)."""
     h = _entries(channel)
     a = _gain_values(alpha)
     _check_dims(h, a, params)
-    q = float(_forms(h, a, params, noise, solve=False)[-1])
-    return params.theta**2 * q / (8.0 * params.num_sensors)
+    return float(finite_exponents(h, a, params, noise))
 
 
-def finite_exponents(channels, alphas, params: NetworkParams) -> np.ndarray:
-    """finite_exponent under iid sensing noise for a batch: channels (N, L)
-    or (..., N, L) broadcast against gains (..., L), each item with the
-    bits finite_exponent gives it alone."""
+def finite_exponents(
+    channels, alphas, params: NetworkParams, noise: SensingNoiseModel | None = None
+) -> np.ndarray:
+    """finite_exponent for a batch: channels (N, L) or (..., N, L)
+    broadcast against gains (..., L), each item with the bits
+    finite_exponent gives it alone."""
     h = np.asarray(channels, dtype=np.complex128)
     a = np.asarray(alphas, dtype=np.complex128)
     dims = (params.num_antennas, params.num_sensors)
     if h.shape[-2:] != dims or a.shape[-1:] != dims[1:]:
         raise ValueError(f"channels {h.shape} and gains {a.shape} do not match {dims}")
-    q = _iid_forms(h, a, params.sigma_eta_sq, params.sigma_nu_sq)[1]
+    q = _forms(h, a, _sensing(params, noise), params.sigma_nu_sq)[1]
     return params.theta**2 * q / (8.0 * params.num_sensors)
 
 
@@ -332,20 +334,23 @@ def method2_direction(channel) -> np.ndarray:
     """Unit top eigenvector of H^H H in the canonical phase: the
     direction method2 scales by sqrt(P).  It depends on the channel
     alone (gamma_s only moves P), so a gamma_s sweep computes it once
-    per channel.  For N < L the eigenvector is recovered from the small
-    Gram matrix H H^H as H^H u, rescaled by its largest entry and then
+    per channel.  It is taken as H^H u, with u the top eigenvector of the
+    small Gram matrix H H^H for N < L and u = H x, x the top eigenvector
+    of H^H H, otherwise; H^H u is rescaled by its largest entry and then
     normalized, as alpha_opt_n1 normalizes its magnitudes (on AWGN both
-    methods give the same bits); when that has no positive eigenvalue (an
-    all-zero channel) the big Gram matrix H^H H is decomposed instead."""
+    methods give the same bits).  When H^H u is zero (an all-zero
+    channel) x itself is returned."""
     h = _entries(channel)
-    n_ant, n_sens = h.shape
-    if n_ant < n_sens:
-        small = hermitian_eig(h @ h.conj().T)
-        if small.eigenvalues[-1] > 0.0:
-            v = h.conj().T @ small.eigenvectors[:, -1]
-            v = v / np.abs(v).max()
-            return canonical_phase(v / np.linalg.norm(v))
-    return hermitian_eig(h.conj().T @ h).eigenvectors[:, -1]
+    small = hermitian_eig(h @ h.conj().T) if h.shape[0] < h.shape[1] else None
+    if small is not None and small.eigenvalues[-1] > 0.0:
+        v = h.conj().T @ small.eigenvectors[:, -1]
+    else:
+        x = hermitian_eig(h.conj().T @ h).eigenvectors[:, -1]
+        v = h.conj().T @ (h @ x)
+        if not v.any():
+            return x
+    v = v / np.abs(v).max()
+    return canonical_phase(v / np.linalg.norm(v))
 
 
 def method2(channel, params: NetworkParams) -> GainVector:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .allocation import _entries, _gain_values, _iid_forms, alpha_uniform, quadratic_form
+from .allocation import _entries, _forms, _gain_values, _sensing, alpha_uniform, quadratic_form
 from .model import (
     ChannelModel,
     NetworkParams,
@@ -155,15 +155,12 @@ def estimate_pe_montecarlo(
     a = _gain_values(alpha)
     v, w, q = quadratic_form(h, a, params, noise)
     threshold = 0.5 * params.theta**2 * q + params.tau
-    model = noise if noise is not None else SensingNoiseModel(
-        sigma_eta_sq=params.sigma_eta_sq
-    )
-    factor = model.scale_factor(params.num_sensors)
+    sensing = _sensing(params, noise)
     g = np.conj(a) * (h.conj().T @ w)
-    c = factor * g if model.is_iid else factor.conj().T @ g
+    c = sensing.conj().T @ g if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
     # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
     # drawn as sqrt(s/2) (X_re + i X_im)
-    sensing = math.sqrt(0.5) * np.concatenate((c.real, c.imag))
+    z_weights = math.sqrt(0.5) * np.concatenate((c.real, c.imag))
     receiver = math.sqrt(params.sigma_nu_sq / 2.0) * np.stack((w.real, w.imag))
     signal = params.theta * float(np.vdot(v, w).real)
 
@@ -176,7 +173,7 @@ def estimate_pe_montecarlo(
         nu = gen.standard_normal((2, count, params.num_antennas))
         statistic = params.theta * (
             np.where(truth, signal, 0.0)
-            + sensing @ z
+            + z_weights @ z
             + (nu[0] @ receiver[0] + nu[1] @ receiver[1])
         )
         errors += int(np.count_nonzero((statistic >= threshold) != truth))
@@ -230,15 +227,11 @@ def empirical_exponent(
     params = replace(base_params, num_sensors=l_max)
     if noise is not None and not noise.is_iid:
         noise = SensingNoiseModel(r_eta=noise.r_eta[:l_max, :l_max])
+    sensing = _sensing(params, noise)
     log_pe = np.empty((draws, len(grid)))
     for d in range(draws):
         h = sample_channel(model, params.num_antennas, l_max, rng.substream("exponent", d)).entries
-        if noise is None or noise.is_iid:
-            se = params.sigma_eta_sq if noise is None else noise.sigma_eta_sq
-            q = _iid_forms(h, gains, se, params.sigma_nu_sq)[1]
-        else:
-            q = [quadratic_form(h, g, params, noise)[2] for g in gains]
-        log_pe[d] = _log_pe(params, q)
+        log_pe[d] = _log_pe(params, _forms(h, gains, sensing, params.sigma_nu_sq)[1])
     averaged = logsumexp(log_pe, axis=0) - math.log(draws)
     values = -averaged / np.asarray(grid, dtype=float)
     return ExponentCurve(

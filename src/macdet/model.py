@@ -104,9 +104,9 @@ class NetworkParams:
     p1:            prior probability of H1, in (0, 1).
     total_power:   P_T, expected total transmit power across the network.
 
-    Every power is finite, p1 theta^2 neither overflows nor underflows
-    to 0, and the gain budget P is a positive finite number, so every
-    quantity derived from a valid network is finite.
+    Every power and P_T / sigma_nu_sq are finite, p1 theta^2 neither
+    overflows nor underflows to 0, and the gain budget P is a positive
+    finite number, so every quantity derived from a valid network is finite.
     """
 
     num_sensors: int
@@ -132,6 +132,8 @@ class NetworkParams:
             raise ValueError("p1 must lie strictly between 0 and 1")
         if not 0.0 < self.total_power < math.inf:
             raise ValueError("total_power must be > 0 and finite")
+        if not self.gamma_c < math.inf:
+            raise ValueError(f"channel SNR total_power / sigma_nu_sq = {self.gamma_c!r} is not finite")
         # theta * theta is theta**2 without the OverflowError
         if not 0.0 < self.p1 * (self.theta * self.theta) < math.inf:
             raise ValueError(f"p1 theta^2 overflows or underflows to 0 at theta = {self.theta!r}")

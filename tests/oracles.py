@@ -7,11 +7,12 @@ None of these is used by `macdet` itself:
   likelihood-ratio rule, one draw at a time.
 * `reference_quadratic_form` is the per-item quadratic form
   v^H R^-1 v: the received covariance R formed explicitly and solved by
-  Cholesky, the path every gain rule went through before the batched
-  iid core.
-* `reference_pe_montecarlo` is the block Monte Carlo loop that forms the
-  received vectors y (count x N) explicitly; `estimate_pe_montecarlo`
-  must count exactly the same errors from the same draws.
+  Cholesky, the path every gain rule and noise model went through before
+  the batched core.
+* `received_block` forms a block of received vectors y (count x N) at
+  once, and `reference_pe_montecarlo` is the block Monte Carlo loop over
+  it; `estimate_pe_montecarlo` must count exactly the same errors from
+  the same draws.
 * `e_csis1_numeric` is the single-antenna full-knowledge exponent by
   quadrature of the amplitude density (scipy.integrate).
 """
@@ -121,6 +122,25 @@ def reference_quadratic_form(
     return v, w, max(float(np.vdot(v, w).real), 0.0)
 
 
+def received_block(
+    h: np.ndarray,
+    a: np.ndarray,
+    params: NetworkParams,
+    truth: np.ndarray,
+    gen: np.random.Generator,
+    noise: SensingNoiseModel | None = None,
+) -> np.ndarray:
+    """Received vectors y (count x N), one per entry of the boolean
+    hypotheses `truth` (True for H1): the sensing noise of every trial is
+    drawn from `gen` as one (L, count) block, then the receiver noise as
+    one (count, N) block."""
+    count = truth.size
+    eta = _noise_model(params, noise).color(complex_normal(gen, (params.num_sensors, count)))
+    nu = complex_normal(gen, (count, params.num_antennas), params.sigma_nu_sq)
+    signal = np.where(truth, params.theta, 0.0)[:, np.newaxis] * (h @ a)[np.newaxis, :]
+    return signal + (h @ (a[:, np.newaxis] * eta)).T + nu
+
+
 def reference_pe_montecarlo(
     channel,
     alpha,
@@ -137,22 +157,15 @@ def reference_pe_montecarlo(
     `synthesize` call after one uniform draw consumes it."""
     h = _entries(channel)
     a = _gain_values(alpha)
-    v, w, q = quadratic_form(h, a, params, noise)
+    _, w, q = quadratic_form(h, a, params, noise)
     threshold = 0.5 * params.theta**2 * q + params.tau
-    model = _noise_model(params, noise)
 
     errors = 0
     for block, start in enumerate(range(0, trials, block_size)):
         count = min(block_size, trials - start)
         gen = rng.substream("montecarlo", block)
         truth = gen.random(count) < params.p1
-        eta = model.color(complex_normal(gen, (params.num_sensors, count)))
-        nu = complex_normal(gen, (count, params.num_antennas), params.sigma_nu_sq)
-        y = (
-            np.where(truth, params.theta, 0.0)[:, np.newaxis] * v[np.newaxis, :]
-            + (h @ (a[:, np.newaxis] * eta)).T
-            + nu
-        )
+        y = received_block(h, a, params, truth, gen, noise)
         statistic = params.theta * (y.conj() @ w).real
         decisions = statistic >= threshold
         errors += int(np.sum(decisions != truth))

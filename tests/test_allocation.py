@@ -182,10 +182,26 @@ def params_with_budget(budget, l, n, sigma_eta_sq=1.0, sigma_nu_sq=1.0):
     )
 
 
-class TestQuadraticFormOracle:
-    """The batched iid core against the received-covariance Cholesky
-    path it replaced (tests/oracles.py), on every gain rule."""
+def sensing_noise(kind, l, sigma_eta_sq):
+    # R_eta of each kind the oracle tests cover, at per-sensor power
+    # sigma_eta_sq (None: iid noise from the network's sigma_eta_sq)
+    if kind == "iid":
+        return None
+    lag = np.arange(l)[:, np.newaxis] - np.arange(l)[np.newaxis, :]
+    r_eta = {
+        "ar1": 0.5 ** np.abs(lag) + 0j,
+        "phase-ar1": 0.5 ** np.abs(lag) * np.exp(0.7j * lag),
+        "diagonal": np.diag(np.linspace(0.5, 1.5, l)) + 0j,
+    }[kind]
+    return SensingNoiseModel(r_eta=sigma_eta_sq * r_eta)
 
+
+class TestQuadraticFormOracle:
+    """The batched core against the received-covariance Cholesky path it
+    replaced (tests/oracles.py), on every gain rule and under iid, AR(1),
+    complex phase-modulated AR(1) and diagonal sensing-noise covariances."""
+
+    @pytest.mark.parametrize("noise_kind", ["iid", "ar1", "phase-ar1", "diagonal"])
     @pytest.mark.parametrize(
         "model",
         [ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh()],
@@ -193,8 +209,9 @@ class TestQuadraticFormOracle:
     )
     @pytest.mark.parametrize("n,l", [(3, 8), (4, 4), (6, 3)], ids=["N<L", "N=L", "N>L"])
     @pytest.mark.parametrize("budget", [0.1, 10.0, 1e4])
-    def test_agrees_with_cholesky_of_the_covariance(self, model, n, l, budget):
+    def test_agrees_with_cholesky_of_the_covariance(self, model, n, l, budget, noise_kind):
         params = params_with_budget(budget, l, n, sigma_eta_sq=0.7)
+        noise = sensing_noise(noise_kind, l, params.sigma_eta_sq)
         rng = RandomSource(master_seed=90)
         for t in range(4):
             h = sample_channel(model, n, l, rng.substream("oracle", t)).entries
@@ -205,16 +222,16 @@ class TestQuadraticFormOracle:
                 random_feasible_gains(np.random.default_rng(t), 1, l, budget)[0],
             ]
             for alpha in rules:
-                v, w, q = quadratic_form(h, alpha, params)
-                v_ref, w_ref, q_ref = reference_quadratic_form(h, alpha, params)
+                v, w, q = quadratic_form(h, alpha, params, noise)
+                v_ref, w_ref, q_ref = reference_quadratic_form(h, alpha, params, noise)
                 assert np.array_equal(v, v_ref)
                 assert q == pytest.approx(q_ref, rel=1e-12, abs=0.0)
                 # w = R^-1 v is backward stable: its residual is rounding
                 # on the scale of R w (w itself is as ill-conditioned as R)
-                r = received_covariance(h, alpha, params)
+                r = received_covariance(h, alpha, params, noise)
                 scale = np.linalg.norm(r, 2) * np.linalg.norm(w) + np.linalg.norm(v)
                 assert np.linalg.norm(r @ w - v) <= 1e-14 * scale
-                fe = finite_exponent(h, alpha, params)
+                fe = finite_exponent(h, alpha, params, noise)
                 assert fe == params.theta**2 * q / (8.0 * l)
 
 

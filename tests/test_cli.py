@@ -502,6 +502,25 @@ class TestAr1NoiseFreeSensing:
         assert text.count(b"\n") == 6  # comment, header, 2 rows per point
 
 
+class TestAr1ExtremeChannelSnr:
+    """AR(1) sensing noise goes through the same overflow-safe quadratic
+    form as iid noise."""
+
+    run_main = TestAr1NoiseFreeSensing.run_main
+
+    def test_rank_one_gram_at_gamma_c_1e300(self, tmp_path):
+        # AWGN, N = 2: H D(a) R_eta D(a)^H H^H has rank one and swallows
+        # sigma_nu_sq I at gamma_c = 1e300.  q depends on the powers only
+        # through sigma_nu_sq / P, so sigma_nu_sq = 1e-300 at the same
+        # gamma_c gives the same CSV
+        raw = {**AR1_BASE, "channel": "awgn", "num_antennas": 2, "sweep": sweep("gamma_c", [1e300])}
+        code, text = self.run_main(tmp_path, raw)
+        assert code == 0
+        tiny_code, tiny = self.run_main(tmp_path, {**raw, "sigma_nu_sq": 1e-300}, name="tiny")
+        assert tiny_code == 0
+        assert text == tiny
+
+
 # finite config values whose derived powers overflow double precision, or
 # underflow to 0 where a power must be positive
 OVERFLOW_CASES = {
@@ -513,6 +532,7 @@ OVERFLOW_CASES = {
     "sigma-eta-sq-overflows": {"gamma_s": 1e-300, "theta": 1e10},
     "gain-budget-overflows": {"total_power": 1e308, "gamma_s": 1e10, "theta": 1e-3},
     "gamma_c-grid-point-overflows": {"sigma_nu_sq": 1e10, "sweep": sweep("gamma_c", [1.0, 1e300])},
+    "gamma_c-overflows": {"total_power": 1e10, "sigma_nu_sq": 1e-300},
 }
 
 
@@ -624,10 +644,13 @@ class TestSchemesExperiment:
                 assert at_x["hybrid(N=2)"] == at_x["method1(N=2)"]
 
 
-    def test_tied_methods_report_no_crossover(self, tmp_path):
+    @pytest.mark.parametrize("n,l", [(2, 6), (3, 3), (4, 3), (5, 3)])
+    def test_tied_methods_report_no_crossover(self, tmp_path, n, l):
         # on AWGN channels both methods spend the budget on the same
-        # uniform gains, so every method1 - method2 gap is exactly 0
-        raw = {"channel": "awgn", "num_antennas": 2, "num_sensors": 6,
+        # uniform gains (method2's direction normalized alike whether it
+        # comes from H H^H or, for N >= L, from H^H H), so every
+        # method1 - method2 gap is exactly 0
+        raw = {"channel": "awgn", "num_antennas": n, "num_sensors": l,
                "sweep": sweep("gamma_s", [0.5, 2.0])}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
@@ -635,11 +658,11 @@ class TestSchemesExperiment:
         assert cli.main(["schemes", "--config", str(path), "--out", str(out)]) == 0
         rows = list(csv.DictReader(line for line in out.read_text().splitlines()
                                    if not line.startswith("#")))
-        crossover = [r for r in rows if r["series"] == "crossover(N=2)"]
+        crossover = [r for r in rows if r["series"] == f"crossover(N={n})"]
         assert len(crossover) == 1 and math.isnan(float(crossover[0]["value"]))
         for x in ("0.5", "2.0"):
             at_x = {r["series"]: r["value"] for r in rows if r["x_value"] == x}
-            assert at_x["hybrid(N=2)"] == at_x["method1(N=2)"] == at_x["method2(N=2)"]
+            assert at_x[f"hybrid(N={n})"] == at_x[f"method1(N={n})"] == at_x[f"method2(N={n})"]
 
     def test_each_channel_drawn_and_each_point_scored_once(self, monkeypatch):
         # the crossover is calibrated on the sweep's own channels and grid

@@ -31,7 +31,14 @@ from macdet.model import (
     sample_channel,
 )
 from macdet.numerics import q_function
-from oracles import Hypothesis, ReceivedSignal, decide, reference_pe_montecarlo, synthesize
+from oracles import (
+    Hypothesis,
+    ReceivedSignal,
+    decide,
+    received_block,
+    reference_pe_montecarlo,
+    synthesize,
+)
 
 
 def make_params(l=6, n=2, sigma_eta_sq=1.0, sigma_nu_sq=1.0, p1=0.5, total_power=1.5):
@@ -130,6 +137,10 @@ class TestCovarianceR:
 
 
 class TestSynthesize:
+    """The per-trial signal model; its sample moments are drawn as one
+    block by received_block, which TestMontecarloOracle ties to
+    synthesize trial by trial."""
+
     def test_noiseless_limit_reproduces_signal(self):
         params = make_params(l=4, n=2, sigma_eta_sq=0.0, sigma_nu_sq=1e-18)
         h = np.ones((2, 4), dtype=complex)
@@ -145,9 +156,7 @@ class TestSynthesize:
         alpha = alpha_uniform(params)
         n_draws = 100_000
         gen = RandomSource(master_seed=3).generator()
-        ys = np.empty((n_draws, 2), dtype=complex)
-        for t in range(n_draws):
-            ys[t] = synthesize(h, alpha, params, Hypothesis.H0, gen).y
+        ys = received_block(h, alpha.values, params, np.zeros(n_draws, dtype=bool), gen)
         sample = ys.T @ ys.conj() / n_draws
         r = received_covariance(h, alpha, params)
         se = np.sqrt(np.outer(np.diag(r).real, np.diag(r).real) / n_draws)
@@ -160,10 +169,8 @@ class TestSynthesize:
         alpha = alpha_uniform(params)
         n_draws = 100_000
         gen = RandomSource(master_seed=5).generator()
-        total = np.zeros(2, dtype=complex)
-        for _ in range(n_draws):
-            total += synthesize(h, alpha, params, Hypothesis.H1, gen).y
-        mean = total / n_draws
+        ys = received_block(h, alpha.values, params, np.ones(n_draws, dtype=bool), gen)
+        mean = ys.mean(axis=0)
         expected = params.theta * (h @ alpha.values)
         r = received_covariance(h, alpha, params)
         se = np.sqrt(np.diag(r).real / n_draws)

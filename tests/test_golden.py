@@ -85,7 +85,7 @@ EXPERIMENTS = {
         "schemes",
         {**RICEAN, "num_antennas": 50, "num_sensors": 30, "gamma_c": 10.0, "channel_draws": 2,
          "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "99caca7ac4abe6ce406dd05a7ccb4f743842e62653865d3caf0d7aab64af6047",
+        "a4c091c182d6b76afdc9df83f732388f4d90be338df073b4abba13c1556f4233",
     ),
     "sdr-compare-one-point": (
         "sdr-compare",
@@ -134,7 +134,7 @@ EXPERIMENTS = {
         {**RICEAN, "num_antennas": 2, "num_sensors": 6, "noise": "ar1", "noise_corr": 0.5,
          "gamma_s": 2.0, "trials": 1000, "channel_draws": 2,
          "sweep": {"variable": "gamma_c", "grid": [1.0, 4.0]}},
-        "03f366937728338bcadb81f251036c1b68f32c89b5b6e644a87ddbc8c5384107",
+        "a180119116f5b70677e84ee1a8e0c07bcb9b34731e730830ce3027939bf9779f",
     ),
     "montecarlo-N-awgn": (
         "montecarlo",

@@ -63,8 +63,8 @@ class TestNetworkParams:
             dict(p1=0.0),
             dict(p1=1.0),
             dict(total_power=0.0),
-            # non-finite powers, p1 theta^2 out of range, and a gain budget
-            # that overflows or underflows
+            # non-finite powers, p1 theta^2 out of range, a gain budget that
+            # overflows or underflows, and a channel SNR that overflows
             dict(theta=math.inf),
             dict(theta=math.nan),
             dict(sigma_eta_sq=math.inf),
@@ -74,6 +74,7 @@ class TestNetworkParams:
             dict(theta=1e200),
             dict(total_power=1e308, sigma_eta_sq=1e-10, theta=1e-3),
             dict(total_power=1e-300, theta=1e20),
+            dict(total_power=1e10, sigma_nu_sq=1e-300),
         ],
     )
     def test_validation(self, bad):

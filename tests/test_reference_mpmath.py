@@ -136,17 +136,15 @@ def test_e_csis1_numeric_ricean_documented_accuracy(k, gamma_s, gamma_c):
     assert abs(value - float(reference)) <= 1e-9
 
 
-def mp_quadratic_form(h, a, sigma_eta_sq, sigma_nu_sq):
-    # v^H R^-1 v with R = sigma_eta_sq H D(|a|^2) H^H + sigma_nu_sq I,
-    # formed and solved in mpmath from the double inputs
+def mp_quadratic_form(h, a, r_eta, sigma_nu_sq):
+    # v^H R^-1 v with R = H D(a) R_eta D(a)^H H^H + sigma_nu_sq I, formed
+    # and solved in mpmath from the double inputs; a scalar r_eta stands
+    # for r_eta I (iid sensing noise)
     n, l = h.shape
     hm = mp.matrix(h.tolist())
-    d = [abs(mp.mpc(x)) ** 2 for x in a.tolist()]
-    r = mp.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            r[i, j] = sigma_eta_sq * mp.fsum(hm[i, k] * d[k] * mp.conj(hm[j, k]) for k in range(l))
-        r[i, i] += sigma_nu_sq
+    b = hm * mp.diag(a.tolist())
+    r_m = mp.matrix(r_eta.tolist()) if np.ndim(r_eta) else r_eta * mp.eye(l)
+    r = b * r_m * b.H + sigma_nu_sq * mp.eye(n)
     v = hm * mp.matrix(a.tolist())
     return mp.re((v.H * mp.lu_solve(r, v))[0])
 
@@ -189,3 +187,30 @@ def test_quadratic_form_where_the_scaled_gram_overflows(model, l):
         with mp.workdps(60):
             reference = mp_quadratic_form(h, a, params.sigma_eta_sq, params.sigma_nu_sq)
             assert rel_err(quadratic_form(h, a, params)[2], reference) <= 1e-12
+
+
+@pytest.mark.parametrize("gains", ["uniform", "method2"])
+@pytest.mark.parametrize(
+    "sigma_nu_sq,total_power", [(1.0, 1e300), (1e-300, 1.0), (1.0, 1e10)],
+    ids=["gamma_c", "sigma_nu", "moderate"],
+)
+@pytest.mark.parametrize("model", [ChannelModel.awgn(), ChannelModel.rayleigh()],
+                         ids=["awgn", "rayleigh"])
+@pytest.mark.parametrize("rho", [0.5, 0.95])
+def test_correlated_quadratic_form_at_extreme_powers(rho, model, sigma_nu_sq, total_power, gains):
+    # AR(1) sensing noise of power 0.3 (so that |S|_max is not 1), N=2,
+    # L=4: at P_T / sigma_nu_sq = 1e300 the Gram
+    # matrix H D(a) R_eta D(a)^H H^H swamps sigma_nu_sq I (and is rank one
+    # on AWGN), so an explicitly formed R does not factor; the core answers
+    # through the same Cholesky and spectral forms as under iid noise
+    from macdet.allocation import alpha_uniform, method2, quadratic_form
+    from macdet.model import RandomSource, SensingNoiseModel, sample_channel
+
+    params = NetworkParams(4, 2, 1.0, 0.3, sigma_nu_sq, 0.5, total_power)
+    lag = np.arange(4)[:, np.newaxis] - np.arange(4)[np.newaxis, :]
+    r_eta = 0.3 * rho ** np.abs(lag) + 0j
+    h = sample_channel(model, 2, 4, RandomSource(3)).entries
+    a = (alpha_uniform(params) if gains == "uniform" else method2(h, params)).values
+    q = quadratic_form(h, a, params, SensingNoiseModel(r_eta=r_eta))[2]
+    with mp.workdps(700):
+        assert rel_err(q, mp_quadratic_form(h, a, r_eta, sigma_nu_sq)) <= 1e-12
