@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import ChannelMatrix, NetworkParams, SensingNoiseModel
 from .numerics import canonical_phase, hermitian_eig
@@ -193,9 +192,10 @@ def _forms(h, a, sensing, sigma_nu_sq: float, solve: bool = False):
     q = np.sum(y.real**2 + y.imag**2, axis=-1) / sigma_nu_sq
     if not solve:
         return v, q
-    # solve is only asked of single items (quadratic_form): LAPACK's
-    # triangular solve with L^H, without solve_triangular's checks
-    w = scipy.linalg.lapack.ztrtrs(factor[:n, :n], y, lower=1, trans=2)[0]
+    # solve is only asked of single items (quadratic_form): L^H is upper
+    # triangular, so LU with partial pivoting leaves it unchanged and the
+    # solve is one back substitution
+    w = np.linalg.solve(factor[:n, :n].conj().T, y)
     return v, w / sigma_nu_sq, q
 
 

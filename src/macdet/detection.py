@@ -22,9 +22,16 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .allocation import _entries, _forms, _gain_values, _sensing, alpha_uniform, quadratic_form
+from .allocation import (
+    _check_dims,
+    _entries,
+    _forms,
+    _gain_values,
+    _sensing,
+    alpha_uniform,
+    quadratic_form,
+)
 from .model import (
     ChannelModel,
     NetworkParams,
@@ -109,7 +116,10 @@ def log_pe_conditional(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Natural log of pe_conditional, stable far below underflow."""
-    return float(_log_pe(params, quadratic_form(channel, alpha, params, noise)[2]))
+    h = _entries(channel)
+    a = _gain_values(alpha)
+    _check_dims(h, a, params)
+    return float(_log_pe(params, _forms(h, a, _sensing(params, noise), params.sigma_nu_sq)[1]))
 
 
 def pe_conditional(
@@ -180,6 +190,16 @@ def estimate_pe_montecarlo(
     return PeEstimate.from_counts(errors, trials)
 
 
+def _log_mean_exp(log_p: np.ndarray) -> np.ndarray:
+    """log of the mean of exp(log_p) down the first axis, shifted by each
+    column's largest entry (by 0 where that is -inf: the mean is then 0)."""
+    top = log_p.max(axis=0)
+    top[np.isneginf(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        total = np.log(np.sum(np.exp(log_p - top), axis=0))
+    return top + total - math.log(log_p.shape[0])
+
+
 @dataclass(frozen=True)
 class ExponentCurve:
     """-(1/L) ln Pe sampled over a sensor-count grid, with the large-L
@@ -232,8 +252,7 @@ def empirical_exponent(
     for d in range(draws):
         h = sample_channel(model, params.num_antennas, l_max, rng.substream("exponent", d)).entries
         log_pe[d] = _log_pe(params, _forms(h, gains, sensing, params.sigma_nu_sq)[1])
-    averaged = logsumexp(log_pe, axis=0) - math.log(draws)
-    values = -averaged / np.asarray(grid, dtype=float)
+    values = -_log_mean_exp(log_pe) / np.asarray(grid, dtype=float)
     return ExponentCurve(
         l_grid=np.asarray(grid),
         values=values,

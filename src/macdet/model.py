@@ -18,9 +18,8 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, i1e
 
-from .numerics import _check_square_hermitian
+from .numerics import _bessel_i01e, _check_square_hermitian
 
 __all__ = [
     "RandomSource",
@@ -246,16 +245,16 @@ def mean_abs_h(model: ChannelModel) -> float:
 
         E|h| = sqrt(pi / (4 (K + 1))) ((1 + K) i0e(K/2) + K i1e(K/2)),
 
-    with the exponentially scaled Bessel functions i_ne(x) = e^-x I_n(x),
-    which keep every factor finite for any finite K.  It is sqrt(pi)/2 at
-    K = 0 (Rayleigh) and tends to 1 as K grows; relative error within
-    1e-15 of the exact mean.
+    with the exponentially scaled Bessel functions i_ne(x) = e^-x I_n(x)
+    (numerics._bessel_i01e), which keep every factor finite for any
+    finite K.  It is sqrt(pi)/2 at K = 0 (Rayleigh) and tends to 1 as K
+    grows; relative error within 1e-15 of the exact mean.
     """
     if model.is_awgn:
         return 1.0
     k = model.k_factor
-    bessel = (1.0 + k) * i0e(k / 2.0) + k * i1e(k / 2.0)
-    return math.sqrt(math.pi / (4.0 * (k + 1.0))) * float(bessel)
+    i0e, i1e = _bessel_i01e(k / 2.0)
+    return math.sqrt(math.pi / (k + 1.0)) / 2.0 * ((1.0 + k) * i0e + k * i1e)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Dense complex Hermitian linear algebra and the special functions used
-throughout the package (Gaussian tail Q, exponential integral E1).
+throughout the package (log of the Gaussian tail Q, the exponentially
+scaled Bessel functions I0 and I1, exponential integral E1), on NumPy and
+the standard library's math module alone.
 
 All eigen-decompositions share one deterministic convention so downstream
 results are reproducible bit-for-bit: eigenvalues ascending, and each
@@ -16,8 +18,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.linalg
-from scipy.special import erfc, log_ndtr
 
 __all__ = [
     "HermitianEig",
@@ -25,7 +25,6 @@ __all__ = [
     "solve_hermitian_pd",
     "psd_project",
     "canonical_phase",
-    "q_function",
     "log_q",
     "exp_e1_scaled",
 ]
@@ -115,10 +114,10 @@ def solve_hermitian_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, b))
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:
@@ -131,21 +130,86 @@ def psd_project(a: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def q_function(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x), via erfc.
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Past this x, log Q comes from its asymptotic series: Q(x) is still a
+# normal double up to x = 37.5, and the series needs <= 8 terms from here.
+_LOG_Q_TAIL = 37.0
 
-    Vectorized; Q(-inf) = 1, Q(0) = 1/2, Q(inf) = 0.  Relative error
-    within 1e-15 * max(1, x^2) wherever Q is a normal double: the tail's
-    own condition number grows like x^2, so rounding x alone costs that.
-    """
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+def _log_q(x: float) -> float:
+    if x < 0.0:
+        # log Q(x) = log1p(-Q(-x)), about -Q(-x): relative accuracy kept
+        return math.log1p(-0.5 * math.erfc(-x / _SQRT2))
+    if x < _LOG_Q_TAIL:
+        return math.log(0.5 * math.erfc(x / _SQRT2))
+    if x == math.inf:
+        return -math.inf
+    # Q(x) = phi(x)/x (1 + sum_k (-1)^k (2k-1)!! / x^(2k)), summed up to
+    # the first term below 2^-60
+    r = 1.0 / (x * x)
+    term, total, k = 1.0, 0.0, 0
+    while abs(term) > 8.7e-19:
+        k += 1
+        term *= -(2 * k - 1) * r
+        total += term
+    return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(total)
 
 
 def log_q(x):
-    """Natural log of Q(x), safe for arguments far beyond erfc underflow:
-    scipy's log_ndtr(-x), which keeps its relative accuracy on both
-    tails (log Q(x) is about -Q(-x) below x = -1).  Vectorized."""
-    return log_ndtr(-np.asarray(x, dtype=float))
+    """Natural log of the Gaussian tail Q(x) = P(N(0,1) > x), with its
+    relative accuracy kept on both tails and far past erfc underflow.
+    Vectorized; a scalar or 0-d input gives a NumPy float.
+
+    Below 0 it is log1p(-Q(-x)) (log Q(x) is about -Q(-x) there), up to
+    x = 37 the log of Q from math.erfc, and beyond that the asymptotic
+    series -x^2/2 - ln(x sqrt(2 pi)) + log1p(sum_k (-1)^k (2k-1)!!/x^2k).
+    Relative error within 1e-15 * max(1, x^2): the tail's own condition
+    number grows like x^2, so rounding x alone costs that.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.float64(_log_q(float(x)))
+    return np.array([_log_q(t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+# From this x on, the Hankel expansion of e^-x I_n(x) is more accurate
+# than the power series: its smallest term, near k = 2x, is below 2e-18.
+_BESSEL_HANKEL_X = 20.0
+
+
+def _bessel_i01e(x: float) -> tuple[float, float]:
+    """The exponentially scaled modified Bessel functions (e^-x I0(x),
+    e^-x I1(x)) for x >= 0, finite for every finite x.
+
+    Power series for x < 20, where every term is positive; beyond that
+    the Hankel expansion e^-x I_n(x) ~ (2 pi x)^(-1/2) sum_k
+    (-1)^k a_k(n) / x^k, a_k(n) = prod_{j<=k} (4 n^2 - (2j - 1)^2) /
+    (k! 8^k), truncated where its terms drop below 2^-60 or, at the
+    latest, at its smallest term.
+    """
+    if x < _BESSEL_HANKEL_X:
+        # I0 = sum t_k, I1 = (x/2) sum t_k / (k+1), t_k = (x^2/4)^k / k!^2
+        y = 0.25 * x * x
+        term, i0, i1, k = 1.0, 1.0, 1.0, 0
+        while term > 8.7e-19 * i1:
+            k += 1
+            term *= y / (k * k)
+            i0 += term
+            i1 += term / (k + 1)
+        scale = math.exp(-x)
+        return scale * i0, scale * (0.5 * x) * i1
+    r = 1.0 / (8.0 * x)
+    t0, t1, i0, i1, k = 1.0, 1.0, 1.0, 1.0, 0
+    while max(t0, abs(t1)) >= 8.7e-19 and k + 1 < 2.0 * x:
+        k += 1
+        odd = (2 * k - 1) ** 2
+        t0 *= odd * r / k
+        t1 *= (odd - 4) * r / k
+        i0 += t0
+        i1 += t1
+    scale = 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(x)
+    return scale * i0, scale * i1
 
 
 _EULER_GAMMA = 0.57721566490153286061

@@ -578,12 +578,19 @@ class TestModuleEntryPoint:
         expected = cli.rows_to_csv(cli.run(cli.parse_config({"figure_id": 5}, "figure"))[0])
         assert proc.stdout == expected
 
-    def test_import_leaves_quadrature_unloaded(self):
-        # scipy.integrate (and the scipy.optimize it pulls in) is test-side
-        # only; a fresh interpreter must not pay for it at startup
+    def test_presets_run_without_scipy(self):
+        # the runtime is NumPy and the standard library only.  figure2
+        # reaches log_q and the Monte Carlo solve, figure3 the array log_q
+        # and the log-sum-exp over channel draws, figure7 mean_abs_h; no
+        # scipy module may be loaded after them, not even by an import
+        # inside a function
         probe = (
-            "import sys, macdet.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+            "import sys\n"
+            "from macdet import cli\n"
+            "for raw in ({'figure_id': 2, 'trials': 1000, 'channel_draws': 1},\n"
+            "            {'figure_id': 3}, {'figure_id': 7}):\n"
+            "    assert cli.run(cli.parse_config(raw, 'figure'))[1] == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=_env_with_src(), timeout=120

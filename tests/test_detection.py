@@ -30,11 +30,11 @@ from macdet.model import (
     SensingNoiseModel,
     sample_channel,
 )
-from macdet.numerics import q_function
 from oracles import (
     Hypothesis,
     ReceivedSignal,
     decide,
+    q_function,
     received_block,
     reference_pe_montecarlo,
     synthesize,

@@ -8,6 +8,7 @@ from macdet.model import (
     NetworkParams,
     RandomSource,
     SensingNoiseModel,
+    complex_normal,
     mean_abs_h,
     sample_channel,
     sample_sensing_noise,
@@ -175,15 +176,16 @@ class TestSensingNoise:
         eta = sample_sensing_noise(SensingNoiseModel.iid(0.0), 5, RandomSource(0))
         assert np.array_equal(eta, np.zeros(5, dtype=complex))
 
+    # Both covariance checks color one (L, n) block of standard CN(0, 1)
+    # draws, the transform sample_sensing_noise applies to each vector
+    # (test_iid_equals_diagonal_correlated_bitwise covers that function).
     def test_iid_sample_covariance(self):
         sigma2 = 0.7
         gen = RandomSource(5).generator()
         n, L = 100_000, 4
-        draws = np.empty((n, L), dtype=complex)
         model = SensingNoiseModel.iid(sigma2)
-        for i in range(n):
-            draws[i] = sample_sensing_noise(model, L, gen)
-        cov = draws.conj().T @ draws / n
+        draws = model.color(complex_normal(gen, (L, n)))
+        cov = draws @ draws.conj().T / n
         assert np.allclose(np.diag(cov).real, sigma2, rtol=0.02)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) < 0.02 * sigma2
@@ -193,10 +195,8 @@ class TestSensingNoise:
         model = SensingNoiseModel.correlated(r)
         gen = RandomSource(6).generator()
         n = 200_000
-        draws = np.empty((n, 2), dtype=complex)
-        for i in range(n):
-            draws[i] = sample_sensing_noise(model, 2, gen)
-        cov = draws.conj().T @ draws / n
+        draws = model.color(complex_normal(gen, (2, n)))
+        cov = draws @ draws.conj().T / n
         for i in range(2):
             for j in range(2):
                 se = math.sqrt(abs(r[i, i] * r[j, j]) / n)

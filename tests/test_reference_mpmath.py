@@ -1,6 +1,7 @@
 """Special functions, the Ricean amplitude mean and the single-antenna
 full-CSI exponent quadrature against mpmath (50 significant digits, 30
-for the quadrature), each held to the accuracy its docstring states."""
+for the quadrature), each held to the accuracy its docstring states.
+The log-sum-exp over channel draws is checked against SciPy's."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 
 from macdet import numerics
 from macdet.model import ChannelModel, NetworkParams, mean_abs_h
-from oracles import e_csis1_numeric
+from oracles import e_csis1_numeric, q_function
 
 mp = pytest.importorskip("mpmath")
 
@@ -35,7 +36,7 @@ Q_POINTS = np.concatenate([np.linspace(-38.0, 0.0, 77), np.linspace(0.25, 37.5, 
 def test_q_function_within_tail_conditioning():
     for x in Q_POINTS:
         bound = 1e-15 * max(1.0, x * x)
-        assert rel_err(float(numerics.q_function(x)), mp_q(x)) <= bound, x
+        assert rel_err(float(q_function(x)), mp_q(x)) <= bound, x
 
 
 @pytest.mark.parametrize("x", np.linspace(-1.0, 25.0, 105))
@@ -66,6 +67,42 @@ def test_log_q_relative_past_branch_point(x):
     assert rel_err(numerics.log_q(x), mp.log(mp_q(x))) <= 1e-15
 
 
+def mp_log_q(x):
+    # log1p(-Q(-x)) below -1: Q(x) lies so close to 1 there that
+    # mp.log(mp_q(x)) would round to 0 even at 50 digits
+    return mp.log1p(-mp_q(-x)) if x < -1.0 else mp.log(mp_q(x))
+
+
+def _around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# every branch of log_q and both seams (x = 0 and the far-tail threshold
+# numerics._LOG_Q_TAIL = 37), from where log Q(x) ~ -Q(-x) is subnormal
+# out to x = 1e150
+LOG_Q_GRID = np.concatenate(
+    [
+        np.linspace(-38.0, 40.0, 781),
+        _around(0.0),
+        [-1e-300, 1e-300],
+        _around(numerics._LOG_Q_TAIL),
+        np.geomspace(40.0, 1e150, 150),
+    ]
+)
+
+
+def test_log_q_dense_grid_within_tail_conditioning():
+    # 1e-15 * max(1, x^2) relative, the tail's own conditioning; where
+    # log Q(x) ~ -Q(-x) is subnormal (x < -37.5) the result is also
+    # allowed the rounding of its last place, a few units of 2^-1074
+    values = numerics.log_q(LOG_Q_GRID)
+    for x, value in zip(LOG_Q_GRID, values):
+        reference = mp_log_q(x)
+        bound = 1e-15 * max(1.0, x * x) * abs(reference) + 4 * math.ulp(0.0)
+        assert abs(mp.mpf(value) - reference) <= bound, x
+        assert numerics.log_q(x) == value, x
+
+
 # series branch (x <= 1), both sides of the switch, the continued
 # fraction, and E1 down to where e^-x leaves the normal range
 E1_POINTS = np.concatenate(
@@ -94,6 +131,18 @@ def mp_mean_rice(k):
 @pytest.mark.parametrize("k", [1.0, 10.0, 20.0, 1e8, 1e15, 1e50, 1e300])
 def test_mean_abs_h_ricean_documented_accuracy(k):
     assert rel_err(mean_abs_h(ChannelModel.ricean(k)), mp_mean_rice(k)) <= 1e-15
+
+
+# K = 0, a log grid out to 1e300 and both sides of the switch from the
+# Bessel power series to the Hankel expansion at K/2 = 20
+MEAN_ABS_H_GRID = np.concatenate(
+    [[0.0], np.logspace(-6.0, 300.0, 52), np.logspace(-6.0, 3.0, 46), np.linspace(28.0, 44.0, 33)]
+)
+
+
+def test_mean_abs_h_dense_grid():
+    for k in MEAN_ABS_H_GRID:
+        assert rel_err(mean_abs_h(ChannelModel.ricean(k)), mp_mean_rice(k)) <= 1e-14, k
 
 
 def test_mean_rice_reference_matches_rayleigh_closed_form():
@@ -214,3 +263,56 @@ def test_correlated_quadratic_form_at_extreme_powers(rho, model, sigma_nu_sq, to
     q = quadratic_form(h, a, params, SensingNoiseModel(r_eta=r_eta))[2]
     with mp.workdps(700):
         assert rel_err(q, mp_quadratic_form(h, a, r_eta, sigma_nu_sq)) <= 1e-12
+
+
+LOG_MEAN_EXP_COLUMNS = {
+    "near -1e300": -1e300 * (1.0 + np.array([0.0, 1e-16, 3e-16, 1e-15])),
+    "-1e300 beside -1": [-1e300, -1.0, -1e300, -2.0],
+    "wide spread": [-0.5, -40.0, -700.0, -1e5],
+    "ties": [-3.0, -3.0, -3.0, -3.0],
+    "one -inf": [-np.inf, -2.0, -1.0, -5.0],
+    "all -inf": [-np.inf] * 4,
+    "close": [-12.25, -12.5, -12.75, -13.0],
+}
+
+
+def test_log_mean_exp_matches_scipy_logsumexp():
+    # detection._log_mean_exp, the average over draws of empirical_exponent
+    from scipy.special import logsumexp
+
+    from macdet.detection import _log_mean_exp
+
+    columns = np.array(list(LOG_MEAN_EXP_COLUMNS.values()), dtype=float).T
+    value = _log_mean_exp(columns)
+    reference = logsumexp(columns, axis=0) - math.log(columns.shape[0])
+    for name, v, r in zip(LOG_MEAN_EXP_COLUMNS, value, reference):
+        if math.isinf(r):
+            assert v == r, name
+        else:
+            assert abs(v - r) <= 4e-16 * abs(r), name
+
+
+def test_empirical_exponent_averages_draws_like_logsumexp():
+    # draws > 1: the curve is -(logsumexp over draws of log Pe - ln draws)
+    # / L, with each draw's log Pe at L scored on its leading L columns
+    from dataclasses import replace
+
+    from scipy.special import logsumexp
+
+    from macdet.allocation import alpha_uniform
+    from macdet.detection import empirical_exponent, log_pe_conditional
+    from macdet.model import RandomSource, sample_channel
+
+    base = NetworkParams(4, 2, 1.0, 0.5, 1.0, 0.5, 3.0)
+    model = ChannelModel.ricean(1.0)
+    grid = [20, 60, 120, 200]
+    draws = 3
+    curve = empirical_exponent(base, model, grid, RandomSource(11), draws=draws)
+    log_pe = np.empty((draws, len(grid)))
+    for d in range(draws):
+        h = sample_channel(model, 2, grid[-1], RandomSource(11).substream("exponent", d)).entries
+        for i, l in enumerate(grid):
+            params = replace(base, num_sensors=l)
+            log_pe[d, i] = log_pe_conditional(h[:, :l], alpha_uniform(params), params)
+    expected = -(logsumexp(log_pe, axis=0) - math.log(draws)) / np.asarray(grid, dtype=float)
+    np.testing.assert_allclose(curve.values, expected, rtol=1e-12)
