@@ -12,10 +12,12 @@ Any (channel, gains) pair is scored by the statistic
     (theta^2 / (8 L)) alpha^H H^H R(alpha)^{-1} H alpha,
     R(alpha) = H D(alpha) R_eta D(alpha)^H H^H + sigma_nu^2 I,
 
-whose large-L limits are the closed forms in `exponents`; under either
-sensing-noise model it goes through one batched core (_forms).  Gains are
-computed centrally from known channel state; feedback to the sensors is
-modeled as noiseless.
+whose large-L limits are the closed forms in `exponents`.  Sensing noise
+is iid CN(0, sigma_eta_sq) with the network's sigma_eta_sq when no model
+is given (noise=None), so R_eta = sigma_eta_sq I, and a SensingNoiseModel's
+covariance R_eta otherwise; either way the statistic goes through one
+batched core (_forms).  Gains are computed centrally from known channel
+state; feedback to the sensors is modeled as noiseless.
 """
 
 from __future__ import annotations
@@ -105,13 +107,18 @@ def _entries(channel) -> np.ndarray:
     return h
 
 
-def _gain_values(alpha) -> np.ndarray:
-    if isinstance(alpha, GainVector):
-        return alpha.values
-    return np.asarray(alpha, dtype=np.complex128)
+def _sensing(params: NetworkParams, noise: SensingNoiseModel | None):
+    # the core's sensing argument: sigma_eta_sq under iid sensing noise
+    # (noise=None), the Cholesky factor S of R_eta under correlated noise
+    return params.sigma_eta_sq if noise is None else noise.scale_factor(params.num_sensors)
 
 
-def _check_dims(h: np.ndarray, a: np.ndarray, params: NetworkParams) -> None:
+def _item(channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None):
+    """The start of every single-item entry point: the channel entries h
+    (N, L) and gains a (L,) checked against params, and the core's
+    sensing argument for (params, noise)."""
+    h = _entries(channel)
+    a = alpha.values if isinstance(alpha, GainVector) else np.asarray(alpha, dtype=np.complex128)
     if h.shape != (params.num_antennas, params.num_sensors):
         raise ValueError(
             f"channel shape {h.shape} does not match "
@@ -119,27 +126,17 @@ def _check_dims(h: np.ndarray, a: np.ndarray, params: NetworkParams) -> None:
         )
     if a.shape != (params.num_sensors,):
         raise ValueError(f"gain length {a.shape} does not match {params.num_sensors}")
-
-
-def _sensing(params: NetworkParams, noise: SensingNoiseModel | None):
-    # the core's sensing argument: sigma_eta_sq under iid sensing noise,
-    # the Cholesky factor S of R_eta under correlated noise
-    if noise is None:
-        return params.sigma_eta_sq
-    return noise.sigma_eta_sq if noise.is_iid else noise.scale_factor(params.num_sensors)
+    return h, a, _sensing(params, noise)
 
 
 def received_covariance(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> np.ndarray:
     """Covariance H D(alpha) R_eta D(alpha)^H H^H + sigma_nu^2 I of the
-    array output, with R_eta = sigma_eta_sq I when no noise model is
-    given.  A diagonal correlated model reproduces the iid result
-    bit-for-bit (its Cholesky factor is exactly diagonal)."""
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    _check_dims(h, a, params)
-    sensing = _sensing(params, noise)
+    array output, with R_eta = sigma_eta_sq I under iid sensing noise
+    (noise=None).  A diagonal model R_eta = sigma_eta_sq I reproduces the
+    iid result bit-for-bit (its Cholesky factor is exactly diagonal)."""
+    h, a, sensing = _item(channel, alpha, params, noise)
     b = h * a[np.newaxis, :]
     bs = b @ sensing if isinstance(sensing, np.ndarray) else b * math.sqrt(sensing)
     r = bs @ bs.conj().T
@@ -225,12 +222,11 @@ def quadratic_form(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The matched-filter quantities (v, R^{-1} v, q) with v = H alpha and
     q = v^H R^{-1} v, shared by the exponent statistic and the detector,
-    from the core of finite_exponents under either sensing-noise model.
+    from the core of finite_exponents, under iid (noise=None) or
+    correlated sensing noise.
     The covariance is never formed or inverted."""
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    _check_dims(h, a, params)
-    v, w, q = _forms(h, a, _sensing(params, noise), params.sigma_nu_sq, solve=True)
+    h, a, sensing = _item(channel, alpha, params, noise)
+    v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
     return v, w, float(q)
 
 
@@ -239,10 +235,9 @@ def finite_exponent(
 ) -> float:
     """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha, with
     the quadratic form of quadratic_form (without R^{-1} v)."""
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    _check_dims(h, a, params)
-    return float(finite_exponents(h, a, params, noise))
+    h, a, sensing = _item(channel, alpha, params, noise)
+    q = _forms(h, a, sensing, params.sigma_nu_sq)[1]
+    return float(params.theta**2 * q / (8.0 * params.num_sensors))
 
 
 def finite_exponents(

@@ -479,7 +479,7 @@ def _noise_for(cfg: ExperimentConfig, params: NetworkParams) -> SensingNoiseMode
         return None
     idx = np.arange(params.num_sensors)
     r = params.sigma_eta_sq * cfg.noise_corr ** np.abs(idx[:, None] - idx[None, :])
-    return SensingNoiseModel.correlated(r.astype(np.complex128))
+    return SensingNoiseModel(r.astype(np.complex128))
 
 
 def _mean_ci(values) -> tuple[float, float | None]:

@@ -23,15 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocation import (
-    _check_dims,
-    _entries,
-    _forms,
-    _gain_values,
-    _sensing,
-    alpha_uniform,
-    quadratic_form,
-)
+from .allocation import _forms, _item, _sensing, alpha_uniform
 from .model import (
     ChannelModel,
     NetworkParams,
@@ -116,10 +108,8 @@ def log_pe_conditional(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Natural log of pe_conditional, stable far below underflow."""
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    _check_dims(h, a, params)
-    return float(_log_pe(params, _forms(h, a, _sensing(params, noise), params.sigma_nu_sq)[1]))
+    h, a, sensing = _item(channel, alpha, params, noise)
+    return float(_log_pe(params, _forms(h, a, sensing, params.sigma_nu_sq)[1]))
 
 
 def pe_conditional(
@@ -147,8 +137,9 @@ def estimate_pe_montecarlo(
     real parts followed by a block of imaginary parts.
 
     The received vector y is never formed.  With eta = S z, S the
-    sensing-noise factor (s when iid, the Cholesky factor when
-    correlated) and z ~ CN(0, I), the statistic theta Re(y^H w),
+    sensing-noise factor (sqrt(sigma_eta_sq) under iid noise, noise=None;
+    the Cholesky factor of R_eta otherwise) and z ~ CN(0, I), the
+    statistic theta Re(y^H w),
     w = R^{-1} H alpha, is
 
         theta [1{H1} theta Re(v^H w) + Re(z^H c) + Re(nu^H w)],
@@ -161,11 +152,9 @@ def estimate_pe_montecarlo(
         raise ValueError("trials must be >= 1000 for a meaningful estimate")
     if not isinstance(rng, RandomSource):
         raise TypeError("rng must be a RandomSource (block substreams required)")
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    v, w, q = quadratic_form(h, a, params, noise)
-    threshold = 0.5 * params.theta**2 * q + params.tau
-    sensing = _sensing(params, noise)
+    h, a, sensing = _item(channel, alpha, params, noise)
+    v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
+    threshold = 0.5 * params.theta**2 * float(q) + params.tau
     g = np.conj(a) * (h.conj().T @ w)
     c = sensing.conj().T @ g if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
     # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
@@ -236,7 +225,7 @@ def empirical_exponent(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     l_max = grid[-1]
-    if noise is not None and not noise.is_iid and noise.dimension < l_max:
+    if noise is not None and noise.dimension < l_max:
         raise ValueError("correlated noise model smaller than the largest grid point")
 
     # uniform gains of every grid size, zero beyond it: each row scores
@@ -245,8 +234,8 @@ def empirical_exponent(
     for i, l in enumerate(grid):
         gains[i, :l] = alpha_uniform(replace(base_params, num_sensors=l)).values
     params = replace(base_params, num_sensors=l_max)
-    if noise is not None and not noise.is_iid:
-        noise = SensingNoiseModel(r_eta=noise.r_eta[:l_max, :l_max])
+    if noise is not None:
+        noise = SensingNoiseModel(noise.r_eta[:l_max, :l_max])
     sensing = _sensing(params, noise)
     log_pe = np.empty((draws, len(grid)))
     for d in range(draws):

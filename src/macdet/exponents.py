@@ -295,8 +295,8 @@ def corr_noise_z(params: NetworkParams, noise: SensingNoiseModel) -> float:
 
         z_eff = gamma_c / (p1 * gamma_s_eff + 1).
 
-    An iid model (or a diagonal R_eta = sigma^2 I) reproduces the iid z
-    exactly.
+    A diagonal R_eta = sigma_eta_sq I reproduces the iid z of
+    SnrPoint.from_params exactly.
     """
     lam = noise.lambda_min
     if lam == 0.0:

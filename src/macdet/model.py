@@ -302,21 +302,19 @@ def sample_channel(
 
 @dataclass(frozen=True)
 class SensingNoiseModel:
-    """Per-sensor additive sensing noise: iid CN(0, sigma_eta_sq) or a
-    jointly Gaussian vector with Hermitian positive-definite covariance."""
+    """Sensing noise correlated across sensors: one jointly Gaussian
+    CN(0, R_eta) vector with Hermitian positive-definite covariance r_eta,
+    held with its Cholesky factor S (S S^H = R_eta).  iid sensing noise is
+    no model at all: noise=None means CN(0, sigma_eta_sq) at every sensor,
+    with the network's NetworkParams.sigma_eta_sq."""
 
-    sigma_eta_sq: float | None = None
-    r_eta: np.ndarray | None = None
+    r_eta: np.ndarray
 
     def __post_init__(self) -> None:
-        if (self.sigma_eta_sq is None) == (self.r_eta is None):
-            raise ValueError("specify exactly one of sigma_eta_sq or r_eta")
-        if self.sigma_eta_sq is not None:
-            if self.sigma_eta_sq < 0.0:
-                raise ValueError("sigma_eta_sq must be >= 0")
-            object.__setattr__(self, "_chol", None)
-            return
-        r = _check_square_hermitian(self.r_eta, 1e-12)
+        with np.errstate(invalid="ignore"):  # inf - inf; rejected below
+            r = _check_square_hermitian(self.r_eta, 1e-12)
+        if not np.isfinite(r).all():
+            raise ValueError("r_eta must be finite")
         try:
             chol = np.linalg.cholesky(r)
         except np.linalg.LinAlgError as exc:
@@ -326,52 +324,34 @@ class SensingNoiseModel:
         object.__setattr__(self, "r_eta", r)
         object.__setattr__(self, "_chol", chol)
 
-    @classmethod
-    def iid(cls, sigma_eta_sq: float) -> "SensingNoiseModel":
-        return cls(sigma_eta_sq=float(sigma_eta_sq))
-
-    @classmethod
-    def correlated(cls, r_eta: np.ndarray) -> "SensingNoiseModel":
-        return cls(r_eta=r_eta)
-
     @property
-    def is_iid(self) -> bool:
-        return self.sigma_eta_sq is not None
-
-    @property
-    def dimension(self) -> int | None:
-        """Sensor count pinned by a correlated covariance, else None."""
-        return None if self.is_iid else self.r_eta.shape[0]
+    def dimension(self) -> int:
+        """Sensor count the covariance pins."""
+        return self.r_eta.shape[0]
 
     @property
     def lambda_min(self) -> float:
-        """Smallest covariance eigenvalue (equals sigma_eta_sq when iid)."""
-        if self.is_iid:
-            return self.sigma_eta_sq
+        """Smallest covariance eigenvalue."""
         off = self.r_eta - np.diag(np.diag(self.r_eta))
         if not off.any():
             # eigenvalues of an exactly diagonal matrix are its diagonal
             return float(np.min(self.r_eta.real.diagonal()))
         return float(np.linalg.eigvalsh(self.r_eta)[0])
 
-    def scale_factor(self, num_sensors: int) -> np.ndarray | float:
-        """Cholesky-style factor S with S S^H = R_eta (scalar when iid)."""
-        if self.is_iid:
-            return math.sqrt(self.sigma_eta_sq)
-        if self.r_eta.shape[0] != num_sensors:
+    def scale_factor(self, num_sensors: int) -> np.ndarray:
+        """Cholesky factor S with S S^H = R_eta, for a network of
+        num_sensors sensors."""
+        if self.dimension != num_sensors:
             raise ValueError(
-                f"correlated noise is {self.r_eta.shape[0]}-dimensional, "
+                f"correlated noise is {self.dimension}-dimensional, "
                 f"network has {num_sensors} sensors"
             )
         return self._chol
 
     def color(self, std: np.ndarray) -> np.ndarray:
-        """Sensing noise from standard CN(0, 1) draws with the sensors
-        along the first axis: S @ std, or s * std when iid."""
-        factor = self.scale_factor(std.shape[0])
-        if self.is_iid:
-            return factor * std
-        return factor @ std
+        """Sensing noise S @ std from standard CN(0, 1) draws with the
+        sensors along the first axis."""
+        return self.scale_factor(std.shape[0]) @ std
 
 
 def sample_sensing_noise(
@@ -379,9 +359,6 @@ def sample_sensing_noise(
     num_sensors: int,
     rng: "RandomSource | np.random.Generator",
 ) -> np.ndarray:
-    """One sensing-noise vector of length num_sensors.
-
-    Both variants transform the same standard CN(0,1) draws, so an iid
-    model and Correlated(sigma^2 I) produce identical samples.
-    """
+    """One correlated sensing-noise vector of length num_sensors: the
+    model's color of one block of standard CN(0, 1) draws."""
     return model.color(complex_normal(as_generator(rng), num_sensors, 1.0))

@@ -29,13 +29,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erfc, i0e
 
-from macdet.allocation import (
-    _check_dims,
-    _entries,
-    _gain_values,
-    quadratic_form,
-    received_covariance,
-)
+from macdet.allocation import _item, quadratic_form, received_covariance
 from macdet.detection import _MC_BLOCK, PeEstimate
 from macdet.model import (
     ChannelModel,
@@ -79,8 +73,10 @@ class ReceivedSignal:
         object.__setattr__(self, "truth", Hypothesis(self.truth))
 
 
-def _noise_model(params: NetworkParams, noise: SensingNoiseModel | None) -> SensingNoiseModel:
-    return noise if noise is not None else SensingNoiseModel(sigma_eta_sq=params.sigma_eta_sq)
+def _color(params: NetworkParams, noise: SensingNoiseModel | None, std: np.ndarray) -> np.ndarray:
+    # sensing noise from standard CN(0, 1) draws with the sensors along the
+    # first axis: sqrt(sigma_eta_sq) std under iid noise (noise=None)
+    return math.sqrt(params.sigma_eta_sq) * std if noise is None else noise.color(std)
 
 
 def synthesize(
@@ -94,11 +90,9 @@ def synthesize(
     """One draw of the received vector.  Sensing noise is drawn first,
     receiver noise second, so a shared generator yields reproducible
     pairs."""
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    _check_dims(h, a, params)
+    h, a, _ = _item(channel, alpha, params, noise)
     gen = as_generator(rng)
-    eta = _noise_model(params, noise).color(complex_normal(gen, params.num_sensors))
+    eta = _color(params, noise, complex_normal(gen, params.num_sensors))
     nu = complex_normal(gen, params.num_antennas, params.sigma_nu_sq)
     signal = params.theta if hypothesis == Hypothesis.H1 else 0.0
     y = signal * (h @ a) + h @ (a * eta) + nu
@@ -126,9 +120,7 @@ def reference_quadratic_form(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(v, R^-1 v, q) with v = H alpha and q = max(Re v^H R^-1 v, 0): the
     covariance from received_covariance, solved by Cholesky."""
-    h = _entries(channel)
-    a = _gain_values(alpha)
-    _check_dims(h, a, params)
+    h, a, _ = _item(channel, alpha, params, noise)
     v = h @ a
     w = solve_hermitian_pd(received_covariance(h, a, params, noise), v)
     return v, w, max(float(np.vdot(v, w).real), 0.0)
@@ -147,7 +139,7 @@ def received_block(
     drawn from `gen` as one (L, count) block, then the receiver noise as
     one (count, N) block."""
     count = truth.size
-    eta = _noise_model(params, noise).color(complex_normal(gen, (params.num_sensors, count)))
+    eta = _color(params, noise, complex_normal(gen, (params.num_sensors, count)))
     nu = complex_normal(gen, (count, params.num_antennas), params.sigma_nu_sq)
     signal = np.where(truth, params.theta, 0.0)[:, np.newaxis] * (h @ a)[np.newaxis, :]
     return signal + (h @ (a[:, np.newaxis] * eta)).T + nu
@@ -167,8 +159,7 @@ def reference_pe_montecarlo(
     receiver noise) as `estimate_pe_montecarlo`, at O(N L) per trial.
     With block_size 1 each trial's substream is drawn in the order a
     `synthesize` call after one uniform draw consumes it."""
-    h = _entries(channel)
-    a = _gain_values(alpha)
+    h, a, _ = _item(channel, alpha, params, noise)
     _, w, q = quadratic_form(h, a, params, noise)
     threshold = 0.5 * params.theta**2 * q + params.tau
 

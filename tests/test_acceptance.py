@@ -137,7 +137,7 @@ def test_criterion_04_correlated_noise_reduction():
         p1=0.5,
         total_power=2.5,
     )
-    iid_matrix = SensingNoiseModel.correlated(
+    iid_matrix = SensingNoiseModel(
         np.eye(6, dtype=np.complex128) * params.sigma_eta_sq
     )
     pt = SnrPoint.from_params(params, k_factor=1.0)
@@ -158,7 +158,7 @@ def test_criterion_04_correlated_noise_reduction():
     for gamma_s in np.logspace(-1.0, 0.6, 10):
         for gamma_c in np.logspace(0.0, 1.0, 10):
             params_g = _params(6, 2, gamma_s=gamma_s, gamma_c=gamma_c)
-            noise_g = SensingNoiseModel.correlated(
+            noise_g = SensingNoiseModel(
                 (block * params_g.sigma_eta_sq).astype(np.complex128)
             )
             gs_eff = params_g.theta**2 / noise_g.lambda_min

@@ -775,5 +775,50 @@ class TestAlphaSdrPhase:
             alpha_sdr_phase(h, params)
 
 
+def per_sensor_bound(h, params):
+    # theta^2/(8L) sum_l phi(|h_l|^2), phi(x) = P x / (sigma_eta^2 P x +
+    # sigma_nu^2), h_l the l-th column.  For any unit combiner w and gains
+    # of power P, q(w) = |sum_l a_l g_l|^2 / (sigma_eta^2 sum_l |a_l g_l|^2
+    # + sigma_nu^2) with g_l = w^H h_l is at most sum_l phi(|g_l|^2)
+    # (Cauchy-Schwarz), which is at most sum_l phi(|h_l|^2); the
+    # MVDR identity q = max_w q(w) carries the bound to every gain rule.
+    # At N = 1 alpha_opt_n1 attains it.
+    p = params.gain_budget
+    x = np.sum(h.real**2 + h.imag**2, axis=0)
+    phi = p * x / (params.sigma_eta_sq * p * x + params.sigma_nu_sq)
+    return params.theta**2 / (8.0 * params.num_sensors) * float(np.sum(phi))
+
+
+class TestPerSensorBound:
+    """Every gain rule's finite exponent against the per-sensor bound, on
+    40 channels of each shape at random sensing and channel SNRs."""
+
+    MODELS = (ChannelModel.rayleigh(), ChannelModel.ricean(1.0), ChannelModel.awgn())
+
+    @pytest.mark.parametrize("n, l", [(1, 6), (1, 40), (2, 6), (5, 12), (8, 6)])
+    def test_every_rule_within_bound(self, n, l):
+        rng = np.random.default_rng(100 * n + l)
+        for seed in range(40):
+            gamma_s, gamma_c = 10.0 ** rng.uniform(-1.0, 2.0, size=2)
+            params = params_for(gamma_s, gamma_c, l=l, n=n)
+            model = self.MODELS[seed % len(self.MODELS)]
+            h = sample_channel(model, n, l, RandomSource(seed, n * 100 + l)).entries
+            bound = per_sensor_bound(h, params)
+            rules = {
+                "uniform": alpha_uniform(params),
+                "method1": method1(h, params)[0],
+                "method2": method2(h, params),
+                "sdr_phase": alpha_sdr_phase(h, params),
+            }
+            if n == 1:
+                rules["opt_n1"] = alpha_opt_n1(h[0], params)
+                rules["phase_only_n1"] = alpha_phase_only_n1(h[0], params)
+            for name, gains in rules.items():
+                assert finite_exponent(h, gains, params) <= bound * (1 + 1e-12), (name, seed)
+            if n == 1:
+                opt = finite_exponent(h, rules["opt_n1"], params)
+                assert opt == pytest.approx(bound, rel=1e-12, abs=0.0), seed
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))

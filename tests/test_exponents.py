@@ -226,6 +226,33 @@ class TestEPo1AndZeta:
                 assert full <= awgn * (1.0 + 1e-9)
                 assert awgn <= ex.bound_c(p) * (1.0 + 1e-12)
 
+    # Phase-only gains are feasible, so on Rayleigh the optimal
+    # single-antenna exponent lies between E_PO(1) and E_AWGN(1); the
+    # printed closed form falls below E_PO(1) at 125 of the 169 points
+    @pytest.mark.parametrize(
+        "e_csis1",
+        [
+            ex.e_csis1_rayleigh_mean,
+            pytest.param(
+                ex.e_csis1_rayleigh_closed,
+                marks=pytest.mark.xfail(strict=True, reason="printed form is below E_PO(1)"),
+            ),
+        ],
+        ids=["mean", "closed"],
+    )
+    def test_ordering_on_log_grid(self, e_csis1):
+        z = ex.ZetaFactor.rayleigh()
+        grid = np.logspace(-1.0, 2.0, 13)
+        outside = [
+            (gs, gc)
+            for gs in grid
+            for gc in grid
+            if not ex.e_po1(pt(gamma_s=gs, gamma_c=gc), z) * (1.0 - 1e-12)
+            <= e_csis1(pt(gamma_s=gs, gamma_c=gc))
+            <= ex.e_awgn(pt(gamma_s=gs, gamma_c=gc)) * (1.0 + 1e-12)
+        ]
+        assert not outside, f"{len(outside)} of 169 points out of order"
+
 
 class TestBounds:
     def test_bound_b_k_zero_antenna_free(self):
@@ -312,19 +339,17 @@ class TestGainCsisBoundNk:
 
 class TestCorrNoise:
     def test_iid_reduction_bitwise(self):
+        # a diagonal R_eta = sigma_eta_sq I gives the iid z (noise=None
+        # is the network's sigma_eta_sq, which SnrPoint.from_params reads)
         params = params_for(gamma_s=2.0, gamma_c=3.0, p1=0.4)
-        sigma2 = params.sigma_eta_sq
-        z_iid = ex.corr_noise_z(params, SensingNoiseModel.iid(sigma2))
-        z_diag = ex.corr_noise_z(
-            params, SensingNoiseModel.correlated(sigma2 * np.eye(8))
-        )
-        assert z_iid == z_diag
-        assert z_iid == ex.SnrPoint.from_params(params).z
+        noise = SensingNoiseModel(params.sigma_eta_sq * np.eye(8))
+        assert ex.corr_noise_z(params, noise) == ex.SnrPoint.from_params(params).z
+        assert ex.corr_power_budget(params, noise) == params.gain_budget
 
     def test_hand_eigenvalues(self):
         params = params_for(gamma_s=1.0, gamma_c=1.0)
         r = np.array([[1.0, 0.5], [0.5, 1.0]])
-        noise = SensingNoiseModel.correlated(r)
+        noise = SensingNoiseModel(r)
         # lambda_min = 0.5 -> gamma_s_eff = 2
         expected = params.gamma_c / (params.p1 * 2.0 + 1.0)
         assert ex.corr_noise_z(params, noise) == pytest.approx(expected, rel=1e-12)
@@ -335,13 +360,13 @@ class TestCorrNoise:
         params = params_for(gamma_s=1.0, gamma_c=1.0)
         for rho in [0.0, 0.3, 0.8]:
             r = np.array([[1.0, rho], [rho, 1.0]]) * params.sigma_eta_sq
-            noise = SensingNoiseModel.correlated(r)
+            noise = SensingNoiseModel(r)
             z_eff = ex.corr_noise_z(params, noise)
             assert z_eff <= ex.SnrPoint.from_params(params).z + 1e-15
 
     def test_corr_power_budget(self):
         params = params_for(gamma_s=1.0, gamma_c=1.0)
-        noise = SensingNoiseModel.correlated(np.diag([0.5, 1.0]).astype(complex))
+        noise = SensingNoiseModel(np.diag([0.5, 1.0]).astype(complex))
         assert ex.corr_power_budget(params, noise) == pytest.approx(
             params.total_power / (params.p1 + 0.5), rel=1e-12
         )

@@ -172,18 +172,21 @@ class TestSampleChannel:
 
 
 class TestSensingNoise:
-    def test_zero_variance_gives_zero_vector(self):
-        eta = sample_sensing_noise(SensingNoiseModel.iid(0.0), 5, RandomSource(0))
-        assert np.array_equal(eta, np.zeros(5, dtype=complex))
+    # iid sensing noise of any power, zero included, is noise=None with
+    # the network's sigma_eta_sq; a model is a positive-definite covariance
+    def test_zero_covariance_is_rejected(self):
+        with pytest.raises(ValueError):
+            SensingNoiseModel(np.zeros((5, 5)))
 
     # Both covariance checks color one (L, n) block of standard CN(0, 1)
     # draws, the transform sample_sensing_noise applies to each vector
-    # (test_iid_equals_diagonal_correlated_bitwise covers that function).
-    def test_iid_sample_covariance(self):
+    # (test_diagonal_model_equals_scaled_iid_draws_bitwise covers that
+    # function).
+    def test_diagonal_sample_covariance(self):
         sigma2 = 0.7
         gen = RandomSource(5).generator()
         n, L = 100_000, 4
-        model = SensingNoiseModel.iid(sigma2)
+        model = SensingNoiseModel(sigma2 * np.eye(L))
         draws = model.color(complex_normal(gen, (L, n)))
         cov = draws @ draws.conj().T / n
         assert np.allclose(np.diag(cov).real, sigma2, rtol=0.02)
@@ -192,7 +195,7 @@ class TestSensingNoise:
 
     def test_correlated_sample_covariance(self):
         r = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-        model = SensingNoiseModel.correlated(r)
+        model = SensingNoiseModel(r)
         gen = RandomSource(6).generator()
         n = 200_000
         draws = model.color(complex_normal(gen, (2, n)))
@@ -202,32 +205,38 @@ class TestSensingNoise:
                 se = math.sqrt(abs(r[i, i] * r[j, j]) / n)
                 assert abs(cov[i, j] - r[i, j]) <= 3.0 * se
 
-    def test_iid_equals_diagonal_correlated_bitwise(self):
+    def test_diagonal_model_equals_scaled_iid_draws_bitwise(self):
+        # iid noise is sqrt(sigma_eta_sq) times the same standard draws
         sigma2 = 0.3
         L = 6
-        iid = SensingNoiseModel.iid(sigma2)
-        corr = SensingNoiseModel.correlated(sigma2 * np.eye(L))
-        a = sample_sensing_noise(iid, L, RandomSource(7, 1))
-        b = sample_sensing_noise(corr, L, RandomSource(7, 1))
-        assert np.array_equal(a, b)
+        iid = math.sqrt(sigma2) * complex_normal(RandomSource(7, 1).generator(), L)
+        corr = sample_sensing_noise(SensingNoiseModel(sigma2 * np.eye(L)), L, RandomSource(7, 1))
+        assert np.array_equal(iid, corr)
 
     def test_lambda_min(self):
-        assert SensingNoiseModel.iid(0.4).lambda_min == 0.4
         r = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert SensingNoiseModel.correlated(r).lambda_min == pytest.approx(0.5)
-        d = SensingNoiseModel.correlated(np.diag([0.25, 1.0]))
+        assert SensingNoiseModel(r).lambda_min == pytest.approx(0.5)
+        d = SensingNoiseModel(np.diag([0.25, 1.0]))
         assert d.lambda_min == 0.25
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            SensingNoiseModel.correlated(np.array([[1.0, 0.2], [0.3, 1.0]]))
+            SensingNoiseModel(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            SensingNoiseModel.correlated(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            SensingNoiseModel(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # numpy's Cholesky factors a NaN matrix without raising
+        r = np.eye(2)
+        r[0, 0] = bad
+        with pytest.raises(ValueError):
+            SensingNoiseModel(r)
 
     def test_dimension_mismatch(self):
-        model = SensingNoiseModel.correlated(np.eye(3))
+        model = SensingNoiseModel(np.eye(3))
         with pytest.raises(ValueError):
             sample_sensing_noise(model, 4, RandomSource(0))
 

@@ -316,3 +316,33 @@ def test_empirical_exponent_averages_draws_like_logsumexp():
             log_pe[d, i] = log_pe_conditional(h[:, :l], alpha_uniform(params), params)
     expected = -(logsumexp(log_pe, axis=0) - math.log(draws)) / np.asarray(grid, dtype=float)
     np.testing.assert_allclose(curve.values, expected, rtol=1e-12)
+
+
+# Criterion 8's AWGN setting (gamma_s = 1, gamma_c = 10) and the sensor
+# counts it measures, from 25 up to its plateau points L = 400 and 600
+AWGN_GRID = (25, 50, 100, 200, 300, 400, 600)
+
+
+@pytest.mark.parametrize("p1", [0.5, 0.3])
+@pytest.mark.parametrize("n", [2, 10])
+def test_awgn_empirical_exponent_is_the_gaussian_tail_of_e_awgn(n, p1):
+    # On AWGN with uniform gains the finite exponent is e_awgn at every L,
+    # so Pe = p0 Q(omega + tau/omega) + p1 Q(omega - tau/omega) with
+    # omega = sqrt(4 L e_awgn), and -(1/L) ln Pe tends to 2 e_awgn: the
+    # measured/closed-form constant of criterion 8 is 2 plus the prefactor
+    # term ln(omega sqrt(2 pi)) / L, not a model mismatch.
+    from macdet.detection import empirical_exponent
+    from macdet.exponents import SnrPoint, e_awgn
+    from macdet.model import RandomSource
+
+    params = NetworkParams(AWGN_GRID[-1], n, 1.0, 1.0, 1.0, p1, 10.0)
+    curve = empirical_exponent(params, ChannelModel.awgn(), AWGN_GRID, RandomSource(8))
+    e = e_awgn(SnrPoint.from_params(params))
+    tau = mp.mpf(params.tau)
+    for l, value in zip(AWGN_GRID, curve.values):
+        omega = mp.sqrt(4 * l * mp.mpf(e))
+        pe = (1 - mp.mpf(p1)) * mp_q(omega + tau / omega) + p1 * mp_q(omega - tau / omega)
+        assert rel_err(value, -mp.log(pe) / l) <= 1e-9, l
+    if p1 == 0.5:
+        expected = {2: 2.0648, 10: 2.0617}[n]
+        assert abs(curve.plateau / e - expected) <= 1e-3
