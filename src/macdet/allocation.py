@@ -113,20 +113,20 @@ def _sensing(params: NetworkParams, noise: SensingNoiseModel | None):
     return params.sigma_eta_sq if noise is None else noise.scale_factor(params.num_sensors)
 
 
+def _shaped(what: str, x: np.ndarray, *shape: int) -> np.ndarray:
+    # x itself, once its shape is checked against the network's
+    if x.shape != shape:
+        raise ValueError(f"{what} shape {x.shape} does not match {shape}")
+    return x
+
+
 def _item(channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None):
     """The start of every single-item entry point: the channel entries h
     (N, L) and gains a (L,) checked against params, and the core's
     sensing argument for (params, noise)."""
-    h = _entries(channel)
+    h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
     a = alpha.values if isinstance(alpha, GainVector) else np.asarray(alpha, dtype=np.complex128)
-    if h.shape != (params.num_antennas, params.num_sensors):
-        raise ValueError(
-            f"channel shape {h.shape} does not match "
-            f"({params.num_antennas}, {params.num_sensors})"
-        )
-    if a.shape != (params.num_sensors,):
-        raise ValueError(f"gain length {a.shape} does not match {params.num_sensors}")
-    return h, a, _sensing(params, noise)
+    return h, _shaped("gain", a, params.num_sensors), _sensing(params, noise)
 
 
 def received_covariance(
@@ -287,16 +287,14 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
     |h_l| / (sigma_eta_sq P |h_l|^2 + sigma_nu_sq) scaled to spend P,
     phases conjugate to the channel."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    if h.size != params.num_sensors:
-        raise ValueError(f"expected {params.num_sensors} channel entries")
+    _shaped("channel row", h, params.num_sensors)
     return GainVector(values=_opt_n1_values(h, _power(h), params), budget=params.gain_budget)
 
 
 def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
     """Equal magnitudes sqrt(P/L) with channel-conjugate phases."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    if h.size != params.num_sensors:
-        raise ValueError(f"expected {params.num_sensors} channel entries")
+    _shaped("channel row", h, params.num_sensors)
     p = params.gain_budget
     values = math.sqrt(p / params.num_sensors) * np.exp(-1j * np.angle(h))
     return GainVector(values=values, budget=p)
@@ -318,9 +316,7 @@ def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     (theta^2/(8L)) sum_l 1/(sigma_eta_sq + sigma_nu_sq/(P |h_nl|^2))
     and applies the single-antenna optimal gains to its row.  Ties go
     to the lowest antenna index."""
-    h = _entries(channel)
-    if h.shape != (params.num_antennas, params.num_sensors):
-        raise ValueError("channel shape does not match params")
+    h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
     values, selected = _method1_values(h, _power(h), params)
     return GainVector(values=values, budget=params.gain_budget), int(selected)
 
@@ -353,9 +349,7 @@ def method2(channel, params: NetworkParams) -> GainVector:
     eigenvector of H^H H (the optimal direction when sensing noise is
     absent), as given by method2_direction.  For N < L the eigenvector
     is recovered from the small Gram matrix H H^H."""
-    h = _entries(channel)
-    if h.shape != (params.num_antennas, params.num_sensors):
-        raise ValueError("channel shape does not match params")
+    h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
     p = params.gain_budget
     return GainVector(values=math.sqrt(p) * method2_direction(h), budget=p)
 
@@ -453,9 +447,7 @@ def alpha_sdr_phase(channel, params: NetworkParams) -> GainVector:
 
     Raises SdpNonConvergence when the solver's gap is not certified.
     """
-    h = _entries(channel)
-    if h.shape != (params.num_antennas, params.num_sensors):
-        raise ValueError("channel shape does not match params")
+    h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
     p = params.gain_budget
     problem = SdpProblem(cost=h.conj().T @ h, diag_value=p / params.num_sensors)
     solution = solve_sdp(problem)

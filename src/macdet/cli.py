@@ -81,42 +81,17 @@ _SWEEPS = {
     "N": ("num_antennas", "n_list"),
     "L": ("num_sensors",),
     "K": ("ricean_k",),
-    "beta": (),
+    "beta": ("num_antennas",),
 }
 
-_KNOWN_KEYS = frozenset(
-    {
-        "experiment",
-        "figure_id",
-        "num_sensors",
-        "num_antennas",
-        "n_list",
-        "theta",
-        "sigma_eta_sq",
-        "sigma_nu_sq",
-        "p1",
-        "total_power",
-        "gamma_s",
-        "gamma_s_db",
-        "gamma_c",
-        "gamma_c_db",
-        "channel",
-        "ricean_k",
-        "noise",
-        "noise_corr",
-        "trials",
-        "channel_draws",
-        "seed",
-        "output",
-        "format",
-        "sweep",
-    }
-)
-
-# figure presets pin every model parameter themselves
-_RUN_CONTROL_KEYS = frozenset(
-    {"experiment", "figure_id", "trials", "channel_draws", "seed", "output", "format"}
-)
+# the config keys every experiment reads, and those of every experiment
+# with a network of its own (the figure presets pin theirs)
+_COMMON_KEYS = frozenset({"experiment", "seed", "output", "format"})
+_MODEL_KEYS = _COMMON_KEYS | {
+    "num_sensors", "num_antennas", "theta", "sigma_eta_sq", "sigma_nu_sq", "p1",
+    "total_power", "gamma_s", "gamma_s_db", "gamma_c", "gamma_c_db", "channel",
+    "ricean_k", "sweep",
+}
 
 # asymptotic draws an n x L channel with n = max(1, round(L / beta)) and
 # decomposes its n x n Gram matrix; at n = 8192 that complex matrix alone
@@ -254,18 +229,26 @@ def _parse_sweep(raw_sweep, experiment: str) -> tuple[str, tuple[float, ...]]:
 def parse_config(raw, experiment: str) -> ExperimentConfig:
     """Validates a decoded config object against one CLI experiment.
 
-    Strict: unknown keys, conflicting keys (a quantity given both
-    directly and through an SNR), and keys a sweep would overwrite are
+    Strict: an experiment takes only the keys its runner reads, as its
+    `_EXPERIMENTS` entry names them (`noise`/`noise_corr` only in
+    montecarlo, `trials` in montecarlo and figure, `channel_draws` in all
+    but exponent-sweep, `n_list` in exponent-sweep, no model key in
+    figure).  Any other key, conflicting keys (a quantity given both
+    directly and through an SNR) and keys a sweep would overwrite are
     all rejected.
     """
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
     given = set(raw)
+    stray = given - _EXPERIMENTS[experiment][2]
+    if stray:
+        known = frozenset().union(*(entry[2] for entry in _EXPERIMENTS.values()))
+        unknown = sorted(stray - known)
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        raise ConfigError(f"config key {min(stray)!r} is not read by the {experiment} experiment")
 
     if "experiment" in raw:
         named = _as_str("experiment", raw["experiment"])
@@ -281,19 +264,12 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
         figure_id = _as_int("figure_id", raw["figure_id"])
         if not 2 <= figure_id <= 9:
             raise ConfigError("figure_id must lie in 2..9")
-        extra = sorted(given - _RUN_CONTROL_KEYS)
-        if extra:
-            raise ConfigError(
-                f"figure presets pin model parameters; remove key {extra[0]!r}"
-            )
-    elif "figure_id" in raw:
-        raise ConfigError("figure_id is only valid for the figure experiment")
 
     sweep_variable = None
     sweep_grid = None
     if "sweep" in given:
         sweep_variable, sweep_grid = _parse_sweep(raw["sweep"], experiment)
-        _reject(given, _SWEEPS[sweep_variable], f"when sweeping {sweep_variable}")
+        _reject(given, _SWEEPS[sweep_variable], f"when {experiment} sweeps {sweep_variable}")
     elif experiment not in ("sdr-compare", "figure"):
         raise ConfigError(f"{experiment} requires a sweep block")
     if experiment == "schemes" and len(sweep_grid) < 2:
@@ -377,8 +353,6 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
 
     n_list = None
     if "n_list" in given:
-        if experiment != "exponent-sweep":
-            raise ConfigError("n_list is only valid for exponent-sweep")
         raw_list = raw["n_list"]
         if not isinstance(raw_list, list) or not raw_list:
             raise ConfigError("n_list must be a non-empty list of integers")
@@ -863,14 +837,25 @@ def _run_figure(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     return _FIGURES[cfg.figure_id](cfg)
 
 
-# each experiment's runner and the sweep variables it accepts
+# each experiment's runner, the sweep variables it accepts and the config
+# keys it reads; parse_config rejects every other key
 _EXPERIMENTS = {
-    "exponent-sweep": (_run_exponent_sweep, ("gamma_s", "gamma_c", "N", "K")),
-    "montecarlo": (_run_montecarlo, ("gamma_s", "gamma_c", "N", "L")),
-    "schemes": (_run_schemes, ("gamma_s",)),
-    "sdr-compare": (_run_sdr_compare, ("gamma_s",)),
-    "asymptotic": (_run_asymptotic, ("beta",)),
-    "figure": (_run_figure, ()),
+    "exponent-sweep": (
+        _run_exponent_sweep,
+        ("gamma_s", "gamma_c", "N", "K"),
+        _MODEL_KEYS | {"n_list"},
+    ),
+    "montecarlo": (
+        _run_montecarlo,
+        ("gamma_s", "gamma_c", "N", "L"),
+        _MODEL_KEYS | {"noise", "noise_corr", "trials", "channel_draws"},
+    ),
+    "schemes": (_run_schemes, ("gamma_s",), _MODEL_KEYS | {"channel_draws"}),
+    "sdr-compare": (_run_sdr_compare, ("gamma_s",), _MODEL_KEYS | {"channel_draws"}),
+    "asymptotic": (_run_asymptotic, ("beta",), _MODEL_KEYS | {"channel_draws"}),
+    # the presets take the run-control keys that size them, whichever
+    # preset reads them
+    "figure": (_run_figure, (), _COMMON_KEYS | {"figure_id", "trials", "channel_draws"}),
 }
 
 

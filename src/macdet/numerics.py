@@ -49,6 +49,8 @@ def _check_square_hermitian(a: np.ndarray, rtol: float) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(np.max(np.abs(a)), 1e-300)
+    if not math.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
     if np.max(np.abs(a - a.conj().T)) > rtol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a.astype(np.complex128, copy=False)
@@ -94,7 +96,8 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
 def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Full eigendecomposition of a Hermitian matrix.
 
-    Rejects non-square or non-Hermitian (relative tolerance 1e-10) input.
+    Rejects non-square, non-finite or non-Hermitian (relative tolerance
+    1e-10) input.
     Identical input yields an identical decomposition.  The phase
     convention is applied to all eigenvectors in one vectorized pass,
     bit-identical to `canonical_phase` on each column.

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csvdrift
 from macdet import allocation, cli, model
 from macdet.exponents import (
     SnrPoint,
@@ -110,11 +111,11 @@ class TestStrictParsing:
 
     def test_ar1_requires_corr(self):
         with pytest.raises(cli.ConfigError, match="noise_corr"):
-            parse({"noise": "ar1", **BASE_SWEEP})
+            parse({"noise": "ar1", **BASE_SWEEP}, experiment="montecarlo")
 
     def test_corr_forbidden_for_iid(self):
         with pytest.raises(cli.ConfigError, match="noise_corr"):
-            parse({"noise_corr": 0.4, **BASE_SWEEP})
+            parse({"noise_corr": 0.4, **BASE_SWEEP}, experiment="montecarlo")
 
     def test_sweep_required(self):
         with pytest.raises(cli.ConfigError, match="requires a sweep"):
@@ -183,6 +184,201 @@ class TestStrictParsing:
     def test_bad_params_surface_as_config_error(self):
         with pytest.raises(cli.ConfigError, match="p1"):
             parse({"p1": 1.5, **BASE_SWEEP})
+
+
+RICEAN_1_5 = {"channel": "ricean", "ricean_k": 1.5}
+MC_SIZE = {"trials": 1000, "channel_draws": 1}
+
+# small configs, one per experiment and sweep variable (a K sweep pins the
+# channel to ricean and sets K, and is otherwise the gamma_c case), plus
+# sdr-compare at one point and asymptotic on both kinds of fading
+KEY_BASES = {
+    "exponent-sweep-gamma_s": (
+        "exponent-sweep", {**RICEAN_1_5, "num_antennas": 2, "sweep": sweep("gamma_s", [0.6, 1.7])}
+    ),
+    "exponent-sweep-gamma_c": (
+        "exponent-sweep", {**RICEAN_1_5, "num_antennas": 2, "sweep": sweep("gamma_c", [0.6, 1.7])}
+    ),
+    "exponent-sweep-N": ("exponent-sweep", {**RICEAN_1_5, "sweep": sweep("N", [1, 3])}),
+    "montecarlo-gamma_s-ar1": (
+        "montecarlo",
+        {**RICEAN_1_5, **MC_SIZE, "num_sensors": 3, "num_antennas": 2, "noise": "ar1",
+         "noise_corr": 0.5, "sweep": sweep("gamma_s", [0.6, 1.7])},
+    ),
+    "montecarlo-gamma_c": (
+        "montecarlo",
+        {**RICEAN_1_5, **MC_SIZE, "num_sensors": 3, "num_antennas": 2,
+         "sweep": sweep("gamma_c", [0.6, 1.7])},
+    ),
+    "montecarlo-N": (
+        "montecarlo", {**RICEAN_1_5, **MC_SIZE, "num_sensors": 3, "sweep": sweep("N", [1, 3])}
+    ),
+    "montecarlo-L": (
+        "montecarlo", {**RICEAN_1_5, **MC_SIZE, "num_antennas": 2, "sweep": sweep("L", [2, 3])}
+    ),
+    "schemes-gamma_s": (
+        "schemes",
+        {**RICEAN_1_5, "num_sensors": 6, "num_antennas": 2, "channel_draws": 2,
+         "sweep": sweep("gamma_s", [0.6, 1.7, 5.3])},
+    ),
+    "sdr-compare": (
+        "sdr-compare", {**RICEAN_1_5, "num_sensors": 4, "num_antennas": 2, "channel_draws": 1}
+    ),
+    "sdr-compare-gamma_s": (
+        "sdr-compare",
+        {**RICEAN_1_5, "num_sensors": 4, "num_antennas": 2, "channel_draws": 1,
+         "sweep": sweep("gamma_s", [0.6, 1.7])},
+    ),
+    "asymptotic-rayleigh": (
+        "asymptotic",
+        {"channel": "rayleigh", "num_sensors": 6, "channel_draws": 1,
+         "sweep": sweep("beta", [1.5, 3.0])},
+    ),
+    "asymptotic-ricean": (
+        "asymptotic",
+        {**RICEAN_1_5, "num_sensors": 6, "channel_draws": 1, "sweep": sweep("beta", [1.5, 3.0])},
+    ),
+    "figure2": ("figure", {"figure_id": 2, "trials": 1000, "channel_draws": 1}),
+}
+
+# the one changed value of each key; none is a power of two, so that an
+# exact binary rescale cannot pass for an invariance
+PERTURBED = {
+    "num_sensors": 5, "num_antennas": 3, "n_list": [1, 3], "theta": 1.3, "sigma_eta_sq": 0.7,
+    "sigma_nu_sq": 1.7, "p1": 0.3, "total_power": 2.9, "gamma_s": 1.9, "gamma_s_db": 2.3,
+    "gamma_c": 3.1, "gamma_c_db": 4.1, "ricean_k": 0.7, "noise_corr": 0.3, "trials": 1100,
+    "channel_draws": 3,
+}
+
+# keys that name the run rather than the model: never perturbed
+RUN_NAMING = {"experiment", "figure_id", "seed", "output", "format", "sweep"}
+
+_GAMMA_S = (
+    "the grid sets gamma_s = theta^2 / sigma_eta_sq, and the gain budget scales as "
+    "1 / theta^2, so the received signal and noise do not depend on theta"
+)
+_GAMMA_C = (
+    "the grid sets gamma_c, so total_power = gamma_c * sigma_nu_sq scales with "
+    "sigma_nu_sq and no SNR moves"
+)
+_PER_SENSOR = "the closed-form exponents are per sensor"
+_RICEAN_B = "on Ricean channels B_inf is inf, so C_inf = E_inf and no row reads gamma_c or p1"
+
+# a key is read when it moves some value by more than this relative
+# amount.  An invariance may still move the last bits (theta under a
+# gamma_s sweep does in schemes and sdr-compare), so a changed sha256
+# alone would count it as read
+ROUNDING = 1e-12
+
+# (base, key): why the output does not depend on the key, up to rounding;
+# every other accepted key must move the CSV
+INVARIANT = {
+    ("exponent-sweep-gamma_s", "theta"): _GAMMA_S,
+    ("montecarlo-gamma_s-ar1", "theta"): _GAMMA_S,
+    ("schemes-gamma_s", "theta"): _GAMMA_S,
+    ("sdr-compare-gamma_s", "theta"): _GAMMA_S,
+    ("exponent-sweep-gamma_s", "num_sensors"): _PER_SENSOR,
+    ("exponent-sweep-gamma_c", "sigma_nu_sq"): _GAMMA_C,
+    ("exponent-sweep-gamma_c", "num_sensors"): _PER_SENSOR,
+    ("exponent-sweep-N", "num_sensors"): _PER_SENSOR,
+    ("montecarlo-gamma_c", "sigma_nu_sq"): _GAMMA_C,
+    **{("asymptotic-ricean", key): _RICEAN_B
+       for key in ("gamma_c", "gamma_c_db", "total_power", "p1", "sigma_nu_sq")},
+}
+
+
+def _perturb(raw, key):
+    # a channel or noise kind switches to another kind, dropping the key
+    # that only the old kind takes
+    raw = dict(raw)
+    if key == "channel":
+        if raw.pop("ricean_k", None) is not None:
+            raw["channel"] = "rayleigh"
+        else:
+            raw["channel"] = "awgn" if raw.get("channel") == "rayleigh" else "rayleigh"
+    elif key == "noise":
+        if raw.pop("noise_corr", None) is not None:
+            raw["noise"] = "iid"
+        else:
+            raw.update(noise="ar1", noise_corr=0.3)
+    else:
+        assert raw.get(key) != PERTURBED[key]
+        raw[key] = PERTURBED[key]
+    return raw
+
+
+def _overwritten(raw):
+    return set(cli._SWEEPS[raw["sweep"]["variable"]]) if "sweep" in raw else set()
+
+
+def _csv(experiment, raw):
+    rows, code = cli.run(cli.parse_config(raw, experiment))
+    assert code == 0
+    return cli.rows_to_csv(rows)
+
+
+def _moved(name, key):
+    # whether perturbing the key moves any value of the base's CSV by
+    # more than rounding, or changes its rows
+    experiment, raw = KEY_BASES[name]
+    changes, problems = csvdrift.drift(_csv(experiment, raw), _csv(experiment, _perturb(raw, key)))
+    return bool(problems) or max(rel for _, rel in changes.values()) > ROUNDING
+
+
+def _accepted_cases():
+    for name in KEY_BASES:
+        experiment, raw = KEY_BASES[name]
+        keys = cli._EXPERIMENTS[experiment][2] - RUN_NAMING - _overwritten(raw)
+        for key in sorted(keys):
+            if key == "ricean_k" and raw.get("channel") != "ricean":
+                continue  # only a ricean channel takes it
+            if key == "noise_corr" and raw.get("noise") != "ar1":
+                continue  # only ar1 noise takes it
+            yield pytest.param(name, key, id=f"{name}-{key}")
+
+
+def _rejected_cases():
+    every_key = frozenset().union(*(entry[2] for entry in cli._EXPERIMENTS.values()))
+    for name in KEY_BASES:
+        experiment, raw = KEY_BASES[name]
+        for key in sorted((every_key - cli._EXPERIMENTS[experiment][2]) | _overwritten(raw)):
+            yield pytest.param(name, key, id=f"{name}-{key}")
+
+
+# a valid value for every key, for the keys an experiment must reject
+ANY_VALUE = {**PERTURBED, "noise": "ar1", "channel": "rayleigh", "figure_id": 3,
+             "sweep": sweep("gamma_s", [0.6, 1.7])}
+
+
+class TestEveryKeyIsRead:
+    """No accepted config key is silently ignored: each changes the
+    output or is a listed invariance, and every key an experiment does
+    not read is a config error (exit 2) that names the key and the
+    experiment."""
+
+    def test_perturbations_are_not_powers_of_two(self):
+        for value in PERTURBED.values():
+            for x in value if isinstance(value, list) else [value]:
+                assert x == 1 or math.frexp(x)[0] != 0.5, x
+
+    def test_every_invariance_is_a_case(self):
+        cases = {tuple(case.values) for case in _accepted_cases()}
+        assert set(INVARIANT) <= cases
+
+    @pytest.mark.parametrize("name,key", _accepted_cases())
+    def test_accepted_key_changes_the_csv(self, name, key):
+        assert _moved(name, key) != ((name, key) in INVARIANT)
+
+    @pytest.mark.parametrize("name,key", _rejected_cases())
+    def test_key_not_read_exits_2(self, tmp_path, capsys, name, key):
+        experiment, raw = KEY_BASES[name]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**raw, key: ANY_VALUE[key]}))
+        assert cli.main([experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert repr(key) in err or f"{key} cannot be set" in err
+        assert experiment in err
 
 
 class TestExponentSweep:

@@ -6,11 +6,14 @@ exception may escape.  Values mix valid ones with wrong types, 0,
 negatives, NaN and +-Infinity; magnitudes lie in [1e-3, 1e3], L <= 6,
 N <= 3, trials = 1000, channel_draws <= 2 and grids hold <= 3 points.
 
-The runtime keys (num_sensors, trials, channel_draws) are always
-present, because their defaults (L = 200, 10,000 trials, 10-25 channel
-draws) cost seconds per run; an L sweep drops num_sensors, which the
-grid then supplies.  A beta grid draws beta >= 2, so that the asymptotic
-antenna count round(L / beta) stays <= 3.  Figure presets run only the
+Each experiment draws only the keys it reads, as `cli._EXPERIMENTS`
+names them, and with small odds one key that it does not read, which
+must end in exit 2.  The runtime keys (num_sensors, trials,
+channel_draws) are present wherever they are read, because their
+defaults (L = 200, 10,000 trials, 10-25 channel draws) cost seconds per
+run; an L sweep drops num_sensors, which the grid then supplies.  A
+beta grid draws beta >= 2, so that the asymptotic antenna count
+round(L / beta) stays <= 3.  Figure presets run only the
 closed-form figures 4-7 (the others are pinned by tests/test_golden.py).
 
 Inputs beyond those ranges that once ended in a traceback are pinned at
@@ -29,7 +32,7 @@ from hypothesis import strategies as st
 
 from macdet import cli
 
-EXPERIMENTS = ("exponent-sweep", "montecarlo", "schemes", "sdr-compare", "asymptotic", "figure")
+EXPERIMENTS = tuple(cli._EXPERIMENTS)
 HEADER = ["experiment", "series", "x_name", "x_value", "value", "ci95", "seed"]
 
 BAD = st.sampled_from(
@@ -48,6 +51,7 @@ SWEEP_GRIDS = {
 }
 
 KEYS = {
+    "num_sensors": st.integers(1, 6),
     "num_antennas": st.integers(1, 3),
     "n_list": st.lists(st.integers(1, 3), min_size=1, max_size=3),
     "theta": MAGNITUDE,
@@ -63,20 +67,19 @@ KEYS = {
     "ricean_k": MAGNITUDE,
     "noise": st.sampled_from(["iid", "ar1", "pink"]),
     "noise_corr": st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    "trials": st.just(1000),
+    "channel_draws": st.integers(1, 2),
     "seed": st.integers(0, 2**32),
     "output": st.just("unused.csv"),
     "format": st.sampled_from(["csv", "json", "xml"]),
 }
 
-# the sweep variables each experiment accepts; configs mostly draw one of
-# these, so that most of them get past parsing and run
-SWEEPS_BY_EXPERIMENT = {
-    "exponent-sweep": ["gamma_s", "gamma_c", "N", "K"],
-    "montecarlo": ["gamma_s", "gamma_c", "N", "L"],
-    "schemes": ["gamma_s"],
-    "sdr-compare": ["gamma_s"],
-    "asymptotic": ["beta"],
-}
+# the sweep variables each experiment accepts and the config keys it
+# reads, from the CLI's own table; configs mostly draw within these, so
+# that most of them get past parsing and run
+SWEEPS_BY_EXPERIMENT = {name: entry[1] for name, entry in cli._EXPERIMENTS.items()}
+READS = {name: entry[2] for name, entry in cli._EXPERIMENTS.items()}
+RUNTIME = ("num_sensors", "trials", "channel_draws")
 
 
 @st.composite
@@ -89,13 +92,16 @@ def configs(draw):
         return draw(BAD) if rnd.random() < bad_odds else draw(valid)
 
     experiment = draw(st.sampled_from(EXPERIMENTS))
+    reads = READS[experiment]
     keys = KEYS | {"experiment": st.just(experiment)}
     # few keys per config, since every extra key is another chance of a
-    # clash; a figure preset takes no model key at all.  ricean_k and
-    # noise_corr mostly come with the channel and noise that need them.
+    # clash.  ricean_k and noise_corr mostly come with the channel and
+    # noise that need them.
     raw = {}
     for key, values in keys.items():
-        odds = 0.01 if experiment == "figure" else 0.12
+        if key not in reads or key in RUNTIME:
+            continue
+        odds = 0.12
         if key in ("channel", "noise"):
             odds *= 4
         elif key == "ricean_k" and raw.get("channel") == "ricean":
@@ -116,10 +122,14 @@ def configs(draw):
             grid[rnd.randrange(len(grid))] = draw(BAD)
         sweep = {"variable": variable, "grid": value(st.just(grid), bad_odds=0.05)}
         raw["sweep"] = value(st.just(sweep), bad_odds=0.05)
-    if experiment != "figure" and (variable != "L" or rnd.random() < 0.5):
-        raw["num_sensors"] = value(st.integers(1, 6))
-    raw["trials"] = value(st.just(1000), bad_odds=0.05)
-    raw["channel_draws"] = value(st.integers(1, 2), bad_odds=0.05)
+    if "num_sensors" in reads and (variable != "L" or rnd.random() < 0.5):
+        raw["num_sensors"] = value(KEYS["num_sensors"])
+    for key in ("trials", "channel_draws"):
+        if key in reads:
+            raw[key] = value(KEYS[key], bad_odds=0.05)
+    if rnd.random() < 0.05:
+        key = rnd.choice(sorted(set(KEYS) - reads))
+        raw[key] = value(KEYS[key])
     return experiment, raw
 
 
@@ -172,6 +182,8 @@ def test_config_ends_in_a_documented_exit_code(case):
     experiment, raw = case
     code, text = run_main(experiment, raw)
     assert code in (0, 2, 3)
+    if not set(raw) <= READS[experiment]:
+        assert code == 2
     if code == 0:
         check_csv(experiment, text)
 

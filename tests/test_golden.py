@@ -35,12 +35,16 @@ bit-exact.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import csvdrift
 from macdet import cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# the NumPy the digests were taken with (constraints.txt pins it)
+DIGEST_NUMPY = "2.4.6"
 
 SEED = 7
 
@@ -212,6 +216,12 @@ class TestCsvDrift:
         _, problems = csvdrift.drift(old, new)
         assert problems and all("method3(N=5)" in p for p in problems)
 
+    def test_mismatch_names_the_numpy_versions(self):
+        text = stored("figure5").rstrip("\n")
+        expected = f"NumPy {np.__version__} here, digests taken with {DIGEST_NUMPY}"
+        with pytest.raises(AssertionError, match=expected):
+            assert_digest("figure5", text, DIGESTS["figure5"])
+
     def test_nan_pattern_change_fails(self):
         old = stored("schemes-crossover")
         lines = old.splitlines(keepends=True)
@@ -225,6 +235,7 @@ class TestCsvDrift:
 def assert_digest(name, text, digest):
     # bit-exact; on a mismatch the message shows which series moved and how
     actual = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert actual == digest, f"{name} CSV moved:\n" + csvdrift.report(
-        *csvdrift.drift(stored(name), text)
+    assert actual == digest, (
+        f"{name} CSV moved (NumPy {np.__version__} here, digests taken with {DIGEST_NUMPY}):\n"
+        + csvdrift.report(*csvdrift.drift(stored(name), text))
     )

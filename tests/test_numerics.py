@@ -91,6 +91,10 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             numerics.hermitian_eig(np.ones((2, 3)))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            numerics.hermitian_eig(np.full((2, 2), np.nan))
+
 
 class TestSolveHermitianPd:
     def test_identity(self):

@@ -55,6 +55,12 @@ class TestSdpProblem:
         with pytest.raises(ValueError):
             SdpProblem(cost=np.array([[1.0, 2.0], [0.0, 1.0]]), diag_value=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_cost(self, bad):
+        # NaN fails no comparison, and inf - inf is NaN with a warning
+        with pytest.raises(ValueError, match="finite"):
+            SdpProblem(cost=np.full((2, 2), bad), diag_value=1.0)
+
     @pytest.mark.parametrize("d", [0.0, -1.0])
     def test_rejects_bad_diag(self, d):
         with pytest.raises(ValueError):
