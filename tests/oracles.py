@@ -155,9 +155,9 @@ def reference_pe_montecarlo(
     block_size: int = _MC_BLOCK,
 ) -> PeEstimate:
     """The Monte Carlo error rate by forming every received vector: the
-    same blocks, substreams and draw order (hypotheses, sensing noise,
+    same block generators and draw order (hypotheses, sensing noise,
     receiver noise) as `estimate_pe_montecarlo`, at O(N L) per trial.
-    With block_size 1 each trial's substream is drawn in the order a
+    With block_size 1 each trial's generator is drawn in the order a
     `synthesize` call after one uniform draw consumes it."""
     h, a, _ = _item(channel, alpha, params, noise)
     _, w, q = quadratic_form(h, a, params, noise)
@@ -166,7 +166,7 @@ def reference_pe_montecarlo(
     errors = 0
     for block, start in enumerate(range(0, trials, block_size)):
         count = min(block_size, trials - start)
-        gen = rng.substream("montecarlo", block)
+        gen = rng.montecarlo_block(block)
         truth = gen.random(count) < params.p1
         y = received_block(h, a, params, truth, gen, noise)
         statistic = params.theta * (y.conj() @ w).real

@@ -32,7 +32,9 @@ non-numeric fields or NaN/inf pattern.  The digest check itself stays
 bit-exact.
 """
 
+import csv
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,7 @@ SEED = 7
 
 GOLDEN = {
     2: ({"trials": 1000, "channel_draws": 1},
-        "e9d627a4f3ba1867798b51f4c61891385e40e645dc368c648b94cf58270a9623"),
+        "adbac331254e10dd259610a566e42739e06d8d537a20c4cb02cdce7eb39fad03"),
     3: ({}, "700331721bb7712866e2eb1c112ad4b22eacef0bf1ffcfd8f6d5e4a95bcdcb72"),
     4: ({}, "49baefd47cc5d99adc843f8c132122bb4d1ad1c67e1de855d871df5fe8d287a1"),
     5: ({}, "767221be814242cd397f011e17f983f73a35fd3a8364f6a5cdfc014b72d4bc4b"),
@@ -133,20 +135,20 @@ EXPERIMENTS = {
         "montecarlo",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 10, "trials": 1000,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0]}},
-        "75ad934ea573fee36167c700ea16643b65bdee491a9f85f14e028b8dc944d069",
+        "0659d34cc5721f19192f962b7522bfac9fba0e21d1961bafc58592d5a269b614",
     ),
     "montecarlo-gamma_c-ar1": (
         "montecarlo",
         {**RICEAN, "num_antennas": 2, "num_sensors": 6, "noise": "ar1", "noise_corr": 0.5,
          "gamma_s": 2.0, "trials": 1000, "channel_draws": 2,
          "sweep": {"variable": "gamma_c", "grid": [1.0, 4.0]}},
-        "35dfc9a83d7cc94555b5d14557c0af2724e8d7b941b49cca650113fc3921821a",
+        "b0736eda773b07c4b5079e7dae7ae7c402560ed7faed3a331206dde7cae15451",
     ),
     "montecarlo-N-awgn": (
         "montecarlo",
         {"channel": "awgn", "num_sensors": 5, "gamma_s": 1.0, "trials": 1000, "channel_draws": 1,
          "sweep": {"variable": "N", "grid": [1, 3]}},
-        "b9932cb01356bba9d80dd7a7b5eacda84d344d44f4e0c22f715cc39d6f3785b1",
+        "7cd7b9bec7189720e11f52ef8697948301b43bfd75c24cbef9d7c89668d19e73",
     ),
     "asymptotic-rayleigh": (
         "asymptotic",
@@ -239,3 +241,39 @@ def assert_digest(name, text, digest):
         f"{name} CSV moved (NumPy {np.__version__} here, digests taken with {DIGEST_NUMPY}):\n"
         + csvdrift.report(*csvdrift.drift(stored(name), text))
     )
+
+
+# the stored Monte Carlo outputs: (trials, channel_draws) of each run
+MONTECARLO_SIZING = {"figure2": GOLDEN[2][0]} | {
+    name: raw for name, (experiment, raw, _) in EXPERIMENTS.items() if experiment == "montecarlo"
+}
+
+# the bound of bench/workloads.py::check_fig2: |z| above 4 has
+# probability 6.3e-5 per point under a correct estimator, so about 0.6 %
+# over the 96 stored points
+MC_Z_LIMIT = 4.0
+
+
+@pytest.mark.parametrize("name", sorted(MONTECARLO_SIZING))
+def test_stored_pe_mc_within_binomial_band(name):
+    # each Pe_MC row pools trials x channel_draws hypothesis draws over the
+    # channels whose mean conditional error rate is the Pe row at the same x
+    sizing = MONTECARLO_SIZING[name]
+    n = sizing["trials"] * sizing["channel_draws"]
+    series = {}
+    for row in csv.DictReader(line for line in stored(name).splitlines() if not line.startswith("#")):
+        series.setdefault(row["series"], {})[float(row["x_value"])] = float(row["value"])
+    pairs = [
+        (label, x, p_mc, series["Pe" + label[len("Pe_MC"):]][x])
+        for label, points in series.items()
+        if label.startswith("Pe_MC(")
+        for x, p_mc in points.items()
+    ]
+    assert pairs
+    outside = []
+    for label, x, p_mc, p in pairs:
+        sd = math.sqrt(p * (1.0 - p) / n)
+        z = abs(p_mc - p) / sd if sd > 0.0 else (0.0 if p_mc == p else math.inf)
+        if z > MC_Z_LIMIT:
+            outside.append(f"{label} at x={x:g}: z = {z:.2f} (Pe_MC {p_mc}, Pe {p})")
+    assert not outside, "\n".join(outside)

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -261,6 +262,18 @@ class TestRandomSource:
         c = src.substream("exponent", 3).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_montecarlo_blocks_are_sfc64_on_the_substream_key(self):
+        # the Monte Carlo blocks draw SFC64 from the SeedSequence that
+        # substream("montecarlo", block) feeds to Philox
+        src = RandomSource(42, 5)
+        gen = src.montecarlo_block(3)
+        assert isinstance(gen.bit_generator, np.random.SFC64)
+        assert isinstance(src.substream("montecarlo", 3).bit_generator, np.random.Philox)
+        seq = np.random.SeedSequence(entropy=42, spawn_key=(5, zlib.crc32(b"montecarlo"), 3))
+        expected = np.random.Generator(np.random.SFC64(seq)).standard_normal(4)
+        assert np.array_equal(gen.standard_normal(4), expected)
+        assert not np.array_equal(src.montecarlo_block(4).standard_normal(4), expected)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
