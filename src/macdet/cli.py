@@ -33,7 +33,7 @@ from .allocation import (
     method2_direction,
     method_exponents,
 )
-from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo, pe_conditional
+from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo_batch
 from .exponents import (
     SnrPoint,
     ZetaFactor,
@@ -502,40 +502,55 @@ def _run_exponent_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
 
 
 def _run_montecarlo(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    params = cfg.params
+    return _montecarlo_series(cfg, [(cfg.model, cfg.params)])
+
+
+def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], int]:
+    """The Pe_MC and Pe rows of each (model, params) series of `series`
+    over cfg's sweep, series by series.
+
+    At each sweep point i and draw d every series samples its own
+    channel from substream("mc-channel", i, d), and one batch call
+    scores them all on the trial blocks of stream 1 + i * draws + d, so
+    the series share those blocks (common random numbers) and each
+    gets the rows a run of its own would give.
+    """
     var = cfg.sweep_variable
     draws = cfg.channel_draws or 10
     base = RandomSource(cfg.seed)
-    rows: list[ResultRow] = []
+    rows: list[list[ResultRow]] = [[] for _ in series]
     for i, x in enumerate(cfg.sweep_grid):
-        params_x = _params_at(params, var, x)
-        noise = _noise_for(cfg, params_x)
-        alpha = alpha_uniform(params_x)
-        errors = 0
-        pes = []
+        points = []
+        for model, params in series:
+            params_x = _params_at(params, var, x)
+            points.append((model, params_x, alpha_uniform(params_x), _noise_for(cfg, params_x)))
+        errors = [0] * len(series)
+        pes: list[list[float]] = [[] for _ in series]
         for d in range(draws):
-            channel = sample_channel(
-                cfg.model,
-                params_x.num_antennas,
-                params_x.num_sensors,
-                base.substream("mc-channel", i, d),
+            detectors = [
+                (
+                    sample_channel(
+                        model, p.num_antennas, p.num_sensors, base.substream("mc-channel", i, d)
+                    ),
+                    alpha,
+                    p,
+                    noise,
+                )
+                for model, p, alpha, noise in points
+            ]
+            scored = estimate_pe_montecarlo_batch(
+                detectors, cfg.trials, RandomSource(cfg.seed, stream_id=1 + i * draws + d)
             )
-            est = estimate_pe_montecarlo(
-                channel,
-                alpha,
-                params_x,
-                cfg.trials,
-                RandomSource(cfg.seed, stream_id=1 + i * draws + d),
-                noise,
-            )
-            errors += est.errors
-            pes.append(pe_conditional(channel, alpha, params_x, noise))
-        total = PeEstimate.from_counts(errors, cfg.trials * draws)
-        tag = "" if var == "N" else f",N={params_x.num_antennas}"
-        label = f"({cfg.model.label}{tag})"
-        rows.append(_row(cfg, f"Pe_MC{label}", var, x, total.p_hat, total.ci95_halfwidth))
-        rows.append(_row(cfg, f"Pe{label}", var, x, float(np.mean(pes))))
-    return rows, 0
+            for k, (est, pe) in enumerate(scored):
+                errors[k] += est.errors
+                pes[k].append(pe)
+        for k, (model, params_x, _, _) in enumerate(points):
+            total = PeEstimate.from_counts(errors[k], cfg.trials * draws)
+            tag = "" if var == "N" else f",N={params_x.num_antennas}"
+            label = f"({model.label}{tag})"
+            rows[k].append(_row(cfg, f"Pe_MC{label}", var, x, total.p_hat, total.ci95_halfwidth))
+            rows[k].append(_row(cfg, f"Pe{label}", var, x, float(np.mean(pes[k]))))
+    return [row for series_rows in rows for row in series_rows], 0
 
 
 def _scheme_sweep(cfg: ExperimentConfig, grid, label: str, draws: int):
@@ -677,19 +692,15 @@ def _base_preset_params(num_sensors: int, num_antennas: int, gamma_c: float) -> 
 
 
 def _figure_2(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    rows: list[ResultRow] = []
+    # six series on one sweep, scored on shared trial blocks
     grid = tuple(float(l) for l in range(1, 16))
-    for model in (ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh()):
-        for n in (2, 10):
-            sub = dataclasses.replace(
-                cfg,
-                params=_base_preset_params(15, n, 1.0),
-                model=model,
-                sweep_variable="L",
-                sweep_grid=grid,
-            )
-            rows.extend(_run_montecarlo(sub)[0])
-    return rows, 0
+    sub = dataclasses.replace(cfg, sweep_variable="L", sweep_grid=grid)
+    series = [
+        (model, _base_preset_params(15, n, 1.0))
+        for model in (ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh())
+        for n in (2, 10)
+    ]
+    return _montecarlo_series(sub, series)
 
 
 def _figure_3(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:

@@ -13,6 +13,11 @@ omega = theta sqrt(q/2), q the quadratic form above.  All logarithms are
 natural.  Error-exponent extraction works in the log domain throughout,
 so probabilities far below floating-point underflow reduce to the
 analytic Gaussian tail of the dominant term.
+
+The Monte Carlo trial loop lives in estimate_pe_montecarlo_batch, which
+scores several detectors of one sensor count and prior on the same
+trial blocks (common random numbers: figure2's six series share each
+(L, draw)'s blocks); estimate_pe_montecarlo is its one-detector case.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "pe_conditional",
     "log_pe_conditional",
     "estimate_pe_montecarlo",
+    "estimate_pe_montecarlo_batch",
     "empirical_exponent",
 ]
 
@@ -127,18 +133,54 @@ def estimate_pe_montecarlo(
     rng: RandomSource,
     noise: SensingNoiseModel | None = None,
 ) -> PeEstimate:
-    """Monte Carlo error rate with the hypothesis drawn from the prior
-    each trial.
+    """Monte Carlo error rate of one detector with the hypothesis drawn
+    from the prior each trial: estimate_pe_montecarlo_batch of the single
+    detector (channel, alpha, params, noise), whose docstring gives the
+    blocks, the draw order and the per-trial statistic."""
+    return estimate_pe_montecarlo_batch([(channel, alpha, params, noise)], trials, rng)[0][0]
+
+
+def _scorer(channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None):
+    # one detector's per-channel constants: (signal, z weights, receiver
+    # weights, threshold, pe_conditional), all from one _forms call
+    h, a, sensing = _item(channel, alpha, params, noise)
+    v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
+    threshold = 0.5 * params.theta**2 * float(q) + params.tau
+    g = np.conj(a) * (h.conj().T @ w)
+    c = sensing.conj().T @ g if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
+    # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
+    # drawn as sqrt(s/2) (X_re + i X_im)
+    z_weights = math.sqrt(0.5) * np.concatenate((c.real, c.imag))
+    receiver = math.sqrt(params.sigma_nu_sq / 2.0) * np.stack((w.real, w.imag))
+    signal = params.theta * float(np.vdot(v, w).real)
+    pe = math.exp(float(_log_pe(params, q)))
+    return signal, z_weights, receiver, threshold, pe
+
+
+def estimate_pe_montecarlo_batch(
+    detectors, trials: int, rng: RandomSource
+) -> list[tuple[PeEstimate, float]]:
+    """Monte Carlo error rates of several detectors scored on the same
+    trials, with the hypothesis drawn from the prior each trial.
+
+    A detector is (channel, alpha, params, noise), as the arguments of
+    pe_conditional; all must share num_sensors and p1.  Returns, per
+    detector, its PeEstimate and its pe_conditional, both from the
+    quadratic form q of one factorization.
 
     Trials are processed in fixed-size blocks, each on its own
-    generator, rng.montecarlo_block(block), so the estimate is
+    generator, rng.montecarlo_block(block), so the estimates are
     bit-reproducible no matter how blocks are scheduled across workers.
     The blocks draw from SFC64, not from the Philox substreams that
     sample channels: they hold nearly all the normal draws of a figure2
     run, and SFC64 draws them in about two thirds of Philox's time.
-    Within a block the draw order is hypotheses, sensing noise, receiver
-    noise, each noise as a block of real parts followed by a block of
-    imaginary parts.
+    Within a block the draw order is hypotheses, sensing noise z (2L
+    values per trial: real parts, then imaginary parts), then the
+    receiver noise of the largest N, 2 x trials x N real values.  A
+    detector with N antennas reads the first 2 x trials x N of those as
+    its (2, trials, N) receiver noise; normals are filled one after
+    another, so that prefix is exactly what its own draw would be, and a
+    detector scores the same trials alone as in any batch.
 
     The received vector y is never formed.  With eta = S z, S the
     sensing-noise factor (sqrt(sigma_eta_sq) under iid noise, noise=None;
@@ -156,31 +198,34 @@ def estimate_pe_montecarlo(
         raise ValueError("trials must be >= 1000 for a meaningful estimate")
     if not isinstance(rng, RandomSource):
         raise TypeError("rng must be a RandomSource (block generators required)")
-    h, a, sensing = _item(channel, alpha, params, noise)
-    v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
-    threshold = 0.5 * params.theta**2 * float(q) + params.tau
-    g = np.conj(a) * (h.conj().T @ w)
-    c = sensing.conj().T @ g if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
-    # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
-    # drawn as sqrt(s/2) (X_re + i X_im)
-    z_weights = math.sqrt(0.5) * np.concatenate((c.real, c.imag))
-    receiver = math.sqrt(params.sigma_nu_sq / 2.0) * np.stack((w.real, w.imag))
-    signal = params.theta * float(np.vdot(v, w).real)
+    detectors = list(detectors)
+    if not detectors:
+        raise ValueError("at least one detector is required")
+    params = [d[2] for d in detectors]
+    num_sensors, p1 = params[0].num_sensors, params[0].p1
+    if any(p.num_sensors != num_sensors or p.p1 != p1 for p in params):
+        raise ValueError("detectors must share num_sensors and p1")
+    scorers = [_scorer(*d) for d in detectors]
+    n_max = max(p.num_antennas for p in params)
 
-    errors = 0
+    errors = [0] * len(detectors)
     for block, start in enumerate(range(0, trials, _MC_BLOCK)):
         count = min(_MC_BLOCK, trials - start)
         gen = rng.montecarlo_block(block)
-        truth = gen.random(count) < params.p1
-        z = gen.standard_normal((2 * params.num_sensors, count))
-        nu = gen.standard_normal((2, count, params.num_antennas))
-        statistic = params.theta * (
-            np.where(truth, signal, 0.0)
-            + z_weights @ z
-            + (nu[0] @ receiver[0] + nu[1] @ receiver[1])
-        )
-        errors += int(np.count_nonzero((statistic >= threshold) != truth))
-    return PeEstimate.from_counts(errors, trials)
+        truth = gen.random(count) < p1
+        z = gen.standard_normal((2 * num_sensors, count))
+        nu_max = gen.standard_normal(2 * count * n_max)
+        for k, (p, (signal, z_weights, receiver, threshold, _)) in enumerate(zip(params, scorers)):
+            nu = nu_max[: 2 * count * p.num_antennas].reshape(2, count, p.num_antennas)
+            statistic = p.theta * (
+                np.where(truth, signal, 0.0)
+                + z_weights @ z
+                + (nu[0] @ receiver[0] + nu[1] @ receiver[1])
+            )
+            errors[k] += int(np.count_nonzero((statistic >= threshold) != truth))
+    return [
+        (PeEstimate.from_counts(e, trials), scorer[-1]) for e, scorer in zip(errors, scorers)
+    ]
 
 
 def _log_mean_exp(log_p: np.ndarray) -> np.ndarray:

@@ -49,9 +49,12 @@ class RandomSource:
       calibration and every other small draw use it; those draws fix
       every analytic row of every output.
     * `montecarlo_block` is SFC64.  Only the Monte Carlo trial blocks
-      of `estimate_pe_montecarlo` use it: they are nearly all the normal
+      of `estimate_pe_montecarlo_batch` (and so of its one-detector case
+      `estimate_pe_montecarlo`) use it: they are nearly all the normal
       draws of a figure2 run, and SFC64 draws them in about two thirds
-      of Philox's time.  A change of this generator moves only Pe_MC rows.
+      of Philox's time.  figure2's six series share each (L, draw)'s
+      blocks, which are drawn once per (L, draw) and scored for all six.
+      A change of this generator moves only Pe_MC rows.
     """
 
     master_seed: int

@@ -1145,6 +1145,26 @@ class TestFigurePresets:
             curve = [r.value for r in rows if r.series == name]
             assert curve == sorted(curve)
 
+    def test_figure2_rows_equal_six_one_series_runs(self):
+        # at the bench sizing: 10,000 trials are two trial blocks, a path
+        # the stored figure2 (1000 trials, one block) never covers
+        cfg = parse({"figure_id": 2, "trials": 10_000, "channel_draws": 2}, experiment="figure")
+        rows, code = cli.run(cfg)
+        assert code == 0
+        alone = []
+        for channel in (ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh()):
+            for n in (2, 10):
+                sub = dataclasses.replace(
+                    cfg,
+                    params=cli._base_preset_params(15, n, 1.0),
+                    model=channel,
+                    sweep_variable="L",
+                    sweep_grid=tuple(float(l) for l in range(1, 16)),
+                )
+                alone.extend(cli._run_montecarlo(sub)[0])
+        assert rows == alone
+        assert len(rows) == 6 * 15 * 2
+
     def test_figure4_through_compact_main(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{}")

@@ -19,6 +19,7 @@ from macdet.detection import (
     PeEstimate,
     empirical_exponent,
     estimate_pe_montecarlo,
+    estimate_pe_montecarlo_batch,
     log_pe_conditional,
     pe_conditional,
 )
@@ -376,6 +377,69 @@ class TestEstimatePeMontecarlo:
                 )
             means.append(np.mean(rates))
         assert means[0] > means[1] > means[2]
+
+
+def _batch_detectors(l=7, p1=0.3):
+    # mixed N, channel models, SNRs and iid / AR(1) sensing noise, all on
+    # one sensor count and prior
+    cases = [
+        (ChannelModel.awgn(), 2, 1.0, 2.0, None),
+        (ChannelModel.rayleigh(), 10, 0.5, 1.0, None),
+        (ChannelModel.ricean(1.0), 2, 2.0, 0.5, 0.6),
+        (ChannelModel.rayleigh(), 10, 1.0, 0.3, 0.4),
+        (ChannelModel.ricean(1.0), 10, 0.3, 3.0, None),
+    ]
+    detectors = []
+    for k, (model, n, gamma_s, gamma_c, rho) in enumerate(cases):
+        params = params_for(gamma_s=gamma_s, gamma_c=gamma_c, l=l, n=n, p1=p1)
+        noise = None
+        if rho is not None:
+            noise = SensingNoiseModel(r_eta=ar1_covariance(l, rho, params.sigma_eta_sq))
+        h = sample_channel(model, n, l, RandomSource(41, k)).entries
+        detectors.append((h, alpha_uniform(params), params, noise))
+    return detectors
+
+
+class TestEstimatePeMontecarloBatch:
+    """The batch core scores every detector on one set of trial blocks;
+    each must get exactly what it gets alone."""
+
+    @pytest.mark.parametrize("trials", [1000, 10_000])
+    def test_each_detector_gets_its_own_estimate_bitwise(self, trials):
+        # 10,000 trials are two blocks, 8192 + 1808
+        detectors = _batch_detectors()
+        scored = estimate_pe_montecarlo_batch(detectors, trials, RandomSource(42, 5))
+        assert len(scored) == len(detectors)
+        for detector, (est, pe) in zip(detectors, scored):
+            channel, alpha, params, noise = detector
+            alone = estimate_pe_montecarlo(
+                channel, alpha, params, trials, RandomSource(42, 5), noise
+            )
+            assert est == alone
+            assert pe == pe_conditional(channel, alpha, params, noise)
+            assert 0 < est.errors < trials
+
+    @pytest.mark.parametrize(
+        "field, value", [("num_sensors", 6), ("p1", 0.4)], ids=["num_sensors", "p1"]
+    )
+    def test_rejects_detectors_that_differ_in_sensors_or_prior(self, field, value):
+        detectors = _batch_detectors()
+        params = replace(detectors[0][2], **{field: value})
+        h = sample_channel(ChannelModel.awgn(), 2, params.num_sensors, RandomSource(44)).entries
+        detectors.append((h, alpha_uniform(params), params, None))
+        with pytest.raises(ValueError, match="num_sensors and p1"):
+            estimate_pe_montecarlo_batch(detectors, 1000, RandomSource(45))
+
+    def test_rejects_small_trial_counts_and_plain_generators(self):
+        detectors = _batch_detectors()
+        with pytest.raises(ValueError):
+            estimate_pe_montecarlo_batch(detectors, 999, RandomSource(0))
+        with pytest.raises(TypeError):
+            estimate_pe_montecarlo_batch(detectors, 1000, np.random.default_rng(0))
+
+    def test_rejects_an_empty_batch(self):
+        with pytest.raises(ValueError):
+            estimate_pe_montecarlo_batch([], 1000, RandomSource(0))
 
 
 def _oracle_case(noise_kind, channel, n, l, p1):
