@@ -26,7 +26,6 @@ from .model import (
     SensingNoiseModel,
     mean_abs_h,
     sample_channel,
-    sample_sensing_noise,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "SensingNoiseModel",
     "mean_abs_h",
     "sample_channel",
-    "sample_sensing_noise",
 ]
 
 __version__ = "0.1.0"

@@ -131,8 +131,7 @@ class ExperimentConfig:
     figure_id: int | None
     params: NetworkParams
     model: ChannelModel
-    noise_kind: str
-    noise_corr: float | None
+    noise_corr: float | None  # AR(1) sensing-noise correlation; None is iid
     n_list: tuple[int, ...] | None
     sweep_variable: str | None
     sweep_grid: tuple[float, ...] | None
@@ -327,18 +326,18 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     # a K sweep's grid supplies K; the model's own K is then never read
     ricean_k = _as_bool_free_number("ricean_k", raw.get("ricean_k", 0.0))
 
-    noise_kind = _as_str("noise", raw.get("noise", "iid"))
+    noise = _as_str("noise", raw.get("noise", "iid"))
     noise_corr = None
-    if noise_kind == "iid":
+    if noise == "iid":
         _reject(given, ("noise_corr",), "for iid sensing noise")
-    elif noise_kind == "ar1":
+    elif noise == "ar1":
         if "noise_corr" not in given:
             raise ConfigError("ar1 sensing noise requires noise_corr")
         noise_corr = _as_bool_free_number("noise_corr", raw["noise_corr"])
         if not -1.0 < noise_corr < 1.0:
             raise ConfigError("noise_corr must lie strictly between -1 and 1")
     else:
-        raise ConfigError(f"unknown noise kind {noise_kind!r}")
+        raise ConfigError(f"unknown noise kind {noise!r}")
 
     num_sensors = _as_int("num_sensors", raw.get("num_sensors", 200))
     num_antennas = _as_int("num_antennas", raw.get("num_antennas", 1))
@@ -410,7 +409,6 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
         figure_id=figure_id,
         params=params,
         model=model,
-        noise_kind=noise_kind,
         noise_corr=noise_corr,
         n_list=n_list,
         sweep_variable=sweep_variable,
@@ -429,7 +427,9 @@ def _read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers past the int-digits limit; RecursionError, deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -449,7 +449,7 @@ def _params_at(params: NetworkParams, variable: str, x: float) -> NetworkParams:
 
 def _noise_for(cfg: ExperimentConfig, params: NetworkParams) -> SensingNoiseModel | None:
     # AR(1) noise of zero power (noise-free sensing) is no noise at all
-    if cfg.noise_kind == "iid" or params.sigma_eta_sq == 0.0:
+    if cfg.noise_corr is None or params.sigma_eta_sq == 0.0:
         return None
     idx = np.arange(params.num_sensors)
     r = params.sigma_eta_sq * cfg.noise_corr ** np.abs(idx[:, None] - idx[None, :])
@@ -964,7 +964,8 @@ def main(argv=None) -> int:
     figure_id = None
     if experiment.startswith("figure") and experiment != "figure":
         tail = experiment[len("figure") :]
-        if not tail.isdigit():
+        # isdigit alone admits "²" and non-ASCII decimal digits
+        if not (tail.isascii() and tail.isdigit()):
             print(f"config error: unknown experiment {experiment!r}", file=sys.stderr)
             return 2
         experiment, figure_id = "figure", int(tail)

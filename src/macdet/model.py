@@ -29,8 +29,6 @@ __all__ = [
     "SensingNoiseModel",
     "mean_abs_h",
     "sample_channel",
-    "sample_sensing_noise",
-    "as_generator",
 ]
 
 
@@ -45,9 +43,9 @@ class RandomSource:
 
     Two bit generators sit on that one key derivation:
 
-    * `substream` (and `generator`) is Philox.  Channels, the crossover
-      calibration and every other small draw use it; those draws fix
-      every analytic row of every output.
+    * `substream` is Philox.  Channels, the crossover calibration and
+      every other small draw use it; those draws fix every analytic row
+      of every output.
     * `montecarlo_block` is SFC64.  Only the Monte Carlo trial blocks
       of `estimate_pe_montecarlo_batch` (and so of its one-detector case
       `estimate_pe_montecarlo`) use it: they are nearly all the normal
@@ -65,10 +63,6 @@ class RandomSource:
             raise ValueError("master_seed must be a non-negative integer")
         if self.stream_id < 0:
             raise ValueError("stream_id must be a non-negative integer")
-
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
-        return self.substream()
 
     def substream(self, *path: "int | str") -> np.random.Generator:
         """Generator for a nested split of this stream.
@@ -92,15 +86,6 @@ class RandomSource:
         return np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(self.stream_id, *key)
         )
-
-
-def as_generator(rng: "RandomSource | np.random.Generator") -> np.random.Generator:
-    """Accept either a RandomSource or a ready Generator."""
-    if isinstance(rng, RandomSource):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RandomSource or numpy Generator, got {type(rng)!r}")
 
 
 def complex_normal(
@@ -304,18 +289,20 @@ def sample_channel(
     model: ChannelModel,
     num_antennas: int,
     num_sensors: int,
-    rng: "RandomSource | np.random.Generator",
+    rng: np.random.Generator,
 ) -> ChannelMatrix:
-    """Draw one channel realization for the given model."""
+    """Draw one channel realization for the given model from `rng`,
+    e.g. a `RandomSource.substream`; an AWGN channel draws nothing."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     if num_antennas < 1 or num_sensors < 1:
         raise ValueError("channel dimensions must be >= 1")
     shape = (num_antennas, num_sensors)
     if model.is_awgn:
         entries = np.ones(shape, dtype=np.complex128)
     else:
-        gen = as_generator(rng)
         entries = model.los_amplitude + complex_normal(
-            gen, shape, model.diffuse_variance
+            rng, shape, model.diffuse_variance
         )
     return ChannelMatrix(entries=entries)
 
@@ -364,18 +351,3 @@ class SensingNoiseModel:
                 f"network has {num_sensors} sensors"
             )
         return self._chol
-
-    def color(self, std: np.ndarray) -> np.ndarray:
-        """Sensing noise S @ std from standard CN(0, 1) draws with the
-        sensors along the first axis."""
-        return self.scale_factor(std.shape[0]) @ std
-
-
-def sample_sensing_noise(
-    model: SensingNoiseModel,
-    num_sensors: int,
-    rng: "RandomSource | np.random.Generator",
-) -> np.ndarray:
-    """One correlated sensing-noise vector of length num_sensors: the
-    model's color of one block of standard CN(0, 1) draws."""
-    return model.color(complex_normal(as_generator(rng), num_sensors, 1.0))

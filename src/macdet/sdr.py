@@ -41,11 +41,7 @@ __all__ = [
     "SdpNonConvergence",
     "solve_sdp",
     "extract_phases",
-    "brute_force_phase",
 ]
-
-_BRUTE_FORCE_LIMIT = 10**8
-_BRUTE_CHUNK = 1 << 16
 
 # certified relative gap at which the solve stops, and its iteration cap
 _GAP_TOL = 1e-12
@@ -152,55 +148,3 @@ def extract_phases(solution: SdpSolution) -> np.ndarray:
     nz = mags > 0.0
     out[nz] = v[nz] / mags[nz]
     return out
-
-
-def _phase_chunk(total_digits: int, levels: int, start: int, count: int) -> np.ndarray:
-    # enumeration index -> digit matrix, first coordinate's phase fixed to 0
-    idx = np.arange(start, start + count, dtype=np.int64)
-    digits = np.empty((count, total_digits), dtype=np.int64)
-    for pos in range(total_digits - 1, -1, -1):
-        digits[:, pos] = idx % levels
-        idx //= levels
-    return digits
-
-
-def brute_force_phase(
-    cost: np.ndarray, diag_value: float, levels: int
-) -> tuple[float, np.ndarray]:
-    """Exhaustive phase-grid optimum of alpha^H C alpha with
-    |alpha_l| = sqrt(diag_value) and phases on a uniform grid.
-
-    The first coordinate's phase is fixed to 0 (the objective is
-    invariant to a global rotation).  Rejects instances with more than
-    10^8 grid points.  Returns (best objective, best alpha).
-    """
-    problem = SdpProblem(cost=cost, diag_value=diag_value)
-    c = problem.cost
-    size = problem.size
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
-    if levels**size > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"{levels}^{size} grid points exceed the {_BRUTE_FORCE_LIMIT:.0e} cap"
-        )
-
-    roots = np.exp(2j * math.pi * np.arange(levels) / levels)
-    total = levels ** (size - 1)
-    best_obj = -math.inf
-    best_u = np.ones(size, dtype=np.complex128)
-    for start in range(0, total, _BRUTE_CHUNK):
-        count = min(_BRUTE_CHUNK, total - start)
-        if size == 1:
-            u = np.ones((1, 1), dtype=np.complex128)
-        else:
-            digits = _phase_chunk(size - 1, levels, start, count)
-            u = np.empty((count, size), dtype=np.complex128)
-            u[:, 0] = 1.0
-            u[:, 1:] = roots[digits]
-        objs = ((u.conj() @ c) * u).sum(axis=1).real
-        k = int(np.argmax(objs))
-        if objs[k] > best_obj:
-            best_obj = float(objs[k])
-            best_u = u[k].copy()
-    alpha = math.sqrt(diag_value) * best_u
-    return diag_value * best_obj, alpha

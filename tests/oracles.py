@@ -15,6 +15,13 @@ None of these is used by `macdet` itself:
   the same draws.
 * `e_csis1_numeric` is the single-antenna full-knowledge exponent by
   quadrature of the amplitude density (scipy.integrate).
+* `color` and `sample_sensing_noise` draw correlated sensing noise on
+  their own, one vector or block at a time; the Monte Carlo colors its
+  trial blocks through `SensingNoiseModel.scale_factor` directly.
+* `brute_force_phase` (with `_phase_chunk`, `_BRUTE_FORCE_LIMIT` and
+  `_BRUTE_CHUNK`) is the exhaustive phase-grid optimum that the SDR
+  phase design is compared against; the package certifies its SDP by
+  the dual gap instead.
 * `q_function` is the Gaussian tail Q(x) itself, through SciPy's erfc;
   the package only needs its logarithm, `numerics.log_q`.
 """
@@ -36,10 +43,13 @@ from macdet.model import (
     NetworkParams,
     RandomSource,
     SensingNoiseModel,
-    as_generator,
     complex_normal,
 )
 from macdet.numerics import solve_hermitian_pd
+from macdet.sdr import SdpProblem
+
+_BRUTE_FORCE_LIMIT = 10**8
+_BRUTE_CHUNK = 1 << 16
 
 
 def q_function(x):
@@ -73,10 +83,24 @@ class ReceivedSignal:
         object.__setattr__(self, "truth", Hypothesis(self.truth))
 
 
+def color(model: SensingNoiseModel, std: np.ndarray) -> np.ndarray:
+    """Sensing noise S @ std from standard CN(0, 1) draws with the
+    sensors along the first axis."""
+    return model.scale_factor(std.shape[0]) @ std
+
+
+def sample_sensing_noise(
+    model: SensingNoiseModel, num_sensors: int, gen: np.random.Generator
+) -> np.ndarray:
+    """One correlated sensing-noise vector of length num_sensors: the
+    model's color of one block of standard CN(0, 1) draws."""
+    return color(model, complex_normal(gen, num_sensors, 1.0))
+
+
 def _color(params: NetworkParams, noise: SensingNoiseModel | None, std: np.ndarray) -> np.ndarray:
     # sensing noise from standard CN(0, 1) draws with the sensors along the
     # first axis: sqrt(sigma_eta_sq) std under iid noise (noise=None)
-    return math.sqrt(params.sigma_eta_sq) * std if noise is None else noise.color(std)
+    return math.sqrt(params.sigma_eta_sq) * std if noise is None else color(noise, std)
 
 
 def synthesize(
@@ -84,14 +108,13 @@ def synthesize(
     alpha,
     params: NetworkParams,
     hypothesis: Hypothesis,
-    rng,
+    gen: np.random.Generator,
     noise: SensingNoiseModel | None = None,
 ) -> ReceivedSignal:
     """One draw of the received vector.  Sensing noise is drawn first,
     receiver noise second, so a shared generator yields reproducible
     pairs."""
     h, a, _ = _item(channel, alpha, params, noise)
-    gen = as_generator(rng)
     eta = _color(params, noise, complex_normal(gen, params.num_sensors))
     nu = complex_normal(gen, params.num_antennas, params.sigma_nu_sq)
     signal = params.theta if hypothesis == Hypothesis.H1 else 0.0
@@ -225,3 +248,55 @@ def e_csis1_numeric(params: NetworkParams, model: ChannelModel) -> float:
     if scaled_err > 1e-9 + 1e-9 * abs(0.125 * th2 * total):
         raise ValueError(f"amplitude quadrature error {scaled_err:g} above tolerance")
     return 0.125 * th2 * total
+
+
+def _phase_chunk(total_digits: int, levels: int, start: int, count: int) -> np.ndarray:
+    # enumeration index -> digit matrix, first coordinate's phase fixed to 0
+    idx = np.arange(start, start + count, dtype=np.int64)
+    digits = np.empty((count, total_digits), dtype=np.int64)
+    for pos in range(total_digits - 1, -1, -1):
+        digits[:, pos] = idx % levels
+        idx //= levels
+    return digits
+
+
+def brute_force_phase(
+    cost: np.ndarray, diag_value: float, levels: int
+) -> tuple[float, np.ndarray]:
+    """Exhaustive phase-grid optimum of alpha^H C alpha with
+    |alpha_l| = sqrt(diag_value) and phases on a uniform grid.
+
+    The first coordinate's phase is fixed to 0 (the objective is
+    invariant to a global rotation).  Rejects instances with more than
+    10^8 grid points.  Returns (best objective, best alpha).
+    """
+    problem = SdpProblem(cost=cost, diag_value=diag_value)
+    c = problem.cost
+    size = problem.size
+    if levels < 2:
+        raise ValueError("levels must be >= 2")
+    if levels**size > _BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"{levels}^{size} grid points exceed the {_BRUTE_FORCE_LIMIT:.0e} cap"
+        )
+
+    roots = np.exp(2j * math.pi * np.arange(levels) / levels)
+    total = levels ** (size - 1)
+    best_obj = -math.inf
+    best_u = np.ones(size, dtype=np.complex128)
+    for start in range(0, total, _BRUTE_CHUNK):
+        count = min(_BRUTE_CHUNK, total - start)
+        if size == 1:
+            u = np.ones((1, 1), dtype=np.complex128)
+        else:
+            digits = _phase_chunk(size - 1, levels, start, count)
+            u = np.empty((count, size), dtype=np.complex128)
+            u[:, 0] = 1.0
+            u[:, 1:] = roots[digits]
+        objs = ((u.conj() @ c) * u).sum(axis=1).real
+        k = int(np.argmax(objs))
+        if objs[k] > best_obj:
+            best_obj = float(objs[k])
+            best_u = u[k].copy()
+    alpha = math.sqrt(diag_value) * best_u
+    return diag_value * best_obj, alpha

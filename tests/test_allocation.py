@@ -35,7 +35,7 @@ from macdet.model import (
 )
 from macdet.numerics import hermitian_eig
 from macdet.sdr import SdpNonConvergence, SdpProblem, solve_sdp
-from oracles import e_csis1_numeric, reference_quadratic_form
+from oracles import brute_force_phase, e_csis1_numeric, reference_quadratic_form
 
 
 def make_params(l=8, n=2, sigma_eta_sq=1.0, sigma_nu_sq=1.0, p1=0.5, total_power=1.5):
@@ -753,8 +753,6 @@ class TestAlphaSdrPhase:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_brackets_brute_force_optimum(self, seed):
-        from macdet.sdr import brute_force_phase
-
         params = make_params(l=6, n=2)
         h = random_channel(np.random.default_rng(30 + seed), 2, 6)
         cost = h.conj().T @ h
@@ -802,7 +800,7 @@ class TestPerSensorBound:
             gamma_s, gamma_c = 10.0 ** rng.uniform(-1.0, 2.0, size=2)
             params = params_for(gamma_s, gamma_c, l=l, n=n)
             model = self.MODELS[seed % len(self.MODELS)]
-            h = sample_channel(model, n, l, RandomSource(seed, n * 100 + l)).entries
+            h = sample_channel(model, n, l, RandomSource(seed, n * 100 + l).substream()).entries
             bound = per_sensor_bound(h, params)
             rules = {
                 "uniform": alpha_uniform(params),

@@ -540,9 +540,33 @@ class TestMainEndToEnd:
         assert cli.main(["exponent-sweep", "--config", str(path)]) == 2
         assert "valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"seed": "\xff"}',
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"seed": ' + b"7" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "deep-array", "5000-digit-int"],
+    )
+    def test_undecodable_json_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert cli.main(["exponent-sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {path} is not valid JSON: ")
+
     def test_unknown_experiment_exit_2(self, tmp_path, capsys):
         path = self.write(tmp_path, {"sweep": sweep("gamma_s", [1.0, 2.0])})
         assert cli.main(["wrong-name", "--config", path]) == 2
+
+    @pytest.mark.parametrize("name", ["figure²", "figure٢"])
+    def test_non_ascii_figure_digit_exit_2(self, tmp_path, capsys, name):
+        path = self.write(tmp_path, {})
+        assert cli.main([name, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment" in captured.err
+        assert captured.out == ""
 
     def test_compact_figure_name(self, tmp_path, capsys):
         path = self.write(tmp_path, {})

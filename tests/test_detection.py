@@ -146,7 +146,7 @@ class TestSynthesize:
         params = make_params(l=4, n=2, sigma_eta_sq=0.0, sigma_nu_sq=1e-18)
         h = np.ones((2, 4), dtype=complex)
         alpha = alpha_uniform(params)
-        sig = synthesize(h, alpha, params, Hypothesis.H1, RandomSource(1))
+        sig = synthesize(h, alpha, params, Hypothesis.H1, RandomSource(1).substream())
         assert np.allclose(sig.y, params.theta * (h @ alpha.values), atol=1e-7)
         assert sig.truth is Hypothesis.H1
 
@@ -156,7 +156,7 @@ class TestSynthesize:
         h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / math.sqrt(2)
         alpha = alpha_uniform(params)
         n_draws = 100_000
-        gen = RandomSource(master_seed=3).generator()
+        gen = RandomSource(master_seed=3).substream()
         ys = received_block(h, alpha.values, params, np.zeros(n_draws, dtype=bool), gen)
         sample = ys.T @ ys.conj() / n_draws
         r = received_covariance(h, alpha, params)
@@ -169,7 +169,7 @@ class TestSynthesize:
         h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / math.sqrt(2)
         alpha = alpha_uniform(params)
         n_draws = 100_000
-        gen = RandomSource(master_seed=5).generator()
+        gen = RandomSource(master_seed=5).substream()
         ys = received_block(h, alpha.values, params, np.ones(n_draws, dtype=bool), gen)
         mean = ys.mean(axis=0)
         expected = params.theta * (h @ alpha.values)
@@ -195,9 +195,9 @@ class TestDecide:
 
     def test_loop_of_synthesize_and_decide_matches_conditional_rate(self):
         params = params_for(gamma_s=1.0, gamma_c=2.0, l=5, n=2, p1=0.4)
-        h = sample_channel(ChannelModel.rayleigh(), 2, 5, RandomSource(6)).entries
+        h = sample_channel(ChannelModel.rayleigh(), 2, 5, RandomSource(6).substream()).entries
         alpha = alpha_uniform(params)
-        gen = RandomSource(master_seed=7).generator()
+        gen = RandomSource(master_seed=7).substream()
         trials = 4000
         errors = 0
         for _ in range(trials):
@@ -211,7 +211,7 @@ class TestDecide:
 class TestPeConditional:
     def test_symmetric_prior_reduces_to_single_q(self):
         params = params_for(gamma_s=1.0, gamma_c=3.0, l=6, n=2, p1=0.5)
-        h = sample_channel(ChannelModel.rayleigh(), 2, 6, RandomSource(8)).entries
+        h = sample_channel(ChannelModel.rayleigh(), 2, 6, RandomSource(8).substream()).entries
         alpha = alpha_uniform(params)
         q = quadratic_form(h, alpha.values, params)[2]
         omega = params.theta * math.sqrt(q / 2.0)
@@ -254,7 +254,7 @@ class TestPeConditional:
 
     def test_log_variant_agrees_in_moderate_regime(self):
         params = params_for(gamma_s=1.0, gamma_c=2.0, l=8, n=2, p1=0.35)
-        h = sample_channel(ChannelModel.ricean(1.0), 2, 8, RandomSource(10)).entries
+        h = sample_channel(ChannelModel.ricean(1.0), 2, 8, RandomSource(10).substream()).entries
         alpha = alpha_uniform(params)
         assert log_pe_conditional(h, alpha, params) == pytest.approx(
             math.log(pe_conditional(h, alpha, params)), rel=1e-12
@@ -291,7 +291,7 @@ class TestEstimatePeMontecarlo:
 
     def test_deterministic_given_source(self):
         params = params_for(gamma_s=1.0, gamma_c=2.0, l=5, n=2)
-        h = sample_channel(ChannelModel.rayleigh(), 2, 5, RandomSource(12)).entries
+        h = sample_channel(ChannelModel.rayleigh(), 2, 5, RandomSource(12).substream()).entries
         alpha = alpha_uniform(params)
         a = estimate_pe_montecarlo(h, alpha, params, 10_000, RandomSource(13))
         b = estimate_pe_montecarlo(h, alpha, params, 10_000, RandomSource(13))
@@ -299,7 +299,7 @@ class TestEstimatePeMontecarlo:
 
     def test_diagonal_correlated_model_matches_iid_bitwise(self):
         params = make_params(l=5, n=2, sigma_eta_sq=0.7)
-        h = sample_channel(ChannelModel.rayleigh(), 2, 5, RandomSource(14)).entries
+        h = sample_channel(ChannelModel.rayleigh(), 2, 5, RandomSource(14).substream()).entries
         alpha = alpha_uniform(params)
         iid = estimate_pe_montecarlo(h, alpha, params, 5000, RandomSource(15))
         corr = estimate_pe_montecarlo(
@@ -310,7 +310,7 @@ class TestEstimatePeMontecarlo:
 
     def test_large_run_lands_inside_confidence_interval(self):
         params = params_for(gamma_s=1.0, gamma_c=2.0, l=6, n=2, p1=0.4)
-        h = sample_channel(ChannelModel.ricean(1.0), 2, 6, RandomSource(16)).entries
+        h = sample_channel(ChannelModel.ricean(1.0), 2, 6, RandomSource(16).substream()).entries
         alpha = alpha_uniform(params)
         pe = pe_conditional(h, alpha, params)
         est = estimate_pe_montecarlo(h, alpha, params, 1_000_000, RandomSource(19))
@@ -342,7 +342,7 @@ class TestEstimatePeMontecarlo:
                 p1=float(master.uniform(0.25, 0.75)),
             )
             model = models[attempt % 3]
-            h = sample_channel(model, n, l, RandomSource(9000 + attempt)).entries
+            h = sample_channel(model, n, l, RandomSource(9000 + attempt).substream()).entries
             if n == 1 and attempt % 2:
                 alpha = alpha_opt_n1(h[0], params)
             else:
@@ -395,7 +395,7 @@ def _batch_detectors(l=7, p1=0.3):
         noise = None
         if rho is not None:
             noise = SensingNoiseModel(r_eta=ar1_covariance(l, rho, params.sigma_eta_sq))
-        h = sample_channel(model, n, l, RandomSource(41, k)).entries
+        h = sample_channel(model, n, l, RandomSource(41, k).substream()).entries
         detectors.append((h, alpha_uniform(params), params, noise))
     return detectors
 
@@ -425,7 +425,9 @@ class TestEstimatePeMontecarloBatch:
     def test_rejects_detectors_that_differ_in_sensors_or_prior(self, field, value):
         detectors = _batch_detectors()
         params = replace(detectors[0][2], **{field: value})
-        h = sample_channel(ChannelModel.awgn(), 2, params.num_sensors, RandomSource(44)).entries
+        h = sample_channel(
+            ChannelModel.awgn(), 2, params.num_sensors, RandomSource(44).substream()
+        ).entries
         detectors.append((h, alpha_uniform(params), params, None))
         with pytest.raises(ValueError, match="num_sensors and p1"):
             estimate_pe_montecarlo_batch(detectors, 1000, RandomSource(45))
@@ -452,7 +454,7 @@ def _oracle_case(noise_kind, channel, n, l, p1):
     if noise_kind == "correlated":
         noise = SensingNoiseModel(r_eta=ar1_covariance(l, 0.5) * np.outer(ramp, ramp.conj()))
     model = ChannelModel.awgn() if channel == "awgn" else ChannelModel.rayleigh()
-    h = sample_channel(model, n, l, RandomSource(31, n * 100 + l)).entries
+    h = sample_channel(model, n, l, RandomSource(31, n * 100 + l).substream()).entries
     alpha = alpha_uniform(params).values * ramp
     if sigma_eta_sq == 0.0:
         # receiver noise alone: q = |H alpha|^2 / sigma_nu_sq, set to 2

@@ -12,8 +12,8 @@ from macdet.model import (
     complex_normal,
     mean_abs_h,
     sample_channel,
-    sample_sensing_noise,
 )
+from oracles import sample_sensing_noise
 
 
 def make_params(**overrides):
@@ -135,24 +135,24 @@ class TestMeanAbsH:
 
 class TestSampleChannel:
     def test_awgn_all_ones(self):
-        h = sample_channel(ChannelModel.awgn(), 2, 3, RandomSource(0))
+        h = sample_channel(ChannelModel.awgn(), 2, 3, RandomSource(0).substream())
         assert np.array_equal(h.entries, np.ones((2, 3), dtype=complex))
 
     def test_large_k_near_one(self):
-        h = sample_channel(ChannelModel.ricean(1e12), 4, 50, RandomSource(1))
+        h = sample_channel(ChannelModel.ricean(1e12), 4, 50, RandomSource(1).substream())
         assert np.max(np.abs(h.entries - 1.0)) < 1e-5
 
     def test_unit_second_moment(self):
         for i, model in enumerate(
             [ChannelModel.rayleigh(), ChannelModel.ricean(1.0), ChannelModel.ricean(5.0)]
         ):
-            h = sample_channel(model, 1, 1_000_000, RandomSource(2, i))
+            h = sample_channel(model, 1, 1_000_000, RandomSource(2, i).substream())
             m2 = float(np.mean(np.abs(h.entries) ** 2))
             assert m2 == pytest.approx(1.0, rel=0.01)
 
     def test_ricean_mean_matches_los(self):
         model = ChannelModel.ricean(2.0)
-        h = sample_channel(model, 1, 1_000_000, RandomSource(3))
+        h = sample_channel(model, 1, 1_000_000, RandomSource(3).substream())
         mean = complex(np.mean(h.entries))
         se = math.sqrt(model.diffuse_variance / 2.0 / h.entries.size)
         assert abs(mean.real - model.los_amplitude) <= 4.0 * se
@@ -160,14 +160,20 @@ class TestSampleChannel:
 
     def test_reproducible_and_streams_differ(self):
         model = ChannelModel.rayleigh()
-        a = sample_channel(model, 2, 8, RandomSource(9, 4))
-        b = sample_channel(model, 2, 8, RandomSource(9, 4))
-        c = sample_channel(model, 2, 8, RandomSource(9, 5))
+        a = sample_channel(model, 2, 8, RandomSource(9, 4).substream())
+        b = sample_channel(model, 2, 8, RandomSource(9, 4).substream())
+        c = sample_channel(model, 2, 8, RandomSource(9, 5).substream())
         assert np.array_equal(a.entries, b.entries)
         assert not np.array_equal(a.entries, c.entries)
 
+    @pytest.mark.parametrize("model", [ChannelModel.awgn(), ChannelModel.rayleigh()])
+    def test_rejects_anything_but_a_generator(self, model):
+        # an AWGN channel draws nothing, so only the type check catches it
+        with pytest.raises(TypeError, match="numpy Generator"):
+            sample_channel(model, 2, 3, RandomSource(0))
+
     def test_entries_read_only(self):
-        h = sample_channel(ChannelModel.rayleigh(), 2, 2, RandomSource(0))
+        h = sample_channel(ChannelModel.rayleigh(), 2, 2, RandomSource(0).substream())
         with pytest.raises(ValueError):
             h.entries[0, 0] = 0.0
 
@@ -180,15 +186,14 @@ class TestSensingNoise:
             SensingNoiseModel(np.zeros((5, 5)))
 
     # Both covariance checks color one (L, n) block of standard CN(0, 1)
-    # draws, the transform sample_sensing_noise applies to each vector
-    # (test_diagonal_model_equals_scaled_iid_draws_bitwise covers that
-    # function).
+    # draws with the Cholesky factor, as the Monte Carlo colors its trial
+    # blocks.
     def test_diagonal_sample_covariance(self):
         sigma2 = 0.7
-        gen = RandomSource(5).generator()
+        gen = RandomSource(5).substream()
         n, L = 100_000, 4
         model = SensingNoiseModel(sigma2 * np.eye(L))
-        draws = model.color(complex_normal(gen, (L, n)))
+        draws = model.scale_factor(L) @ complex_normal(gen, (L, n))
         cov = draws @ draws.conj().T / n
         assert np.allclose(np.diag(cov).real, sigma2, rtol=0.02)
         off = cov - np.diag(np.diag(cov))
@@ -197,9 +202,9 @@ class TestSensingNoise:
     def test_correlated_sample_covariance(self):
         r = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
         model = SensingNoiseModel(r)
-        gen = RandomSource(6).generator()
+        gen = RandomSource(6).substream()
         n = 200_000
-        draws = model.color(complex_normal(gen, (2, n)))
+        draws = model.scale_factor(2) @ complex_normal(gen, (2, n))
         cov = draws @ draws.conj().T / n
         for i in range(2):
             for j in range(2):
@@ -210,8 +215,9 @@ class TestSensingNoise:
         # iid noise is sqrt(sigma_eta_sq) times the same standard draws
         sigma2 = 0.3
         L = 6
-        iid = math.sqrt(sigma2) * complex_normal(RandomSource(7, 1).generator(), L)
-        corr = sample_sensing_noise(SensingNoiseModel(sigma2 * np.eye(L)), L, RandomSource(7, 1))
+        iid = math.sqrt(sigma2) * complex_normal(RandomSource(7, 1).substream(), L)
+        model = SensingNoiseModel(sigma2 * np.eye(L))
+        corr = sample_sensing_noise(model, L, RandomSource(7, 1).substream())
         assert np.array_equal(iid, corr)
 
     def test_lambda_min(self):
@@ -239,13 +245,13 @@ class TestSensingNoise:
     def test_dimension_mismatch(self):
         model = SensingNoiseModel(np.eye(3))
         with pytest.raises(ValueError):
-            sample_sensing_noise(model, 4, RandomSource(0))
+            sample_sensing_noise(model, 4, RandomSource(0).substream())
 
 
 class TestRandomSource:
     def test_same_fields_same_draws(self):
-        a = RandomSource(42, 3).generator().standard_normal(8)
-        b = RandomSource(42, 3).generator().standard_normal(8)
+        a = RandomSource(42, 3).substream().standard_normal(8)
+        b = RandomSource(42, 3).substream().standard_normal(8)
         assert np.array_equal(a, b)
 
     def test_substreams_independent_of_order(self):

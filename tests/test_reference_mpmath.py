@@ -258,7 +258,7 @@ def test_correlated_quadratic_form_at_extreme_powers(rho, model, sigma_nu_sq, to
     params = NetworkParams(4, 2, 1.0, 0.3, sigma_nu_sq, 0.5, total_power)
     lag = np.arange(4)[:, np.newaxis] - np.arange(4)[np.newaxis, :]
     r_eta = 0.3 * rho ** np.abs(lag) + 0j
-    h = sample_channel(model, 2, 4, RandomSource(3)).entries
+    h = sample_channel(model, 2, 4, RandomSource(3).substream()).entries
     a = (alpha_uniform(params) if gains == "uniform" else method2(h, params)).values
     q = quadratic_form(h, a, params, SensingNoiseModel(r_eta=r_eta))[2]
     with mp.workdps(700):

@@ -8,15 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from macdet import sdr
-from macdet.model import ChannelModel, RandomSource, sample_channel
+from macdet.model import ChannelModel, NetworkParams, RandomSource, sample_channel
 from macdet.sdr import (
     SdpNonConvergence,
     SdpProblem,
     SdpSolution,
-    brute_force_phase,
     extract_phases,
     solve_sdp,
 )
+from oracles import brute_force_phase
 
 # Oracle: for a rank-one cost h h^H the SDP optimum is known in closed
 # form.  |X_ij| <= sqrt(X_ii X_jj) = d for any feasible X gives
@@ -217,6 +217,32 @@ class TestTightnessOracle:
             phases = extract_phases(solution)
             rounded = float(np.vdot(phases, cost @ phases).real)
             assert rounded >= upper * (1.0 - 1e-6), draw
+
+
+class TestDemo06Claim:
+    def test_bound_column_bounds_rounded_and_grid_optima(self):
+        # demo 06's eight draws (Rayleigh, N = 2, L = 6, seed 66): its
+        # bound column objective + gap lies above the rounded vector's
+        # value and the 16-level grid optimum.  The rounded value is
+        # compared with a 1e-13 relative allowance: it meets the bound to
+        # within 2 ulps, above it on some draws, since both are rounded sums
+        params = NetworkParams(
+            num_sensors=6, num_antennas=2, theta=1.0, sigma_eta_sq=1.0,
+            sigma_nu_sq=1.0, p1=0.5, total_power=6.0,
+        )
+        d = params.gain_budget / params.num_sensors
+        src = RandomSource(66)
+        for i in range(8):
+            h = sample_channel(ChannelModel.rayleigh(), 2, 6, src.substream("h", i)).entries
+            cost = h.conj().T @ h
+            solution = solve_sdp(SdpProblem(cost=cost, diag_value=d))
+            assert solution.converged, i
+            bound = solution.objective + solution.gap
+            alpha = math.sqrt(d) * extract_phases(solution)
+            rounded = float(np.real(alpha.conj() @ cost @ alpha))
+            assert rounded <= bound * (1.0 + 1e-13), i
+            grid, _ = brute_force_phase(cost, d, levels=16)
+            assert grid <= bound, i
 
 
 class TestExtractPhases:
