@@ -22,6 +22,10 @@ None of these is used by `macdet` itself:
   `_BRUTE_CHUNK`) is the exhaustive phase-grid optimum that the SDR
   phase design is compared against; the package certifies its SDP by
   the dual gap instead.
+* `solve_sdp_eigen_stop` is the Burer-Monteiro ascent with the exact
+  dual certificate (an eigen-solve) at every step; `sdr.solve_sdp`
+  screens the steps with a shifted Cholesky and must return the same
+  solution bit for bit.
 * `q_function` is the Gaussian tail Q(x) itself, through SciPy's erfc;
   the package only needs its logarithm, `numerics.log_q`.
 """
@@ -36,6 +40,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erfc, i0e
 
+from macdet import sdr
 from macdet.allocation import _item, quadratic_form, received_covariance
 from macdet.detection import _MC_BLOCK, PeEstimate
 from macdet.model import (
@@ -45,8 +50,8 @@ from macdet.model import (
     SensingNoiseModel,
     complex_normal,
 )
-from macdet.numerics import solve_hermitian_pd
-from macdet.sdr import SdpProblem
+from macdet.numerics import hermitian_eig, solve_hermitian_pd
+from macdet.sdr import SdpProblem, SdpSolution
 
 _BRUTE_FORCE_LIMIT = 10**8
 _BRUTE_CHUNK = 1 << 16
@@ -300,3 +305,44 @@ def brute_force_phase(
             best_u = u[k].copy()
     alpha = math.sqrt(diag_value) * best_u
     return diag_value * best_obj, alpha
+
+
+def solve_sdp_eigen_stop(problem: SdpProblem) -> SdpSolution:
+    """`sdr.solve_sdp` with the dual certificate's lambda_min computed by
+    an eigen-solve at every ascent step: the same start, steps and stop
+    rule, reading `sdr._GAP_TOL` and `sdr._MAX_ITER` at call time."""
+    c = problem.cost
+    d = problem.diag_value
+    size = problem.size
+    rank = min(size, math.ceil(math.sqrt(2 * size)))
+    eig = hermitian_eig(c)
+    shift = max(0.0, -float(eig.eigenvalues[0]))
+
+    v = eig.eigenvectors[:, -rank:].copy()
+    v[~v.any(axis=1), 0] = 1.0
+    v *= (math.sqrt(d) / np.linalg.norm(v, axis=1))[:, None]
+
+    converged = False
+    for iterations in range(sdr._MAX_ITER + 1):
+        cv = c @ v
+        y = (v.conj() * cv).sum(axis=1).real / d
+        objective = d * float(y.sum())
+        gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - c)[0]))
+        if gap <= sdr._GAP_TOL * max(abs(objective), d):
+            converged = True
+            break
+        if iterations == sdr._MAX_ITER:
+            break
+        step = cv + shift * v
+        norms = np.linalg.norm(step, axis=1)
+        moving = norms > 0.0
+        v[moving] = step[moving] * (math.sqrt(d) / norms[moving])[:, None]
+
+    x = v @ v.conj().T
+    return SdpSolution(
+        x=(x + x.conj().T) / 2.0,
+        objective=objective,
+        iterations=iterations,
+        converged=converged,
+        gap=gap,
+    )

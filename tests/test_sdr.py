@@ -16,7 +16,7 @@ from macdet.sdr import (
     extract_phases,
     solve_sdp,
 )
-from oracles import brute_force_phase
+from oracles import brute_force_phase, solve_sdp_eigen_stop
 
 # Oracle: for a rank-one cost h h^H the SDP optimum is known in closed
 # form.  |X_ij| <= sqrt(X_ii X_jj) = d for any feasible X gives
@@ -162,6 +162,77 @@ class TestSolveSdp:
         assert err.solution is solution
         assert "7 iterations" in str(err)
         assert "1.000e-03" in str(err)
+
+
+def figure9_costs() -> list[np.ndarray]:
+    # figure9's three SDP costs: Ricean K = 1, N = 3, L = 32, seed 0
+    source = RandomSource(0)
+    costs = []
+    for draw in range(3):
+        h = sample_channel(ChannelModel.ricean(1.0), 3, 32, source.substream("sdr", draw)).entries
+        costs.append(h.conj().T @ h)
+    return costs
+
+
+def screen_cases() -> list:
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h64 = sample_channel(ChannelModel.rayleigh(), 3, 64, RandomSource(0).substream("sdr", 1)).entries
+    # this draw's computed lambda_min is >= 0, so the ascent shift is 0 and
+    # the zero row never moves: the update takes its masked path
+    zero_row = random_psd_cost(5, np.random.default_rng(5))
+    zero_row[2, :] = 0.0
+    zero_row[:, 2] = 0.0
+    return [
+        *(pytest.param(cost, id=f"figure9-{draw}") for draw, cost in enumerate(figure9_costs())),
+        pytest.param(h64.conj().T @ h64, id="rayleigh-L64"),
+        pytest.param((a + a.conj().T) / 2.0, id="indefinite-L12"),
+        pytest.param(np.eye(5), id="identity"),
+        pytest.param(zero_row, id="zero-row"),
+    ]
+
+
+def assert_same_solution(got: SdpSolution, want: SdpSolution) -> None:
+    assert np.array_equal(got.x, want.x)
+    assert got.objective == want.objective
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.gap == want.gap
+
+
+class TestCholeskyScreen:
+    """solve_sdp certifies only the steps that pass a shifted Cholesky;
+    the oracle takes the exact certificate at every step.  Both must
+    stop at the same step with the same bits."""
+
+    @pytest.mark.parametrize("cost", screen_cases())
+    def test_matches_eigen_stop_oracle(self, cost):
+        problem = SdpProblem(cost=cost, diag_value=1.0)
+        assert_same_solution(solve_sdp(problem), solve_sdp_eigen_stop(problem))
+
+    def test_matches_oracle_at_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(sdr, "_MAX_ITER", 3)
+        problem = SdpProblem(cost=random_psd_cost(6, np.random.default_rng(9)), diag_value=1.0)
+        solution = solve_sdp(problem)
+        assert not solution.converged
+        assert solution.iterations == 3
+        assert_same_solution(solution, solve_sdp_eigen_stop(problem))
+
+    def test_at_most_two_eigen_solves_on_figure9(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(sdr.np.linalg, "eigvalsh", counted)
+        for draw, cost in enumerate(figure9_costs()):
+            calls.clear()
+            solution = solve_sdp(SdpProblem(cost=cost, diag_value=1.0))
+            assert solution.converged, draw
+            assert solution.iterations >= 10, draw
+            assert 1 <= len(calls) <= 2, (draw, len(calls))
 
 
 def sphere_search_phase_value(h: np.ndarray) -> float:
