@@ -19,9 +19,11 @@ mu = max(0, -lambda_min(Diag(y) - C)) is dual feasible, so
 objective + d L mu bounds the SDP optimum from above.  The solve stops
 once that gap is at most 1e-12 max(|objective|, d).  Every step is
 first screened by a Cholesky factorization of Diag(y) - C shifted
-slightly past that tolerance: a step whose factorization fails cannot
-meet the stop rule, so only the steps that pass the screen, and the
-last step allowed, compute the exact lambda_min by an eigen-solve.
+slightly past that tolerance; only the steps that pass the screen, and
+the last step allowed, compute the exact lambda_min by an eigen-solve.
+On the iterates measured, a step whose factorization failed could not
+meet the stop rule; a wrong failure would only delay the stop, since
+the stop rule and the gap use the exact lambda_min alone.
 
 Rank-one rounding of the top eigenvector recovers a feasible phase
 vector; the relaxation is within a constant factor pi/4 of the rounded
@@ -110,7 +112,10 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
 
     Each step is screened by a Cholesky factorization of Diag(y) - C + s I;
     only a step that passes, and the _MAX_ITER-th, computes the exact
-    lambda_min, so the result equals certifying every step exactly.
+    lambda_min.  On the iterates measured, a failed factorization meant
+    the step could not stop, so the result equals certifying every step
+    exactly; a screen that failed wrongly could only delay the stop and
+    never weakens the certificate.
     """
     c = problem.cost
     d = problem.diag_value
@@ -121,45 +126,29 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
 
     v = eig.eigenvectors[:, -rank:].copy()
     v[~v.any(axis=1), 0] = 1.0
-    root_d = math.sqrt(d)
-    v *= (root_d / np.linalg.norm(v, axis=1))[:, None]
+    v *= (math.sqrt(d) / np.linalg.norm(v, axis=1))[:, None]
 
-    # the certificate's screen: Diag(y) - C + s I is built in place from
-    # -C, and ||Diag(y) - C||_F <= ||y||_2 + ||C||_F bounds its scale
-    neg_c = -c
     c_norm = float(np.linalg.norm(c))
-    screen = np.empty_like(c)
-    screen_diagonal = screen.reshape(-1)[:: size + 1]
-
     converged = False
     for iterations in range(_MAX_ITER + 1):
         cv = c @ v
         y = (v.conj() * cv).sum(axis=1).real / d
         objective = d * float(y.sum())
         bound = _GAP_TOL * max(abs(objective), d)
-        # The exact rule stops when gap = d L mu <= bound, i.e. when the
-        # computed lambda_min(Diag(y) - C) >= -t, t = bound / (d L), up to
-        # the rounding of that product.  At such a step the shifted
-        # matrix, s = 2t + delta, has lambda_min >= t + delta less the
-        # eigen-solve's error, and Cholesky fails only on a matrix within
-        # its own backward error of singular.  delta = L eps (||y||_2 +
-        # ||C||_F) covers both errors, each of order L u ||Diag(y) - C||:
-        # on iterates at L = 12, 32, 64 and 128 the shift at which the
-        # factorization starts to succeed lay within 0.08 delta of
-        # -lambda_min.  So a failed factorization means lambda_min < -t
-        # and the step cannot stop.  The margin only picks which steps
-        # are certified exactly; the stop rule always uses the exact gap.
-        try:
-            if iterations < _MAX_ITER:
-                np.copyto(screen, neg_c)
-                screen_diagonal += y + (
-                    2.0 * bound / (d * size)
-                    + size * _EPS * (math.sqrt(float(y @ y)) + c_norm)
-                )
-                np.linalg.cholesky(screen)
-        except np.linalg.LinAlgError:
-            pass
-        else:
+        # The exact rule stops when the computed lambda_min(Diag(y) - C)
+        # >= -t, t = bound / (d L), up to the rounding of d L mu.  The
+        # screen factors Diag(y) - C + s I with s = 2t + delta, where
+        # delta = L eps (||y||_2 + ||C||_F) >= L eps ||Diag(y) - C||_F
+        # stands for the rounding of the eigen-solve and of the
+        # factorization; it is below Higham's worst-case Cholesky bound.
+        # On iterates measured at L = 12, 32, 64 and 128, Cholesky began to
+        # succeed within 0.08 delta of -lambda_min, so there a failed
+        # screen meant the step could not stop.  A wrong failure would only
+        # delay the stop: the stop rule and the gap use the exact lambda_min.
+        shift_screen = 2.0 * bound / (d * size) + size * _EPS * (
+            math.sqrt(float(y @ y)) + c_norm
+        )
+        if iterations == _MAX_ITER or _factors(np.diag(y + shift_screen) - c):
             gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - c)[0]))
             if gap <= bound:
                 converged = True
@@ -169,10 +158,7 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
         step = cv + shift * v
         norms = np.linalg.norm(step, axis=1)
         moving = norms > 0.0
-        if moving.all():
-            np.multiply(step, (root_d / norms)[:, None], out=v)
-        else:
-            v[moving] = step[moving] * (root_d / norms[moving])[:, None]
+        v[moving] = step[moving] * (math.sqrt(d) / norms[moving])[:, None]
 
     x = v @ v.conj().T
     return SdpSolution(
@@ -182,6 +168,16 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
         converged=converged,
         gap=gap,
     )
+
+
+def _factors(a: np.ndarray) -> bool:
+    """Whether Cholesky factors the Hermitian matrix a, i.e. a is
+    numerically positive definite."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def extract_phases(solution: SdpSolution) -> np.ndarray:

@@ -179,7 +179,7 @@ def screen_cases() -> list:
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     h64 = sample_channel(ChannelModel.rayleigh(), 3, 64, RandomSource(0).substream("sdr", 1)).entries
     # this draw's computed lambda_min is >= 0, so the ascent shift is 0 and
-    # the zero row never moves: the update takes its masked path
+    # the zero row never moves: the update must leave it as it is
     zero_row = random_psd_cost(5, np.random.default_rng(5))
     zero_row[2, :] = 0.0
     zero_row[:, 2] = 0.0
