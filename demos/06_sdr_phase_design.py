@@ -38,7 +38,7 @@ def main() -> None:
             model, params.num_antennas, params.num_sensors, src.substream("h", i)
         ).entries
         cost = h.conj().T @ h
-        solution = solve_sdp(SdpProblem(cost=cost, diag_value=d))
+        solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
         phases = extract_phases(solution)
         alpha = np.sqrt(d) * phases
         rounded = float(np.real(alpha.conj() @ cost @ alpha))

@@ -449,7 +449,7 @@ def alpha_sdr_phase(channel, params: NetworkParams) -> GainVector:
     """
     h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
     p = params.gain_budget
-    problem = SdpProblem(cost=h.conj().T @ h, diag_value=p / params.num_sensors)
+    problem = SdpProblem(channel=h, diag_value=p / params.num_sensors)
     solution = solve_sdp(problem)
     if not solution.converged:
         raise SdpNonConvergence(solution)

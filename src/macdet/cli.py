@@ -623,7 +623,7 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     # phase pattern is solved once per draw and reused across gamma_s
     solved = []
     for d, h in enumerate(channels):
-        solution = solve_sdp(SdpProblem(cost=h.conj().T @ h, diag_value=1.0))
+        solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
         if not solution.converged:
             print(
                 f"sdr: channel draw {d} not certified after {solution.iterations} "

@@ -24,8 +24,8 @@ None of these is used by `macdet` itself:
   the dual gap instead.
 * `solve_sdp_eigen_stop` is the Burer-Monteiro ascent with the exact
   dual certificate (an eigen-solve) at every step; `sdr.solve_sdp`
-  screens the steps with a shifted Cholesky and must return the same
-  solution bit for bit.
+  screens the steps with a shifted N x N Cholesky of the Schur
+  complement and must return the same solution bit for bit.
 * `q_function` is the Gaussian tail Q(x) itself, through SciPy's erfc;
   the package only needs its logarithm, `numerics.log_q`.
 """
@@ -50,7 +50,7 @@ from macdet.model import (
     SensingNoiseModel,
     complex_normal,
 )
-from macdet.numerics import hermitian_eig, solve_hermitian_pd
+from macdet.numerics import _check_square_hermitian, hermitian_eig, solve_hermitian_pd
 from macdet.sdr import SdpProblem, SdpSolution
 
 _BRUTE_FORCE_LIMIT = 10**8
@@ -269,15 +269,19 @@ def brute_force_phase(
     cost: np.ndarray, diag_value: float, levels: int
 ) -> tuple[float, np.ndarray]:
     """Exhaustive phase-grid optimum of alpha^H C alpha with
-    |alpha_l| = sqrt(diag_value) and phases on a uniform grid.
+    |alpha_l| = sqrt(diag_value) and phases on a uniform grid, for any
+    Hermitian cost C (indefinite ones included).
 
     The first coordinate's phase is fixed to 0 (the objective is
-    invariant to a global rotation).  Rejects instances with more than
-    10^8 grid points.  Returns (best objective, best alpha).
+    invariant to a global rotation).  Rejects a non-Hermitian cost, a
+    diag_value that is not > 0 and instances with more than 10^8 grid
+    points.  Returns (best objective, best alpha).
     """
-    problem = SdpProblem(cost=cost, diag_value=diag_value)
-    c = problem.cost
-    size = problem.size
+    c = _check_square_hermitian(cost, 1e-10)
+    c = (c + c.conj().T) / 2.0
+    size = c.shape[0]
+    if not diag_value > 0.0:
+        raise ValueError("diag_value must be > 0")
     if levels < 2:
         raise ValueError("levels must be >= 2")
     if levels**size > _BRUTE_FORCE_LIMIT:
@@ -311,32 +315,33 @@ def solve_sdp_eigen_stop(problem: SdpProblem) -> SdpSolution:
     """`sdr.solve_sdp` with the dual certificate's lambda_min computed by
     an eigen-solve at every ascent step: the same start, steps and stop
     rule, reading `sdr._GAP_TOL` and `sdr._MAX_ITER` at call time."""
-    c = problem.cost
+    h = problem.channel
+    hh = h.conj().T
+    c = hh @ h
     d = problem.diag_value
     size = problem.size
     rank = min(size, math.ceil(math.sqrt(2 * size)))
-    eig = hermitian_eig(c)
-    shift = max(0.0, -float(eig.eigenvalues[0]))
 
-    v = eig.eigenvectors[:, -rank:].copy()
+    v = hermitian_eig(c).eigenvectors[:, -rank:].copy()
     v[~v.any(axis=1), 0] = 1.0
     v *= (math.sqrt(d) / np.linalg.norm(v, axis=1))[:, None]
 
     converged = False
     for iterations in range(sdr._MAX_ITER + 1):
-        cv = c @ v
+        cv = hh @ (h @ v)
         y = (v.conj() * cv).sum(axis=1).real / d
         objective = d * float(y.sum())
+        scale = max(abs(objective), d)
         gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - c)[0]))
-        if gap <= sdr._GAP_TOL * max(abs(objective), d):
+        gap += 2.0 * size * sdr._EPS * scale
+        if gap <= sdr._GAP_TOL * scale:
             converged = True
             break
         if iterations == sdr._MAX_ITER:
             break
-        step = cv + shift * v
-        norms = np.linalg.norm(step, axis=1)
+        norms = np.linalg.norm(cv, axis=1)
         moving = norms > 0.0
-        v[moving] = step[moving] * (math.sqrt(d) / norms[moving])[:, None]
+        v[moving] = cv[moving] * (math.sqrt(d) / norms[moving])[:, None]
 
     x = v @ v.conj().T
     return SdpSolution(

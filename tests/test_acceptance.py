@@ -362,7 +362,7 @@ def test_criterion_11_sdr_phase_design():
     for instance in range(25):
         h = sample_channel(ChannelModel.rayleigh(), 2, 6, src.substream("sdr", instance))
         cost = h.entries.conj().T @ h.entries
-        solution = solve_sdp(SdpProblem(cost=cost, diag_value=1.0))
+        solution = solve_sdp(SdpProblem(channel=h.entries, diag_value=1.0))
         assert solution.converged
         brute, _ = brute_force_phase(cost, 1.0, 16)
         phases = extract_phases(solution)

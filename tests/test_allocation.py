@@ -757,7 +757,7 @@ class TestAlphaSdrPhase:
         h = random_channel(np.random.default_rng(30 + seed), 2, 6)
         cost = h.conj().T @ h
         d = params.gain_budget / 6
-        relaxed = solve_sdp(SdpProblem(cost=cost, diag_value=d))
+        relaxed = solve_sdp(SdpProblem(channel=h, diag_value=d))
         best_grid, _ = brute_force_phase(cost, d, levels=16)
         assert relaxed.objective >= best_grid * (1 - 1e-9)
         gv = alpha_sdr_phase(h, params)

@@ -983,7 +983,7 @@ class TestSdrCompareExperiment:
         rows, _ = cli.run(cfg)
         channels, _, points = cli._scheme_sweep(cfg, cfg.sweep_grid, "sdr", 2)
         phases = [
-            extract_phases(solve_sdp(SdpProblem(cost=h.conj().T @ h, diag_value=1.0)))
+            extract_phases(solve_sdp(SdpProblem(channel=h, diag_value=1.0)))
             for h in channels
         ]
         for x, params, _, _, _ in points:

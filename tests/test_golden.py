@@ -61,7 +61,7 @@ GOLDEN = {
     8: ({"channel_draws": 2},
         "42b7703c3d4a58338fc06a57f6e55b725d3c0af3332203fc76066badf0ce75e9"),
     9: ({"channel_draws": 1},
-        "8655385a2575f0aad7314cf88d8585803ded0d830d495cacf519fb07a8f79331"),
+        "2ef0fdf7b5891886501aa71d02243ba2aa71eb55f467bf6debc2de6c20d0491b"),
 }
 
 
@@ -99,13 +99,13 @@ EXPERIMENTS = {
         "sdr-compare",
         {**RICEAN, "num_antennas": 3, "num_sensors": 8, "gamma_s": 2.0, "gamma_c": 10.0,
          "channel_draws": 2},
-        "88b53e191db0f888cb4b8b20fbd4ea3af475cf26ed52cc58f7be09c3328d6222",
+        "3a9419b46070fdc83813f5dd0524de6e8f35a2d5ad7e2cd614fa24dbecd9c1b9",
     ),
     "sdr-compare-sweep": (
         "sdr-compare",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 8, "gamma_c": 10.0,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "e259bac9efcd76715a70b51125aa34fd0c203ac9fd0e3b52e41c9f90658423f3",
+        "02d7db0068f1dc40acebebecd275b32fa9da023845f91ac7c31dfaffaf604ece",
     ),
     "exponent-sweep-gamma_s": (
         "exponent-sweep",

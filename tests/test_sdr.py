@@ -18,19 +18,29 @@ from macdet.sdr import (
 )
 from oracles import brute_force_phase, solve_sdp_eigen_stop
 
-# Oracle: for a rank-one cost h h^H the SDP optimum is known in closed
-# form.  |X_ij| <= sqrt(X_ii X_jj) = d for any feasible X gives
-# h^H X h <= d (sum |h_i|)^2, and X = d a a^H with a_i = h_i/|h_i|
-# attains it, so the relaxation is tight.
+# Oracle: for a rank-one cost h h^H (the channel h^H, one antenna) the
+# SDP optimum is known in closed form.  |X_ij| <= sqrt(X_ii X_jj) = d for
+# any feasible X gives h^H X h <= d (sum |h_i|)^2, and X = d a a^H with
+# a_i = h_i/|h_i| attains it, so the relaxation is tight.
 
 
 def rank_one_optimum(h: np.ndarray, d: float) -> float:
     return d * float(np.abs(h).sum()) ** 2
 
 
+def rank_one_channel(h: np.ndarray) -> np.ndarray:
+    # the 1 x L channel whose Gram matrix is h h^H
+    return h.conj()[None, :]
+
+
 def random_psd_cost(size: int, rng: np.random.Generator) -> np.ndarray:
+    """The factor A^H (size x size) of the random PSD cost A A^H."""
     a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    return a @ a.conj().T
+    return a.conj().T
+
+
+def gram(h: np.ndarray) -> np.ndarray:
+    return h.conj().T @ h
 
 
 def assert_feasible(x: np.ndarray, d: float) -> None:
@@ -40,37 +50,51 @@ def assert_feasible(x: np.ndarray, d: float) -> None:
 
 
 class TestSdpProblem:
-    def test_hermitizes_and_freezes_cost(self):
-        c = np.array([[1.0, 1.0 + 1e-12j], [1.0 - 1e-12j, 2.0]])
-        problem = SdpProblem(cost=c, diag_value=1.0)
-        assert np.array_equal(problem.cost, problem.cost.conj().T)
-        assert not problem.cost.flags.writeable
-        assert problem.size == 2
+    def test_freezes_a_copy_of_the_channel(self):
+        h = np.array([[1.0, 2.0j, 3.0], [0.5, -1.0, 1j]])
+        problem = SdpProblem(channel=h, diag_value=1.0)
+        assert problem.channel.dtype == np.complex128
+        assert np.array_equal(problem.channel, h)
+        assert not problem.channel.flags.writeable
+        h[0, 0] = 7.0
+        assert problem.channel[0, 0] == 1.0
+        assert problem.size == 3
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            SdpProblem(cost=np.ones((2, 3)), diag_value=1.0)
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 5), (1, 1)])
+    def test_size_is_the_number_of_sensors(self, shape):
+        assert SdpProblem(channel=np.ones(shape), diag_value=1.0).size == shape[1]
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            SdpProblem(cost=np.array([[1.0, 2.0], [0.0, 1.0]]), diag_value=1.0)
+    @pytest.mark.parametrize(
+        "channel",
+        [np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)],
+        ids=["vector", "3-d", "scalar"],
+    )
+    def test_rejects_non_2d(self, channel):
+        with pytest.raises(ValueError, match="N x L"):
+            SdpProblem(channel=channel, diag_value=1.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_cost(self, bad):
-        # NaN fails no comparison, and inf - inf is NaN with a warning
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            SdpProblem(channel=np.ones(shape), diag_value=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_channel(self, bad):
+        h = np.ones((2, 3), dtype=np.complex128)
+        h[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            SdpProblem(cost=np.full((2, 2), bad), diag_value=1.0)
+            SdpProblem(channel=h, diag_value=1.0)
 
-    @pytest.mark.parametrize("d", [0.0, -1.0])
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_diag(self, d):
-        with pytest.raises(ValueError):
-            SdpProblem(cost=np.eye(2), diag_value=d)
+        with pytest.raises(ValueError, match="diag_value"):
+            SdpProblem(channel=np.eye(2), diag_value=d)
 
 
 class TestSolveSdp:
     def test_identity_cost_objective_is_trace(self):
         # every feasible point has tr(X) = L d, so the objective is flat
-        solution = solve_sdp(SdpProblem(cost=np.eye(5), diag_value=2.0))
+        solution = solve_sdp(SdpProblem(channel=np.eye(5), diag_value=2.0))
         assert solution.converged
         assert solution.objective == pytest.approx(5 * 2.0, rel=1e-9)
         assert_feasible(solution.x, 2.0)
@@ -79,8 +103,7 @@ class TestSolveSdp:
     def test_rank_one_cost_matches_closed_form(self, seed):
         rng = np.random.default_rng(seed)
         h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        cost = np.outer(h, h.conj())
-        solution = solve_sdp(SdpProblem(cost=cost, diag_value=1.5))
+        solution = solve_sdp(SdpProblem(channel=rank_one_channel(h), diag_value=1.5))
         assert solution.converged
         assert solution.objective == pytest.approx(rank_one_optimum(h, 1.5), rel=1e-5)
         assert_feasible(solution.x, 1.5)
@@ -90,7 +113,7 @@ class TestSolveSdp:
         h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         a = h / np.abs(h)
         d = 2.0
-        solution = solve_sdp(SdpProblem(cost=np.outer(h, h.conj()), diag_value=d))
+        solution = solve_sdp(SdpProblem(channel=rank_one_channel(h), diag_value=d))
         assert np.allclose(solution.x, d * np.outer(a, a.conj()), atol=1e-5 * d)
         phases = extract_phases(solution)
         assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
@@ -99,9 +122,10 @@ class TestSolveSdp:
     @pytest.mark.parametrize("seed", range(5))
     def test_relaxation_upper_bounds_brute_force(self, seed):
         rng = np.random.default_rng(100 + seed)
-        cost = random_psd_cost(6, rng)
+        factor = random_psd_cost(6, rng)
+        cost = gram(factor)
         d = 1.0
-        solution = solve_sdp(SdpProblem(cost=cost, diag_value=d))
+        solution = solve_sdp(SdpProblem(channel=factor, diag_value=d))
         assert solution.converged
         assert_feasible(solution.x, d)
         best, _ = brute_force_phase(cost, d, levels=16)
@@ -115,16 +139,15 @@ class TestSolveSdp:
     def test_objective_scales_linearly_in_diag_value(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        cost = np.outer(h, h.conj())
-        obj1 = solve_sdp(SdpProblem(cost=cost, diag_value=1.0)).objective
-        obj3 = solve_sdp(SdpProblem(cost=cost, diag_value=3.5)).objective
+        obj1 = solve_sdp(SdpProblem(channel=rank_one_channel(h), diag_value=1.0)).objective
+        obj3 = solve_sdp(SdpProblem(channel=rank_one_channel(h), diag_value=3.5)).objective
         assert obj3 == pytest.approx(3.5 * obj1, rel=1e-5)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
-        cost = random_psd_cost(5, rng)
-        first = solve_sdp(SdpProblem(cost=cost, diag_value=1.0))
-        second = solve_sdp(SdpProblem(cost=cost, diag_value=1.0))
+        factor = random_psd_cost(5, rng)
+        first = solve_sdp(SdpProblem(channel=factor, diag_value=1.0))
+        second = solve_sdp(SdpProblem(channel=factor, diag_value=1.0))
         assert np.array_equal(first.x, second.x)
         assert first.objective == second.objective
         assert first.iterations == second.iterations
@@ -133,18 +156,17 @@ class TestSolveSdp:
         # objective + gap is an upper bound on the SDP optimum, hence on
         # every feasible phase vector, the grid optimum included
         for seed in range(3):
-            cost = random_psd_cost(6, np.random.default_rng(5 + seed))
-            solution = solve_sdp(SdpProblem(cost=cost, diag_value=1.0))
+            factor = random_psd_cost(6, np.random.default_rng(5 + seed))
+            solution = solve_sdp(SdpProblem(channel=factor, diag_value=1.0))
             assert solution.converged
             assert 0.0 <= solution.gap <= sdr._GAP_TOL * solution.objective
-            best, _ = brute_force_phase(cost, 1.0, levels=16)
+            best, _ = brute_force_phase(gram(factor), 1.0, levels=16)
             assert best <= solution.objective + solution.gap
 
     def test_iteration_cap_reports_non_convergence(self, monkeypatch):
         monkeypatch.setattr(sdr, "_MAX_ITER", 2)
         rng = np.random.default_rng(9)
-        cost = random_psd_cost(6, rng)
-        solution = solve_sdp(SdpProblem(cost=cost, diag_value=1.0))
+        solution = solve_sdp(SdpProblem(channel=random_psd_cost(6, rng), diag_value=1.0))
         assert not solution.converged
         assert solution.iterations == 2
         assert solution.gap > sdr._GAP_TOL * solution.objective
@@ -164,31 +186,30 @@ class TestSolveSdp:
         assert "1.000e-03" in str(err)
 
 
-def figure9_costs() -> list[np.ndarray]:
-    # figure9's three SDP costs: Ricean K = 1, N = 3, L = 32, seed 0
+def figure9_channels() -> list[np.ndarray]:
+    # figure9's three SDP channels: Ricean K = 1, N = 3, L = 32, seed 0
     source = RandomSource(0)
-    costs = []
-    for draw in range(3):
-        h = sample_channel(ChannelModel.ricean(1.0), 3, 32, source.substream("sdr", draw)).entries
-        costs.append(h.conj().T @ h)
-    return costs
+    return [
+        sample_channel(ChannelModel.ricean(1.0), 3, 32, source.substream("sdr", draw)).entries
+        for draw in range(3)
+    ]
 
 
 def screen_cases() -> list:
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     h64 = sample_channel(ChannelModel.rayleigh(), 3, 64, RandomSource(0).substream("sdr", 1)).entries
-    # this draw's computed lambda_min is >= 0, so the ascent shift is 0 and
-    # the zero row never moves: the update must leave it as it is
+    # a zero column of H is a zero row of C: (C V)_l = 0, so that row of V
+    # never moves and the update must leave it as it is
     zero_row = random_psd_cost(5, np.random.default_rng(5))
-    zero_row[2, :] = 0.0
     zero_row[:, 2] = 0.0
+    tall = sample_channel(ChannelModel.rayleigh(), 8, 5, RandomSource(0).substream("sdr", 2)).entries
+    single = sample_channel(ChannelModel.rayleigh(), 1, 12, RandomSource(0).substream("sdr", 3)).entries
     return [
-        *(pytest.param(cost, id=f"figure9-{draw}") for draw, cost in enumerate(figure9_costs())),
-        pytest.param(h64.conj().T @ h64, id="rayleigh-L64"),
-        pytest.param((a + a.conj().T) / 2.0, id="indefinite-L12"),
+        *(pytest.param(h, id=f"figure9-{draw}") for draw, h in enumerate(figure9_channels())),
+        pytest.param(h64, id="rayleigh-L64"),
         pytest.param(np.eye(5), id="identity"),
         pytest.param(zero_row, id="zero-row"),
+        pytest.param(tall, id="rayleigh-N8-L5"),
+        pytest.param(single, id="rayleigh-N1-L12"),
     ]
 
 
@@ -201,18 +222,18 @@ def assert_same_solution(got: SdpSolution, want: SdpSolution) -> None:
 
 
 class TestCholeskyScreen:
-    """solve_sdp certifies only the steps that pass a shifted Cholesky;
-    the oracle takes the exact certificate at every step.  Both must
-    stop at the same step with the same bits."""
+    """solve_sdp certifies only the steps that pass a shifted N x N
+    Cholesky; the oracle takes the exact certificate at every step.  Both
+    must stop at the same step with the same bits."""
 
-    @pytest.mark.parametrize("cost", screen_cases())
-    def test_matches_eigen_stop_oracle(self, cost):
-        problem = SdpProblem(cost=cost, diag_value=1.0)
+    @pytest.mark.parametrize("channel", screen_cases())
+    def test_matches_eigen_stop_oracle(self, channel):
+        problem = SdpProblem(channel=channel, diag_value=1.0)
         assert_same_solution(solve_sdp(problem), solve_sdp_eigen_stop(problem))
 
     def test_matches_oracle_at_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(sdr, "_MAX_ITER", 3)
-        problem = SdpProblem(cost=random_psd_cost(6, np.random.default_rng(9)), diag_value=1.0)
+        problem = SdpProblem(channel=random_psd_cost(6, np.random.default_rng(9)), diag_value=1.0)
         solution = solve_sdp(problem)
         assert not solution.converged
         assert solution.iterations == 3
@@ -227,9 +248,9 @@ class TestCholeskyScreen:
             return eigvalsh(a)
 
         monkeypatch.setattr(sdr.np.linalg, "eigvalsh", counted)
-        for draw, cost in enumerate(figure9_costs()):
+        for draw, h in enumerate(figure9_channels()):
             calls.clear()
-            solution = solve_sdp(SdpProblem(cost=cost, diag_value=1.0))
+            solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
             assert solution.converged, draw
             assert solution.iterations >= 10, draw
             assert 1 <= len(calls) <= 2, (draw, len(calls))
@@ -279,7 +300,7 @@ class TestTightnessOracle:
         for draw in range(10):
             h = sample_channel(ChannelModel.ricean(1.0), 3, 32, source.substream("sdr", draw))
             cost = h.entries.conj().T @ h.entries
-            solution = solve_sdp(SdpProblem(cost=cost, diag_value=1.0))
+            solution = solve_sdp(SdpProblem(channel=h.entries, diag_value=1.0))
             assert solution.converged
             upper = solution.objective + solution.gap
             lower = sphere_search_phase_value(h.entries)
@@ -294,9 +315,7 @@ class TestDemo06Claim:
     def test_bound_column_bounds_rounded_and_grid_optima(self):
         # demo 06's eight draws (Rayleigh, N = 2, L = 6, seed 66): its
         # bound column objective + gap lies above the rounded vector's
-        # value and the 16-level grid optimum.  The rounded value is
-        # compared with a 1e-13 relative allowance: it meets the bound to
-        # within 2 ulps, above it on some draws, since both are rounded sums
+        # value and the 16-level grid optimum
         params = NetworkParams(
             num_sensors=6, num_antennas=2, theta=1.0, sigma_eta_sq=1.0,
             sigma_nu_sq=1.0, p1=0.5, total_power=6.0,
@@ -306,14 +325,37 @@ class TestDemo06Claim:
         for i in range(8):
             h = sample_channel(ChannelModel.rayleigh(), 2, 6, src.substream("h", i)).entries
             cost = h.conj().T @ h
-            solution = solve_sdp(SdpProblem(cost=cost, diag_value=d))
+            solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
             assert solution.converged, i
             bound = solution.objective + solution.gap
             alpha = math.sqrt(d) * extract_phases(solution)
             rounded = float(np.real(alpha.conj() @ cost @ alpha))
-            assert rounded <= bound * (1.0 + 1e-13), i
+            assert rounded <= bound, i
             grid, _ = brute_force_phase(cost, d, levels=16)
             assert grid <= bound, i
+
+
+class TestCertificateCoversRounding:
+    def test_rounded_value_within_objective_plus_gap(self):
+        # objective + gap must bound every feasible phase vector as
+        # computed, with no slack: 200 Rayleigh N = 2, L = 6 draws (demo
+        # 06's stream) and 38 Ricean K = 1, N = 3, L = 32 draws (figure9's).
+        # Without the gap's rounding allowance the computed value of the
+        # rounded vector lies above the bound on about a third of them.
+        rayleigh = RandomSource(66)
+        ricean = RandomSource(0)
+        channels = [
+            *(sample_channel(ChannelModel.rayleigh(), 2, 6, rayleigh.substream("h", i)).entries
+              for i in range(200)),
+            *(sample_channel(ChannelModel.ricean(1.0), 3, 32, ricean.substream("sdr", i)).entries
+              for i in range(38)),
+        ]
+        for i, h in enumerate(channels):
+            solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
+            assert solution.converged, i
+            alpha = extract_phases(solution)
+            rounded = float(np.vdot(alpha, gram(h) @ alpha).real)
+            assert rounded <= solution.objective + solution.gap, i
 
 
 class TestExtractPhases:
@@ -345,8 +387,7 @@ class TestBruteForcePhase:
 
     def test_first_phase_fixed_to_zero(self):
         rng = np.random.default_rng(13)
-        cost = random_psd_cost(4, rng)
-        _, alpha = brute_force_phase(cost, 3.0, levels=8)
+        _, alpha = brute_force_phase(gram(random_psd_cost(4, rng)), 3.0, levels=8)
         assert alpha[0] == pytest.approx(math.sqrt(3.0))
         assert alpha[0].imag == 0.0
 
