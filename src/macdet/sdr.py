@@ -18,10 +18,10 @@ mu = max(0, -lambda_min(Diag(y) - C)) is dual feasible, so
 objective + d L mu bounds the SDP optimum from above.  The gap adds
 2 L eps max(|objective|, d) to d L mu for the rounding of the objective,
 of lambda_min and of a feasible vector's computed value, and the solve
-stops once it is at most 1e-12 max(|objective|, d) (so never at
-L > 2251, where the allowance alone exceeds that).  Only the steps that
-pass an N x N Cholesky screen, and the last step allowed, compute the exact
-lambda_min by an L x L eigen-solve.
+stops once it is at most max(1e-12, 4 L eps) max(|objective|, d), so the
+allowance never takes more than half of the tolerance.  Only the steps
+that pass an N x N Cholesky screen, and the last step allowed, compute
+the exact lambda_min by an L x L eigen-solve.
 
 Rank-one rounding of the top eigenvector recovers a feasible phase
 vector; the relaxation is within a constant factor pi/4 of the rounded
@@ -49,7 +49,8 @@ __all__ = [
     "extract_phases",
 ]
 
-# certified relative gap at which the solve stops, and its iteration cap
+# certified relative gap at which the solve stops (raised to 4 L eps
+# above L = 1125, twice the gap's rounding allowance), and its iteration cap
 _GAP_TOL = 1e-12
 _MAX_ITER = 10_000
 _EPS = sys.float_info.epsilon
@@ -84,7 +85,8 @@ class SdpSolution:
     """Solver output.  x = V V^H is Hermitian PSD with diagonal d up to
     rounding; objective = tr(C x); gap >= 0 is the certified distance
     from objective to an upper bound on the SDP optimum, rounding
-    included, and converged says gap <= 1e-12 max(|objective|, d)."""
+    included, and converged says
+    gap <= max(1e-12, 4 L eps) max(|objective|, d)."""
 
     x: np.ndarray
     objective: float
@@ -126,25 +128,28 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
     v *= (math.sqrt(d) / np.linalg.norm(v, axis=1))[:, None]
 
     c_norm = float(np.linalg.norm(c))
+    tol = max(_GAP_TOL, 4.0 * size * _EPS)
     converged = False
     for iterations in range(_MAX_ITER + 1):
         cv = hh @ (h @ v)
         y = (v.conj() * cv).sum(axis=1).real / d
         objective = d * float(y.sum())
         scale = max(abs(objective), d)
-        bound = _GAP_TOL * scale
+        bound = tol * scale
+        allowance = 2.0 * size * _EPS * scale
         # The rule can stop only if lambda_min(Diag(y) - C) >= -t,
-        # t = bound / (d L).  The screen asks whether Diag(y) - C + s I is
-        # positive definite, s = 2t + delta with the rounding allowance
-        # delta = L eps (||y||_2 + ||C||_F) (below Higham's worst-case
-        # Cholesky bound).  On the iterates measured (L = 2 to 128, N = 1
-        # to 8) a failed screen meant the step could not stop; a wrong
-        # failure would only delay the stop, since the stop rule and the
-        # gap use the exact lambda_min.
-        s = 2.0 * bound / (d * size) + size * _EPS * (math.sqrt(float(y @ y)) + c_norm)
+        # t = (bound - allowance) / (d L) >= bound / (2 d L).  The screen
+        # asks whether Diag(y) - C + s I is positive definite, s = 2t +
+        # delta with the rounding allowance delta = L eps (||y||_2 +
+        # ||C||_F) (below Higham's worst-case Cholesky bound).  On the
+        # iterates measured (L = 2 to 128, N = 1 to 8) a failed screen
+        # meant the step could not stop; a wrong failure would only delay
+        # the stop, since the stop rule and the gap use the exact lambda_min.
+        t = (bound - allowance) / (d * size)
+        s = 2.0 * t + size * _EPS * (math.sqrt(float(y @ y)) + c_norm)
         if iterations == _MAX_ITER or _positive_definite(y + s, h, hh):
             gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - c)[0]))
-            gap += 2.0 * size * _EPS * scale
+            gap += allowance
             if gap <= bound:
                 converged = True
                 break

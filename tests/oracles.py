@@ -326,6 +326,7 @@ def solve_sdp_eigen_stop(problem: SdpProblem) -> SdpSolution:
     v[~v.any(axis=1), 0] = 1.0
     v *= (math.sqrt(d) / np.linalg.norm(v, axis=1))[:, None]
 
+    tol = max(sdr._GAP_TOL, 4.0 * size * sdr._EPS)
     converged = False
     for iterations in range(sdr._MAX_ITER + 1):
         cv = hh @ (h @ v)
@@ -334,7 +335,7 @@ def solve_sdp_eigen_stop(problem: SdpProblem) -> SdpSolution:
         scale = max(abs(objective), d)
         gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - c)[0]))
         gap += 2.0 * size * sdr._EPS * scale
-        if gap <= sdr._GAP_TOL * scale:
+        if gap <= tol * scale:
             converged = True
             break
         if iterations == sdr._MAX_ITER:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from macdet import sdr
-from macdet.model import ChannelModel, NetworkParams, RandomSource, sample_channel
+from macdet.model import ChannelModel, RandomSource, sample_channel
 from macdet.sdr import (
     SdpNonConvergence,
     SdpProblem,
@@ -33,8 +33,9 @@ def rank_one_channel(h: np.ndarray) -> np.ndarray:
     return h.conj()[None, :]
 
 
-def random_psd_cost(size: int, rng: np.random.Generator) -> np.ndarray:
-    """The factor A^H (size x size) of the random PSD cost A A^H."""
+def random_channel(size: int, rng: np.random.Generator) -> np.ndarray:
+    """A random complex channel (size x size) with Gaussian entries,
+    returned as A^H so that its Gram matrix is the cost A A^H."""
     a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     return a.conj().T
 
@@ -122,10 +123,10 @@ class TestSolveSdp:
     @pytest.mark.parametrize("seed", range(5))
     def test_relaxation_upper_bounds_brute_force(self, seed):
         rng = np.random.default_rng(100 + seed)
-        factor = random_psd_cost(6, rng)
-        cost = gram(factor)
+        h = random_channel(6, rng)
+        cost = gram(h)
         d = 1.0
-        solution = solve_sdp(SdpProblem(channel=factor, diag_value=d))
+        solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
         assert solution.converged
         assert_feasible(solution.x, d)
         best, _ = brute_force_phase(cost, d, levels=16)
@@ -145,9 +146,9 @@ class TestSolveSdp:
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
-        factor = random_psd_cost(5, rng)
-        first = solve_sdp(SdpProblem(channel=factor, diag_value=1.0))
-        second = solve_sdp(SdpProblem(channel=factor, diag_value=1.0))
+        h = random_channel(5, rng)
+        first = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
+        second = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
         assert np.array_equal(first.x, second.x)
         assert first.objective == second.objective
         assert first.iterations == second.iterations
@@ -156,17 +157,17 @@ class TestSolveSdp:
         # objective + gap is an upper bound on the SDP optimum, hence on
         # every feasible phase vector, the grid optimum included
         for seed in range(3):
-            factor = random_psd_cost(6, np.random.default_rng(5 + seed))
-            solution = solve_sdp(SdpProblem(channel=factor, diag_value=1.0))
+            h = random_channel(6, np.random.default_rng(5 + seed))
+            solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
             assert solution.converged
             assert 0.0 <= solution.gap <= sdr._GAP_TOL * solution.objective
-            best, _ = brute_force_phase(gram(factor), 1.0, levels=16)
+            best, _ = brute_force_phase(gram(h), 1.0, levels=16)
             assert best <= solution.objective + solution.gap
 
     def test_iteration_cap_reports_non_convergence(self, monkeypatch):
         monkeypatch.setattr(sdr, "_MAX_ITER", 2)
         rng = np.random.default_rng(9)
-        solution = solve_sdp(SdpProblem(channel=random_psd_cost(6, rng), diag_value=1.0))
+        solution = solve_sdp(SdpProblem(channel=random_channel(6, rng), diag_value=1.0))
         assert not solution.converged
         assert solution.iterations == 2
         assert solution.gap > sdr._GAP_TOL * solution.objective
@@ -199,7 +200,7 @@ def screen_cases() -> list:
     h64 = sample_channel(ChannelModel.rayleigh(), 3, 64, RandomSource(0).substream("sdr", 1)).entries
     # a zero column of H is a zero row of C: (C V)_l = 0, so that row of V
     # never moves and the update must leave it as it is
-    zero_row = random_psd_cost(5, np.random.default_rng(5))
+    zero_row = random_channel(5, np.random.default_rng(5))
     zero_row[:, 2] = 0.0
     tall = sample_channel(ChannelModel.rayleigh(), 8, 5, RandomSource(0).substream("sdr", 2)).entries
     single = sample_channel(ChannelModel.rayleigh(), 1, 12, RandomSource(0).substream("sdr", 3)).entries
@@ -233,7 +234,7 @@ class TestCholeskyScreen:
 
     def test_matches_oracle_at_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(sdr, "_MAX_ITER", 3)
-        problem = SdpProblem(channel=random_psd_cost(6, np.random.default_rng(9)), diag_value=1.0)
+        problem = SdpProblem(channel=random_channel(6, np.random.default_rng(9)), diag_value=1.0)
         solution = solve_sdp(problem)
         assert not solution.converged
         assert solution.iterations == 3
@@ -254,6 +255,34 @@ class TestCholeskyScreen:
             assert solution.converged, draw
             assert solution.iterations >= 10, draw
             assert 1 <= len(calls) <= 2, (draw, len(calls))
+
+    def test_certifies_where_the_allowance_exceeds_1e_12(self, monkeypatch):
+        # Above L = 1125 the rounding allowance 2 L eps is more than half
+        # of 1e-12, and above L = 2251 more than all of it; the stop
+        # tolerance is then 4 L eps.  Lowering _GAP_TOL below 4 L eps
+        # puts figure9's L = 32 in that regime: every solve must still
+        # certify, match the oracle, and run an eigen-solve on few of
+        # its steps (a screen that ignored the allowance would pass on
+        # every step near the optimum without being able to stop).
+        monkeypatch.setattr(sdr, "_GAP_TOL", 1e-15)
+        monkeypatch.setattr(sdr, "_MAX_ITER", 200)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(sdr.np.linalg, "eigvalsh", counted)
+        for draw, h in enumerate(figure9_channels()):
+            problem = SdpProblem(channel=h, diag_value=1.0)
+            calls.clear()
+            solution = solve_sdp(problem)
+            eigen_solves = len(calls)
+            assert solution.converged, draw
+            assert solution.gap <= 4 * 32 * sdr._EPS * solution.objective, draw
+            assert 1 <= eigen_solves <= 3, (draw, eigen_solves)
+            assert_same_solution(solution, solve_sdp_eigen_stop(problem))
 
 
 def sphere_search_phase_value(h: np.ndarray) -> float:
@@ -311,51 +340,44 @@ class TestTightnessOracle:
             assert rounded >= upper * (1.0 - 1e-6), draw
 
 
-class TestDemo06Claim:
-    def test_bound_column_bounds_rounded_and_grid_optima(self):
-        # demo 06's eight draws (Rayleigh, N = 2, L = 6, seed 66): its
-        # bound column objective + gap lies above the rounded vector's
-        # value and the 16-level grid optimum
-        params = NetworkParams(
-            num_sensors=6, num_antennas=2, theta=1.0, sigma_eta_sq=1.0,
-            sigma_nu_sq=1.0, p1=0.5, total_power=6.0,
-        )
-        d = params.gain_budget / params.num_sensors
-        src = RandomSource(66)
-        for i in range(8):
-            h = sample_channel(ChannelModel.rayleigh(), 2, 6, src.substream("h", i)).entries
-            cost = h.conj().T @ h
-            solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
-            assert solution.converged, i
-            bound = solution.objective + solution.gap
-            alpha = math.sqrt(d) * extract_phases(solution)
-            rounded = float(np.real(alpha.conj() @ cost @ alpha))
-            assert rounded <= bound, i
-            grid, _ = brute_force_phase(cost, d, levels=16)
-            assert grid <= bound, i
+def channel_draws(seed: int, key: str, model: ChannelModel, n: int, size: int, draws: int):
+    source = RandomSource(seed)
+    return [
+        sample_channel(model, n, size, source.substream(key, i)).entries for i in range(draws)
+    ]
 
 
 class TestCertificateCoversRounding:
-    def test_rounded_value_within_objective_plus_gap(self):
+    @pytest.mark.parametrize(
+        "seed, key, model, n, size, d, draws",
+        [
+            pytest.param(66, "h", ChannelModel.rayleigh(), 2, 6, 2.0 / 3.0, 8, id="demo06"),
+            pytest.param(66, "h", ChannelModel.rayleigh(), 2, 6, 1.0, 200, id="rayleigh-N2-L6"),
+            pytest.param(0, "sdr", ChannelModel.ricean(1.0), 3, 32, 1.0, 38, id="ricean-N3-L32"),
+        ],
+    )
+    def test_rounded_value_within_objective_plus_gap(self, seed, key, model, n, size, d, draws):
         # objective + gap must bound every feasible phase vector as
-        # computed, with no slack: 200 Rayleigh N = 2, L = 6 draws (demo
-        # 06's stream) and 38 Ricean K = 1, N = 3, L = 32 draws (figure9's).
-        # Without the gap's rounding allowance the computed value of the
-        # rounded vector lies above the bound on about a third of them.
-        rayleigh = RandomSource(66)
-        ricean = RandomSource(0)
-        channels = [
-            *(sample_channel(ChannelModel.rayleigh(), 2, 6, rayleigh.substream("h", i)).entries
-              for i in range(200)),
-            *(sample_channel(ChannelModel.ricean(1.0), 3, 32, ricean.substream("sdr", i)).entries
-              for i in range(38)),
-        ]
-        for i, h in enumerate(channels):
-            solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
+        # computed, with no slack.  The inputs are demo 06's eight draws
+        # at its d = 2/3, then 200 draws of the same stream and figure9's
+        # stream at d = 1; without the gap's rounding allowance the
+        # computed value of the rounded vector lies above the bound on
+        # about a third of them.
+        for i, h in enumerate(channel_draws(seed, key, model, n, size, draws)):
+            solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
             assert solution.converged, i
-            alpha = extract_phases(solution)
+            alpha = math.sqrt(d) * extract_phases(solution)
             rounded = float(np.vdot(alpha, gram(h) @ alpha).real)
             assert rounded <= solution.objective + solution.gap, i
+
+    def test_demo06_bound_column_bounds_grid_optimum(self):
+        # demo 06's bound column, objective + gap, lies above the
+        # 16-level grid optimum on each of its eight draws
+        d = 2.0 / 3.0
+        for i, h in enumerate(channel_draws(66, "h", ChannelModel.rayleigh(), 2, 6, 8)):
+            solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
+            grid, _ = brute_force_phase(gram(h), d, levels=16)
+            assert grid <= solution.objective + solution.gap, i
 
 
 class TestExtractPhases:
@@ -387,7 +409,7 @@ class TestBruteForcePhase:
 
     def test_first_phase_fixed_to_zero(self):
         rng = np.random.default_rng(13)
-        _, alpha = brute_force_phase(gram(random_psd_cost(4, rng)), 3.0, levels=8)
+        _, alpha = brute_force_phase(gram(random_channel(4, rng)), 3.0, levels=8)
         assert alpha[0] == pytest.approx(math.sqrt(3.0))
         assert alpha[0].imag == 0.0
 
