@@ -16,12 +16,11 @@ Every iterate carries a dual certificate.  With y_l = Re<v_l, (C V)_l> / d,
 d sum(y) is the objective, and y + mu 1 with
 mu = max(0, -lambda_min(Diag(y) - C)) is dual feasible, so
 objective + d L mu bounds the SDP optimum from above.  The gap adds
-2 L eps max(|objective|, d) to d L mu for the rounding of the objective,
-of lambda_min and of a feasible vector's computed value, and the solve
-stops once it is at most max(1e-12, 4 L eps) max(|objective|, d), so the
-allowance never takes more than half of the tolerance.  Only the steps
-that pass an N x N Cholesky screen, and the last step allowed, compute
-the exact lambda_min by an L x L eigen-solve.
+2 L eps max(|objective|, d) to d L mu for rounding (of the objective, of
+lambda_min and of a feasible vector's computed value); the solve stops
+once the gap is at most max(1e-12, 4 L eps) max(|objective|, d).  Only
+the steps that pass an N x N Cholesky screen, and the last step allowed,
+compute the exact lambda_min by an L x L eigen-solve.
 
 Rank-one rounding of the top eigenvector recovers a feasible phase
 vector; the relaxation is within a constant factor pi/4 of the rounded
@@ -49,8 +48,7 @@ __all__ = [
     "extract_phases",
 ]
 
-# certified relative gap at which the solve stops (raised to 4 L eps
-# above L = 1125, twice the gap's rounding allowance), and its iteration cap
+# relative gap at which the solve stops (at least 4 L eps), iteration cap
 _GAP_TOL = 1e-12
 _MAX_ITER = 10_000
 _EPS = sys.float_info.epsilon
@@ -137,14 +135,12 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
         scale = max(abs(objective), d)
         bound = tol * scale
         allowance = 2.0 * size * _EPS * scale
-        # The rule can stop only if lambda_min(Diag(y) - C) >= -t,
-        # t = (bound - allowance) / (d L) >= bound / (2 d L).  The screen
-        # asks whether Diag(y) - C + s I is positive definite, s = 2t +
-        # delta with the rounding allowance delta = L eps (||y||_2 +
-        # ||C||_F) (below Higham's worst-case Cholesky bound).  On the
-        # iterates measured (L = 2 to 128, N = 1 to 8) a failed screen
-        # meant the step could not stop; a wrong failure would only delay
-        # the stop, since the stop rule and the gap use the exact lambda_min.
+        # The rule stops only if lambda_min(Diag(y) - C) >= -t with t =
+        # (bound - allowance) / (d L).  The screen asks whether Diag(y) - C
+        # + s I is positive definite, s = 2t + L eps (||y||_2 + ||C||_F) (a
+        # rounding allowance below Higham's Cholesky bound); at L = 2 to 128
+        # a failed screen meant the step could not stop, and a wrong failure
+        # only delays the stop, since the rule and gap use the exact lambda_min.
         t = (bound - allowance) / (d * size)
         s = 2.0 * t + size * _EPS * (math.sqrt(float(y @ y)) + c_norm)
         if iterations == _MAX_ITER or _positive_definite(y + s, h, hh):
