@@ -18,10 +18,10 @@ None of these is used by `macdet` itself:
 * `color` and `sample_sensing_noise` draw correlated sensing noise on
   their own, one vector or block at a time; the Monte Carlo colors its
   trial blocks through `SensingNoiseModel.scale_factor` directly.
-* `brute_force_phase` (with `_phase_chunk`, `_BRUTE_FORCE_LIMIT` and
-  `_BRUTE_CHUNK`) is the exhaustive phase-grid optimum that the SDR
-  phase design is compared against; the package certifies its SDP by
-  the dual gap instead.
+* `phase_optimum` is a multi-start phase ascent over u in C^N for the
+  phase optimum max ||H alpha||^2 s.t. |alpha_l|^2 = d, a feasible lower
+  bound that the SDR phase design is compared against; the package
+  certifies its SDP by the dual gap instead.
 * `solve_sdp_eigen_stop` is the Burer-Monteiro ascent with the exact
   dual certificate (an eigen-solve) at every step; `sdr.solve_sdp`
   screens the steps with a shifted N x N Cholesky of the Schur
@@ -50,11 +50,13 @@ from macdet.model import (
     SensingNoiseModel,
     complex_normal,
 )
-from macdet.numerics import _check_square_hermitian, hermitian_eig, solve_hermitian_pd
+from macdet.numerics import hermitian_eig, solve_hermitian_pd
 from macdet.sdr import SdpProblem, SdpSolution
 
-_BRUTE_FORCE_LIMIT = 10**8
-_BRUTE_CHUNK = 1 << 16
+# phase_optimum: random starts, step cap, largest entry move at a fixed point
+_PHASE_STARTS = 64
+_PHASE_STEPS = 1_000
+_PHASE_STEP_TOL = 1e-12
 
 
 def q_function(x):
@@ -255,67 +257,64 @@ def e_csis1_numeric(params: NetworkParams, model: ChannelModel) -> float:
     return 0.125 * th2 * total
 
 
-def _phase_chunk(total_digits: int, levels: int, start: int, count: int) -> np.ndarray:
-    # enumeration index -> digit matrix, first coordinate's phase fixed to 0
-    idx = np.arange(start, start + count, dtype=np.int64)
-    digits = np.empty((count, total_digits), dtype=np.int64)
-    for pos in range(total_digits - 1, -1, -1):
-        digits[:, pos] = idx % levels
-        idx //= levels
-    return digits
+def _unit_phase(z: np.ndarray) -> np.ndarray:
+    # z / |z| entrywise, phase 0 where z = 0 (arctan2 does not overflow on
+    # subnormal z, as z / |z| can)
+    return np.exp(1j * np.angle(z))
 
 
-def brute_force_phase(
-    cost: np.ndarray, diag_value: float, levels: int
-) -> tuple[float, np.ndarray]:
-    """Exhaustive phase-grid optimum of alpha^H C alpha with
-    |alpha_l| = sqrt(diag_value) and phases on a uniform grid, for any
-    Hermitian cost C (indefinite ones included).
+def phase_optimum(channel, diag_value: float) -> tuple[float, np.ndarray]:
+    """Best phase vector found for max ||H alpha||^2 s.t. |alpha_l|^2 = d,
+    for a channel H (N x L).
 
-    The first coordinate's phase is fixed to 0 (the objective is
-    invariant to a global rotation).  Rejects a non-Hermitian cost, a
-    diag_value that is not > 0 and instances with more than 10^8 grid
-    points.  Returns (best objective, best alpha).
+    Swapping the two maxima gives
+    max ||H alpha||^2 = d max_{||u|| = 1} (sum_l |u^H h_l|)^2 over the unit
+    sphere of C^N, attained at alpha = sqrt(d) phase(H^H u) (Karystinos and
+    Liavas, IEEE Trans. IT 56(7), 2010), so the search runs over u and its
+    size does not grow with L.  The starts are phase(H^H u) for u = each
+    e_n, the top left singular vector of H and 64 seeded random vectors.
+    From each start the ascent alpha <- phase(H^H (H alpha)) runs until no
+    entry moves by more than 1e-12 or for 1,000 steps; with C = H^H H PSD,
+    (a' - a)^H C (a' - a) >= 0 gives a'^H C a' - a^H C a >=
+    2 (sum_l |(C a)_l| - Re a^H C a) >= 0, so no step lowers the value.
+    Returns (d ||H a||^2, sqrt(d) a) for the best unit-modulus a found:
+    feasible, hence a lower bound on the phase optimum for every N and L,
+    and exact for a rank-one H.
     """
-    c = _check_square_hermitian(cost, 1e-10)
-    c = (c + c.conj().T) / 2.0
-    size = c.shape[0]
-    if not diag_value > 0.0:
-        raise ValueError("diag_value must be > 0")
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
-    if levels**size > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"{levels}^{size} grid points exceed the {_BRUTE_FORCE_LIMIT:.0e} cap"
-        )
-
-    roots = np.exp(2j * math.pi * np.arange(levels) / levels)
-    total = levels ** (size - 1)
-    best_obj = -math.inf
-    best_u = np.ones(size, dtype=np.complex128)
-    for start in range(0, total, _BRUTE_CHUNK):
-        count = min(_BRUTE_CHUNK, total - start)
-        if size == 1:
-            u = np.ones((1, 1), dtype=np.complex128)
-        else:
-            digits = _phase_chunk(size - 1, levels, start, count)
-            u = np.empty((count, size), dtype=np.complex128)
-            u[:, 0] = 1.0
-            u[:, 1:] = roots[digits]
-        objs = ((u.conj() @ c) * u).sum(axis=1).real
-        k = int(np.argmax(objs))
-        if objs[k] > best_obj:
-            best_obj = float(objs[k])
-            best_u = u[k].copy()
-    alpha = math.sqrt(diag_value) * best_u
-    return diag_value * best_obj, alpha
+    h = np.array(channel, dtype=np.complex128)
+    if h.ndim != 2 or h.size == 0:
+        raise ValueError(f"channel must be a non-empty N x L matrix, got shape {h.shape}")
+    if not 0.0 < diag_value < math.inf:
+        raise ValueError("diag_value must be finite and > 0")
+    n = h.shape[0]
+    gen = np.random.default_rng(0)
+    starts = np.concatenate(
+        [
+            np.eye(n),
+            np.linalg.svd(h)[0][:, :1],
+            gen.standard_normal((n, _PHASE_STARTS)) + 1j * gen.standard_normal((n, _PHASE_STARTS)),
+        ],
+        axis=1,
+    )
+    hh = h.conj().T
+    alpha = _unit_phase(hh @ starts)
+    for _ in range(_PHASE_STEPS):
+        step = _unit_phase(hh @ (h @ alpha))
+        moved = float(np.abs(step - alpha).max())
+        alpha = step
+        if moved <= _PHASE_STEP_TOL:
+            break
+    values = np.sum(np.abs(h @ alpha) ** 2, axis=0)
+    best = int(np.argmax(values))
+    return diag_value * float(values[best]), math.sqrt(diag_value) * alpha[:, best]
 
 
 def solve_sdp_eigen_stop(problem: SdpProblem) -> SdpSolution:
     """`sdr.solve_sdp` with the dual certificate's lambda_min computed by
     an eigen-solve at every ascent step: the same start, steps and stop
-    rule, reading `sdr._GAP_TOL` and `sdr._MAX_ITER` at call time."""
-    h = problem.channel
+    rule, on the same scaled channel, reading `sdr._GAP_TOL` and
+    `sdr._MAX_ITER` at call time."""
+    h, j = sdr._unit_scale(problem.channel)
     hh = h.conj().T
     c = hh @ h
     d = problem.diag_value
@@ -347,8 +346,8 @@ def solve_sdp_eigen_stop(problem: SdpProblem) -> SdpSolution:
     x = v @ v.conj().T
     return SdpSolution(
         x=(x + x.conj().T) / 2.0,
-        objective=objective,
+        objective=float(np.ldexp(objective, 2 * j)),
         iterations=iterations,
         converged=converged,
-        gap=gap,
+        gap=float(np.ldexp(gap, 2 * j)),
     )

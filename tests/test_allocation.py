@@ -35,7 +35,7 @@ from macdet.model import (
 )
 from macdet.numerics import hermitian_eig
 from macdet.sdr import SdpNonConvergence, SdpProblem, solve_sdp
-from oracles import brute_force_phase, e_csis1_numeric, reference_quadratic_form
+from oracles import e_csis1_numeric, phase_optimum, reference_quadratic_form
 
 
 def make_params(l=8, n=2, sigma_eta_sq=1.0, sigma_nu_sq=1.0, p1=0.5, total_power=1.5):
@@ -752,18 +752,19 @@ class TestAlphaSdrPhase:
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_brackets_brute_force_optimum(self, seed):
+    def test_brackets_phase_optimum(self, seed):
         params = make_params(l=6, n=2)
         h = random_channel(np.random.default_rng(30 + seed), 2, 6)
         cost = h.conj().T @ h
         d = params.gain_budget / 6
         relaxed = solve_sdp(SdpProblem(channel=h, diag_value=d))
-        best_grid, _ = brute_force_phase(cost, d, levels=16)
-        assert relaxed.objective >= best_grid * (1 - 1e-9)
+        best, _ = phase_optimum(h, d)
+        assert relaxed.objective + relaxed.gap >= best
         gv = alpha_sdr_phase(h, params)
         rounded = float(np.vdot(gv.values, cost @ gv.values).real)
-        slack = 1.0 - math.cos(math.pi / 16)
-        assert rounded >= (math.pi / 4.0) * best_grid * (1 - slack)
+        # a measured ratio: pi/4 bounds randomized rounding in expectation,
+        # not this top-eigenvector rounding
+        assert rounded >= (math.pi / 4.0) * best
 
     def test_propagates_non_convergence(self, monkeypatch):
         monkeypatch.setattr(sdr, "_MAX_ITER", 1)

@@ -1,11 +1,13 @@
 """Tests for the diagonally-constrained SDP solver and phase rounding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from macdet import sdr
 from macdet.model import ChannelModel, RandomSource, sample_channel
@@ -16,7 +18,7 @@ from macdet.sdr import (
     extract_phases,
     solve_sdp,
 )
-from oracles import brute_force_phase, solve_sdp_eigen_stop
+from oracles import phase_optimum, solve_sdp_eigen_stop
 
 # Oracle: for a rank-one cost h h^H (the channel h^H, one antenna) the
 # SDP optimum is known in closed form.  |X_ij| <= sqrt(X_ii X_jj) = d for
@@ -121,7 +123,7 @@ class TestSolveSdp:
         assert abs(np.vdot(phases, a)) == pytest.approx(5.0, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_relaxation_upper_bounds_brute_force(self, seed):
+    def test_relaxation_upper_bounds_phase_optimum(self, seed):
         rng = np.random.default_rng(100 + seed)
         h = random_channel(6, rng)
         cost = gram(h)
@@ -129,8 +131,8 @@ class TestSolveSdp:
         solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
         assert solution.converged
         assert_feasible(solution.x, d)
-        best, _ = brute_force_phase(cost, d, levels=16)
-        assert best <= solution.objective * (1.0 + 1e-6)
+        best, _ = phase_optimum(h, d)
+        assert best <= solution.objective + solution.gap
         phases = extract_phases(solution)
         alpha = math.sqrt(d) * phases
         rounded = float(np.vdot(alpha, cost @ alpha).real)
@@ -153,16 +155,42 @@ class TestSolveSdp:
         assert first.objective == second.objective
         assert first.iterations == second.iterations
 
-    def test_certified_gap_bounds_brute_force(self):
+    def test_certified_gap_bounds_phase_optimum(self):
         # objective + gap is an upper bound on the SDP optimum, hence on
-        # every feasible phase vector, the grid optimum included
+        # every feasible phase vector, the oracle's included
         for seed in range(3):
             h = random_channel(6, np.random.default_rng(5 + seed))
             solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
             assert solution.converged
             assert 0.0 <= solution.gap <= sdr._GAP_TOL * solution.objective
-            best, _ = brute_force_phase(gram(h), 1.0, levels=16)
+            best, _ = phase_optimum(h, 1.0)
             assert best <= solution.objective + solution.gap
+
+    @pytest.mark.parametrize("k", [250, -250])
+    def test_power_of_two_scale_is_exact(self, k):
+        h = sample_channel(ChannelModel.rayleigh(), 3, 12, RandomSource(0).substream("sdr", 0)).entries
+        base = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = solve_sdp(SdpProblem(channel=h * 2.0**k, diag_value=1.0))
+        assert np.array_equal(scaled.x, base.x)
+        assert scaled.iterations == base.iterations and scaled.converged
+        assert scaled.objective == base.objective * 4.0**k
+        assert scaled.gap == base.gap * 4.0**k
+
+    @pytest.mark.parametrize("k", [80, -80, 150, -150])
+    def test_certifies_at_any_channel_scale(self, k):
+        # entries near 1e80 overflowed ||C||_F and the ascent products, and
+        # near 1e-80 the floor max(|objective|, d) made any gap pass at
+        # step 0; both now solve the channel 2^-j H of entries near 1
+        h = sample_channel(ChannelModel.rayleigh(), 3, 12, RandomSource(0).substream("sdr", 0)).entries
+        base = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_sdp(SdpProblem(channel=h * 10.0**k, diag_value=1.0))
+        assert solution.converged
+        assert 0.0 <= solution.gap <= sdr._GAP_TOL * solution.objective
+        assert solution.objective == pytest.approx(base.objective * 10.0 ** (2 * k), rel=1e-9)
 
     def test_iteration_cap_reports_non_convergence(self, monkeypatch):
         monkeypatch.setattr(sdr, "_MAX_ITER", 2)
@@ -285,46 +313,11 @@ class TestCholeskyScreen:
             assert_same_solution(solution, solve_sdp_eigen_stop(problem))
 
 
-def sphere_search_phase_value(h: np.ndarray) -> float:
-    """Lower bound on max_{|alpha_l| = 1} ||H alpha||^2 for a 3 x L channel.
-
-    Swapping the two maxima gives
-    max_alpha ||H alpha||^2 = max_{||u|| = 1} (sum_l |h_l^H u|)^2 over the
-    unit sphere of C^3, whose dimension does not depend on L (Karystinos
-    and Liavas, IEEE Trans. IT 56(7), 2010).  Any u gives the feasible
-    alpha_l = phase(u^H h_l)^*, so the value found is a lower bound.  A
-    grid over u (first coordinate real, the global phase removed) picks
-    the best few starts; alternating u <- H alpha / ||H alpha||,
-    alpha <- phase(H^H u) then climbs from each.
-    """
-    a, b = np.meshgrid(np.linspace(0.0, np.pi / 2, 9), np.linspace(0.0, np.pi / 2, 9))
-    p1, p2 = np.meshgrid(np.linspace(0.0, 2 * np.pi, 12, endpoint=False),
-                         np.linspace(0.0, 2 * np.pi, 12, endpoint=False))
-    a, b = a.ravel()[:, None], b.ravel()[:, None]
-    p1, p2 = p1.ravel()[None, :], p2.ravel()[None, :]
-    u = np.stack(
-        [np.broadcast_to(np.cos(a), (a.size, p1.size)),
-         np.sin(a) * np.cos(b) * np.exp(1j * p1),
-         np.sin(a) * np.sin(b) * np.exp(1j * p2)],
-        axis=-1,
-    ).reshape(-1, 3)
-    scores = np.abs(u.conj() @ h).sum(axis=1)
-    best = 0.0
-    for k in np.argsort(scores)[-8:]:
-        alpha = np.exp(1j * np.angle(h.conj().T @ u[k]))
-        for _ in range(300):
-            g = h.conj().T @ (h @ alpha)
-            alpha = np.exp(1j * np.angle(g))
-        best = max(best, float(np.linalg.norm(h @ alpha) ** 2))
-    return best
-
-
 class TestTightnessOracle:
     def test_relaxation_is_tight_at_figure9_size(self):
-        # figure9's setting (Ricean K = 1, N = 3, L = 32), out of reach
-        # of brute_force_phase: the sphere search's feasible value meets
-        # the certified upper bound objective + gap, so the relaxation
-        # is tight and the rounded phases are optimal
+        # figure9's setting (Ricean K = 1, N = 3, L = 32): the oracle's
+        # feasible value meets the certified upper bound objective + gap,
+        # so the relaxation is tight and the rounded phases are optimal
         source = RandomSource(0)
         for draw in range(10):
             h = sample_channel(ChannelModel.ricean(1.0), 3, 32, source.substream("sdr", draw))
@@ -332,12 +325,12 @@ class TestTightnessOracle:
             solution = solve_sdp(SdpProblem(channel=h.entries, diag_value=1.0))
             assert solution.converged
             upper = solution.objective + solution.gap
-            lower = sphere_search_phase_value(h.entries)
-            assert lower <= upper * (1.0 + 1e-12)
-            assert lower >= upper * (1.0 - 1e-6), draw
+            lower, _ = phase_optimum(h.entries, 1.0)
+            assert lower <= upper
+            assert lower >= upper * (1.0 - 1e-12), draw
             phases = extract_phases(solution)
             rounded = float(np.vdot(phases, cost @ phases).real)
-            assert rounded >= upper * (1.0 - 1e-6), draw
+            assert rounded >= upper * (1.0 - 1e-12), draw
 
 
 def channel_draws(seed: int, key: str, model: ChannelModel, n: int, size: int, draws: int):
@@ -370,14 +363,14 @@ class TestCertificateCoversRounding:
             rounded = float(np.vdot(alpha, gram(h) @ alpha).real)
             assert rounded <= solution.objective + solution.gap, i
 
-    def test_demo06_bound_column_bounds_grid_optimum(self):
+    def test_demo06_bound_column_bounds_phase_optimum(self):
         # demo 06's bound column, objective + gap, lies above the
-        # 16-level grid optimum on each of its eight draws
+        # oracle's phase optimum on each of its eight draws
         d = 2.0 / 3.0
         for i, h in enumerate(channel_draws(66, "h", ChannelModel.rayleigh(), 2, 6, 8)):
             solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
-            grid, _ = brute_force_phase(gram(h), d, levels=16)
-            assert grid <= solution.objective + solution.gap, i
+            best, _ = phase_optimum(h, d)
+            assert best <= solution.objective + solution.gap, i
 
 
 class TestExtractPhases:
@@ -396,60 +389,43 @@ class TestExtractPhases:
         assert phases[1] == 1.0
 
 
-class TestBruteForcePhase:
-    def test_all_ones_cost_hand_value(self):
-        best, alpha = brute_force_phase(np.ones((2, 2)), 1.0, levels=4)
-        assert best == pytest.approx(4.0, rel=1e-12)
-        assert np.allclose(alpha, np.ones(2))
-
-    def test_diag_value_scales_magnitudes(self):
-        best, alpha = brute_force_phase(np.ones((2, 2)), 2.0, levels=4)
-        assert best == pytest.approx(8.0, rel=1e-12)
-        assert np.allclose(np.abs(alpha), math.sqrt(2.0))
-
-    def test_first_phase_fixed_to_zero(self):
-        rng = np.random.default_rng(13)
-        _, alpha = brute_force_phase(gram(random_channel(4, rng)), 3.0, levels=8)
-        assert alpha[0] == pytest.approx(math.sqrt(3.0))
-        assert alpha[0].imag == 0.0
-
-    def test_chunked_enumeration_matches_aligned_optimum(self):
-        # 3^11 grid points forces several chunks; the all-equal phase
-        # assignment lies on the grid so the optimum is exact
-        size = 12
-        best, alpha = brute_force_phase(np.ones((size, size)), 1.0, levels=3)
-        assert best == pytest.approx(float(size**2), rel=1e-12)
-        assert np.allclose(alpha, np.ones(size))
-
-    def test_rejects_oversized_grids(self):
-        with pytest.raises(ValueError, match="cap"):
-            brute_force_phase(np.eye(8), 1.0, levels=16)
-
-    def test_rejects_too_few_levels(self):
-        with pytest.raises(ValueError):
-            brute_force_phase(np.eye(2), 1.0, levels=1)
-
-    def test_single_sensor(self):
-        best, alpha = brute_force_phase(np.array([[2.0]]), 1.5, levels=4)
-        assert best == pytest.approx(3.0, rel=1e-12)
-        assert alpha[0] == pytest.approx(math.sqrt(1.5))
+class TestPhaseOptimum:
+    @pytest.mark.parametrize("seed, size, d", [(0, 1, 1.0), (1, 6, 2.0), (2, 32, 0.25), (3, 200, 3.5)])
+    def test_rank_one_is_exact(self, seed, size, d):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        value, _ = phase_optimum(rank_one_channel(h), d)
+        assert value == pytest.approx(rank_one_optimum(h, d), rel=1e-12)
 
     @given(
-        a=st.floats(0.1, 5.0),
-        b=st.floats(0.1, 5.0),
-        re=st.floats(-2.0, 2.0),
-        im=st.floats(-2.0, 2.0),
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.just(2), st.just(2)),
+            elements=st.floats(-10.0, 10.0),
+        )
     )
-    def test_two_sensor_grid_brackets_analytic_optimum(self, a, b, re, im):
-        # alpha^H C alpha = a + b + 2 Re(conj(c) a0* a1) peaks at a + b + 2|c|;
-        # a 64-point grid gets within the cosine resolution of that peak
-        c = re + 1j * im
-        cost = np.array([[a, c], [np.conj(c), b]])
-        best, _ = brute_force_phase(cost, 1.0, levels=64)
-        peak = a + b + 2.0 * abs(c)
-        slack = 2.0 * abs(c) * (1.0 - math.cos(math.pi / 64))
-        assert best <= peak + 1e-9 * (1.0 + peak)
-        assert best >= peak - slack - 1e-9
+    def test_two_sensors_closed_form(self, parts):
+        # ||a_1 h_1 + a_2 h_2||^2 = |h_1|^2 + |h_2|^2 + 2 Re(conj(a_1) a_2 h_1^H h_2)
+        # at |a_l| = 1 peaks at |h_1|^2 + |h_2|^2 + 2 |h_1^H h_2|
+        h = parts[..., 0] + 1j * parts[..., 1]
+        h1, h2 = h[:, 0], h[:, 1]
+        peak = float(np.vdot(h1, h1).real + np.vdot(h2, h2).real + 2.0 * abs(np.vdot(h1, h2)))
+        value, _ = phase_optimum(h, 1.0)
+        assert abs(value - peak) <= 1e-12 * peak + 1e-300
+
+    def test_linear_in_diag_value(self):
+        h = random_channel(6, np.random.default_rng(13))
+        one, _ = phase_optimum(h, 1.0)
+        for d in [1e-3, 2.0 / 3.0, 7.5]:
+            value, _ = phase_optimum(h, d)
+            assert value == pytest.approx(d * one, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1.0, 2.0 / 3.0, 3.5])
+    def test_returns_feasible_alpha_of_that_value(self, d):
+        h = sample_channel(ChannelModel.rayleigh(), 3, 32, RandomSource(4).substream("sdr", 0)).entries
+        value, alpha = phase_optimum(h, d)
+        assert np.abs(alpha) ** 2 == pytest.approx(np.full(32, d), rel=1e-14)
+        assert value == pytest.approx(float(np.linalg.norm(h @ alpha)) ** 2, rel=1e-13)
 
 
 if __name__ == "__main__":
