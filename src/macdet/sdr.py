@@ -15,9 +15,9 @@ cost; C = H^H H is one by construction).
 The solve runs on H 2^-j, for the j that puts the largest real or
 imaginary part of H in [1, 2), and scales the objective and gap back by
 4^j.  Power-of-two scaling is exact, so the answer does not depend on the
-scale of H: entries near 1e80 no longer overflow C V and ||C||_F, and
-entries near 1e-80 no longer leave the objective under the floor d
-below, which made any gap pass.
+scale of H.  Unscaled, entries near 1e80 would overflow C V and ||C||_F,
+and entries near 1e-80 would leave the objective under the floor d
+below, which any gap passes.
 
 Every iterate carries a dual certificate.  With y_l = Re<v_l, (C V)_l> / d,
 d sum(y) is the objective, and y + mu 1 with

@@ -281,11 +281,7 @@ def phase_optimum(channel, diag_value: float) -> tuple[float, np.ndarray]:
     feasible, hence a lower bound on the phase optimum for every N and L,
     and exact for a rank-one H.
     """
-    h = np.array(channel, dtype=np.complex128)
-    if h.ndim != 2 or h.size == 0:
-        raise ValueError(f"channel must be a non-empty N x L matrix, got shape {h.shape}")
-    if not 0.0 < diag_value < math.inf:
-        raise ValueError("diag_value must be finite and > 0")
+    h = np.asarray(channel, dtype=np.complex128)
     n = h.shape[0]
     gen = np.random.default_rng(0)
     starts = np.concatenate(
