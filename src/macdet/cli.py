@@ -510,46 +510,49 @@ def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], 
     over cfg's sweep, series by series.
 
     At each sweep point i and draw d every series samples its own
-    channel from substream("mc-channel", i, d), and one batch call
-    scores them all on the trial blocks of stream 1 + i * draws + d, so
-    the series share those blocks (common random numbers) and each
+    channel from substream("mc-channel", i, d).  One batch call per draw
+    d scores every (point, series) detector on the trial blocks of
+    stream 1 + d, drawn once at the largest L and N of the run: every
+    point and series shares those blocks (common random numbers), a
+    point with L sensors reading their leading L rows, and each series
     gets the rows a run of its own would give.
     """
     var = cfg.sweep_variable
     draws = cfg.channel_draws or 10
     base = RandomSource(cfg.seed)
-    rows: list[list[ResultRow]] = [[] for _ in series]
+    points = []
     for i, x in enumerate(cfg.sweep_grid):
-        points = []
-        for model, params in series:
-            params_x = _params_at(params, var, x)
-            points.append((model, params_x, alpha_uniform(params_x), _noise_for(cfg, params_x)))
-        errors = [0] * len(series)
-        pes: list[list[float]] = [[] for _ in series]
-        for d in range(draws):
-            detectors = [
-                (
-                    sample_channel(
-                        model, p.num_antennas, p.num_sensors, base.substream("mc-channel", i, d)
-                    ),
-                    alpha,
-                    p,
-                    noise,
-                )
-                for model, p, alpha, noise in points
-            ]
-            scored = estimate_pe_montecarlo_batch(
-                detectors, cfg.trials, RandomSource(cfg.seed, stream_id=1 + i * draws + d)
+        for k, (model, params) in enumerate(series):
+            p = _params_at(params, var, x)
+            points.append((i, k, model, p, alpha_uniform(p), _noise_for(cfg, p)))
+    errors = [0] * len(points)
+    pes: list[list[float]] = [[] for _ in points]
+    for d in range(draws):
+        detectors = [
+            (
+                sample_channel(
+                    model, p.num_antennas, p.num_sensors, base.substream("mc-channel", i, d)
+                ),
+                alpha,
+                p,
+                noise,
             )
-            for k, (est, pe) in enumerate(scored):
-                errors[k] += est.errors
-                pes[k].append(pe)
-        for k, (model, params_x, _, _) in enumerate(points):
-            total = PeEstimate.from_counts(errors[k], cfg.trials * draws)
-            tag = "" if var == "N" else f",N={params_x.num_antennas}"
-            label = f"({model.label}{tag})"
-            rows[k].append(_row(cfg, f"Pe_MC{label}", var, x, total.p_hat, total.ci95_halfwidth))
-            rows[k].append(_row(cfg, f"Pe{label}", var, x, float(np.mean(pes[k]))))
+            for i, _, model, p, alpha, noise in points
+        ]
+        scored = estimate_pe_montecarlo_batch(
+            detectors, cfg.trials, RandomSource(cfg.seed, stream_id=1 + d)
+        )
+        for j, (est, pe) in enumerate(scored):
+            errors[j] += est.errors
+            pes[j].append(pe)
+    rows: list[list[ResultRow]] = [[] for _ in series]
+    for (i, k, model, p, _, _), e, pe_by_draw in zip(points, errors, pes):
+        x = cfg.sweep_grid[i]
+        total = PeEstimate.from_counts(e, cfg.trials * draws)
+        tag = "" if var == "N" else f",N={p.num_antennas}"
+        label = f"({model.label}{tag})"
+        rows[k].append(_row(cfg, f"Pe_MC{label}", var, x, total.p_hat, total.ci95_halfwidth))
+        rows[k].append(_row(cfg, f"Pe{label}", var, x, float(np.mean(pe_by_draw))))
     return [row for series_rows in rows for row in series_rows], 0
 
 

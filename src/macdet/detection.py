@@ -15,9 +15,9 @@ so probabilities far below floating-point underflow reduce to the
 analytic Gaussian tail of the dominant term.
 
 The Monte Carlo trial loop lives in estimate_pe_montecarlo_batch, which
-scores several detectors of one sensor count and prior on the same
-trial blocks (common random numbers: figure2's six series share each
-(L, draw)'s blocks); estimate_pe_montecarlo is its one-detector case.
+scores several detectors of one prior on the same trial blocks (common
+random numbers: figure2 scores all its sensor counts and series on one
+set of blocks per draw); estimate_pe_montecarlo is its one-detector case.
 """
 
 from __future__ import annotations
@@ -164,7 +164,8 @@ def estimate_pe_montecarlo_batch(
     trials, with the hypothesis drawn from the prior each trial.
 
     A detector is (channel, alpha, params, noise), as the arguments of
-    pe_conditional; all must share num_sensors and p1.  Returns, per
+    pe_conditional; all must share p1, since the hypotheses are shared,
+    but may differ in num_sensors and num_antennas.  Returns, per
     detector, its PeEstimate and its pe_conditional, both from the
     quadratic form q of one factorization.
 
@@ -174,13 +175,15 @@ def estimate_pe_montecarlo_batch(
     The blocks draw from SFC64, not from the Philox substreams that
     sample channels: they hold nearly all the normal draws of a figure2
     run, and SFC64 draws them in about two thirds of Philox's time.
-    Within a block the draw order is hypotheses, sensing noise z (2L
-    values per trial: real parts, then imaginary parts), then the
-    receiver noise of the largest N, 2 x trials x N real values.  A
-    detector with N antennas reads the first 2 x trials x N of those as
-    its (2, trials, N) receiver noise; normals are filled one after
-    another, so that prefix is exactly what its own draw would be, and a
-    detector scores the same trials alone as in any batch.
+    Within a block the draw order is hypotheses, sensing noise z of the
+    largest L as a (2, L_max, trials) array (real parts, then imaginary
+    parts), then the receiver noise of the largest N, 2 x trials x N_max
+    real values.  A detector with L sensors reads z[0, :L] and z[1, :L];
+    one with N antennas reads the first 2 x trials x N receiver values as
+    its (2, trials, N) receiver noise, so its own draw is exactly that
+    prefix.  When every detector has the same L, z has the memory order
+    of a (2L, trials) draw, and a detector scores the same trials alone
+    as in such a batch.
 
     The received vector y is never formed.  With eta = S z, S the
     sensing-noise factor (sqrt(sigma_eta_sq) under iid noise, noise=None;
@@ -202,10 +205,11 @@ def estimate_pe_montecarlo_batch(
     if not detectors:
         raise ValueError("at least one detector is required")
     params = [d[2] for d in detectors]
-    num_sensors, p1 = params[0].num_sensors, params[0].p1
-    if any(p.num_sensors != num_sensors or p.p1 != p1 for p in params):
-        raise ValueError("detectors must share num_sensors and p1")
+    p1 = params[0].p1
+    if any(p.p1 != p1 for p in params):
+        raise ValueError("detectors must share p1")
     scorers = [_scorer(*d) for d in detectors]
+    l_max = max(p.num_sensors for p in params)
     n_max = max(p.num_antennas for p in params)
 
     errors = [0] * len(detectors)
@@ -213,13 +217,20 @@ def estimate_pe_montecarlo_batch(
         count = min(_MC_BLOCK, trials - start)
         gen = rng.montecarlo_block(block)
         truth = gen.random(count) < p1
-        z = gen.standard_normal((2 * num_sensors, count))
+        z = gen.standard_normal((2, l_max, count))
         nu_max = gen.standard_normal(2 * count * n_max)
         for k, (p, (signal, z_weights, receiver, threshold, _)) in enumerate(zip(params, scorers)):
+            l = p.num_sensors
+            if l == l_max:
+                # one product over the (2L, count) view, as a one-detector
+                # call sums it; below L_max the leading rows, without a copy
+                sensing = z_weights @ z.reshape(2 * l, count)
+            else:
+                sensing = z_weights[:l] @ z[0, :l] + z_weights[l:] @ z[1, :l]
             nu = nu_max[: 2 * count * p.num_antennas].reshape(2, count, p.num_antennas)
             statistic = p.theta * (
                 np.where(truth, signal, 0.0)
-                + z_weights @ z
+                + sensing
                 + (nu[0] @ receiver[0] + nu[1] @ receiver[1])
             )
             errors[k] += int(np.count_nonzero((statistic >= threshold) != truth))

@@ -50,9 +50,10 @@ class RandomSource:
       of `estimate_pe_montecarlo_batch` (and so of its one-detector case
       `estimate_pe_montecarlo`) use it: they are nearly all the normal
       draws of a figure2 run, and SFC64 draws them in about two thirds
-      of Philox's time.  figure2's six series share each (L, draw)'s
-      blocks, which are drawn once per (L, draw) and scored for all six.
-      A change of this generator moves only Pe_MC rows.
+      of Philox's time.  A Monte Carlo sweep draws one set of blocks per
+      channel draw d, on stream 1 + d, at the largest L and N of the
+      sweep, and scores every sweep point and series on it.  A change
+      of this generator moves only Pe_MC rows.
     """
 
     master_seed: int

@@ -11,7 +11,8 @@ None of these is used by `macdet` itself:
   the batched core.
 * `received_block` forms a block of received vectors y (count x N) at
   once, and `reference_pe_montecarlo` is the block Monte Carlo loop over
-  it; `estimate_pe_montecarlo` must count exactly the same errors from
+  it; `estimate_pe_montecarlo` and each detector of a mixed-L
+  `estimate_pe_montecarlo_batch` must count exactly the same errors from
   the same draws.
 * `e_csis1_numeric` is the single-antenna full-knowledge exponent by
   quadrature of the amplitude density (scipy.integrate).
@@ -163,13 +164,17 @@ def received_block(
     truth: np.ndarray,
     gen: np.random.Generator,
     noise: SensingNoiseModel | None = None,
+    block_sensors: int | None = None,
 ) -> np.ndarray:
     """Received vectors y (count x N), one per entry of the boolean
     hypotheses `truth` (True for H1): the sensing noise of every trial is
-    drawn from `gen` as one (L, count) block, then the receiver noise as
-    one (count, N) block."""
+    drawn from `gen` as one (block_sensors, count) block, of which the
+    leading L rows are used (block_sensors defaults to L), then the
+    receiver noise as one (count, N) block."""
     count = truth.size
-    eta = _color(params, noise, complex_normal(gen, (params.num_sensors, count)))
+    l = params.num_sensors
+    std = complex_normal(gen, (block_sensors or l, count))[:l]
+    eta = _color(params, noise, std)
     nu = complex_normal(gen, (count, params.num_antennas), params.sigma_nu_sq)
     signal = np.where(truth, params.theta, 0.0)[:, np.newaxis] * (h @ a)[np.newaxis, :]
     return signal + (h @ (a[:, np.newaxis] * eta)).T + nu
@@ -183,12 +188,16 @@ def reference_pe_montecarlo(
     rng: RandomSource,
     noise: SensingNoiseModel | None = None,
     block_size: int = _MC_BLOCK,
+    block_sensors: int | None = None,
 ) -> PeEstimate:
     """The Monte Carlo error rate by forming every received vector: the
     same block generators and draw order (hypotheses, sensing noise,
     receiver noise) as `estimate_pe_montecarlo`, at O(N L) per trial.
     With block_size 1 each trial's generator is drawn in the order a
-    `synthesize` call after one uniform draw consumes it."""
+    `synthesize` call after one uniform draw consumes it.  With
+    block_sensors the sensing noise is drawn for that many sensors and
+    the leading L used, as a detector of a batch whose largest sensor
+    count is block_sensors reads it."""
     h, a, _ = _item(channel, alpha, params, noise)
     _, w, q = quadratic_form(h, a, params, noise)
     threshold = 0.5 * params.theta**2 * q + params.tau
@@ -198,7 +207,7 @@ def reference_pe_montecarlo(
         count = min(block_size, trials - start)
         gen = rng.montecarlo_block(block)
         truth = gen.random(count) < params.p1
-        y = received_block(h, a, params, truth, gen, noise)
+        y = received_block(h, a, params, truth, gen, noise, block_sensors)
         statistic = params.theta * (y.conj() @ w).real
         decisions = statistic >= threshold
         errors += int(np.sum(decisions != truth))

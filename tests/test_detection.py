@@ -419,18 +419,29 @@ class TestEstimatePeMontecarloBatch:
             assert pe == pe_conditional(channel, alpha, params, noise)
             assert 0 < est.errors < trials
 
-    @pytest.mark.parametrize(
-        "field, value", [("num_sensors", 6), ("p1", 0.4)], ids=["num_sensors", "p1"]
-    )
-    def test_rejects_detectors_that_differ_in_sensors_or_prior(self, field, value):
+    def test_rejects_detectors_that_differ_in_prior(self):
         detectors = _batch_detectors()
-        params = replace(detectors[0][2], **{field: value})
-        h = sample_channel(
-            ChannelModel.awgn(), 2, params.num_sensors, RandomSource(44).substream()
-        ).entries
+        params = replace(detectors[0][2], p1=0.4)
+        h = sample_channel(ChannelModel.awgn(), 2, 7, RandomSource(44).substream()).entries
         detectors.append((h, alpha_uniform(params), params, None))
-        with pytest.raises(ValueError, match="num_sensors and p1"):
+        with pytest.raises(ValueError, match="share p1"):
             estimate_pe_montecarlo_batch(detectors, 1000, RandomSource(45))
+
+    def test_accepts_detectors_that_differ_in_sensors(self):
+        # a smaller L reads the leading rows of the L = 7 sensing noise;
+        # the L = 7 detectors keep what they get alone
+        detectors = _batch_detectors()
+        small = replace(detectors[0][2], num_sensors=3)
+        h = sample_channel(ChannelModel.awgn(), 2, 3, RandomSource(44).substream()).entries
+        detectors.append((h, alpha_uniform(small), small, None))
+        scored = estimate_pe_montecarlo_batch(detectors, 1000, RandomSource(45))
+        assert len(scored) == len(detectors)
+        for (channel, alpha, params, noise), (est, _) in zip(detectors[:-1], scored):
+            alone = estimate_pe_montecarlo(channel, alpha, params, 1000, RandomSource(45), noise)
+            assert est == alone
+        est, pe = scored[-1]
+        assert pe == pe_conditional(h, alpha_uniform(small), small)
+        assert 0 < est.errors < 1000
 
     def test_rejects_small_trial_counts_and_plain_generators(self):
         detectors = _batch_detectors()
@@ -460,6 +471,27 @@ def _oracle_case(noise_kind, channel, n, l, p1):
         # receiver noise alone: q = |H alpha|^2 / sigma_nu_sq, set to 2
         params = replace(params, sigma_nu_sq=float(np.sum(np.abs(h @ alpha) ** 2)) / 2.0)
     return h, alpha, params, noise
+
+
+def _mixed_l_detectors():
+    # mixed L, N, channel models and iid / AR(1) sensing noise on one prior
+    cases = [
+        (ChannelModel.awgn(), 1, 2, None),
+        (ChannelModel.rayleigh(), 4, 10, 0.6),
+        (ChannelModel.ricean(1.0), 7, 3, None),
+        (ChannelModel.rayleigh(), 9, 1, None),
+        (ChannelModel.ricean(1.0), 12, 2, 0.4),
+        (ChannelModel.awgn(), 12, 10, None),
+    ]
+    detectors = []
+    for k, (model, l, n, rho) in enumerate(cases):
+        params = params_for(gamma_s=1.0, gamma_c=2.0 / l, l=l, n=n, p1=0.3)
+        noise = None
+        if rho is not None:
+            noise = SensingNoiseModel(r_eta=ar1_covariance(l, rho, params.sigma_eta_sq))
+        h = sample_channel(model, n, l, RandomSource(34, k).substream()).entries
+        detectors.append((h, alpha_uniform(params), params, noise))
+    return detectors
 
 
 class TestMontecarloOracle:
@@ -496,6 +528,21 @@ class TestMontecarloOracle:
         reference = reference_pe_montecarlo(h, alpha, params, trials, source, noise, block_size=1)
         assert reference.errors == errors
         assert errors > 0
+
+
+@pytest.mark.parametrize("trials", [1000, 10_000, 20_000])
+def test_mixed_l_batch_matches_y_forming_loop(trials):
+    # each detector of a batch over L = 1..12 reads the leading L rows of
+    # sensing noise drawn for 12 sensors, as the oracle's loop does
+    detectors = _mixed_l_detectors()
+    source = RandomSource(35, trials)
+    scored = estimate_pe_montecarlo_batch(detectors, trials, source)
+    for (h, alpha, params, noise), (est, _) in zip(detectors, scored):
+        reference = reference_pe_montecarlo(
+            h, alpha, params, trials, source, noise, block_sensors=12
+        )
+        assert est == reference
+        assert 0 < est.errors < trials
 
 
 class TestEmpiricalExponent:

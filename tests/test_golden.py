@@ -52,7 +52,7 @@ SEED = 7
 
 GOLDEN = {
     2: ({"trials": 1000, "channel_draws": 1},
-        "adbac331254e10dd259610a566e42739e06d8d537a20c4cb02cdce7eb39fad03"),
+        "ba52d1eb835124187815c4f1a55d5624e4af1dac57c8d946e3d656a48359fc3e"),
     3: ({}, "700331721bb7712866e2eb1c112ad4b22eacef0bf1ffcfd8f6d5e4a95bcdcb72"),
     4: ({}, "49baefd47cc5d99adc843f8c132122bb4d1ad1c67e1de855d871df5fe8d287a1"),
     5: ({}, "767221be814242cd397f011e17f983f73a35fd3a8364f6a5cdfc014b72d4bc4b"),
@@ -135,20 +135,20 @@ EXPERIMENTS = {
         "montecarlo",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 10, "trials": 1000,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0]}},
-        "0659d34cc5721f19192f962b7522bfac9fba0e21d1961bafc58592d5a269b614",
+        "3f72985ed0ae9ccfe9444ea0188a14a4935d5dbea5042f835a1d19bb6ae57d8f",
     ),
     "montecarlo-gamma_c-ar1": (
         "montecarlo",
         {**RICEAN, "num_antennas": 2, "num_sensors": 6, "noise": "ar1", "noise_corr": 0.5,
          "gamma_s": 2.0, "trials": 1000, "channel_draws": 2,
          "sweep": {"variable": "gamma_c", "grid": [1.0, 4.0]}},
-        "b0736eda773b07c4b5079e7dae7ae7c402560ed7faed3a331206dde7cae15451",
+        "689a45bccccb4acf4487e427838d771b24ae91f189d23b0fb25951dfd683e4c9",
     ),
     "montecarlo-N-awgn": (
         "montecarlo",
         {"channel": "awgn", "num_sensors": 5, "gamma_s": 1.0, "trials": 1000, "channel_draws": 1,
          "sweep": {"variable": "N", "grid": [1, 3]}},
-        "7cd7b9bec7189720e11f52ef8697948301b43bfd75c24cbef9d7c89668d19e73",
+        "611a07e00b124b52df3ff43563b1672a72172267ecd673dd2abf47f19325144d",
     ),
     "asymptotic-rayleigh": (
         "asymptotic",
