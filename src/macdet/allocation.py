@@ -3,9 +3,10 @@
 Strategies cover channel-independent uniform gains, the optimal and
 phase-only single-antenna rules, two reduced-complexity multi-antenna
 methods (best-antenna selection and top-eigenvector beamforming), the
-calibration of the crossover at which a hybrid switches between them,
-and an SDP-based phase-only design.  Every strategy spends the gain budget
-P = total_power / (p1 theta^2 + sigma_eta_sq) with equality.
+hybrid that switches between them at a crossover calibrated on the same
+channels (scheme_sweep), and an SDP-based phase-only design.  Every
+strategy spends the gain budget P = total_power / (p1 theta^2 +
+sigma_eta_sq) with equality.
 
 Any (channel, gains) pair is scored by the statistic
 
@@ -46,6 +47,7 @@ __all__ = [
     "method2_direction",
     "method_exponents",
     "calibrate_crossover",
+    "scheme_sweep",
     "alpha_sdr_phase",
 ]
 
@@ -438,6 +440,44 @@ def calibrate_crossover(gamma_s_grid, gaps, gap_at) -> float:
         else:
             hi = mid
     return math.sqrt(lo * hi)
+
+
+def scheme_sweep(channels, gamma_s_grid, params: NetworkParams):
+    """method1, method2 and the hybrid on shared channels (D, N, L), or a
+    list of N x L arrays, over a gamma_s sweep of params: (points,
+    crossover, dominant), points[i] the per-channel exponent lists
+    (method1, method2, hybrid) at params.at_gamma_s(gamma_s_grid[i]).
+
+    A grid of two or more points calibrates the crossover from the
+    grid's mean gaps plus one evaluation per bisection step; the hybrid
+    takes method1 below it and method2 at or above it.  Without a
+    crossover (None) the hybrid takes `dominant` everywhere:
+    NoCrossoverError's method, or on a one-point grid the one with the
+    larger mean exponent (method1 on a tie).
+    """
+    directions = [method2_direction(h) for h in channels]
+
+    def exponents_at(gamma_s):
+        return method_exponents(channels, directions, params.at_gamma_s(gamma_s))
+
+    scored = [exponents_at(x) for x in gamma_s_grid]
+    crossover = dominant = None
+    if len(scored) >= 2:
+        gaps = [_mean_exponent_gap(fe1, fe2) for fe1, fe2 in scored]
+        try:
+            crossover = calibrate_crossover(
+                gamma_s_grid, gaps, lambda x: _mean_exponent_gap(*exponents_at(x))
+            )
+        except NoCrossoverError as exc:
+            dominant = exc.dominant
+    elif scored:
+        mean1, mean2 = (float(np.mean(fe)) for fe in scored[0])
+        dominant = "method1" if mean1 >= mean2 else "method2"
+    points = []
+    for x, (fe1, fe2) in zip(gamma_s_grid, scored):
+        use_method1 = dominant == "method1" if crossover is None else x < crossover
+        points.append((fe1, fe2, fe1 if use_method1 else fe2))
+    return points, crossover, dominant
 
 
 def alpha_sdr_phase(channel, params: NetworkParams) -> GainVector:

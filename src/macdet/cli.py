@@ -24,15 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (
-    NoCrossoverError,
-    _mean_exponent_gap,
-    alpha_uniform,
-    calibrate_crossover,
-    finite_exponents,
-    method2_direction,
-    method_exponents,
-)
+from .allocation import alpha_uniform, finite_exponents, scheme_sweep
 from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo_batch
 from .exponents import (
     SnrPoint,
@@ -556,20 +548,9 @@ def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], 
     return [row for series_rows in rows for row in series_rows], 0
 
 
-def _scheme_sweep(cfg: ExperimentConfig, grid, label: str, draws: int):
-    """The method1/method2 exponents and the hybrid pick at each gamma_s
-    of `grid`, on `draws` channels drawn from substream(label, d).
-
-    Returns (channels, crossover, points), where channels stacks the
-    draws (D, N, L) and each point is (gamma_s, params at gamma_s,
-    method1 exponents, method2 exponents, hybrid exponents).  A
-    grid of two or more points calibrates the crossover on these same
-    channels: from the mean gaps of the grid's own exponents, plus one
-    evaluation per bisection step.  The hybrid takes method1 below the
-    crossover and method2 at or above it; without a crossover it follows
-    the dominant method, and on a one-point grid it takes the method
-    with the larger mean.
-    """
+def _scheme_channels(cfg: ExperimentConfig, label: str, draws: int) -> np.ndarray:
+    """The (D, N, L) channels a scheme sweep is scored on: `draws`
+    channels of cfg's model, draw d from substream(label, d)."""
     params = cfg.params
     base = RandomSource(cfg.seed)
     channels = np.empty((draws, params.num_antennas, params.num_sensors), dtype=np.complex128)
@@ -577,40 +558,18 @@ def _scheme_sweep(cfg: ExperimentConfig, grid, label: str, draws: int):
         channels[d] = sample_channel(
             cfg.model, params.num_antennas, params.num_sensors, base.substream(label, d)
         ).entries
-    directions = [method2_direction(h) for h in channels]
-    scored = [method_exponents(channels, directions, params.at_gamma_s(x)) for x in grid]
-    crossover = dominant = None
-    if len(grid) >= 2:
-        try:
-            crossover = calibrate_crossover(
-                grid,
-                [_mean_exponent_gap(fe1, fe2) for fe1, fe2 in scored],
-                lambda x: _mean_exponent_gap(
-                    *method_exponents(channels, directions, params.at_gamma_s(x))
-                ),
-            )
-        except NoCrossoverError as exc:
-            dominant = exc.dominant
-    points = []
-    for x, (fe1, fe2) in zip(grid, scored):
-        if crossover is not None:
-            use_method1 = x < crossover
-        elif dominant is not None:
-            use_method1 = dominant == "method1"
-        else:
-            use_method1 = float(np.mean(fe1)) >= float(np.mean(fe2))
-        points.append((x, params.at_gamma_s(x), fe1, fe2, fe1 if use_method1 else fe2))
-    return channels, crossover, points
+    return channels
 
 
 def _run_schemes(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     n = cfg.params.num_antennas
-    _, crossover, points = _scheme_sweep(cfg, cfg.sweep_grid, "schemes", cfg.channel_draws or 25)
+    channels = _scheme_channels(cfg, "schemes", cfg.channel_draws or 25)
+    points, crossover, _ = scheme_sweep(channels, cfg.sweep_grid, cfg.params)
     rows: list[ResultRow] = []
-    for x, params_x, fe1, fe2, feh in points:
+    for x, (fe1, fe2, feh) in zip(cfg.sweep_grid, points):
         for name, values in (("method1", fe1), ("method2", fe2), ("hybrid", feh)):
             rows.append(_row(cfg, f"{name}(N={n})", "gamma_s", x, *_mean_ci(values)))
-        rows.append(_bound_row(cfg, params_x, x))
+        rows.append(_bound_row(cfg, cfg.params.at_gamma_s(x), x))
     value = math.nan if crossover is None else crossover
     rows.append(_row(cfg, f"crossover(N={n})", "gamma_s", math.nan, value))
     return rows, 0
@@ -620,7 +579,8 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     params = cfg.params
     n, num_sensors = params.num_antennas, params.num_sensors
     grid = cfg.sweep_grid or (params.gamma_s,)
-    channels, _, points = _scheme_sweep(cfg, grid, "sdr", cfg.channel_draws or 10)
+    channels = _scheme_channels(cfg, "sdr", cfg.channel_draws or 10)
+    points = scheme_sweep(channels, grid, params)[0]
 
     # the SDP solution scales linearly in the diagonal value, so the
     # phase pattern is solved once per draw and reused across gamma_s
@@ -641,7 +601,8 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
 
     rows: list[ResultRow] = []
     sdr_series = f"sdr_phase(N={n})" + ("[nonconverged]" if failures else "")
-    for x, params_x, _, _, feh in points:
+    for x, (_, _, feh) in zip(grid, points):
+        params_x = params.at_gamma_s(x)
         scale = math.sqrt(params_x.gain_budget / num_sensors)
         sdr_mean_ci = (
             _mean_ci(finite_exponents(hs, scale * phases, params_x)) if solved else (math.nan, None)

@@ -181,9 +181,8 @@ def estimate_pe_montecarlo_batch(
     real values.  A detector with L sensors reads z[0, :L] and z[1, :L];
     one with N antennas reads the first 2 x trials x N receiver values as
     its (2, trials, N) receiver noise, so its own draw is exactly that
-    prefix.  When every detector has the same L, z has the memory order
-    of a (2L, trials) draw, and a detector scores the same trials alone
-    as in such a batch.
+    prefix.  When every detector has the same L, each scores the same
+    trials as it does alone.
 
     The received vector y is never formed.  With eta = S z, S the
     sensing-noise factor (sqrt(sigma_eta_sq) under iid noise, noise=None;
@@ -221,12 +220,7 @@ def estimate_pe_montecarlo_batch(
         nu_max = gen.standard_normal(2 * count * n_max)
         for k, (p, (signal, z_weights, receiver, threshold, _)) in enumerate(zip(params, scorers)):
             l = p.num_sensors
-            if l == l_max:
-                # one product over the (2L, count) view, as a one-detector
-                # call sums it; below L_max the leading rows, without a copy
-                sensing = z_weights @ z.reshape(2 * l, count)
-            else:
-                sensing = z_weights[:l] @ z[0, :l] + z_weights[l:] @ z[1, :l]
+            sensing = z_weights[:l] @ z[0, :l] + z_weights[l:] @ z[1, :l]
             nu = nu_max[: 2 * count * p.num_antennas].reshape(2, count, p.num_antennas)
             statistic = p.theta * (
                 np.where(truth, signal, 0.0)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import canonical_phase, hermitian_eig
+from .numerics import hermitian_eig
 
 __all__ = [
     "SdpProblem",
@@ -204,8 +204,7 @@ def _positive_definite(w: np.ndarray, h: np.ndarray, hh: np.ndarray) -> bool:
 def extract_phases(solution: SdpSolution) -> np.ndarray:
     """Unit-modulus phase vector from the top eigenvector of the SDP
     solution (rank-one rounding); zero components round to phase 0."""
-    eig = hermitian_eig(solution.x)
-    v = canonical_phase(eig.eigenvectors[:, -1])
+    v = hermitian_eig(solution.x).eigenvectors[:, -1]
     mags = np.abs(v)
     out = np.ones_like(v)
     nz = mags > 0.0

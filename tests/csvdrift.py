@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from pathlib import Path
 
 NUMERIC = ("x_value", "value", "ci95")
 IDENTITY = ("experiment", "series", "x_name", "seed")
@@ -43,8 +44,11 @@ def drift(old_text: str, new_text: str) -> tuple[dict[str, tuple[float, float]],
     problems = []
     if old_comments != new_comments:
         problems.append(f"comment lines {old_comments} -> {new_comments}")
-    if old[:1] != new[:1]:
-        problems.append(f"header {old[:1]} -> {new[:1]}")
+    if not (old and new):
+        missing = " and ".join(side for side, rows in (("OLD", old), ("NEW", new)) if not rows)
+        return {}, problems + [f"no header in {missing}"]
+    if old[0] != new[0]:
+        problems.append(f"header {old[0]} -> {new[0]}")
     header = old[0]
     old_rows = [dict(zip(header, row)) for row in old[1:]]
     new_rows = [dict(zip(header, row)) for row in new[1:]]
@@ -90,7 +94,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tests/csvdrift.py OLD.csv NEW.csv", file=sys.stderr)
         return 2
-    old_text, new_text = (open(path, encoding="utf-8").read() for path in argv)
+    old_text, new_text = (Path(path).read_text(encoding="utf-8") for path in argv)
     changes, problems = drift(old_text, new_text)
     print(report(changes, problems))
     if problems:

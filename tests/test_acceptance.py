@@ -11,19 +11,15 @@ import math
 import numpy as np
 
 from macdet.allocation import (
-    NoCrossoverError,
     alpha_opt_n1,
     alpha_phase_only_n1,
     alpha_uniform,
-    calibrate_crossover,
     finite_exponent,
     finite_exponents,
     method1,
     method2,
-    method2_direction,
-    method_exponents,
+    scheme_sweep,
 )
-from macdet.allocation import _mean_exponent_gap
 from macdet.detection import empirical_exponent, estimate_pe_montecarlo, pe_conditional
 from macdet.exponents import (
     SnrPoint,
@@ -405,19 +401,9 @@ def test_criterion_12_hybrid_crossover_calibration():
             sample_channel(model, n, 200, rng.substream("calibrate", t)).entries
             for t in range(50)
         ]
-        directions = [method2_direction(h) for h in channels]
-
-        def gap_at(gamma_s):
-            return _mean_exponent_gap(
-                *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
-            )
-
-        try:
-            crossover = calibrate_crossover(grid, [gap_at(g) for g in grid], gap_at)
-            results[n] = snr_to_db(crossover)
-        except NoCrossoverError as exc:
-            results[n] = None
-            results[f"dominant{n}"] = exc.dominant
+        _, crossover, dominant = scheme_sweep(channels, grid, params)
+        results[n] = None if crossover is None else snr_to_db(crossover)
+        results[f"dominant{n}"] = dominant
 
     # ordering check: best-antenna combining ahead at low sensing SNR,
     # eigenbeamforming ahead at high, per mean exponent over 50 draws

@@ -22,8 +22,9 @@ from macdet.allocation import (
     method_exponents,
     quadratic_form,
     received_covariance,
+    scheme_sweep,
 )
-from macdet import cli, sdr
+from macdet import sdr
 from macdet.allocation import _mean_exponent_gap
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
@@ -605,18 +606,37 @@ class TestHoistedDirectionOracle:
             method_exponents([h], [method2_direction(h)], make_params(l=5, n=2))
 
 
+def scheme_channels(model, n, l, draws, seed, label):
+    # the channels a scheme runner draws: draw d from substream(label, d)
+    rng = RandomSource(master_seed=seed)
+    return np.stack(
+        [sample_channel(model, n, l, rng.substream(label, d)).entries for d in range(draws)]
+    )
+
+
+# scheme_sweep cases: (model, N, L, draws, grid, the dominant method, or
+# None where a crossover is expected); the first three are the
+# schemes-crossover, AWGN (every gap exactly 0) and
+# schemes-method2-dominant sweeps
+SCHEME_SWEEPS = {
+    "crossover": (ChannelModel.ricean(1.0), 5, 40, 3, (0.3, 1.0, 3.0, 10.0, 30.0), None),
+    "awgn-ties": (ChannelModel.awgn(), 3, 12, 2, (0.5, 2.0, 8.0), "method1"),
+    "method2-dominant": (ChannelModel.ricean(1.0), 50, 30, 2, (0.5, 2.0, 8.0), "method2"),
+    "one-point": (ChannelModel.ricean(1.0), 50, 30, 2, (2.0,), "method2"),
+    "one-point-tie": (ChannelModel.awgn(), 3, 12, 2, (2.0,), "method1"),
+}
+
+
 class TestHybrid:
-    """The hybrid is the scheme sweep's switch: method1's exponents below
+    """The hybrid is scheme_sweep's switch: method1's exponents below
     the calibrated crossover, method2's at or above it, each equal to
     the public per-channel compositions."""
 
     def sweep(self, grid):
-        cfg = cli.parse_config(
-            {"channel": "ricean", "ricean_k": 1.0, "num_antennas": 2, "num_sensors": 12,
-             "gamma_c": 10.0, "sweep": {"variable": "gamma_s", "grid": grid}},
-            "schemes",
-        )
-        return cli._scheme_sweep(cfg, cfg.sweep_grid, "hybrid", 4)
+        params = params_for(1.0, 10.0, l=12, n=2)
+        channels = scheme_channels(ChannelModel.ricean(1.0), 2, 12, 4, 0, "hybrid")
+        points, crossover, _ = scheme_sweep(channels, grid, params)
+        return channels, crossover, [(x, params.at_gamma_s(x), *p) for x, p in zip(grid, points)]
 
     def test_low_sensing_snr_uses_antenna_selection(self):
         channels, crossover, points = self.sweep([0.05, 0.5, 5.0, 50.0, 500.0])
@@ -633,6 +653,30 @@ class TestHybrid:
         assert above
         for _, params, _, _, feh in above:
             assert feh == [finite_exponent(h, method2(h, params), params) for h in channels]
+
+    @pytest.mark.parametrize("case", SCHEME_SWEEPS)
+    def test_scheme_sweep_rule(self, case):
+        model, n, l, draws, grid, dominant = SCHEME_SWEEPS[case]
+        params = params_for(1.0, 10.0, l=l, n=n)
+        channels = scheme_channels(model, n, l, draws, 7, "schemes")
+        points, crossover, got = scheme_sweep(channels, grid, params)
+        assert got == dominant
+        assert (crossover is None) == (dominant is not None)
+        if crossover is not None:
+            assert grid[0] < crossover < grid[-1]
+        assert len(points) == len(grid)
+        for x, (fe1, fe2, feh) in zip(grid, points):
+            p = params.at_gamma_s(x)
+            method1_fe = [finite_exponent(h, method1(h, p)[0], p) for h in channels]
+            method2_fe = [finite_exponent(h, method2(h, p), p) for h in channels]
+            assert fe1 == method1_fe
+            assert fe2 == method2_fe
+            if model.is_awgn:
+                assert fe1 == fe2
+            if crossover is not None:
+                assert feh == (method1_fe if x < crossover else method2_fe)
+            else:
+                assert feh == (method1_fe if dominant == "method1" else method2_fe)
 
 
 def sampled_gaps(params, model, grid, trials, seed):

@@ -929,8 +929,10 @@ class TestSchemesExperiment:
              "gamma_c": 10.0, "sweep": sweep("gamma_s", [0.3, 1.0, 3.0, 10.0])},
             experiment="schemes",
         )
-        channels, _, points = cli._scheme_sweep(cfg, cfg.sweep_grid, "schemes", draws)
-        for _, params, fe1, fe2, _ in points:
+        channels = cli._scheme_channels(cfg, "schemes", draws)
+        points = allocation.scheme_sweep(channels, cfg.sweep_grid, cfg.params)[0]
+        for x, (fe1, fe2, _) in zip(cfg.sweep_grid, points):
+            params = cfg.params.at_gamma_s(x)
             assert fe1 == [
                 allocation.finite_exponent(h, allocation.method1(h, params)[0], params)
                 for h in channels
@@ -981,12 +983,13 @@ class TestSdrCompareExperiment:
     def test_sdr_rows_are_the_per_channel_exponents(self):
         cfg = self.config()
         rows, _ = cli.run(cfg)
-        channels, _, points = cli._scheme_sweep(cfg, cfg.sweep_grid, "sdr", 2)
+        channels = cli._scheme_channels(cfg, "sdr", 2)
         phases = [
             extract_phases(solve_sdp(SdpProblem(channel=h, diag_value=1.0)))
             for h in channels
         ]
-        for x, params, _, _, _ in points:
+        for x in cfg.sweep_grid:
+            params = cfg.params.at_gamma_s(x)
             scale = np.sqrt(params.gain_budget / params.num_sensors)
             per_channel = [
                 allocation.finite_exponent(h, scale * v, params) for h, v in zip(channels, phases)

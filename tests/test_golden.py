@@ -218,6 +218,23 @@ class TestCsvDrift:
         _, problems = csvdrift.drift(old, new)
         assert problems and all("method3(N=5)" in p for p in problems)
 
+    @pytest.mark.parametrize("sides", ["old", "new", "both"])
+    def test_empty_input_is_structural(self, sides, tmp_path, capsys):
+        # an empty file (e.g. the output of a run that exited on a usage
+        # error) has no header: a structural difference, exit status 2
+        text = stored("schemes-crossover")
+        old = "" if sides in ("old", "both") else text
+        new = "" if sides in ("new", "both") else text
+        changes, problems = csvdrift.drift(old, new)
+        assert changes == {}
+        missing = {"old": "OLD", "new": "NEW", "both": "OLD and NEW"}[sides]
+        assert problems[-1] == f"no header in {missing}"
+        paths = [tmp_path / "old.csv", tmp_path / "new.csv"]
+        for path, content in zip(paths, (old, new)):
+            path.write_text(content, encoding="utf-8")
+        assert csvdrift.main([str(p) for p in paths]) == 2
+        assert "structural: no header in " in capsys.readouterr().out
+
     def test_mismatch_names_the_numpy_versions(self):
         text = stored("figure5").rstrip("\n")
         expected = f"NumPy {np.__version__} here, digests taken with {DIGEST_NUMPY}"
