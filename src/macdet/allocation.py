@@ -191,10 +191,10 @@ def _forms(h, a, sensing, sigma_nu_sq: float, solve: bool = False):
     q = np.sum(y.real**2 + y.imag**2, axis=-1) / sigma_nu_sq
     if not solve:
         return v, q
-    # solve is only asked of single items (quadratic_form): L^H is upper
-    # triangular, so LU with partial pivoting leaves it unchanged and the
-    # solve is one back substitution
-    w = np.linalg.solve(factor[:n, :n].conj().T, y)
+    # L^H is upper triangular, so LU with partial pivoting leaves it
+    # unchanged and the solve is one back substitution, run item by item
+    upper = factor[..., :n, :n].conj().swapaxes(-1, -2)
+    w = np.linalg.solve(upper, y[..., np.newaxis])[..., 0]
     return v, w / sigma_nu_sq, q
 
 

@@ -18,6 +18,9 @@ The Monte Carlo trial loop lives in estimate_pe_montecarlo_batch, which
 scores several detectors of one prior on the same trial blocks (common
 random numbers: figure2 scores all its sensor counts and series on one
 set of blocks per draw); estimate_pe_montecarlo is its one-detector case.
+It sets up detectors that share params and sensing noise with one
+batched factorization, stacks every detector's statistic into one
+weight matrix, and scores each chunk of trials with one matrix product.
 """
 
 from __future__ import annotations
@@ -49,6 +52,17 @@ __all__ = [
 ]
 
 _MC_BLOCK = 8192
+
+# estimate_pe_montecarlo_batch scores a block in chunks of
+# _MC_ENTRIES // detectors trials (a whole block for one or two
+# detectors), so that its per-chunk products stay this many entries.  On
+# figure2 at the benchmark's size (90 detectors, 10,000 trials, 2 draws;
+# 2-vCPU x86-64 host, one BLAS thread) chunks of 91, 182 and 364 trials
+# (1 << 13, 14, 15) ran a figure in 62, 63 and 59 ms in-process (medians
+# of 20, as noisy as their spread; 106 ms with the per-detector loop),
+# and a fresh process peaked at 42.59, 42.59 and 42.93 MB against 41.80
+# MB (medians of 7): about 0.5 MB of the floor is OpenBLAS's first dgemm.
+_MC_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,21 +154,47 @@ def estimate_pe_montecarlo(
     return estimate_pe_montecarlo_batch([(channel, alpha, params, noise)], trials, rng)[0][0]
 
 
-def _scorer(channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None):
-    # one detector's per-channel constants: (signal, z weights, receiver
-    # weights, threshold, pe_conditional), all from one _forms call
-    h, a, sensing = _item(channel, alpha, params, noise)
-    v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
-    threshold = 0.5 * params.theta**2 * float(q) + params.tau
-    g = np.conj(a) * (h.conj().T @ w)
-    c = sensing.conj().T @ g if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
-    # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
-    # drawn as sqrt(s/2) (X_re + i X_im)
-    z_weights = math.sqrt(0.5) * np.concatenate((c.real, c.imag))
-    receiver = math.sqrt(params.sigma_nu_sq / 2.0) * np.stack((w.real, w.imag))
-    signal = params.theta * float(np.vdot(v, w).real)
-    pe = math.exp(float(_log_pe(params, q)))
-    return signal, z_weights, receiver, threshold, pe
+def _weights(detectors, l_max: int):
+    """The scoring constants of a batch, for the features of
+    estimate_pe_montecarlo_batch: the weight matrix W (one row per
+    detector), each detector's limit threshold / theta, its
+    pe_conditional, and the first feature row of each distinct N.
+
+    Detectors with equal params and sensing argument go through one
+    _forms call (figure2: the three channel models of each L and N),
+    where each keeps the bits it gets alone; so does its pe_conditional,
+    the scalar math.exp of _log_pe, elementwise over the group."""
+    items = [_item(*d) for d in detectors]
+    groups: dict = {}
+    for k, ((_, _, sensing), (_, _, params, _)) in enumerate(zip(items, detectors)):
+        key = sensing.tobytes() if isinstance(sensing, np.ndarray) else sensing
+        groups.setdefault((params, key), []).append(k)
+    offsets, width = {}, 2 * l_max
+    for n in sorted({p.num_antennas for _, _, p, _ in detectors}):
+        offsets[n], width = width, width + 2 * n
+    weights = np.zeros((len(detectors), width + 1))
+    limits = np.empty(len(detectors))
+    pes = [0.0] * len(detectors)
+    for (params, _), rows in groups.items():
+        sensing = items[rows[0]][2]
+        h = np.stack([items[k][0] for k in rows])
+        a = np.stack([items[k][1] for k in rows])
+        v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
+        for k, log_pe in zip(rows, _log_pe(params, q)):
+            pes[k] = math.exp(float(log_pe))
+        g = np.conj(a) * (h.conj().swapaxes(-1, -2) @ w[..., np.newaxis])[..., 0]
+        c = g @ sensing.conj() if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
+        # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
+        # drawn as sqrt(s/2) (X_re + i X_im)
+        l, n, off = params.num_sensors, params.num_antennas, offsets[params.num_antennas]
+        weights[rows, :l] = math.sqrt(0.5) * c.real
+        weights[rows, l_max : l_max + l] = math.sqrt(0.5) * c.imag
+        receiver = math.sqrt(params.sigma_nu_sq / 2.0)
+        weights[rows, off : off + n] = receiver * w.real
+        weights[rows, off + n : off + 2 * n] = receiver * w.imag
+        weights[rows, -1] = params.theta * np.sum(v.real * w.real + v.imag * w.imag, axis=-1)
+        limits[rows] = (0.5 * params.theta**2 * q + params.tau) / params.theta
+    return weights, limits, pes, offsets
 
 
 def estimate_pe_montecarlo_batch(
@@ -187,14 +227,23 @@ def estimate_pe_montecarlo_batch(
     The received vector y is never formed.  With eta = S z, S the
     sensing-noise factor (sqrt(sigma_eta_sq) under iid noise, noise=None;
     the Cholesky factor of R_eta otherwise) and z ~ CN(0, I), the
-    statistic theta Re(y^H w),
-    w = R^{-1} H alpha, is
+    statistic theta Re(y^H w), w = R^{-1} H alpha, is
 
         theta [1{H1} theta Re(v^H w) + Re(z^H c) + Re(nu^H w)],
         c = S^H (conj(alpha) * H^H w),
 
-    with c computed once per channel, so a trial costs O(L + N) from
-    the same draws as the y-forming loop (O(N L), O(L^2) correlated).
+    linear in the features of a trial: the real, then the imaginary
+    parts of z (L_max each), for each distinct N the real, then the
+    imaginary parts of its receiver noise nu (N each), and 1{H1}.  The
+    set-up (_weights, one factorization per group of detectors with
+    equal params and sensing) stacks every detector's coefficients into
+    one zero-padded weight matrix W; a block is then scored in chunks
+    of _MC_ENTRIES // detectors trials (a whole block for a lone
+    detector), each one feature buffer F and one product W F, whose
+    entry k, t is detector k's statistic / theta on trial t, compared
+    with its threshold / theta.  A trial costs O(L_max + sum of N) per
+    detector in that product, from the same draws as the y-forming loop
+    (O(N L), O(L^2) correlated).
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000 for a meaningful estimate")
@@ -207,30 +256,31 @@ def estimate_pe_montecarlo_batch(
     p1 = params[0].p1
     if any(p.p1 != p1 for p in params):
         raise ValueError("detectors must share p1")
-    scorers = [_scorer(*d) for d in detectors]
     l_max = max(p.num_sensors for p in params)
     n_max = max(p.num_antennas for p in params)
+    weights, limits, pes, offsets = _weights(detectors, l_max)
+    chunk = min(_MC_BLOCK, max(1, _MC_ENTRIES // len(detectors)))
+    features = np.empty((weights.shape[1], chunk))
 
-    errors = [0] * len(detectors)
+    errors = np.zeros(len(detectors), dtype=np.int64)
     for block, start in enumerate(range(0, trials, _MC_BLOCK)):
         count = min(_MC_BLOCK, trials - start)
         gen = rng.montecarlo_block(block)
         truth = gen.random(count) < p1
-        z = gen.standard_normal((2, l_max, count))
+        z = gen.standard_normal((2, l_max, count)).reshape(2 * l_max, count)
         nu_max = gen.standard_normal(2 * count * n_max)
-        for k, (p, (signal, z_weights, receiver, threshold, _)) in enumerate(zip(params, scorers)):
-            l = p.num_sensors
-            sensing = z_weights[:l] @ z[0, :l] + z_weights[l:] @ z[1, :l]
-            nu = nu_max[: 2 * count * p.num_antennas].reshape(2, count, p.num_antennas)
-            statistic = p.theta * (
-                np.where(truth, signal, 0.0)
-                + sensing
-                + (nu[0] @ receiver[0] + nu[1] @ receiver[1])
-            )
-            errors[k] += int(np.count_nonzero((statistic >= threshold) != truth))
-    return [
-        (PeEstimate.from_counts(e, trials), scorer[-1]) for e, scorer in zip(errors, scorers)
-    ]
+        nus = [(off, n, nu_max[: 2 * count * n].reshape(2, count, n)) for n, off in offsets.items()]
+        for first in range(0, count, chunk):
+            last = min(first + chunk, count)
+            f = features[:, : last - first]
+            f[: 2 * l_max] = z[:, first:last]
+            for off, n, nu in nus:
+                f[off : off + n] = nu[0, first:last].T
+                f[off + n : off + 2 * n] = nu[1, first:last].T
+            f[-1] = truth[first:last]
+            decisions = weights @ f >= limits[:, np.newaxis]
+            errors += np.count_nonzero(decisions != truth[first:last], axis=1)
+    return [(PeEstimate.from_counts(int(e), trials), pe) for e, pe in zip(errors, pes)]
 
 
 def _log_mean_exp(log_p: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ from macdet.allocation import (
     received_covariance,
     scheme_sweep,
 )
-from macdet import sdr
-from macdet.allocation import _mean_exponent_gap
+from macdet import allocation, sdr
+from macdet.allocation import _forms, _mean_exponent_gap, _sensing
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
     ChannelModel,
@@ -284,6 +284,48 @@ class TestBatchedCore:
         broadcast = finite_exponents(hs[0], gains, params)
         assert broadcast.tolist() == [finite_exponent(hs[0], a, params) for a in gains]
         assert finite_exponents(hs[:1], gains[:1], params).tolist() == stacked[:1].tolist()
+
+    @staticmethod
+    def assert_solve_matches_items(hs, gains, params, noise):
+        # _forms(solve=True) on the stack against quadratic_form per item
+        v, w, q = _forms(hs, gains, _sensing(params, noise), params.sigma_nu_sq, solve=True)
+        for k, (h, a) in enumerate(zip(hs, gains)):
+            v_k, w_k, q_k = quadratic_form(h, a, params, noise)
+            assert np.array_equal(v[k], v_k)
+            assert np.array_equal(w[k], w_k)
+            assert q[k] == q_k
+
+    @pytest.mark.parametrize("noise_kind", ["iid", "phase-ar1"])
+    @pytest.mark.parametrize("n,l", [(1, 7), (3, 5), (5, 3), (2, 15)])
+    def test_solve_stack_matches_items(self, n, l, noise_kind):
+        params = make_params(l=l, n=n, sigma_eta_sq=0.3, total_power=4.0)
+        rng = np.random.default_rng(200 + n + l)
+        hs = np.stack([random_channel(rng, n, l) for _ in range(5)])
+        gains = random_feasible_gains(rng, 5, l, params.gain_budget)
+        noise = sensing_noise(noise_kind, l, params.sigma_eta_sq)
+        self.assert_solve_matches_items(hs, gains, params, noise)
+
+    @pytest.mark.parametrize("noise_kind", ["iid", "phase-ar1"])
+    def test_solve_stack_with_a_spectral_item(self, noise_kind, monkeypatch):
+        # at sigma_nu_sq = 1e-200, B B^H overflows on item 0 (uniform gains
+        # on an all-ones channel), which _spectral_form answers; zero gains
+        # and a small random gain vector factor
+        params = make_params(l=4, n=2, sigma_nu_sq=1e-200)
+        rng = np.random.default_rng(300)
+        channels = [np.ones((2, 4), dtype=complex)] + [random_channel(rng, 2, 4) for _ in range(2)]
+        hs = np.stack(channels)
+        gains = np.stack(
+            (alpha_uniform(params).values, np.zeros(4), random_feasible_gains(rng, 1, 4, 1.0)[0])
+        )
+        spectral = []
+        original = allocation._spectral_form
+        monkeypatch.setattr(
+            allocation, "_spectral_form", lambda *args: spectral.append(1) or original(*args)
+        )
+        noise = sensing_noise(noise_kind, 4, params.sigma_eta_sq)
+        self.assert_solve_matches_items(hs, gains, params, noise)
+        # once for the stack's item 0, once for quadratic_form on it alone
+        assert len(spectral) == 2
 
     def test_rejects_mismatched_shapes(self):
         params = make_params(l=4, n=2)

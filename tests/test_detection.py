@@ -545,6 +545,32 @@ def test_mixed_l_batch_matches_y_forming_loop(trials):
         assert 0 < est.errors < trials
 
 
+def test_figure2_shaped_batch_matches_y_forming_loop():
+    # figure2's shape: 3 channel models x N in {2, 10} x L = 1..15, 90
+    # detectors on one prior, the three models of each (L, N) sharing
+    # their params and so one set-up batch.  10,000 trials are two blocks,
+    # 8192 + 1808, each scored in chunks of fewer trials than a block
+    models = (ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh())
+    detectors = []
+    for l in range(1, 16):
+        for n in (2, 10):
+            params = params_for(gamma_s=1.0, gamma_c=1.0, l=l, n=n, p1=0.3)
+            for k, model in enumerate(models):
+                h = sample_channel(model, n, l, RandomSource(36).substream(l, n, k)).entries
+                detectors.append((h, alpha_uniform(params), params, None))
+    trials = 10_000
+    source = RandomSource(37)
+    scored = estimate_pe_montecarlo_batch(detectors, trials, source)
+    assert len(scored) == 90
+    for (h, alpha, params, noise), (est, pe) in zip(detectors, scored):
+        reference = reference_pe_montecarlo(
+            h, alpha, params, trials, source, noise, block_sensors=15
+        )
+        assert est == reference
+        assert pe == pe_conditional(h, alpha, params, noise)
+        assert 0 < est.errors < trials
+
+
 class TestEmpiricalExponent:
     def test_grid_validation(self):
         params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=2)
