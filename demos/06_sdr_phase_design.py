@@ -3,17 +3,19 @@
 With fixed per-sensor magnitudes, maximizing alpha^H (H^H H) alpha over
 the phases is nonconvex; lifting to X = alpha alpha^H and dropping the
 rank constraint gives an SDP whose value upper-bounds the true optimum.
-Rounding the top eigenvector back to unit modulus recovers a phase
-vector whose objective lands close to the relaxation value, and the
-solver's dual certificate, objective + gap, bounds every feasible phase
-vector from above.
+solve_sdp(H, d) solves it in the factored form X = V V^H and returns V
+(solution.factor).  Rounding the top eigenvector of X, taken from the
+small Gram V^H V, back to unit modulus recovers a phase vector whose
+objective lands close to the relaxation value, and the solver's dual
+certificate, objective + gap, bounds every feasible phase vector from
+above.
 """
 
 import numpy as np
 
 from macdet.allocation import alpha_sdr_phase, alpha_uniform, finite_exponent
 from macdet.model import ChannelModel, NetworkParams, RandomSource, sample_channel
-from macdet.sdr import SdpProblem, extract_phases, solve_sdp
+from macdet.sdr import extract_phases, solve_sdp
 
 
 def main() -> None:
@@ -38,7 +40,7 @@ def main() -> None:
             model, params.num_antennas, params.num_sensors, src.substream("h", i)
         ).entries
         cost = h.conj().T @ h
-        solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
+        solution = solve_sdp(h, d)
         phases = extract_phases(solution)
         alpha = np.sqrt(d) * phases
         rounded = float(np.real(alpha.conj() @ cost @ alpha))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import ChannelMatrix, NetworkParams, SensingNoiseModel
 from .numerics import canonical_phase, hermitian_eig
-from .sdr import SdpNonConvergence, SdpProblem, extract_phases, solve_sdp
+from .sdr import SdpNonConvergence, extract_phases, solve_sdp
 
 __all__ = [
     "GainVector",
@@ -489,8 +489,7 @@ def alpha_sdr_phase(channel, params: NetworkParams) -> GainVector:
     """
     h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
     p = params.gain_budget
-    problem = SdpProblem(channel=h, diag_value=p / params.num_sensors)
-    solution = solve_sdp(problem)
+    solution = solve_sdp(h, p / params.num_sensors)
     if not solution.converged:
         raise SdpNonConvergence(solution)
     phases = extract_phases(solution)

@@ -52,7 +52,7 @@ from .model import (
     sample_channel,
 )
 from .numerics import hermitian_eig
-from .sdr import SdpProblem, extract_phases, solve_sdp
+from .sdr import extract_phases, solve_sdp
 
 __all__ = [
     "ConfigError",
@@ -540,7 +540,7 @@ def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], 
     rows: list[list[ResultRow]] = [[] for _ in series]
     for (i, k, model, p, _, _), e, pe_by_draw in zip(points, errors, pes):
         x = cfg.sweep_grid[i]
-        total = PeEstimate.from_counts(e, cfg.trials * draws)
+        total = PeEstimate(e, cfg.trials * draws)
         tag = "" if var == "N" else f",N={p.num_antennas}"
         label = f"({model.label}{tag})"
         rows[k].append(_row(cfg, f"Pe_MC{label}", var, x, total.p_hat, total.ci95_halfwidth))
@@ -586,7 +586,7 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     # phase pattern is solved once per draw and reused across gamma_s
     solved = []
     for d, h in enumerate(channels):
-        solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
+        solution = solve_sdp(h, 1.0)
         if not solution.converged:
             print(
                 f"sdr: channel draw {d} not certified after {solution.iterations} "

@@ -26,7 +26,6 @@ weight matrix, and scores each chunk of trials with one matrix product.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,50 +53,44 @@ __all__ = [
 _MC_BLOCK = 8192
 
 # estimate_pe_montecarlo_batch scores a block in chunks of
-# _MC_ENTRIES // detectors trials (a whole block for one or two
-# detectors), so that its per-chunk products stay this many entries.  On
-# figure2 at the benchmark's size (90 detectors, 10,000 trials, 2 draws;
-# 2-vCPU x86-64 host, one BLAS thread) chunks of 91, 182 and 364 trials
-# (1 << 13, 14, 15) ran a figure in 62, 63 and 59 ms in-process (medians
-# of 20, as noisy as their spread; 106 ms with the per-detector loop),
-# and a fresh process peaked at 42.59, 42.59 and 42.93 MB against 41.80
-# MB (medians of 7): about 0.5 MB of the floor is OpenBLAS's first dgemm.
+# _MC_ENTRIES // max(detectors, features) trials, so that its per-chunk
+# products and its feature buffer stay this many entries.  On figure2 at
+# the benchmark's size (90 detectors over 55 features, 10,000 trials, 2
+# draws; 2-vCPU x86-64 host, one BLAS thread) chunks of 91, 182 and 364
+# trials (1 << 13, 14, 15) ran a figure in 62, 63 and 59 ms in-process
+# (medians of 20, as noisy as their spread; 106 ms with the per-detector
+# loop), and a fresh process peaked at 42.59, 42.59 and 42.93 MB against
+# 41.80 MB (medians of 7): about 0.5 MB of the floor is OpenBLAS's first
+# dgemm.
+# A lone detector at L=64, N=4 (137 features) scored 10^5 trials at a
+# tracemalloc peak of 26.3 MB with whole-block chunks, 17.4 MB with these.
 _MC_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
 class PeEstimate:
-    """Monte Carlo error-rate estimate with its 95% binomial halfwidth and
-    the integer error count it was formed from."""
+    """Monte Carlo error count over a number of trials, with the error
+    rate and its 95% binomial halfwidth derived from them."""
 
-    p_hat: float
-    trials: int
-    ci95_halfwidth: float
     errors: int
+    trials: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError("p_hat must lie in [0, 1]")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if isinstance(self.errors, bool) or not isinstance(self.errors, int):
             raise ValueError("errors must be an integer count")
-        if self.errors / self.trials != self.p_hat:
-            raise ValueError("p_hat inconsistent with errors and trials")
-        expected = 1.96 * math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
-        if abs(self.ci95_halfwidth - expected) > 1e-12 * (1.0 + expected):
-            raise ValueError("ci95_halfwidth inconsistent with p_hat and trials")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if not 0 <= self.errors <= self.trials:
+            raise ValueError("errors must lie in [0, trials]")
 
-    @classmethod
-    def from_counts(cls, errors: int, trials: int) -> "PeEstimate":
-        errors = operator.index(errors)  # accepts NumPy integers, not floats
-        p = errors / trials
-        return cls(
-            p_hat=p,
-            trials=trials,
-            ci95_halfwidth=1.96 * math.sqrt(p * (1.0 - p) / trials),
-            errors=errors,
-        )
+    @property
+    def p_hat(self) -> float:
+        return self.errors / self.trials
+
+    @property
+    def ci95_halfwidth(self) -> float:
+        p = self.p_hat
+        return 1.96 * math.sqrt(p * (1.0 - p) / self.trials)
 
 
 def _degenerate_pe(params: NetworkParams) -> float:
@@ -238,12 +231,11 @@ def estimate_pe_montecarlo_batch(
     set-up (_weights, one factorization per group of detectors with
     equal params and sensing) stacks every detector's coefficients into
     one zero-padded weight matrix W; a block is then scored in chunks
-    of _MC_ENTRIES // detectors trials (a whole block for a lone
-    detector), each one feature buffer F and one product W F, whose
-    entry k, t is detector k's statistic / theta on trial t, compared
-    with its threshold / theta.  A trial costs O(L_max + sum of N) per
-    detector in that product, from the same draws as the y-forming loop
-    (O(N L), O(L^2) correlated).
+    of _MC_ENTRIES // max(detectors, features) trials, each one feature
+    buffer F and one product W F, whose entry k, t is detector k's
+    statistic / theta on trial t, compared with its threshold / theta.
+    A trial costs O(L_max + sum of N) per detector in that product, from
+    the same draws as the y-forming loop (O(N L), O(L^2) correlated).
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000 for a meaningful estimate")
@@ -259,7 +251,7 @@ def estimate_pe_montecarlo_batch(
     l_max = max(p.num_sensors for p in params)
     n_max = max(p.num_antennas for p in params)
     weights, limits, pes, offsets = _weights(detectors, l_max)
-    chunk = min(_MC_BLOCK, max(1, _MC_ENTRIES // len(detectors)))
+    chunk = max(1, _MC_ENTRIES // max(weights.shape))  # detectors x features
     features = np.empty((weights.shape[1], chunk))
 
     errors = np.zeros(len(detectors), dtype=np.int64)
@@ -280,7 +272,7 @@ def estimate_pe_montecarlo_batch(
             f[-1] = truth[first:last]
             decisions = weights @ f >= limits[:, np.newaxis]
             errors += np.count_nonzero(decisions != truth[first:last], axis=1)
-    return [(PeEstimate.from_counts(int(e), trials), pe) for e, pe in zip(errors, pes)]
+    return [(PeEstimate(int(e), trials), pe) for e, pe in zip(errors, pes)]
 
 
 def _log_mean_exp(log_p: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ It is solved in the low-rank factorization X = V V^H of Burer and
 Monteiro, V of rank r = min(L, ceil(sqrt(2 L))) with rows of squared norm
 d, by the monotone ascent V <- sqrt(d) rownormalize(H^H (H V)) (the block
 form of the mixing method of Wang, Chang and Kolter, which needs a PSD
-cost; C = H^H H is one by construction).
+cost; C = H^H H is one by construction).  The solution carries V itself;
+X is never formed.
 
 The solve runs on H 2^-j, for the j that puts the largest real or
 imaginary part of H in [1, 2), and scales the objective and gap back by
@@ -31,12 +32,14 @@ feasible), so the floor d does not loosen the stop at the optimum.  Only
 the steps that pass an N x N Cholesky screen, and the last step allowed,
 compute the exact lambda_min by an L x L eigen-solve.
 
-Rank-one rounding of the top eigenvector recovers a feasible phase
-vector.  The pi/4 factor of So, Zhang and Ye (Math. Program. 110, 2007)
-bounds the expected value of *randomized* Gaussian rounding, not this
-deterministic rounding, whose ratio to the relaxation is measured
-instead: the acceptance suite requires at least 0.7, and at figure9's
-size the rounded phases meet the certified bound.
+Rank-one rounding of the top eigenvector of X recovers a feasible phase
+vector.  That eigenvector is V w / ||V w|| for w the top eigenvector of
+the r x r Gram V^H V, so the rounding decomposes only the Gram.  The
+pi/4 factor of So, Zhang and Ye (Math. Program. 110, 2007) bounds the
+expected value of *randomized* Gaussian rounding, not this deterministic
+rounding, whose ratio to the relaxation is measured instead: the
+acceptance suite requires at least 0.7, and at figure9's size the
+rounded phases meet the certified bound.
 
 Scaling note: the optimal X is linear in d with unchanged eigenvectors,
 so one solve at d = 1 serves every power budget.
@@ -50,10 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import hermitian_eig
+from .numerics import canonical_phase, hermitian_eig
 
 __all__ = [
-    "SdpProblem",
     "SdpSolution",
     "SdpNonConvergence",
     "solve_sdp",
@@ -67,39 +69,15 @@ _EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
-class SdpProblem:
-    """max tr(H^H H X) over Hermitian X >= 0 with X_ll = diag_value, for
-    a channel H (N x L); the size of X is L."""
-
-    channel: np.ndarray
-    diag_value: float
-
-    def __post_init__(self) -> None:
-        h = np.array(self.channel, dtype=np.complex128)
-        if h.ndim != 2 or h.size == 0:
-            raise ValueError(f"channel must be a non-empty N x L matrix, got shape {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("channel entries must be finite")
-        if not 0.0 < self.diag_value < math.inf:
-            raise ValueError("diag_value must be finite and > 0")
-        h.flags.writeable = False
-        object.__setattr__(self, "channel", h)
-
-    @property
-    def size(self) -> int:
-        return self.channel.shape[1]
-
-
-@dataclass(frozen=True)
 class SdpSolution:
-    """Solver output.  x = V V^H is Hermitian PSD with diagonal d up to
-    rounding; objective = tr(C x); gap >= 0 is the certified distance
-    from objective to an upper bound on the SDP optimum, rounding
-    included, and converged says
+    """Solver output.  factor is V (L x r), whose rows have squared norm
+    d, so X = V V^H is feasible; objective = tr(C V V^H); gap >= 0 is the
+    certified distance from objective to an upper bound on the SDP
+    optimum, rounding included, and converged says
     gap <= max(1e-12, 4 L eps) max(|objective|, 4^j d), with 2^j the
     scale the solve divides H by."""
 
-    x: np.ndarray
+    factor: np.ndarray
     objective: float
     iterations: int
     converged: bool
@@ -117,22 +95,32 @@ class SdpNonConvergence(RuntimeError):
         self.solution = solution
 
 
-def solve_sdp(problem: SdpProblem) -> SdpSolution:
-    """Burer-Monteiro solve of the diagonally-constrained SDP, stopped by
-    its dual certificate or after _MAX_ITER ascent steps.
+def solve_sdp(channel, diag_value: float) -> SdpSolution:
+    """Burer-Monteiro solve of max tr(H^H H X) over Hermitian X >= 0 with
+    X_ll = diag_value, for a channel H (N x L), stopped by its dual
+    certificate or after _MAX_ITER ascent steps.
 
     Deterministic: the start is the top-r eigenvectors of C = H^H H with
     each row scaled to norm sqrt(d) (a zero row takes the first unit
     vector), and a row whose ascent direction (C V)_l is zero keeps its
     value.  C is formed once, for the start and the exact certificate;
     each step multiplies by H and H^H instead.  The solve runs on H 2^-j
-    (`_unit_scale`) and scales objective and gap back by 4^j.
+    (`_unit_scale`) and scales objective and gap back by 4^j.  Raises
+    ValueError unless H is a finite, non-empty N x L matrix and
+    diag_value is finite and > 0.
     """
-    h, j = _unit_scale(problem.channel)
+    h = np.asarray(channel, dtype=np.complex128)
+    if h.ndim != 2 or h.size == 0:
+        raise ValueError(f"channel must be a non-empty N x L matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("channel entries must be finite")
+    if not 0.0 < diag_value < math.inf:
+        raise ValueError("diag_value must be finite and > 0")
+    h, j = _unit_scale(h)
     hh = h.conj().T
     c = hh @ h
-    d = problem.diag_value
-    size = problem.size
+    d = diag_value
+    size = h.shape[1]
     rank = min(size, math.ceil(math.sqrt(2 * size)))
 
     v = hermitian_eig(c).eigenvectors[:, -rank:].copy()
@@ -169,9 +157,8 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
         moving = norms > 0.0
         v[moving] = cv[moving] * (math.sqrt(d) / norms[moving])[:, None]
 
-    x = v @ v.conj().T
     return SdpSolution(
-        x=(x + x.conj().T) / 2.0,
+        factor=v,
         objective=float(np.ldexp(objective, 2 * j)),
         iterations=iterations,
         converged=converged,
@@ -202,9 +189,14 @@ def _positive_definite(w: np.ndarray, h: np.ndarray, hh: np.ndarray) -> bool:
 
 
 def extract_phases(solution: SdpSolution) -> np.ndarray:
-    """Unit-modulus phase vector from the top eigenvector of the SDP
-    solution (rank-one rounding); zero components round to phase 0."""
-    v = hermitian_eig(solution.x).eigenvectors[:, -1]
+    """Unit-modulus phase vector from the top eigenvector of X = V V^H
+    (rank-one rounding); zero components round to phase 0.
+
+    That eigenvector is V w / ||V w|| for w the top eigenvector of the
+    r x r Gram V^H V, so only the Gram is decomposed; V w is put in the
+    canonical phase of `numerics` before its entries are normalized."""
+    v = solution.factor
+    v = canonical_phase(v @ np.linalg.eigh(v.conj().T @ v)[1][:, -1])
     mags = np.abs(v)
     out = np.ones_like(v)
     nz = mags > 0.0

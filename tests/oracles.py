@@ -27,6 +27,9 @@ None of these is used by `macdet` itself:
   dual certificate (an eigen-solve) at every step; `sdr.solve_sdp`
   screens the steps with a shifted N x N Cholesky of the Schur
   complement and must return the same solution bit for bit.
+* `extract_phases_dense` rounds an SDP solution through the top
+  eigenvector of the L x L matrix V V^H; `sdr.extract_phases` takes it
+  from the r x r Gram V^H V instead.
 * `q_function` is the Gaussian tail Q(x) itself, through SciPy's erfc;
   the package only needs its logarithm, `numerics.log_q`.
 """
@@ -52,7 +55,7 @@ from macdet.model import (
     complex_normal,
 )
 from macdet.numerics import hermitian_eig, solve_hermitian_pd
-from macdet.sdr import SdpProblem, SdpSolution
+from macdet.sdr import SdpSolution
 
 # phase_optimum: random starts, step cap, largest entry move at a fixed point
 _PHASE_STARTS = 64
@@ -211,7 +214,7 @@ def reference_pe_montecarlo(
         statistic = params.theta * (y.conj() @ w).real
         decisions = statistic >= threshold
         errors += int(np.sum(decisions != truth))
-    return PeEstimate.from_counts(errors, trials)
+    return PeEstimate(errors, trials)
 
 
 def e_csis1_numeric(params: NetworkParams, model: ChannelModel) -> float:
@@ -314,16 +317,16 @@ def phase_optimum(channel, diag_value: float) -> tuple[float, np.ndarray]:
     return diag_value * float(values[best]), math.sqrt(diag_value) * alpha[:, best]
 
 
-def solve_sdp_eigen_stop(problem: SdpProblem) -> SdpSolution:
+def solve_sdp_eigen_stop(channel, diag_value: float) -> SdpSolution:
     """`sdr.solve_sdp` with the dual certificate's lambda_min computed by
     an eigen-solve at every ascent step: the same start, steps and stop
     rule, on the same scaled channel, reading `sdr._GAP_TOL` and
     `sdr._MAX_ITER` at call time."""
-    h, j = sdr._unit_scale(problem.channel)
+    h, j = sdr._unit_scale(np.asarray(channel, dtype=np.complex128))
     hh = h.conj().T
     c = hh @ h
-    d = problem.diag_value
-    size = problem.size
+    d = diag_value
+    size = h.shape[1]
     rank = min(size, math.ceil(math.sqrt(2 * size)))
 
     v = hermitian_eig(c).eigenvectors[:, -rank:].copy()
@@ -348,11 +351,26 @@ def solve_sdp_eigen_stop(problem: SdpProblem) -> SdpSolution:
         moving = norms > 0.0
         v[moving] = cv[moving] * (math.sqrt(d) / norms[moving])[:, None]
 
-    x = v @ v.conj().T
     return SdpSolution(
-        x=(x + x.conj().T) / 2.0,
+        factor=v,
         objective=float(np.ldexp(objective, 2 * j)),
         iterations=iterations,
         converged=converged,
         gap=float(np.ldexp(gap, 2 * j)),
     )
+
+
+def extract_phases_dense(solution: SdpSolution) -> np.ndarray:
+    """Rank-one rounding through the L x L matrix: the top eigenvector of
+    X = V V^H (symmetrized, in the canonical phase of `hermitian_eig`),
+    normalized entrywise; zero components round to phase 0.
+    `sdr.extract_phases` decomposes only the r x r Gram V^H V and must
+    agree with it to rounding."""
+    v = solution.factor
+    x = v @ v.conj().T
+    top = hermitian_eig((x + x.conj().T) / 2.0).eigenvectors[:, -1]
+    mags = np.abs(top)
+    out = np.ones_like(top)
+    nz = mags > 0.0
+    out[nz] = top[nz] / mags[nz]
+    return out

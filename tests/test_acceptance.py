@@ -41,7 +41,7 @@ from macdet.model import (
     SensingNoiseModel,
     sample_channel,
 )
-from macdet.sdr import SdpProblem, extract_phases, solve_sdp
+from macdet.sdr import extract_phases, solve_sdp
 from oracles import e_csis1_numeric, phase_optimum
 
 
@@ -227,6 +227,16 @@ def test_criterion_06_single_antenna_optimal_gains():
 
 
 def test_criterion_07_montecarlo_matches_analytic():
+    """30 sampled configurations, each a 10^5-trial Monte Carlo estimate
+    against its pe_conditional; at least 28 must fall inside the 95% CI.
+
+    Its false-failure odds are not small.  With each configuration inside
+    its CI with probability 0.95, on a fresh set of draws the check fails
+    with probability P[Bin(30, 0.05) >= 3] = 0.188, about one in five.  A
+    deliberate change of the RNG or of the trial-block layout draws afresh
+    and so trips it about one time in five on correct code: one probe of
+    an interleaved receiver-noise layout read 27/30.  The threshold and
+    seed stay as they are; such a change reports the count it reads."""
     rng = np.random.default_rng(7)
     src = RandomSource(7)
     models = (ChannelModel.awgn(), ChannelModel.rayleigh())
@@ -358,7 +368,7 @@ def test_criterion_11_sdr_phase_design():
     for instance in range(25):
         h = sample_channel(ChannelModel.rayleigh(), 2, 6, src.substream("sdr", instance))
         cost = h.entries.conj().T @ h.entries
-        solution = solve_sdp(SdpProblem(channel=h.entries, diag_value=1.0))
+        solution = solve_sdp(h.entries, 1.0)
         assert solution.converged
         upper = solution.objective + solution.gap
         best, _ = phase_optimum(h.entries, 1.0)

@@ -35,7 +35,7 @@ from macdet.model import (
     sample_channel,
 )
 from macdet.numerics import hermitian_eig
-from macdet.sdr import SdpNonConvergence, SdpProblem, solve_sdp
+from macdet.sdr import SdpNonConvergence, solve_sdp
 from oracles import e_csis1_numeric, phase_optimum, reference_quadratic_form
 
 
@@ -843,7 +843,7 @@ class TestAlphaSdrPhase:
         h = random_channel(np.random.default_rng(30 + seed), 2, 6)
         cost = h.conj().T @ h
         d = params.gain_budget / 6
-        relaxed = solve_sdp(SdpProblem(channel=h, diag_value=d))
+        relaxed = solve_sdp(h, d)
         best, _ = phase_optimum(h, d)
         assert relaxed.objective + relaxed.gap >= best
         gv = alpha_sdr_phase(h, params)

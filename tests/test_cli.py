@@ -28,12 +28,12 @@ from macdet.exponents import (
     gain_nocsis,
 )
 from macdet.model import ChannelModel
-from macdet.sdr import SdpProblem, extract_phases, solve_sdp
+from macdet.sdr import extract_phases, solve_sdp
 
 
-def _stalled_solve(problem):
+def _stalled_solve(channel, diag_value):
     # a real solve reported as uncertified
-    return dataclasses.replace(solve_sdp(problem), converged=False)
+    return dataclasses.replace(solve_sdp(channel, diag_value), converged=False)
 
 
 def parse(raw, experiment="exponent-sweep"):
@@ -985,7 +985,7 @@ class TestSdrCompareExperiment:
         rows, _ = cli.run(cfg)
         channels = cli._scheme_channels(cfg, "sdr", 2)
         phases = [
-            extract_phases(solve_sdp(SdpProblem(channel=h, diag_value=1.0)))
+            extract_phases(solve_sdp(h, 1.0))
             for h in channels
         ]
         for x in cfg.sweep_grid:

@@ -77,23 +77,17 @@ class TestReceivedSignal:
 
 
 class TestPeEstimate:
-    def test_from_counts_halfwidth(self):
-        est = PeEstimate.from_counts(250, 10_000)
+    def test_rate_and_halfwidth(self):
+        est = PeEstimate(250, 10_000)
         assert est.p_hat == pytest.approx(0.025)
         assert est.ci95_halfwidth == pytest.approx(
             1.96 * math.sqrt(0.025 * 0.975 / 10_000)
         )
 
-    def test_from_counts_carries_integer_errors(self):
-        est = PeEstimate.from_counts(250, 10_000)
-        assert est.errors == 250 and isinstance(est.errors, int)
-        assert PeEstimate.from_counts(np.int64(250), 10_000) == est
-        with pytest.raises(TypeError):
-            PeEstimate.from_counts(250.0, 10_000)
-
-    def test_rejects_errors_inconsistent_with_rate(self):
-        with pytest.raises(ValueError):
-            PeEstimate(p_hat=0.025, trials=10_000, ci95_halfwidth=0.0030601, errors=251)
+    @pytest.mark.parametrize("errors", [250.0, True, np.int64(250)], ids=["float", "bool", "numpy"])
+    def test_rejects_non_integer_errors(self, errors):
+        with pytest.raises(ValueError, match="integer"):
+            PeEstimate(errors, 10_000)
 
     def test_montecarlo_estimate_carries_its_count(self):
         params = make_params(l=4, n=2)
@@ -102,13 +96,14 @@ class TestPeEstimate:
         assert est.errors == round(est.p_hat * est.trials)
         assert est.p_hat == est.errors / est.trials
 
-    def test_rejects_inconsistent_halfwidth(self):
-        with pytest.raises(ValueError):
-            PeEstimate(p_hat=0.1, trials=1000, ci95_halfwidth=0.5, errors=100)
+    @pytest.mark.parametrize("errors", [-1, 1500])
+    def test_rejects_out_of_range_count(self, errors):
+        with pytest.raises(ValueError, match=r"\[0, trials\]"):
+            PeEstimate(errors, 1000)
 
-    def test_rejects_out_of_range_rate(self):
-        with pytest.raises(ValueError):
-            PeEstimate(p_hat=1.5, trials=1000, ci95_halfwidth=0.0, errors=1500)
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            PeEstimate(0, 0)
 
 
 class TestCovarianceR:

@@ -61,7 +61,7 @@ GOLDEN = {
     8: ({"channel_draws": 2},
         "42b7703c3d4a58338fc06a57f6e55b725d3c0af3332203fc76066badf0ce75e9"),
     9: ({"channel_draws": 1},
-        "2ef0fdf7b5891886501aa71d02243ba2aa71eb55f467bf6debc2de6c20d0491b"),
+        "d49518db16b8671d00944d7eec2a9b9e902a8693c820847f3129783cc8c90d14"),
 }
 
 
@@ -99,13 +99,13 @@ EXPERIMENTS = {
         "sdr-compare",
         {**RICEAN, "num_antennas": 3, "num_sensors": 8, "gamma_s": 2.0, "gamma_c": 10.0,
          "channel_draws": 2},
-        "3a9419b46070fdc83813f5dd0524de6e8f35a2d5ad7e2cd614fa24dbecd9c1b9",
+        "e154a0faa61a87a217c1071269813319f4c103af151705a1048c35b988bd1a7e",
     ),
     "sdr-compare-sweep": (
         "sdr-compare",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 8, "gamma_c": 10.0,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "02d7db0068f1dc40acebebecd275b32fa9da023845f91ac7c31dfaffaf604ece",
+        "aca506369a942ab72a034334851a28844dfa410500ebef9a2c0abced90245d25",
     ),
     "exponent-sweep-gamma_s": (
         "exponent-sweep",

@@ -12,12 +12,11 @@ from macdet import sdr
 from macdet.model import ChannelModel, RandomSource, sample_channel
 from macdet.sdr import (
     SdpNonConvergence,
-    SdpProblem,
     SdpSolution,
     extract_phases,
     solve_sdp,
 )
-from oracles import phase_optimum, solve_sdp_eigen_stop
+from oracles import extract_phases_dense, phase_optimum, solve_sdp_eigen_stop
 
 # Oracle: for a rank-one cost h h^H (the channel h^H, one antenna) the
 # SDP optimum is known in closed form.  |X_ij| <= sqrt(X_ii X_jj) = d for
@@ -45,26 +44,31 @@ def gram(h: np.ndarray) -> np.ndarray:
     return h.conj().T @ h
 
 
+def matrix(solution: SdpSolution) -> np.ndarray:
+    # X = V V^H from the solution's factor
+    v = solution.factor
+    return v @ v.conj().T
+
+
 def assert_feasible(x: np.ndarray, d: float) -> None:
     assert np.max(np.abs(x - x.conj().T)) <= 1e-10 * d * x.shape[0]
     assert np.max(np.abs(x.diagonal().real - d)) <= 1e-8 * d
     assert np.min(np.linalg.eigvalsh((x + x.conj().T) / 2.0)) >= -1e-8 * d
 
 
-class TestSdpProblem:
-    def test_freezes_a_copy_of_the_channel(self):
+class TestSolveSdpInput:
+    def test_leaves_the_channel_unchanged(self):
         h = np.array([[1.0, 2.0j, 3.0], [0.5, -1.0, 1j]])
-        problem = SdpProblem(channel=h, diag_value=1.0)
-        assert problem.channel.dtype == np.complex128
-        assert np.array_equal(problem.channel, h)
-        assert not problem.channel.flags.writeable
-        h[0, 0] = 7.0
-        assert problem.channel[0, 0] == 1.0
-        assert problem.size == 3
+        copy = h.copy()
+        solution = solve_sdp(h, 1.0)
+        assert np.array_equal(h, copy)
+        assert solution.factor.dtype == np.complex128
 
     @pytest.mark.parametrize("shape", [(4, 2), (1, 5), (1, 1)])
-    def test_size_is_the_number_of_sensors(self, shape):
-        assert SdpProblem(channel=np.ones(shape), diag_value=1.0).size == shape[1]
+    def test_factor_is_sensors_by_rank(self, shape):
+        size = shape[1]
+        rank = min(size, math.ceil(math.sqrt(2 * size)))
+        assert solve_sdp(np.ones(shape), 1.0).factor.shape == (size, rank)
 
     @pytest.mark.parametrize(
         "channel",
@@ -73,50 +77,50 @@ class TestSdpProblem:
     )
     def test_rejects_non_2d(self, channel):
         with pytest.raises(ValueError, match="N x L"):
-            SdpProblem(channel=channel, diag_value=1.0)
+            solve_sdp(channel, 1.0)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_rejects_empty(self, shape):
         with pytest.raises(ValueError, match="non-empty"):
-            SdpProblem(channel=np.ones(shape), diag_value=1.0)
+            solve_sdp(np.ones(shape), 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
     def test_rejects_non_finite_channel(self, bad):
         h = np.ones((2, 3), dtype=np.complex128)
         h[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            SdpProblem(channel=h, diag_value=1.0)
+            solve_sdp(h, 1.0)
 
     @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_diag(self, d):
         with pytest.raises(ValueError, match="diag_value"):
-            SdpProblem(channel=np.eye(2), diag_value=d)
+            solve_sdp(np.eye(2), d)
 
 
 class TestSolveSdp:
     def test_identity_cost_objective_is_trace(self):
         # every feasible point has tr(X) = L d, so the objective is flat
-        solution = solve_sdp(SdpProblem(channel=np.eye(5), diag_value=2.0))
+        solution = solve_sdp(np.eye(5), 2.0)
         assert solution.converged
         assert solution.objective == pytest.approx(5 * 2.0, rel=1e-9)
-        assert_feasible(solution.x, 2.0)
+        assert_feasible(matrix(solution), 2.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_one_cost_matches_closed_form(self, seed):
         rng = np.random.default_rng(seed)
         h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        solution = solve_sdp(SdpProblem(channel=rank_one_channel(h), diag_value=1.5))
+        solution = solve_sdp(rank_one_channel(h), 1.5)
         assert solution.converged
         assert solution.objective == pytest.approx(rank_one_optimum(h, 1.5), rel=1e-5)
-        assert_feasible(solution.x, 1.5)
+        assert_feasible(matrix(solution), 1.5)
 
     def test_rank_one_solution_matrix_and_phases(self):
         rng = np.random.default_rng(7)
         h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         a = h / np.abs(h)
         d = 2.0
-        solution = solve_sdp(SdpProblem(channel=rank_one_channel(h), diag_value=d))
-        assert np.allclose(solution.x, d * np.outer(a, a.conj()), atol=1e-5 * d)
+        solution = solve_sdp(rank_one_channel(h), d)
+        assert np.allclose(matrix(solution), d * np.outer(a, a.conj()), atol=1e-5 * d)
         phases = extract_phases(solution)
         assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
         assert abs(np.vdot(phases, a)) == pytest.approx(5.0, abs=1e-6)
@@ -127,9 +131,9 @@ class TestSolveSdp:
         h = random_channel(6, rng)
         cost = gram(h)
         d = 1.0
-        solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
+        solution = solve_sdp(h, d)
         assert solution.converged
-        assert_feasible(solution.x, d)
+        assert_feasible(matrix(solution), d)
         best, _ = phase_optimum(h, d)
         assert best <= solution.objective + solution.gap
         phases = extract_phases(solution)
@@ -141,16 +145,16 @@ class TestSolveSdp:
     def test_objective_scales_linearly_in_diag_value(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        obj1 = solve_sdp(SdpProblem(channel=rank_one_channel(h), diag_value=1.0)).objective
-        obj3 = solve_sdp(SdpProblem(channel=rank_one_channel(h), diag_value=3.5)).objective
+        obj1 = solve_sdp(rank_one_channel(h), 1.0).objective
+        obj3 = solve_sdp(rank_one_channel(h), 3.5).objective
         assert obj3 == pytest.approx(3.5 * obj1, rel=1e-5)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         h = random_channel(5, rng)
-        first = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
-        second = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
-        assert np.array_equal(first.x, second.x)
+        first = solve_sdp(h, 1.0)
+        second = solve_sdp(h, 1.0)
+        assert np.array_equal(first.factor, second.factor)
         assert first.objective == second.objective
         assert first.iterations == second.iterations
 
@@ -159,7 +163,7 @@ class TestSolveSdp:
         # every feasible phase vector, the oracle's included
         for seed in range(3):
             h = random_channel(6, np.random.default_rng(5 + seed))
-            solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
+            solution = solve_sdp(h, 1.0)
             assert solution.converged
             assert 0.0 <= solution.gap <= sdr._GAP_TOL * solution.objective
             best, _ = phase_optimum(h, 1.0)
@@ -170,9 +174,9 @@ class TestSolveSdp:
     @pytest.mark.parametrize("k", [250, -250])
     def test_power_of_two_scale_is_exact(self, k):
         h = sample_channel(ChannelModel.rayleigh(), 3, 12, RandomSource(0).substream("sdr", 0)).entries
-        base = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
-        scaled = solve_sdp(SdpProblem(channel=h * 2.0**k, diag_value=1.0))
-        assert np.array_equal(scaled.x, base.x)
+        base = solve_sdp(h, 1.0)
+        scaled = solve_sdp(h * 2.0**k, 1.0)
+        assert np.array_equal(scaled.factor, base.factor)
         assert scaled.iterations == base.iterations and scaled.converged
         assert scaled.objective == base.objective * 4.0**k
         assert scaled.gap == base.gap * 4.0**k
@@ -183,8 +187,8 @@ class TestSolveSdp:
         # products, and near 1e-80 the objective falls under the floor
         # max(|objective|, d), which any gap passes at step 0
         h = sample_channel(ChannelModel.rayleigh(), 3, 12, RandomSource(0).substream("sdr", 0)).entries
-        base = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
-        solution = solve_sdp(SdpProblem(channel=h * 10.0**k, diag_value=1.0))
+        base = solve_sdp(h, 1.0)
+        solution = solve_sdp(h * 10.0**k, 1.0)
         assert solution.converged
         assert 0.0 <= solution.gap <= sdr._GAP_TOL * solution.objective
         assert solution.objective == pytest.approx(base.objective * 10.0 ** (2 * k), rel=1e-9)
@@ -192,15 +196,15 @@ class TestSolveSdp:
     def test_iteration_cap_reports_non_convergence(self, monkeypatch):
         monkeypatch.setattr(sdr, "_MAX_ITER", 2)
         rng = np.random.default_rng(9)
-        solution = solve_sdp(SdpProblem(channel=random_channel(6, rng), diag_value=1.0))
+        solution = solve_sdp(random_channel(6, rng), 1.0)
         assert not solution.converged
         assert solution.iterations == 2
         assert solution.gap > sdr._GAP_TOL * solution.objective
-        assert_feasible(solution.x, 1.0)
+        assert_feasible(matrix(solution), 1.0)
 
     def test_non_convergence_error_carries_solution(self):
         solution = SdpSolution(
-            x=np.eye(2),
+            factor=np.eye(2),
             objective=2.0,
             iterations=7,
             converged=False,
@@ -240,7 +244,7 @@ def screen_cases() -> list:
 
 
 def assert_same_solution(got: SdpSolution, want: SdpSolution) -> None:
-    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.factor, want.factor)
     assert got.objective == want.objective
     assert got.iterations == want.iterations
     assert got.converged == want.converged
@@ -254,16 +258,15 @@ class TestCholeskyScreen:
 
     @pytest.mark.parametrize("channel", screen_cases())
     def test_matches_eigen_stop_oracle(self, channel):
-        problem = SdpProblem(channel=channel, diag_value=1.0)
-        assert_same_solution(solve_sdp(problem), solve_sdp_eigen_stop(problem))
+        assert_same_solution(solve_sdp(channel, 1.0), solve_sdp_eigen_stop(channel, 1.0))
 
     def test_matches_oracle_at_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(sdr, "_MAX_ITER", 3)
-        problem = SdpProblem(channel=random_channel(6, np.random.default_rng(9)), diag_value=1.0)
-        solution = solve_sdp(problem)
+        channel = random_channel(6, np.random.default_rng(9))
+        solution = solve_sdp(channel, 1.0)
         assert not solution.converged
         assert solution.iterations == 3
-        assert_same_solution(solution, solve_sdp_eigen_stop(problem))
+        assert_same_solution(solution, solve_sdp_eigen_stop(channel, 1.0))
 
     def test_at_most_two_eigen_solves_on_figure9(self, monkeypatch):
         calls = []
@@ -276,7 +279,7 @@ class TestCholeskyScreen:
         monkeypatch.setattr(sdr.np.linalg, "eigvalsh", counted)
         for draw, h in enumerate(figure9_channels()):
             calls.clear()
-            solution = solve_sdp(SdpProblem(channel=h, diag_value=1.0))
+            solution = solve_sdp(h, 1.0)
             assert solution.converged, draw
             assert solution.iterations >= 10, draw
             assert 1 <= len(calls) <= 2, (draw, len(calls))
@@ -300,14 +303,13 @@ class TestCholeskyScreen:
 
         monkeypatch.setattr(sdr.np.linalg, "eigvalsh", counted)
         for draw, h in enumerate(figure9_channels()):
-            problem = SdpProblem(channel=h, diag_value=1.0)
             calls.clear()
-            solution = solve_sdp(problem)
+            solution = solve_sdp(h, 1.0)
             eigen_solves = len(calls)
             assert solution.converged, draw
             assert solution.gap <= 4 * 32 * sdr._EPS * solution.objective, draw
             assert 1 <= eigen_solves <= 3, (draw, eigen_solves)
-            assert_same_solution(solution, solve_sdp_eigen_stop(problem))
+            assert_same_solution(solution, solve_sdp_eigen_stop(h, 1.0))
 
 
 class TestTightnessOracle:
@@ -319,7 +321,7 @@ class TestTightnessOracle:
         for draw in range(10):
             h = sample_channel(ChannelModel.ricean(1.0), 3, 32, source.substream("sdr", draw))
             cost = h.entries.conj().T @ h.entries
-            solution = solve_sdp(SdpProblem(channel=h.entries, diag_value=1.0))
+            solution = solve_sdp(h.entries, 1.0)
             assert solution.converged
             upper = solution.objective + solution.gap
             lower, _ = phase_optimum(h.entries, 1.0)
@@ -354,7 +356,7 @@ class TestCertificateCoversRounding:
         # computed value of the rounded vector lies above the bound on
         # about a third of them.
         for i, h in enumerate(channel_draws(seed, key, model, n, size, draws)):
-            solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
+            solution = solve_sdp(h, d)
             assert solution.converged, i
             alpha = math.sqrt(d) * extract_phases(solution)
             rounded = float(np.vdot(alpha, gram(h) @ alpha).real)
@@ -365,7 +367,7 @@ class TestCertificateCoversRounding:
         # oracle's phase optimum on each of its eight draws
         d = 2.0 / 3.0
         for i, h in enumerate(channel_draws(66, "h", ChannelModel.rayleigh(), 2, 6, 8)):
-            solution = solve_sdp(SdpProblem(channel=h, diag_value=d))
+            solution = solve_sdp(h, d)
             best, _ = phase_optimum(h, d)
             assert best <= solution.objective + solution.gap, i
 
@@ -373,9 +375,8 @@ class TestCertificateCoversRounding:
 class TestExtractPhases:
     def test_zero_component_defaults_to_unit(self):
         u = np.array([1.0, 0.0, 1.0j])
-        x = np.outer(u, u.conj())
         solution = SdpSolution(
-            x=x,
+            factor=u[:, None],
             objective=0.0,
             iterations=1,
             converged=True,
@@ -384,6 +385,22 @@ class TestExtractPhases:
         phases = extract_phases(solution)
         assert np.allclose(np.abs(phases), 1.0)
         assert phases[1] == 1.0
+
+    @pytest.mark.parametrize(
+        "seed, key, model, n, size, d, draws",
+        [
+            pytest.param(0, "sdr", ChannelModel.ricean(1.0), 3, 32, 1.0, 3, id="figure9"),
+            pytest.param(66, "h", ChannelModel.rayleigh(), 2, 6, 2.0 / 3.0, 8, id="demo06"),
+        ],
+    )
+    def test_matches_dense_rounding(self, seed, key, model, n, size, d, draws):
+        # the r x r Gram rounding against the top eigenvector of the L x L
+        # V V^H; both put the largest entry on the positive real axis, so
+        # they agree including the global phase
+        for i, h in enumerate(channel_draws(seed, key, model, n, size, draws)):
+            solution = solve_sdp(h, d)
+            got, want = extract_phases(solution), extract_phases_dense(solution)
+            assert np.max(np.abs(got - want)) <= 1e-12, i
 
 
 class TestPhaseOptimum:
