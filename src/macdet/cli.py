@@ -502,28 +502,38 @@ def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], 
     over cfg's sweep, series by series.
 
     At each sweep point i and draw d every series samples its own
-    channel from substream("mc-channel", i, d).  One batch call per draw
-    d scores every (point, series) detector on the trial blocks of
-    stream 1 + d, drawn once at the largest L and N of the run: every
-    point and series shares those blocks (common random numbers), a
-    point with L sensors reading their leading L rows, and each series
-    gets the rows a run of its own would give.
+    channel on a fresh Philox generator keyed like
+    substream("mc-channel", i, d); the series of a point share that key,
+    built once, and AWGN series, which draw nothing, build no generator.
+    The network, gains and noise model of a point are built once per
+    distinct params of `series`.  One batch call per draw d scores every
+    (point, series) detector on the trial blocks of stream 1 + d, drawn
+    once at the largest L and N of the run: every point and series
+    shares those blocks (common random numbers), a point with L sensors
+    reading their leading L rows, and each series gets the rows a run of
+    its own would give.
     """
     var = cfg.sweep_variable
     draws = cfg.channel_draws or 10
     base = RandomSource(cfg.seed)
-    points = []
+    points, networks = [], {}
     for i, x in enumerate(cfg.sweep_grid):
         for k, (model, params) in enumerate(series):
-            p = _params_at(params, var, x)
-            points.append((i, k, model, p, alpha_uniform(p), _noise_for(cfg, p)))
+            if (params, x) not in networks:
+                p = _params_at(params, var, x)
+                networks[params, x] = (p, alpha_uniform(p), _noise_for(cfg, p))
+            points.append((i, k, model, *networks[params, x]))
     errors = [0] * len(points)
-    pes: list[list[float]] = [[] for _ in points]
+    pes = np.empty((len(points), draws))
     for d in range(draws):
+        keys = [base._seed_sequence(("mc-channel", i, d)) for i in range(len(cfg.sweep_grid))]
         detectors = [
             (
                 sample_channel(
-                    model, p.num_antennas, p.num_sensors, base.substream("mc-channel", i, d)
+                    model,
+                    p.num_antennas,
+                    p.num_sensors,
+                    None if model.is_awgn else np.random.Generator(np.random.Philox(keys[i])),
                 ),
                 alpha,
                 p,
@@ -536,15 +546,17 @@ def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], 
         )
         for j, (est, pe) in enumerate(scored):
             errors[j] += est.errors
-            pes[j].append(pe)
+            pes[j, d] = pe
     rows: list[list[ResultRow]] = [[] for _ in series]
-    for (i, k, model, p, _, _), e, pe_by_draw in zip(points, errors, pes):
+    # a mean along each contiguous row sums pairwise, as np.mean of one
+    # point's draws does, so it keeps those bits
+    for (i, k, model, p, _, _), e, pe in zip(points, errors, pes.mean(axis=1).tolist()):
         x = cfg.sweep_grid[i]
         total = PeEstimate(e, cfg.trials * draws)
         tag = "" if var == "N" else f",N={p.num_antennas}"
         label = f"({model.label}{tag})"
         rows[k].append(_row(cfg, f"Pe_MC{label}", var, x, total.p_hat, total.ci95_halfwidth))
-        rows[k].append(_row(cfg, f"Pe{label}", var, x, float(np.mean(pe_by_draw))))
+        rows[k].append(_row(cfg, f"Pe{label}", var, x, pe))
     return [row for series_rows in rows for row in series_rows], 0
 
 

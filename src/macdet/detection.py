@@ -56,12 +56,11 @@ _MC_BLOCK = 8192
 # _MC_ENTRIES // max(detectors, features) trials, so that its per-chunk
 # products and its feature buffer stay this many entries.  On figure2 at
 # the benchmark's size (90 detectors over 55 features, 10,000 trials, 2
-# draws; 2-vCPU x86-64 host, one BLAS thread) chunks of 91, 182 and 364
-# trials (1 << 13, 14, 15) ran a figure in 62, 63 and 59 ms in-process
-# (medians of 20, as noisy as their spread; 106 ms with the per-detector
-# loop), and a fresh process peaked at 42.59, 42.59 and 42.93 MB against
-# 41.80 MB (medians of 7): about 0.5 MB of the floor is OpenBLAS's first
-# dgemm.
+# draws; 2-vCPU x86-64 host, one BLAS thread), against chunks of 182
+# trials (1 << 14), a figure ran slower with 91 (1 << 13: faster in 6 of
+# 40 alternating in-process rounds) and not resolvably faster with 364
+# (1 << 15: 19 of 40), and a fresh process peaked at 41.46, 41.49 and
+# 41.75 MB for 91, 182 and 364 (medians of 5).
 # A lone detector at L=64, N=4 (137 features) scored 10^5 trials at a
 # tracemalloc peak of 26.3 MB with whole-block chunks, 17.4 MB with these.
 _MC_ENTRIES = 1 << 14
@@ -102,11 +101,12 @@ def _degenerate_pe(params: NetworkParams) -> float:
     return 0.5
 
 
-def _log_pe(params: NetworkParams, q):
+def _log_pe(params: NetworkParams, theta, q):
     """log pe_conditional from the quadratic form q, elementwise over an
     array of them: p0 Q(omega + tau/omega) + p1 Q(omega - tau/omega) with
-    omega = theta sqrt(q/2), in the log domain."""
-    omega = params.theta * np.sqrt(np.asarray(q, dtype=np.float64) / 2.0)
+    omega = theta sqrt(q/2), in the log domain.  params gives the prior;
+    theta is a number or an array matching q."""
+    omega = theta * np.sqrt(np.asarray(q, dtype=np.float64) / 2.0)
     live = omega > 0.0
     safe = np.where(live, omega, 1.0)
     tau = params.tau
@@ -122,7 +122,8 @@ def log_pe_conditional(
 ) -> float:
     """Natural log of pe_conditional, stable far below underflow."""
     h, a, sensing = _item(channel, alpha, params, noise)
-    return float(_log_pe(params, _forms(h, a, sensing, params.sigma_nu_sq)[1]))
+    q = _forms(h, a, sensing, params.sigma_nu_sq)[1]
+    return float(_log_pe(params, params.theta, q))
 
 
 def pe_conditional(
@@ -156,7 +157,8 @@ def _weights(detectors, l_max: int):
     Detectors with equal params and sensing argument go through one
     _forms call (figure2: the three channel models of each L and N),
     where each keeps the bits it gets alone; so does its pe_conditional,
-    the scalar math.exp of _log_pe, elementwise over the group."""
+    the scalar math.exp of one elementwise _log_pe over the batch (all
+    detectors share p1, so theta is the only per-detector input)."""
     items = [_item(*d) for d in detectors]
     groups: dict = {}
     for k, ((_, _, sensing), (_, _, params, _)) in enumerate(zip(items, detectors)):
@@ -166,15 +168,13 @@ def _weights(detectors, l_max: int):
     for n in sorted({p.num_antennas for _, _, p, _ in detectors}):
         offsets[n], width = width, width + 2 * n
     weights = np.zeros((len(detectors), width + 1))
-    limits = np.empty(len(detectors))
-    pes = [0.0] * len(detectors)
+    limits, qs, thetas = np.empty((3, len(detectors)))
     for (params, _), rows in groups.items():
         sensing = items[rows[0]][2]
         h = np.stack([items[k][0] for k in rows])
         a = np.stack([items[k][1] for k in rows])
         v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
-        for k, log_pe in zip(rows, _log_pe(params, q)):
-            pes[k] = math.exp(float(log_pe))
+        qs[rows], thetas[rows] = q, params.theta
         g = np.conj(a) * (h.conj().swapaxes(-1, -2) @ w[..., np.newaxis])[..., 0]
         c = g @ sensing.conj() if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
         # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
@@ -187,6 +187,7 @@ def _weights(detectors, l_max: int):
         weights[rows, off + n : off + 2 * n] = receiver * w.imag
         weights[rows, -1] = params.theta * np.sum(v.real * w.real + v.imag * w.imag, axis=-1)
         limits[rows] = (0.5 * params.theta**2 * q + params.tau) / params.theta
+    pes = [math.exp(x) for x in _log_pe(detectors[0][2], thetas, qs).tolist()]
     return weights, limits, pes, offsets
 
 
@@ -336,7 +337,8 @@ def empirical_exponent(
     log_pe = np.empty((draws, len(grid)))
     for d in range(draws):
         h = sample_channel(model, params.num_antennas, l_max, rng.substream("exponent", d)).entries
-        log_pe[d] = _log_pe(params, _forms(h, gains, sensing, params.sigma_nu_sq)[1])
+        q = _forms(h, gains, sensing, params.sigma_nu_sq)[1]
+        log_pe[d] = _log_pe(params, params.theta, q)
     values = -_log_mean_exp(log_pe) / np.asarray(grid, dtype=float)
     return ExponentCurve(
         l_grid=np.asarray(grid),

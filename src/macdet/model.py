@@ -45,7 +45,10 @@ class RandomSource:
 
     * `substream` is Philox.  Channels, the crossover calibration and
       every other small draw use it; those draws fix every analytic row
-      of every output.
+      of every output.  A Monte Carlo sweep builds the key of
+      substream("mc-channel", i, d) once per point i and draw d, and
+      gives each series that draws a channel a Philox generator of its
+      own on it: the generator substream would return.
     * `montecarlo_block` is SFC64.  Only the Monte Carlo trial blocks
       of `estimate_pe_montecarlo_batch` (and so of its one-detector case
       `estimate_pe_montecarlo`) use it: they are nearly all the normal
@@ -290,11 +293,12 @@ def sample_channel(
     model: ChannelModel,
     num_antennas: int,
     num_sensors: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> ChannelMatrix:
     """Draw one channel realization for the given model from `rng`,
-    e.g. a `RandomSource.substream`; an AWGN channel draws nothing."""
-    if not isinstance(rng, np.random.Generator):
+    e.g. a `RandomSource.substream`; an AWGN channel draws nothing, and
+    its rng may be None."""
+    if not (isinstance(rng, np.random.Generator) or rng is None and model.is_awgn):
         raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     if num_antennas < 1 or num_sensors < 1:
         raise ValueError("channel dimensions must be >= 1")

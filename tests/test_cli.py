@@ -1192,6 +1192,49 @@ class TestFigurePresets:
         assert rows == alone
         assert len(rows) == 6 * 15 * 2
 
+    def test_figure2_channels_are_the_mc_channel_substreams(self, monkeypatch):
+        # the series of a point share one key per (point i, draw d), and
+        # each still draws its channel on a generator of its own
+        batches = []
+
+        def spy(detectors, trials, rng):
+            batches.append(list(detectors))
+            return estimate(detectors, trials, rng)
+
+        estimate = cli.estimate_pe_montecarlo_batch
+        monkeypatch.setattr(cli, "estimate_pe_montecarlo_batch", spy)
+        cfg = parse({"figure_id": 2, "trials": 1000, "channel_draws": 2}, experiment="figure")
+        assert cli.run(cfg)[1] == 0
+        models = (ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh())
+        series = [(m, n) for m in models for n in (2, 10)]
+        base = model.RandomSource(cfg.seed)
+        assert len(batches) == 2
+        for d, detectors in enumerate(batches):
+            assert len(detectors) == 15 * len(series)
+            for j, (channel, _, params, _) in enumerate(detectors):
+                i, k = divmod(j, len(series))
+                m, n = series[k]
+                assert (params.num_sensors, params.num_antennas) == (i + 1, n)
+                expected = model.sample_channel(m, n, i + 1, base.substream("mc-channel", i, d))
+                assert np.array_equal(channel.entries, expected.entries)
+
+    def test_awgn_montecarlo_builds_no_channel_generator(self, monkeypatch):
+        philox = np.random.Philox
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        raw = {"num_sensors": 3, "trials": 1000, "channel_draws": 2,
+               "sweep": sweep("gamma_s", [0.5, 2.0])}
+        assert cli.run(parse({**raw, "channel": "awgn"}, "montecarlo"))[1] == 0
+        assert built == []
+        # the same sweep on Rayleigh channels: one generator per point and draw
+        assert cli.run(parse({**raw, "channel": "rayleigh"}, "montecarlo"))[1] == 0
+        assert len(built) == 2 * 2
+
     def test_figure4_through_compact_main(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{}")

@@ -6,6 +6,9 @@ exception may escape.  Values mix valid ones with wrong types, 0,
 negatives, NaN and +-Infinity; magnitudes lie in [1e-3, 1e3], L <= 6,
 N <= 3, trials = 1000, channel_draws <= 2 and grids hold <= 3 points.
 
+Every choice of a config comes from one seeded Random that Hypothesis
+supplies (`st.randoms`, derandomized like every property here), not from
+nested Hypothesis draws, which took about two thirds of the test's time.
 Each experiment draws only the keys it reads, as `cli._EXPERIMENTS`
 names them, and with small odds one key that it does not read, which
 must end in exit 2.  The runtime keys (num_sensors, trials,
@@ -36,43 +39,73 @@ from macdet import cli
 EXPERIMENTS = tuple(cli._EXPERIMENTS)
 HEADER = ["experiment", "series", "x_name", "x_value", "value", "ci95", "seed"]
 
-BAD = st.sampled_from(
-    [None, True, "1", [1.0], {}, 0, 0.0, -1, -2.5, math.nan, math.inf, -math.inf]
-)
-MAGNITUDE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+BAD = [None, True, "1", [1.0], {}, 0, 0.0, -1, -2.5, math.nan, math.inf, -math.inf]
+
+
+# value generators: each draws one valid value from a seeded Random
+
+
+def magnitude(rnd):
+    return 10.0 ** rnd.uniform(-3.0, 3.0)
+
+
+def integers(low, high):
+    return lambda rnd: rnd.randint(low, high)
+
+
+def floats(low, high):
+    return lambda rnd: rnd.uniform(low, high)
+
+
+def open_floats(low, high):
+    # a float strictly inside (low, high)
+    def draw(rnd):
+        x = rnd.uniform(low, high)
+        return x if low < x < high else draw(rnd)
+
+    return draw
+
+
+def one_of(values):
+    return lambda rnd: rnd.choice(values)
+
+
+def just(value):
+    return lambda rnd: value
+
 
 SWEEP_GRIDS = {
-    "gamma_s": MAGNITUDE,
-    "gamma_c": MAGNITUDE,
-    "K": MAGNITUDE,
-    "N": st.integers(1, 3),
-    "L": st.integers(1, 6),
-    "beta": st.floats(2.0, 1e3),
-    "snr": MAGNITUDE,
+    "gamma_s": magnitude,
+    "gamma_c": magnitude,
+    "K": magnitude,
+    "N": integers(1, 3),
+    "L": integers(1, 6),
+    "beta": floats(2.0, 1e3),
+    "snr": magnitude,
 }
 
 KEYS = {
-    "num_sensors": st.integers(1, 6),
-    "num_antennas": st.integers(1, 3),
-    "n_list": st.lists(st.integers(1, 3), min_size=1, max_size=3),
-    "theta": MAGNITUDE,
-    "sigma_eta_sq": MAGNITUDE,
-    "sigma_nu_sq": MAGNITUDE,
-    "p1": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    "total_power": MAGNITUDE,
-    "gamma_s": MAGNITUDE,
-    "gamma_s_db": st.floats(-30.0, 30.0),
-    "gamma_c": MAGNITUDE,
-    "gamma_c_db": st.floats(-30.0, 30.0),
-    "channel": st.sampled_from(["awgn", "rayleigh", "ricean", "nakagami"]),
-    "ricean_k": MAGNITUDE,
-    "noise": st.sampled_from(["iid", "ar1", "pink"]),
-    "noise_corr": st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
-    "trials": st.just(1000),
-    "channel_draws": st.integers(1, 2),
-    "seed": st.integers(0, 2**32),
-    "output": st.just("unused.csv"),
-    "format": st.sampled_from(["csv", "json", "xml"]),
+    "num_sensors": integers(1, 6),
+    "num_antennas": integers(1, 3),
+    "n_list": lambda rnd: [rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))],
+    "theta": magnitude,
+    "sigma_eta_sq": magnitude,
+    "sigma_nu_sq": magnitude,
+    "p1": open_floats(0.0, 1.0),
+    "total_power": magnitude,
+    "gamma_s": magnitude,
+    "gamma_s_db": floats(-30.0, 30.0),
+    "gamma_c": magnitude,
+    "gamma_c_db": floats(-30.0, 30.0),
+    "channel": one_of(["awgn", "rayleigh", "ricean", "nakagami"]),
+    "ricean_k": magnitude,
+    "noise": one_of(["iid", "ar1", "pink"]),
+    "noise_corr": open_floats(-1.0, 1.0),
+    "trials": just(1000),
+    "channel_draws": integers(1, 2),
+    "seed": integers(0, 2**32),
+    "output": just("unused.csv"),
+    "format": one_of(["csv", "json", "xml"]),
 }
 
 # the sweep variables each experiment accepts and the config keys it
@@ -83,18 +116,16 @@ READS = {name: entry[2] for name, entry in cli._EXPERIMENTS.items()}
 RUNTIME = ("num_sensors", "trials", "channel_draws")
 
 
-@st.composite
-def configs(draw):
-    # the shape of a config (which keys, valid or bad values) comes from a
-    # seeded Random, so that its odds are the ones written here
-    rnd = draw(st.randoms(use_true_random=True))
+def draw_config(rnd):
+    # every choice comes from the seeded Random that Hypothesis supplies,
+    # so that its odds are the ones written here
 
     def value(valid, bad_odds=0.1):
-        return draw(BAD) if rnd.random() < bad_odds else draw(valid)
+        return rnd.choice(BAD) if rnd.random() < bad_odds else valid(rnd)
 
-    experiment = draw(st.sampled_from(EXPERIMENTS))
+    experiment = rnd.choice(EXPERIMENTS)
     reads = READS[experiment]
-    keys = KEYS | {"experiment": st.just(experiment)}
+    keys = KEYS | {"experiment": just(experiment)}
     # few keys per config, since every extra key is another chance of a
     # clash.  ricean_k and noise_corr mostly come with the channel and
     # noise that need them.
@@ -113,16 +144,19 @@ def configs(draw):
             raw[key] = value(values)
     overwritten = ()
     if experiment == "figure":
-        raw["figure_id"] = value(st.sampled_from([1, 4, 5, 6, 7, 10]))
+        raw["figure_id"] = value(one_of([1, 4, 5, 6, 7, 10]))
     elif rnd.random() < 0.9:
         allowed = SWEEPS_BY_EXPERIMENT[experiment]
         variable = rnd.choice(allowed if rnd.random() < 0.9 else sorted(SWEEP_GRIDS))
-        valid = st.lists(SWEEP_GRIDS[variable], min_size=1, max_size=3, unique=True)
-        grid = sorted(draw(valid))
+        # one to three distinct points
+        size, points = rnd.randint(1, 3), set()
+        while len(points) < size:
+            points.add(SWEEP_GRIDS[variable](rnd))
+        grid = sorted(points)
         if rnd.random() < 0.1:
-            grid[rnd.randrange(len(grid))] = draw(BAD)
-        sweep = {"variable": variable, "grid": value(st.just(grid), bad_odds=0.05)}
-        raw["sweep"] = value(st.just(sweep), bad_odds=0.05)
+            grid[rnd.randrange(len(grid))] = rnd.choice(BAD)
+        sweep = {"variable": variable, "grid": value(just(grid), bad_odds=0.05)}
+        raw["sweep"] = value(just(sweep), bad_odds=0.05)
         overwritten = cli._SWEEPS.get(variable, ())
     if "num_sensors" in reads:
         raw["num_sensors"] = value(KEYS["num_sensors"])
@@ -194,7 +228,7 @@ THETA_SQUARED_UNDERFLOWS = (
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(configs())
+@given(st.randoms(use_true_random=True).map(draw_config))
 @example(AR1_NOISE_FREE)
 @example(THETA_SQUARED_UNDERFLOWS)
 def test_config_ends_in_a_documented_exit_code(workdir, case):

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from macdet import detection
 from macdet.allocation import (
+    _forms,
     alpha_opt_n1,
     alpha_phase_only_n1,
     alpha_uniform,
@@ -448,6 +450,39 @@ class TestEstimatePeMontecarloBatch:
     def test_rejects_an_empty_batch(self):
         with pytest.raises(ValueError):
             estimate_pe_montecarlo_batch([], 1000, RandomSource(0))
+
+    def test_groups_that_differ_in_theta_and_receiver_noise(self, monkeypatch):
+        # groups of detectors with equal params and sensing noise, the
+        # groups differing in theta and sigma_nu_sq, iid and AR(1): every
+        # pe comes from one _log_pe over the batch and must be the one
+        # pe_conditional gives, and every count the one it gets alone
+        l = 6
+        models = (ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh())
+        detectors = []
+        for g, (theta, sigma_nu_sq, n, rho) in enumerate(
+            [(0.5, 1.0, 2, None), (2.0, 1.0, 2, None), (1.0, 0.25, 3, None),
+             (1.0, 4.0, 1, 0.5), (1.5, 0.5, 2, 0.5)]
+        ):
+            params = replace(make_params(l=l, n=n, sigma_nu_sq=sigma_nu_sq, p1=0.3), theta=theta)
+            noise = None if rho is None else SensingNoiseModel(r_eta=ar1_covariance(l, rho))
+            for k, model in enumerate(models[: 2 + g % 2]):
+                h = sample_channel(model, n, l, RandomSource(46, g).substream(k)).entries
+                detectors.append((h, alpha_uniform(params), params, noise))
+        forms = []
+
+        def counted(*args, **kwargs):
+            forms.append(args)
+            return _forms(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "_forms", counted)
+        scored = estimate_pe_montecarlo_batch(detectors, 10_000, RandomSource(47))
+        monkeypatch.undo()
+        assert len(forms) == 5
+        for (channel, alpha, params, noise), (est, pe) in zip(detectors, scored):
+            assert pe == pe_conditional(channel, alpha, params, noise)
+            alone = estimate_pe_montecarlo(channel, alpha, params, 10_000, RandomSource(47), noise)
+            assert est == alone
+        assert all(0 < est.errors < 10_000 for est, _ in scored)
 
 
 def _oracle_case(noise_kind, channel, n, l, p1):

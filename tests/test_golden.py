@@ -4,7 +4,10 @@ non-figure experiments.
 Each preset runs at seed 7 with small sizing (figure2: trials 1000 and
 channel_draws 1; figure8: channel_draws 2; figure9: channel_draws 1;
 figures 3-7 at their defaults), and the sha256 of `rows_to_csv` must
-match the pinned value byte for byte.  A change that moves any figure
+match the pinned value byte for byte.  figure2 is pinned a second time
+at the size of the benchmark's fig2-mc workload (trials 10,000 and
+channel_draws 2: two trial blocks, 8,192 and 1,808 trials, and two
+draws), stored as figure2-bench.  A change that moves any figure
 value, even in the last bit, fails here; a deliberate change updates the
 digest and says which values moved and why.
 
@@ -65,13 +68,29 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("figure_id", sorted(GOLDEN))
-def test_figure_csv_digest(figure_id):
-    sizing, digest = GOLDEN[figure_id]
+# bench/workloads.py's fig2-mc sizing
+FIGURE2_BENCH = (
+    {"trials": 10_000, "channel_draws": 2},
+    "63bb9252495674d759aa1f38b51289193c4d1a9d3fb48937892df122a7d2c047",
+)
+
+
+def figure_csv(figure_id, sizing):
     cfg = cli.parse_config({"figure_id": figure_id, "seed": SEED, **sizing}, "figure")
     rows, code = cli.run(cfg)
     assert code == 0
-    assert_digest(f"figure{figure_id}", cli.rows_to_csv(rows), digest)
+    return cli.rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("figure_id", sorted(GOLDEN))
+def test_figure_csv_digest(figure_id):
+    sizing, digest = GOLDEN[figure_id]
+    assert_digest(f"figure{figure_id}", figure_csv(figure_id, sizing), digest)
+
+
+def test_figure2_at_benchmark_size_digest():
+    sizing, digest = FIGURE2_BENCH
+    assert_digest("figure2-bench", figure_csv(2, sizing), digest)
 
 
 RICEAN = {"channel": "ricean", "ricean_k": 1.0}
@@ -168,9 +187,11 @@ def test_experiment_csv_digest(name):
     assert_digest(name, cli.rows_to_csv(rows), digest)
 
 
-DIGESTS = {f"figure{f}": digest for f, (_, digest) in GOLDEN.items()} | {
-    name: digest for name, (_, _, digest) in EXPERIMENTS.items()
-}
+DIGESTS = (
+    {f"figure{f}": digest for f, (_, digest) in GOLDEN.items()}
+    | {"figure2-bench": FIGURE2_BENCH[1]}
+    | {name: digest for name, (_, _, digest) in EXPERIMENTS.items()}
+)
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

@@ -172,6 +172,12 @@ class TestSampleChannel:
         with pytest.raises(TypeError, match="numpy Generator"):
             sample_channel(model, 2, 3, RandomSource(0))
 
+    def test_only_awgn_needs_no_generator(self):
+        h = sample_channel(ChannelModel.awgn(), 2, 3, None)
+        assert np.array_equal(h.entries, np.ones((2, 3), dtype=complex))
+        with pytest.raises(TypeError, match="numpy Generator"):
+            sample_channel(ChannelModel.rayleigh(), 2, 3, None)
+
     def test_entries_read_only(self):
         h = sample_channel(ChannelModel.rayleigh(), 2, 2, RandomSource(0).substream())
         with pytest.raises(ValueError):
