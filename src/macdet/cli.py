@@ -510,8 +510,8 @@ def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], 
     (point, series) detector on the trial blocks of stream 1 + d, drawn
     once at the largest L and N of the run: every point and series
     shares those blocks (common random numbers), a point with L sensors
-    reading their leading L rows, and each series gets the rows a run of
-    its own would give.
+    and N antennas reading their leading L sensing and 2N receiver rows,
+    and each series gets the rows a run of its own would give.
     """
     var = cfg.sweep_variable
     draws = cfg.channel_draws or 10

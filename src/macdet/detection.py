@@ -19,8 +19,9 @@ scores several detectors of one prior on the same trial blocks (common
 random numbers: figure2 scores all its sensor counts and series on one
 set of blocks per draw); estimate_pe_montecarlo is its one-detector case.
 It sets up detectors that share params and sensing noise with one
-batched factorization, stacks every detector's statistic into one
-weight matrix, and scores each chunk of trials with one matrix product.
+batched factorization and stacks every detector's statistic into one
+weight matrix; each block of trials is drawn straight into the feature
+matrix that weight matrix multiplies, one product per chunk of trials.
 """
 
 from __future__ import annotations
@@ -53,16 +54,15 @@ __all__ = [
 _MC_BLOCK = 8192
 
 # estimate_pe_montecarlo_batch scores a block in chunks of
-# _MC_ENTRIES // max(detectors, features) trials, so that its per-chunk
-# products and its feature buffer stay this many entries.  On figure2 at
-# the benchmark's size (90 detectors over 55 features, 10,000 trials, 2
-# draws; 2-vCPU x86-64 host, one BLAS thread), against chunks of 182
-# trials (1 << 14), a figure ran slower with 91 (1 << 13: faster in 6 of
-# 40 alternating in-process rounds) and not resolvably faster with 364
-# (1 << 15: 19 of 40), and a fresh process peaked at 41.46, 41.49 and
-# 41.75 MB for 91, 182 and 364 (medians of 5).
-# A lone detector at L=64, N=4 (137 features) scored 10^5 trials at a
-# tracemalloc peak of 26.3 MB with whole-block chunks, 17.4 MB with these.
+# _MC_ENTRIES // max(detectors, features) trials, so that each per-chunk
+# product and the slice of the feature matrix it reads stay this many
+# entries.  On figure2 at the benchmark's size (90 detectors over 51
+# features, 10,000 trials, 2 draws; 2-vCPU x86-64 host, one BLAS thread),
+# against chunks of 182 trials (1 << 14, median 31.9 ms a figure), a
+# figure ran slower with 91 (1 << 13: 34.2 ms, faster in 14 of 40
+# alternating in-process rounds) and not resolvably faster with 364
+# (1 << 15: 31.6 ms, 26 of 40), and a fresh process peaked at 41.04,
+# 41.06 and 41.36 MB for 91, 182 and 364 (medians of 5).
 _MC_ENTRIES = 1 << 14
 
 
@@ -148,11 +148,11 @@ def estimate_pe_montecarlo(
     return estimate_pe_montecarlo_batch([(channel, alpha, params, noise)], trials, rng)[0][0]
 
 
-def _weights(detectors, l_max: int):
+def _weights(detectors):
     """The scoring constants of a batch, for the features of
     estimate_pe_montecarlo_batch: the weight matrix W (one row per
-    detector), each detector's limit threshold / theta, its
-    pe_conditional, and the first feature row of each distinct N.
+    detector), each detector's limit threshold / theta and its
+    pe_conditional.
 
     Detectors with equal params and sensing argument go through one
     _forms call (figure2: the three channel models of each L and N),
@@ -164,10 +164,9 @@ def _weights(detectors, l_max: int):
     for k, ((_, _, sensing), (_, _, params, _)) in enumerate(zip(items, detectors)):
         key = sensing.tobytes() if isinstance(sensing, np.ndarray) else sensing
         groups.setdefault((params, key), []).append(k)
-    offsets, width = {}, 2 * l_max
-    for n in sorted({p.num_antennas for _, _, p, _ in detectors}):
-        offsets[n], width = width, width + 2 * n
-    weights = np.zeros((len(detectors), width + 1))
+    l_max = max(p.num_sensors for _, _, p, _ in detectors)
+    n_max = max(p.num_antennas for _, _, p, _ in detectors)
+    weights = np.zeros((len(detectors), 2 * l_max + 2 * n_max + 1))
     limits, qs, thetas = np.empty((3, len(detectors)))
     for (params, _), rows in groups.items():
         sensing = items[rows[0]][2]
@@ -179,16 +178,16 @@ def _weights(detectors, l_max: int):
         c = g @ sensing.conj() if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
         # Re(x^H b) = sqrt(s/2) (Re b . X_re + Im b . X_im) for x ~ CN(0, s)
         # drawn as sqrt(s/2) (X_re + i X_im)
-        l, n, off = params.num_sensors, params.num_antennas, offsets[params.num_antennas]
+        l, stop = params.num_sensors, 2 * l_max + 2 * params.num_antennas
         weights[rows, :l] = math.sqrt(0.5) * c.real
         weights[rows, l_max : l_max + l] = math.sqrt(0.5) * c.imag
         receiver = math.sqrt(params.sigma_nu_sq / 2.0)
-        weights[rows, off : off + n] = receiver * w.real
-        weights[rows, off + n : off + 2 * n] = receiver * w.imag
+        weights[rows, 2 * l_max : stop : 2] = receiver * w.real
+        weights[rows, 2 * l_max + 1 : stop : 2] = receiver * w.imag
         weights[rows, -1] = params.theta * np.sum(v.real * w.real + v.imag * w.imag, axis=-1)
         limits[rows] = (0.5 * params.theta**2 * q + params.tau) / params.theta
     pes = [math.exp(x) for x in _log_pe(detectors[0][2], thetas, qs).tolist()]
-    return weights, limits, pes, offsets
+    return weights, limits, pes
 
 
 def estimate_pe_montecarlo_batch(
@@ -209,14 +208,16 @@ def estimate_pe_montecarlo_batch(
     The blocks draw from SFC64, not from the Philox substreams that
     sample channels: they hold nearly all the normal draws of a figure2
     run, and SFC64 draws them in about two thirds of Philox's time.
-    Within a block the draw order is hypotheses, sensing noise z of the
-    largest L as a (2, L_max, trials) array (real parts, then imaginary
-    parts), then the receiver noise of the largest N, 2 x trials x N_max
-    real values.  A detector with L sensors reads z[0, :L] and z[1, :L];
-    one with N antennas reads the first 2 x trials x N receiver values as
-    its (2, trials, N) receiver noise, so its own draw is exactly that
-    prefix.  When every detector has the same L, each scores the same
-    trials as it does alone.
+    Within a block the draw order is the hypotheses, then one
+    standard-normal draw straight into the rows of the feature matrix F
+    that scores the block: the sensing noise z of the largest L as a
+    (2, L_max, trials) array (real parts, then imaginary parts), then
+    the receiver noise nu of the largest N as an (N_max, 2, trials)
+    array, antenna by antenna (each antenna's real row, then its
+    imaginary row).  A detector with L sensors reads z[0, :L] and
+    z[1, :L]; one with N antennas reads the leading 2N receiver rows,
+    exactly the draws it makes alone.  So each detector scores the same
+    trials as it does alone in any batch where it has the largest L.
 
     The received vector y is never formed.  With eta = S z, S the
     sensing-noise factor (sqrt(sigma_eta_sq) under iid noise, noise=None;
@@ -226,17 +227,16 @@ def estimate_pe_montecarlo_batch(
         theta [1{H1} theta Re(v^H w) + Re(z^H c) + Re(nu^H w)],
         c = S^H (conj(alpha) * H^H w),
 
-    linear in the features of a trial: the real, then the imaginary
-    parts of z (L_max each), for each distinct N the real, then the
-    imaginary parts of its receiver noise nu (N each), and 1{H1}.  The
-    set-up (_weights, one factorization per group of detectors with
-    equal params and sensing) stacks every detector's coefficients into
-    one zero-padded weight matrix W; a block is then scored in chunks
-    of _MC_ENTRIES // max(detectors, features) trials, each one feature
-    buffer F and one product W F, whose entry k, t is detector k's
-    statistic / theta on trial t, compared with its threshold / theta.
-    A trial costs O(L_max + sum of N) per detector in that product, from
-    the same draws as the y-forming loop (O(N L), O(L^2) correlated).
+    linear in the features of a trial, the 2 L_max + 2 N_max + 1 rows of
+    F: z, nu and 1{H1}, its last row.  The set-up (_weights, one
+    factorization per group of detectors with equal params and sensing)
+    stacks every detector's coefficients into one zero-padded weight
+    matrix W; a block is then scored in chunks of
+    _MC_ENTRIES // max(detectors, features) trials, each one product
+    W F[:, chunk], whose entry k, t is detector k's statistic / theta on
+    trial t, compared with its threshold / theta.  A trial costs
+    O(L_max + N_max) per detector in that product, from the same draws
+    as the y-forming loop (O(N L), O(L^2) correlated).
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000 for a meaningful estimate")
@@ -249,30 +249,24 @@ def estimate_pe_montecarlo_batch(
     p1 = params[0].p1
     if any(p.p1 != p1 for p in params):
         raise ValueError("detectors must share p1")
-    l_max = max(p.num_sensors for p in params)
-    n_max = max(p.num_antennas for p in params)
-    weights, limits, pes, offsets = _weights(detectors, l_max)
+    weights, limits, pes = _weights(detectors)
+    width = weights.shape[1]
     chunk = max(1, _MC_ENTRIES // max(weights.shape))  # detectors x features
-    features = np.empty((weights.shape[1], chunk))
+    # one buffer for every block: an array per block would be allocated
+    # while the last one is still held, doubling the peak
+    buffer = np.empty(width * min(trials, _MC_BLOCK))
 
     errors = np.zeros(len(detectors), dtype=np.int64)
     for block, start in enumerate(range(0, trials, _MC_BLOCK)):
         count = min(_MC_BLOCK, trials - start)
         gen = rng.montecarlo_block(block)
         truth = gen.random(count) < p1
-        z = gen.standard_normal((2, l_max, count)).reshape(2 * l_max, count)
-        nu_max = gen.standard_normal(2 * count * n_max)
-        nus = [(off, n, nu_max[: 2 * count * n].reshape(2, count, n)) for n, off in offsets.items()]
+        features = buffer[: width * count].reshape(width, count)
+        gen.standard_normal(out=features[:-1])
+        features[-1] = truth
         for first in range(0, count, chunk):
-            last = min(first + chunk, count)
-            f = features[:, : last - first]
-            f[: 2 * l_max] = z[:, first:last]
-            for off, n, nu in nus:
-                f[off : off + n] = nu[0, first:last].T
-                f[off + n : off + 2 * n] = nu[1, first:last].T
-            f[-1] = truth[first:last]
-            decisions = weights @ f >= limits[:, np.newaxis]
-            errors += np.count_nonzero(decisions != truth[first:last], axis=1)
+            decisions = weights @ features[:, first : first + chunk] >= limits[:, np.newaxis]
+            errors += np.count_nonzero(decisions != truth[first : first + chunk], axis=1)
     return [(PeEstimate(int(e), trials), pe) for e, pe in zip(errors, pes)]
 
 

@@ -55,8 +55,9 @@ class RandomSource:
       draws of a figure2 run, and SFC64 draws them in about two thirds
       of Philox's time.  A Monte Carlo sweep draws one set of blocks per
       channel draw d, on stream 1 + d, at the largest L and N of the
-      sweep, and scores every sweep point and series on it.  A change
-      of this generator moves only Pe_MC rows.
+      sweep, and scores every sweep point and series on it (the layout
+      a point reads is estimate_pe_montecarlo_batch's).  A change of
+      this generator or of that layout moves only Pe_MC rows.
     """
 
     master_seed: int

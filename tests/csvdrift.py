@@ -6,8 +6,10 @@ Rows are paired in order.  For each series it prints the largest
 absolute and relative change of the numeric fields (x_value, value,
 ci95), then every structural difference: a changed row count, row order,
 non-numeric field (experiment, series, x_name, seed, the comment line or
-the header), or NaN/inf pattern.  Exit status 0 means no drift at all, 1
-numeric drift only, 2 a structural difference.
+the header), or NaN/inf pattern.  Then, for each Pe_MC point whose value
+moved, its z against the new file's Pe row at the same x (see
+`pe_mc_z`).  Exit status 0 means no drift at all, 1 numeric drift only,
+2 a structural difference.
 """
 
 from __future__ import annotations
@@ -90,6 +92,41 @@ def report(changes: dict[str, tuple[float, float]], problems: list[str]) -> str:
     return "\n".join(lines)
 
 
+def pe_mc_z(old_text: str, new_text: str) -> str:
+    """One line per Pe_MC row of NEW whose value differs from the row
+    paired with it in OLD: z = (p_hat - Pe) / sqrt(Pe (1 - Pe) / n), Pe
+    the value of NEW's Pe row of the same series at the same x.  The
+    trial count n is read from the row's own 95% halfwidth,
+    n = p_hat (1 - p_hat) (1.96 / ci95)^2; a p_hat of 0 or 1 has no
+    halfwidth to read it from and is listed as not checkable.  Empty
+    when no Pe_MC value moved."""
+    old, new = _split(old_text)[1], _split(new_text)[1]
+    if not (old and new):
+        return ""
+    old_rows = [dict(zip(old[0], row)) for row in old[1:]]
+    new_rows = [dict(zip(new[0], row)) for row in new[1:]]
+    pe = {(row["series"], row["x_value"]): float(row["value"]) for row in new_rows}
+    lines = []
+    for a, b in zip(old_rows, new_rows):
+        label, x = b["series"], b["x_value"]
+        if not label.startswith("Pe_MC(") or a["value"] == b["value"]:
+            continue
+        p_hat, p = float(b["value"]), pe.get(("Pe" + label[len("Pe_MC"):], x))
+        point = f"{label:<40} {float(x):>8g} {p_hat:>10.4g}"
+        if p is None:
+            lines.append(f"{point}  no Pe row")
+        elif p_hat in (0.0, 1.0):
+            lines.append(f"{point} {p:>10.4g}  not checkable (Pe_MC at {p_hat:g})")
+        else:
+            n = round(p_hat * (1.0 - p_hat) * (1.96 / float(b["ci95"])) ** 2)
+            z = (p_hat - p) / math.sqrt(p * (1.0 - p) / n)
+            lines.append(f"{point} {p:>10.4g} {n:>8d} {z:>7.2f}")
+    if not lines:
+        return ""
+    header = f"{'moved Pe_MC':<40} {'x':>8} {'Pe_MC':>10} {'Pe':>10} {'n':>8} {'z':>7}"
+    return "\n".join([header] + lines)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tests/csvdrift.py OLD.csv NEW.csv", file=sys.stderr)
@@ -97,6 +134,9 @@ def main(argv: list[str]) -> int:
     old_text, new_text = (Path(path).read_text(encoding="utf-8") for path in argv)
     changes, problems = drift(old_text, new_text)
     print(report(changes, problems))
+    z = pe_mc_z(old_text, new_text)
+    if z:
+        print(z)
     if problems:
         return 2
     return 1 if any(c != (0.0, 0.0) for c in changes.values()) else 0

@@ -114,6 +114,15 @@ def _color(params: NetworkParams, noise: SensingNoiseModel | None, std: np.ndarr
     return math.sqrt(params.sigma_eta_sq) * std if noise is None else color(noise, std)
 
 
+def _receiver_noise(params: NetworkParams, gen: np.random.Generator, count: int) -> np.ndarray:
+    # CN(0, sigma_nu_sq) receiver noise (count x N), drawn antenna by
+    # antenna: the real parts of antenna j's count trials, then their
+    # imaginary parts, before antenna j + 1
+    scale = math.sqrt(params.sigma_nu_sq / 2.0)
+    parts = scale * gen.standard_normal((params.num_antennas, 2, count))
+    return (parts[:, 0] + 1j * parts[:, 1]).T
+
+
 def synthesize(
     channel,
     alpha,
@@ -123,11 +132,11 @@ def synthesize(
     noise: SensingNoiseModel | None = None,
 ) -> ReceivedSignal:
     """One draw of the received vector.  Sensing noise is drawn first,
-    receiver noise second, so a shared generator yields reproducible
-    pairs."""
+    receiver noise second (each antenna's real part, then its imaginary
+    part), so a shared generator yields reproducible pairs."""
     h, a, _ = _item(channel, alpha, params, noise)
     eta = _color(params, noise, complex_normal(gen, params.num_sensors))
-    nu = complex_normal(gen, params.num_antennas, params.sigma_nu_sq)
+    nu = _receiver_noise(params, gen, 1)[0]
     signal = params.theta if hypothesis == Hypothesis.H1 else 0.0
     y = signal * (h @ a) + h @ (a * eta) + nu
     return ReceivedSignal(y=y, truth=Hypothesis(hypothesis))
@@ -173,12 +182,13 @@ def received_block(
     hypotheses `truth` (True for H1): the sensing noise of every trial is
     drawn from `gen` as one (block_sensors, count) block, of which the
     leading L rows are used (block_sensors defaults to L), then the
-    receiver noise as one (count, N) block."""
+    receiver noise antenna by antenna: the real parts of antenna j's
+    count trials, then their imaginary parts, before antenna j + 1."""
     count = truth.size
     l = params.num_sensors
     std = complex_normal(gen, (block_sensors or l, count))[:l]
     eta = _color(params, noise, std)
-    nu = complex_normal(gen, (count, params.num_antennas), params.sigma_nu_sq)
+    nu = _receiver_noise(params, gen, count)
     signal = np.where(truth, params.theta, 0.0)[:, np.newaxis] * (h @ a)[np.newaxis, :]
     return signal + (h @ (a[:, np.newaxis] * eta)).T + nu
 

@@ -377,14 +377,16 @@ class TestEstimatePeMontecarlo:
 
 
 def _batch_detectors(l=7, p1=0.3):
-    # mixed N, channel models, SNRs and iid / AR(1) sensing noise, all on
-    # one sensor count and prior
+    # mixed N in {1, 2, 3, 10}, channel models, SNRs and iid / AR(1)
+    # sensing noise, all on one sensor count and prior
     cases = [
         (ChannelModel.awgn(), 2, 1.0, 2.0, None),
         (ChannelModel.rayleigh(), 10, 0.5, 1.0, None),
         (ChannelModel.ricean(1.0), 2, 2.0, 0.5, 0.6),
         (ChannelModel.rayleigh(), 10, 1.0, 0.3, 0.4),
         (ChannelModel.ricean(1.0), 10, 0.3, 3.0, None),
+        (ChannelModel.rayleigh(), 1, 1.0, 2.0, None),
+        (ChannelModel.ricean(1.0), 3, 0.7, 1.0, 0.5),
     ]
     detectors = []
     for k, (model, n, gamma_s, gamma_c, rho) in enumerate(cases):
@@ -400,6 +402,32 @@ def _batch_detectors(l=7, p1=0.3):
 class TestEstimatePeMontecarloBatch:
     """The batch core scores every detector on one set of trial blocks;
     each must get exactly what it gets alone."""
+
+    def test_receiver_noise_is_drawn_once_for_the_largest_n(self, monkeypatch):
+        # N = 1..16 at one L: each detector reads the leading 2N receiver
+        # rows of noise drawn for 16 antennas, so W has 2L + 2 * 16 + 1
+        # columns (not 2 * (1 + ... + 16) receiver columns), and each
+        # detector counts what it counts alone
+        l = 5
+        detectors = []
+        for n in range(1, 17):
+            params = params_for(gamma_s=1.0, gamma_c=1.0, l=l, n=n, p1=0.3)
+            h = sample_channel(ChannelModel.rayleigh(), n, l, RandomSource(48, n).substream())
+            detectors.append((h.entries, alpha_uniform(params), params, None))
+        shapes, weights = [], detection._weights
+
+        def spied(*args):
+            result = weights(*args)
+            shapes.append(result[0].shape)
+            return result
+
+        monkeypatch.setattr(detection, "_weights", spied)
+        scored = estimate_pe_montecarlo_batch(detectors, 1000, RandomSource(49))
+        monkeypatch.undo()
+        assert shapes == [(16, 2 * l + 33)]
+        for (channel, alpha, params, noise), (est, _) in zip(detectors, scored):
+            alone = estimate_pe_montecarlo(channel, alpha, params, 1000, RandomSource(49), noise)
+            assert est == alone
 
     @pytest.mark.parametrize("trials", [1000, 10_000])
     def test_each_detector_gets_its_own_estimate_bitwise(self, trials):

@@ -30,9 +30,9 @@ libm may round differently in the last bit.
 The pinned CSVs themselves are stored as tests/golden/<name>.csv (figure
 N as figureN.csv).  When a digest moves, the failure message is the
 `csvdrift` report of the stored CSV against the new one: per series, the
-largest absolute and relative change, and any difference in row order,
-non-numeric fields or NaN/inf pattern.  The digest check itself stays
-bit-exact.
+largest absolute and relative change, any difference in row order,
+non-numeric fields or NaN/inf pattern, and the z of each moved Pe_MC
+point against its Pe row.  The digest check itself stays bit-exact.
 """
 
 import csv
@@ -55,7 +55,7 @@ SEED = 7
 
 GOLDEN = {
     2: ({"trials": 1000, "channel_draws": 1},
-        "ba52d1eb835124187815c4f1a55d5624e4af1dac57c8d946e3d656a48359fc3e"),
+        "559b702dd9611c203fae2de8a3187bb8e8c80ddca192aa23369d932cdc33ecb2"),
     3: ({}, "700331721bb7712866e2eb1c112ad4b22eacef0bf1ffcfd8f6d5e4a95bcdcb72"),
     4: ({}, "49baefd47cc5d99adc843f8c132122bb4d1ad1c67e1de855d871df5fe8d287a1"),
     5: ({}, "767221be814242cd397f011e17f983f73a35fd3a8364f6a5cdfc014b72d4bc4b"),
@@ -71,7 +71,7 @@ GOLDEN = {
 # bench/workloads.py's fig2-mc sizing
 FIGURE2_BENCH = (
     {"trials": 10_000, "channel_draws": 2},
-    "63bb9252495674d759aa1f38b51289193c4d1a9d3fb48937892df122a7d2c047",
+    "6321cf22b9f2c3e49cac9e5f8d331fbdacd5d5659e11b87ef964c0e50b464d23",
 )
 
 
@@ -154,20 +154,20 @@ EXPERIMENTS = {
         "montecarlo",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 10, "trials": 1000,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0]}},
-        "3f72985ed0ae9ccfe9444ea0188a14a4935d5dbea5042f835a1d19bb6ae57d8f",
+        "de23b62e6c2210e0b5ab1b20f302ac978047e74fe30f99038a1696b359fc583f",
     ),
     "montecarlo-gamma_c-ar1": (
         "montecarlo",
         {**RICEAN, "num_antennas": 2, "num_sensors": 6, "noise": "ar1", "noise_corr": 0.5,
          "gamma_s": 2.0, "trials": 1000, "channel_draws": 2,
          "sweep": {"variable": "gamma_c", "grid": [1.0, 4.0]}},
-        "689a45bccccb4acf4487e427838d771b24ae91f189d23b0fb25951dfd683e4c9",
+        "b2a9bd5370cfee1f7d7a30b02ee42661769c62a33a167018dfbaf1f3b1e79fe1",
     ),
     "montecarlo-N-awgn": (
         "montecarlo",
         {"channel": "awgn", "num_sensors": 5, "gamma_s": 1.0, "trials": 1000, "channel_draws": 1,
          "sweep": {"variable": "N", "grid": [1, 3]}},
-        "611a07e00b124b52df3ff43563b1672a72172267ecd673dd2abf47f19325144d",
+        "374d66734f73fd7bd4c631714f07cfc959e0add5108334ef3bf440eb336958aa",
     ),
     "asymptotic-rayleigh": (
         "asymptotic",
@@ -256,6 +256,33 @@ class TestCsvDrift:
         assert csvdrift.main([str(p) for p in paths]) == 2
         assert "structural: no header in " in capsys.readouterr().out
 
+    def test_moved_pe_mc_points_get_their_z(self, tmp_path, capsys):
+        # z against the new Pe row, n read back from each Pe_MC row's own
+        # ci95; a point at 0 has no ci95 to read n from
+        head = stored("montecarlo-N-awgn").splitlines()[:2]
+
+        def text(p_mc, pe):
+            rows = []
+            for x, p_hat, p in zip((1.0, 2.0, 3.0), p_mc, pe):
+                ci95 = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / 1000)
+                rows.append(f"montecarlo,Pe_MC(awgn),N,{x},{p_hat!r},{ci95!r},7")
+                rows.append(f"montecarlo,Pe(awgn),N,{x},{p!r},,7")
+            return "\n".join(head + rows) + "\n"
+
+        old = text((0.25, 0.1, 0.002), (0.3, 0.1, 0.001))
+        new = text((0.2, 0.1, 0.0), (0.25, 0.12, 0.001))
+        lines = csvdrift.pe_mc_z(old, new).splitlines()
+        assert len(lines) == 3 and lines[0].split()[-1] == "z"
+        assert lines[1].split() == ["Pe_MC(awgn)", "1", "0.2", "0.25", "1000", "-3.65"]
+        assert lines[2].split()[:4] == ["Pe_MC(awgn)", "3", "0", "0.001"]
+        assert "not checkable" in lines[2]
+        assert csvdrift.pe_mc_z(old, old) == ""
+        paths = [tmp_path / "old.csv", tmp_path / "new.csv"]
+        for path, content in zip(paths, (old, new)):
+            path.write_text(content, encoding="utf-8")
+        assert csvdrift.main([str(path) for path in paths]) == 1
+        assert "\n".join(lines[1:]) in capsys.readouterr().out
+
     def test_mismatch_names_the_numpy_versions(self):
         text = stored("figure5").rstrip("\n")
         expected = f"NumPy {np.__version__} here, digests taken with {DIGEST_NUMPY}"
@@ -278,6 +305,8 @@ def assert_digest(name, text, digest):
     assert actual == digest, (
         f"{name} CSV moved (NumPy {np.__version__} here, digests taken with {DIGEST_NUMPY}):\n"
         + csvdrift.report(*csvdrift.drift(stored(name), text))
+        + "\n"
+        + csvdrift.pe_mc_z(stored(name), text)
     )
 
 
