@@ -55,10 +55,12 @@ __all__ = [
 # narrow, in dB
 _CROSSOVER_TOL_DB = 0.05
 
-# method_exponents scores channels in groups of at most this many channel
-# entries (N L each): all ten figure8 channels at N = 5, three per group at
-# N = 50, L = 200.  On a 2-vCPU x86-64 host with one BLAS thread that was
-# the fastest split of an N = 50 point (5.4-5.8 ms; one channel per group
+# _method_grid scores (point, channel) items in groups of at most this
+# many channel entries (N L each): with ten channels at L = 200, three
+# whole points at N = 5 and three channels of one point at N = 50;
+# figure9's whole 7-point grid (N = 3, L = 32, three channels) is one
+# group.  On a 2-vCPU x86-64 host with one BLAS thread that was the
+# fastest split of an N = 50 point (5.4-5.8 ms; one channel per group
 # 5.9-6.8, all ten 7.0-8.0), and it raised fig8-schemes' peak RSS by 2 %
 # over unbatched scoring (one per group 1 %, all ten 12 %).
 _GROUP_ENTRIES = 1 << 15
@@ -149,7 +151,9 @@ def received_covariance(
 def _forms(h, a, sensing, sigma_nu_sq: float, solve: bool = False):
     """q = v^H R^-1 v with v = H a and R = H D(a) S S^H D(a)^H H^H +
     sigma_nu_sq I, for channels (..., N, L) broadcast against gains
-    (..., L) and the sensing argument of _sensing (sigma_eta_sq, or S):
+    (..., L) and the sensing argument of _sensing: the complex factor S,
+    or sigma_eta_sq (S = sqrt(sigma_eta_sq) I) as a float or as a real
+    array broadcast against the batch, one power per item.  Returns
     (v, q), or (v, R^-1 v, q) when `solve`.
 
     R = sigma_nu_sq (B B^H + I) with B = H D(a) S / sqrt(sigma_nu_sq),
@@ -163,12 +167,16 @@ def _forms(h, a, sensing, sigma_nu_sq: float, solve: bool = False):
     so that Cholesky fails, _spectral_form answers exactly.
     """
     n = h.shape[-2]
-    m = np.empty(np.broadcast_shapes(h.shape[:-2], a.shape[:-1]) + (n + 1, n + 1), np.complex128)
+    iid = not (isinstance(sensing, np.ndarray) and sensing.dtype.kind == "c")
+    per_item = getattr(sensing, "shape", ()) if iid else ()
+    batch = np.broadcast_shapes(h.shape[:-2], a.shape[:-1], per_item)
+    m = np.empty(batch + (n + 1, n + 1), np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(sensing, np.ndarray):
-            b = (h * a[..., np.newaxis, :]) @ (sensing / math.sqrt(sigma_nu_sq))
+        if iid:
+            scale = np.sqrt(sensing / sigma_nu_sq)[..., np.newaxis]
+            b = h * (a * scale)[..., np.newaxis, :]
         else:
-            b = h * (a * math.sqrt(sensing / sigma_nu_sq))[..., np.newaxis, :]
+            b = (h * a[..., np.newaxis, :]) @ (sensing / math.sqrt(sigma_nu_sq))
         np.matmul(b, b.conj().swapaxes(-1, -2), out=m[..., :n, :n])
         m.reshape(m.shape[:-2] + (-1,))[..., : n * (n + 2) : n + 2] += 1.0
         v = np.matmul(h, a[..., np.newaxis], out=m[..., :n, n:])[..., 0]
@@ -182,10 +190,10 @@ def _forms(h, a, sensing, sigma_nu_sq: float, solve: bool = False):
         if m.ndim == 2:
             return _spectral_form(h, a, sensing, sigma_nu_sq, solve)
         # item by item, so that each keeps the bits it gets alone
-        batch = m.shape[:-2]
         hs = np.broadcast_to(h, batch + h.shape[-2:]).reshape((-1,) + h.shape[-2:])
         gains = np.broadcast_to(a, batch + a.shape[-1:]).reshape(-1, a.shape[-1])
-        items = [_forms(*item, sensing, sigma_nu_sq, solve) for item in zip(hs, gains)]
+        sensings = np.broadcast_to(sensing, batch).reshape(-1) if iid else [sensing] * len(hs)
+        items = [_forms(*item, sigma_nu_sq, solve) for item in zip(hs, gains, sensings)]
         return tuple(np.reshape(part, batch + np.shape(part[0])) for part in zip(*items))
     y = factor[..., n, :n].conj()
     q = np.sum(y.real**2 + y.imag**2, axis=-1) / sigma_nu_sq
@@ -208,7 +216,7 @@ def _spectral_form(h, a, sensing, sigma_nu_sq, solve):
     p = float(np.sum(a.real**2 + a.imag**2))
     u = a / math.sqrt(p)
     b = h * u
-    if isinstance(sensing, np.ndarray):
+    if np.iscomplexobj(sensing):
         top = float(np.abs(sensing).max())
         b, sensing = b @ (sensing / top), top * top
     lam, vecs = np.linalg.eigh(b @ b.conj().T)
@@ -237,9 +245,7 @@ def finite_exponent(
 ) -> float:
     """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha, with
     the quadratic form of quadratic_form (without R^{-1} v)."""
-    h, a, sensing = _item(channel, alpha, params, noise)
-    q = _forms(h, a, sensing, params.sigma_nu_sq)[1]
-    return float(params.theta**2 * q / (8.0 * params.num_sensors))
+    return float(_exponents(*_item(channel, alpha, params, noise), params))
 
 
 def finite_exponents(
@@ -253,7 +259,13 @@ def finite_exponents(
     dims = (params.num_antennas, params.num_sensors)
     if h.shape[-2:] != dims or a.shape[-1:] != dims[1:]:
         raise ValueError(f"channels {h.shape} and gains {a.shape} do not match {dims}")
-    q = _forms(h, a, _sensing(params, noise), params.sigma_nu_sq)[1]
+    return _exponents(h, a, _sensing(params, noise), params)
+
+
+def _exponents(h, a, sensing, params: NetworkParams) -> np.ndarray:
+    # the exponent statistic of _forms' items, whose sensing argument may
+    # give each item its own sigma_eta_sq
+    q = _forms(h, a, sensing, params.sigma_nu_sq)[1]
     return params.theta**2 * q / (8.0 * params.num_sensors)
 
 
@@ -269,19 +281,21 @@ def _power(h: np.ndarray) -> np.ndarray:
     return h.real**2 + h.imag**2
 
 
-def _opt_n1_values(h_row: np.ndarray, power: np.ndarray, params: NetworkParams) -> np.ndarray:
-    # alpha_opt_n1's gains for rows (..., L) and their |h|^2.  The
-    # magnitudes are rescaled by their largest entry before sum w^2, which
-    # then cannot underflow, and normalized as method2_direction
-    # normalizes its direction, so equal directions give equal gains.
-    p = params.gain_budget
-    w = np.sqrt(power) / (params.sigma_eta_sq * p * power + params.sigma_nu_sq)
+def _opt_n1_values(h_row, power, budget, sigma_eta_sq, sigma_nu_sq: float) -> np.ndarray:
+    # alpha_opt_n1's gains for rows (..., L), their |h|^2 and a gain
+    # budget and sigma_eta_sq (floats, or arrays taken elementwise that
+    # broadcast against the rows' batch).  The magnitudes are rescaled by their largest entry
+    # before sum w^2, which then cannot underflow, and normalized as
+    # method2_direction normalizes its direction, so equal directions
+    # give equal gains.
+    p, s = (np.asarray(x)[..., np.newaxis] for x in (budget, sigma_eta_sq))
+    w = np.sqrt(power) / (s * p * power + sigma_nu_sq)
     top = w.max(axis=-1, keepdims=True)
     if not (top > 0.0).all():
         raise ValueError("channel row is identically zero")
     w = w / top
     w = w / np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
-    return math.sqrt(p) * w * np.exp(-1j * np.angle(h_row))
+    return np.sqrt(p) * w * np.exp(-1j * np.angle(h_row))
 
 
 def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
@@ -290,7 +304,9 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
     phases conjugate to the channel."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
     _shaped("channel row", h, params.num_sensors)
-    return GainVector(values=_opt_n1_values(h, _power(h), params), budget=params.gain_budget)
+    p = params.gain_budget
+    values = _opt_n1_values(h, _power(h), p, params.sigma_eta_sq, params.sigma_nu_sq)
+    return GainVector(values=values, budget=p)
 
 
 def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
@@ -302,15 +318,19 @@ def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
     return GainVector(values=values, budget=p)
 
 
-def _method1_values(h: np.ndarray, power: np.ndarray, params: NetworkParams):
-    # method1's (gains, selected antenna) for channels (..., N, L) and their |h|^2
-    p = params.gain_budget
-    terms = p * power / (params.sigma_eta_sq * p * power + params.sigma_nu_sq)
+def _method1_values(h, power, budget, sigma_eta_sq, params: NetworkParams):
+    # method1's (gains, selected antenna) for channels (..., N, L), their
+    # |h|^2 and a gain budget and sigma_eta_sq (floats, or arrays taken
+    # elementwise that broadcast against the channels' batch)
+    p, s = (np.asarray(x)[..., np.newaxis, np.newaxis] for x in (budget, sigma_eta_sq))
+    terms = p * power / (s * p * power + params.sigma_nu_sq)
     metric = params.theta**2 / (8.0 * params.num_sensors) * terms.sum(axis=-1)
     selected = metric.argmax(axis=-1)
     index = selected[..., np.newaxis, np.newaxis]
-    rows = [np.take_along_axis(x, index, axis=-2)[..., 0, :] for x in (h, power)]
-    return _opt_n1_values(*rows, params), selected
+    # per-point budgets give the selection leading axes the channels lack
+    h = h[(np.newaxis,) * (index.ndim - h.ndim)]
+    row = np.take_along_axis(h, index, axis=-2)[..., 0, :]
+    return _opt_n1_values(row, _power(row), budget, sigma_eta_sq, params.sigma_nu_sq), selected
 
 
 def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
@@ -319,8 +339,9 @@ def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     and applies the single-antenna optimal gains to its row.  Ties go
     to the lowest antenna index."""
     h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
-    values, selected = _method1_values(h, _power(h), params)
-    return GainVector(values=values, budget=params.gain_budget), int(selected)
+    p = params.gain_budget
+    values, selected = _method1_values(h, _power(h), p, params.sigma_eta_sq, params)
+    return GainVector(values=values, budget=p), int(selected)
 
 
 def method2_direction(channel) -> np.ndarray:
@@ -356,30 +377,55 @@ def method2(channel, params: NetworkParams) -> GainVector:
     return GainVector(values=math.sqrt(p) * method2_direction(h), budget=p)
 
 
-def method_exponents(
-    channels, directions, params: NetworkParams
-) -> tuple[list[float], list[float]]:
-    """Per-channel finite exponents of method1 and method2 at one
-    operating point, bit for bit finite_exponent of method1 and method2 on
-    each channel.  `directions` holds each channel's method2_direction,
-    which does not depend on gamma_s, so a sweep passes the same ones at
-    every point.  Channels go through the batched core in groups of at
-    most _GROUP_ENTRIES channel entries, so the working set stays bounded
-    at any N and L."""
+def _method_grid(channels, directions, points) -> np.ndarray:
+    """Per-channel finite exponents of method1 and method2 at every
+    operating point in `points`, NetworkParams of one network that
+    differ only in sigma_eta_sq (as params.at_gamma_s gives them): an
+    array (points, channels, 2), each entry bit for bit finite_exponent
+    of method1 or method2 on its channel at its point.  `directions`
+    holds each channel's method2_direction, which does not depend on
+    gamma_s.
+
+    The (point, channel) items go through the batched core in groups of
+    at most _GROUP_ENTRIES channel entries, so the working set stays
+    bounded at any N, L and grid size: several whole points when all
+    their channels fit in a group, else a run of one point's channels.
+    A group reads its channels as a view and computes their |h|^2 once;
+    each item takes its point's gain budget and sigma_eta_sq
+    elementwise."""
+    params = points[0]
     entries = np.asarray(channels, dtype=np.complex128)
     directions = np.asarray(directions, dtype=np.complex128)
     dims = (params.num_antennas, params.num_sensors)
     if entries.shape[1:] != dims or directions.shape != (len(entries), dims[1]):
         raise ValueError(f"channels {entries.shape} and directions {directions.shape} do not match")
-    sqrt_p = math.sqrt(params.gain_budget)
-    step = max(1, _GROUP_ENTRIES // entries[0].size)
-    scored = []
-    for group in (slice(i, i + step) for i in range(0, len(entries), step)):
-        h = entries[group]
-        method1_gains = _method1_values(h, _power(h), params)[0]
-        gains = np.stack((method1_gains, sqrt_p * directions[group]), axis=1)
-        scored.append(finite_exponents(h[:, np.newaxis], gains, params))
-    fe = np.concatenate(scored)
+    # per point, as columns that broadcast against a group's channels
+    budget = np.array([[x.gain_budget] for x in points])
+    sigma_eta_sq = np.array([[x.sigma_eta_sq] for x in points])
+    step = max(1, _GROUP_ENTRIES // (dims[0] * dims[1]))
+    span, width = max(1, step // max(1, len(entries))), min(step, len(entries))
+    fe = np.empty((len(points), len(entries), 2))
+    for i in range(0, len(points), span):
+        for j in range(0, len(entries), width):
+            h, p, s = entries[j : j + width], budget[i : i + span], sigma_eta_sq[i : i + span]
+            method1_gains = _method1_values(h, _power(h), p, s, params)[0]
+            method2_gains = np.sqrt(p)[..., np.newaxis] * directions[j : j + width]
+            gains = np.stack((method1_gains, method2_gains), axis=-2)
+            scored = _exponents(h[:, np.newaxis], gains, s[..., np.newaxis], params)
+            fe[i : i + span, j : j + width] = scored
+    return fe
+
+
+def method_exponents(
+    channels, directions, params: NetworkParams
+) -> tuple[list[float], list[float]]:
+    """Per-channel finite exponents of method1 and method2 at one
+    operating point, bit for bit finite_exponent of method1 and method2 on
+    each channel: the one-point case of the grouped grid pass that
+    scheme_sweep scores its grid with.  `directions` holds each channel's
+    method2_direction, which does not depend on gamma_s, so a sweep
+    passes the same ones at every point."""
+    fe = _method_grid(channels, directions, [params])[0]
     return fe[:, 0].tolist(), fe[:, 1].tolist()
 
 
@@ -455,19 +501,23 @@ def scheme_sweep(channels, gamma_s_grid, params: NetworkParams):
     NoCrossoverError's method, or on a one-point grid the one with the
     larger mean exponent (method1 on a tie).
     """
-    directions = [method2_direction(h) for h in channels]
+    channels = np.asarray(channels, dtype=np.complex128)
+    directions = np.array([method2_direction(h) for h in channels])
 
-    def exponents_at(gamma_s):
-        return method_exponents(channels, directions, params.at_gamma_s(gamma_s))
+    def gap_at(gamma_s):
+        # one bisection point, scored as the one-point case of the grid pass
+        return _mean_exponent_gap(
+            *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
+        )
 
-    scored = [exponents_at(x) for x in gamma_s_grid]
+    at_x = [params.at_gamma_s(x) for x in gamma_s_grid]
+    grid = _method_grid(channels, directions, at_x) if at_x else []
+    scored = [(fe[:, 0].tolist(), fe[:, 1].tolist()) for fe in grid]
     crossover = dominant = None
     if len(scored) >= 2:
         gaps = [_mean_exponent_gap(fe1, fe2) for fe1, fe2 in scored]
         try:
-            crossover = calibrate_crossover(
-                gamma_s_grid, gaps, lambda x: _mean_exponent_gap(*exponents_at(x))
-            )
+            crossover = calibrate_crossover(gamma_s_grid, gaps, gap_at)
         except NoCrossoverError as exc:
             dominant = exc.dominant
     elif scored:

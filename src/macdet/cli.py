@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import alpha_uniform, finite_exponents, scheme_sweep
+from .allocation import _exponents, alpha_uniform, scheme_sweep
 from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo_batch
 from .exponents import (
     SnrPoint,
@@ -448,12 +448,16 @@ def _noise_for(cfg: ExperimentConfig, params: NetworkParams) -> SensingNoiseMode
     return SensingNoiseModel(r.astype(np.complex128))
 
 
-def _mean_ci(values) -> tuple[float, float | None]:
+def _mean_ci(values):
+    """Mean and 95 % confidence half-width (None for a single value) of
+    `values` along its last axis: floats for a 1-D sequence, lists for a
+    (points, draws) array, each row with the bits of its 1-D call."""
     arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, None
-    return mean, float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
+    draws = arr.shape[-1]
+    mean = arr.mean(axis=-1)
+    if draws < 2:
+        return mean.tolist(), np.full(mean.shape, None).tolist()
+    return mean.tolist(), (1.96 * arr.std(axis=-1, ddof=1) / math.sqrt(draws)).tolist()
 
 
 def _row(
@@ -608,19 +612,24 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             continue
         solved.append((h, extract_phases(solution)))
     failures = len(channels) - len(solved)
+
+    # every point's sdr_phase gains, scored in one batch (points, draws)
+    at_x = [params.at_gamma_s(x) for x in grid]
     if solved:
         hs, phases = (np.stack(parts) for parts in zip(*solved))
+        budget = np.array([p.gain_budget for p in at_x])
+        sigma_eta_sq = np.array([p.sigma_eta_sq for p in at_x])
+        gains = np.sqrt(budget / num_sensors)[:, np.newaxis, np.newaxis] * phases
+        sdr = zip(*_mean_ci(_exponents(hs, gains, sigma_eta_sq[:, np.newaxis], params)))
+    else:
+        sdr = [(math.nan, None)] * len(grid)
+    hybrid = zip(*_mean_ci([feh for _, _, feh in points]))
 
     rows: list[ResultRow] = []
     sdr_series = f"sdr_phase(N={n})" + ("[nonconverged]" if failures else "")
-    for x, (_, _, feh) in zip(grid, points):
-        params_x = params.at_gamma_s(x)
-        scale = math.sqrt(params_x.gain_budget / num_sensors)
-        sdr_mean_ci = (
-            _mean_ci(finite_exponents(hs, scale * phases, params_x)) if solved else (math.nan, None)
-        )
+    for x, params_x, sdr_mean_ci, hybrid_mean_ci in zip(grid, at_x, sdr, hybrid):
         rows.append(_row(cfg, sdr_series, "gamma_s", x, *sdr_mean_ci))
-        rows.append(_row(cfg, f"hybrid(N={n})", "gamma_s", x, *_mean_ci(feh)))
+        rows.append(_row(cfg, f"hybrid(N={n})", "gamma_s", x, *hybrid_mean_ci))
         rows.append(_bound_row(cfg, params_x, x))
     return rows, 3 if failures else 0
 

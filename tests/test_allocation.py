@@ -25,7 +25,7 @@ from macdet.allocation import (
     scheme_sweep,
 )
 from macdet import allocation, sdr
-from macdet.allocation import _forms, _mean_exponent_gap, _sensing
+from macdet.allocation import _GROUP_ENTRIES, _forms, _mean_exponent_gap, _method_grid, _sensing
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
     ChannelModel,
@@ -326,6 +326,31 @@ class TestBatchedCore:
         self.assert_solve_matches_items(hs, gains, params, noise)
         # once for the stack's item 0, once for quadratic_form on it alone
         assert len(spectral) == 2
+
+    @pytest.mark.parametrize("solve", [False, True])
+    def test_per_item_sensing_noise_powers(self, solve, monkeypatch):
+        # the iid sensing argument as one sigma_eta_sq per item: each item
+        # gets the bits of the core on it alone with its own float, also
+        # item 0, which overflows at sigma_nu_sq = 1e-200 and goes to
+        # _spectral_form with its own power
+        rng = np.random.default_rng(301)
+        channels = [np.ones((2, 4), dtype=complex)] + [random_channel(rng, 2, 4) for _ in range(4)]
+        hs = np.stack(channels)
+        gains = np.concatenate(
+            (np.full((1, 4), 1e60 + 0j), random_feasible_gains(rng, 4, 4, 2.0))
+        )
+        sigma_eta_sq = np.array([0.7, 0.0, 1.3, 1e-3, 4.0])
+        spectral = []
+        original = allocation._spectral_form
+        monkeypatch.setattr(
+            allocation, "_spectral_form", lambda *args: spectral.append(args[2]) or original(*args)
+        )
+        stacked = _forms(hs, gains, sigma_eta_sq, 1e-200, solve)
+        for k, (h, a, s) in enumerate(zip(hs, gains, sigma_eta_sq.tolist())):
+            alone = _forms(h, a, s, 1e-200, solve)
+            for part, part_alone in zip(stacked, alone):
+                assert np.array_equal(part[k], part_alone)
+        assert spectral == [0.7, 0.7]
 
     def test_rejects_mismatched_shapes(self):
         params = make_params(l=4, n=2)
@@ -646,6 +671,74 @@ class TestHoistedDirectionOracle:
         h = random_channel(np.random.default_rng(49), 2, 6)
         with pytest.raises(ValueError):
             method_exponents([h], [method2_direction(h)], make_params(l=5, n=2))
+
+
+def per_channel_exponents(channels, params):
+    # finite_exponent of method1 and of method2, one channel at a time
+    return (
+        [finite_exponent(h, method1(h, params)[0], params) for h in channels],
+        [finite_exponent(h, method2(h, params), params) for h in channels],
+    )
+
+
+# _method_grid cases: (model, N, L, draws, gamma_s grid)
+METHOD_GRIDS = {
+    # three channels per group at N L = 10,000: each point in two groups,
+    # the second a partial one
+    "n50-channel-runs": (ChannelModel.ricean(1.0), 50, 200, 4, (0.3, 1.0, 3.0, 10.0)),
+    # 32 items per group at N L = 1,000: eight whole points per group, so
+    # the ten points take a full group and a partial one
+    "n5-point-blocks": (
+        ChannelModel.ricean(1.0), 5, 200, 4, tuple(10.0 ** (db / 10.0) for db in range(-5, 15, 2))
+    ),
+    "with-inf": (ChannelModel.rayleigh(), 3, 12, 3, (0.5, 2.0, math.inf)),
+    "one-point": (ChannelModel.ricean(1.0), 4, 16, 3, (2.0,)),
+    "awgn-ties": (ChannelModel.awgn(), 3, 12, 2, (0.5, 2.0, 8.0)),
+}
+
+
+class TestMethodGrid:
+    """The grouped grid pass gives every (point, channel) item the bits of
+    method_exponents at its point and of finite_exponent of method1 and
+    method2 on its channel alone."""
+
+    def test_cases_cover_partial_groups(self):
+        _, n, l, draws, _ = METHOD_GRIDS["n50-channel-runs"]
+        step = _GROUP_ENTRIES // (n * l)
+        assert 1 < step < draws and draws % step
+        _, n, l, draws, grid = METHOD_GRIDS["n5-point-blocks"]
+        span = _GROUP_ENTRIES // (n * l) // draws
+        assert 1 < span < len(grid) and len(grid) % span
+
+    @pytest.mark.parametrize("case", METHOD_GRIDS)
+    def test_grid_is_the_per_point_and_per_channel_compositions(self, case):
+        model, n, l, draws, grid = METHOD_GRIDS[case]
+        params = params_for(1.0, 10.0, l=l, n=n)
+        channels = scheme_channels(model, n, l, draws, 11, "grid")
+        directions = [method2_direction(h) for h in channels]
+        at_x = [params.at_gamma_s(x) for x in grid]
+        fe = _method_grid(channels, directions, at_x)
+        assert fe.shape == (len(grid), draws, 2)
+        for p, point in zip(at_x, fe):
+            fe1, fe2 = point[:, 0].tolist(), point[:, 1].tolist()
+            assert (fe1, fe2) == method_exponents(channels, directions, p)
+            assert (fe1, fe2) == per_channel_exponents(channels, p)
+            if model.is_awgn:
+                assert fe1 == fe2
+
+    def test_figure9_sized_grid_is_one_core_call(self, monkeypatch):
+        # N = 3, L = 32, three channels, seven points: 21 items, one group
+        params = params_for(1.0, 10.0, l=32, n=3)
+        channels = scheme_channels(ChannelModel.ricean(1.0), 3, 32, 3, 12, "grid")
+        directions = [method2_direction(h) for h in channels]
+        calls = []
+        original = allocation._forms
+        monkeypatch.setattr(
+            allocation, "_forms", lambda h, a, *args: calls.append(a.shape) or original(h, a, *args)
+        )
+        grid = [10.0 ** (-0.5 + 0.25 * k) for k in range(7)]
+        _method_grid(channels, directions, [params.at_gamma_s(x) for x in grid])
+        assert calls == [(7, 3, 2, 32)]
 
 
 def scheme_channels(model, n, l, draws, seed, label):

@@ -818,6 +818,40 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_and_parse_load_no_scipy(self):
+        # what bench/'s setup_s times: the import and the config parse
+        probe = (
+            "import sys\n"
+            "import macdet.cli\n"
+            "macdet.cli.parse_config({'figure_id': 8}, 'figure')\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_env_with_src(), timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestMeanCi:
+    @pytest.mark.parametrize("points,draws", [(7, 3), (21, 25), (4, 200), (3, 1), (1, 9)])
+    def test_rows_keep_their_1d_bits(self, points, draws):
+        # the row-wise reductions of a (points, draws) array give each row
+        # the bits of the 1-D call on it
+        values = np.random.default_rng(points * draws).lognormal(size=(points, draws))
+        means, cis = cli._mean_ci(values)
+        assert list(zip(means, cis)) == [cli._mean_ci(row.tolist()) for row in values]
+        # and the 1-D call is NumPy's own mean and sample std of the row
+        for row, mean, ci in zip(values, means, cis):
+            assert mean == float(np.mean(row))
+            if draws > 1:
+                assert ci == float(1.96 * np.std(row, ddof=1) / math.sqrt(draws))
+
+    def test_1d_call_returns_floats(self):
+        mean, ci = cli._mean_ci([1.0, 2.0, 4.0])
+        assert type(mean) is float and type(ci) is float
+        assert cli._mean_ci([3.0]) == (3.0, None)
+
 
 class TestSchemesExperiment:
     def test_structure_and_hybrid_selection(self):
@@ -893,7 +927,9 @@ class TestSchemesExperiment:
 
     def test_each_channel_drawn_and_each_point_scored_once(self, monkeypatch):
         # the crossover is calibrated on the sweep's own channels and grid
-        # exponents, so only the bisection steps add evaluations
+        # exponents, so only the bisection steps add evaluations: the mean
+        # gap is taken once per grid point (all scored in one grouped
+        # pass) and once per bisection point
         grid = [0.3, 1.0, 3.0, 10.0, 30.0]
         cfg = parse(
             {
@@ -909,7 +945,7 @@ class TestSchemesExperiment:
         )
         counts = Counter()
         count_calls(monkeypatch, counts, model, "sample_channel")
-        count_calls(monkeypatch, counts, allocation, "method_exponents")
+        count_calls(monkeypatch, counts, allocation, "_mean_exponent_gap")
         rows, code = cli.run(cfg)
         assert code == 0
         crossover = rows[-1].value
@@ -917,7 +953,7 @@ class TestSchemesExperiment:
         # bisection halves the bracket in dB down to 0.05 dB
         steps = math.ceil(math.log2(10.0 * math.log10(hi / lo) / 0.05))
         assert counts["sample_channel"] == 3
-        assert counts["method_exponents"] == len(grid) + steps
+        assert counts["_mean_exponent_gap"] == len(grid) + steps
 
     @pytest.mark.parametrize("n,l,draws", [(3, 32, 3), (5, 40, 4), (2, 7, 5), (50, 200, 2)])
     def test_sweep_exponents_are_the_per_channel_compositions(self, n, l, draws):
