@@ -52,7 +52,7 @@ from .model import (
     sample_channel,
 )
 from .numerics import hermitian_eig
-from .sdr import extract_phases, solve_sdp
+from .sdr import extract_phases, solve_sdps
 
 __all__ = [
     "ConfigError",
@@ -599,10 +599,10 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     points = scheme_sweep(channels, grid, params)[0]
 
     # the SDP solution scales linearly in the diagonal value, so the
-    # phase pattern is solved once per draw and reused across gamma_s
+    # phase pattern is solved once per draw, all draws in one stacked
+    # solve, and reused across gamma_s
     solved = []
-    for d, h in enumerate(channels):
-        solution = solve_sdp(h, 1.0)
+    for d, (h, solution) in enumerate(zip(channels, solve_sdps(channels, 1.0))):
         if not solution.converged:
             print(
                 f"sdr: channel draw {d} not certified after {solution.iterations} "

@@ -10,27 +10,40 @@ It is solved in the low-rank factorization X = V V^H of Burer and
 Monteiro, V of rank r = min(L, ceil(sqrt(2 L))) with rows of squared norm
 d, by the monotone ascent V <- sqrt(d) rownormalize(H^H (H V)) (the block
 form of the mixing method of Wang, Chang and Kolter, which needs a PSD
-cost; C = H^H H is one by construction).  The solution carries V itself;
-X is never formed.
+cost; C = H^H H is one by construction).  The solution carries V itself.
+Neither X nor C is ever formed: every array the solve makes holds
+O(L (N + r)) entries per channel, and every matrix it decomposes is
+N x N, r x r or L x r.  `solve_sdps` runs the ascent on a stack of
+channels in one loop; each channel stops on its own test and gets the
+bits it gets when solved alone (`solve_sdp`).
 
-The solve runs on H 2^-j, for the j that puts the largest real or
-imaginary part of H in [1, 2), and scales the objective and gap back by
-4^j.  Power-of-two scaling is exact, so the answer does not depend on the
-scale of H.  Unscaled, entries near 1e80 would overflow C V and ||C||_F,
-and entries near 1e-80 would leave the objective under the floor d
-below, which any gap passes.
+The start is the top right singular vectors of H (those of C with
+nonzero eigenvalue, from the N x N H H^H), completed to rank r by a QR
+factorization of them followed by the leading unit vectors, with each
+row scaled to norm sqrt(d).  The solve runs on H 2^-j, for the j that
+puts the largest real or imaginary part of H in [1, 2), and scales the
+objective and gap back by 4^j.  Power-of-two scaling is exact, so the
+answer does not depend on the scale of H.  Unscaled, entries near 1e80
+would overflow H V, and entries near 1e-80 would leave the objective
+under the floor d below, which any gap passes.
 
 Every iterate carries a dual certificate.  With y_l = Re<v_l, (C V)_l> / d,
-d sum(y) is the objective, and y + mu 1 with
-mu = max(0, -lambda_min(Diag(y) - C)) is dual feasible, so
-objective + d L mu bounds the SDP optimum from above.  The gap adds
-2 L eps max(|objective|, d) to d L mu for rounding (of the objective, of
-lambda_min and of a feasible vector's computed value); the solve stops
-once the gap is at most max(1e-12, 4 L eps) max(|objective|, d).  On the
-scaled H the SDP optimum is at least d ||H 2^-j||_F^2 >= d (X = d I is
-feasible), so the floor d does not loosen the stop at the optimum.  Only
-the steps that pass an N x N Cholesky screen, and the last step allowed,
-compute the exact lambda_min by an L x L eigen-solve.
+d sum(y) is the objective, and y + mu 1 is dual feasible once
+Diag(y + mu) - C >= 0, so objective + d L mu bounds the SDP optimum from
+above.  For y + s > 0 that holds exactly when
+lambda_max(H Diag(y + s)^-1 H^H) <= 1 (the Schur complement), an N x N
+eigenproblem.  One of them per step, at s = t (the largest mu at which
+the step can stop; larger if some y_l < -t/2), certifies every mu with
+(y_l + s) lambda <= y_l + mu on the columns of H that are not zero,
+since H Diag(y + mu)^-1 H^H <= max_l ((y_l + s) / (y_l + mu)) times
+H Diag(y + s)^-1 H^H; the smallest is mu = max_l y_l (lambda - 1) +
+s lambda.  lambda is the computed eigenvalue raised by the rounding
+margin derived in `_margin`.  The gap, d L max(0, mu) plus
+2 L eps max(|objective|, d) for the rounding of the objective and of a
+feasible vector's computed value, stops the solve once it is at most
+max(1e-12, 4 L eps) max(|objective|, d).  On the scaled H the SDP
+optimum is at least d ||H 2^-j||_F^2 >= d (X = d I is feasible), so the
+floor d does not loosen the stop at the optimum.
 
 Rank-one rounding of the top eigenvector of X recovers a feasible phase
 vector.  That eigenvector is V w / ||V w|| for w the top eigenvector of
@@ -53,12 +66,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import canonical_phase, hermitian_eig
-
 __all__ = [
     "SdpSolution",
     "SdpNonConvergence",
     "solve_sdp",
+    "solve_sdps",
     "extract_phases",
 ]
 
@@ -66,6 +78,13 @@ __all__ = [
 _GAP_TOL = 1e-12
 _MAX_ITER = 10_000
 _EPS = sys.float_info.epsilon
+# columns per block of the certificate's sum over l (see _margin)
+_BLOCK = 32
+# the rounding's global phase pivots on the lowest index whose magnitude
+# is within this relative margin of the largest (see _unit_phases): far
+# above the entries' rounding (1e-14 relative at figure9's size), far
+# below a spread that a rounding could not decide
+_PIVOT_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,95 +116,205 @@ class SdpNonConvergence(RuntimeError):
 
 def solve_sdp(channel, diag_value: float) -> SdpSolution:
     """Burer-Monteiro solve of max tr(H^H H X) over Hermitian X >= 0 with
-    X_ll = diag_value, for a channel H (N x L), stopped by its dual
-    certificate or after _MAX_ITER ascent steps.
-
-    Deterministic: the start is the top-r eigenvectors of C = H^H H with
-    each row scaled to norm sqrt(d) (a zero row takes the first unit
-    vector), and a row whose ascent direction (C V)_l is zero keeps its
-    value.  C is formed once, for the start and the exact certificate;
-    each step multiplies by H and H^H instead.  The solve runs on H 2^-j
-    (`_unit_scale`) and scales objective and gap back by 4^j.  Raises
-    ValueError unless H is a finite, non-empty N x L matrix and
-    diag_value is finite and > 0.
+    X_ll = diag_value, for a channel H (N x L): the one-channel case of
+    `solve_sdps`.  Raises ValueError unless H is a finite, non-empty
+    N x L matrix and diag_value is finite and > 0.
     """
     h = np.asarray(channel, dtype=np.complex128)
     if h.ndim != 2 or h.size == 0:
         raise ValueError(f"channel must be a non-empty N x L matrix, got shape {h.shape}")
+    return solve_sdps(h[np.newaxis], diag_value)[0]
+
+
+def solve_sdps(channels, diag_value: float) -> list[SdpSolution]:
+    """`solve_sdp` for each channel of a stack (D, N, L), in one ascent
+    loop: each channel is stopped by its own dual certificate, or after
+    _MAX_ITER ascent steps, and its solution is bit for bit the one it
+    gets alone.
+
+    Deterministic: the start is `_start`, and a row whose ascent direction
+    (C V)_l is zero keeps its value.  Each step multiplies by H and H^H
+    and certifies through one N x N eigenvalue per channel
+    (`_top_eigenvalues`, `_shift`).  The solve runs on H 2^-j
+    (`_unit_scale`) and scales objective and gap back by 4^j.  Raises
+    ValueError unless the channels are a finite, non-empty D x N x L
+    stack and diag_value is finite and > 0.
+    """
+    h = np.asarray(channels, dtype=np.complex128)
+    if h.ndim != 3 or h.size == 0:
+        raise ValueError(f"channels must be a non-empty D x N x L stack, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("channel entries must be finite")
     if not 0.0 < diag_value < math.inf:
         raise ValueError("diag_value must be finite and > 0")
-    h, j = _unit_scale(h)
-    hh = h.conj().T
-    c = hh @ h
+    h, scales = _unit_scale(h)
     d = diag_value
-    size = h.shape[1]
-    rank = min(size, math.ceil(math.sqrt(2 * size)))
-
-    v = hermitian_eig(c).eigenvectors[:, -rank:].copy()
-    v[~v.any(axis=1), 0] = 1.0
-    v *= (math.sqrt(d) / np.linalg.norm(v, axis=1))[:, None]
-
-    c_norm = float(np.linalg.norm(c))
+    count, n, size = h.shape
+    v = _start(h, d)
+    hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
     tol = max(_GAP_TOL, 4.0 * size * _EPS)
-    converged = False
+    margin = _margin(n, size)
+    # +inf on the zero columns of H, which the certificate's min and max
+    # over l skip (0 everywhere when H = 0, which any mu >= 0 certifies)
+    support = h.any(axis=1)
+    skip = np.where(support | ~support.any(axis=1)[:, np.newaxis], 0.0, np.inf)
+    live = list(range(count))
+    solutions: list = [None] * count
     for iterations in range(_MAX_ITER + 1):
-        cv = hh @ (h @ v)
-        y = (v.conj() * cv).sum(axis=1).real / d
-        objective = d * float(y.sum())
-        scale = max(abs(objective), d)
-        bound = tol * scale
-        allowance = 2.0 * size * _EPS * scale
-        # The rule stops only if lambda_min(Diag(y) - C) >= -t with t =
-        # (bound - allowance) / (d L).  The screen asks whether Diag(y) - C
-        # + s I is positive definite, s = 2t + L eps (||y||_2 + ||C||_F) (a
-        # rounding allowance below Higham's Cholesky bound); at L = 2 to 128
-        # a failed screen meant the step could not stop, and a wrong failure
-        # only delays the stop, since the rule and gap use the exact lambda_min.
-        t = (bound - allowance) / (d * size)
-        s = 2.0 * t + size * _EPS * (math.sqrt(float(y @ y)) + c_norm)
-        if iterations == _MAX_ITER or _positive_definite(y + s, h, hh):
-            gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - c)[0]))
-            gap += allowance
-            if gap <= bound:
-                converged = True
+        final = iterations == _MAX_ITER
+        cv, y = _products(h, hh, v, d)
+        objectives = [d * total for total in y.sum(axis=1).tolist()]
+        terms = [_stop_terms(objective, d, size, tol) for objective in objectives]
+        lows = (y + skip).min(axis=1).tolist()
+        shifts = [t + max(0.0, -2.0 * low) for (_, _, t), low in zip(terms, lows)]
+        lams = _top_eigenvalues(y, shifts, h, hh, margin)
+        stopped = []
+        for k, ((bound, allowance, _), low, s, lam) in enumerate(zip(terms, lows, shifts, lams)):
+            # with lam > 1 every certified mu exceeds s >= t: no stop
+            if lam > 1.0 and not final:
+                continue
+            y_ref = low if lam <= 1.0 else float((y[k] - skip[k]).max())
+            gap = d * size * _shift(y_ref, s, lam) + allowance
+            if gap <= bound or final:
+                stopped.append(k)
+                solutions[live[k]] = SdpSolution(
+                    factor=v[k].copy(),
+                    objective=float(np.ldexp(objectives[k], 2 * scales[live[k]])),
+                    iterations=iterations,
+                    converged=gap <= bound,
+                    gap=float(np.ldexp(gap, 2 * scales[live[k]])),
+                )
+        if stopped:
+            if len(stopped) == len(live):
                 break
-            if iterations == _MAX_ITER:
-                break
-        norms = np.linalg.norm(cv, axis=1)
-        moving = norms > 0.0
-        v[moving] = cv[moving] * (math.sqrt(d) / norms[moving])[:, None]
-
-    return SdpSolution(
-        factor=v,
-        objective=float(np.ldexp(objective, 2 * j)),
-        iterations=iterations,
-        converged=converged,
-        gap=float(np.ldexp(gap, 2 * j)),
-    )
+            keep = np.ones(len(live), dtype=bool)
+            keep[stopped] = False
+            live = [item for item, kept in zip(live, keep) if kept]
+            h, hh, v, cv, skip = h[keep], hh[keep], v[keep], cv[keep], skip[keep]
+        v = _ascend(v, cv, d)
+    return solutions
 
 
-def _unit_scale(h: np.ndarray) -> tuple[np.ndarray, int]:
-    """(H 2^-j, j) for the j that puts the largest real or imaginary part
-    of a complex128 H in [1, 2); j = 0 for H = 0.  Exact unless an entry
-    falls below the normal range."""
+def _products(h, hh, v, d):
+    """(C V, y) for a stack: C V = H^H (H V) and
+    y_l = Re<v_l, (C V)_l> / d."""
+    cv = hh @ (h @ v)
+    return cv, (v.view(np.float64) * cv.view(np.float64)).sum(axis=2) / d
+
+
+def _ascend(v, cv, d):
+    """The ascent step: row l of V becomes sqrt(d) (C V)_l / ||(C V)_l||;
+    a row with (C V)_l = 0 keeps its value."""
+    parts = cv.view(np.float64)
+    norms = np.sqrt((parts * parts).sum(axis=2))
+    if norms.all():
+        return cv * (math.sqrt(d) / norms)[:, :, np.newaxis]
+    moving = norms > 0.0
+    v = v.copy()
+    v[moving] = cv[moving] * (math.sqrt(d) / norms[moving])[:, np.newaxis]
+    return v
+
+
+def _stop_terms(objective, d, size, tol):
+    """(bound, allowance, t) of one step: the gap at which it stops, the
+    gap's rounding allowance and the largest mu at which it can stop."""
+    scale = max(abs(objective), d)
+    bound = tol * scale
+    allowance = 2.0 * size * _EPS * scale
+    return bound, allowance, (bound - allowance) / (d * size)
+
+
+def _unit_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H 2^-j, j) for each channel of a complex128 stack (D, N, L), with
+    the j that puts its largest real or imaginary part in [1, 2); j = 0
+    for H = 0.  Exact unless an entry falls below the normal range."""
     parts = np.ascontiguousarray(h).view(np.float64)
-    j = int(np.frexp(np.abs(parts).max())[1]) - 1 if parts.any() else 0
-    return np.ldexp(parts, -j).view(np.complex128), j
+    peak = np.abs(parts).max(axis=(1, 2))
+    j = np.where(peak > 0.0, np.frexp(peak)[1] - 1, 0)
+    return np.ldexp(parts, -j[:, np.newaxis, np.newaxis]).view(np.complex128), j
 
 
-def _positive_definite(w: np.ndarray, h: np.ndarray, hh: np.ndarray) -> bool:
-    """Whether Diag(w) - H^H H is numerically positive definite, through
-    its Schur complement: it is exactly when w > 0 and Cholesky factors
-    the N x N I - H Diag(w)^-1 H^H."""
-    if not (w > 0.0).all():
-        return False
-    try:
-        np.linalg.cholesky(np.eye(len(h)) - (h / w) @ hh)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _start(h: np.ndarray, d: float) -> np.ndarray:
+    """The ascent's start for each channel of a stack (D, N, L): the
+    right singular vectors of H, top first, then the leading unit
+    vectors, orthonormalized by a QR factorization; the first r columns,
+    each row scaled to norm sqrt(d) (an all-zero row takes the first unit
+    vector).  The right singular vectors are H^H u_i / sigma_i for the
+    eigenvectors u_i of the N x N H H^H, left unnormalized for the QR to
+    normalize (one with sigma_i = 0 is a zero column, which the QR
+    replaces); their span is that of C's top eigenvectors."""
+    count, _, size = h.shape
+    rank = min(size, math.ceil(math.sqrt(2 * size)))
+    hh = h.conj().transpose(0, 2, 1)
+    right = hh @ np.linalg.eigh(h @ hh)[1][:, :, ::-1]
+    units = np.broadcast_to(np.eye(size, rank, dtype=np.complex128), (count, size, rank))
+    v = np.ascontiguousarray(np.linalg.qr(np.concatenate([right, units], axis=2)[:, :, :rank])[0])
+    v[~v.any(axis=2), 0] = 1.0
+    v *= (math.sqrt(d) / np.linalg.norm(v, axis=2))[:, :, np.newaxis]
+    return v
+
+
+def _margin(n: int, size: int) -> tuple[float, float, int]:
+    """(norm_coef, trace_coef, width): the rounding margin of the
+    certificate's eigenvalue for N x L channels is
+    norm_coef ||M'||_2 + trace_coef tr M', with the sum over l run in
+    blocks of `width` columns.
+
+    The step computes W = fl(y + s), A = fl(H / W) and M' = A H^H as the
+    sum over nb blocks of b <= _BLOCK columns, each block a complex matrix
+    product (any summation order, no 3M or Strassen scheme), then the top
+    eigenvalue of M' by LAPACK.  With M = H Diag(W)^-1 H^H and
+    S_ij = sum_l |h_il| |h_jl| / w_l:
+      - A's division rounds each part once: |dM| <= eps S;
+      - each part of a block's entry is a real dot product of 2b terms
+        whose absolute values sum to at most sum_l |a_il| |h_jl|:
+        |dM| <= sqrt(2) gamma_2b S (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., eq. 3.5; gamma_k = k eps/(1 - k eps));
+      - the nb block results, summed in any order:
+        |dM| <= sqrt(2) gamma_(nb-1) S;
+      - W = (y + s)(1 + e), |e| <= eps, scales lambda_max by at most 1 + eps.
+    S_ij <= sqrt(M_ii M_jj) (Cauchy-Schwarz), so ||S||_2 <= tr M and
+    ||M' - M||_2 <= eps (2 + 1.5 (2b + nb - 1)) tr M; 1.5 > sqrt(2) covers
+    the gamma denominators and second-order terms while (2b + nb) eps <
+    1e-3.  The eigensolver's backward error is taken as 4 N^2 eps ||M'||_2,
+    the gamma_(cN^2) form of Householder tridiagonalization (Higham,
+    section 19.3) with c = 4.  The factor 1.01 covers tr M against tr M'
+    and ||M'||_2 against its computed value.
+    """
+    width = min(size, _BLOCK)
+    blocks = -(-size // width)
+    norm_coef = 1.01 * _EPS * 4.0 * n * n
+    trace_coef = 1.01 * _EPS * (2.0 + 1.5 * (2 * width + blocks - 1))
+    return norm_coef, trace_coef, width
+
+
+def _top_eigenvalues(y, shifts, h, hh, margin) -> list[float]:
+    """For each channel of the stack, an upper bound on
+    lambda_max(H Diag(y + s)^-1 H^H) with s its shift: the top eigenvalue
+    of the computed N x N matrix M', summed over blocks of `width`
+    columns, raised by the rounding margin of `_margin` (with the sum of
+    the eigenvalues' magnitudes for tr M' and the largest for ||M'||_2)."""
+    norm_coef, trace_coef, width = margin
+    a = h / (y + np.array(shifts)[:, np.newaxis])[:, np.newaxis, :]
+    m = a[:, :, :width] @ hh[:, :width]
+    for start in range(width, a.shape[2], width):
+        m += a[:, :, start : start + width] @ hh[:, start : start + width]
+    tops = []
+    for eig in np.linalg.eigvalsh(m).tolist():
+        magnitudes = [abs(value) for value in eig]
+        tops.append(eig[-1] + norm_coef * max(magnitudes) + trace_coef * sum(magnitudes))
+    return tops
+
+
+def _shift(y_ref: float, s: float, lam: float) -> float:
+    """The certified mu = y_ref (lam - 1) + s lam, for y_ref the smallest
+    y_l on H's nonzero columns if lam <= 1 and the largest if not, raised
+    past its own rounding (four operations, each within eps of its
+    result, so within 4 eps (|first| + |second|) in all to first order)
+    and clipped at 0."""
+    first = y_ref * (lam - 1.0)
+    second = s * lam
+    return max(0.0, first + second + 4.0 * _EPS * (abs(first) + abs(second)))
 
 
 def extract_phases(solution: SdpSolution) -> np.ndarray:
@@ -193,12 +322,27 @@ def extract_phases(solution: SdpSolution) -> np.ndarray:
     (rank-one rounding); zero components round to phase 0.
 
     That eigenvector is V w / ||V w|| for w the top eigenvector of the
-    r x r Gram V^H V, so only the Gram is decomposed; V w is put in the
-    canonical phase of `numerics` before its entries are normalized."""
+    r x r Gram V^H V, so only the Gram is decomposed; `_unit_phases`
+    fixes its global phase."""
     v = solution.factor
-    v = canonical_phase(v @ np.linalg.eigh(v.conj().T @ v)[1][:, -1])
-    mags = np.abs(v)
-    out = np.ones_like(v)
+    return _unit_phases(v @ np.linalg.eigh(v.conj().T @ v)[1][:, -1])
+
+
+def _unit_phases(top: np.ndarray) -> np.ndarray:
+    """top / |top| entrywise (1 where top is 0), rotated by one unit
+    scalar so that its pivot is exactly 1.  The pivot is the lowest index
+    whose magnitude is within _PIVOT_RTOL of the largest, not the largest
+    itself: where the relaxation is tight every entry has magnitude
+    1/sqrt(L) to rounding, and a last-bit change would move an argmax."""
+    mags = np.abs(top)
+    out = np.ones_like(top)
+    if not mags.any():
+        return out
+    pivot = int(np.argmax(mags >= (1.0 - _PIVOT_RTOL) * mags.max()))
+    p = complex(top[pivot])
+    top = top * (p.conjugate() / abs(p))
+    top.imag[pivot] = 0.0
+    mags = np.abs(top)
     nz = mags > 0.0
-    out[nz] = v[nz] / mags[nz]
+    out[nz] = top[nz] / mags[nz]
     return out

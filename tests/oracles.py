@@ -24,9 +24,10 @@ None of these is used by `macdet` itself:
   bound that the SDR phase design is compared against; the package
   certifies its SDP by the dual gap instead.
 * `solve_sdp_eigen_stop` is the Burer-Monteiro ascent with the exact
-  dual certificate (an eigen-solve) at every step; `sdr.solve_sdp`
-  screens the steps with a shifted N x N Cholesky of the Schur
-  complement and must return the same solution bit for bit.
+  dual certificate (an eigen-solve of the L x L Diag(y) - C) at every
+  step; `sdr.solve_sdp` certifies each step through one N x N eigenvalue
+  of the Schur complement and a rounding margin, so it must stop at the
+  same step or a little later, with a gap no smaller.
 * `extract_phases_dense` rounds an SDP solution through the top
   eigenvector of the L x L matrix V V^H; `sdr.extract_phases` takes it
   from the r x r Gram V^H V instead.
@@ -327,60 +328,49 @@ def phase_optimum(channel, diag_value: float) -> tuple[float, np.ndarray]:
     return diag_value * float(values[best]), math.sqrt(diag_value) * alpha[:, best]
 
 
-def solve_sdp_eigen_stop(channel, diag_value: float) -> SdpSolution:
-    """`sdr.solve_sdp` with the dual certificate's lambda_min computed by
-    an eigen-solve at every ascent step: the same start, steps and stop
-    rule, on the same scaled channel, reading `sdr._GAP_TOL` and
-    `sdr._MAX_ITER` at call time."""
-    h, j = sdr._unit_scale(np.asarray(channel, dtype=np.complex128))
-    hh = h.conj().T
-    c = hh @ h
+def solve_sdp_eigen_stop(channel, diag_value: float, steps: int | None = None) -> SdpSolution:
+    """`sdr.solve_sdp`'s ascent, from its start (`sdr._start`) and with
+    its steps, on the same scaled channel, certified at every step by the
+    exact dual certificate: gap = d L max(0, -lambda_min(Diag(y) - C))
+    plus the same rounding allowance, from an eigen-solve of the L x L
+    Diag(y) - C, and the same stop rule and tolerance.  Reads
+    `sdr._GAP_TOL` and `sdr._MAX_ITER` at call time.  With `steps`, runs
+    exactly that many steps, whatever the certificate says, and reports
+    the exact gap there."""
+    h, j = sdr._unit_scale(np.asarray(channel, dtype=np.complex128)[np.newaxis])
+    hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
+    c = hh[0] @ h[0]
     d = diag_value
-    size = h.shape[1]
-    rank = min(size, math.ceil(math.sqrt(2 * size)))
-
-    v = hermitian_eig(c).eigenvectors[:, -rank:].copy()
-    v[~v.any(axis=1), 0] = 1.0
-    v *= (math.sqrt(d) / np.linalg.norm(v, axis=1))[:, None]
-
+    size = h.shape[2]
+    v = sdr._start(h, d)
     tol = max(sdr._GAP_TOL, 4.0 * size * sdr._EPS)
-    converged = False
-    for iterations in range(sdr._MAX_ITER + 1):
-        cv = hh @ (h @ v)
-        y = (v.conj() * cv).sum(axis=1).real / d
-        objective = d * float(y.sum())
-        scale = max(abs(objective), d)
-        gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - c)[0]))
-        gap += 2.0 * size * sdr._EPS * scale
-        if gap <= tol * scale:
-            converged = True
+    last = sdr._MAX_ITER if steps is None else steps
+    for iterations in range(last + 1):
+        cv, y = sdr._products(h, hh, v, d)
+        objective = d * y.sum(axis=1).tolist()[0]
+        bound, allowance, _ = sdr._stop_terms(objective, d, size, tol)
+        gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y[0]) - c)[0]))
+        gap += allowance
+        converged = gap <= bound
+        if (converged and steps is None) or iterations == last:
             break
-        if iterations == sdr._MAX_ITER:
-            break
-        norms = np.linalg.norm(cv, axis=1)
-        moving = norms > 0.0
-        v[moving] = cv[moving] * (math.sqrt(d) / norms[moving])[:, None]
+        v = sdr._ascend(v, cv, d)
 
     return SdpSolution(
-        factor=v,
-        objective=float(np.ldexp(objective, 2 * j)),
+        factor=v[0],
+        objective=float(np.ldexp(objective, 2 * j[0])),
         iterations=iterations,
         converged=converged,
-        gap=float(np.ldexp(gap, 2 * j)),
+        gap=float(np.ldexp(gap, 2 * j[0])),
     )
 
 
 def extract_phases_dense(solution: SdpSolution) -> np.ndarray:
     """Rank-one rounding through the L x L matrix: the top eigenvector of
-    X = V V^H (symmetrized, in the canonical phase of `hermitian_eig`),
-    normalized entrywise; zero components round to phase 0.
+    X = V V^H (symmetrized), normalized entrywise with the global phase
+    of `sdr._unit_phases`; zero components round to phase 0.
     `sdr.extract_phases` decomposes only the r x r Gram V^H V and must
     agree with it to rounding."""
     v = solution.factor
     x = v @ v.conj().T
-    top = hermitian_eig((x + x.conj().T) / 2.0).eigenvectors[:, -1]
-    mags = np.abs(top)
-    out = np.ones_like(top)
-    nz = mags > 0.0
-    out[nz] = top[nz] / mags[nz]
-    return out
+    return sdr._unit_phases(hermitian_eig((x + x.conj().T) / 2.0).eigenvectors[:, -1])

@@ -1,8 +1,9 @@
 """What `bench/` relies on in the package, checked without running the
 benchmark: the fig9-sdr correctness check, which compares the printed
 hybrid rows bit for bit with finite_exponent of method1 and method2
-called one channel at a time, and the functions `--trace 1` wraps by
-name.  The bench modules are loaded read-only from their files."""
+called one channel at a time, alone and with the tracer installed, and
+the functions `--trace 1` wraps by name.  The bench modules are loaded
+read-only from their files."""
 
 import importlib
 import importlib.util
@@ -38,6 +39,28 @@ def test_fig9_check_passes_at_bench_sizing():
     rows, code = cli.run(cli.parse_config(workload.config(seed), "figure"))
     assert code == 0
     text = cli.rows_to_csv(rows)
+    reference = workloads.fig9_reference(seed, workload.sizing)
+    assert workloads.check_fig9(text, workload.sizing, reference) == []
+
+
+def test_fig9_check_passes_under_the_tracer():
+    # `bench/run.py --trace 1` runs the workloads with every traced
+    # function wrapped, and a wrapper's counter reads the call's return
+    # value (SdpSolution.iterations for solve_sdp): a call site whose
+    # return value the counter cannot read raises out of the run here
+    workload = workloads.WORKLOADS["fig9-sdr"]
+    seed = 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rows, code = cli.run(cli.parse_config(workload.config(seed), "figure"))
+        text = cli.rows_to_csv(rows)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    summary = tracer.summary()
+    assert summary["spans"]["cli.run"]["calls"] == 1
+    assert summary["counts"]["allocation.calibrate_crossover.gap_evals"] > 0
     reference = workloads.fig9_reference(seed, workload.sizing)
     assert workloads.check_fig9(text, workload.sizing, reference) == []
 

@@ -28,12 +28,12 @@ from macdet.exponents import (
     gain_nocsis,
 )
 from macdet.model import ChannelModel
-from macdet.sdr import extract_phases, solve_sdp
+from macdet.sdr import extract_phases, solve_sdp, solve_sdps
 
 
-def _stalled_solve(channel, diag_value):
-    # a real solve reported as uncertified
-    return dataclasses.replace(solve_sdp(channel, diag_value), converged=False)
+def _stalled_solves(channels, diag_value):
+    # real solves, each reported as uncertified
+    return [dataclasses.replace(s, converged=False) for s in solve_sdps(channels, diag_value)]
 
 
 def parse(raw, experiment="exponent-sweep"):
@@ -1034,7 +1034,7 @@ class TestSdrCompareExperiment:
             assert (row.value, row.ci95) == cli._mean_ci(per_channel)
 
     def test_nonconvergence_marks_rows_and_exit_3(self, monkeypatch):
-        monkeypatch.setattr(cli, "solve_sdp", _stalled_solve)
+        monkeypatch.setattr(cli, "solve_sdps", _stalled_solves)
         rows, code = cli.run(self.config())
         assert code == 3
         sdr_rows = [r for r in rows if r.series.startswith("sdr_phase")]
@@ -1044,7 +1044,7 @@ class TestSdrCompareExperiment:
         assert all(math.isfinite(r.value) for r in hybrid_rows)
 
     def test_nonconvergence_exit_code_through_main(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "solve_sdp", _stalled_solve)
+        monkeypatch.setattr(cli, "solve_sdps", _stalled_solves)
         raw = {
             "channel": "ricean",
             "ricean_k": 1.0,
@@ -1063,7 +1063,7 @@ class TestSdrCompareExperiment:
     def test_nonconvergence_reasons_on_stderr(self, tmp_path, monkeypatch, capsys):
         # one stderr line per uncertified draw; stdout carries the CSV
         # alone, at its pinned digest
-        monkeypatch.setattr(cli, "solve_sdp", _stalled_solve)
+        monkeypatch.setattr(cli, "solve_sdps", _stalled_solves)
         raw = {
             "channel": "ricean",
             "ricean_k": 1.0,

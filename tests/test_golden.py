@@ -64,7 +64,7 @@ GOLDEN = {
     8: ({"channel_draws": 2},
         "42b7703c3d4a58338fc06a57f6e55b725d3c0af3332203fc76066badf0ce75e9"),
     9: ({"channel_draws": 1},
-        "d49518db16b8671d00944d7eec2a9b9e902a8693c820847f3129783cc8c90d14"),
+        "f4a69e66ca9510581f64f823e369dccb7f8eda567ba22c274a5b67c76c7556b8"),
 }
 
 
@@ -118,13 +118,13 @@ EXPERIMENTS = {
         "sdr-compare",
         {**RICEAN, "num_antennas": 3, "num_sensors": 8, "gamma_s": 2.0, "gamma_c": 10.0,
          "channel_draws": 2},
-        "e154a0faa61a87a217c1071269813319f4c103af151705a1048c35b988bd1a7e",
+        "c85fb28cc41f826ed44ca31eae4f846ecbd2e521b3e3823c3b04dad75147eb20",
     ),
     "sdr-compare-sweep": (
         "sdr-compare",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 8, "gamma_c": 10.0,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "aca506369a942ab72a034334851a28844dfa410500ebef9a2c0abced90245d25",
+        "c6ec297fc849f8d85c6e06b68288ea4c369413e69172066dd4f66470c1681ffc",
     ),
     "exponent-sweep-gamma_s": (
         "exponent-sweep",
