@@ -6,8 +6,6 @@ few hundred sensors; the zero-mean Rayleigh channel keeps decaying, the
 signature of its sub-exponential error probability.
 """
 
-import numpy as np
-
 from macdet.detection import empirical_exponent
 from macdet.model import ChannelModel, NetworkParams, RandomSource
 

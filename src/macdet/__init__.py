@@ -7,8 +7,9 @@ Submodules:
 * model       network parameters, channel/noise models, seeded sampling
 * numerics    Hermitian linear algebra, Q function, scaled exponential integral
 * exponents   closed-form error exponents, gains, and asymptotic bounds
-* allocation  transmit-gain strategies, the quadratic form v^H R^-1 v behind
-              both the finite-network exponent and the detector
+* forms       the quadratic form v^H R^-1 v behind the finite-network
+              exponent, the conditional Pe and the detector weights
+* allocation  transmit-gain strategies and the finite-network exponent
 * sdr         diagonally-constrained SDP relaxation (certified
               Burer-Monteiro solve) and rounding
 * detection   conditional and Monte Carlo error probability of the LRT,

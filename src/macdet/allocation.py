@@ -16,8 +16,8 @@ Any (channel, gains) pair is scored by the statistic
 whose large-L limits are the closed forms in `exponents`.  Sensing noise
 is iid CN(0, sigma_eta_sq) with the network's sigma_eta_sq when no model
 is given (noise=None), so R_eta = sigma_eta_sq I, and a SensingNoiseModel's
-covariance R_eta otherwise; either way the statistic goes through one
-batched core (_forms).  Gains are computed centrally from known channel
+covariance R_eta otherwise; either way the statistic goes through the
+batched core of `forms`.  Gains are computed centrally from known channel
 state; feedback to the sensors is modeled as noiseless.
 """
 
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelMatrix, NetworkParams, SensingNoiseModel
+from .forms import checked_channel, exponent_statistic, item, shaped
+from .model import NetworkParams, SensingNoiseModel
 from .numerics import canonical_phase, hermitian_eig
 from .sdr import SdpNonConvergence, extract_phases, solve_sdp
 
@@ -36,16 +37,12 @@ __all__ = [
     "GainVector",
     "NoCrossoverError",
     "received_covariance",
-    "quadratic_form",
     "finite_exponent",
-    "finite_exponents",
     "alpha_uniform",
     "alpha_opt_n1",
     "alpha_phase_only_n1",
     "method1",
     "method2",
-    "method2_direction",
-    "method_exponents",
     "calibrate_crossover",
     "scheme_sweep",
     "alpha_sdr_phase",
@@ -77,6 +74,8 @@ class GainVector:
         v = np.array(self.values, dtype=np.complex128)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a non-empty vector")
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
         if not (math.isfinite(self.budget) and self.budget > 0.0):
             raise ValueError("budget must be a positive finite real")
         power = float(np.sum(np.abs(v) ** 2))
@@ -102,37 +101,6 @@ class NoCrossoverError(RuntimeError):
         self.dominant = dominant
 
 
-def _entries(channel) -> np.ndarray:
-    if isinstance(channel, ChannelMatrix):
-        return channel.entries
-    h = np.asarray(channel, dtype=np.complex128)
-    if h.ndim != 2:
-        raise ValueError("channel must be a matrix of shape (N, L)")
-    return h
-
-
-def _sensing(params: NetworkParams, noise: SensingNoiseModel | None):
-    # the core's sensing argument: sigma_eta_sq under iid sensing noise
-    # (noise=None), the Cholesky factor S of R_eta under correlated noise
-    return params.sigma_eta_sq if noise is None else noise.scale_factor(params.num_sensors)
-
-
-def _shaped(what: str, x: np.ndarray, *shape: int) -> np.ndarray:
-    # x itself, once its shape is checked against the network's
-    if x.shape != shape:
-        raise ValueError(f"{what} shape {x.shape} does not match {shape}")
-    return x
-
-
-def _item(channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None):
-    """The start of every single-item entry point: the channel entries h
-    (N, L) and gains a (L,) checked against params, and the core's
-    sensing argument for (params, noise)."""
-    h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
-    a = alpha.values if isinstance(alpha, GainVector) else np.asarray(alpha, dtype=np.complex128)
-    return h, _shaped("gain", a, params.num_sensors), _sensing(params, noise)
-
-
 def received_covariance(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> np.ndarray:
@@ -140,7 +108,7 @@ def received_covariance(
     array output, with R_eta = sigma_eta_sq I under iid sensing noise
     (noise=None).  A diagonal model R_eta = sigma_eta_sq I reproduces the
     iid result bit-for-bit (its Cholesky factor is exactly diagonal)."""
-    h, a, sensing = _item(channel, alpha, params, noise)
+    h, a, sensing = item(channel, alpha, params, noise)
     b = h * a[np.newaxis, :]
     bs = b @ sensing if isinstance(sensing, np.ndarray) else b * math.sqrt(sensing)
     r = bs @ bs.conj().T
@@ -148,125 +116,13 @@ def received_covariance(
     return r
 
 
-def _forms(h, a, sensing, sigma_nu_sq: float, solve: bool = False):
-    """q = v^H R^-1 v with v = H a and R = H D(a) S S^H D(a)^H H^H +
-    sigma_nu_sq I, for channels (..., N, L) broadcast against gains
-    (..., L) and the sensing argument of _sensing: the complex factor S,
-    or sigma_eta_sq (S = sqrt(sigma_eta_sq) I) as a float or as a real
-    array broadcast against the batch, one power per item.  Returns
-    (v, q), or (v, R^-1 v, q) when `solve`.
-
-    R = sigma_nu_sq (B B^H + I) with B = H D(a) S / sqrt(sigma_nu_sq),
-    or sqrt(sigma_eta_sq / sigma_nu_sq) H D(a) under iid noise.  The
-    Cholesky factor of [[B B^H + I, v], [v^H, c]] holds y = L^-1 v in its
-    last row, so q = |y|^2 / sigma_nu_sq with no solve (c = 2|v|^2 + 1 >
-    |y|^2 keeps it positive definite); R^-1 v is one back substitution,
-    L^-H y / sigma_nu_sq.  Every step runs item by item (per-item
-    BLAS/LAPACK calls, elementwise along rows), so an item gets the same
-    bits in any batch.  Where B B^H overflows, or swallows the identity
-    so that Cholesky fails, _spectral_form answers exactly.
-    """
-    n = h.shape[-2]
-    iid = not (isinstance(sensing, np.ndarray) and sensing.dtype.kind == "c")
-    per_item = getattr(sensing, "shape", ()) if iid else ()
-    batch = np.broadcast_shapes(h.shape[:-2], a.shape[:-1], per_item)
-    m = np.empty(batch + (n + 1, n + 1), np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if iid:
-            scale = np.sqrt(sensing / sigma_nu_sq)[..., np.newaxis]
-            b = h * (a * scale)[..., np.newaxis, :]
-        else:
-            b = (h * a[..., np.newaxis, :]) @ (sensing / math.sqrt(sigma_nu_sq))
-        np.matmul(b, b.conj().swapaxes(-1, -2), out=m[..., :n, :n])
-        m.reshape(m.shape[:-2] + (-1,))[..., : n * (n + 2) : n + 2] += 1.0
-        v = np.matmul(h, a[..., np.newaxis], out=m[..., :n, n:])[..., 0]
-        m[..., n, :n] = v.conj()
-        m[..., n, n] = 2.0 * np.sum(v.real**2 + v.imag**2, axis=-1) + 1.0
-    try:
-        factor = np.linalg.cholesky(m) if np.isfinite(m).all() else None
-    except np.linalg.LinAlgError:
-        factor = None
-    if factor is None:
-        if m.ndim == 2:
-            return _spectral_form(h, a, sensing, sigma_nu_sq, solve)
-        # item by item, so that each keeps the bits it gets alone
-        hs = np.broadcast_to(h, batch + h.shape[-2:]).reshape((-1,) + h.shape[-2:])
-        gains = np.broadcast_to(a, batch + a.shape[-1:]).reshape(-1, a.shape[-1])
-        sensings = np.broadcast_to(sensing, batch).reshape(-1) if iid else [sensing] * len(hs)
-        items = [_forms(*item, sigma_nu_sq, solve) for item in zip(hs, gains, sensings)]
-        return tuple(np.reshape(part, batch + np.shape(part[0])) for part in zip(*items))
-    y = factor[..., n, :n].conj()
-    q = np.sum(y.real**2 + y.imag**2, axis=-1) / sigma_nu_sq
-    if not solve:
-        return v, q
-    # L^H is upper triangular, so LU with partial pivoting leaves it
-    # unchanged and the solve is one back substitution, run item by item
-    upper = factor[..., :n, :n].conj().swapaxes(-1, -2)
-    w = np.linalg.solve(upper, y[..., np.newaxis])[..., 0]
-    return v, w / sigma_nu_sq, q
-
-
-def _spectral_form(h, a, sensing, sigma_nu_sq, solve):
-    """_forms for one item in the normalized spectral form: with p =
-    |a|^2, u = a / sqrt(p), s = |S|_max (s^2 = sigma_eta_sq when iid) and
-    B = H D(u) S / s = U diag(lambda)^(1/2) V^H, q = sum_i z_i / (s^2
-    lambda_i + sigma_nu_sq / p), z = |U^H H u|^2, a form that neither
-    overflows nor loses the sigma_nu_sq term.  H u lies in the range of B,
-    and terms with lambda_i <= L eps lambda_max are rounding."""
-    p = float(np.sum(a.real**2 + a.imag**2))
-    u = a / math.sqrt(p)
-    b = h * u
-    if np.iscomplexobj(sensing):
-        top = float(np.abs(sensing).max())
-        b, sensing = b @ (sensing / top), top * top
-    lam, vecs = np.linalg.eigh(b @ b.conj().T)
-    keep = lam > h.shape[1] * np.finfo(float).eps * lam[-1]
-    c = vecs[:, keep].conj().T @ (h @ u)
-    k = 1.0 / (sensing * lam[keep] + sigma_nu_sq / p)
-    q = np.sum((c.real**2 + c.imag**2) * k)
-    return (h @ a, vecs[:, keep] @ (k * c) / math.sqrt(p), q) if solve else (h @ a, q)
-
-
-def quadratic_form(
-    channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The matched-filter quantities (v, R^{-1} v, q) with v = H alpha and
-    q = v^H R^{-1} v, shared by the exponent statistic and the detector,
-    from the core of finite_exponents, under iid (noise=None) or
-    correlated sensing noise.
-    The covariance is never formed or inverted."""
-    h, a, sensing = _item(channel, alpha, params, noise)
-    v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
-    return v, w, float(q)
-
-
 def finite_exponent(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
-    """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha, with
-    the quadratic form of quadratic_form (without R^{-1} v)."""
-    return float(_exponents(*_item(channel, alpha, params, noise), params))
-
-
-def finite_exponents(
-    channels, alphas, params: NetworkParams, noise: SensingNoiseModel | None = None
-) -> np.ndarray:
-    """finite_exponent for a batch: channels (N, L) or (..., N, L)
-    broadcast against gains (..., L), each item with the bits
-    finite_exponent gives it alone."""
-    h = np.asarray(channels, dtype=np.complex128)
-    a = np.asarray(alphas, dtype=np.complex128)
-    dims = (params.num_antennas, params.num_sensors)
-    if h.shape[-2:] != dims or a.shape[-1:] != dims[1:]:
-        raise ValueError(f"channels {h.shape} and gains {a.shape} do not match {dims}")
-    return _exponents(h, a, _sensing(params, noise), params)
-
-
-def _exponents(h, a, sensing, params: NetworkParams) -> np.ndarray:
-    # the exponent statistic of _forms' items, whose sensing argument may
-    # give each item its own sigma_eta_sq
-    q = _forms(h, a, sensing, params.sigma_nu_sq)[1]
-    return params.theta**2 * q / (8.0 * params.num_sensors)
+    """Exponent statistic (theta^2/(8L)) alpha^H H^H R^{-1} H alpha of one
+    (channel, gains) pair: forms.exponent_statistic of the one item."""
+    h, a, sensing = item(channel, alpha, params, noise)
+    return float(exponent_statistic(h, a, params, sensing))
 
 
 def alpha_uniform(params: NetworkParams) -> GainVector:
@@ -286,7 +142,7 @@ def _opt_n1_values(h_row, power, budget, sigma_eta_sq, sigma_nu_sq: float) -> np
     # budget and sigma_eta_sq (floats, or arrays taken elementwise that
     # broadcast against the rows' batch).  The magnitudes are rescaled by their largest entry
     # before sum w^2, which then cannot underflow, and normalized as
-    # method2_direction normalizes its direction, so equal directions
+    # _method2_direction normalizes its direction, so equal directions
     # give equal gains.
     p, s = (np.asarray(x)[..., np.newaxis] for x in (budget, sigma_eta_sq))
     w = np.sqrt(power) / (s * p * power + sigma_nu_sq)
@@ -303,7 +159,7 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
     |h_l| / (sigma_eta_sq P |h_l|^2 + sigma_nu_sq) scaled to spend P,
     phases conjugate to the channel."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    _shaped("channel row", h, params.num_sensors)
+    shaped("channel row", h, params.num_sensors)
     p = params.gain_budget
     values = _opt_n1_values(h, _power(h), p, params.sigma_eta_sq, params.sigma_nu_sq)
     return GainVector(values=values, budget=p)
@@ -312,7 +168,7 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
 def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
     """Equal magnitudes sqrt(P/L) with channel-conjugate phases."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    _shaped("channel row", h, params.num_sensors)
+    shaped("channel row", h, params.num_sensors)
     p = params.gain_budget
     values = math.sqrt(p / params.num_sensors) * np.exp(-1j * np.angle(h))
     return GainVector(values=values, budget=p)
@@ -338,13 +194,13 @@ def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     (theta^2/(8L)) sum_l 1/(sigma_eta_sq + sigma_nu_sq/(P |h_nl|^2))
     and applies the single-antenna optimal gains to its row.  Ties go
     to the lowest antenna index."""
-    h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
+    h = checked_channel(channel, params)
     p = params.gain_budget
     values, selected = _method1_values(h, _power(h), p, params.sigma_eta_sq, params)
     return GainVector(values=values, budget=p), int(selected)
 
 
-def method2_direction(channel) -> np.ndarray:
+def _method2_direction(h: np.ndarray) -> np.ndarray:
     """Unit top eigenvector of H^H H in the canonical phase: the
     direction method2 scales by sqrt(P).  It depends on the channel
     alone (gamma_s only moves P), so a gamma_s sweep computes it once
@@ -354,7 +210,6 @@ def method2_direction(channel) -> np.ndarray:
     normalized, as alpha_opt_n1 normalizes its magnitudes (on AWGN both
     methods give the same bits).  When H^H u is zero (an all-zero
     channel) x itself is returned."""
-    h = _entries(channel)
     small = hermitian_eig(h @ h.conj().T) if h.shape[0] < h.shape[1] else None
     if small is not None and small.eigenvalues[-1] > 0.0:
         v = h.conj().T @ small.eigenvectors[:, -1]
@@ -370,11 +225,11 @@ def method2_direction(channel) -> np.ndarray:
 def method2(channel, params: NetworkParams) -> GainVector:
     """Top-eigenvector beamforming: sqrt(P) times the unit top
     eigenvector of H^H H (the optimal direction when sensing noise is
-    absent), as given by method2_direction.  For N < L the eigenvector
+    absent), as given by _method2_direction.  For N < L the eigenvector
     is recovered from the small Gram matrix H H^H."""
-    h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
+    h = checked_channel(channel, params)
     p = params.gain_budget
-    return GainVector(values=math.sqrt(p) * method2_direction(h), budget=p)
+    return GainVector(values=math.sqrt(p) * _method2_direction(h), budget=p)
 
 
 def _method_grid(channels, directions, points) -> np.ndarray:
@@ -383,7 +238,7 @@ def _method_grid(channels, directions, points) -> np.ndarray:
     differ only in sigma_eta_sq (as params.at_gamma_s gives them): an
     array (points, channels, 2), each entry bit for bit finite_exponent
     of method1 or method2 on its channel at its point.  `directions`
-    holds each channel's method2_direction, which does not depend on
+    holds each channel's _method2_direction, which does not depend on
     gamma_s.
 
     The (point, channel) items go through the batched core in groups of
@@ -411,27 +266,14 @@ def _method_grid(channels, directions, points) -> np.ndarray:
             method1_gains = _method1_values(h, _power(h), p, s, params)[0]
             method2_gains = np.sqrt(p)[..., np.newaxis] * directions[j : j + width]
             gains = np.stack((method1_gains, method2_gains), axis=-2)
-            scored = _exponents(h[:, np.newaxis], gains, s[..., np.newaxis], params)
+            scored = exponent_statistic(h[:, np.newaxis], gains, params, s[..., np.newaxis])
             fe[i : i + span, j : j + width] = scored
     return fe
 
 
-def method_exponents(
-    channels, directions, params: NetworkParams
-) -> tuple[list[float], list[float]]:
-    """Per-channel finite exponents of method1 and method2 at one
-    operating point, bit for bit finite_exponent of method1 and method2 on
-    each channel: the one-point case of the grouped grid pass that
-    scheme_sweep scores its grid with.  `directions` holds each channel's
-    method2_direction, which does not depend on gamma_s, so a sweep
-    passes the same ones at every point."""
-    fe = _method_grid(channels, directions, [params])[0]
-    return fe[:, 0].tolist(), fe[:, 1].tolist()
-
-
 def _mean_exponent_gap(fe1: list[float], fe2: list[float]) -> float:
     """Mean method1 - method2 exponent gap over common channels, from
-    the two lists method_exponents returns at one gamma_s."""
+    the two per-channel lists of one _method_grid point."""
     return float(np.mean([a - b for a, b in zip(fe1, fe2, strict=True)]))
 
 
@@ -502,13 +344,12 @@ def scheme_sweep(channels, gamma_s_grid, params: NetworkParams):
     larger mean exponent (method1 on a tie).
     """
     channels = np.asarray(channels, dtype=np.complex128)
-    directions = np.array([method2_direction(h) for h in channels])
+    directions = np.array([_method2_direction(h) for h in channels])
 
     def gap_at(gamma_s):
         # one bisection point, scored as the one-point case of the grid pass
-        return _mean_exponent_gap(
-            *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
-        )
+        fe = _method_grid(channels, directions, [params.at_gamma_s(gamma_s)])[0]
+        return _mean_exponent_gap(fe[:, 0].tolist(), fe[:, 1].tolist())
 
     at_x = [params.at_gamma_s(x) for x in gamma_s_grid]
     grid = _method_grid(channels, directions, at_x) if at_x else []
@@ -537,7 +378,7 @@ def alpha_sdr_phase(channel, params: NetworkParams) -> GainVector:
 
     Raises SdpNonConvergence when the solver's gap is not certified.
     """
-    h = _shaped("channel", _entries(channel), params.num_antennas, params.num_sensors)
+    h = checked_channel(channel, params)
     p = params.gain_budget
     solution = solve_sdp(h, p / params.num_sensors)
     if not solution.converged:

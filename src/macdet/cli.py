@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _exponents, alpha_uniform, scheme_sweep
+from .allocation import alpha_uniform, scheme_sweep
 from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo_batch
 from .exponents import (
     SnrPoint,
@@ -44,6 +44,7 @@ from .exponents import (
     snr_from_db,
     snr_to_db,
 )
+from .forms import exponent_statistic
 from .model import (
     ChannelModel,
     NetworkParams,
@@ -530,7 +531,7 @@ def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], 
     errors = [0] * len(points)
     pes = np.empty((len(points), draws))
     for d in range(draws):
-        keys = [base._seed_sequence(("mc-channel", i, d)) for i in range(len(cfg.sweep_grid))]
+        keys = [base.seed_sequence("mc-channel", i, d) for i in range(len(cfg.sweep_grid))]
         detectors = [
             (
                 sample_channel(
@@ -620,7 +621,7 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
         budget = np.array([p.gain_budget for p in at_x])
         sigma_eta_sq = np.array([p.sigma_eta_sq for p in at_x])
         gains = np.sqrt(budget / num_sensors)[:, np.newaxis, np.newaxis] * phases
-        sdr = zip(*_mean_ci(_exponents(hs, gains, sigma_eta_sq[:, np.newaxis], params)))
+        sdr = zip(*_mean_ci(exponent_statistic(hs, gains, params, sigma_eta_sq[:, np.newaxis])))
     else:
         sdr = [(math.nan, None)] * len(grid)
     hybrid = zip(*_mean_ci([feh for _, _, feh in points]))

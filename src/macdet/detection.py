@@ -31,14 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocation import _forms, _item, _sensing, alpha_uniform
-from .model import (
-    ChannelModel,
-    NetworkParams,
-    RandomSource,
-    SensingNoiseModel,
-    sample_channel,
-)
+from .allocation import alpha_uniform
+from .forms import item, quadratic_forms, sensing_argument
+from .model import ChannelModel, NetworkParams, RandomSource, SensingNoiseModel, sample_channel
 from .numerics import log_q
 
 __all__ = [
@@ -92,15 +87,6 @@ class PeEstimate:
         return 1.96 * math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _degenerate_pe(params: NetworkParams) -> float:
-    # omega = 0: the statistic carries no signal, the rule follows tau
-    if params.tau < 0.0:
-        return params.p0
-    if params.tau > 0.0:
-        return params.p1
-    return 0.5
-
-
 def _log_pe(params: NetworkParams, theta, q):
     """log pe_conditional from the quadratic form q, elementwise over an
     array of them: p0 Q(omega + tau/omega) + p1 Q(omega - tau/omega) with
@@ -114,15 +100,16 @@ def _log_pe(params: NetworkParams, theta, q):
         math.log(params.p0) + log_q(safe + tau / safe),
         math.log(params.p1) + log_q(safe - tau / safe),
     )
-    return np.where(live, np.logaddexp(*terms), math.log(_degenerate_pe(params)))
+    # omega = 0: the statistic carries no signal, the rule follows tau
+    degenerate = params.p0 if tau < 0.0 else params.p1 if tau > 0.0 else 0.5
+    return np.where(live, np.logaddexp(*terms), math.log(degenerate))
 
 
 def log_pe_conditional(
     channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None = None
 ) -> float:
     """Natural log of pe_conditional, stable far below underflow."""
-    h, a, sensing = _item(channel, alpha, params, noise)
-    q = _forms(h, a, sensing, params.sigma_nu_sq)[1]
+    q = quadratic_forms(*item(channel, alpha, params, noise), params.sigma_nu_sq)[1]
     return float(_log_pe(params, params.theta, q))
 
 
@@ -155,11 +142,11 @@ def _weights(detectors):
     pe_conditional.
 
     Detectors with equal params and sensing argument go through one
-    _forms call (figure2: the three channel models of each L and N),
+    quadratic_forms call (figure2: the three channel models of each L and N),
     where each keeps the bits it gets alone; so does its pe_conditional,
     the scalar math.exp of one elementwise _log_pe over the batch (all
     detectors share p1, so theta is the only per-detector input)."""
-    items = [_item(*d) for d in detectors]
+    items = [item(*d) for d in detectors]
     groups: dict = {}
     for k, ((_, _, sensing), (_, _, params, _)) in enumerate(zip(items, detectors)):
         key = sensing.tobytes() if isinstance(sensing, np.ndarray) else sensing
@@ -172,7 +159,7 @@ def _weights(detectors):
         sensing = items[rows[0]][2]
         h = np.stack([items[k][0] for k in rows])
         a = np.stack([items[k][1] for k in rows])
-        v, w, q = _forms(h, a, sensing, params.sigma_nu_sq, solve=True)
+        v, w, q = quadratic_forms(h, a, sensing, params.sigma_nu_sq, solve=True)
         qs[rows], thetas[rows] = q, params.theta
         g = np.conj(a) * (h.conj().swapaxes(-1, -2) @ w[..., np.newaxis])[..., 0]
         c = g @ sensing.conj() if isinstance(sensing, np.ndarray) else math.sqrt(sensing) * g
@@ -327,11 +314,11 @@ def empirical_exponent(
     params = replace(base_params, num_sensors=l_max)
     if noise is not None:
         noise = SensingNoiseModel(noise.r_eta[:l_max, :l_max])
-    sensing = _sensing(params, noise)
+    sensing = sensing_argument(params, noise)
     log_pe = np.empty((draws, len(grid)))
     for d in range(draws):
         h = sample_channel(model, params.num_antennas, l_max, rng.substream("exponent", d)).entries
-        q = _forms(h, gains, sensing, params.sigma_nu_sq)[1]
+        q = quadratic_forms(h, gains, sensing, params.sigma_nu_sq)[1]
         log_pe[d] = _log_pe(params, params.theta, q)
     values = -_log_mean_exp(log_pe) / np.asarray(grid, dtype=float)
     return ExponentCurve(

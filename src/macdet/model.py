@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _bessel_i01e, _check_square_hermitian
+from .numerics import bessel_i01e, check_square_hermitian
 
 __all__ = [
     "RandomSource",
@@ -36,8 +36,8 @@ __all__ = [
 class RandomSource:
     """Splittable deterministic random stream.
 
-    Every generator is keyed by a SeedSequence with entropy master_seed
-    and spawn key (stream_id, *path), so identical fields reproduce
+    Every generator is keyed by seed_sequence(*path), a SeedSequence
+    with entropy master_seed and spawn key (stream_id, *path), so identical fields reproduce
     identical draws bit-for-bit and distinct keys are statistically
     independent regardless of how work is scheduled across workers.
 
@@ -45,10 +45,10 @@ class RandomSource:
 
     * `substream` is Philox.  Channels, the crossover calibration and
       every other small draw use it; those draws fix every analytic row
-      of every output.  A Monte Carlo sweep builds the key of
-      substream("mc-channel", i, d) once per point i and draw d, and
+      of every output.  A Monte Carlo sweep builds the key
+      seed_sequence("mc-channel", i, d) once per point i and draw d, and
       gives each series that draws a channel a Philox generator of its
-      own on it: the generator substream would return.
+      own on it: the generator substream("mc-channel", i, d) returns.
     * `montecarlo_block` is SFC64.  Only the Monte Carlo trial blocks
       of `estimate_pe_montecarlo_batch` (and so of its one-detector case
       `estimate_pe_montecarlo`) use it: they are nearly all the normal
@@ -77,20 +77,18 @@ class RandomSource:
         String labels are admitted via a stable crc32 digest so callers
         can name purposes ("mc-channel", 3) without seed bookkeeping.
         """
-        return np.random.Generator(np.random.Philox(self._seed_sequence(path)))
+        return np.random.Generator(np.random.Philox(self.seed_sequence(*path)))
 
     def montecarlo_block(self, block: int) -> np.random.Generator:
         """SFC64 generator for Monte Carlo trial block `block`, keyed
         like substream("montecarlo", block)."""
-        return np.random.Generator(np.random.SFC64(self._seed_sequence(("montecarlo", block))))
+        return np.random.Generator(np.random.SFC64(self.seed_sequence("montecarlo", block)))
 
-    def _seed_sequence(self, path) -> np.random.SeedSequence:
-        key = tuple(
-            zlib.crc32(p.encode()) if isinstance(p, str) else p for p in path
-        )
-        return np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_id, *key)
-        )
+    def seed_sequence(self, *path: "int | str") -> np.random.SeedSequence:
+        """The key of the generators for `path`, each string label
+        replaced by its crc32."""
+        key = tuple(zlib.crc32(p.encode()) if isinstance(p, str) else p for p in path)
+        return np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id, *key))
 
 
 def complex_normal(
@@ -256,14 +254,14 @@ def mean_abs_h(model: ChannelModel) -> float:
         E|h| = sqrt(pi / (4 (K + 1))) ((1 + K) i0e(K/2) + K i1e(K/2)),
 
     with the exponentially scaled Bessel functions i_ne(x) = e^-x I_n(x)
-    (numerics._bessel_i01e), which keep every factor finite for any
+    (numerics.bessel_i01e), which keep every factor finite for any
     finite K.  It is sqrt(pi)/2 at K = 0 (Rayleigh) and tends to 1 as K
     grows; relative error within 1e-15 of the exact mean.
     """
     if model.is_awgn:
         return 1.0
     k = model.k_factor
-    i0e, i1e = _bessel_i01e(k / 2.0)
+    i0e, i1e = bessel_i01e(k / 2.0)
     return math.sqrt(math.pi / (k + 1.0)) / 2.0 * ((1.0 + k) * i0e + k * i1e)
 
 
@@ -324,7 +322,7 @@ class SensingNoiseModel:
     r_eta: np.ndarray
 
     def __post_init__(self) -> None:
-        r = _check_square_hermitian(self.r_eta, 1e-12)
+        r = check_square_hermitian(self.r_eta, 1e-12)
         try:
             chol = np.linalg.cholesky(r)
         except np.linalg.LinAlgError as exc:

@@ -22,10 +22,12 @@ import numpy as np
 __all__ = [
     "HermitianEig",
     "hermitian_eig",
+    "check_square_hermitian",
     "solve_hermitian_pd",
     "psd_project",
     "canonical_phase",
     "log_q",
+    "bessel_i01e",
     "exp_e1_scaled",
 ]
 
@@ -44,7 +46,8 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-def _check_square_hermitian(a: np.ndarray, rtol: float) -> np.ndarray:
+def check_square_hermitian(a: np.ndarray, rtol: float) -> np.ndarray:
+    """a as complex128, once checked square, finite and Hermitian within rtol."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -102,7 +105,7 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
     convention is applied to all eigenvectors in one vectorized pass,
     bit-identical to `canonical_phase` on each column.
     """
-    a = _check_square_hermitian(a, _HERMITIAN_RTOL)
+    a = check_square_hermitian(a, _HERMITIAN_RTOL)
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return HermitianEig(eigenvalues=w, eigenvectors=_canonical_phase_columns(v))
 
@@ -112,7 +115,7 @@ def solve_hermitian_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Raises ValueError if a is not positive definite.
     """
-    a = _check_square_hermitian(a, _HERMITIAN_RTOL)
+    a = check_square_hermitian(a, _HERMITIAN_RTOL)
     b = np.asarray(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
@@ -181,7 +184,7 @@ def log_q(x):
 _BESSEL_HANKEL_X = 20.0
 
 
-def _bessel_i01e(x: float) -> tuple[float, float]:
+def bessel_i01e(x: float) -> tuple[float, float]:
     """The exponentially scaled modified Bessel functions (e^-x I0(x),
     e^-x I1(x)) for x >= 0, finite for every finite x.
 

@@ -46,8 +46,9 @@ from scipy import integrate
 from scipy.special import erfc, i0e
 
 from macdet import sdr
-from macdet.allocation import _item, quadratic_form, received_covariance
+from macdet.allocation import received_covariance
 from macdet.detection import _MC_BLOCK, PeEstimate
+from macdet.forms import item, quadratic_forms
 from macdet.model import (
     ChannelModel,
     NetworkParams,
@@ -135,7 +136,7 @@ def synthesize(
     """One draw of the received vector.  Sensing noise is drawn first,
     receiver noise second (each antenna's real part, then its imaginary
     part), so a shared generator yields reproducible pairs."""
-    h, a, _ = _item(channel, alpha, params, noise)
+    h, a, _ = item(channel, alpha, params, noise)
     eta = _color(params, noise, complex_normal(gen, params.num_sensors))
     nu = _receiver_noise(params, gen, 1)[0]
     signal = params.theta if hypothesis == Hypothesis.H1 else 0.0
@@ -152,7 +153,8 @@ def decide(
 ) -> Hypothesis:
     """Likelihood-ratio decision; ties go to H1 (a probability-zero
     event under either hypothesis)."""
-    _, w, q = quadratic_form(channel, alpha, params, noise)
+    form = item(channel, alpha, params, noise)
+    _, w, q = quadratic_forms(*form, params.sigma_nu_sq, solve=True)
     y = np.asarray(y, dtype=np.complex128)
     statistic = params.theta * float(np.vdot(y, w).real)
     threshold = 0.5 * params.theta**2 * q + params.tau
@@ -164,7 +166,7 @@ def reference_quadratic_form(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(v, R^-1 v, q) with v = H alpha and q = max(Re v^H R^-1 v, 0): the
     covariance from received_covariance, solved by Cholesky."""
-    h, a, _ = _item(channel, alpha, params, noise)
+    h, a, _ = item(channel, alpha, params, noise)
     v = h @ a
     w = solve_hermitian_pd(received_covariance(h, a, params, noise), v)
     return v, w, max(float(np.vdot(v, w).real), 0.0)
@@ -212,8 +214,8 @@ def reference_pe_montecarlo(
     block_sensors the sensing noise is drawn for that many sensors and
     the leading L used, as a detector of a batch whose largest sensor
     count is block_sensors reads it."""
-    h, a, _ = _item(channel, alpha, params, noise)
-    _, w, q = quadratic_form(h, a, params, noise)
+    h, a, sensing = item(channel, alpha, params, noise)
+    _, w, q = quadratic_forms(h, a, sensing, params.sigma_nu_sq, solve=True)
     threshold = 0.5 * params.theta**2 * q + params.tau
 
     errors = 0

@@ -15,17 +15,14 @@ from macdet.allocation import (
     alpha_uniform,
     calibrate_crossover,
     finite_exponent,
-    finite_exponents,
     method1,
     method2,
-    method2_direction,
-    method_exponents,
-    quadratic_form,
     received_covariance,
     scheme_sweep,
 )
-from macdet import allocation, sdr
-from macdet.allocation import _GROUP_ENTRIES, _forms, _mean_exponent_gap, _method_grid, _sensing
+from macdet import forms, sdr
+from macdet.allocation import _GROUP_ENTRIES, _mean_exponent_gap, _method2_direction, _method_grid
+from macdet.forms import exponent_statistic, item, quadratic_forms, sensing_argument
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
     ChannelModel,
@@ -56,6 +53,17 @@ def params_for(gamma_s, gamma_c, l=8, n=2, p1=0.5):
     return make_params(
         l=l, n=n, sigma_eta_sq=1.0 / gamma_s, sigma_nu_sq=1.0, p1=p1, total_power=gamma_c
     )
+
+
+def solved_form(h, alpha, params, noise=None):
+    # (v, R^-1 v, q) of one item, from the core with solve=True
+    return quadratic_forms(*item(h, alpha, params, noise), params.sigma_nu_sq, solve=True)
+
+
+def one_point(channels, directions, params):
+    # the one-point case of the grid pass, as its two per-channel lists
+    fe = _method_grid(channels, directions, [params])[0]
+    return fe[:, 0].tolist(), fe[:, 1].tolist()
 
 
 def random_channel(rng, n, l):
@@ -101,6 +109,39 @@ class TestGainVector:
     def test_rejects_bad_budget(self, budget):
         with pytest.raises(ValueError):
             GainVector(values=np.zeros(2), budget=budget)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GainVector(values=np.array([bad, 1.0]), budget=1.0)
+
+
+class TestNonFiniteInputs:
+    """A channel or gain entry that is not finite raises ValueError in
+    place of a silent exponent of 0."""
+
+    @pytest.mark.parametrize(
+        "channel,gains",
+        [
+            (np.ones((1, 2)), [math.nan, 1.0]),
+            (np.ones((1, 2)), [math.inf, 0.0]),
+            (np.array([[1.0, math.nan]]), [0.5, 0.5]),
+            (np.array([[math.inf, 1.0]]), [0.5, 0.5]),
+        ],
+        ids=["nan-gain", "inf-gain", "nan-channel", "inf-channel"],
+    )
+    def test_finite_exponent(self, channel, gains):
+        params = make_params(l=2, n=1)
+        with pytest.raises(ValueError, match="finite"):
+            finite_exponent(channel, np.array(gains), params)
+
+    def test_batch_with_one_non_finite_item(self):
+        params = make_params(l=2, n=1)
+        gains = np.array([[0.5, 0.5], [math.nan, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            exponent_statistic(np.ones((1, 2)), gains, params)
+        with pytest.raises(ValueError, match="finite"):
+            exponent_statistic(np.ones((1, 2)), gains[:1], params, np.array([math.nan]))
 
 
 class TestReceivedCovariance:
@@ -223,7 +264,7 @@ class TestQuadraticFormOracle:
                 random_feasible_gains(np.random.default_rng(t), 1, l, budget)[0],
             ]
             for alpha in rules:
-                v, w, q = quadratic_form(h, alpha, params, noise)
+                v, w, q = solved_form(h, alpha, params, noise)
                 v_ref, w_ref, q_ref = reference_quadratic_form(h, alpha, params, noise)
                 assert np.array_equal(v, v_ref)
                 assert q == pytest.approx(q_ref, rel=1e-12, abs=0.0)
@@ -252,7 +293,7 @@ class TestExtremePowers:
             with pytest.raises(ValueError, match="not positive definite"):
                 reference_quadratic_form(h, alpha_uniform(params), params)
         for alpha in (alpha_uniform(params), method1(h, params)[0], method2(h, params)):
-            v, w, q = quadratic_form(h, alpha, params)
+            v, w, q = solved_form(h, alpha, params)
             assert q == pytest.approx(4.0, rel=1e-14)
             assert np.vdot(v, w).real == pytest.approx(4.0, rel=1e-14)
             assert finite_exponent(h, alpha, params) == pytest.approx(4.0 / 32.0, rel=1e-14)
@@ -262,14 +303,14 @@ class TestExtremePowers:
         params = make_params(l=4, n=2, total_power=1e300)
         h = np.ones((2, 4), dtype=complex)
         gains = np.stack((alpha_uniform(params).values, np.zeros(4), method2(h, params).values))
-        batch = finite_exponents(h, gains, params)
+        batch = exponent_statistic(h, gains, params)
         assert batch.tolist() == [finite_exponent(h, a, params) for a in gains]
         assert batch[1] == 0.0
         assert batch[0] == pytest.approx(0.125, rel=1e-14)
 
 
 class TestBatchedCore:
-    """finite_exponents gives each item the bits of finite_exponent on
+    """exponent_statistic gives each item the bits of finite_exponent on
     that item alone, whatever the batch around it."""
 
     @pytest.mark.parametrize("n,l", [(1, 7), (3, 5), (5, 40), (4, 3), (2, 33)])
@@ -278,19 +319,20 @@ class TestBatchedCore:
         rng = np.random.default_rng(100 + n + l)
         hs = np.stack([random_channel(rng, n, l) for _ in range(5)])
         gains = random_feasible_gains(rng, 5, l, params.gain_budget)
-        stacked = finite_exponents(hs, gains, params)
+        stacked = exponent_statistic(hs, gains, params)
         assert stacked.tolist() == [finite_exponent(h, a, params) for h, a in zip(hs, gains)]
         # one channel broadcast against many gain vectors, and batches of one
-        broadcast = finite_exponents(hs[0], gains, params)
+        broadcast = exponent_statistic(hs[0], gains, params)
         assert broadcast.tolist() == [finite_exponent(hs[0], a, params) for a in gains]
-        assert finite_exponents(hs[:1], gains[:1], params).tolist() == stacked[:1].tolist()
+        assert exponent_statistic(hs[:1], gains[:1], params).tolist() == stacked[:1].tolist()
 
     @staticmethod
     def assert_solve_matches_items(hs, gains, params, noise):
-        # _forms(solve=True) on the stack against quadratic_form per item
-        v, w, q = _forms(hs, gains, _sensing(params, noise), params.sigma_nu_sq, solve=True)
+        # the core (solve=True) on the stack against the core per item
+        sensing = sensing_argument(params, noise)
+        v, w, q = quadratic_forms(hs, gains, sensing, params.sigma_nu_sq, solve=True)
         for k, (h, a) in enumerate(zip(hs, gains)):
-            v_k, w_k, q_k = quadratic_form(h, a, params, noise)
+            v_k, w_k, q_k = solved_form(h, a, params, noise)
             assert np.array_equal(v[k], v_k)
             assert np.array_equal(w[k], w_k)
             assert q[k] == q_k
@@ -318,13 +360,13 @@ class TestBatchedCore:
             (alpha_uniform(params).values, np.zeros(4), random_feasible_gains(rng, 1, 4, 1.0)[0])
         )
         spectral = []
-        original = allocation._spectral_form
+        original = forms._spectral_form
         monkeypatch.setattr(
-            allocation, "_spectral_form", lambda *args: spectral.append(1) or original(*args)
+            forms, "_spectral_form", lambda *args: spectral.append(1) or original(*args)
         )
         noise = sensing_noise(noise_kind, 4, params.sigma_eta_sq)
         self.assert_solve_matches_items(hs, gains, params, noise)
-        # once for the stack's item 0, once for quadratic_form on it alone
+        # once for the stack's item 0, once for the core on it alone
         assert len(spectral) == 2
 
     @pytest.mark.parametrize("solve", [False, True])
@@ -341,13 +383,13 @@ class TestBatchedCore:
         )
         sigma_eta_sq = np.array([0.7, 0.0, 1.3, 1e-3, 4.0])
         spectral = []
-        original = allocation._spectral_form
+        original = forms._spectral_form
         monkeypatch.setattr(
-            allocation, "_spectral_form", lambda *args: spectral.append(args[2]) or original(*args)
+            forms, "_spectral_form", lambda *args: spectral.append(args[2]) or original(*args)
         )
-        stacked = _forms(hs, gains, sigma_eta_sq, 1e-200, solve)
+        stacked = quadratic_forms(hs, gains, sigma_eta_sq, 1e-200, solve)
         for k, (h, a, s) in enumerate(zip(hs, gains, sigma_eta_sq.tolist())):
-            alone = _forms(h, a, s, 1e-200, solve)
+            alone = quadratic_forms(h, a, s, 1e-200, solve)
             for part, part_alone in zip(stacked, alone):
                 assert np.array_equal(part[k], part_alone)
         assert spectral == [0.7, 0.7]
@@ -355,9 +397,9 @@ class TestBatchedCore:
     def test_rejects_mismatched_shapes(self):
         params = make_params(l=4, n=2)
         with pytest.raises(ValueError):
-            finite_exponents(np.ones((2, 5)), np.ones((3, 4)), params)
+            exponent_statistic(np.ones((2, 5)), np.ones((3, 4)), params)
         with pytest.raises(ValueError):
-            finite_exponents(np.ones((2, 4)), np.ones((3, 5)), params)
+            exponent_statistic(np.ones((2, 4)), np.ones((3, 5)), params)
 
 
 class TestAlphaUniform:
@@ -605,7 +647,7 @@ class TestMethod2:
 
 
 class TestMethod2Direction:
-    """method2 is sqrt(P) times method2_direction, bit for bit, so a
+    """method2 is sqrt(P) times _method2_direction, bit for bit, so a
     gamma_s sweep may compute the direction once per channel."""
 
     @pytest.mark.parametrize(
@@ -618,13 +660,13 @@ class TestMethod2Direction:
         h = random_channel(np.random.default_rng(40 + n + l), n, l)
         if zero:
             h = np.zeros_like(h)
-        expected = math.sqrt(params.gain_budget) * method2_direction(h)
+        expected = math.sqrt(params.gain_budget) * _method2_direction(h)
         got = method2(h, params).values
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
     def test_direction_is_unit_norm(self):
         h = random_channel(np.random.default_rng(47), 3, 9)
-        assert np.linalg.norm(method2_direction(h)) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(_method2_direction(h)) == pytest.approx(1.0, rel=1e-14)
 
 
 def _mean_exponent_gap_per_point(channels, params):
@@ -655,8 +697,8 @@ class TestHoistedDirectionOracle:
         channels = [
             sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)
         ]
-        directions = [method2_direction(h) for h in channels]
-        fe1, fe2 = method_exponents(channels, directions, params)
+        directions = [_method2_direction(h) for h in channels]
+        fe1, fe2 = one_point(channels, directions, params)
         assert _mean_exponent_gap(fe1, fe2) == _mean_exponent_gap_per_point(channels, params)
         assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
         assert fe2 == [finite_exponent(h, method2(h, params), params) for h in channels]
@@ -665,12 +707,12 @@ class TestHoistedDirectionOracle:
         params = make_params(l=6, n=2)
         h = random_channel(np.random.default_rng(48), 2, 6)
         with pytest.raises(ValueError):
-            method_exponents([h, h], [method2_direction(h)], params)
+            one_point([h, h], [_method2_direction(h)], params)
 
     def test_rejects_channels_of_another_size(self):
         h = random_channel(np.random.default_rng(49), 2, 6)
         with pytest.raises(ValueError):
-            method_exponents([h], [method2_direction(h)], make_params(l=5, n=2))
+            one_point([h], [_method2_direction(h)], make_params(l=5, n=2))
 
 
 def per_channel_exponents(channels, params):
@@ -699,7 +741,7 @@ METHOD_GRIDS = {
 
 class TestMethodGrid:
     """The grouped grid pass gives every (point, channel) item the bits of
-    method_exponents at its point and of finite_exponent of method1 and
+    the grid's one-point case at its point and of finite_exponent of method1 and
     method2 on its channel alone."""
 
     def test_cases_cover_partial_groups(self):
@@ -715,13 +757,13 @@ class TestMethodGrid:
         model, n, l, draws, grid = METHOD_GRIDS[case]
         params = params_for(1.0, 10.0, l=l, n=n)
         channels = scheme_channels(model, n, l, draws, 11, "grid")
-        directions = [method2_direction(h) for h in channels]
+        directions = [_method2_direction(h) for h in channels]
         at_x = [params.at_gamma_s(x) for x in grid]
         fe = _method_grid(channels, directions, at_x)
         assert fe.shape == (len(grid), draws, 2)
         for p, point in zip(at_x, fe):
             fe1, fe2 = point[:, 0].tolist(), point[:, 1].tolist()
-            assert (fe1, fe2) == method_exponents(channels, directions, p)
+            assert (fe1, fe2) == one_point(channels, directions, p)
             assert (fe1, fe2) == per_channel_exponents(channels, p)
             if model.is_awgn:
                 assert fe1 == fe2
@@ -730,11 +772,13 @@ class TestMethodGrid:
         # N = 3, L = 32, three channels, seven points: 21 items, one group
         params = params_for(1.0, 10.0, l=32, n=3)
         channels = scheme_channels(ChannelModel.ricean(1.0), 3, 32, 3, 12, "grid")
-        directions = [method2_direction(h) for h in channels]
+        directions = [_method2_direction(h) for h in channels]
         calls = []
-        original = allocation._forms
+        original = forms.quadratic_forms
         monkeypatch.setattr(
-            allocation, "_forms", lambda h, a, *args: calls.append(a.shape) or original(h, a, *args)
+            forms,
+            "quadratic_forms",
+            lambda h, a, *args: calls.append(a.shape) or original(h, a, *args),
         )
         grid = [10.0 ** (-0.5 + 0.25 * k) for k in range(7)]
         _method_grid(channels, directions, [params.at_gamma_s(x) for x in grid])
@@ -820,11 +864,11 @@ def sampled_gaps(params, model, grid, trials, seed):
     rng = RandomSource(master_seed=seed)
     n, l = params.num_antennas, params.num_sensors
     channels = [sample_channel(model, n, l, rng.substream("cal", t)).entries for t in range(trials)]
-    directions = [method2_direction(h) for h in channels]
+    directions = [_method2_direction(h) for h in channels]
 
     def gap_at(gamma_s):
         return _mean_exponent_gap(
-            *method_exponents(channels, directions, params.at_gamma_s(gamma_s))
+            *one_point(channels, directions, params.at_gamma_s(gamma_s))
         )
 
     return [gap_at(g) for g in grid], gap_at

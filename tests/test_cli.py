@@ -19,7 +19,6 @@ from macdet.exponents import (
     SnrPoint,
     ZetaFactor,
     bound_b,
-    bound_c,
     e_awgn,
     e_csis1_rayleigh_closed,
     e_nocsis,

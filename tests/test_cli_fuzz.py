@@ -28,7 +28,6 @@ the end of the file, one config per class.
 import csv
 import json
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings

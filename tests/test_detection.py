@@ -7,17 +7,8 @@ import numpy as np
 import pytest
 
 from macdet import detection
-from macdet.allocation import (
-    _forms,
-    alpha_opt_n1,
-    alpha_phase_only_n1,
-    alpha_uniform,
-    method1,
-    quadratic_form,
-    received_covariance,
-)
+from macdet.allocation import alpha_opt_n1, alpha_uniform, received_covariance
 from macdet.detection import (
-    ExponentCurve,
     PeEstimate,
     empirical_exponent,
     estimate_pe_montecarlo,
@@ -26,6 +17,7 @@ from macdet.detection import (
     pe_conditional,
 )
 from macdet.exponents import e_nocsis, SnrPoint
+from macdet.forms import item, quadratic_forms
 from macdet.model import (
     ChannelModel,
     NetworkParams,
@@ -210,11 +202,24 @@ class TestPeConditional:
         params = params_for(gamma_s=1.0, gamma_c=3.0, l=6, n=2, p1=0.5)
         h = sample_channel(ChannelModel.rayleigh(), 2, 6, RandomSource(8).substream()).entries
         alpha = alpha_uniform(params)
-        q = quadratic_form(h, alpha.values, params)[2]
+        q = quadratic_forms(*item(h, alpha, params, None), params.sigma_nu_sq, solve=True)[2]
         omega = params.theta * math.sqrt(q / 2.0)
         assert pe_conditional(h, alpha, params) == pytest.approx(
             float(q_function(omega)), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "channel,gains",
+        [(np.ones((2, 6)), [math.nan] + [0.1] * 5), ([[math.inf] * 6, [1.0] * 6], [0.1] * 6)],
+        ids=["nan-gain", "inf-channel"],
+    )
+    def test_rejects_non_finite_inputs(self, channel, gains):
+        params = make_params(p1=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            pe_conditional(np.array(channel), np.array(gains), params)
+        detectors = [(np.array(channel), np.array(gains), params, None)]
+        with pytest.raises(ValueError, match="finite"):
+            estimate_pe_montecarlo_batch(detectors, 1000, RandomSource(1))
 
     def test_zero_signal_follows_prior(self):
         h = np.ones((2, 6), dtype=complex)
@@ -500,9 +505,9 @@ class TestEstimatePeMontecarloBatch:
 
         def counted(*args, **kwargs):
             forms.append(args)
-            return _forms(*args, **kwargs)
+            return quadratic_forms(*args, **kwargs)
 
-        monkeypatch.setattr(detection, "_forms", counted)
+        monkeypatch.setattr(detection, "quadratic_forms", counted)
         scored = estimate_pe_montecarlo_batch(detectors, 10_000, RandomSource(47))
         monkeypatch.undo()
         assert len(forms) == 5

@@ -287,6 +287,14 @@ class TestRandomSource:
         assert np.array_equal(gen.standard_normal(4), expected)
         assert not np.array_equal(src.montecarlo_block(4).standard_normal(4), expected)
 
+    def test_seed_sequence_is_the_key_of_every_generator(self):
+        src = RandomSource(42, 5)
+        seq = src.seed_sequence("mc-channel", 2, 1)
+        assert seq.entropy == 42
+        assert seq.spawn_key == (5, zlib.crc32(b"mc-channel"), 2, 1)
+        expected = np.random.Generator(np.random.Philox(seq)).standard_normal(4)
+        assert np.array_equal(src.substream("mc-channel", 2, 1).standard_normal(4), expected)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             RandomSource(-1)

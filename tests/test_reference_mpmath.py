@@ -203,7 +203,7 @@ def test_quadratic_form_at_extreme_powers(seed):
     # N > L channels at P_T up to 1e60: the Gram matrix is rank deficient
     # and, past about 1e16, swamps the identity in R; the core answers
     # through Cholesky where it factors and the spectral form where not
-    from macdet.allocation import quadratic_form
+    from macdet.forms import item, quadratic_forms
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
@@ -214,7 +214,8 @@ def test_quadratic_form_at_extreme_powers(seed):
     a *= math.sqrt(params.gain_budget) / np.linalg.norm(a)
     with mp.workdps(120):
         reference = mp_quadratic_form(h, a, params.sigma_eta_sq, params.sigma_nu_sq)
-        assert rel_err(quadratic_form(h, a, params)[2], reference) <= 1e-12
+        q = quadratic_forms(*item(h, a, params, None), params.sigma_nu_sq, solve=True)[2]
+        assert rel_err(q, reference) <= 1e-12
 
 
 @pytest.mark.parametrize("model", [ChannelModel.rayleigh(), ChannelModel.ricean(1.0)],
@@ -224,7 +225,8 @@ def test_quadratic_form_where_the_scaled_gram_overflows(model, l):
     # one antenna at sigma_nu_sq = 1e-300, gamma_c = 1e308, gamma_s = 0.01:
     # the normalized Gram sigma_eta_sq/sigma_nu_sq H D(|a|^2) H^H is about
     # gamma_c |h|^2 and overflows on a strong draw, where R itself is ~1e8
-    from macdet.allocation import alpha_uniform, method1, quadratic_form
+    from macdet.allocation import alpha_uniform, method1
+    from macdet.forms import item, quadratic_forms
     from macdet.model import RandomSource, sample_channel
 
     params = NetworkParams(l, 1, 1.0, 100.0, 1e-300, 0.5, 1e8)
@@ -235,7 +237,8 @@ def test_quadratic_form_where_the_scaled_gram_overflows(model, l):
     for a in (alpha_uniform(params).values, method1(h, params)[0].values):
         with mp.workdps(60):
             reference = mp_quadratic_form(h, a, params.sigma_eta_sq, params.sigma_nu_sq)
-            assert rel_err(quadratic_form(h, a, params)[2], reference) <= 1e-12
+            q = quadratic_forms(*item(h, a, params, None), params.sigma_nu_sq, solve=True)[2]
+            assert rel_err(q, reference) <= 1e-12
 
 
 @pytest.mark.parametrize("gains", ["uniform", "method2"])
@@ -252,7 +255,8 @@ def test_correlated_quadratic_form_at_extreme_powers(rho, model, sigma_nu_sq, to
     # matrix H D(a) R_eta D(a)^H H^H swamps sigma_nu_sq I (and is rank one
     # on AWGN), so an explicitly formed R does not factor; the core answers
     # through the same Cholesky and spectral forms as under iid noise
-    from macdet.allocation import alpha_uniform, method2, quadratic_form
+    from macdet.allocation import alpha_uniform, method2
+    from macdet.forms import item, quadratic_forms
     from macdet.model import RandomSource, SensingNoiseModel, sample_channel
 
     params = NetworkParams(4, 2, 1.0, 0.3, sigma_nu_sq, 0.5, total_power)
@@ -260,7 +264,8 @@ def test_correlated_quadratic_form_at_extreme_powers(rho, model, sigma_nu_sq, to
     r_eta = 0.3 * rho ** np.abs(lag) + 0j
     h = sample_channel(model, 2, 4, RandomSource(3).substream()).entries
     a = (alpha_uniform(params) if gains == "uniform" else method2(h, params)).values
-    q = quadratic_form(h, a, params, SensingNoiseModel(r_eta=r_eta))[2]
+    noise = SensingNoiseModel(r_eta=r_eta)
+    q = quadratic_forms(*item(h, a, params, noise), sigma_nu_sq, solve=True)[2]
     with mp.workdps(700):
         assert rel_err(q, mp_quadratic_form(h, a, r_eta, sigma_nu_sq)) <= 1e-12
 
