@@ -3,12 +3,13 @@
 With fixed per-sensor magnitudes, maximizing alpha^H (H^H H) alpha over
 the phases is nonconvex; lifting to X = alpha alpha^H and dropping the
 rank constraint gives an SDP whose value upper-bounds the true optimum.
-solve_sdp(H, d) solves it in the factored form X = V V^H and returns V
-(solution.factor).  Rounding the top eigenvector of X, taken from the
-small Gram V^H V, back to unit modulus recovers a phase vector whose
-objective lands close to the relaxation value, and the solver's dual
-certificate, objective + gap, bounds every feasible phase vector from
-above.
+solve_sdp(H) solves it at unit diagonal, X_ll = 1, in the factored form
+X = V V^H and returns V (solution.factor); at per-sensor power d the
+relaxation value and its certified gap are d times the solution's.
+Rounding the top eigenvector of X, taken from the small Gram V^H V, back
+to unit modulus recovers a phase vector whose objective lands close to
+the relaxation value, and the solver's dual certificate, d (objective +
+gap), bounds every feasible phase vector from above.
 """
 
 import numpy as np
@@ -40,14 +41,15 @@ def main() -> None:
             model, params.num_antennas, params.num_sensors, src.substream("h", i)
         ).entries
         cost = h.conj().T @ h
-        solution = solve_sdp(h, d)
+        solution = solve_sdp(h)
         phases = extract_phases(solution)
         alpha = np.sqrt(d) * phases
         rounded = float(np.real(alpha.conj() @ cost @ alpha))
-        bound = solution.objective + solution.gap
-        ratio = rounded / solution.objective
+        objective = d * solution.objective
+        bound = d * (solution.objective + solution.gap)
+        ratio = rounded / objective
         ratios.append(ratio)
-        print(f"{i:4d} {solution.objective:10.4f} {rounded:10.4f} "
+        print(f"{i:4d} {objective:10.4f} {rounded:10.4f} "
               f"{bound:10.4f} {ratio:9.6f} {solution.iterations:6d}")
 
     print()

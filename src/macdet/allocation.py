@@ -4,7 +4,8 @@ Strategies cover channel-independent uniform gains, the optimal and
 phase-only single-antenna rules, two reduced-complexity multi-antenna
 methods (best-antenna selection and top-eigenvector beamforming), the
 hybrid that switches between them at a crossover calibrated on the same
-channels (scheme_sweep), and an SDP-based phase-only design.  Every
+channels (scheme_sweep), and an SDP-based phase-only design
+(alpha_sdr_phase, the gains the sdr-compare runner scores).  Every
 strategy spends the gain budget P = total_power / (p1 theta^2 +
 sigma_eta_sq) with equality.
 
@@ -107,8 +108,11 @@ def received_covariance(
     """Covariance H D(alpha) R_eta D(alpha)^H H^H + sigma_nu^2 I of the
     array output, with R_eta = sigma_eta_sq I under iid sensing noise
     (noise=None).  A diagonal model R_eta = sigma_eta_sq I reproduces the
-    iid result bit-for-bit (its Cholesky factor is exactly diagonal)."""
+    iid result bit-for-bit (its Cholesky factor is exactly diagonal);
+    ValueError on a non-finite input."""
     h, a, sensing = item(channel, alpha, params, noise)
+    if not all(np.isfinite(x).all() for x in (h, a, sensing)):
+        raise ValueError("channel, gain and sensing-noise entries must be finite")
     b = h * a[np.newaxis, :]
     bs = b @ sensing if isinstance(sensing, np.ndarray) else b * math.sqrt(sensing)
     r = bs @ bs.conj().T
@@ -148,6 +152,8 @@ def _opt_n1_values(h_row, power, budget, sigma_eta_sq, sigma_nu_sq: float) -> np
     w = np.sqrt(power) / (s * p * power + sigma_nu_sq)
     top = w.max(axis=-1, keepdims=True)
     if not (top > 0.0).all():
+        if not np.isfinite(h_row).all():
+            raise ValueError("channel entries must be finite")
         raise ValueError("channel row is identically zero")
     w = w / top
     w = w / np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
@@ -372,18 +378,17 @@ def scheme_sweep(channels, gamma_s_grid, params: NetworkParams):
 
 
 def alpha_sdr_phase(channel, params: NetworkParams) -> GainVector:
-    """Phase-only gains from the semidefinite relaxation of
-    max alpha^H H^H H alpha over |alpha_l|^2 = P/L, rounded through the
-    top eigenvector of the SDP solution.
+    """Phase-only gains sqrt(P/L) extract_phases(solve_sdp(H)): the
+    semidefinite relaxation of max alpha^H H^H H alpha over |alpha_l| = 1,
+    rounded through the top eigenvector of its solution and scaled to
+    spend P.  The sdr-compare runner builds its gains the same way.
 
     Raises SdpNonConvergence when the solver's gap is not certified.
     """
-    h = checked_channel(channel, params)
-    p = params.gain_budget
-    solution = solve_sdp(h, p / params.num_sensors)
+    solution = solve_sdp(checked_channel(channel, params))
     if not solution.converged:
         raise SdpNonConvergence(solution)
-    phases = extract_phases(solution)
-    values = math.sqrt(p / params.num_sensors) * phases
+    p = params.gain_budget
+    values = math.sqrt(p / params.num_sensors) * extract_phases(solution)
     return GainVector(values=values, budget=p)
 

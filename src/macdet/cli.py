@@ -599,11 +599,10 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     channels = _scheme_channels(cfg, "sdr", cfg.channel_draws or 10)
     points = scheme_sweep(channels, grid, params)[0]
 
-    # the SDP solution scales linearly in the diagonal value, so the
-    # phase pattern is solved once per draw, all draws in one stacked
-    # solve, and reused across gamma_s
+    # the phases do not depend on the power budget: one stacked solve of
+    # all draws serves every gamma_s
     solved = []
-    for d, (h, solution) in enumerate(zip(channels, solve_sdps(channels, 1.0))):
+    for d, (h, solution) in enumerate(zip(channels, solve_sdps(channels))):
         if not solution.converged:
             print(
                 f"sdr: channel draw {d} not certified after {solution.iterations} "
@@ -975,7 +974,11 @@ def main(argv=None) -> int:
 
     rows, code = run(cfg)
     text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)
-    _write_output(text, cfg.output)
+    try:
+        _write_output(text, cfg.output)
+    except OSError as exc:
+        print(f"config error: cannot write output {cfg.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -1,16 +1,16 @@
 """Semidefinite relaxation of the equal-magnitude (phase-only) gain design.
 
 For a channel H (N x L) the phase problem
-max_alpha alpha^H H^H H alpha  s.t. |alpha_l|^2 = d  relaxes, with
+max_alpha alpha^H H^H H alpha  s.t. |alpha_l| = 1  relaxes, with
 C = H^H H, to the SDP
 
-    max  tr(C X)   s.t.  X >= 0,  X_ll = d.
+    max  tr(C X)   s.t.  X >= 0,  X_ll = 1.
 
 It is solved in the low-rank factorization X = V V^H of Burer and
-Monteiro, V of rank r = min(L, ceil(sqrt(2 L))) with rows of squared norm
-d, by the monotone ascent V <- sqrt(d) rownormalize(H^H (H V)) (the block
-form of the mixing method of Wang, Chang and Kolter, which needs a PSD
-cost; C = H^H H is one by construction).  The solution carries V itself.
+Monteiro, V of rank r = min(L, ceil(sqrt(2 L))) with unit rows, by the
+monotone ascent V <- rownormalize(H^H (H V)) (the block form of the
+mixing method of Wang, Chang and Kolter, which needs a PSD cost;
+C = H^H H is one by construction).  The solution carries V itself.
 Neither X nor C is ever formed: every array the solve makes holds
 O(L (N + r)) entries per channel, and every matrix it decomposes is
 N x N, r x r or L x r.  `solve_sdps` runs the ascent on a stack of
@@ -20,16 +20,16 @@ bits it gets when solved alone (`solve_sdp`).
 The start is the top right singular vectors of H (those of C with
 nonzero eigenvalue, from the N x N H H^H), completed to rank r by a QR
 factorization of them followed by the leading unit vectors, with each
-row scaled to norm sqrt(d).  The solve runs on H 2^-j, for the j that
+row scaled to unit norm.  The solve runs on H 2^-j, for the j that
 puts the largest real or imaginary part of H in [1, 2), and scales the
 objective and gap back by 4^j.  Power-of-two scaling is exact, so the
 answer does not depend on the scale of H.  Unscaled, entries near 1e80
 would overflow H V, and entries near 1e-80 would leave the objective
-under the floor d below, which any gap passes.
+under the floor 1 below, which any gap passes.
 
-Every iterate carries a dual certificate.  With y_l = Re<v_l, (C V)_l> / d,
-d sum(y) is the objective, and y + mu 1 is dual feasible once
-Diag(y + mu) - C >= 0, so objective + d L mu bounds the SDP optimum from
+Every iterate carries a dual certificate.  With y_l = Re<v_l, (C V)_l>,
+sum(y) is the objective, and y + mu 1 is dual feasible once
+Diag(y + mu) - C >= 0, so objective + L mu bounds the SDP optimum from
 above.  For y + s > 0 that holds exactly when
 lambda_max(H Diag(y + s)^-1 H^H) <= 1 (the Schur complement), an N x N
 eigenproblem.  One of them per step, at s = t (the largest mu at which
@@ -38,12 +38,12 @@ the step can stop; larger if some y_l < -t/2), certifies every mu with
 since H Diag(y + mu)^-1 H^H <= max_l ((y_l + s) / (y_l + mu)) times
 H Diag(y + s)^-1 H^H; the smallest is mu = max_l y_l (lambda - 1) +
 s lambda.  lambda is the computed eigenvalue raised by the rounding
-margin derived in `_margin`.  The gap, d L max(0, mu) plus
-2 L eps max(|objective|, d) for the rounding of the objective and of a
+margin derived in `_margin`.  The gap, L max(0, mu) plus
+2 L eps max(|objective|, 1) for the rounding of the objective and of a
 feasible vector's computed value, stops the solve once it is at most
-max(1e-12, 4 L eps) max(|objective|, d).  On the scaled H the SDP
-optimum is at least d ||H 2^-j||_F^2 >= d (X = d I is feasible), so the
-floor d does not loosen the stop at the optimum.
+max(1e-12, 4 L eps) max(|objective|, 1).  On the scaled H the SDP
+optimum is at least ||H 2^-j||_F^2 >= 1 (X = I is feasible), so the
+floor 1 does not loosen the stop at the optimum.
 
 Rank-one rounding of the top eigenvector of X recovers a feasible phase
 vector.  That eigenvector is V w / ||V w|| for w the top eigenvector of
@@ -53,9 +53,6 @@ expected value of *randomized* Gaussian rounding, not this deterministic
 rounding, whose ratio to the relaxation is measured instead: the
 acceptance suite requires at least 0.7, and at figure9's size the
 rounded phases meet the certified bound.
-
-Scaling note: the optimal X is linear in d with unchanged eigenvectors,
-so one solve at d = 1 serves every power budget.
 """
 
 from __future__ import annotations
@@ -89,12 +86,12 @@ _PIVOT_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solver output.  factor is V (L x r), whose rows have squared norm
-    d, so X = V V^H is feasible; objective = tr(C V V^H); gap >= 0 is the
+    """Solver output at X_ll = 1.  factor is V (L x r), with unit rows,
+    so X = V V^H is feasible; objective = tr(C V V^H); gap >= 0 is the
     certified distance from objective to an upper bound on the SDP
     optimum, rounding included, and converged says
-    gap <= max(1e-12, 4 L eps) max(|objective|, 4^j d), with 2^j the
-    scale the solve divides H by."""
+    gap <= max(1e-12, 4 L eps) max(|objective|, 4^j), with 2^j the scale
+    the solve divides H by.  At X_ll = d, multiply objective and gap by d."""
 
     factor: np.ndarray
     objective: float
@@ -114,19 +111,18 @@ class SdpNonConvergence(RuntimeError):
         self.solution = solution
 
 
-def solve_sdp(channel, diag_value: float) -> SdpSolution:
+def solve_sdp(channel) -> SdpSolution:
     """Burer-Monteiro solve of max tr(H^H H X) over Hermitian X >= 0 with
-    X_ll = diag_value, for a channel H (N x L): the one-channel case of
-    `solve_sdps`.  Raises ValueError unless H is a finite, non-empty
-    N x L matrix and diag_value is finite and > 0.
+    X_ll = 1 for a channel H (N x L): the one-channel case of
+    `solve_sdps`.  ValueError unless H is a finite, non-empty N x L matrix.
     """
     h = np.asarray(channel, dtype=np.complex128)
     if h.ndim != 2 or h.size == 0:
         raise ValueError(f"channel must be a non-empty N x L matrix, got shape {h.shape}")
-    return solve_sdps(h[np.newaxis], diag_value)[0]
+    return solve_sdps(h[np.newaxis])[0]
 
 
-def solve_sdps(channels, diag_value: float) -> list[SdpSolution]:
+def solve_sdps(channels) -> list[SdpSolution]:
     """`solve_sdp` for each channel of a stack (D, N, L), in one ascent
     loop: each channel is stopped by its own dual certificate, or after
     _MAX_ITER ascent steps, and its solution is bit for bit the one it
@@ -137,20 +133,16 @@ def solve_sdps(channels, diag_value: float) -> list[SdpSolution]:
     and certifies through one N x N eigenvalue per channel
     (`_top_eigenvalues`, `_shift`).  The solve runs on H 2^-j
     (`_unit_scale`) and scales objective and gap back by 4^j.  Raises
-    ValueError unless the channels are a finite, non-empty D x N x L
-    stack and diag_value is finite and > 0.
+    ValueError unless channels is a finite, non-empty D x N x L stack.
     """
     h = np.asarray(channels, dtype=np.complex128)
     if h.ndim != 3 or h.size == 0:
         raise ValueError(f"channels must be a non-empty D x N x L stack, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("channel entries must be finite")
-    if not 0.0 < diag_value < math.inf:
-        raise ValueError("diag_value must be finite and > 0")
     h, scales = _unit_scale(h)
-    d = diag_value
     count, n, size = h.shape
-    v = _start(h, d)
+    v = _start(h)
     hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
     tol = max(_GAP_TOL, 4.0 * size * _EPS)
     margin = _margin(n, size)
@@ -162,9 +154,9 @@ def solve_sdps(channels, diag_value: float) -> list[SdpSolution]:
     solutions: list = [None] * count
     for iterations in range(_MAX_ITER + 1):
         final = iterations == _MAX_ITER
-        cv, y = _products(h, hh, v, d)
-        objectives = [d * total for total in y.sum(axis=1).tolist()]
-        terms = [_stop_terms(objective, d, size, tol) for objective in objectives]
+        cv, y = _products(h, hh, v)
+        objectives = y.sum(axis=1).tolist()
+        terms = [_stop_terms(objective, size, tol) for objective in objectives]
         lows = (y + skip).min(axis=1).tolist()
         shifts = [t + max(0.0, -2.0 * low) for (_, _, t), low in zip(terms, lows)]
         lams = _top_eigenvalues(y, shifts, h, hh, margin)
@@ -174,7 +166,7 @@ def solve_sdps(channels, diag_value: float) -> list[SdpSolution]:
             if lam > 1.0 and not final:
                 continue
             y_ref = low if lam <= 1.0 else float((y[k] - skip[k]).max())
-            gap = d * size * _shift(y_ref, s, lam) + allowance
+            gap = size * _shift(y_ref, s, lam) + allowance
             if gap <= bound or final:
                 stopped.append(k)
                 solutions[live[k]] = SdpSolution(
@@ -191,37 +183,36 @@ def solve_sdps(channels, diag_value: float) -> list[SdpSolution]:
             keep[stopped] = False
             live = [item for item, kept in zip(live, keep) if kept]
             h, hh, v, cv, skip = h[keep], hh[keep], v[keep], cv[keep], skip[keep]
-        v = _ascend(v, cv, d)
+        v = _ascend(v, cv)
     return solutions
 
 
-def _products(h, hh, v, d):
-    """(C V, y) for a stack: C V = H^H (H V) and
-    y_l = Re<v_l, (C V)_l> / d."""
+def _products(h, hh, v):
+    """(C V, y) for a stack: C V = H^H (H V) and y_l = Re<v_l, (C V)_l>."""
     cv = hh @ (h @ v)
-    return cv, (v.view(np.float64) * cv.view(np.float64)).sum(axis=2) / d
+    return cv, (v.view(np.float64) * cv.view(np.float64)).sum(axis=2)
 
 
-def _ascend(v, cv, d):
-    """The ascent step: row l of V becomes sqrt(d) (C V)_l / ||(C V)_l||;
-    a row with (C V)_l = 0 keeps its value."""
+def _ascend(v, cv):
+    """The ascent step: row l of V becomes (C V)_l / ||(C V)_l||; a row
+    with (C V)_l = 0 keeps its value."""
     parts = cv.view(np.float64)
     norms = np.sqrt((parts * parts).sum(axis=2))
     if norms.all():
-        return cv * (math.sqrt(d) / norms)[:, :, np.newaxis]
+        return cv * (1.0 / norms)[:, :, np.newaxis]
     moving = norms > 0.0
     v = v.copy()
-    v[moving] = cv[moving] * (math.sqrt(d) / norms[moving])[:, np.newaxis]
+    v[moving] = cv[moving] * (1.0 / norms[moving])[:, np.newaxis]
     return v
 
 
-def _stop_terms(objective, d, size, tol):
+def _stop_terms(objective, size, tol):
     """(bound, allowance, t) of one step: the gap at which it stops, the
     gap's rounding allowance and the largest mu at which it can stop."""
-    scale = max(abs(objective), d)
+    scale = max(abs(objective), 1.0)
     bound = tol * scale
     allowance = 2.0 * size * _EPS * scale
-    return bound, allowance, (bound - allowance) / (d * size)
+    return bound, allowance, (bound - allowance) / size
 
 
 def _unit_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,11 +225,11 @@ def _unit_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(parts, -j[:, np.newaxis, np.newaxis]).view(np.complex128), j
 
 
-def _start(h: np.ndarray, d: float) -> np.ndarray:
+def _start(h: np.ndarray) -> np.ndarray:
     """The ascent's start for each channel of a stack (D, N, L): the
     right singular vectors of H, top first, then the leading unit
     vectors, orthonormalized by a QR factorization; the first r columns,
-    each row scaled to norm sqrt(d) (an all-zero row takes the first unit
+    each row scaled to unit norm (an all-zero row takes the first unit
     vector).  The right singular vectors are H^H u_i / sigma_i for the
     eigenvectors u_i of the N x N H H^H, left unnormalized for the QR to
     normalize (one with sigma_i = 0 is a zero column, which the QR
@@ -250,7 +241,7 @@ def _start(h: np.ndarray, d: float) -> np.ndarray:
     units = np.broadcast_to(np.eye(size, rank, dtype=np.complex128), (count, size, rank))
     v = np.ascontiguousarray(np.linalg.qr(np.concatenate([right, units], axis=2)[:, :, :rank])[0])
     v[~v.any(axis=2), 0] = 1.0
-    v *= (math.sqrt(d) / np.linalg.norm(v, axis=2))[:, :, np.newaxis]
+    v *= (1.0 / np.linalg.norm(v, axis=2))[:, :, np.newaxis]
     return v
 
 

@@ -330,10 +330,10 @@ def phase_optimum(channel, diag_value: float) -> tuple[float, np.ndarray]:
     return diag_value * float(values[best]), math.sqrt(diag_value) * alpha[:, best]
 
 
-def solve_sdp_eigen_stop(channel, diag_value: float, steps: int | None = None) -> SdpSolution:
+def solve_sdp_eigen_stop(channel, steps: int | None = None) -> SdpSolution:
     """`sdr.solve_sdp`'s ascent, from its start (`sdr._start`) and with
     its steps, on the same scaled channel, certified at every step by the
-    exact dual certificate: gap = d L max(0, -lambda_min(Diag(y) - C))
+    exact dual certificate: gap = L max(0, -lambda_min(Diag(y) - C))
     plus the same rounding allowance, from an eigen-solve of the L x L
     Diag(y) - C, and the same stop rule and tolerance.  Reads
     `sdr._GAP_TOL` and `sdr._MAX_ITER` at call time.  With `steps`, runs
@@ -342,21 +342,20 @@ def solve_sdp_eigen_stop(channel, diag_value: float, steps: int | None = None) -
     h, j = sdr._unit_scale(np.asarray(channel, dtype=np.complex128)[np.newaxis])
     hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
     c = hh[0] @ h[0]
-    d = diag_value
     size = h.shape[2]
-    v = sdr._start(h, d)
+    v = sdr._start(h)
     tol = max(sdr._GAP_TOL, 4.0 * size * sdr._EPS)
     last = sdr._MAX_ITER if steps is None else steps
     for iterations in range(last + 1):
-        cv, y = sdr._products(h, hh, v, d)
-        objective = d * y.sum(axis=1).tolist()[0]
-        bound, allowance, _ = sdr._stop_terms(objective, d, size, tol)
-        gap = d * size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y[0]) - c)[0]))
+        cv, y = sdr._products(h, hh, v)
+        objective = y.sum(axis=1).tolist()[0]
+        bound, allowance, _ = sdr._stop_terms(objective, size, tol)
+        gap = size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y[0]) - c)[0]))
         gap += allowance
         converged = gap <= bound
         if (converged and steps is None) or iterations == last:
             break
-        v = sdr._ascend(v, cv, d)
+        v = sdr._ascend(v, cv)
 
     return SdpSolution(
         factor=v[0],

@@ -368,7 +368,7 @@ def test_criterion_11_sdr_phase_design():
     for instance in range(25):
         h = sample_channel(ChannelModel.rayleigh(), 2, 6, src.substream("sdr", instance))
         cost = h.entries.conj().T @ h.entries
-        solution = solve_sdp(h.entries, 1.0)
+        solution = solve_sdp(h.entries)
         assert solution.converged
         upper = solution.objective + solution.gap
         best, _ = phase_optimum(h.entries, 1.0)

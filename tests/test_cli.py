@@ -30,9 +30,9 @@ from macdet.model import ChannelModel
 from macdet.sdr import extract_phases, solve_sdp, solve_sdps
 
 
-def _stalled_solves(channels, diag_value):
+def _stalled_solves(channels):
     # real solves, each reported as uncertified
-    return [dataclasses.replace(s, converged=False) for s in solve_sdps(channels, diag_value)]
+    return [dataclasses.replace(s, converged=False) for s in solve_sdps(channels)]
 
 
 def parse(raw, experiment="exponent-sweep"):
@@ -774,6 +774,21 @@ class TestOverflowConfig:
         assert math.isfinite(cfg.params.gain_budget) and cfg.params.gain_budget > 0.0
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a config error (exit 2)
+    naming the path, never a traceback."""
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, target):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(BASE_SWEEP))
+        out = tmp_path / "missing" / "rows.csv" if target == "missing-directory" else tmp_path
+        assert cli.main(["exponent-sweep", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write output {out}: ")
+
+
 def _env_with_src():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
@@ -1020,7 +1035,7 @@ class TestSdrCompareExperiment:
         rows, _ = cli.run(cfg)
         channels = cli._scheme_channels(cfg, "sdr", 2)
         phases = [
-            extract_phases(solve_sdp(h, 1.0))
+            extract_phases(solve_sdp(h))
             for h in channels
         ]
         for x in cfg.sweep_grid:
@@ -1032,6 +1047,40 @@ class TestSdrCompareExperiment:
             row = next(r for r in rows if r.series == "sdr_phase(N=2)" and r.x_value == x)
             assert (row.value, row.ci95) == cli._mean_ci(per_channel)
 
+    def test_alpha_sdr_phase_is_the_runners_gains(self, monkeypatch):
+        # figure9's shape (Ricean K = 1, N = 3, L = 32, three draws): the
+        # gains the runner scores at each (gamma_s, draw) are bit for bit
+        # alpha_sdr_phase of that draw at that gamma_s
+        cfg = parse(
+            {
+                "channel": "ricean",
+                "ricean_k": 1.0,
+                "num_sensors": 32,
+                "num_antennas": 3,
+                "gamma_c": 10.0,
+                "channel_draws": 3,
+                "sweep": sweep("gamma_s", [0.5, 2.0, 8.0]),
+            },
+            experiment="sdr-compare",
+        )
+        scored = []
+        original = cli.exponent_statistic
+
+        def spy(channels, gains, *args):
+            scored.append(gains)
+            return original(channels, gains, *args)
+
+        monkeypatch.setattr(cli, "exponent_statistic", spy)
+        assert cli.run(cfg)[1] == 0
+        [gains] = scored
+        assert gains.shape == (3, 3, 32)
+        channels = cli._scheme_channels(cfg, "sdr", 3)
+        for i, x in enumerate(cfg.sweep_grid):
+            params = cfg.params.at_gamma_s(x)
+            for d, h in enumerate(channels):
+                want = allocation.alpha_sdr_phase(h, params).values
+                assert np.array_equal(gains[i, d].view(np.float64), want.view(np.float64)), (x, d)
+
     def test_nonconvergence_marks_rows_and_exit_3(self, monkeypatch):
         monkeypatch.setattr(cli, "solve_sdps", _stalled_solves)
         rows, code = cli.run(self.config())
@@ -1041,6 +1090,26 @@ class TestSdrCompareExperiment:
         assert all(math.isnan(r.value) for r in sdr_rows)
         hybrid_rows = [r for r in rows if r.series.startswith("hybrid")]
         assert all(math.isfinite(r.value) for r in hybrid_rows)
+
+    def test_partial_nonconvergence_keeps_the_certified_mean(self, monkeypatch, capsys):
+        # draw 0 of 2 uncertified: the rows are marked and the exit code
+        # is 3, but they carry draw 1's exponent, with no ci95
+        def first_stalled(channels):
+            first, *rest = solve_sdps(channels)
+            return [dataclasses.replace(first, converged=False), *rest]
+
+        monkeypatch.setattr(cli, "solve_sdps", first_stalled)
+        cfg = self.config()
+        rows, code = cli.run(cfg)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("sdr: channel draw 0 not certified after ")
+        h = cli._scheme_channels(cfg, "sdr", 2)[1]
+        for x in cfg.sweep_grid:
+            params = cfg.params.at_gamma_s(x)
+            row = next(r for r in rows if r.series.startswith("sdr_phase") and r.x_value == x)
+            assert row.series == "sdr_phase(N=2)[nonconverged]"
+            fe = allocation.finite_exponent(h, allocation.alpha_sdr_phase(h, params), params)
+            assert (row.value, row.ci95) == (fe, None)
 
     def test_nonconvergence_exit_code_through_main(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "solve_sdps", _stalled_solves)
