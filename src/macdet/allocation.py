@@ -136,6 +136,14 @@ def alpha_uniform(params: NetworkParams) -> GainVector:
     return GainVector(values=values, budget=p)
 
 
+def _finite(h: np.ndarray) -> np.ndarray:
+    # the gain rules check their channels here, before any arithmetic;
+    # the quadratic-form core checks only where its Cholesky path fails
+    if not np.isfinite(h).all():
+        raise ValueError("channel entries must be finite")
+    return h
+
+
 def _power(h: np.ndarray) -> np.ndarray:
     # |h|^2 by real arithmetic, the same bits for a row or a whole matrix
     return h.real**2 + h.imag**2
@@ -152,8 +160,6 @@ def _opt_n1_values(h_row, power, budget, sigma_eta_sq, sigma_nu_sq: float) -> np
     w = np.sqrt(power) / (s * p * power + sigma_nu_sq)
     top = w.max(axis=-1, keepdims=True)
     if not (top > 0.0).all():
-        if not np.isfinite(h_row).all():
-            raise ValueError("channel entries must be finite")
         raise ValueError("channel row is identically zero")
     w = w / top
     w = w / np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
@@ -165,7 +171,7 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
     |h_l| / (sigma_eta_sq P |h_l|^2 + sigma_nu_sq) scaled to spend P,
     phases conjugate to the channel."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    shaped("channel row", h, params.num_sensors)
+    _finite(shaped("channel row", h, params.num_sensors))
     p = params.gain_budget
     values = _opt_n1_values(h, _power(h), p, params.sigma_eta_sq, params.sigma_nu_sq)
     return GainVector(values=values, budget=p)
@@ -174,7 +180,7 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
 def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
     """Equal magnitudes sqrt(P/L) with channel-conjugate phases."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    shaped("channel row", h, params.num_sensors)
+    _finite(shaped("channel row", h, params.num_sensors))
     p = params.gain_budget
     values = math.sqrt(p / params.num_sensors) * np.exp(-1j * np.angle(h))
     return GainVector(values=values, budget=p)
@@ -200,7 +206,7 @@ def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     (theta^2/(8L)) sum_l 1/(sigma_eta_sq + sigma_nu_sq/(P |h_nl|^2))
     and applies the single-antenna optimal gains to its row.  Ties go
     to the lowest antenna index."""
-    h = checked_channel(channel, params)
+    h = _finite(checked_channel(channel, params))
     p = params.gain_budget
     values, selected = _method1_values(h, _power(h), p, params.sigma_eta_sq, params)
     return GainVector(values=values, budget=p), int(selected)
@@ -233,7 +239,7 @@ def method2(channel, params: NetworkParams) -> GainVector:
     eigenvector of H^H H (the optimal direction when sensing noise is
     absent), as given by _method2_direction.  For N < L the eigenvector
     is recovered from the small Gram matrix H H^H."""
-    h = checked_channel(channel, params)
+    h = _finite(checked_channel(channel, params))
     p = params.gain_budget
     return GainVector(values=math.sqrt(p) * _method2_direction(h), budget=p)
 
@@ -349,7 +355,7 @@ def scheme_sweep(channels, gamma_s_grid, params: NetworkParams):
     NoCrossoverError's method, or on a one-point grid the one with the
     larger mean exponent (method1 on a tie).
     """
-    channels = np.asarray(channels, dtype=np.complex128)
+    channels = _finite(np.asarray(channels, dtype=np.complex128))
     directions = np.array([_method2_direction(h) for h in channels])
 
     def gap_at(gamma_s):

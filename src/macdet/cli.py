@@ -8,7 +8,9 @@ byte-identical output.
 dB conventions: SNR quantities use 10 log10 and are accepted through
 keys with an explicit `_db` suffix; 20 log10 applies only to
 exponent-ratio gains reported elsewhere.  Exit codes: 0 success, 2
-config error, 3 solver non-convergence (affected rows are marked).
+config error, 3 exactly when some row's series is marked
+`[nonconverged]` (an sdr-compare or figure9 run with an uncertified
+SDP solve).
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
+import operator
+import os
 import sys
 from dataclasses import dataclass
 
@@ -91,7 +96,9 @@ _MODEL_KEYS = _COMMON_KEYS | {
 # takes 1 GiB, so larger antenna counts are config errors
 _MAX_ASYMPTOTIC_ANTENNAS = 8192
 
-_CSV_HEADER = ("experiment", "series", "x_name", "x_value", "value", "ci95", "seed")
+# the series suffix of rows whose SDP solves were not all certified;
+# run's exit code is 3 exactly when some row carries it
+_NONCONVERGED = "[nonconverged]"
 
 _DB_COMMENT = (
     "# dB conventions: SNRs use 10*log10 (keys and columns with an _db suffix); "
@@ -474,7 +481,7 @@ def _bound_row(cfg: ExperimentConfig, params_x: NetworkParams, gamma_s: float) -
     return _row(cfg, f"C({params_x.num_antennas},{k:g})", "gamma_s", gamma_s, bound_c(pt))
 
 
-def _run_exponent_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _run_exponent_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     params = cfg.params
     var = cfg.sweep_variable
     rows: list[ResultRow] = []
@@ -495,14 +502,10 @@ def _run_exponent_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             rows.append(_row(cfg, f"E_AWGN{tag}", var, x, e_awgn(pt)))
             if not cfg.model.is_awgn:
                 rows.append(_row(cfg, f"E_NoCSIS{tag}", var, x, e_nocsis(pt)))
-    return rows, 0
+    return rows
 
 
-def _run_montecarlo(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    return _montecarlo_series(cfg, [(cfg.model, cfg.params)])
-
-
-def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], int]:
+def _montecarlo_series(cfg: ExperimentConfig, series) -> list[ResultRow]:
     """The Pe_MC and Pe rows of each (model, params) series of `series`
     over cfg's sweep, series by series.
 
@@ -562,7 +565,7 @@ def _montecarlo_series(cfg: ExperimentConfig, series) -> tuple[list[ResultRow], 
         label = f"({model.label}{tag})"
         rows[k].append(_row(cfg, f"Pe_MC{label}", var, x, total.p_hat, total.ci95_halfwidth))
         rows[k].append(_row(cfg, f"Pe{label}", var, x, pe))
-    return [row for series_rows in rows for row in series_rows], 0
+    return [row for series_rows in rows for row in series_rows]
 
 
 def _scheme_channels(cfg: ExperimentConfig, label: str, draws: int) -> np.ndarray:
@@ -578,7 +581,7 @@ def _scheme_channels(cfg: ExperimentConfig, label: str, draws: int) -> np.ndarra
     return channels
 
 
-def _run_schemes(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _run_schemes(cfg: ExperimentConfig) -> list[ResultRow]:
     n = cfg.params.num_antennas
     channels = _scheme_channels(cfg, "schemes", cfg.channel_draws or 25)
     points, crossover, _ = scheme_sweep(channels, cfg.sweep_grid, cfg.params)
@@ -589,10 +592,10 @@ def _run_schemes(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
         rows.append(_bound_row(cfg, cfg.params.at_gamma_s(x), x))
     value = math.nan if crossover is None else crossover
     rows.append(_row(cfg, f"crossover(N={n})", "gamma_s", math.nan, value))
-    return rows, 0
+    return rows
 
 
-def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _run_sdr_compare(cfg: ExperimentConfig) -> list[ResultRow]:
     params = cfg.params
     n, num_sensors = params.num_antennas, params.num_sensors
     grid = cfg.sweep_grid or (params.gamma_s,)
@@ -611,7 +614,6 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             )
             continue
         solved.append((h, extract_phases(solution)))
-    failures = len(channels) - len(solved)
 
     # every point's sdr_phase gains, scored in one batch (points, draws)
     at_x = [params.at_gamma_s(x) for x in grid]
@@ -626,15 +628,15 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     hybrid = zip(*_mean_ci([feh for _, _, feh in points]))
 
     rows: list[ResultRow] = []
-    sdr_series = f"sdr_phase(N={n})" + ("[nonconverged]" if failures else "")
+    sdr_series = f"sdr_phase(N={n})" + ("" if len(solved) == len(channels) else _NONCONVERGED)
     for x, params_x, sdr_mean_ci, hybrid_mean_ci in zip(grid, at_x, sdr, hybrid):
         rows.append(_row(cfg, sdr_series, "gamma_s", x, *sdr_mean_ci))
         rows.append(_row(cfg, f"hybrid(N={n})", "gamma_s", x, *hybrid_mean_ci))
         rows.append(_bound_row(cfg, params_x, x))
-    return rows, 3 if failures else 0
+    return rows
 
 
-def _run_asymptotic(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _run_asymptotic(cfg: ExperimentConfig) -> list[ResultRow]:
     params = cfg.params
     draws = cfg.channel_draws or 20
     num_sensors = params.num_sensors
@@ -660,7 +662,7 @@ def _run_asymptotic(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             lams.append(float(hermitian_eig(gram).eigenvalues[-1]))
         mean, ci = _mean_ci(lams)
         rows.append(_row(cfg, f"lambda_max_empirical(L={num_sensors})", "beta", beta, mean, ci))
-    return rows, 0
+    return rows
 
 
 def _base_preset_params(num_sensors: int, num_antennas: int, gamma_c: float) -> NetworkParams:
@@ -676,7 +678,7 @@ def _base_preset_params(num_sensors: int, num_antennas: int, gamma_c: float) -> 
     )
 
 
-def _figure_2(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _figure_2(cfg: ExperimentConfig) -> list[ResultRow]:
     # six series on one sweep, scored on shared trial blocks
     grid = tuple(float(l) for l in range(1, 16))
     sub = dataclasses.replace(cfg, sweep_variable="L", sweep_grid=grid)
@@ -688,7 +690,7 @@ def _figure_2(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     return _montecarlo_series(sub, series)
 
 
-def _figure_3(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _figure_3(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     grid = (25, 50, 100, 150, 200, 300, 400)
     draws = cfg.channel_draws or 25
@@ -705,10 +707,10 @@ def _figure_3(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
         closed = ("E_AWGN(N=5)", e_awgn(pt)) if model.is_awgn else ("E_NoCSIS(N=5)", e_nocsis(pt))
         for l in grid:
             rows.append(_row(cfg, closed[0], "L", l, closed[1]))
-    return rows, 0
+    return rows
 
 
-def _figure_4(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _figure_4(cfg: ExperimentConfig) -> list[ResultRow]:
     sub = dataclasses.replace(
         cfg,
         params=_base_preset_params(200, 1, 1.0),
@@ -720,7 +722,7 @@ def _figure_4(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     return _run_exponent_sweep(sub)
 
 
-def _figure_5(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _figure_5(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for gamma_c in (float(g) for g in range(1, 21)):
         pt = SnrPoint(gamma_s=1.0, gamma_c=gamma_c, p1=0.5, k_factor=0.0, num_antennas=1)
@@ -732,10 +734,10 @@ def _figure_5(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             ("E_NoCSIS(N=1,K=20)", e_nocsis(dataclasses.replace(pt, k_factor=20.0))),
         ):
             rows.append(_row(cfg, series, "gamma_c", gamma_c, value))
-    return rows, 0
+    return rows
 
 
-def _figure_6(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _figure_6(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for step in range(17):
         db = 5.0 + 0.25 * step
@@ -749,10 +751,10 @@ def _figure_6(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             ("E_CSIS(1)", e_csis1_rayleigh_closed(pt)),
         ):
             rows.append(_row(cfg, series, "gamma_c_db", db, value))
-    return rows, 0
+    return rows
 
 
-def _figure_7(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
+def _figure_7(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     zeta_rayleigh = ZetaFactor.rayleigh()
     zeta_ricean = ZetaFactor.from_model(ChannelModel.ricean(1.0))
@@ -766,55 +768,45 @@ def _figure_7(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
             ("N_line", float(n)),
         ):
             rows.append(_row(cfg, series, "N", n, value))
-    return rows, 0
+    return rows
 
 
-def _in_db(rows: list[ResultRow], grid, db_grid) -> list[ResultRow]:
-    # relabels a gamma_s sweep built on snr_from_db(db_grid) onto the dB
-    # grid; a crossover row carries its gamma_s as the value, moved to dB
-    to_db = dict(zip(grid, db_grid))
-    out = []
-    for row in rows:
-        if row.series.startswith("crossover("):
-            db = math.nan if math.isnan(row.value) else snr_to_db(row.value)
-            series = row.series.replace("crossover(", "crossover_db(")
-            out.append(dataclasses.replace(row, series=series, x_name="gamma_s_db", value=db))
-        else:
-            out.append(dataclasses.replace(row, x_name="gamma_s_db", x_value=to_db[row.x_value]))
-    return out
-
-
-def _figure_8(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    rows: list[ResultRow] = []
-    db_grid = tuple(float(db) for db in range(-5, 16))
-    grid = tuple(snr_from_db(db) for db in db_grid)
-    for n in (5, 50):
-        sub = dataclasses.replace(
-            cfg,
-            params=_base_preset_params(200, n, 10.0),
-            model=ChannelModel.ricean(1.0),
-            sweep_variable="gamma_s",
-            sweep_grid=grid,
-        )
-        rows.extend(_in_db(_run_schemes(sub)[0], grid, db_grid))
-    for db, x in zip(db_grid, grid):
-        pt = SnrPoint(gamma_s=x, gamma_c=10.0, p1=0.5, k_factor=0.0, num_antennas=1)
-        rows.append(_row(cfg, "E_CSIS(1)", "gamma_s_db", db, e_csis1_rayleigh_closed(pt)))
-    return rows, 0
-
-
-def _figure_9(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    db_grid = tuple(-5.0 + 2.5 * step for step in range(7))
+def _db_sweep(cfg: ExperimentConfig, runner, num_sensors: int, num_antennas: int, db_grid):
+    """`runner`'s rows for the network of figures 8 and 9 (gamma_c = 10,
+    Ricean K = 1) over the gamma_s grid snr_from_db(db_grid), relabeled
+    onto the dB grid; a crossover row carries its gamma_s as the value,
+    moved to dB."""
     grid = tuple(snr_from_db(db) for db in db_grid)
     sub = dataclasses.replace(
         cfg,
-        params=_base_preset_params(32, 3, 10.0),
+        params=_base_preset_params(num_sensors, num_antennas, 10.0),
         model=ChannelModel.ricean(1.0),
         sweep_variable="gamma_s",
         sweep_grid=grid,
     )
-    rows, code = _run_sdr_compare(sub)
-    return _in_db(rows, grid, db_grid), code
+    to_db = dict(zip(grid, db_grid))
+    rows = []
+    for row in runner(sub):
+        if row.series.startswith("crossover("):
+            db = math.nan if math.isnan(row.value) else snr_to_db(row.value)
+            series = row.series.replace("crossover(", "crossover_db(")
+            rows.append(dataclasses.replace(row, series=series, x_name="gamma_s_db", value=db))
+        else:
+            rows.append(dataclasses.replace(row, x_name="gamma_s_db", x_value=to_db[row.x_value]))
+    return rows
+
+
+def _figure_8(cfg: ExperimentConfig) -> list[ResultRow]:
+    db_grid = tuple(float(db) for db in range(-5, 16))
+    rows = [row for n in (5, 50) for row in _db_sweep(cfg, _run_schemes, 200, n, db_grid)]
+    for db in db_grid:
+        pt = SnrPoint(gamma_s=snr_from_db(db), gamma_c=10.0, p1=0.5, k_factor=0.0, num_antennas=1)
+        rows.append(_row(cfg, "E_CSIS(1)", "gamma_s_db", db, e_csis1_rayleigh_closed(pt)))
+    return rows
+
+
+def _figure_9(cfg: ExperimentConfig) -> list[ResultRow]:
+    return _db_sweep(cfg, _run_sdr_compare, 32, 3, tuple(-5.0 + 2.5 * step for step in range(7)))
 
 
 _FIGURES = {
@@ -829,10 +821,6 @@ _FIGURES = {
 }
 
 
-def _run_figure(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    return _FIGURES[cfg.figure_id](cfg)
-
-
 # each experiment's runner, the sweep variables it accepts and the config
 # keys it reads; parse_config rejects every other key
 _EXPERIMENTS = {
@@ -842,7 +830,7 @@ _EXPERIMENTS = {
         _MODEL_KEYS | {"n_list"},
     ),
     "montecarlo": (
-        _run_montecarlo,
+        lambda cfg: _montecarlo_series(cfg, [(cfg.model, cfg.params)]),
         ("gamma_s", "gamma_c", "N", "L"),
         _MODEL_KEYS | {"noise", "noise_corr", "trials", "channel_draws"},
     ),
@@ -851,69 +839,57 @@ _EXPERIMENTS = {
     "asymptotic": (_run_asymptotic, ("beta",), _MODEL_KEYS | {"channel_draws"}),
     # the presets take the run-control keys that size them, whichever
     # preset reads them
-    "figure": (_run_figure, (), _COMMON_KEYS | {"figure_id", "trials", "channel_draws"}),
+    "figure": (
+        lambda cfg: _FIGURES[cfg.figure_id](cfg),
+        (),
+        _COMMON_KEYS | {"figure_id", "trials", "channel_draws"},
+    ),
 }
 
 
 def run(cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    """Executes the configured experiment; returns (rows, exit code)."""
-    return _EXPERIMENTS[cfg.experiment][0](cfg)
+    """Executes the configured experiment; returns (rows, exit code), the
+    code 3 exactly when some row's series ends with _NONCONVERGED."""
+    rows = _EXPERIMENTS[cfg.experiment][0](cfg)
+    return rows, 3 if any(row.series.endswith(_NONCONVERGED) for row in rows) else 0
 
 
-def _csv_num(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+# ResultRow's fields are the output columns, in order
+_NAMES = tuple(f.name for f in dataclasses.fields(ResultRow))
+_FLOATS = tuple(_NAMES.index(name) for name in ("x_value", "value", "ci95"))
+
+
+def _cells(rows) -> zip:
+    """The rows' values in column order, one tuple per row: each float
+    column as floats, or as the repr "nan", "inf" or "-inf" of a value
+    that is not finite (None stays None): the cells of both output
+    formats.  Built a column at a time, which costs less per row than a
+    row at a time."""
+    rows = list(rows)
+    columns = [list(map(operator.attrgetter(name), rows)) for name in _NAMES]
+    for i in _FLOATS:
+        columns[i] = [
+            v if v is None else float(v) if math.isfinite(v) else repr(float(v)) for v in columns[i]
+        ]
+    return zip(*columns)
 
 
 def rows_to_csv(rows) -> str:
-    """Stable CSV serialization: one comment line on conventions, the
-    fixed header, then one row per record."""
+    """Stable CSV serialization: one comment line on conventions, a
+    header of ResultRow's field names, then one row per record."""
     buf = io.StringIO()
     buf.write(_DB_COMMENT + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            (
-                row.experiment,
-                row.series,
-                row.x_name,
-                _csv_num(row.x_value),
-                _csv_num(row.value),
-                _csv_num(row.ci95),
-                str(row.seed),
-            )
-        )
+    writer.writerow(_NAMES)
+    # the csv module writes a float as its repr and None as an empty cell
+    writer.writerows(_cells(rows))
     return buf.getvalue()
 
 
-def _json_num(value: float | None):
-    if value is None:
-        return None
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 def rows_to_json(rows) -> str:
-    """JSON serialization: an array of row objects with the CSV field
-    names; non-finite values become explicit string sentinels."""
-    payload = [
-        {
-            "experiment": row.experiment,
-            "series": row.series,
-            "x_name": row.x_name,
-            "x_value": _json_num(row.x_value),
-            "value": _json_num(row.value),
-            "ci95": _json_num(row.ci95),
-            "seed": row.seed,
-        }
-        for row in rows
-    ]
+    """JSON serialization: an array of row objects keyed by ResultRow's
+    field names; non-finite floats become explicit string sentinels."""
+    payload = [dict(zip(_NAMES, cells)) for cells in _cells(rows)]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -923,6 +899,24 @@ def _write_output(text: str, path: str | None) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+
+
+def _check_output(path: str | None) -> None:
+    # before the run, without opening the file (a failed run must not
+    # truncate an earlier output): the path must name a file in an
+    # existing directory; a later write can still fail
+    if path is None:
+        return
+    parent = os.path.dirname(path) or os.curdir
+    if not path:
+        reason = errno.ENOENT
+    elif os.path.isdir(path) or path.endswith(os.sep):
+        reason = errno.EISDIR
+    elif not os.path.isdir(parent):
+        reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write output {path}: {os.strerror(reason)}")
 
 
 def main(argv=None) -> int:
@@ -968,6 +962,7 @@ def main(argv=None) -> int:
             # the flags replace their config keys, and are validated as those
             raw.update({k: v for k, v in overrides.items() if v is not None})
         cfg = parse_config(raw, experiment)
+        _check_output(cfg.output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

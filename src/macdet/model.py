@@ -43,9 +43,9 @@ class RandomSource:
 
     Two bit generators sit on that one key derivation:
 
-    * `substream` is Philox.  Channels, the crossover calibration and
-      every other small draw use it; those draws fix every analytic row
-      of every output.  A Monte Carlo sweep builds the key
+    * `substream` is Philox.  Channels and every other small draw use
+      it; those draws fix every analytic row of every output.  A Monte
+      Carlo sweep builds the key
       seed_sequence("mc-channel", i, d) once per point i and draw d, and
       gives each series that draws a channel a Philox generator of its
       own on it: the generator substream("mc-channel", i, d) returns.

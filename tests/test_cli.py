@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -468,6 +469,45 @@ class TestSerialization:
         assert payload[1]["ci95"] is None
         assert payload[2]["value"] == "nan"
 
+    def test_float_fields_print_as_python_floats(self):
+        # an int or a NumPy scalar in a float field prints as
+        # repr(float(v)); the seed prints as an integer
+        row = cli.ResultRow("demo", "s", "N", 2, np.float64(0.1), np.float32(0.5), 7)
+        assert cli.rows_to_csv([row]).splitlines()[2] == "demo,s,N,2.0,0.1,0.5,7"
+        text = cli.rows_to_json([row])
+        for pair in ('"x_value": 2.0,', '"value": 0.1,', '"ci95": 0.5,', '"seed": 7'):
+            assert pair in text
+
+    def test_json_and_csv_agree_field_for_field(self):
+        # one schemes sweep: NaN in the crossover row, an empty ci95 in
+        # each bound row; every JSON value printed as a CSV cell is that
+        # cell, under the same field names in the same order
+        cfg = parse(
+            {
+                "channel": "ricean",
+                "ricean_k": 1.0,
+                "num_sensors": 8,
+                "num_antennas": 2,
+                "gamma_c": 10.0,
+                "channel_draws": 2,
+                "sweep": sweep("gamma_s", [0.5, 2.0]),
+            },
+            experiment="schemes",
+        )
+        rows, _ = cli.run(cfg)
+        body = cli.rows_to_csv(rows).split("\n", 1)[1]
+        records = list(csv.DictReader(io.StringIO(body)))
+        objects = json.loads(cli.rows_to_json(rows))
+        assert len(records) == len(objects) == len(rows)
+        assert any(obj["x_value"] == "nan" for obj in objects)
+        assert any(obj["ci95"] is None for obj in objects)
+        for record, obj in zip(records, objects):
+            assert list(record) == list(obj)
+            for name, cell in record.items():
+                value = obj[name]
+                text = value if isinstance(value, str) else repr(value)
+                assert cell == ("" if value is None else text)
+
 
 class TestMainEndToEnd:
     def write(self, tmp_path, raw, name="cfg.json"):
@@ -778,15 +818,61 @@ class TestUnwritableOutput:
     """An output path that cannot be written is a config error (exit 2)
     naming the path, never a traceback."""
 
-    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-    def test_rejected_with_exit_2(self, tmp_path, capsys, target):
+    @pytest.mark.parametrize(
+        "target,reason",
+        [
+            ("missing/rows.csv", errno.ENOENT),
+            ("", errno.EISDIR),
+            ("rows.csv/", errno.EISDIR),
+            ("file/rows.csv", errno.ENOTDIR),
+            (None, errno.ENOENT),
+        ],
+        ids=["missing-directory", "directory", "trailing-slash", "file-as-directory", "empty"],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, monkeypatch, capsys, target, reason):
+        # checked before the run, which never starts; the reason is the
+        # one opening the path for writing would give
+        def never(cfg):
+            raise AssertionError("run called with an unwritable output")
+
+        monkeypatch.setattr(cli, "run", never)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(BASE_SWEEP))
-        out = tmp_path / "missing" / "rows.csv" if target == "missing-directory" else tmp_path
-        assert cli.main(["exponent-sweep", "--config", str(path), "--out", str(out)]) == 2
+        (tmp_path / "file").write_text("")
+        out = "" if target is None else os.path.join(tmp_path, target)
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        assert opened.value.errno == reason
+        assert cli.main(["exponent-sweep", "--config", str(path), "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"config error: cannot write output {out}: ")
+        assert captured.err == f"config error: cannot write output {out}: {os.strerror(reason)}\n"
+
+    def test_an_earlier_output_survives_a_failed_run(self, tmp_path, monkeypatch):
+        def crash(cfg):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli, "run", crash)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(BASE_SWEEP))
+        out = tmp_path / "rows.csv"
+        out.write_text("earlier output\n")
+        with pytest.raises(RuntimeError, match="run failed"):
+            cli.main(["exponent-sweep", "--config", str(path), "--out", str(out)])
+        assert out.read_text() == "earlier output\n"
+
+    def test_write_error_after_the_run(self, tmp_path, monkeypatch, capsys):
+        # a path that passes the early check can still fail to open
+        def refuse(text, path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(cli, "_write_output", refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(BASE_SWEEP))
+        out = tmp_path / "rows.csv"
+        assert cli.main(["exponent-sweep", "--config", str(path), "--out", str(out)]) == 2
+        reason = os.strerror(errno.EACCES)
+        assert capsys.readouterr().err == f"config error: cannot write output {out}: {reason}\n"
 
 
 def _env_with_src():
@@ -1128,6 +1214,20 @@ class TestSdrCompareExperiment:
         assert cli.main(["sdr-compare", "--config", str(path), "--out", out]) == 3
         assert "[nonconverged]" in Path(out).read_text()
 
+    def test_nonconvergence_exit_code_through_figure9(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve_sdps", _stalled_solves)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"channel_draws": 1}))
+        out = tmp_path / "rows.csv"
+        assert cli.main(["figure9", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("sdr: channel draw 0 not certified after ")
+        body = out.read_text().split("\n", 1)[1]
+        sdr_rows = [r for r in csv.DictReader(io.StringIO(body)) if r["series"].startswith("sdr")]
+        assert len(sdr_rows) == 7
+        for row in sdr_rows:
+            assert row["series"] == "sdr_phase(N=3)[nonconverged]"
+            assert row["x_name"] == "gamma_s_db"
+
     def test_nonconvergence_reasons_on_stderr(self, tmp_path, monkeypatch, capsys):
         # one stderr line per uncertified draw; stdout carries the CSV
         # alone, at its pinned digest
@@ -1282,17 +1382,14 @@ class TestFigurePresets:
         cfg = parse({"figure_id": 2, "trials": 10_000, "channel_draws": 2}, experiment="figure")
         rows, code = cli.run(cfg)
         assert code == 0
+        sub = dataclasses.replace(
+            cfg, sweep_variable="L", sweep_grid=tuple(float(l) for l in range(1, 16))
+        )
         alone = []
         for channel in (ChannelModel.awgn(), ChannelModel.ricean(1.0), ChannelModel.rayleigh()):
             for n in (2, 10):
-                sub = dataclasses.replace(
-                    cfg,
-                    params=cli._base_preset_params(15, n, 1.0),
-                    model=channel,
-                    sweep_variable="L",
-                    sweep_grid=tuple(float(l) for l in range(1, 16)),
-                )
-                alone.extend(cli._run_montecarlo(sub)[0])
+                series = [(channel, cli._base_preset_params(15, n, 1.0))]
+                alone.extend(cli._montecarlo_series(sub, series))
         assert rows == alone
         assert len(rows) == 6 * 15 * 2
 
