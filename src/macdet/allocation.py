@@ -49,6 +49,14 @@ __all__ = [
     "alpha_sdr_phase",
 ]
 
+# a channel whose largest real or imaginary part reaches 2^_PART_BITS is
+# scaled down by a power of two to put it just below, before a gain rule
+# squares it: |h|^2 then stays below 2^769, far from overflow even times
+# the gain budget, and the shift is the least that does so, which keeps
+# the squares of small entries and sigma_nu_sq 4^-j (for largest parts
+# up to about 1e269) normal numbers
+_PART_BITS = 384
+
 # calibrate_crossover bisects in log gamma_s until the bracket is this
 # narrow, in dB
 _CROSSOVER_TOL_DB = 0.05
@@ -61,6 +69,9 @@ _CROSSOVER_TOL_DB = 0.05
 # fastest split of an N = 50 point (5.4-5.8 ms; one channel per group
 # 5.9-6.8, all ten 7.0-8.0), and it raised fig8-schemes' peak RSS by 2 %
 # over unbatched scoring (one per group 1 %, all ten 12 %).
+# _method2_directions takes its channels in the same groups: the whole
+# N = 50 stack at once raised a fresh figure8 process's peak RSS by
+# 0.8 MB, groups of three by none.
 _GROUP_ENTRIES = 1 << 15
 
 
@@ -136,12 +147,29 @@ def alpha_uniform(params: NetworkParams) -> GainVector:
     return GainVector(values=values, budget=p)
 
 
-def _finite(h: np.ndarray) -> np.ndarray:
-    # the gain rules check their channels here, before any arithmetic;
-    # the quadratic-form core checks only where its Cholesky path fails
-    if not np.isfinite(h).all():
+def _fitted(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H 2^-j, j) for each channel of a stack (D, ...): j = 0 unless the
+    channel's largest real or imaginary part reaches 2^_PART_BITS, and
+    then the j that puts it in [2^(_PART_BITS - 1), 2^_PART_BITS).  The
+    gain rules check their channels here, before any arithmetic
+    (ValueError on a non-finite entry); the quadratic-form core checks
+    only where its Cholesky path fails.
+
+    Power-of-two scaling is exact, and no rule's gains depend on it: the
+    direction of method2 does not depend on the scale of H, and the
+    magnitudes of alpha_opt_n1 and method1 see H and sigma_nu_sq only
+    through ratios that H 2^-j with sigma_nu_sq 4^-j leave as they are.
+    A channel below the threshold keeps its bits."""
+    parts = np.ascontiguousarray(h).view(np.float64)
+    # largest |part| per channel without an |parts| temporary; NaN carries
+    axes = tuple(range(1, parts.ndim))
+    peak = np.maximum(parts.max(axis=axes, initial=0.0), -parts.min(axis=axes, initial=0.0))
+    if not np.isfinite(peak).all():
         raise ValueError("channel entries must be finite")
-    return h
+    j = np.where(peak >= 2.0**_PART_BITS, np.frexp(peak)[1] - _PART_BITS, 0)
+    if j.any():
+        h = np.ldexp(parts, -j.reshape((-1,) + (1,) * (parts.ndim - 1))).view(np.complex128)
+    return h, j
 
 
 def _power(h: np.ndarray) -> np.ndarray:
@@ -154,7 +182,7 @@ def _opt_n1_values(h_row, power, budget, sigma_eta_sq, sigma_nu_sq: float) -> np
     # budget and sigma_eta_sq (floats, or arrays taken elementwise that
     # broadcast against the rows' batch).  The magnitudes are rescaled by their largest entry
     # before sum w^2, which then cannot underflow, and normalized as
-    # _method2_direction normalizes its direction, so equal directions
+    # _method2_directions normalizes a direction, so equal directions
     # give equal gains.
     p, s = (np.asarray(x)[..., np.newaxis] for x in (budget, sigma_eta_sq))
     w = np.sqrt(power) / (s * p * power + sigma_nu_sq)
@@ -171,34 +199,37 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
     |h_l| / (sigma_eta_sq P |h_l|^2 + sigma_nu_sq) scaled to spend P,
     phases conjugate to the channel."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    _finite(shaped("channel row", h, params.num_sensors))
+    (h,), (j,) = _fitted(shaped("channel row", h, params.num_sensors)[np.newaxis])
     p = params.gain_budget
-    values = _opt_n1_values(h, _power(h), p, params.sigma_eta_sq, params.sigma_nu_sq)
+    sigma_nu_sq = math.ldexp(params.sigma_nu_sq, -2 * int(j))
+    values = _opt_n1_values(h, _power(h), p, params.sigma_eta_sq, sigma_nu_sq)
     return GainVector(values=values, budget=p)
 
 
 def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
     """Equal magnitudes sqrt(P/L) with channel-conjugate phases."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    _finite(shaped("channel row", h, params.num_sensors))
+    # checked only: the phases do not depend on the scale
+    _fitted(shaped("channel row", h, params.num_sensors)[np.newaxis])
     p = params.gain_budget
     values = math.sqrt(p / params.num_sensors) * np.exp(-1j * np.angle(h))
     return GainVector(values=values, budget=p)
 
 
-def _method1_values(h, power, budget, sigma_eta_sq, params: NetworkParams):
+def _method1_values(h, power, budget, sigma_eta_sq, sigma_nu_sq, params: NetworkParams):
     # method1's (gains, selected antenna) for channels (..., N, L), their
-    # |h|^2 and a gain budget and sigma_eta_sq (floats, or arrays taken
-    # elementwise that broadcast against the channels' batch)
+    # |h|^2, a gain budget and sigma_eta_sq (floats, or arrays taken
+    # elementwise that broadcast against the channels' batch) and
+    # sigma_nu_sq (params' own, or scaled with the channels by _fitted)
     p, s = (np.asarray(x)[..., np.newaxis, np.newaxis] for x in (budget, sigma_eta_sq))
-    terms = p * power / (s * p * power + params.sigma_nu_sq)
+    terms = p * power / (s * p * power + sigma_nu_sq)
     metric = params.theta**2 / (8.0 * params.num_sensors) * terms.sum(axis=-1)
     selected = metric.argmax(axis=-1)
     index = selected[..., np.newaxis, np.newaxis]
     # per-point budgets give the selection leading axes the channels lack
     h = h[(np.newaxis,) * (index.ndim - h.ndim)]
     row = np.take_along_axis(h, index, axis=-2)[..., 0, :]
-    return _opt_n1_values(row, _power(row), budget, sigma_eta_sq, params.sigma_nu_sq), selected
+    return _opt_n1_values(row, _power(row), budget, sigma_eta_sq, sigma_nu_sq), selected
 
 
 def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
@@ -206,42 +237,67 @@ def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     (theta^2/(8L)) sum_l 1/(sigma_eta_sq + sigma_nu_sq/(P |h_nl|^2))
     and applies the single-antenna optimal gains to its row.  Ties go
     to the lowest antenna index."""
-    h = _finite(checked_channel(channel, params))
+    (h,), (j,) = _fitted(checked_channel(channel, params)[np.newaxis])
     p = params.gain_budget
-    values, selected = _method1_values(h, _power(h), p, params.sigma_eta_sq, params)
+    sigma_nu_sq = math.ldexp(params.sigma_nu_sq, -2 * int(j))
+    values, selected = _method1_values(h, _power(h), p, params.sigma_eta_sq, sigma_nu_sq, params)
     return GainVector(values=values, budget=p), int(selected)
 
 
-def _method2_direction(h: np.ndarray) -> np.ndarray:
-    """Unit top eigenvector of H^H H in the canonical phase: the
-    direction method2 scales by sqrt(P).  It depends on the channel
-    alone (gamma_s only moves P), so a gamma_s sweep computes it once
-    per channel.  It is taken as H^H u, with u the top eigenvector of the
-    small Gram matrix H H^H for N < L and u = H x, x the top eigenvector
-    of H^H H, otherwise; H^H u is rescaled by its largest entry and then
+def _method2_directions(channels: np.ndarray) -> np.ndarray:
+    """Unit top eigenvector of H^H H in the canonical phase for each
+    channel of a stack (D, N, L): the directions method2 scales by
+    sqrt(P).  They depend on the channels alone (gamma_s only moves P),
+    so a gamma_s sweep computes them once, and the channels go through
+    _fitted first (the directions do not depend on their scale).
+
+    Each is taken as H^H u, with u the top eigenvector of the small Gram
+    matrix H H^H for N < L and u = H x, x the top eigenvector of H^H H,
+    otherwise; H^H u is rescaled by its largest entry and then
     normalized, as alpha_opt_n1 normalizes its magnitudes (on AWGN both
     methods give the same bits).  When H^H u is zero (an all-zero
-    channel) x itself is returned."""
-    small = hermitian_eig(h @ h.conj().T) if h.shape[0] < h.shape[1] else None
-    if small is not None and small.eigenvalues[-1] > 0.0:
-        v = h.conj().T @ small.eigenvectors[:, -1]
+    channel) x itself is returned.  Every step runs on a group of
+    channels at once (at most _GROUP_ENTRIES entries), and each channel
+    gets the bits it gets in a stack of one: the eigendecompositions are
+    LAPACK's per matrix, and each norm is a dot product per row, as
+    np.linalg.norm takes it."""
+    h = _fitted(channels)[0]
+    count, n, size = h.shape
+    step = max(1, _GROUP_ENTRIES // (n * size))
+    if count > step:
+        return np.concatenate([_method2_directions(h[i : i + step]) for i in range(0, count, step)])
+    hh = h.conj().transpose(0, 2, 1)
+    directions = np.empty((count, size), dtype=np.complex128)
+    if n < size:
+        small = hermitian_eig(h @ hh)
+        v = (hh @ small.eigenvectors[:, :, -1:])[:, :, 0]
+        rest = small.eigenvalues[:, -1] <= 0.0
     else:
-        x = hermitian_eig(h.conj().T @ h).eigenvectors[:, -1]
-        v = h.conj().T @ (h @ x)
-        if not v.any():
-            return x
-    v = v / np.abs(v).max()
-    return canonical_phase(v / np.linalg.norm(v))
+        v = np.empty_like(directions)
+        rest = np.ones(count, dtype=bool)
+    if rest.any():
+        hr = h[rest]
+        hhr = hr.conj().transpose(0, 2, 1)
+        x = hermitian_eig(hhr @ hr).eigenvectors[:, :, -1:]
+        v[rest] = (hhr @ (hr @ x))[:, :, 0]
+        directions[rest] = x[:, :, 0]
+    moving = v.any(axis=1)
+    v = v[moving]
+    v = v / np.abs(v).max(axis=1, keepdims=True)
+    real, imag = v.real[:, np.newaxis], v.imag[:, np.newaxis]
+    norms = np.sqrt(real @ real.swapaxes(1, 2) + imag @ imag.swapaxes(1, 2))[:, 0]
+    directions[moving] = canonical_phase(v / norms)
+    return directions
 
 
 def method2(channel, params: NetworkParams) -> GainVector:
     """Top-eigenvector beamforming: sqrt(P) times the unit top
     eigenvector of H^H H (the optimal direction when sensing noise is
-    absent), as given by _method2_direction.  For N < L the eigenvector
-    is recovered from the small Gram matrix H H^H."""
-    h = _finite(checked_channel(channel, params))
+    absent), as _method2_directions gives it for a stack of one.  For
+    N < L the eigenvector is recovered from the small Gram matrix H H^H."""
+    h = checked_channel(channel, params)
     p = params.gain_budget
-    return GainVector(values=math.sqrt(p) * _method2_direction(h), budget=p)
+    return GainVector(values=math.sqrt(p) * _method2_directions(h[np.newaxis])[0], budget=p)
 
 
 def _method_grid(channels, directions, points) -> np.ndarray:
@@ -250,8 +306,8 @@ def _method_grid(channels, directions, points) -> np.ndarray:
     differ only in sigma_eta_sq (as params.at_gamma_s gives them): an
     array (points, channels, 2), each entry bit for bit finite_exponent
     of method1 or method2 on its channel at its point.  `directions`
-    holds each channel's _method2_direction, which does not depend on
-    gamma_s.
+    holds each channel's method2 direction (_method2_directions), which
+    does not depend on gamma_s.
 
     The (point, channel) items go through the batched core in groups of
     at most _GROUP_ENTRIES channel entries, so the working set stays
@@ -275,7 +331,7 @@ def _method_grid(channels, directions, points) -> np.ndarray:
     for i in range(0, len(points), span):
         for j in range(0, len(entries), width):
             h, p, s = entries[j : j + width], budget[i : i + span], sigma_eta_sq[i : i + span]
-            method1_gains = _method1_values(h, _power(h), p, s, params)[0]
+            method1_gains = _method1_values(h, _power(h), p, s, params.sigma_nu_sq, params)[0]
             method2_gains = np.sqrt(p)[..., np.newaxis] * directions[j : j + width]
             gains = np.stack((method1_gains, method2_gains), axis=-2)
             scored = exponent_statistic(h[:, np.newaxis], gains, params, s[..., np.newaxis])
@@ -355,8 +411,8 @@ def scheme_sweep(channels, gamma_s_grid, params: NetworkParams):
     NoCrossoverError's method, or on a one-point grid the one with the
     larger mean exponent (method1 on a tie).
     """
-    channels = _finite(np.asarray(channels, dtype=np.complex128))
-    directions = np.array([_method2_direction(h) for h in channels])
+    channels = np.asarray(channels, dtype=np.complex128)
+    directions = _method2_directions(channels)
 
     def gap_at(gamma_s):
         # one bisection point, scored as the one-point case of the grid pass

@@ -787,12 +787,14 @@ def _db_sweep(cfg: ExperimentConfig, runner, num_sensors: int, num_antennas: int
     to_db = dict(zip(grid, db_grid))
     rows = []
     for row in runner(sub):
-        if row.series.startswith("crossover("):
-            db = math.nan if math.isnan(row.value) else snr_to_db(row.value)
-            series = row.series.replace("crossover(", "crossover_db(")
-            rows.append(dataclasses.replace(row, series=series, x_name="gamma_s_db", value=db))
+        # built directly: dataclasses.replace costs several times as much
+        series, x_value, value = row.series, row.x_value, row.value
+        if series.startswith("crossover("):
+            series = series.replace("crossover(", "crossover_db(")
+            value = math.nan if math.isnan(value) else snr_to_db(value)
         else:
-            rows.append(dataclasses.replace(row, x_name="gamma_s_db", x_value=to_db[row.x_value]))
+            x_value = to_db[x_value]
+        rows.append(ResultRow(row.experiment, series, "gamma_s_db", x_value, value, row.ci95, row.seed))
     return rows
 
 

@@ -6,10 +6,10 @@ the standard library's math module alone.
 All eigen-decompositions share one deterministic convention so downstream
 results are reproducible bit-for-bit: eigenvalues ascending, and each
 eigenvector rotated so that its largest-magnitude component (lowest index
-on ties) is real and positive.  The rotation is applied to all columns in
-one vectorized pass (`_canonical_phase_columns`), which `canonical_phase`
-and `hermitian_eig` share; it is bit-identical to rotating each column on
-its own.
+on ties) is real and positive.  The rotation is applied to all columns of
+a matrix, or of a whole stack of them, in one vectorized pass
+(`_canonical_phase_columns`), which `canonical_phase` and `hermitian_eig`
+share; it is bit-identical to rotating each column on its own.
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ _HERMITIAN_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack (..., M, M).
 
-    eigenvalues are real and ascending; eigenvectors[:, k] is the unit
-    eigenvector for eigenvalues[k], in the canonical phase convention.
+    eigenvalues are real and ascending; eigenvectors[..., :, k] is the
+    unit eigenvector for eigenvalues[..., k], in the canonical phase
+    convention.
     """
 
     eigenvalues: np.ndarray
@@ -49,64 +51,79 @@ class HermitianEig:
 def check_square_hermitian(a: np.ndarray, rtol: float) -> np.ndarray:
     """a as complex128, once checked square, finite and Hermitian within rtol."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(np.max(np.abs(a)), 1e-300)
-    if not math.isfinite(scale):
+    return _checked_hermitian(a, rtol)
+
+
+def _checked_hermitian(a: np.ndarray, rtol: float) -> np.ndarray:
+    # check_square_hermitian for a matrix or a stack (..., M, M), each
+    # matrix checked against its own largest entry
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
+    if not np.isfinite(scale).all():
         raise ValueError("matrix entries must be finite")
-    if np.max(np.abs(a - a.conj().T)) > rtol * scale:
+    if (np.abs(a - a.swapaxes(-1, -2).conj()).max(axis=(-2, -1)) > rtol * scale).any():
         raise ValueError("matrix is not Hermitian within tolerance")
     return a.astype(np.complex128, copy=False)
 
 
 def _canonical_phase_columns(v: np.ndarray) -> np.ndarray:
-    """Rotate every column of a 2-D complex array by a unit scalar so its
-    largest-magnitude entry (lowest index on ties) becomes real and
-    positive; all-zero columns pass through unchanged.  Returns a new
+    """Rotate every column of a complex array (..., M, K) by a unit scalar
+    so its largest-magnitude entry (lowest index on ties) becomes real
+    and positive; all-zero columns pass through unchanged.  Returns a new
     array with the memory layout of `v`.
 
     Bit-identical to rotating each column separately with
-    `v[:, k] * (conj(p) / abs(p))`.  The pivot magnitude is taken with
-    hypot, which rounds like the scalar abs() (array np.abs does not).  The
-    product is spelled `(v.T * phase[:, None]).T`: for a single column this
-    keeps the phase as the broadcast second operand, as in a column times a
-    scalar, whereas `v * phase` can round a length-1 column differently in
-    the last bit.
+    `v[:, k] * (conj(p) / abs(p))`, and a stack's matrices to rotating
+    each matrix's columns alone.  The pivot magnitude is taken with
+    hypot, which rounds like the scalar abs() (array np.abs does not).
+    The product is spelled with the last two axes swapped, the phases a
+    column (K, 1) against them: for a single column this keeps the phase
+    as the broadcast second operand, as in a column times a scalar,
+    whereas `v * phase` can round a length-1 column differently in the
+    last bit.  A stack is handled as (B, M, K), its matrices indexed
+    along the first axis.
     """
-    cols = np.arange(v.shape[1])
-    rows = np.abs(v).argmax(axis=0)
-    pivot = v[rows, cols]
+    stack = v.reshape((-1,) + v.shape[-2:])
+    rows = np.abs(stack).argmax(axis=1)
+    pivots = (np.arange(len(stack))[:, np.newaxis], rows, np.arange(stack.shape[2]))
+    pivot = stack[pivots]
     mag = np.hypot(pivot.real, pivot.imag)
     zero = mag == 0.0
     has_zero = zero.any()
     if has_zero:
         mag[zero] = 1.0
-    out = (v.T * (pivot.conj() / mag)[:, None]).T
+    out = (stack.swapaxes(1, 2) * (pivot.conj() / mag)[:, :, np.newaxis]).swapaxes(1, 2)
     # kill the residual imaginary part of each pivot introduced by rounding
-    out.imag[rows, cols] = 0.0
+    out.imag[pivots] = 0.0
     if has_zero:
-        out[:, zero] = v[:, zero]
-    return out
+        np.copyto(out, stack, where=zero[:, np.newaxis, :])
+    return out.reshape(v.shape)
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a complex vector by a unit scalar so its largest-magnitude
-    component (lowest index on ties) becomes real and positive."""
+    """Rotate a complex vector, or each vector along the last axis of a
+    stack, by a unit scalar so its largest-magnitude component (lowest
+    index on ties) becomes real and positive."""
     v = np.asarray(v, dtype=np.complex128)
-    return _canonical_phase_columns(v[:, None])[:, 0]
+    return _canonical_phase_columns(v[..., np.newaxis])[..., 0]
 
 
 def hermitian_eig(a: np.ndarray) -> HermitianEig:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix, or of each matrix of
+    a stack (..., M, M).
 
     Rejects non-square, non-finite or non-Hermitian (relative tolerance
     1e-10) input.
-    Identical input yields an identical decomposition.  The phase
-    convention is applied to all eigenvectors in one vectorized pass,
-    bit-identical to `canonical_phase` on each column.
+    Identical input yields an identical decomposition, and a stack's
+    matrices the decompositions they get alone.  The phase convention is
+    applied to all eigenvectors in one vectorized pass, bit-identical to
+    `canonical_phase` on each column.
     """
-    a = check_square_hermitian(a, _HERMITIAN_RTOL)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    a = _checked_hermitian(np.asarray(a), _HERMITIAN_RTOL)
+    w, v = np.linalg.eigh((a + a.swapaxes(-1, -2).conj()) / 2.0)
     return HermitianEig(eigenvalues=w, eigenvectors=_canonical_phase_columns(v))
 
 
@@ -129,7 +146,7 @@ def solve_hermitian_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def psd_project(a: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive-semidefinite matrix: eigenvalues clamped
     at zero, eigenvectors kept."""
-    eig = hermitian_eig(a)
+    eig = hermitian_eig(check_square_hermitian(a, _HERMITIAN_RTOL))
     w = np.maximum(eig.eigenvalues, 0.0)
     v = eig.eigenvectors
     out = (v * w) @ v.conj().T

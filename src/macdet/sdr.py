@@ -45,6 +45,19 @@ max(1e-12, 4 L eps) max(|objective|, 1).  On the scaled H the SDP
 optimum is at least ||H 2^-j||_F^2 >= 1 (X = I is feasible), so the
 floor 1 does not loosen the stop at the optimum.
 
+Only a step that can stop is certified.  The next iterate V' has unit
+rows to rounding, so the SDP optimum is at least o' - a', with o' its
+computed objective and a' its allowance (which covers a feasible
+vector's computed value).  A step that stops has gap <= bound, and the
+optimum is at most o + gap.  So o' - o > bound + a' rules the stop out,
+and with the step's own allowance a added for the rounding of that
+difference and sum (at most a few eps times them), the loop certifies
+only the channels with o' - o <= bound + a + a', and every channel at
+the last step.  It forms V' and its products, which the next step needs
+anyway, before it certifies.  A skipped step could not have stopped, so
+each solve stops at the step, and with the bits, of one certified at
+every step; at figure9's size about one eigenproblem is left per solve.
+
 Rank-one rounding of the top eigenvector of X recovers a feasible phase
 vector.  That eigenvector is V w / ||V w|| for w the top eigenvector of
 the r x r Gram V^H V, so the rounding decomposes only the Gram.  The
@@ -130,8 +143,8 @@ def solve_sdps(channels) -> list[SdpSolution]:
 
     Deterministic: the start is `_start`, and a row whose ascent direction
     (C V)_l is zero keeps its value.  Each step multiplies by H and H^H
-    and certifies through one N x N eigenvalue per channel
-    (`_top_eigenvalues`, `_shift`).  The solve runs on H 2^-j
+    and certifies (`_certify`) only the channels whose next objective
+    leaves room for a stop (module docstring).  The solve runs on H 2^-j
     (`_unit_scale`) and scales objective and gap back by 4^j.  Raises
     ValueError unless channels is a finite, non-empty D x N x L stack.
     """
@@ -152,39 +165,69 @@ def solve_sdps(channels) -> list[SdpSolution]:
     skip = np.where(support | ~support.any(axis=1)[:, np.newaxis], 0.0, np.inf)
     live = list(range(count))
     solutions: list = [None] * count
+    cv, y = _products(h, hh, v)
+    terms = _stop_terms(y, size, tol)
     for iterations in range(_MAX_ITER + 1):
         final = iterations == _MAX_ITER
-        cv, y = _products(h, hh, v)
-        objectives = y.sum(axis=1).tolist()
-        terms = [_stop_terms(objective, size, tol) for objective in objectives]
-        lows = (y + skip).min(axis=1).tolist()
-        shifts = [t + max(0.0, -2.0 * low) for (_, _, t), low in zip(terms, lows)]
-        lams = _top_eigenvalues(y, shifts, h, hh, margin)
-        stopped = []
-        for k, ((bound, allowance, _), low, s, lam) in enumerate(zip(terms, lows, shifts, lams)):
-            # with lam > 1 every certified mu exceeds s >= t: no stop
-            if lam > 1.0 and not final:
-                continue
-            y_ref = low if lam <= 1.0 else float((y[k] - skip[k]).max())
-            gap = size * _shift(y_ref, s, lam) + allowance
-            if gap <= bound or final:
-                stopped.append(k)
-                solutions[live[k]] = SdpSolution(
-                    factor=v[k].copy(),
-                    objective=float(np.ldexp(objectives[k], 2 * scales[live[k]])),
-                    iterations=iterations,
-                    converged=gap <= bound,
-                    gap=float(np.ldexp(gap, 2 * scales[live[k]])),
-                )
+        if final:
+            checked = list(range(len(live)))
+        else:
+            # the next iterate's products, which the next step needs anyway,
+            # screen this one: a rise past the margin rules out its stop
+            v_next = _ascend(v, cv)
+            cv_next, y_next = _products(h, hh, v_next)
+            terms_next = _stop_terms(y_next, size, tol)
+            checked = [
+                k
+                for k, ((objective, bound, allowance, _), (following, _, allowance_next, _))
+                in enumerate(zip(terms, terms_next))
+                if following - objective <= bound + allowance + allowance_next
+            ]
+        stopped = _certify(checked, final, y, terms, h, hh, skip, margin) if checked else []
+        for k, gap, converged in stopped:
+            solutions[live[k]] = SdpSolution(
+                factor=v[k].copy(),
+                objective=float(np.ldexp(terms[k][0], 2 * scales[live[k]])),
+                iterations=iterations,
+                converged=converged,
+                gap=float(np.ldexp(gap, 2 * scales[live[k]])),
+            )
+        if len(stopped) == len(live):
+            break
         if stopped:
-            if len(stopped) == len(live):
-                break
             keep = np.ones(len(live), dtype=bool)
-            keep[stopped] = False
+            keep[[k for k, _, _ in stopped]] = False
             live = [item for item, kept in zip(live, keep) if kept]
-            h, hh, v, cv, skip = h[keep], hh[keep], v[keep], cv[keep], skip[keep]
-        v = _ascend(v, cv)
+            terms_next = [item for item, kept in zip(terms_next, keep) if kept]
+            h, hh, skip, v_next, cv_next, y_next = (
+                a[keep] for a in (h, hh, skip, v_next, cv_next, y_next)
+            )
+        v, cv, y, terms = v_next, cv_next, y_next, terms_next
     return solutions
+
+
+def _certify(checked, final, y, terms, h, hh, skip, margin):
+    """(k, gap, converged) for each channel k of `checked` that stops at
+    this step: its certified gap is at most its bound, or the step is
+    the final one.  One N x N eigenvalue per checked channel
+    (`_top_eigenvalues`, `_shift`)."""
+    size = y.shape[1]
+    if len(checked) < len(y):
+        y, h, hh, skip = y[checked], h[checked], hh[checked], skip[checked]
+    lows = (y + skip).min(axis=1).tolist()
+    shifts = [terms[k][3] + max(0.0, -2.0 * low) for k, low in zip(checked, lows)]
+    lams = _top_eigenvalues(y, shifts, h, hh, margin)
+    stopped = []
+    for i, (k, low, s, lam) in enumerate(zip(checked, lows, shifts, lams)):
+        # with lam > 1 every certified mu exceeds s >= t: no stop
+        if lam > 1.0 and not final:
+            continue
+        _, bound, allowance, _ = terms[k]
+        y_ref = low if lam <= 1.0 else float((y[i] - skip[i]).max())
+        gap = size * _shift(y_ref, s, lam) + allowance
+        if gap <= bound or final:
+            stopped.append((k, gap, gap <= bound))
+    return stopped
 
 
 def _products(h, hh, v):
@@ -206,13 +249,17 @@ def _ascend(v, cv):
     return v
 
 
-def _stop_terms(objective, size, tol):
-    """(bound, allowance, t) of one step: the gap at which it stops, the
-    gap's rounding allowance and the largest mu at which it can stop."""
-    scale = max(abs(objective), 1.0)
-    bound = tol * scale
-    allowance = 2.0 * size * _EPS * scale
-    return bound, allowance, (bound - allowance) / size
+def _stop_terms(y, size, tol) -> list[tuple[float, float, float, float]]:
+    """(objective, bound, allowance, t) of each channel at one step, from
+    its y: the objective sum(y), the gap at which it stops, the gap's
+    rounding allowance and the largest mu at which it can stop."""
+    terms = []
+    for objective in y.sum(axis=1).tolist():
+        scale = max(abs(objective), 1.0)
+        bound = tol * scale
+        allowance = 2.0 * size * _EPS * scale
+        terms.append((objective, bound, allowance, (bound - allowance) / size))
+    return terms
 
 
 def _unit_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

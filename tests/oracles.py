@@ -23,6 +23,14 @@ None of these is used by `macdet` itself:
   phase optimum max ||H alpha||^2 s.t. |alpha_l|^2 = d, a feasible lower
   bound that the SDR phase design is compared against; the package
   certifies its SDP by the dual gap instead.
+* `solve_sdps_every_step` is `sdr.solve_sdps` with its N x N
+  certificate taken at every step; `sdr.solve_sdps` skips the steps
+  that the next iterate's objective rules out and must return the same
+  solutions bit for bit.
+* `method2_direction` is method2's direction for one channel through
+  `hermitian_eig` of its own Gram matrix; `allocation._method2_directions`
+  takes a whole stack in one pass and must give each channel the same
+  bits.
 * `solve_sdp_eigen_stop` is the Burer-Monteiro ascent with the exact
   dual certificate (an eigen-solve of the L x L Diag(y) - C) at every
   step; `sdr.solve_sdp` certifies each step through one N x N eigenvalue
@@ -56,7 +64,7 @@ from macdet.model import (
     SensingNoiseModel,
     complex_normal,
 )
-from macdet.numerics import hermitian_eig, solve_hermitian_pd
+from macdet.numerics import canonical_phase, hermitian_eig, solve_hermitian_pd
 from macdet.sdr import SdpSolution
 
 # phase_optimum: random starts, step cap, largest entry move at a fixed point
@@ -330,6 +338,24 @@ def phase_optimum(channel, diag_value: float) -> tuple[float, np.ndarray]:
     return diag_value * float(values[best]), math.sqrt(diag_value) * alpha[:, best]
 
 
+def method2_direction(h: np.ndarray) -> np.ndarray:
+    """Unit top eigenvector of H^H H in the canonical phase for one
+    channel (N x L): H^H u for u the top eigenvector of H H^H when N < L
+    and H H^H is not zero, else H^H H x for x the top eigenvector of
+    H^H H (x itself when that is zero); rescaled by its largest entry,
+    normalized and put in the canonical phase."""
+    small = hermitian_eig(h @ h.conj().T) if h.shape[0] < h.shape[1] else None
+    if small is not None and small.eigenvalues[-1] > 0.0:
+        v = h.conj().T @ small.eigenvectors[:, -1]
+    else:
+        x = hermitian_eig(h.conj().T @ h).eigenvectors[:, -1]
+        v = h.conj().T @ (h @ x)
+        if not v.any():
+            return x
+    v = v / np.abs(v).max()
+    return canonical_phase(v / np.linalg.norm(v))
+
+
 def solve_sdp_eigen_stop(channel, steps: int | None = None) -> SdpSolution:
     """`sdr.solve_sdp`'s ascent, from its start (`sdr._start`) and with
     its steps, on the same scaled channel, certified at every step by the
@@ -348,8 +374,7 @@ def solve_sdp_eigen_stop(channel, steps: int | None = None) -> SdpSolution:
     last = sdr._MAX_ITER if steps is None else steps
     for iterations in range(last + 1):
         cv, y = sdr._products(h, hh, v)
-        objective = y.sum(axis=1).tolist()[0]
-        bound, allowance, _ = sdr._stop_terms(objective, size, tol)
+        ((objective, bound, allowance, _),) = sdr._stop_terms(y, size, tol)
         gap = size * max(0.0, -float(np.linalg.eigvalsh(np.diag(y[0]) - c)[0]))
         gap += allowance
         converged = gap <= bound
@@ -364,6 +389,56 @@ def solve_sdp_eigen_stop(channel, steps: int | None = None) -> SdpSolution:
         converged=converged,
         gap=float(np.ldexp(gap, 2 * j[0])),
     )
+
+
+def solve_sdps_every_step(channels) -> list[SdpSolution]:
+    """`sdr.solve_sdps` with a certificate at every step: the same ascent
+    on the same scaled stack, each live channel certified through its
+    N x N eigenvalue (`sdr._top_eigenvalues`, `sdr._shift`) at every
+    step, with no screen.  `sdr.solve_sdps` certifies only the steps its
+    screen lets through and must return these solutions bit for bit.
+    Reads `sdr._MAX_ITER` at call time."""
+    h, scales = sdr._unit_scale(np.asarray(channels, dtype=np.complex128))
+    count, n, size = h.shape
+    v = sdr._start(h)
+    hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
+    tol = max(sdr._GAP_TOL, 4.0 * size * sdr._EPS)
+    margin = sdr._margin(n, size)
+    support = h.any(axis=1)
+    skip = np.where(support | ~support.any(axis=1)[:, np.newaxis], 0.0, np.inf)
+    live = list(range(count))
+    solutions: list = [None] * count
+    for iterations in range(sdr._MAX_ITER + 1):
+        final = iterations == sdr._MAX_ITER
+        cv, y = sdr._products(h, hh, v)
+        terms = sdr._stop_terms(y, size, tol)
+        lows = (y + skip).min(axis=1).tolist()
+        shifts = [t + max(0.0, -2.0 * low) for (_, _, _, t), low in zip(terms, lows)]
+        lams = sdr._top_eigenvalues(y, shifts, h, hh, margin)
+        stopped = []
+        for k, ((objective, bound, allowance, _), low, s, lam) in enumerate(zip(terms, lows, shifts, lams)):
+            if lam > 1.0 and not final:
+                continue
+            y_ref = low if lam <= 1.0 else float((y[k] - skip[k]).max())
+            gap = size * sdr._shift(y_ref, s, lam) + allowance
+            if gap <= bound or final:
+                stopped.append(k)
+                solutions[live[k]] = SdpSolution(
+                    factor=v[k].copy(),
+                    objective=float(np.ldexp(objective, 2 * scales[live[k]])),
+                    iterations=iterations,
+                    converged=gap <= bound,
+                    gap=float(np.ldexp(gap, 2 * scales[live[k]])),
+                )
+        if len(stopped) == len(live):
+            break
+        if stopped:
+            keep = np.ones(len(live), dtype=bool)
+            keep[stopped] = False
+            live = [item for item, kept in zip(live, keep) if kept]
+            h, hh, v, cv, skip = h[keep], hh[keep], v[keep], cv[keep], skip[keep]
+        v = sdr._ascend(v, cv)
+    return solutions
 
 
 def extract_phases_dense(solution: SdpSolution) -> np.ndarray:

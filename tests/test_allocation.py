@@ -21,7 +21,7 @@ from macdet.allocation import (
     scheme_sweep,
 )
 from macdet import forms, sdr
-from macdet.allocation import _GROUP_ENTRIES, _mean_exponent_gap, _method2_direction, _method_grid
+from macdet.allocation import _GROUP_ENTRIES, _mean_exponent_gap, _method2_directions, _method_grid
 from macdet.forms import exponent_statistic, item, quadratic_forms, sensing_argument
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
@@ -33,7 +33,7 @@ from macdet.model import (
 )
 from macdet.numerics import hermitian_eig
 from macdet.sdr import SdpNonConvergence, solve_sdp
-from oracles import e_csis1_numeric, phase_optimum, reference_quadratic_form
+from oracles import e_csis1_numeric, method2_direction, phase_optimum, reference_quadratic_form
 
 
 def make_params(l=8, n=2, sigma_eta_sq=1.0, sigma_nu_sq=1.0, p1=0.5, total_power=1.5):
@@ -347,6 +347,44 @@ class TestExtremePowers:
         assert batch.tolist() == [finite_exponent(h, a, params) for a in gains]
         assert batch[1] == 0.0
         assert batch[0] == pytest.approx(0.125, rel=1e-14)
+
+
+class TestHugeChannels:
+    """A finite channel whose largest part could overflow a square is
+    scaled by a power of two before a gain rule squares it.  The rules
+    do not depend on that scale, so no NumPy warning comes first (the
+    suite turns warnings into errors) and the gains are the channel's
+    own."""
+
+    def test_gains_on_an_entry_of_1e200(self):
+        params = make_params(l=2, n=1)
+        h = np.array([[1e200, 1.0]])
+        # the optimal magnitudes |h| / (s P |h|^2 + sigma_nu_sq), formed
+        # without a square
+        p, mags = params.gain_budget, np.abs(h[0])
+        w = 1.0 / (params.sigma_eta_sq * p * mags + params.sigma_nu_sq / mags)
+        expected = math.sqrt(p) * w / np.linalg.norm(w)
+        for gains in (alpha_opt_n1(h[0], params), method1(h, params)[0]):
+            assert np.allclose(gains.values, expected, rtol=1e-14, atol=0.0)
+        direction = method2(h, params).values / math.sqrt(p)
+        assert np.allclose(direction, [1.0, 1e-200], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k", [150, 300, 450, 500])
+    def test_rules_do_not_depend_on_the_scale(self, k):
+        # H 2^k with sigma_nu_sq 4^k poses the same problem: the same
+        # bits below the threshold and past it; method2's eigensolver
+        # scales a Gram above 1e146 itself, so its bits may move
+        h = random_channel(np.random.default_rng(12), 3, 8)
+        base = make_params(l=8, n=3)
+        scaled = make_params(l=8, n=3, sigma_nu_sq=4.0**k)
+        hk = h * 2.0**k
+        for want, got in (
+            (alpha_opt_n1(h[0], base).values, alpha_opt_n1(hk[0], scaled).values),
+            (method1(h, base)[0].values, method1(hk, scaled)[0].values),
+        ):
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert method1(hk, scaled)[1] == method1(h, base)[1]
+        assert np.allclose(method2(hk, scaled).values, method2(h, base).values, rtol=1e-13, atol=0.0)
 
 
 class TestBatchedCore:
@@ -687,8 +725,9 @@ class TestMethod2:
 
 
 class TestMethod2Direction:
-    """method2 is sqrt(P) times _method2_direction, bit for bit, so a
-    gamma_s sweep may compute the direction once per channel."""
+    """method2 is sqrt(P) times _method2_directions of a stack of one,
+    bit for bit, so a gamma_s sweep may compute every channel's
+    direction once, in one stacked pass."""
 
     @pytest.mark.parametrize(
         "n,l,zero",
@@ -700,13 +739,32 @@ class TestMethod2Direction:
         h = random_channel(np.random.default_rng(40 + n + l), n, l)
         if zero:
             h = np.zeros_like(h)
-        expected = math.sqrt(params.gain_budget) * _method2_direction(h)
+        expected = math.sqrt(params.gain_budget) * _method2_directions(h[np.newaxis])[0]
         got = method2(h, params).values
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
     def test_direction_is_unit_norm(self):
         h = random_channel(np.random.default_rng(47), 3, 9)
-        assert np.linalg.norm(_method2_direction(h)) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(_method2_directions(h[np.newaxis])[0]) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "n,l",
+        [(1, 6), (3, 8), (5, 40), (3, 3), (5, 3), (50, 200)],
+        ids=["N=1", "N<L", "N<<L", "N=L", "N>L", "groups-of-3"],
+    )
+    def test_stack_matches_the_one_channel_oracle(self, n, l):
+        # each channel of a stack gets the bits of the per-channel path,
+        # alone or in the stack: an all-zero channel and a zero column
+        # too, and at N = 50, L = 200 in groups of 3 channels
+        rng = np.random.default_rng(60 + n + l)
+        channels = np.stack([random_channel(rng, n, l) for _ in range(5)])
+        channels[3] = 0.0
+        channels[4, :, 1] = 0.0
+        stacked = _method2_directions(channels)
+        for h, got in zip(channels, stacked):
+            want = method2_direction(h).tobytes()
+            assert got.tobytes() == want
+            assert _method2_directions(h[np.newaxis])[0].tobytes() == want
 
 
 def _mean_exponent_gap_per_point(channels, params):
@@ -737,7 +795,7 @@ class TestHoistedDirectionOracle:
         channels = [
             sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)
         ]
-        directions = [_method2_direction(h) for h in channels]
+        directions = _method2_directions(np.stack(channels))
         fe1, fe2 = one_point(channels, directions, params)
         assert _mean_exponent_gap(fe1, fe2) == _mean_exponent_gap_per_point(channels, params)
         assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
@@ -747,12 +805,12 @@ class TestHoistedDirectionOracle:
         params = make_params(l=6, n=2)
         h = random_channel(np.random.default_rng(48), 2, 6)
         with pytest.raises(ValueError):
-            one_point([h, h], [_method2_direction(h)], params)
+            one_point([h, h], _method2_directions(h[np.newaxis]), params)
 
     def test_rejects_channels_of_another_size(self):
         h = random_channel(np.random.default_rng(49), 2, 6)
         with pytest.raises(ValueError):
-            one_point([h], [_method2_direction(h)], make_params(l=5, n=2))
+            one_point([h], _method2_directions(h[np.newaxis]), make_params(l=5, n=2))
 
 
 def per_channel_exponents(channels, params):
@@ -797,7 +855,7 @@ class TestMethodGrid:
         model, n, l, draws, grid = METHOD_GRIDS[case]
         params = params_for(1.0, 10.0, l=l, n=n)
         channels = scheme_channels(model, n, l, draws, 11, "grid")
-        directions = [_method2_direction(h) for h in channels]
+        directions = _method2_directions(np.stack(channels))
         at_x = [params.at_gamma_s(x) for x in grid]
         fe = _method_grid(channels, directions, at_x)
         assert fe.shape == (len(grid), draws, 2)
@@ -812,7 +870,7 @@ class TestMethodGrid:
         # N = 3, L = 32, three channels, seven points: 21 items, one group
         params = params_for(1.0, 10.0, l=32, n=3)
         channels = scheme_channels(ChannelModel.ricean(1.0), 3, 32, 3, 12, "grid")
-        directions = [_method2_direction(h) for h in channels]
+        directions = _method2_directions(np.stack(channels))
         calls = []
         original = forms.quadratic_forms
         monkeypatch.setattr(
@@ -904,7 +962,7 @@ def sampled_gaps(params, model, grid, trials, seed):
     rng = RandomSource(master_seed=seed)
     n, l = params.num_antennas, params.num_sensors
     channels = [sample_channel(model, n, l, rng.substream("cal", t)).entries for t in range(trials)]
-    directions = [_method2_direction(h) for h in channels]
+    directions = _method2_directions(np.stack(channels))
 
     def gap_at(gamma_s):
         return _mean_exponent_gap(

@@ -902,15 +902,15 @@ class TestModuleEntryPoint:
         # the runtime is NumPy and the standard library only.  figure2
         # reaches log_q and the Monte Carlo solve, figure3 the array log_q
         # and the log-sum-exp over channel draws, figure7 mean_abs_h; no
-        # scipy module may be loaded after them, not even by an import
-        # inside a function
+        # scipy or mpmath module may be loaded after them, not even by an
+        # import inside a function
         probe = (
             "import sys\n"
             "from macdet import cli\n"
             "for raw in ({'figure_id': 2, 'trials': 1000, 'channel_draws': 1},\n"
             "            {'figure_id': 3}, {'figure_id': 7}):\n"
             "    assert cli.run(cli.parse_config(raw, 'figure'))[1] == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'mpmath')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=_env_with_src(), timeout=120
@@ -919,12 +919,13 @@ class TestModuleEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_import_and_parse_load_no_scipy(self):
-        # what bench/'s setup_s times: the import and the config parse
+        # what bench/'s setup_s times: the import and the config parse,
+        # which load neither scipy nor mpmath (both installed for the tests)
         probe = (
             "import sys\n"
             "import macdet.cli\n"
             "macdet.cli.parse_config({'figure_id': 8}, 'figure')\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'mpmath')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=_env_with_src(), timeout=120

@@ -7,7 +7,10 @@ figures 3-7 at their defaults), and the sha256 of `rows_to_csv` must
 match the pinned value byte for byte.  figure2 is pinned a second time
 at the size of the benchmark's fig2-mc workload (trials 10,000 and
 channel_draws 2: two trial blocks, 8,192 and 1,808 trials, and two
-draws), stored as figure2-bench.  A change that moves any figure
+draws), stored as figure2-bench, and figures 8 and 9 at the sizes of
+the fig8-schemes and fig9-sdr workloads (channel_draws 10 and 3),
+stored as figure8-bench and figure9-bench, so that a speed claim on
+any workload is checked byte for byte.  A change that moves any figure
 value, even in the last bit, fails here; a deliberate change updates the
 digest and says which values moved and why.
 
@@ -68,11 +71,15 @@ GOLDEN = {
 }
 
 
-# bench/workloads.py's fig2-mc sizing
-FIGURE2_BENCH = (
-    {"trials": 10_000, "channel_draws": 2},
-    "6321cf22b9f2c3e49cac9e5f8d331fbdacd5d5659e11b87ef964c0e50b464d23",
-)
+# bench/workloads.py's sizings: figure -> (sizing, digest)
+BENCH = {
+    2: ({"trials": 10_000, "channel_draws": 2},
+        "6321cf22b9f2c3e49cac9e5f8d331fbdacd5d5659e11b87ef964c0e50b464d23"),
+    8: ({"channel_draws": 10},
+        "be4b965f74f0e2e61cefee675d4429a62251b44ba4a3bb13c45022160e8bff33"),
+    9: ({"channel_draws": 3},
+        "7dcfad034dbebf2f4093c682fac1f5a655fcf88c377522b056ea1d200d927804"),
+}
 
 
 def figure_csv(figure_id, sizing):
@@ -88,9 +95,10 @@ def test_figure_csv_digest(figure_id):
     assert_digest(f"figure{figure_id}", figure_csv(figure_id, sizing), digest)
 
 
-def test_figure2_at_benchmark_size_digest():
-    sizing, digest = FIGURE2_BENCH
-    assert_digest("figure2-bench", figure_csv(2, sizing), digest)
+@pytest.mark.parametrize("figure_id", sorted(BENCH))
+def test_figure_at_benchmark_size_digest(figure_id):
+    sizing, digest = BENCH[figure_id]
+    assert_digest(f"figure{figure_id}-bench", figure_csv(figure_id, sizing), digest)
 
 
 RICEAN = {"channel": "ricean", "ricean_k": 1.0}
@@ -189,7 +197,7 @@ def test_experiment_csv_digest(name):
 
 DIGESTS = (
     {f"figure{f}": digest for f, (_, digest) in GOLDEN.items()}
-    | {"figure2-bench": FIGURE2_BENCH[1]}
+    | {f"figure{f}-bench": digest for f, (_, digest) in BENCH.items()}
     | {name: digest for name, (_, _, digest) in EXPERIMENTS.items()}
 )
 

@@ -363,3 +363,45 @@ class TestPhaseConventionOracle:
                 assert np.array_equal(
                     _bits(numerics.canonical_phase(v)), _bits(_loop_canonical_phase(v))
                 )
+
+
+class TestStacks:
+    """hermitian_eig and canonical_phase take a stack in one pass, and
+    each matrix or vector gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33])
+    def test_hermitian_eig_of_a_stack(self, n):
+        rng = np.random.default_rng(3000 + n)
+        stack = np.stack(
+            [random_hermitian(rng, n), np.zeros((n, n)), np.eye(n), random_hermitian(rng, n, 1e6)]
+        )
+        eig = numerics.hermitian_eig(stack)
+        for a, w, v in zip(stack, eig.eigenvalues, eig.eigenvectors):
+            alone = numerics.hermitian_eig(a)
+            assert np.array_equal(_bits(w), _bits(alone.eigenvalues))
+            assert np.array_equal(_bits(v), _bits(alone.eigenvectors))
+
+    def test_canonical_phase_of_a_stack(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 7, 64):
+            rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+            rows[1] = 0.0
+            rows[2] = np.full(n, -0.5 - 0.5j)
+            out = numerics.canonical_phase(rows)
+            for row, got in zip(rows, out):
+                assert np.array_equal(_bits(got), _bits(_loop_canonical_phase(row)))
+
+    def test_each_matrix_is_checked_on_its_own_scale(self):
+        # a matrix off Hermitian by its own size is rejected beside one
+        # of entries 1e6, which a whole-stack scale would let it pass
+        skew = np.array([[1e-12, 1e-12], [0.0, 1e-12]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            numerics.hermitian_eig(np.stack([1e6 * np.eye(2), skew]))
+        with pytest.raises(ValueError, match="finite"):
+            numerics.hermitian_eig(np.stack([np.eye(2), np.full((2, 2), np.inf)]))
+
+    def test_check_square_hermitian_takes_one_matrix(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            numerics.check_square_hermitian(np.stack([np.eye(2), np.eye(2)]), 1e-10)
+        with pytest.raises(ValueError, match="square matrix"):
+            numerics.psd_project(np.stack([np.eye(2), np.eye(2)]))

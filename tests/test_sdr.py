@@ -19,7 +19,8 @@ from macdet.sdr import (
     solve_sdp,
     solve_sdps,
 )
-from oracles import extract_phases_dense, phase_optimum, solve_sdp_eigen_stop
+from macdet import cli
+from oracles import extract_phases_dense, phase_optimum, solve_sdp_eigen_stop, solve_sdps_every_step
 
 # Oracle: for a rank-one cost h h^H (the channel h^H, one antenna) the
 # SDP optimum is known in closed form.  |X_ij| <= sqrt(X_ii X_jj) = d for
@@ -206,9 +207,9 @@ class TestSolveSdp:
         assert "1.000e-03" in str(err)
 
 
-def figure9_channels() -> list[np.ndarray]:
-    # figure9's three SDP channels: Ricean K = 1, N = 3, L = 32, seed 0
-    source = RandomSource(0)
+def figure9_channels(seed: int = 0) -> list[np.ndarray]:
+    # figure9's three SDP channels: Ricean K = 1, N = 3, L = 32
+    source = RandomSource(seed)
     return [
         sample_channel(ChannelModel.ricean(1.0), 3, 32, source.substream("sdr", draw)).entries
         for draw in range(3)
@@ -296,6 +297,87 @@ class TestStackedSolve:
     def test_rejects_what_is_not_a_stack(self, shape):
         with pytest.raises(ValueError, match="D x N x L"):
             solve_sdps(np.ones(shape))
+
+
+def screen_cases() -> list:
+    # stacks whose channels stop at different steps, with zero columns,
+    # with H = 0 alone and beside live channels, and at sizes where the
+    # ascent runs long
+    def draws(model, n, size, seed, count):
+        source = RandomSource(seed)
+        return np.stack(
+            [sample_channel(model, n, size, source.substream("sdr", d)).entries for d in range(count)]
+        )
+
+    mixed = draws(ChannelModel.rayleigh(), 3, 16, 4, 4)
+    mixed[1] = 0.0
+    mixed[2][:, [0, 5]] = 0.0
+    return [
+        *stack_cases(),
+        pytest.param(np.stack(figure9_channels(7)), id="figure9-seed7"),
+        pytest.param(mixed, id="zero-channel-and-columns"),
+        pytest.param(np.zeros((2, 3, 8)), id="H=0"),
+        pytest.param(draws(ChannelModel.rayleigh(), 5, 200, 0, 2), id="rayleigh-N5-L200"),
+        pytest.param(draws(ChannelModel.ricean(1.0), 2, 100, 3, 3), id="ricean-N2-L100"),
+    ]
+
+
+def assert_identical(got: list, want: list) -> None:
+    # field by field, the factor as bytes
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.factor.shape == b.factor.shape
+        assert a.factor.tobytes() == b.factor.tobytes()
+        assert (a.objective, a.gap, a.iterations, a.converged) == (
+            b.objective,
+            b.gap,
+            b.iterations,
+            b.converged,
+        )
+
+
+class TestScreenedCertificate:
+    """solve_sdps skips the certificate of a step whose successor's
+    objective rises past the step's stop bound plus the two rounding
+    allowances, since no such step can stop; the oracle certifies every
+    step, and the two must return the same solutions bit for bit."""
+
+    @pytest.mark.parametrize("channels", screen_cases())
+    def test_matches_the_every_step_oracle(self, channels):
+        assert_identical(solve_sdps(channels), solve_sdps_every_step(channels))
+
+    def test_channels_stop_at_different_steps(self):
+        assert len({s.iterations for s in solve_sdps(figure9_channels(7))}) > 1
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_matches_the_oracle_when_the_cap_ends_the_solve(self, monkeypatch, cap):
+        # the final iterate is certified whatever the screen says
+        monkeypatch.setattr(sdr, "_MAX_ITER", cap)
+        channels = np.stack(
+            [random_channel(5, np.random.default_rng(9)), np.eye(5), random_channel(5, np.random.default_rng(10))]
+        )
+        got = solve_sdps(channels)
+        assert [s.iterations for s in got] == [cap, 0, cap]
+        assert not got[0].converged and not got[2].converged
+        assert_identical(got, solve_sdps_every_step(channels))
+
+    def test_figure9_eigenproblem_count(self, monkeypatch):
+        # figure9 at the benchmark's size (channel_draws 3), seed 7: the
+        # screen leaves 4 of the every-step loop's 42 N x N eigenproblems
+        sizes = []
+        top_eigenvalues = sdr._top_eigenvalues
+
+        def counting(y, *args):
+            sizes.append(len(y))
+            return top_eigenvalues(y, *args)
+
+        monkeypatch.setattr(sdr, "_top_eigenvalues", counting)
+        cfg = cli.parse_config({"figure_id": 9, "seed": 7, "channel_draws": 3}, "figure")
+        assert cli.run(cfg)[1] == 0
+        assert (len(sizes), sum(sizes)) == (4, 4)
+        sizes.clear()
+        solve_sdps_every_step(figure9_channels(7))
+        assert (len(sizes), sum(sizes)) == (17, 42)
 
 
 class TestExactCertificate:
