@@ -6,11 +6,10 @@ Their mean exponents cross as the sensing SNR grows, and the hybrid
 scheme, allocation.scheme_sweep, switches between them at a crossover
 calibrated on the same channel draws the curves are averaged over: the
 grid's mean gaps come from the exponents printed below, and bisection
-scores only its own points.  Without a crossover the hybrid follows the
-method that leads on the whole grid.
+scores only its own points, each printed with its mean gap (method1 -
+method2).  Without a crossover the hybrid follows the method that leads
+on the whole grid.
 """
-
-import numpy as np
 
 from macdet.allocation import scheme_sweep
 from macdet.exponents import snr_to_db
@@ -36,16 +35,19 @@ def main() -> None:
         sample_channel(model, params.num_antennas, params.num_sensors, src.substream("h", d)).entries
         for d in range(draws)
     ]
-    points, crossover, dominant = scheme_sweep(channels, grid, params)
-    if crossover is not None:
+    result = scheme_sweep(channels, grid, params)
+    if result.crossover is not None:
+        crossover = result.crossover
         print(f"calibrated crossover: gamma_s = {crossover:.3f} ({snr_to_db(crossover):.2f} dB)")
+        for gamma_s, gap in result.bisection:
+            print(f"  bisection step at {snr_to_db(gamma_s):6.3f} dB: mean gap {gap:+.3e}")
     else:
-        print(f"no crossover on the grid; {dominant} dominates")
+        print(f"no crossover on the grid; {result.dominant} dominates")
 
     print()
     print(f"{'gamma_s dB':>10} {'method1':>9} {'method2':>9} {'hybrid':>9}")
-    for gamma_s, per_draw in zip(grid, points):
-        fe1, fe2, feh = (np.mean(values) for values in per_draw)
+    for gamma_s, per_draw in zip(result.grid, result.exponents):
+        fe1, fe2, feh = per_draw.mean(axis=0)
         print(f"{snr_to_db(gamma_s):10.1f} {fe1:9.5f} {fe2:9.5f} {feh:9.5f}")
     print()
     print("below the crossover the best single antenna wins (sensing noise")

@@ -4,7 +4,8 @@ Strategies cover channel-independent uniform gains, the optimal and
 phase-only single-antenna rules, two reduced-complexity multi-antenna
 methods (best-antenna selection and top-eigenvector beamforming), the
 hybrid that switches between them at a crossover calibrated on the same
-channels (scheme_sweep), and an SDP-based phase-only design
+channels (scheme_sweep returns all three, with the bisection steps, as
+one frozen SchemeSweep), and an SDP-based phase-only design
 (alpha_sdr_phase, the gains the sdr-compare runner scores).  Every
 strategy spends the gain budget P = total_power / (p1 theta^2 +
 sigma_eta_sq) with equality.
@@ -45,6 +46,7 @@ __all__ = [
     "method1",
     "method2",
     "calibrate_crossover",
+    "SchemeSweep",
     "scheme_sweep",
     "alpha_sdr_phase",
 ]
@@ -301,13 +303,13 @@ def method2(channel, params: NetworkParams) -> GainVector:
 
 
 def _method_grid(channels, directions, points) -> np.ndarray:
-    """Per-channel finite exponents of method1 and method2 at every
-    operating point in `points`, NetworkParams of one network that
-    differ only in sigma_eta_sq (as params.at_gamma_s gives them): an
-    array (points, channels, 2), each entry bit for bit finite_exponent
-    of method1 or method2 on its channel at its point.  `directions`
-    holds each channel's method2 direction (_method2_directions), which
-    does not depend on gamma_s.
+    """Per-channel finite exponents of method1 and method2 on a stack
+    (D, N, L) that scheme_sweep has checked, at every point in `points`,
+    NetworkParams of that network that differ only in sigma_eta_sq (as
+    params.at_gamma_s gives them): an array (points, D, 2), each entry
+    bit for bit finite_exponent of method1 or method2 on its channel at
+    its point.  `directions` (D, L) holds each channel's method2
+    direction (_method2_directions), which does not depend on gamma_s.
 
     The (point, channel) items go through the batched core in groups of
     at most _GROUP_ENTRIES channel entries, so the working set stays
@@ -317,20 +319,15 @@ def _method_grid(channels, directions, points) -> np.ndarray:
     each item takes its point's gain budget and sigma_eta_sq
     elementwise."""
     params = points[0]
-    entries = np.asarray(channels, dtype=np.complex128)
-    directions = np.asarray(directions, dtype=np.complex128)
-    dims = (params.num_antennas, params.num_sensors)
-    if entries.shape[1:] != dims or directions.shape != (len(entries), dims[1]):
-        raise ValueError(f"channels {entries.shape} and directions {directions.shape} do not match")
     # per point, as columns that broadcast against a group's channels
     budget = np.array([[x.gain_budget] for x in points])
     sigma_eta_sq = np.array([[x.sigma_eta_sq] for x in points])
-    step = max(1, _GROUP_ENTRIES // (dims[0] * dims[1]))
-    span, width = max(1, step // max(1, len(entries))), min(step, len(entries))
-    fe = np.empty((len(points), len(entries), 2))
+    step = max(1, _GROUP_ENTRIES // (params.num_antennas * params.num_sensors))
+    span, width = max(1, step // max(1, len(channels))), min(step, len(channels))
+    fe = np.empty((len(points), len(channels), 2))
     for i in range(0, len(points), span):
-        for j in range(0, len(entries), width):
-            h, p, s = entries[j : j + width], budget[i : i + span], sigma_eta_sq[i : i + span]
+        for j in range(0, len(channels), width):
+            h, p, s = channels[j : j + width], budget[i : i + span], sigma_eta_sq[i : i + span]
             method1_gains = _method1_values(h, _power(h), p, s, params.sigma_nu_sq, params)[0]
             method2_gains = np.sqrt(p)[..., np.newaxis] * directions[j : j + width]
             gains = np.stack((method1_gains, method2_gains), axis=-2)
@@ -339,10 +336,9 @@ def _method_grid(channels, directions, points) -> np.ndarray:
     return fe
 
 
-def _mean_exponent_gap(fe1: list[float], fe2: list[float]) -> float:
-    """Mean method1 - method2 exponent gap over common channels, from
-    the two per-channel lists of one _method_grid point."""
-    return float(np.mean([a - b for a, b in zip(fe1, fe2, strict=True)]))
+def _mean_exponent_gap(fe: np.ndarray) -> float:
+    """Mean method1 - method2 gap over one point's (channels, >= 2) exponents."""
+    return float(np.mean(fe[:, 0] - fe[:, 1]))
 
 
 def calibrate_crossover(gamma_s_grid, gaps, gap_at) -> float:
@@ -398,45 +394,58 @@ def calibrate_crossover(gamma_s_grid, gaps, gap_at) -> float:
     return math.sqrt(lo * hi)
 
 
-def scheme_sweep(channels, gamma_s_grid, params: NetworkParams):
-    """method1, method2 and the hybrid on shared channels (D, N, L), or a
-    list of N x L arrays, over a gamma_s sweep of params: (points,
-    crossover, dominant), points[i] the per-channel exponent lists
-    (method1, method2, hybrid) at params.at_gamma_s(gamma_s_grid[i]).
+@dataclass(frozen=True, eq=False)
+class SchemeSweep:
+    """What scheme_sweep returns; `exponents` is read-only."""
 
-    A grid of two or more points calibrates the crossover from the
-    grid's mean gaps plus one evaluation per bisection step; the hybrid
-    takes method1 below it and method2 at or above it.  Without a
-    crossover (None) the hybrid takes `dominant` everywhere:
-    NoCrossoverError's method, or on a one-point grid the one with the
-    larger mean exponent (method1 on a tie).
-    """
+    grid: tuple[float, ...]  # the gamma_s points
+    params: tuple[NetworkParams, ...]  # params.at_gamma_s of each point
+    exponents: np.ndarray  # (points, channels, 3): method1, method2, hybrid
+    crossover: float | None  # the calibrated gamma_s, or None
+    dominant: str | None  # the method the hybrid takes when crossover is None
+    bisection: tuple[tuple[float, float], ...]  # (gamma_s, mean gap) of each step
+
+
+def scheme_sweep(channels, gamma_s_grid, params: NetworkParams) -> SchemeSweep:
+    """method1, method2 and the hybrid on shared channels (D, N, L), or a
+    list of N x L arrays, over a gamma_s sweep of params (one or more
+    points); ValueError names a stack of any other shape.  Two or more
+    points calibrate the crossover from the grid's mean gaps plus one
+    evaluation per bisection step; the hybrid takes method1 below it and
+    method2 at or above it.  Without a crossover (None) the hybrid takes
+    `dominant` everywhere: NoCrossoverError's method, or on one point the
+    one with the larger mean exponent (method1 on a tie)."""
     channels = np.asarray(channels, dtype=np.complex128)
+    n, l = params.num_antennas, params.num_sensors
+    if channels.ndim != 3 or not len(channels) or channels.shape[1:] != (n, l):
+        raise ValueError(f"channel stack shape {channels.shape} is not (D >= 1, {n}, {l})")
+    grid = tuple(float(x) for x in gamma_s_grid)
+    if not grid:
+        raise ValueError("gamma_s_grid needs at least one point")
     directions = _method2_directions(channels)
+    bisection = []
 
     def gap_at(gamma_s):
         # one bisection point, scored as the one-point case of the grid pass
         fe = _method_grid(channels, directions, [params.at_gamma_s(gamma_s)])[0]
-        return _mean_exponent_gap(fe[:, 0].tolist(), fe[:, 1].tolist())
+        bisection.append((gamma_s, _mean_exponent_gap(fe)))
+        return bisection[-1][1]
 
-    at_x = [params.at_gamma_s(x) for x in gamma_s_grid]
-    grid = _method_grid(channels, directions, at_x) if at_x else []
-    scored = [(fe[:, 0].tolist(), fe[:, 1].tolist()) for fe in grid]
+    at_x = tuple(params.at_gamma_s(x) for x in grid)
+    fe = np.empty((len(grid), len(channels), 3))
+    fe[..., :2] = _method_grid(channels, directions, at_x)
     crossover = dominant = None
-    if len(scored) >= 2:
-        gaps = [_mean_exponent_gap(fe1, fe2) for fe1, fe2 in scored]
+    if len(grid) >= 2:
         try:
-            crossover = calibrate_crossover(gamma_s_grid, gaps, gap_at)
+            crossover = calibrate_crossover(grid, list(map(_mean_exponent_gap, fe)), gap_at)
         except NoCrossoverError as exc:
             dominant = exc.dominant
-    elif scored:
-        mean1, mean2 = (float(np.mean(fe)) for fe in scored[0])
-        dominant = "method1" if mean1 >= mean2 else "method2"
-    points = []
-    for x, (fe1, fe2) in zip(gamma_s_grid, scored):
-        use_method1 = dominant == "method1" if crossover is None else x < crossover
-        points.append((fe1, fe2, fe1 if use_method1 else fe2))
-    return points, crossover, dominant
+    else:
+        dominant = "method1" if fe[0, :, 0].mean() >= fe[0, :, 1].mean() else "method2"
+    use_method1 = [dominant == "method1" if crossover is None else x < crossover for x in grid]
+    fe[..., 2] = np.where(np.array(use_method1)[:, np.newaxis], fe[..., 0], fe[..., 1])
+    fe.flags.writeable = False
+    return SchemeSweep(grid, at_x, fe, crossover, dominant, tuple(bisection))
 
 
 def alpha_sdr_phase(channel, params: NetworkParams) -> GainVector:

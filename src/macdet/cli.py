@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import alpha_uniform, scheme_sweep
+from .allocation import SchemeSweep, alpha_uniform, scheme_sweep
 from .detection import PeEstimate, empirical_exponent, estimate_pe_montecarlo_batch
 from .exponents import (
     SnrPoint,
@@ -474,13 +474,6 @@ def _row(
     return ResultRow(cfg.experiment, series, x_name, float(x_value), value, ci95, cfg.seed)
 
 
-def _bound_row(cfg: ExperimentConfig, params_x: NetworkParams, gamma_s: float) -> ResultRow:
-    # the full-CSI ceiling C(N, K) at one point of a gamma_s sweep
-    k = cfg.model.k_factor
-    pt = SnrPoint.from_params(params_x, k_factor=k)
-    return _row(cfg, f"C({params_x.num_antennas},{k:g})", "gamma_s", gamma_s, bound_c(pt))
-
-
 def _run_exponent_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     params = cfg.params
     var = cfg.sweep_variable
@@ -581,26 +574,34 @@ def _scheme_channels(cfg: ExperimentConfig, label: str, draws: int) -> np.ndarra
     return channels
 
 
+def _sweep_rows(cfg: ExperimentConfig, result: SchemeSweep, columns: dict) -> list[ResultRow]:
+    """Each point's mean and ci95 of every (points, draws) column, then C(N, K)."""
+    k = cfg.model.k_factor
+    stats = [(series, *_mean_ci(values)) for series, values in columns.items()]
+    rows: list[ResultRow] = []
+    for i, (x, params_x) in enumerate(zip(result.grid, result.params)):
+        rows += [_row(cfg, series, "gamma_s", x, means[i], cis[i]) for series, means, cis in stats]
+        bound = bound_c(SnrPoint.from_params(params_x, k_factor=k))
+        rows.append(_row(cfg, f"C({params_x.num_antennas},{k:g})", "gamma_s", x, bound))
+    return rows
+
+
 def _run_schemes(cfg: ExperimentConfig) -> list[ResultRow]:
     n = cfg.params.num_antennas
     channels = _scheme_channels(cfg, "schemes", cfg.channel_draws or 25)
-    points, crossover, _ = scheme_sweep(channels, cfg.sweep_grid, cfg.params)
-    rows: list[ResultRow] = []
-    for x, (fe1, fe2, feh) in zip(cfg.sweep_grid, points):
-        for name, values in (("method1", fe1), ("method2", fe2), ("hybrid", feh)):
-            rows.append(_row(cfg, f"{name}(N={n})", "gamma_s", x, *_mean_ci(values)))
-        rows.append(_bound_row(cfg, cfg.params.at_gamma_s(x), x))
-    value = math.nan if crossover is None else crossover
-    rows.append(_row(cfg, f"crossover(N={n})", "gamma_s", math.nan, value))
-    return rows
+    result = scheme_sweep(channels, cfg.sweep_grid, cfg.params)
+    names = ("method1", "method2", "hybrid")
+    columns = {f"{name}(N={n})": result.exponents[..., k] for k, name in enumerate(names)}
+    crossover = math.nan if result.crossover is None else result.crossover
+    rows = _sweep_rows(cfg, result, columns)
+    return rows + [_row(cfg, f"crossover(N={n})", "gamma_s", math.nan, crossover)]
 
 
 def _run_sdr_compare(cfg: ExperimentConfig) -> list[ResultRow]:
     params = cfg.params
     n, num_sensors = params.num_antennas, params.num_sensors
-    grid = cfg.sweep_grid or (params.gamma_s,)
     channels = _scheme_channels(cfg, "sdr", cfg.channel_draws or 10)
-    points = scheme_sweep(channels, grid, params)[0]
+    result = scheme_sweep(channels, cfg.sweep_grid or (params.gamma_s,), params)
 
     # the phases do not depend on the power budget: one stacked solve of
     # all draws serves every gamma_s
@@ -615,25 +616,15 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> list[ResultRow]:
             continue
         solved.append((h, extract_phases(solution)))
 
-    # every point's sdr_phase gains, scored in one batch (points, draws)
-    at_x = [params.at_gamma_s(x) for x in grid]
+    # every point's sdr_phase gains, scored in one batch (points, draws); NaN if none certified
+    sdr = np.full((len(result.grid), 1), math.nan)
     if solved:
         hs, phases = (np.stack(parts) for parts in zip(*solved))
-        budget = np.array([p.gain_budget for p in at_x])
-        sigma_eta_sq = np.array([p.sigma_eta_sq for p in at_x])
+        budget, sigma_eta_sq = np.array([(p.gain_budget, p.sigma_eta_sq) for p in result.params]).T
         gains = np.sqrt(budget / num_sensors)[:, np.newaxis, np.newaxis] * phases
-        sdr = zip(*_mean_ci(exponent_statistic(hs, gains, params, sigma_eta_sq[:, np.newaxis])))
-    else:
-        sdr = [(math.nan, None)] * len(grid)
-    hybrid = zip(*_mean_ci([feh for _, _, feh in points]))
-
-    rows: list[ResultRow] = []
+        sdr = exponent_statistic(hs, gains, params, sigma_eta_sq[:, np.newaxis])
     sdr_series = f"sdr_phase(N={n})" + ("" if len(solved) == len(channels) else _NONCONVERGED)
-    for x, params_x, sdr_mean_ci, hybrid_mean_ci in zip(grid, at_x, sdr, hybrid):
-        rows.append(_row(cfg, sdr_series, "gamma_s", x, *sdr_mean_ci))
-        rows.append(_row(cfg, f"hybrid(N={n})", "gamma_s", x, *hybrid_mean_ci))
-        rows.append(_bound_row(cfg, params_x, x))
-    return rows
+    return _sweep_rows(cfg, result, {sdr_series: sdr, f"hybrid(N={n})": result.exponents[..., 2]})
 
 
 def _run_asymptotic(cfg: ExperimentConfig) -> list[ResultRow]:

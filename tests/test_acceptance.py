@@ -411,9 +411,9 @@ def test_criterion_12_hybrid_crossover_calibration():
             sample_channel(model, n, 200, rng.substream("calibrate", t)).entries
             for t in range(50)
         ]
-        _, crossover, dominant = scheme_sweep(channels, grid, params)
-        results[n] = None if crossover is None else snr_to_db(crossover)
-        results[f"dominant{n}"] = dominant
+        result = scheme_sweep(channels, grid, params)
+        results[n] = None if result.crossover is None else snr_to_db(result.crossover)
+        results[f"dominant{n}"] = result.dominant
 
     # ordering check: best-antenna combining ahead at low sensing SNR,
     # eigenbeamforming ahead at high, per mean exponent over 50 draws

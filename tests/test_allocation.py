@@ -1,7 +1,8 @@
 """Tests for gain strategies and the finite-size exponent statistic."""
 
 import math
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from macdet.allocation import (
     scheme_sweep,
 )
 from macdet import forms, sdr
-from macdet.allocation import _GROUP_ENTRIES, _mean_exponent_gap, _method2_directions, _method_grid
+from macdet.allocation import (
+    _CROSSOVER_TOL_DB,
+    _GROUP_ENTRIES,
+    _mean_exponent_gap,
+    _method2_directions,
+    _method_grid,
+)
 from macdet.forms import exponent_statistic, item, quadratic_forms, sensing_argument
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
@@ -792,25 +799,16 @@ class TestHoistedDirectionOracle:
         sigma = 0.0 if math.isinf(gamma_s) else 1.0 / gamma_s
         params = make_params(l=l, n=n, sigma_eta_sq=sigma, total_power=10.0)
         rng = RandomSource(master_seed=81)
-        channels = [
-            sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)
-        ]
-        directions = _method2_directions(np.stack(channels))
-        fe1, fe2 = one_point(channels, directions, params)
-        assert _mean_exponent_gap(fe1, fe2) == _mean_exponent_gap_per_point(channels, params)
+        channels = np.stack(
+            [sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)]
+        )
+        directions = _method2_directions(channels)
+        fe = _method_grid(channels, directions, [params])[0]
+        assert _mean_exponent_gap(fe) == _mean_exponent_gap_per_point(channels, params)
+        fe1, fe2 = fe[:, 0].tolist(), fe[:, 1].tolist()
         assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
         assert fe2 == [finite_exponent(h, method2(h, params), params) for h in channels]
 
-    def test_rejects_mismatched_directions(self):
-        params = make_params(l=6, n=2)
-        h = random_channel(np.random.default_rng(48), 2, 6)
-        with pytest.raises(ValueError):
-            one_point([h, h], _method2_directions(h[np.newaxis]), params)
-
-    def test_rejects_channels_of_another_size(self):
-        h = random_channel(np.random.default_rng(49), 2, 6)
-        with pytest.raises(ValueError):
-            one_point([h], _method2_directions(h[np.newaxis]), make_params(l=5, n=2))
 
 
 def per_channel_exponents(channels, params):
@@ -912,14 +910,15 @@ class TestHybrid:
     def sweep(self, grid):
         params = params_for(1.0, 10.0, l=12, n=2)
         channels = scheme_channels(ChannelModel.ricean(1.0), 2, 12, 4, 0, "hybrid")
-        points, crossover, _ = scheme_sweep(channels, grid, params)
-        return channels, crossover, [(x, params.at_gamma_s(x), *p) for x, p in zip(grid, points)]
+        result = scheme_sweep(channels, grid, params)
+        points = zip(result.grid, result.params, result.exponents[..., 2].tolist())
+        return channels, result.crossover, list(points)
 
     def test_low_sensing_snr_uses_antenna_selection(self):
         channels, crossover, points = self.sweep([0.05, 0.5, 5.0, 50.0, 500.0])
         below = [p for p in points if p[0] < crossover]
         assert below
-        for _, params, _, _, feh in below:
+        for _, params, feh in below:
             assert feh == [
                 finite_exponent(h, method1(h, params)[0], params) for h in channels
             ]
@@ -928,7 +927,7 @@ class TestHybrid:
         channels, crossover, points = self.sweep([0.05, 0.5, 5.0, 50.0, 500.0])
         above = [p for p in points if p[0] >= crossover]
         assert above
-        for _, params, _, _, feh in above:
+        for _, params, feh in above:
             assert feh == [finite_exponent(h, method2(h, params), params) for h in channels]
 
     @pytest.mark.parametrize("case", SCHEME_SWEEPS)
@@ -936,14 +935,17 @@ class TestHybrid:
         model, n, l, draws, grid, dominant = SCHEME_SWEEPS[case]
         params = params_for(1.0, 10.0, l=l, n=n)
         channels = scheme_channels(model, n, l, draws, 7, "schemes")
-        points, crossover, got = scheme_sweep(channels, grid, params)
-        assert got == dominant
+        result = scheme_sweep(channels, grid, params)
+        crossover = result.crossover
+        assert result.dominant == dominant
         assert (crossover is None) == (dominant is not None)
         if crossover is not None:
             assert grid[0] < crossover < grid[-1]
-        assert len(points) == len(grid)
-        for x, (fe1, fe2, feh) in zip(grid, points):
-            p = params.at_gamma_s(x)
+        assert result.grid == grid
+        assert result.exponents.shape == (len(grid), draws, 3)
+        for x, p, point in zip(grid, result.params, result.exponents):
+            fe1, fe2, feh = point.T.tolist()
+            assert p == params.at_gamma_s(x)
             method1_fe = [finite_exponent(h, method1(h, p)[0], p) for h in channels]
             method2_fe = [finite_exponent(h, method2(h, p), p) for h in channels]
             assert fe1 == method1_fe
@@ -956,18 +958,77 @@ class TestHybrid:
                 assert feh == (method1_fe if dominant == "method1" else method2_fe)
 
 
+    @pytest.mark.parametrize(
+        "channels,shape",
+        [
+            ([], (0,)),
+            (np.ones((0, 2, 12)), (0, 2, 12)),
+            (np.ones((2, 12)), (2, 12)),
+            (np.ones((1, 2, 11)), (1, 2, 11)),
+        ],
+        ids=["empty-list", "no-draws", "bare-matrix", "wrong-size"],
+    )
+    def test_names_a_bad_channel_stack(self, channels, shape):
+        # checked before any arithmetic, with the shape in the message
+        params = params_for(1.0, 10.0, l=12, n=2)
+        with pytest.raises(ValueError, match=re.escape(f"channel stack shape {shape} is not ")):
+            scheme_sweep(channels, [1.0, 2.0], params)
+
+    def test_rejects_an_empty_grid(self):
+        params = params_for(1.0, 10.0, l=12, n=2)
+        channels = scheme_channels(ChannelModel.ricean(1.0), 2, 12, 2, 0, "hybrid")
+        with pytest.raises(ValueError, match="^gamma_s_grid needs at least one point$"):
+            scheme_sweep(channels, [], params)
+
+
+class TestBisectionTrace:
+    """scheme_sweep records each bisection step as (gamma_s, mean gap):
+    the gap the crossover was calibrated on, bit for bit."""
+
+    def sweep(self, case):
+        model, n, l, draws, grid, _ = SCHEME_SWEEPS[case]
+        params = params_for(1.0, 10.0, l=l, n=n)
+        channels = scheme_channels(model, n, l, draws, 7, "schemes")
+        return channels, params, scheme_sweep(channels, grid, params)
+
+    def test_trace_narrows_the_bracket_to_the_tolerance(self):
+        channels, params, result = self.sweep("crossover")
+        assert result.bisection
+        points = [*result.grid, *(x for x, _ in result.bisection)]
+        lo = max(x for x in points if x < result.crossover)
+        hi = min(x for x in points if x > result.crossover)
+        assert 10.0 * math.log10(hi / lo) < _CROSSOVER_TOL_DB
+        assert result.crossover == math.sqrt(lo * hi)
+        directions = _method2_directions(channels)
+        for gamma_s, gap in result.bisection:
+            fe = _method_grid(channels, directions, [params.at_gamma_s(gamma_s)])[0]
+            assert gap == _mean_exponent_gap(fe)
+
+    @pytest.mark.parametrize("case", [c for c, v in SCHEME_SWEEPS.items() if v[-1] is not None])
+    def test_no_crossover_has_no_trace(self, case):
+        assert self.sweep(case)[2].bisection == ()
+
+    def test_result_is_frozen_and_read_only(self):
+        result = self.sweep("crossover")[2]
+        with pytest.raises(FrozenInstanceError):
+            result.crossover = None
+        assert not result.exponents.flags.writeable
+        with pytest.raises(ValueError):
+            result.exponents[0, 0, 2] = 0.0
+
+
 def sampled_gaps(params, model, grid, trials, seed):
     """calibrate_crossover's inputs on `trials` common channel draws: the
     mean gap at each grid point and the evaluator for bisection points."""
     rng = RandomSource(master_seed=seed)
     n, l = params.num_antennas, params.num_sensors
-    channels = [sample_channel(model, n, l, rng.substream("cal", t)).entries for t in range(trials)]
-    directions = _method2_directions(np.stack(channels))
+    channels = np.stack(
+        [sample_channel(model, n, l, rng.substream("cal", t)).entries for t in range(trials)]
+    )
+    directions = _method2_directions(channels)
 
     def gap_at(gamma_s):
-        return _mean_exponent_gap(
-            *one_point(channels, directions, params.at_gamma_s(gamma_s))
-        )
+        return _mean_exponent_gap(_method_grid(channels, directions, [params.at_gamma_s(gamma_s)])[0])
 
     return [gap_at(g) for g in grid], gap_at
 

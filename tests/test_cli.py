@@ -935,7 +935,7 @@ class TestModuleEntryPoint:
 
 
 class TestMeanCi:
-    @pytest.mark.parametrize("points,draws", [(7, 3), (21, 25), (4, 200), (3, 1), (1, 9)])
+    @pytest.mark.parametrize("points,draws", [(7, 3), (21, 10), (21, 25), (4, 200), (3, 1), (1, 9)])
     def test_rows_keep_their_1d_bits(self, points, draws):
         # the row-wise reductions of a (points, draws) array give each row
         # the bits of the 1-D call on it
@@ -947,6 +947,15 @@ class TestMeanCi:
             assert mean == float(np.mean(row))
             if draws > 1:
                 assert ci == float(1.96 * np.std(row, ddof=1) / math.sqrt(draws))
+        # and so do the runners' strided views, one call per method on
+        # [..., k] of a (points, draws, 3) scheme sweep array.  One call
+        # on the transposed (3, points, draws) view would reduce across
+        # the draws in another order, and from 8 draws on it loses these
+        # bits.
+        methods = np.random.default_rng(draws).lognormal(size=(points, draws, 3))
+        for k in range(3):
+            view = methods[..., k]
+            assert list(zip(*cli._mean_ci(view))) == [cli._mean_ci(row.tolist()) for row in view]
 
     def test_1d_call_returns_floats(self):
         mean, ci = cli._mean_ci([1.0, 2.0, 4.0])
@@ -1067,8 +1076,9 @@ class TestSchemesExperiment:
             experiment="schemes",
         )
         channels = cli._scheme_channels(cfg, "schemes", draws)
-        points = allocation.scheme_sweep(channels, cfg.sweep_grid, cfg.params)[0]
-        for x, (fe1, fe2, _) in zip(cfg.sweep_grid, points):
+        result = allocation.scheme_sweep(channels, cfg.sweep_grid, cfg.params)
+        for x, point in zip(cfg.sweep_grid, result.exponents):
+            fe1, fe2, _ = point.T.tolist()
             params = cfg.params.at_gamma_s(x)
             assert fe1 == [
                 allocation.finite_exponent(h, allocation.method1(h, params)[0], params)
@@ -1078,6 +1088,20 @@ class TestSchemesExperiment:
                 allocation.finite_exponent(h, allocation.method2(h, params), params)
                 for h in channels
             ]
+
+    @pytest.mark.parametrize("figure_id,draws,networks", [(8, 10, 2 * 21 + 5), (9, 3, 7)])
+    def test_one_network_per_grid_and_bisection_point(self, monkeypatch, figure_id, draws, networks):
+        # each gamma_s point's NetworkParams is built once, by scheme_sweep,
+        # and the runners read it off the result: figure8's two 21-point
+        # grids and 5 bisection steps, figure9's 7 points and no bisection
+        cfg = parse({"figure_id": figure_id, "seed": 7, "channel_draws": draws}, experiment="figure")
+        calls = []
+        original = model.NetworkParams.at_gamma_s
+        monkeypatch.setattr(
+            model.NetworkParams, "at_gamma_s", lambda self, x: calls.append(x) or original(self, x)
+        )
+        assert cli.run(cfg)[1] == 0
+        assert len(calls) == networks
 
     def test_hybrid_is_the_better_method_on_figure8(self):
         # figure8 at its golden sizing: the hybrid switches where the
