@@ -37,8 +37,10 @@ def main() -> None:
     ]
     result = scheme_sweep(channels, grid, params)
     if result.crossover is not None:
-        crossover = result.crossover
-        print(f"calibrated crossover: gamma_s = {crossover:.3f} ({snr_to_db(crossover):.2f} dB)")
+        print(
+            f"calibrated crossover: gamma_s = {result.crossover:.3f}"
+            f" ({snr_to_db(result.crossover):.2f} dB)"
+        )
         for gamma_s, gap in result.bisection:
             print(f"  bisection step at {snr_to_db(gamma_s):6.3f} dB: mean gap {gap:+.3e}")
     else:

@@ -317,7 +317,8 @@ def _method_grid(channels, directions, points) -> np.ndarray:
     their channels fit in a group, else a run of one point's channels.
     A group reads its channels as a view and computes their |h|^2 once;
     each item takes its point's gain budget and sigma_eta_sq
-    elementwise."""
+    elementwise.  ValueError when `directions` is not (D, L)."""
+    shaped("directions", directions, *np.shape(channels)[::2])
     params = points[0]
     # per point, as columns that broadcast against a group's channels
     budget = np.array([[x.gain_budget] for x in points])

@@ -590,10 +590,9 @@ def _run_schemes(cfg: ExperimentConfig) -> list[ResultRow]:
     n = cfg.params.num_antennas
     channels = _scheme_channels(cfg, "schemes", cfg.channel_draws or 25)
     result = scheme_sweep(channels, cfg.sweep_grid, cfg.params)
-    names = ("method1", "method2", "hybrid")
-    columns = {f"{name}(N={n})": result.exponents[..., k] for k, name in enumerate(names)}
+    names = (f"method1(N={n})", f"method2(N={n})", f"hybrid(N={n})")
+    rows = _sweep_rows(cfg, result, dict(zip(names, np.moveaxis(result.exponents, -1, 0))))
     crossover = math.nan if result.crossover is None else result.crossover
-    rows = _sweep_rows(cfg, result, columns)
     return rows + [_row(cfg, f"crossover(N={n})", "gamma_s", math.nan, crossover)]
 
 

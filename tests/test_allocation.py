@@ -809,6 +809,11 @@ class TestHoistedDirectionOracle:
         assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
         assert fe2 == [finite_exponent(h, method2(h, params), params) for h in channels]
 
+    def test_rejects_mismatched_directions(self):
+        params = make_params(l=6, n=2)
+        h = random_channel(np.random.default_rng(48), 2, 6)
+        with pytest.raises(ValueError):
+            one_point([h, h], _method2_directions(h[np.newaxis]), params)
 
 
 def per_channel_exponents(channels, params):
@@ -911,7 +916,9 @@ class TestHybrid:
         params = params_for(1.0, 10.0, l=12, n=2)
         channels = scheme_channels(ChannelModel.ricean(1.0), 2, 12, 4, 0, "hybrid")
         result = scheme_sweep(channels, grid, params)
-        points = zip(result.grid, result.params, result.exponents[..., 2].tolist())
+        at_x = [params.at_gamma_s(x) for x in grid]
+        assert list(result.params) == at_x
+        points = zip(result.grid, at_x, result.exponents[..., 2].tolist())
         return channels, result.crossover, list(points)
 
     def test_low_sensing_snr_uses_antenna_selection(self):
@@ -956,7 +963,6 @@ class TestHybrid:
                 assert feh == (method1_fe if x < crossover else method2_fe)
             else:
                 assert feh == (method1_fe if dominant == "method1" else method2_fe)
-
 
     @pytest.mark.parametrize(
         "channels,shape",
