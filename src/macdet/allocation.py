@@ -342,6 +342,20 @@ def _mean_exponent_gap(fe: np.ndarray) -> float:
     return float(np.mean(fe[:, 0] - fe[:, 1]))
 
 
+def _checked_grid(gamma_s_grid) -> tuple[float, ...]:
+    # every entry > 0 (so not NaN), strictly increasing, and all finite or
+    # all +inf; only inf may repeat, since there the whole grid collapses
+    # to the zero-sensing-noise point
+    grid = tuple(float(g) for g in gamma_s_grid)
+    if not all(g > 0.0 for g in grid):
+        raise ValueError("gamma_s_grid entries must be > 0")
+    if any(b < a or (b == a and math.isfinite(a)) for a, b in zip(grid, grid[1:])):
+        raise ValueError("gamma_s_grid must be strictly increasing")
+    if grid and math.isfinite(grid[0]) and math.isinf(grid[-1]):  # sorted by now
+        raise ValueError("gamma_s_grid mixes finite and infinite entries")
+    return grid
+
+
 def calibrate_crossover(gamma_s_grid, gaps, gap_at) -> float:
     """Sensing SNR at which the mean exponents of the two
     reduced-complexity methods cross.  `gaps` holds the mean gap
@@ -355,23 +369,17 @@ def calibrate_crossover(gamma_s_grid, gaps, gap_at) -> float:
     A tie strictly inside that bracket is returned as the crossover;
     otherwise the bracket is bisected.  Raises NoCrossoverError when the
     sign never flips; its dominant method follows the sign of the first
-    nonzero gap, and is method1 when every gap is zero.
+    nonzero gap, and is method1 when every gap is zero.  ValueError names
+    a grid of fewer than two points or one that _checked_grid rejects,
+    and a NaN gap or a gap count that does not match the grid.
     """
-    grid = [float(g) for g in gamma_s_grid]
+    grid = _checked_grid(gamma_s_grid)
     if len(grid) < 2:
         raise ValueError("gamma_s_grid needs at least two points")
     if len(gaps) != len(grid):
         raise ValueError(f"{len(gaps)} gaps for {len(grid)} gamma_s_grid points")
-    for a, b in zip(grid, grid[1:]):
-        # repeated entries are only meaningful at gamma_s = inf, where
-        # the whole grid collapses to the zero-sensing-noise point
-        if b < a or (b == a and math.isfinite(a)):
-            raise ValueError("gamma_s_grid must be strictly increasing")
-    if any(g <= 0.0 for g in grid):
-        raise ValueError("gamma_s_grid entries must be positive")
-    finite = [math.isfinite(g) for g in grid]
-    if any(finite) and not all(finite):
-        raise ValueError("gamma_s_grid mixes finite and infinite entries")
+    if any(math.isnan(gap) for gap in gaps):
+        raise ValueError("gaps must not be NaN")
 
     nonzero = [i for i, gap in enumerate(gaps) if gap != 0.0]
     brackets = [(i, j) for i, j in zip(nonzero, nonzero[1:]) if (gaps[i] > 0.0) != (gaps[j] > 0.0)]
@@ -410,17 +418,20 @@ class SchemeSweep:
 def scheme_sweep(channels, gamma_s_grid, params: NetworkParams) -> SchemeSweep:
     """method1, method2 and the hybrid on shared channels (D, N, L), or a
     list of N x L arrays, over a gamma_s sweep of params (one or more
-    points); ValueError names a stack of any other shape.  Two or more
-    points calibrate the crossover from the grid's mean gaps plus one
-    evaluation per bisection step; the hybrid takes method1 below it and
-    method2 at or above it.  Without a crossover (None) the hybrid takes
-    `dominant` everywhere: NoCrossoverError's method, or on one point the
-    one with the larger mean exponent (method1 on a tie)."""
+    points).  Before any arithmetic, ValueError names a stack of any other
+    shape, and a grid that is empty or breaks calibrate_crossover's grid
+    rules (an entry <= 0 or NaN, a decreasing or repeated finite entry,
+    finite and infinite entries mixed).  Two or more points calibrate
+    the crossover from the grid's mean gaps plus one evaluation per
+    bisection step; the hybrid takes method1 below it and method2 at or
+    above it.  Without a crossover (None) the hybrid takes `dominant`
+    everywhere: NoCrossoverError's method, or on one point the one with
+    the larger mean exponent (method1 on a tie)."""
     channels = np.asarray(channels, dtype=np.complex128)
     n, l = params.num_antennas, params.num_sensors
     if channels.ndim != 3 or not len(channels) or channels.shape[1:] != (n, l):
         raise ValueError(f"channel stack shape {channels.shape} is not (D >= 1, {n}, {l})")
-    grid = tuple(float(x) for x in gamma_s_grid)
+    grid = _checked_grid(gamma_s_grid)
     if not grid:
         raise ValueError("gamma_s_grid needs at least one point")
     directions = _method2_directions(channels)

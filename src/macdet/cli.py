@@ -165,23 +165,32 @@ def _as_str(key: str, value) -> str:
     return value
 
 
-def _positive(key: str, value: float) -> float:
-    if not value > 0.0:
-        raise ConfigError(f"{key} must be > 0")
-    return value
-
-
-def _no_overflow(what: str, compute, *args) -> float:
-    try:
-        return compute(*args)
-    except OverflowError:
-        raise ConfigError(f"{what} overflows") from None
-
-
 def _reject(given: set, keys: tuple, why: str) -> None:
     clash = sorted(k for k in keys if k in given)
     if clash:
         raise ConfigError(f"{', '.join(clash)} cannot be set {why}")
+
+
+def _snr(raw: dict, name: str, power_key: str, allow_inf: bool) -> float | None:
+    # the SNR `name` from its linear key or its `_db` key, neither of which
+    # may come with the other or with the power key it replaces; None when
+    # neither is given
+    db_key = f"{name}_db"
+    key = name if name in raw else db_key
+    if key not in raw:
+        return None
+    _reject(raw.keys() - {key}, (db_key, power_key), f"together with {key}")
+    value = _as_bool_free_number(key, raw[key], allow_inf=allow_inf)
+    if key == db_key:
+        try:
+            value = snr_from_db(value)
+        except OverflowError:
+            raise ConfigError(f"{name} from {db_key} overflows") from None
+        if value == 0.0:
+            raise ConfigError(f"{db_key} is so low that {name} underflows to 0")
+    if not value > 0.0:
+        raise ConfigError(f"{name} must be > 0")
+    return value
 
 
 def _parse_sweep(raw_sweep, experiment: str) -> tuple[str, tuple[float, ...]]:
@@ -278,41 +287,12 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     sigma_nu_sq = _as_bool_free_number("sigma_nu_sq", raw.get("sigma_nu_sq", 1.0))
     p1 = _as_bool_free_number("p1", raw.get("p1", 0.5))
 
-    if "gamma_s" in given and "gamma_s_db" in given:
-        raise ConfigError("gamma_s and gamma_s_db cannot both be set")
-    if "gamma_c" in given and "gamma_c_db" in given:
-        raise ConfigError("gamma_c and gamma_c_db cannot both be set")
-    if ("gamma_s" in given or "gamma_s_db" in given) and "sigma_eta_sq" in given:
-        raise ConfigError("sigma_eta_sq conflicts with gamma_s / gamma_s_db")
-    if ("gamma_c" in given or "gamma_c_db" in given) and "total_power" in given:
-        raise ConfigError("total_power conflicts with gamma_c / gamma_c_db")
-
+    gamma_s = _snr(raw, "gamma_s", "sigma_eta_sq", allow_inf=True)
+    gamma_c = _snr(raw, "gamma_c", "total_power", allow_inf=False)
     sigma_eta_sq = _as_bool_free_number("sigma_eta_sq", raw.get("sigma_eta_sq", 1.0))
-    gamma_s = None
-    if "gamma_s" in given:
-        gamma_s = _positive(
-            "gamma_s", _as_bool_free_number("gamma_s", raw["gamma_s"], allow_inf=True)
-        )
-    elif "gamma_s_db" in given:
-        gamma_s = _no_overflow(
-            "gamma_s from gamma_s_db",
-            snr_from_db,
-            _as_bool_free_number("gamma_s_db", raw["gamma_s_db"], allow_inf=True),
-        )
-        if gamma_s == 0.0:
-            raise ConfigError("gamma_s_db is so low that gamma_s underflows to 0")
-
     total_power = _as_bool_free_number("total_power", raw.get("total_power", 1.0))
-    if "gamma_c" in given or "gamma_c_db" in given:
-        if "gamma_c" in given:
-            gamma_c = _as_bool_free_number("gamma_c", raw["gamma_c"])
-        else:
-            gamma_c = _no_overflow(
-                "gamma_c from gamma_c_db",
-                snr_from_db,
-                _as_bool_free_number("gamma_c_db", raw["gamma_c_db"]),
-            )
-        total_power = _positive("gamma_c", gamma_c) * sigma_nu_sq
+    if gamma_c is not None:
+        total_power = gamma_c * sigma_nu_sq
 
     channel = _as_str("channel", raw.get("channel", "awgn"))
     if channel not in ("awgn", "rayleigh", "ricean"):
@@ -616,12 +596,13 @@ def _run_sdr_compare(cfg: ExperimentConfig) -> list[ResultRow]:
         solved.append((h, extract_phases(solution)))
 
     # every point's sdr_phase gains, scored in one batch (points, draws); NaN if none certified
-    sdr = np.full((len(result.grid), 1), math.nan)
     if solved:
         hs, phases = (np.stack(parts) for parts in zip(*solved))
         budget, sigma_eta_sq = np.array([(p.gain_budget, p.sigma_eta_sq) for p in result.params]).T
         gains = np.sqrt(budget / num_sensors)[:, np.newaxis, np.newaxis] * phases
         sdr = exponent_statistic(hs, gains, params, sigma_eta_sq[:, np.newaxis])
+    else:
+        sdr = np.full((len(result.grid), 1), math.nan)
     sdr_series = f"sdr_phase(N={n})" + ("" if len(solved) == len(channels) else _NONCONVERGED)
     return _sweep_rows(cfg, result, {sdr_series: sdr, f"hybrid(N={n})": result.exponents[..., 2]})
 

@@ -77,8 +77,8 @@ class SnrPoint:
             raise ValueError("gamma_c must be finite and > 0")
         if not 0.0 < self.p1 < 1.0:
             raise ValueError("p1 must lie strictly between 0 and 1")
-        if not self.k_factor >= 0.0:
-            raise ValueError("k_factor must be >= 0")
+        if not 0.0 <= self.k_factor < math.inf:
+            raise ValueError("k_factor must be >= 0 and finite")
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be >= 1")
 
@@ -274,8 +274,8 @@ def gain_csis_bound_nk(num_antennas: int, k_factor: float, zeta: ZetaFactor) -> 
     """
     if num_antennas < 1:
         raise ValueError("num_antennas must be >= 1")
-    if not k_factor >= 0.0:
-        raise ValueError("k_factor must be >= 0")
+    if not 0.0 <= k_factor < math.inf:
+        raise ValueError("k_factor must be >= 0 and finite")
     n, k = float(num_antennas), k_factor
     return zeta.zeta * (n * n * k + 2.0 * n - 1.0) / (n * (k + 1.0))
 
@@ -309,8 +309,8 @@ def mp_lambda_max(beta: float) -> float:
     """Limiting largest eigenvalue (1 + sqrt(beta))^2 / beta of the
     per-sensor-normalized Gram matrix (1/L) H^H H for zero-mean unit-
     variance iid entries, as N, L -> inf with L/N -> beta."""
-    if not beta > 0.0:
-        raise ValueError("beta must be > 0")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be > 0 and finite")
     return (1.0 + math.sqrt(beta)) ** 2 / beta
 
 
@@ -334,8 +334,8 @@ def bounds_asymptotic(beta: float, pt: SnrPoint) -> AsymptoticBounds:
     gamma_c (1+sqrt(beta))^2 / beta = p1 gamma_s, i.e. the normalized
     product P sigma_eta^2/sigma_nu^2 hits beta/(1+sqrt(beta))^2.
     """
-    if not beta > 0.0:
-        raise ValueError("beta must be > 0")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be > 0 and finite")
     e_inf = math.inf if math.isinf(pt.gamma_s) else pt.gamma_s / 8.0
     if pt.k_factor == 0.0:
         b_inf = 0.125 * (pt.gamma_c / pt.p1) * mp_lambda_max(beta)
@@ -351,8 +351,7 @@ def gain_inf_bound(beta: float, zeta: ZetaFactor) -> float:
         G_inf <= zeta (1 + (1 + sqrt(beta))^2 / beta),
 
     equal to 5*zeta at beta = 1 and decreasing toward 2*zeta as beta
-    grows.
+    grows.  Like mp_lambda_max, raises ValueError unless beta is > 0 and
+    finite.
     """
-    if not beta > 0.0:
-        raise ValueError("beta must be > 0")
     return zeta.zeta * (1.0 + mp_lambda_max(beta))

@@ -171,7 +171,10 @@ class NetworkParams:
 
     def at_gamma_s(self, gamma_s: float) -> "NetworkParams":
         """The same network at sensing SNR gamma_s: sigma_eta_sq =
-        theta^2 / gamma_s, or 0 (noise-free sensing) when gamma_s = inf."""
+        theta^2 / gamma_s, or 0 (noise-free sensing) when gamma_s = inf.
+        ValueError names gamma_s unless it is > 0 (0, negative or NaN)."""
+        if not gamma_s > 0.0:
+            raise ValueError(f"gamma_s must be > 0, not {gamma_s!r}")
         sigma_eta_sq = 0.0 if math.isinf(gamma_s) else self.theta**2 / gamma_s
         return dataclasses.replace(self, sigma_eta_sq=sigma_eta_sq)
 
@@ -200,8 +203,8 @@ class ChannelModel:
     def __post_init__(self) -> None:
         if self.kind not in ("awgn", "ricean"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.kind == "ricean" and not self.k_factor >= 0.0:
-            raise ValueError("Ricean K-factor must be >= 0")
+        if self.kind == "ricean" and not 0.0 <= self.k_factor < math.inf:
+            raise ValueError("Ricean K-factor must be >= 0 and finite")
 
     @classmethod
     def awgn(cls) -> "ChannelModel":

@@ -21,7 +21,7 @@ from macdet.allocation import (
     received_covariance,
     scheme_sweep,
 )
-from macdet import forms, sdr
+from macdet import allocation, forms, sdr
 from macdet.allocation import (
     _CROSSOVER_TOL_DB,
     _GROUP_ENTRIES,
@@ -980,11 +980,30 @@ class TestHybrid:
         with pytest.raises(ValueError, match=re.escape(f"channel stack shape {shape} is not ")):
             scheme_sweep(channels, [1.0, 2.0], params)
 
-    def test_rejects_an_empty_grid(self):
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ([], "needs at least one point"),
+            ([0.0], "entries must be > 0"),
+            ([-1.0, 2.0], "entries must be > 0"),
+            ([math.nan], "entries must be > 0"),
+            ([2.0, 1.0], "must be strictly increasing"),
+            ([1.0, math.inf], "mixes finite and infinite entries"),
+        ],
+        ids=["empty", "zero", "negative", "nan", "decreasing", "finite-and-inf"],
+    )
+    def test_rejects_a_bad_grid_before_any_work(self, grid, message, monkeypatch):
         params = params_for(1.0, 10.0, l=12, n=2)
         channels = scheme_channels(ChannelModel.ricean(1.0), 2, 12, 2, 0, "hybrid")
-        with pytest.raises(ValueError, match="^gamma_s_grid needs at least one point$"):
-            scheme_sweep(channels, [], params)
+        calls = []
+        for name in ("_method2_directions", "_method_grid"):
+            original = getattr(allocation, name)
+            monkeypatch.setattr(
+                allocation, name, lambda *args, name=name, f=original: calls.append(name) or f(*args)
+            )
+        with pytest.raises(ValueError, match=f"^gamma_s_grid {message}$"):
+            scheme_sweep(channels, grid, params)
+        assert calls == []
 
 
 class TestBisectionTrace:
@@ -1055,6 +1074,14 @@ class TestCalibrateCrossover:
         second = calibrate_crossover(grid, gaps, gap_at)
         assert first == second
         assert grid[0] <= first <= grid[-1]
+
+    def test_rejects_a_nan_gap(self):
+        # a NaN gap is neither > 0 nor 0, so it would read as a sign change
+        def gap_at(gamma_s):
+            raise AssertionError("a rejected gap is never bisected")
+
+        with pytest.raises(ValueError, match="NaN"):
+            calibrate_crossover([1.0, 2.0], [1.0, math.nan], gap_at)
 
     def test_rejects_bad_grids(self):
         def gap_at(gamma_s):

@@ -710,10 +710,11 @@ class TestNonFiniteConfig:
         cfg = cli.parse_config({**MC_BASE, key: math.inf}, "montecarlo")
         assert cfg.params.sigma_eta_sq == 0.0
 
-    def test_gamma_s_db_underflow_rejected(self, tmp_path, capsys):
-        code, err = self.run_main(tmp_path, capsys, "montecarlo", {**MC_BASE, "gamma_s_db": -4000.0})
+    @pytest.mark.parametrize("key", ["gamma_s_db", "gamma_c_db"])
+    def test_gamma_s_db_underflow_rejected(self, tmp_path, capsys, key):
+        code, err = self.run_main(tmp_path, capsys, "montecarlo", {**MC_BASE, key: -4000.0})
         assert code == 2
-        assert "underflows" in err
+        assert f"{key} is so low that {key[:-3]} underflows to 0" in err
 
     def test_infinite_gamma_s_grid_still_runs(self, tmp_path, capsys):
         raw = {**MC_BASE, "sweep": sweep("gamma_s", [1.0, math.inf])}

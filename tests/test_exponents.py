@@ -436,7 +436,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             pt(k=-1.0)
         with pytest.raises(ValueError):
+            pt(k=math.inf)
+        with pytest.raises(ValueError):
             pt(n=0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_large_system_rejects_bad_beta(self, beta):
+        # beta = inf would give NaN ((1 + sqrt(beta))^2 / beta is inf / inf)
+        z = ex.ZetaFactor.rayleigh()
+        for call in (
+            lambda: ex.mp_lambda_max(beta),
+            lambda: ex.gain_inf_bound(beta, z),
+            lambda: ex.bounds_asymptotic(beta, pt()),
+            lambda: ex.bounds_asymptotic(beta, pt(k=1.0)),
+        ):
+            with pytest.raises(ValueError, match="beta"):
+                call()
+
+    @pytest.mark.parametrize("k", [-1.0, math.nan, math.inf])
+    def test_gain_csis_bound_nk_rejects_bad_k(self, k):
+        with pytest.raises(ValueError, match="k_factor"):
+            ex.gain_csis_bound_nk(2, k, ex.ZetaFactor.rayleigh())
 
     def test_zeta_rejects_below_one(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ module of the package, demo or test imports a name it never uses, so
 deleted code cannot leave its imports behind; no package module reaches
 into another's private names; and every public name of a submodule has
 a caller outside its module (in the package, `demos/` or `bench/`) or is
-listed in README's API section."""
+listed in README's API section; and `macdet.__version__` is the version
+pyproject.toml declares."""
 
 import ast
 import importlib
@@ -134,3 +135,10 @@ def test_every_public_name_has_a_caller_or_is_api(name):
     api = _readme_api().get(name, set())
     unearned = [n for n in importlib.import_module(name).__all__ if n not in called | api]
     assert unearned == []
+
+
+def test_version_matches_pyproject():
+    # the version a run records is the one the package is installed as
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert macdet.__version__ == tomllib.load(f)["project"]["version"]

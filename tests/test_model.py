@@ -83,6 +83,14 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             make_params(**bad)
 
+    @pytest.mark.parametrize("gamma_s", [0.0, -1.0, math.nan])
+    def test_at_gamma_s_rejects_a_non_positive_snr(self, gamma_s):
+        with pytest.raises(ValueError, match="gamma_s"):
+            make_params().at_gamma_s(gamma_s)
+
+    def test_at_infinite_gamma_s_is_noise_free(self):
+        assert make_params().at_gamma_s(math.inf).sigma_eta_sq == 0.0
+
 
 class TestChannelModel:
     def test_rayleigh_is_ricean_zero(self):
@@ -96,8 +104,10 @@ class TestChannelModel:
         assert m.los_amplitude**2 + m.diffuse_variance == pytest.approx(1.0)
 
     def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            ChannelModel.ricean(-0.5)
+        # and an infinite K, whose sample_channel entries would all be NaN
+        for k in (-0.5, math.inf):
+            with pytest.raises(ValueError):
+                ChannelModel.ricean(k)
 
 
 class TestMeanAbsH:
