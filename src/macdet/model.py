@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _check_integer(value, name: str, low: int) -> None:
+    """ValueError unless value is an int or a NumPy integer (a bool or a
+    float is neither) and at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class RandomSource:
     """Splittable deterministic random stream.
@@ -64,10 +71,8 @@ class RandomSource:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a non-negative integer")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be a non-negative integer")
+        _check_integer(self.master_seed, "master_seed", 0)
+        _check_integer(self.stream_id, "stream_id", 0)
 
     def substream(self, *path: "int | str") -> np.random.Generator:
         """Generator for a nested split of this stream.
@@ -125,10 +130,8 @@ class NetworkParams:
     total_power: float
 
     def __post_init__(self) -> None:
-        if self.num_sensors < 1:
-            raise ValueError("num_sensors must be >= 1")
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be >= 1")
+        _check_integer(self.num_sensors, "num_sensors", 1)
+        _check_integer(self.num_antennas, "num_antennas", 1)
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be > 0 and finite")
         if not 0.0 <= self.sigma_eta_sq < math.inf:

@@ -7,25 +7,31 @@ C = H^H H, to the SDP
     max  tr(C X)   s.t.  X >= 0,  X_ll = 1.
 
 It is solved in the low-rank factorization X = V V^H of Burer and
-Monteiro, V of rank r = min(L, ceil(sqrt(2 L))) with unit rows, by the
-monotone ascent V <- rownormalize(H^H (H V)) (the block form of the
-mixing method of Wang, Chang and Kolter, which needs a PSD cost;
-C = H^H H is one by construction).  The solution carries V itself.
-Neither X nor C is ever formed: every array the solve makes holds
-O(L (N + r)) entries per channel, and every matrix it decomposes is
-N x N, r x r or L x r.  `solve_sdps` runs the ascent on a stack of
-channels in one loop; each channel stops on its own test and gets the
-bits it gets when solved alone (`solve_sdp`).
+Monteiro, V (L x N) with unit rows, by the monotone ascent
+V <- rownormalize(H^H (H V)) (the block form of the mixing method of
+Wang, Chang and Kolter, which needs a PSD cost; C = H^H H is one by
+construction).  The solution carries V itself.  Neither X nor C is
+ever formed: every array the solve makes holds O(L N) entries per
+channel, and every matrix it decomposes is N x N.  `solve_sdps` runs
+the ascent on a stack of channels in one loop; each channel stops on
+its own test and gets the bits it gets when solved alone (`solve_sdp`).
 
-The start is the top right singular vectors of H (those of C with
-nonzero eigenvalue, from the N x N H H^H), completed to rank r by a QR
-factorization of them followed by the leading unit vectors, with each
-row scaled to unit norm.  The solve runs on H 2^-j, for the j that
-puts the largest real or imaginary part of H in [1, 2), and scales the
-objective and gap back by 4^j.  Power-of-two scaling is exact, so the
-answer does not depend on the scale of H.  Unscaled, entries near 1e80
-would overflow H V, and entries near 1e-80 would leave the objective
-under the floor 1 below, which any gap passes.
+Width N is enough.  A step maps V to D C V, D = Diag((C X C)_ll)^-1/2,
+so X' = D C X C D; y_l = Re (X C)_ll below, the objective tr(C X) and
+the certificate read X alone.  So one X_0 takes the same steps at any
+width, and after one step X has rank <= rank C <= N: the
+ceil(sqrt(2 L)) columns of Barvinok and Pataki's bound for a general
+cost add work, never a step or a certificate.  The start is
+V_0 = D_0 H^H, H^H with unit rows (X_0 = D_0 C D_0).  A zero column of
+H leaves its row of C zero; its row of V, which adds nothing to the
+objective, is the first unit vector and never moves.
+
+The solve runs on H 2^-j, for the j that puts the largest real or
+imaginary part of H in [1, 2), and scales the objective and gap back
+by 4^j.  Power-of-two scaling is exact, so the answer does not depend
+on the scale of H.  Unscaled, entries near 1e80 would overflow H V,
+and entries near 1e-80 would leave the objective under the floor 1
+below, which any gap passes.
 
 Every iterate carries a dual certificate.  With y_l = Re<v_l, (C V)_l>,
 sum(y) is the objective, and y + mu 1 is dual feasible once
@@ -60,7 +66,7 @@ every step; at figure9's size about one eigenproblem is left per solve.
 
 Rank-one rounding of the top eigenvector of X recovers a feasible phase
 vector.  That eigenvector is V w / ||V w|| for w the top eigenvector of
-the r x r Gram V^H V, so the rounding decomposes only the Gram.  The
+the N x N Gram V^H V, so the rounding decomposes only the Gram.  The
 pi/4 factor of So, Zhang and Ye (Math. Program. 110, 2007) bounds the
 expected value of *randomized* Gaussian rounding, not this deterministic
 rounding, whose ratio to the relaxation is measured instead: the
@@ -70,7 +76,6 @@ rounded phases meet the certified bound.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -99,7 +104,7 @@ _PIVOT_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solver output at X_ll = 1.  factor is V (L x r), with unit rows,
+    """Solver output at X_ll = 1.  factor is V (L x N), with unit rows,
     so X = V V^H is feasible; objective = tr(C V V^H); gap >= 0 is the
     certified distance from objective to an upper bound on the SDP
     optimum, rounding included, and converged says
@@ -273,23 +278,10 @@ def _unit_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _start(h: np.ndarray) -> np.ndarray:
-    """The ascent's start for each channel of a stack (D, N, L): the
-    right singular vectors of H, top first, then the leading unit
-    vectors, orthonormalized by a QR factorization; the first r columns,
-    each row scaled to unit norm (an all-zero row takes the first unit
-    vector).  The right singular vectors are H^H u_i / sigma_i for the
-    eigenvectors u_i of the N x N H H^H, left unnormalized for the QR to
-    normalize (one with sigma_i = 0 is a zero column, which the QR
-    replaces); their span is that of C's top eigenvectors."""
-    count, _, size = h.shape
-    rank = min(size, math.ceil(math.sqrt(2 * size)))
-    hh = h.conj().transpose(0, 2, 1)
-    right = hh @ np.linalg.eigh(h @ hh)[1][:, :, ::-1]
-    units = np.broadcast_to(np.eye(size, rank, dtype=np.complex128), (count, size, rank))
-    v = np.ascontiguousarray(np.linalg.qr(np.concatenate([right, units], axis=2)[:, :, :rank])[0])
-    v[~v.any(axis=2), 0] = 1.0
-    v *= (1.0 / np.linalg.norm(v, axis=2))[:, :, np.newaxis]
-    return v
+    """The ascent's start for each channel of a stack (D, N, L): H^H with
+    unit rows (`_ascend`), a zero row keeping the first unit vector."""
+    hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
+    return _ascend(np.broadcast_to(np.eye(1, h.shape[1], dtype=np.complex128), hh.shape), hh)
 
 
 def _margin(n: int, size: int) -> tuple[float, float, int]:
@@ -360,7 +352,7 @@ def extract_phases(solution: SdpSolution) -> np.ndarray:
     (rank-one rounding); zero components round to phase 0.
 
     That eigenvector is V w / ||V w|| for w the top eigenvector of the
-    r x r Gram V^H V, so only the Gram is decomposed; `_unit_phases`
+    N x N Gram V^H V, so only the Gram is decomposed; `_unit_phases`
     fixes its global phase."""
     v = solution.factor
     return _unit_phases(v @ np.linalg.eigh(v.conj().T @ v)[1][:, -1])

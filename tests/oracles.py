@@ -38,7 +38,10 @@ None of these is used by `macdet` itself:
   same step or a little later, with a gap no smaller.
 * `extract_phases_dense` rounds an SDP solution through the top
   eigenvector of the L x L matrix V V^H; `sdr.extract_phases` takes it
-  from the r x r Gram V^H V instead.
+  from the N x N Gram V^H V instead.
+* `start_old_rank` is the SDP's former start, of width ceil(sqrt(2 L))
+  from an eigen-solve of H H^H and a QR factorization; a solve from it
+  must reach `sdr._start`'s objective within both certified gaps.
 * `q_function` is the Gaussian tail Q(x) itself, through SciPy's erfc;
   the package only needs its logarithm, `numerics.log_q`.
 """
@@ -356,6 +359,28 @@ def method2_direction(h: np.ndarray) -> np.ndarray:
     return canonical_phase(v / np.linalg.norm(v))
 
 
+def start_old_rank(h: np.ndarray) -> np.ndarray:
+    """The start `sdr._start` took before it became H^H with unit rows,
+    at rank r = min(L, ceil(sqrt(2 L))), Barvinok and Pataki's bound for
+    a general cost: the right singular vectors of H, top first, then the
+    leading unit vectors, orthonormalized by a QR factorization; the
+    first r columns, each row scaled to unit norm (an all-zero row takes
+    the first unit vector).  The right singular vectors are
+    H^H u_i / sigma_i for the eigenvectors u_i of the N x N H H^H, left
+    unnormalized for the QR to normalize (one with sigma_i = 0 is a zero
+    column, which the QR replaces); their span is that of C's top
+    eigenvectors."""
+    count, _, size = h.shape
+    rank = min(size, math.ceil(math.sqrt(2 * size)))
+    hh = h.conj().transpose(0, 2, 1)
+    right = hh @ np.linalg.eigh(h @ hh)[1][:, :, ::-1]
+    units = np.broadcast_to(np.eye(size, rank, dtype=np.complex128), (count, size, rank))
+    v = np.ascontiguousarray(np.linalg.qr(np.concatenate([right, units], axis=2)[:, :, :rank])[0])
+    v[~v.any(axis=2), 0] = 1.0
+    v *= (1.0 / np.linalg.norm(v, axis=2))[:, :, np.newaxis]
+    return v
+
+
 def solve_sdp_eigen_stop(channel, steps: int | None = None) -> SdpSolution:
     """`sdr.solve_sdp`'s ascent, from its start (`sdr._start`) and with
     its steps, on the same scaled channel, certified at every step by the
@@ -445,7 +470,7 @@ def extract_phases_dense(solution: SdpSolution) -> np.ndarray:
     """Rank-one rounding through the L x L matrix: the top eigenvector of
     X = V V^H (symmetrized), normalized entrywise with the global phase
     of `sdr._unit_phases`; zero components round to phase 0.
-    `sdr.extract_phases` decomposes only the r x r Gram V^H V and must
+    `sdr.extract_phases` decomposes only the N x N Gram V^H V and must
     agree with it to rounding."""
     v = solution.factor
     x = v @ v.conj().T

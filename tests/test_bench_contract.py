@@ -33,9 +33,10 @@ workloads = load("workloads")
 tracing = load("tracing")
 
 
-def test_fig9_check_passes_at_bench_sizing():
+# the benchmark picks its seeds; 3110 is the seed of BENCH_30.json
+@pytest.mark.parametrize("seed", [0, 7, 3110])
+def test_fig9_check_passes_at_bench_sizing(seed):
     workload = workloads.WORKLOADS["fig9-sdr"]
-    seed = 0
     rows, code = cli.run(cli.parse_config(workload.config(seed), "figure"))
     assert code == 0
     text = cli.rows_to_csv(rows)

@@ -265,7 +265,9 @@ EXTREME_POWERS = {
         {"channel": "awgn", "num_antennas": 2, "num_sensors": 4, "gamma_c": 1e300,
          "channel_draws": 1, "sweep": {"variable": "gamma_s", "grid": [2.0, 1000.0]}},
     ),
-    # solve_hermitian_pd: the received covariance was "not positive definite"
+    # the received covariance failed its Cholesky factorization ("not
+    # positive definite"); forms.quadratic_forms now answers in its
+    # spectral form
     "montecarlo-covariance-not-pd": (
         "montecarlo",
         {"channel": "awgn", "num_antennas": 2, "num_sensors": 4, "gamma_c": 1e300,

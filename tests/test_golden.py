@@ -67,7 +67,7 @@ GOLDEN = {
     8: ({"channel_draws": 2},
         "42b7703c3d4a58338fc06a57f6e55b725d3c0af3332203fc76066badf0ce75e9"),
     9: ({"channel_draws": 1},
-        "f4a69e66ca9510581f64f823e369dccb7f8eda567ba22c274a5b67c76c7556b8"),
+        "b79f37e51e15217a57a8bf442a54e9ec0ad0152d7c4d4e9379d53218856882fb"),
 }
 
 
@@ -78,7 +78,7 @@ BENCH = {
     8: ({"channel_draws": 10},
         "be4b965f74f0e2e61cefee675d4429a62251b44ba4a3bb13c45022160e8bff33"),
     9: ({"channel_draws": 3},
-        "7dcfad034dbebf2f4093c682fac1f5a655fcf88c377522b056ea1d200d927804"),
+        "faadf19ff01d7a521b0be68516eeaa79d995be4df6464a1905f1853af179fd95"),
 }
 
 
@@ -126,13 +126,13 @@ EXPERIMENTS = {
         "sdr-compare",
         {**RICEAN, "num_antennas": 3, "num_sensors": 8, "gamma_s": 2.0, "gamma_c": 10.0,
          "channel_draws": 2},
-        "c85fb28cc41f826ed44ca31eae4f846ecbd2e521b3e3823c3b04dad75147eb20",
+        "398e895eee2520fd9f9680dc8049bd56e71963245fe72a5fabc39c092244abe7",
     ),
     "sdr-compare-sweep": (
         "sdr-compare",
         {"channel": "rayleigh", "num_antennas": 2, "num_sensors": 8, "gamma_c": 10.0,
          "channel_draws": 2, "sweep": {"variable": "gamma_s", "grid": [0.5, 2.0, 8.0]}},
-        "c6ec297fc849f8d85c6e06b68288ea4c369413e69172066dd4f66470c1681ffc",
+        "8f50bbc3ac5cca9aa940fb400309b77896e5b810adf20dab52c4d665b7c567b0",
     ),
     "exponent-sweep-gamma_s": (
         "exponent-sweep",

@@ -59,6 +59,11 @@ class TestNetworkParams:
         [
             dict(num_sensors=0),
             dict(num_antennas=0),
+            # counts are integers: not a float, a bool or a NumPy float
+            dict(num_sensors=2.5),
+            dict(num_sensors=10.0),
+            dict(num_antennas=True),
+            dict(num_antennas=np.float64(2.0)),
             dict(theta=0.0),
             dict(sigma_eta_sq=-1.0),
             dict(sigma_nu_sq=0.0),
@@ -80,8 +85,13 @@ class TestNetworkParams:
         ],
     )
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        # the message names the first field of the case
+        with pytest.raises(ValueError, match=next(iter(bad))):
             make_params(**bad)
+
+    def test_accepts_numpy_integer_counts(self):
+        p = make_params(num_sensors=np.int64(10), num_antennas=np.int32(2))
+        assert (p.num_sensors, p.num_antennas) == (10, 2)
 
     @pytest.mark.parametrize("gamma_s", [0.0, -1.0, math.nan])
     def test_at_gamma_s_rejects_a_non_positive_snr(self, gamma_s):
@@ -305,6 +315,23 @@ class TestRandomSource:
         expected = np.random.Generator(np.random.Philox(seq)).standard_normal(4)
         assert np.array_equal(src.substream("mc-channel", 2, 1).standard_normal(4), expected)
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError):
-            RandomSource(-1)
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            ((-1,), "master_seed"),
+            ((True,), "master_seed"),
+            ((1.5,), "master_seed"),
+            ((np.float64(2.0),), "master_seed"),
+            ((1, -1), "stream_id"),
+            ((1, False), "stream_id"),
+            ((1, 2.0), "stream_id"),
+        ],
+    )
+    def test_rejects_what_is_not_a_non_negative_integer(self, args, field):
+        # at construction, naming the field, not at the first draw
+        with pytest.raises(ValueError, match=field):
+            RandomSource(*args)
+
+    def test_accepts_numpy_integers(self):
+        a = RandomSource(np.int64(42), np.uint8(3)).substream().standard_normal(4)
+        assert np.array_equal(a, RandomSource(42, 3).substream().standard_normal(4))

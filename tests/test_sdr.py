@@ -20,7 +20,13 @@ from macdet.sdr import (
     solve_sdps,
 )
 from macdet import cli
-from oracles import extract_phases_dense, phase_optimum, solve_sdp_eigen_stop, solve_sdps_every_step
+from oracles import (
+    extract_phases_dense,
+    phase_optimum,
+    solve_sdp_eigen_stop,
+    solve_sdps_every_step,
+    start_old_rank,
+)
 
 # Oracle: for a rank-one cost h h^H (the channel h^H, one antenna) the
 # SDP optimum is known in closed form.  |X_ij| <= sqrt(X_ii X_jj) = d for
@@ -70,9 +76,8 @@ class TestSolveSdpInput:
 
     @pytest.mark.parametrize("shape", [(4, 2), (1, 5), (1, 1)])
     def test_factor_is_sensors_by_rank(self, shape):
-        size = shape[1]
-        rank = min(size, math.ceil(math.sqrt(2 * size)))
-        assert solve_sdp(np.ones(shape)).factor.shape == (size, rank)
+        # rank C = H^H H <= N, so the factor is L x N
+        assert solve_sdp(np.ones(shape)).factor.shape == shape[::-1]
 
     @pytest.mark.parametrize(
         "channel",
@@ -363,7 +368,7 @@ class TestScreenedCertificate:
 
     def test_figure9_eigenproblem_count(self, monkeypatch):
         # figure9 at the benchmark's size (channel_draws 3), seed 7: the
-        # screen leaves 4 of the every-step loop's 42 N x N eigenproblems
+        # screen leaves 3 of the every-step loop's 41 N x N eigenproblems
         sizes = []
         top_eigenvalues = sdr._top_eigenvalues
 
@@ -374,10 +379,10 @@ class TestScreenedCertificate:
         monkeypatch.setattr(sdr, "_top_eigenvalues", counting)
         cfg = cli.parse_config({"figure_id": 9, "seed": 7, "channel_draws": 3}, "figure")
         assert cli.run(cfg)[1] == 0
-        assert (len(sizes), sum(sizes)) == (4, 4)
+        assert (len(sizes), sum(sizes)) == (3, 3)
         sizes.clear()
         solve_sdps_every_step(figure9_channels(7))
-        assert (len(sizes), sum(sizes)) == (17, 42)
+        assert (len(sizes), sum(sizes)) == (16, 41)
 
 
 class TestExactCertificate:
@@ -417,10 +422,10 @@ class TestExactCertificate:
         assert np.array_equal(exact.factor, solution.factor)
         assert exact.gap <= solution.gap
 
-    def test_no_linalg_operand_is_larger_than_n_or_rank(self, monkeypatch):
+    def test_no_linalg_operand_is_larger_than_n(self, monkeypatch):
         # every np.linalg call of a solve and its rounding, on channels
-        # whose L exceeds both N and r, sees no square matrix larger than
-        # max(N, r): no L x L Gram, certificate or eigen-solve
+        # whose L exceeds N, sees no square matrix larger than N x N: no
+        # L x L Gram, certificate or eigen-solve
         seen = []
 
         def recording(fn):
@@ -435,16 +440,43 @@ class TestExactCertificate:
             if callable(fn) and not isinstance(fn, type):
                 monkeypatch.setattr(np.linalg, name, recording(fn))
         cases = [
-            (np.stack(figure9_channels()), 8),
-            (sample_channel(ChannelModel.rayleigh(), 3, 64, RandomSource(0).substream("sdr", 1)).entries[None], 12),
+            np.stack(figure9_channels()),
+            sample_channel(ChannelModel.rayleigh(), 3, 64, RandomSource(0).substream("sdr", 1)).entries[None],
         ]
-        for channels, rank in cases:
+        for channels in cases:
             seen.clear()
             for solution in solve_sdps(channels):
                 extract_phases(solution)
-            limit = max(channels.shape[1], rank)
+            limit = channels.shape[1]
             assert seen
             assert all(shape[-1] != shape[-2] or shape[-1] <= limit for shape in seen), seen
+
+
+class TestOldRankStart:
+    """The start is H^H with unit rows, of width N; the oracle is the
+    former start of width ceil(sqrt(2 L)) (Barvinok and Pataki's bound
+    for a general cost).  Each objective is a feasible value, which the
+    other solve's objective plus its certified gap bounds; that holds at
+    the iteration cap too, where the Rayleigh draw at N = 4, L = 128
+    ends under either start."""
+
+    @pytest.mark.parametrize("size", [32, 128, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_objectives_agree_within_both_gaps(self, monkeypatch, n, size):
+        source = RandomSource(5)
+        channels = np.stack(
+            [
+                sample_channel(model, n, size, source.substream("sdr", n, size)).entries
+                for model in (ChannelModel.ricean(1.0), ChannelModel.rayleigh())
+            ]
+        )
+        new = solve_sdps(channels)
+        monkeypatch.setattr(sdr, "_start", start_old_rank)
+        old = solve_sdps(channels)
+        assert old[0].factor.shape[1] == min(size, math.ceil(math.sqrt(2 * size)))
+        for a, b in zip(new, old):
+            assert a.objective <= b.objective + b.gap
+            assert b.objective <= a.objective + a.gap
 
 
 class TestLargeChannels:
@@ -462,7 +494,7 @@ class TestLargeChannels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, peak
+        assert peak < 2 * 2**20, peak
         assert solution.converged
 
     def test_l512_certifies(self):
@@ -553,7 +585,7 @@ class TestExtractPhases:
         ],
     )
     def test_matches_dense_rounding(self, seed, key, model, n, size, draws):
-        # the r x r Gram rounding against the top eigenvector of the L x L
+        # the N x N Gram rounding against the top eigenvector of the L x L
         # V V^H; both put the same pivot entry on the positive real axis,
         # so they agree including the global phase
         for i, h in enumerate(channel_draws(seed, key, model, n, size, draws)):
