@@ -21,6 +21,14 @@ is given (noise=None), so R_eta = sigma_eta_sq I, and a SensingNoiseModel's
 covariance R_eta otherwise; either way the statistic goes through the
 batched core of `forms`.  Gains are computed centrally from known channel
 state; feedback to the sensors is modeled as noiseless.
+
+Every rule reads its channel through numerics.scaled_by_power_of_two's
+gain rule, which rejects a non-finite entry and scales a channel whose
+largest part reaches 2^384 to H 2^-j, so no square overflows; a sweep
+scales its stack once.  No rule's gains depend on that scale: the
+direction of method2 does not, and alpha_opt_n1 and method1 see H and
+sigma_nu_sq only through ratios that H 2^-j with sigma_nu_sq 4^-j leave
+as they are.  Every other channel keeps its bits.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 
 from .forms import checked_channel, exponent_statistic, item, shaped
 from .model import NetworkParams, SensingNoiseModel
-from .numerics import canonical_phase, hermitian_eig
+from .numerics import canonical_phase, hermitian_eig, scaled_by_power_of_two
 from .sdr import SdpNonConvergence, extract_phases, solve_sdp
 
 __all__ = [
@@ -50,14 +58,6 @@ __all__ = [
     "scheme_sweep",
     "alpha_sdr_phase",
 ]
-
-# a channel whose largest real or imaginary part reaches 2^_PART_BITS is
-# scaled down by a power of two to put it just below, before a gain rule
-# squares it: |h|^2 then stays below 2^769, far from overflow even times
-# the gain budget, and the shift is the least that does so, which keeps
-# the squares of small entries and sigma_nu_sq 4^-j (for largest parts
-# up to about 1e269) normal numbers
-_PART_BITS = 384
 
 # calibrate_crossover bisects in log gamma_s until the bracket is this
 # narrow, in dB
@@ -149,45 +149,20 @@ def alpha_uniform(params: NetworkParams) -> GainVector:
     return GainVector(values=values, budget=p)
 
 
-def _fitted(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H 2^-j, j) for each channel of a stack (D, ...): j = 0 unless the
-    channel's largest real or imaginary part reaches 2^_PART_BITS, and
-    then the j that puts it in [2^(_PART_BITS - 1), 2^_PART_BITS).  The
-    gain rules check their channels here, before any arithmetic
-    (ValueError on a non-finite entry); the quadratic-form core checks
-    only where its Cholesky path fails.
-
-    Power-of-two scaling is exact, and no rule's gains depend on it: the
-    direction of method2 does not depend on the scale of H, and the
-    magnitudes of alpha_opt_n1 and method1 see H and sigma_nu_sq only
-    through ratios that H 2^-j with sigma_nu_sq 4^-j leave as they are.
-    A channel below the threshold keeps its bits."""
-    parts = np.ascontiguousarray(h).view(np.float64)
-    # largest |part| per channel without an |parts| temporary; NaN carries
-    axes = tuple(range(1, parts.ndim))
-    peak = np.maximum(parts.max(axis=axes, initial=0.0), -parts.min(axis=axes, initial=0.0))
-    if not np.isfinite(peak).all():
-        raise ValueError("channel entries must be finite")
-    j = np.where(peak >= 2.0**_PART_BITS, np.frexp(peak)[1] - _PART_BITS, 0)
-    if j.any():
-        h = np.ldexp(parts, -j.reshape((-1,) + (1,) * (parts.ndim - 1))).view(np.complex128)
-    return h, j
-
-
 def _power(h: np.ndarray) -> np.ndarray:
     # |h|^2 by real arithmetic, the same bits for a row or a whole matrix
     return h.real**2 + h.imag**2
 
 
 def _opt_n1_values(h_row, power, budget, sigma_eta_sq, sigma_nu_sq: float) -> np.ndarray:
-    # alpha_opt_n1's gains for rows (..., L), their |h|^2 and a gain
-    # budget and sigma_eta_sq (floats, or arrays taken elementwise that
-    # broadcast against the rows' batch).  The magnitudes are rescaled by their largest entry
-    # before sum w^2, which then cannot underflow, and normalized as
-    # _method2_directions normalizes a direction, so equal directions
-    # give equal gains.
-    p, s = (np.asarray(x)[..., np.newaxis] for x in (budget, sigma_eta_sq))
-    w = np.sqrt(power) / (s * p * power + sigma_nu_sq)
+    # alpha_opt_n1's gains for rows (..., L), their |h|^2, a gain budget,
+    # sigma_eta_sq and sigma_nu_sq (floats, or arrays taken elementwise
+    # that broadcast against the rows' batch).  The magnitudes are
+    # rescaled by their largest entry before sum w^2, which then cannot
+    # underflow, and normalized as _method2_directions normalizes a
+    # direction, so equal directions give equal gains.
+    p, s, nu = (np.asarray(x)[..., np.newaxis] for x in (budget, sigma_eta_sq, sigma_nu_sq))
+    w = np.sqrt(power) / (s * p * power + nu)
     top = w.max(axis=-1, keepdims=True)
     if not (top > 0.0).all():
         raise ValueError("channel row is identically zero")
@@ -201,7 +176,7 @@ def alpha_opt_n1(h_row, params: NetworkParams) -> GainVector:
     |h_l| / (sigma_eta_sq P |h_l|^2 + sigma_nu_sq) scaled to spend P,
     phases conjugate to the channel."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
-    (h,), (j,) = _fitted(shaped("channel row", h, params.num_sensors)[np.newaxis])
+    (h,), (j,) = scaled_by_power_of_two(shaped("channel row", h, params.num_sensors)[np.newaxis])
     p = params.gain_budget
     sigma_nu_sq = math.ldexp(params.sigma_nu_sq, -2 * int(j))
     values = _opt_n1_values(h, _power(h), p, params.sigma_eta_sq, sigma_nu_sq)
@@ -212,7 +187,7 @@ def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
     """Equal magnitudes sqrt(P/L) with channel-conjugate phases."""
     h = np.asarray(h_row, dtype=np.complex128).reshape(-1)
     # checked only: the phases do not depend on the scale
-    _fitted(shaped("channel row", h, params.num_sensors)[np.newaxis])
+    scaled_by_power_of_two(shaped("channel row", h, params.num_sensors)[np.newaxis])
     p = params.gain_budget
     values = math.sqrt(p / params.num_sensors) * np.exp(-1j * np.angle(h))
     return GainVector(values=values, budget=p)
@@ -220,11 +195,11 @@ def alpha_phase_only_n1(h_row, params: NetworkParams) -> GainVector:
 
 def _method1_values(h, power, budget, sigma_eta_sq, sigma_nu_sq, params: NetworkParams):
     # method1's (gains, selected antenna) for channels (..., N, L), their
-    # |h|^2, a gain budget and sigma_eta_sq (floats, or arrays taken
-    # elementwise that broadcast against the channels' batch) and
-    # sigma_nu_sq (params' own, or scaled with the channels by _fitted)
-    p, s = (np.asarray(x)[..., np.newaxis, np.newaxis] for x in (budget, sigma_eta_sq))
-    terms = p * power / (s * p * power + sigma_nu_sq)
+    # |h|^2, a gain budget, sigma_eta_sq and sigma_nu_sq (floats, or
+    # arrays taken elementwise that broadcast against the channels'
+    # batch), the channels and sigma_nu_sq scaled by scaled_by_power_of_two
+    p, s, nu = (np.expand_dims(x, (-2, -1)) for x in (budget, sigma_eta_sq, sigma_nu_sq))
+    terms = p * power / (s * p * power + nu)
     metric = params.theta**2 / (8.0 * params.num_sensors) * terms.sum(axis=-1)
     selected = metric.argmax(axis=-1)
     index = selected[..., np.newaxis, np.newaxis]
@@ -239,19 +214,20 @@ def method1(channel, params: NetworkParams) -> tuple[GainVector, int]:
     (theta^2/(8L)) sum_l 1/(sigma_eta_sq + sigma_nu_sq/(P |h_nl|^2))
     and applies the single-antenna optimal gains to its row.  Ties go
     to the lowest antenna index."""
-    (h,), (j,) = _fitted(checked_channel(channel, params)[np.newaxis])
+    (h,), (j,) = scaled_by_power_of_two(checked_channel(channel, params)[np.newaxis])
     p = params.gain_budget
     sigma_nu_sq = math.ldexp(params.sigma_nu_sq, -2 * int(j))
     values, selected = _method1_values(h, _power(h), p, params.sigma_eta_sq, sigma_nu_sq, params)
     return GainVector(values=values, budget=p), int(selected)
 
 
-def _method2_directions(channels: np.ndarray) -> np.ndarray:
+def _method2_directions(h: np.ndarray) -> np.ndarray:
     """Unit top eigenvector of H^H H in the canonical phase for each
     channel of a stack (D, N, L): the directions method2 scales by
     sqrt(P).  They depend on the channels alone (gamma_s only moves P),
-    so a gamma_s sweep computes them once, and the channels go through
-    _fitted first (the directions do not depend on their scale).
+    so a gamma_s sweep computes them once.  The callers pass the
+    channels through scaled_by_power_of_two, on whose scale the
+    directions do not depend.
 
     Each is taken as H^H u, with u the top eigenvector of the small Gram
     matrix H H^H for N < L and u = H x, x the top eigenvector of H^H H,
@@ -263,7 +239,6 @@ def _method2_directions(channels: np.ndarray) -> np.ndarray:
     gets the bits it gets in a stack of one: the eigendecompositions are
     LAPACK's per matrix, and each norm is a dot product per row, as
     np.linalg.norm takes it."""
-    h = _fitted(channels)[0]
     count, n, size = h.shape
     step = max(1, _GROUP_ENTRIES // (n * size))
     if count > step:
@@ -297,29 +272,35 @@ def method2(channel, params: NetworkParams) -> GainVector:
     eigenvector of H^H H (the optimal direction when sensing noise is
     absent), as _method2_directions gives it for a stack of one.  For
     N < L the eigenvector is recovered from the small Gram matrix H H^H."""
-    h = checked_channel(channel, params)
+    h = scaled_by_power_of_two(checked_channel(channel, params)[np.newaxis])[0]
     p = params.gain_budget
-    return GainVector(values=math.sqrt(p) * _method2_directions(h[np.newaxis])[0], budget=p)
+    return GainVector(values=math.sqrt(p) * _method2_directions(h)[0], budget=p)
 
 
-def _method_grid(channels, directions, points) -> np.ndarray:
+def _method_grid(channels, fitted, directions, points) -> np.ndarray:
     """Per-channel finite exponents of method1 and method2 on a stack
     (D, N, L) that scheme_sweep has checked, at every point in `points`,
     NetworkParams of that network that differ only in sigma_eta_sq (as
     params.at_gamma_s gives them): an array (points, D, 2), each entry
     bit for bit finite_exponent of method1 or method2 on its channel at
-    its point.  `directions` (D, L) holds each channel's method2
+    its point.  `fitted` is scaled_by_power_of_two of the stack, (H 2^-j,
+    j), on which method1's gains are built with sigma_nu_sq 4^-j, as
+    method1 builds them; the items are scored on the channels
+    themselves.  `directions` (D, L) holds each channel's method2
     direction (_method2_directions), which does not depend on gamma_s.
 
     The (point, channel) items go through the batched core in groups of
     at most _GROUP_ENTRIES channel entries, so the working set stays
     bounded at any N, L and grid size: several whole points when all
     their channels fit in a group, else a run of one point's channels.
-    A group reads its channels as a view and computes their |h|^2 once;
-    each item takes its point's gain budget and sigma_eta_sq
-    elementwise.  ValueError when `directions` is not (D, L)."""
+    A group reads its channels as a view and computes their scaled |h|^2
+    once; each item takes its point's gain budget and sigma_eta_sq and
+    its channel's sigma_nu_sq 4^-j elementwise.  ValueError when
+    `directions` is not (D, L)."""
     shaped("directions", directions, *np.shape(channels)[::2])
     params = points[0]
+    scaled, shifts = fitted
+    sigma_nu_sq = np.ldexp(params.sigma_nu_sq, -2 * shifts)
     # per point, as columns that broadcast against a group's channels
     budget = np.array([[x.gain_budget] for x in points])
     sigma_eta_sq = np.array([[x.sigma_eta_sq] for x in points])
@@ -329,7 +310,8 @@ def _method_grid(channels, directions, points) -> np.ndarray:
     for i in range(0, len(points), span):
         for j in range(0, len(channels), width):
             h, p, s = channels[j : j + width], budget[i : i + span], sigma_eta_sq[i : i + span]
-            method1_gains = _method1_values(h, _power(h), p, s, params.sigma_nu_sq, params)[0]
+            hs, nu = scaled[j : j + width], sigma_nu_sq[j : j + width]
+            method1_gains = _method1_values(hs, _power(hs), p, s, nu, params)[0]
             method2_gains = np.sqrt(p)[..., np.newaxis] * directions[j : j + width]
             gains = np.stack((method1_gains, method2_gains), axis=-2)
             scored = exponent_statistic(h[:, np.newaxis], gains, params, s[..., np.newaxis])
@@ -371,7 +353,8 @@ def calibrate_crossover(gamma_s_grid, gaps, gap_at) -> float:
     sign never flips; its dominant method follows the sign of the first
     nonzero gap, and is method1 when every gap is zero.  ValueError names
     a grid of fewer than two points or one that _checked_grid rejects,
-    and a NaN gap or a gap count that does not match the grid.
+    a NaN gap or a gap count that does not match the grid, and the
+    gamma_s of a bisection point whose gap is NaN.
     """
     grid = _checked_grid(gamma_s_grid)
     if len(grid) < 2:
@@ -394,6 +377,8 @@ def calibrate_crossover(gamma_s_grid, gaps, gap_at) -> float:
     while 10.0 * math.log10(hi / lo) > _CROSSOVER_TOL_DB:
         mid = math.sqrt(lo * hi)
         gap_mid = gap_at(mid)
+        if math.isnan(gap_mid):
+            raise ValueError(f"gap at gamma_s = {mid!r} is NaN")
         if gap_mid == 0.0:
             return mid
         if (gap_mid > 0.0) == (gap_lo > 0.0):
@@ -434,18 +419,19 @@ def scheme_sweep(channels, gamma_s_grid, params: NetworkParams) -> SchemeSweep:
     grid = _checked_grid(gamma_s_grid)
     if not grid:
         raise ValueError("gamma_s_grid needs at least one point")
-    directions = _method2_directions(channels)
+    fitted = scaled_by_power_of_two(channels)
+    directions = _method2_directions(fitted[0])
     bisection = []
 
     def gap_at(gamma_s):
         # one bisection point, scored as the one-point case of the grid pass
-        fe = _method_grid(channels, directions, [params.at_gamma_s(gamma_s)])[0]
+        fe = _method_grid(channels, fitted, directions, [params.at_gamma_s(gamma_s)])[0]
         bisection.append((gamma_s, _mean_exponent_gap(fe)))
         return bisection[-1][1]
 
     at_x = tuple(params.at_gamma_s(x) for x in grid)
     fe = np.empty((len(grid), len(channels), 3))
-    fe[..., :2] = _method_grid(channels, directions, at_x)
+    fe[..., :2] = _method_grid(channels, fitted, directions, at_x)
     crossover = dominant = None
     if len(grid) >= 2:
         try:

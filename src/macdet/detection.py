@@ -33,7 +33,9 @@ import numpy as np
 
 from .allocation import alpha_uniform
 from .forms import item, quadratic_forms, sensing_argument
-from .model import ChannelModel, NetworkParams, RandomSource, SensingNoiseModel, sample_channel
+from .model import (
+    ChannelModel, NetworkParams, RandomSource, SensingNoiseModel, check_integer, sample_channel
+)
 from .numerics import log_q
 
 __all__ = [
@@ -72,8 +74,7 @@ class PeEstimate:
     def __post_init__(self) -> None:
         if isinstance(self.errors, bool) or not isinstance(self.errors, int):
             raise ValueError("errors must be an integer count")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_integer(self.trials, "trials", 1)
         if not 0 <= self.errors <= self.trials:
             raise ValueError("errors must lie in [0, trials]")
 
@@ -225,8 +226,7 @@ def estimate_pe_montecarlo_batch(
     O(L_max + N_max) per detector in that product, from the same draws
     as the y-forming loop (O(N L), O(L^2) correlated).
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000 for a meaningful estimate")
+    check_integer(trials, "trials", 1000)  # fewer make no meaningful estimate
     if not isinstance(rng, RandomSource):
         raise TypeError("rng must be a RandomSource (block generators required)")
     detectors = list(detectors)
@@ -293,15 +293,14 @@ def empirical_exponent(
     the curve smooth in L).  With draws > 1 the error probability is
     averaged over draws in the log domain before taking the exponent.
     """
-    grid = [int(l) for l in l_grid]
+    grid = [check_integer(l, "l_grid entry", 1) for l in l_grid]
     if len(grid) < 4:
         raise ValueError("l_grid needs at least 4 points")
-    if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise ValueError("l_grid must be positive and strictly increasing")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("l_grid must be strictly increasing")
     if grid[-1] < 200:
         raise ValueError("largest grid point must be >= 200")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    check_integer(draws, "draws", 1)
     l_max = grid[-1]
     if noise is not None and noise.dimension < l_max:
         raise ValueError("correlated noise model smaller than the largest grid point")

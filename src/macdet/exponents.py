@@ -15,7 +15,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .model import ChannelModel, NetworkParams, SensingNoiseModel, mean_abs_h
+from .model import ChannelModel, NetworkParams, SensingNoiseModel, check_integer, mean_abs_h
 from .numerics import exp_e1_scaled
 
 __all__ = [
@@ -79,8 +79,7 @@ class SnrPoint:
             raise ValueError("p1 must lie strictly between 0 and 1")
         if not 0.0 <= self.k_factor < math.inf:
             raise ValueError("k_factor must be >= 0 and finite")
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be >= 1")
+        check_integer(self.num_antennas, "num_antennas", 1)
 
     @classmethod
     def from_params(
@@ -272,8 +271,7 @@ def gain_csis_bound_nk(num_antennas: int, k_factor: float, zeta: ZetaFactor) -> 
 
     increasing in N with limit 2*zeta at K = 0 (= 8/pi for Rayleigh).
     """
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be >= 1")
+    check_integer(num_antennas, "num_antennas", 1)
     if not 0.0 <= k_factor < math.inf:
         raise ValueError("k_factor must be >= 0 and finite")
     n, k = float(num_antennas), k_factor

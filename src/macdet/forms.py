@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .model import ChannelMatrix, NetworkParams, SensingNoiseModel
+from .model import NetworkParams, SensingNoiseModel
+from .numerics import scaled_by_power_of_two
 
 __all__ = [
     "shaped",
@@ -32,9 +33,9 @@ def shaped(what: str, x: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def checked_channel(channel, params: NetworkParams) -> np.ndarray:
-    """The entries of a ChannelMatrix or matrix-like, checked to be the
-    network's (N, L)."""
-    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel, complex)
+    """The entries of a ChannelMatrix or matrix-like, as complex128,
+    checked to be the network's (N, L)."""
+    h = np.asarray(channel, complex)
     return shaped("channel", h, params.num_antennas, params.num_sensors)
 
 
@@ -124,19 +125,24 @@ def _spectral_form(h, a, sensing, sigma_nu_sq, solve):
     and B = H D(u) S / s = U diag(lambda)^(1/2) V^H, q = sum_i z_i / (s^2
     lambda_i + sigma_nu_sq / p), z = |U^H H u|^2, a form that neither
     overflows nor loses the sigma_nu_sq term.  H u lies in the range of B,
-    and terms with lambda_i <= L eps lambda_max are rounding."""
+    and terms with lambda_i <= L eps lambda_max are rounding.  It runs on
+    H 2^-j with sigma_nu_sq 4^-j (scaled_by_power_of_two), which leave q
+    as it is and keep B B^H finite; R^-1 v is scaled back by 2^-j."""
+    (g,), (j,) = scaled_by_power_of_two(h[np.newaxis])
+    sigma_nu_sq = np.ldexp(sigma_nu_sq, -2 * j)
     p = float(np.sum(a.real**2 + a.imag**2))
-    u = a / math.sqrt(p)
-    b = h * u
+    root = math.sqrt(p)
+    u = a / root
+    b = g * u
     if np.iscomplexobj(sensing):
         top = float(np.abs(sensing).max())
         b, sensing = b @ (sensing / top), top * top
     lam, vecs = np.linalg.eigh(b @ b.conj().T)
-    keep = lam > h.shape[1] * np.finfo(float).eps * lam[-1]
-    c = vecs[:, keep].conj().T @ (h @ u)
+    keep = lam > g.shape[1] * np.finfo(float).eps * lam[-1]
+    c = vecs[:, keep].conj().T @ (g @ u)
     k = 1.0 / (sensing * lam[keep] + sigma_nu_sq / p)
     q = np.sum((c.real**2 + c.imag**2) * k)
-    return (h @ a, vecs[:, keep] @ (k * c) / math.sqrt(p), q) if solve else (h @ a, q)
+    return (h @ a, vecs[:, keep] @ (k * c) / np.ldexp(root, j), q) if solve else (h @ a, q)
 
 
 def exponent_statistic(channels, gains, params: NetworkParams, sensing=None) -> np.ndarray:

@@ -27,16 +27,19 @@ __all__ = [
     "ChannelModel",
     "ChannelMatrix",
     "SensingNoiseModel",
+    "check_integer",
     "mean_abs_h",
     "sample_channel",
 ]
 
 
-def _check_integer(value, name: str, low: int) -> None:
-    """ValueError unless value is an int or a NumPy integer (a bool or a
-    float is neither) and at least low."""
+def check_integer(value, name: str, low: int) -> int:
+    """int(value), once value is checked to be an int or a NumPy integer
+    (a bool or a float is neither) and at least low; ValueError names it
+    otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,8 @@ class RandomSource:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        _check_integer(self.master_seed, "master_seed", 0)
-        _check_integer(self.stream_id, "stream_id", 0)
+        check_integer(self.master_seed, "master_seed", 0)
+        check_integer(self.stream_id, "stream_id", 0)
 
     def substream(self, *path: "int | str") -> np.random.Generator:
         """Generator for a nested split of this stream.
@@ -130,8 +133,8 @@ class NetworkParams:
     total_power: float
 
     def __post_init__(self) -> None:
-        _check_integer(self.num_sensors, "num_sensors", 1)
-        _check_integer(self.num_antennas, "num_antennas", 1)
+        check_integer(self.num_sensors, "num_sensors", 1)
+        check_integer(self.num_antennas, "num_antennas", 1)
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be > 0 and finite")
         if not 0.0 <= self.sigma_eta_sq < math.inf:
@@ -285,6 +288,12 @@ class ChannelMatrix:
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The read-only entries, so that np.asarray reads a ChannelMatrix
+        (and a list of them) as a matrix; a copy only where dtype or copy
+        asks for one, as np.array gives it."""
+        return np.array(self.entries, dtype=dtype, copy=copy)
+
     @property
     def num_antennas(self) -> int:
         return self.entries.shape[0]
@@ -305,8 +314,8 @@ def sample_channel(
     its rng may be None."""
     if not (isinstance(rng, np.random.Generator) or rng is None and model.is_awgn):
         raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
-    if num_antennas < 1 or num_sensors < 1:
-        raise ValueError("channel dimensions must be >= 1")
+    check_integer(num_antennas, "num_antennas", 1)
+    check_integer(num_sensors, "num_sensors", 1)
     shape = (num_antennas, num_sensors)
     if model.is_awgn:
         entries = np.ones(shape, dtype=np.complex128)

@@ -10,6 +10,13 @@ on ties) is real and positive.  The rotation is applied to all columns of
 a matrix, or of a whole stack of them, in one vectorized pass
 (`_canonical_phase_columns`), which `canonical_phase` and `hermitian_eig`
 share; it is bit-identical to rotating each column on its own.
+
+Every channel that a gain rule, the phase SDP or the quadratic form's
+spectral fallback squares first goes through one guard,
+`scaled_by_power_of_two`: it rejects a non-finite entry and scales the
+channel by a power of two, which is exact.  Under its gain rule only a
+channel whose largest real or imaginary part reaches 2^384 moves; its
+unit rule, the SDP's, puts that part in [1, 2).
 """
 
 from __future__ import annotations
@@ -26,12 +33,19 @@ __all__ = [
     "solve_hermitian_pd",
     "psd_project",
     "canonical_phase",
+    "scaled_by_power_of_two",
     "log_q",
     "bessel_i01e",
     "exp_e1_scaled",
 ]
 
 _HERMITIAN_RTOL = 1e-10
+
+# the gain rule's ceiling on a largest part: |h|^2 stays below 2^769,
+# far from overflow even times the gain budget, and the least shift under
+# it keeps the squares of small entries and sigma_nu_sq 4^-j (for largest
+# parts up to about 1e269) normal numbers
+_PART_BITS = 384
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,26 @@ def _canonical_phase_columns(v: np.ndarray) -> np.ndarray:
     if has_zero:
         np.copyto(out, stack, where=zero[:, np.newaxis, :])
     return out.reshape(v.shape)
+
+
+def scaled_by_power_of_two(h: np.ndarray, unit: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(H 2^-j, j) for each matrix H of a stack (D, ...), as contiguous
+    complex128, with j read off H's largest real or imaginary part m
+    (ValueError when an entry is not finite).  The gain rule (default) is
+    the least j >= 0 that brings m below 2^_PART_BITS; with `unit`, j puts
+    m in [1, 2), and j = 0 for H = 0.  Exact unless an entry falls below
+    the normal range."""
+    parts = np.ascontiguousarray(h, dtype=np.complex128).view(np.float64)
+    # largest |part| per matrix without an |parts| temporary; NaN carries
+    axes = tuple(range(1, parts.ndim))
+    peak = np.maximum(parts.max(axis=axes, initial=0.0), -parts.min(axis=axes, initial=0.0))
+    if not np.isfinite(peak).all():
+        raise ValueError("channel entries must be finite")
+    e = np.frexp(peak)[1]
+    j = np.where(peak > 0.0, e - 1, 0) if unit else np.maximum(e - _PART_BITS, 0)
+    if j.any():
+        parts = np.ldexp(parts, -j.reshape((-1,) + (1,) * (parts.ndim - 1)))
+    return parts.view(np.complex128), j
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:

@@ -27,11 +27,12 @@ H leaves its row of C zero; its row of V, which adds nothing to the
 objective, is the first unit vector and never moves.
 
 The solve runs on H 2^-j, for the j that puts the largest real or
-imaginary part of H in [1, 2), and scales the objective and gap back
-by 4^j.  Power-of-two scaling is exact, so the answer does not depend
-on the scale of H.  Unscaled, entries near 1e80 would overflow H V,
-and entries near 1e-80 would leave the objective under the floor 1
-below, which any gap passes.
+imaginary part of H in [1, 2) (the unit rule of
+numerics.scaled_by_power_of_two, which also rejects a non-finite entry),
+and scales the objective and gap back by 4^j.  Power-of-two scaling is
+exact, so the answer does not depend on the scale of H.  Unscaled,
+entries near 1e80 would overflow H V, and entries near 1e-80 would
+leave the objective under the floor 1 below, which any gap passes.
 
 Every iterate carries a dual certificate.  With y_l = Re<v_l, (C V)_l>,
 sum(y) is the objective, and y + mu 1 is dual feasible once
@@ -80,6 +81,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import scaled_by_power_of_two
 
 __all__ = [
     "SdpSolution",
@@ -150,15 +153,14 @@ def solve_sdps(channels) -> list[SdpSolution]:
     (C V)_l is zero keeps its value.  Each step multiplies by H and H^H
     and certifies (`_certify`) only the channels whose next objective
     leaves room for a stop (module docstring).  The solve runs on H 2^-j
-    (`_unit_scale`) and scales objective and gap back by 4^j.  Raises
-    ValueError unless channels is a finite, non-empty D x N x L stack.
+    (`scaled_by_power_of_two` with `unit`) and scales objective and gap
+    back by 4^j.  Raises ValueError unless channels is a finite,
+    non-empty D x N x L stack.
     """
     h = np.asarray(channels, dtype=np.complex128)
     if h.ndim != 3 or h.size == 0:
         raise ValueError(f"channels must be a non-empty D x N x L stack, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("channel entries must be finite")
-    h, scales = _unit_scale(h)
+    h, scales = scaled_by_power_of_two(h, unit=True)
     count, n, size = h.shape
     v = _start(h)
     hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
@@ -265,16 +267,6 @@ def _stop_terms(y, size, tol) -> list[tuple[float, float, float, float]]:
         allowance = 2.0 * size * _EPS * scale
         terms.append((objective, bound, allowance, (bound - allowance) / size))
     return terms
-
-
-def _unit_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H 2^-j, j) for each channel of a complex128 stack (D, N, L), with
-    the j that puts its largest real or imaginary part in [1, 2); j = 0
-    for H = 0.  Exact unless an entry falls below the normal range."""
-    parts = np.ascontiguousarray(h).view(np.float64)
-    peak = np.abs(parts).max(axis=(1, 2))
-    j = np.where(peak > 0.0, np.frexp(peak)[1] - 1, 0)
-    return np.ldexp(parts, -j[:, np.newaxis, np.newaxis]).view(np.complex128), j
 
 
 def _start(h: np.ndarray) -> np.ndarray:

@@ -67,7 +67,12 @@ from macdet.model import (
     SensingNoiseModel,
     complex_normal,
 )
-from macdet.numerics import canonical_phase, hermitian_eig, solve_hermitian_pd
+from macdet.numerics import (
+    canonical_phase,
+    hermitian_eig,
+    scaled_by_power_of_two,
+    solve_hermitian_pd,
+)
 from macdet.sdr import SdpSolution
 
 # phase_optimum: random starts, step cap, largest entry move at a fixed point
@@ -390,7 +395,7 @@ def solve_sdp_eigen_stop(channel, steps: int | None = None) -> SdpSolution:
     `sdr._GAP_TOL` and `sdr._MAX_ITER` at call time.  With `steps`, runs
     exactly that many steps, whatever the certificate says, and reports
     the exact gap there."""
-    h, j = sdr._unit_scale(np.asarray(channel, dtype=np.complex128)[np.newaxis])
+    h, j = scaled_by_power_of_two(np.asarray(channel, dtype=np.complex128)[np.newaxis], unit=True)
     hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
     c = hh[0] @ h[0]
     size = h.shape[2]
@@ -423,7 +428,7 @@ def solve_sdps_every_step(channels) -> list[SdpSolution]:
     step, with no screen.  `sdr.solve_sdps` certifies only the steps its
     screen lets through and must return these solutions bit for bit.
     Reads `sdr._MAX_ITER` at call time."""
-    h, scales = sdr._unit_scale(np.asarray(channels, dtype=np.complex128))
+    h, scales = scaled_by_power_of_two(np.asarray(channels, dtype=np.complex128), unit=True)
     count, n, size = h.shape
     v = sdr._start(h)
     hh = np.ascontiguousarray(h.conj().transpose(0, 2, 1))

@@ -29,6 +29,7 @@ from macdet.allocation import (
     _method2_directions,
     _method_grid,
 )
+from macdet.detection import log_pe_conditional
 from macdet.forms import exponent_statistic, item, quadratic_forms, sensing_argument
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
@@ -38,7 +39,7 @@ from macdet.model import (
     SensingNoiseModel,
     sample_channel,
 )
-from macdet.numerics import hermitian_eig
+from macdet.numerics import hermitian_eig, scaled_by_power_of_two
 from macdet.sdr import SdpNonConvergence, solve_sdp
 from oracles import e_csis1_numeric, method2_direction, phase_optimum, reference_quadratic_form
 
@@ -67,9 +68,14 @@ def solved_form(h, alpha, params, noise=None):
     return quadratic_forms(*item(h, alpha, params, noise), params.sigma_nu_sq, solve=True)
 
 
+def grid_pass(channels, directions, points):
+    # _method_grid on a stack scaled as scheme_sweep scales it
+    return _method_grid(channels, scaled_by_power_of_two(channels), directions, points)
+
+
 def one_point(channels, directions, params):
     # the one-point case of the grid pass, as its two per-channel lists
-    fe = _method_grid(channels, directions, [params])[0]
+    fe = grid_pass(channels, directions, [params])[0]
     return fe[:, 0].tolist(), fe[:, 1].tolist()
 
 
@@ -392,6 +398,39 @@ class TestHugeChannels:
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
         assert method1(hk, scaled)[1] == method1(h, base)[1]
         assert np.allclose(method2(hk, scaled).values, method2(h, base).values, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("k", [384, 450, 510, 520, 700, 1000])
+    def test_scheme_sweep_is_the_per_channel_rules(self, k):
+        # the sweep builds method1's gains on the scaled channels, as
+        # method1 does, and scores the channels themselves, so each item
+        # keeps finite_exponent's bits past where |h|^2 overflows
+        params = params_for(1.0, 10.0)
+        channels = scheme_channels(ChannelModel.rayleigh(), 2, 8, 3, 1, "x") * 2.0**k
+        sweep = scheme_sweep(channels, [0.5, 2.0], params)
+        for p, point in zip(sweep.params, sweep.exponents):
+            got = (point[:, 0].tolist(), point[:, 1].tolist())
+            assert got == per_channel_exponents(channels, p)
+
+    @pytest.mark.parametrize("noise_kind", ["iid", "ar1"])
+    @pytest.mark.parametrize("k", [520, 700, 1000])
+    def test_forms_past_overflow_match_a_smaller_scale(self, k, noise_kind):
+        # from about 2^512 on B B^H overflows and the spectral form
+        # answers, on the scaled channel: the exponent, log Pe and R^-1 v
+        # times 2^k (to 1e-12 of its norm) do not depend on k
+        params = make_params(l=8, n=2)
+        h = random_channel(np.random.default_rng(5), 2, 8)
+        noise = sensing_noise(noise_kind, 8, params.sigma_eta_sq)
+
+        def forms_at(m):
+            hm = h * 2.0**m
+            for alpha in (alpha_uniform(params), method1(hm, params)[0]):
+                exponent = finite_exponent(hm, alpha, params, noise)
+                log_pe = log_pe_conditional(hm, alpha, params, noise)
+                yield [exponent, log_pe], solved_form(hm, alpha, params, noise)[1] * 2.0**m
+
+        for (got, got_w), (want, want_w) in zip(forms_at(k), forms_at(500)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert np.linalg.norm(got_w - want_w) <= 1e-12 * np.linalg.norm(want_w)
 
 
 class TestBatchedCore:
@@ -803,7 +842,7 @@ class TestHoistedDirectionOracle:
             [sample_channel(model, n, l, rng.substream("oracle", t)).entries for t in range(6)]
         )
         directions = _method2_directions(channels)
-        fe = _method_grid(channels, directions, [params])[0]
+        fe = grid_pass(channels, directions, [params])[0]
         assert _mean_exponent_gap(fe) == _mean_exponent_gap_per_point(channels, params)
         fe1, fe2 = fe[:, 0].tolist(), fe[:, 1].tolist()
         assert fe1 == [finite_exponent(h, method1(h, params)[0], params) for h in channels]
@@ -860,7 +899,7 @@ class TestMethodGrid:
         channels = scheme_channels(model, n, l, draws, 11, "grid")
         directions = _method2_directions(np.stack(channels))
         at_x = [params.at_gamma_s(x) for x in grid]
-        fe = _method_grid(channels, directions, at_x)
+        fe = grid_pass(channels, directions, at_x)
         assert fe.shape == (len(grid), draws, 2)
         for p, point in zip(at_x, fe):
             fe1, fe2 = point[:, 0].tolist(), point[:, 1].tolist()
@@ -882,7 +921,7 @@ class TestMethodGrid:
             lambda h, a, *args: calls.append(a.shape) or original(h, a, *args),
         )
         grid = [10.0 ** (-0.5 + 0.25 * k) for k in range(7)]
-        _method_grid(channels, directions, [params.at_gamma_s(x) for x in grid])
+        grid_pass(channels, directions, [params.at_gamma_s(x) for x in grid])
         assert calls == [(7, 3, 2, 32)]
 
 
@@ -980,6 +1019,15 @@ class TestHybrid:
         with pytest.raises(ValueError, match=re.escape(f"channel stack shape {shape} is not ")):
             scheme_sweep(channels, [1.0, 2.0], params)
 
+    def test_takes_a_list_of_channel_matrices(self):
+        params = params_for(1.0, 10.0, l=12, n=2)
+        rng = RandomSource(master_seed=5)
+        model = ChannelModel.rayleigh()
+        matrices = [sample_channel(model, 2, 12, rng.substream(d)) for d in range(3)]
+        want = scheme_sweep(np.stack([h.entries for h in matrices]), [0.5, 2.0], params)
+        got = scheme_sweep(matrices, [0.5, 2.0], params)
+        assert got.exponents.tobytes() == want.exponents.tobytes()
+
     @pytest.mark.parametrize(
         "grid,message",
         [
@@ -1026,8 +1074,18 @@ class TestBisectionTrace:
         assert result.crossover == math.sqrt(lo * hi)
         directions = _method2_directions(channels)
         for gamma_s, gap in result.bisection:
-            fe = _method_grid(channels, directions, [params.at_gamma_s(gamma_s)])[0]
+            fe = grid_pass(channels, directions, [params.at_gamma_s(gamma_s)])[0]
             assert gap == _mean_exponent_gap(fe)
+
+    def test_channels_are_scaled_once_per_sweep(self, monkeypatch):
+        # the grid pass and every bisection step read the one scaled stack
+        calls = []
+        original = allocation.scaled_by_power_of_two
+        monkeypatch.setattr(
+            allocation, "scaled_by_power_of_two", lambda h: calls.append(1) or original(h)
+        )
+        assert self.sweep("crossover")[2].bisection
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("case", [c for c, v in SCHEME_SWEEPS.items() if v[-1] is not None])
     def test_no_crossover_has_no_trace(self, case):
@@ -1053,7 +1111,7 @@ def sampled_gaps(params, model, grid, trials, seed):
     directions = _method2_directions(channels)
 
     def gap_at(gamma_s):
-        return _mean_exponent_gap(_method_grid(channels, directions, [params.at_gamma_s(gamma_s)])[0])
+        return _mean_exponent_gap(grid_pass(channels, directions, [params.at_gamma_s(gamma_s)])[0])
 
     return [gap_at(g) for g in grid], gap_at
 
@@ -1082,6 +1140,13 @@ class TestCalibrateCrossover:
 
         with pytest.raises(ValueError, match="NaN"):
             calibrate_crossover([1.0, 2.0], [1.0, math.nan], gap_at)
+
+    def test_rejects_a_nan_bisection_gap(self):
+        # the first bisection point of [1, 10] is sqrt(10); a NaN there
+        # would read as a gap of the upper end's sign
+        message = f"gap at gamma_s = {math.sqrt(10.0)!r} is NaN"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calibrate_crossover([1.0, 10.0], [1.0, -1.0], lambda gamma_s: math.nan)
 
     def test_rejects_bad_grids(self):
         def gap_at(gamma_s):

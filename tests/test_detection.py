@@ -1,6 +1,7 @@
 """Tests for signal synthesis, detection, and error-rate estimation."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,17 @@ class TestPeEstimate:
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError, match="trials"):
             PeEstimate(0, 0)
+
+    @pytest.mark.parametrize(
+        "trials", [2.5, 1000.0, True, np.float64(1000.0)],
+        ids=["fraction", "float", "bool", "numpy-float"],
+    )
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="^trials must be an integer >= 1, not "):
+            PeEstimate(1, trials)
+
+    def test_numpy_integer_trials_are_accepted(self):
+        assert PeEstimate(250, np.int64(1000)).p_hat == 0.25
 
 
 class TestCovarianceR:
@@ -276,6 +288,21 @@ class TestEstimatePeMontecarlo:
         h = np.ones((2, 6), dtype=complex)
         with pytest.raises(ValueError):
             estimate_pe_montecarlo(h, alpha_uniform(params), params, 999, RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "trials", [2500.0, True, np.float64(2500.0)], ids=["float", "bool", "numpy-float"]
+    )
+    def test_trials_must_be_an_integer(self, trials):
+        params = make_params()
+        detector = (np.ones((2, 6), dtype=complex), alpha_uniform(params), params, None)
+        with pytest.raises(ValueError, match="^trials must be an integer >= 1000, not "):
+            estimate_pe_montecarlo_batch([detector], trials, RandomSource(0))
+
+    def test_numpy_integer_trials_are_accepted(self):
+        params = make_params()
+        h, alpha = np.ones((2, 6), dtype=complex), alpha_uniform(params)
+        want = estimate_pe_montecarlo(h, alpha, params, 1000, RandomSource(0))
+        assert estimate_pe_montecarlo(h, alpha, params, np.int64(1000), RandomSource(0)) == want
 
     def test_requires_splittable_source(self):
         params = make_params()
@@ -635,6 +662,33 @@ def test_figure2_shaped_batch_matches_y_forming_loop():
 
 
 class TestEmpiricalExponent:
+    @pytest.mark.parametrize(
+        "l_grid,draws,message",
+        [
+            ([50.7, 100.2, 200.9, 300.5], 1, "l_grid entry must be an integer >= 1, not 50.7"),
+            ([50, 100, 200, 300.0], 1, "l_grid entry must be an integer >= 1, not 300.0"),
+            ([True, 100, 200, 300], 1, "l_grid entry must be an integer >= 1, not True"),
+            ([0, 100, 200, 300], 1, "l_grid entry must be an integer >= 1, not 0"),
+            ([50, 100, 200, 300], 2.0, "draws must be an integer >= 1, not 2.0"),
+            ([50, 100, 200, 300], True, "draws must be an integer >= 1, not True"),
+        ],
+        ids=["fractions", "float", "bool", "zero", "float-draws", "bool-draws"],
+    )
+    def test_counts_must_be_integers(self, l_grid, draws, message):
+        params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            empirical_exponent(params, ChannelModel.awgn(), l_grid, RandomSource(19), draws=draws)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=2)
+        grid = [50, 100, 200, 300]
+        want = empirical_exponent(params, ChannelModel.awgn(), grid, RandomSource(19), draws=2)
+        got = empirical_exponent(
+            params, ChannelModel.awgn(), np.array(grid), RandomSource(19), draws=np.int64(2)
+        )
+        assert got.l_grid.tolist() == grid
+        assert got.values.tolist() == want.values.tolist()
+
     def test_grid_validation(self):
         params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=2)
         model = ChannelModel.awgn()

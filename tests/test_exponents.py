@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +440,21 @@ class TestValidation:
             pt(k=math.inf)
         with pytest.raises(ValueError):
             pt(n=0)
+
+    @pytest.mark.parametrize(
+        "n", [2.5, 3.0, True, np.float64(3.0)], ids=["fraction", "float", "bool", "numpy-float"]
+    )
+    def test_antenna_count_must_be_an_integer(self, n):
+        message = "^" + re.escape(f"num_antennas must be an integer >= 1, not {n!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            pt(n=n)
+        with pytest.raises(ValueError, match=message):
+            ex.gain_csis_bound_nk(n, 0.0, ex.ZetaFactor.rayleigh())
+
+    def test_numpy_integer_antenna_counts_are_accepted(self):
+        z = ex.ZetaFactor.rayleigh()
+        assert ex.e_awgn(pt(n=np.int64(3))) == ex.e_awgn(pt(n=3))
+        assert ex.gain_csis_bound_nk(np.int32(3), 0.0, z) == ex.gain_csis_bound_nk(3, 0.0, z)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
     def test_large_system_rejects_bad_beta(self, beta):

@@ -203,6 +203,34 @@ class TestSampleChannel:
         with pytest.raises(ValueError):
             h.entries[0, 0] = 0.0
 
+    @pytest.mark.parametrize(
+        "dims,name",
+        [
+            ((2.5, 3), "num_antennas"),
+            ((2.0, 3), "num_antennas"),
+            ((0, 3), "num_antennas"),
+            ((2, True), "num_sensors"),
+            ((2, np.float64(3.0)), "num_sensors"),
+        ],
+    )
+    def test_dimensions_must_be_integers(self, dims, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, not "):
+            sample_channel(ChannelModel.awgn(), *dims, None)
+
+    def test_reads_as_its_entries(self):
+        # np.asarray gives the read-only entries themselves, a stack of
+        # them stacks the entries, and dtype and copy are honoured
+        h = sample_channel(ChannelModel.rayleigh(), 2, 3, RandomSource(0).substream())
+        assert np.asarray(h) is h.entries
+        assert np.asarray(h, dtype=np.complex128) is h.entries
+        assert np.array_equal(np.asarray([h, h]), np.stack([h.entries, h.entries]))
+        copy = np.array(h)
+        assert copy is not h.entries and copy.flags.writeable
+        assert np.array_equal(copy, h.entries)
+        assert np.asarray(h, dtype=np.complex64).dtype == np.complex64
+        with pytest.raises(ValueError):
+            np.array(h, dtype=np.complex64, copy=False)
+
 
 class TestSensingNoise:
     # iid sensing noise of any power, zero included, is noise=None with

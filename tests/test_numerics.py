@@ -252,6 +252,43 @@ class TestExpIntegralE1:
         assert abs(numerics.exp_e1_scaled(x) - expected) <= 1e-8 * expected
 
 
+class TestScaledByPowerOfTwo:
+    """The one channel guard: its shift j per matrix under the gain rule
+    (the least j >= 0 that brings the largest real or imaginary part
+    below 2^384) and the unit rule (that part in [1, 2), j = 0 for H = 0),
+    read off the largest part, whichever of real or imaginary it is."""
+
+    @pytest.mark.parametrize(
+        "peak,gain_j,unit_j",
+        [
+            (0.0, 0, 0),
+            (2.0**-600, 0, -600),
+            (1.5, 0, 0),
+            (math.nextafter(2.0**384, 0.0), 0, 383),
+            (2.0**384, 1, 384),
+            (-(2.0**1000) * 1.5, 617, 1000),
+        ],
+    )
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 2, 1)], ids=["real", "imag"])
+    def test_shift_of_the_largest_part(self, peak, gain_j, unit_j, where):
+        h = np.full((2, 3, 2), 0.25 + 0.25j) * min(1.0, abs(peak))
+        stack, row, col = where
+        h[stack, row, col] = complex(peak, 0.0) if col == 0 else complex(0.0, peak)
+        for unit, j in ((False, gain_j), (True, unit_j)):
+            scaled, shifts = numerics.scaled_by_power_of_two(h, unit=unit)
+            assert shifts[stack] == j
+            assert np.array_equal(scaled[stack], h[stack] * 2.0**-j)
+            assert np.array_equal(scaled[1 - stack], h[1 - stack] * 2.0**-shifts[1 - stack])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_a_non_finite_entry(self, bad):
+        h = np.ones((2, 2, 3), dtype=complex)
+        h[1, 1, 2] = bad
+        for unit in (False, True):
+            with pytest.raises(ValueError, match="^channel entries must be finite$"):
+                numerics.scaled_by_power_of_two(h, unit=unit)
+
+
 class TestCanonicalPhase:
     def test_pivot_real_positive(self):
         v = np.array([0.1 + 0.2j, -0.9j, 0.3])

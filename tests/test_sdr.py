@@ -100,6 +100,13 @@ class TestSolveSdpInput:
         with pytest.raises(ValueError, match="finite"):
             solve_sdp(h)
 
+    def test_takes_a_channel_matrix(self):
+        channel = sample_channel(ChannelModel.rayleigh(), 3, 8, RandomSource(2).substream("sdr"))
+        want = solve_sdp(channel.entries)
+        for got in (solve_sdp(channel), *solve_sdps([channel, channel])):
+            assert got.factor.tobytes() == want.factor.tobytes()
+            assert (got.objective, got.gap) == (want.objective, want.gap)
+
 
 class TestSolveSdp:
     def test_identity_cost_objective_is_trace(self):
