@@ -55,6 +55,7 @@ from .model import (
     NetworkParams,
     RandomSource,
     SensingNoiseModel,
+    check_integer,
     sample_channel,
 )
 from .numerics import hermitian_eig
@@ -91,8 +92,8 @@ _MODEL_KEYS = _COMMON_KEYS | {
     "ricean_k", "sweep",
 }
 
-# asymptotic draws an n x L channel with n = max(1, round(L / beta)) and
-# decomposes its n x n Gram matrix; at n = 8192 that complex matrix alone
+# asymptotic draws an N x L channel at each beta point (_params_at) and
+# decomposes its N x N Gram matrix; at N = 8192 that complex matrix alone
 # takes 1 GiB, so larger antenna counts are config errors
 _MAX_ASYMPTOTIC_ANTENNAS = 8192
 
@@ -147,16 +148,21 @@ def _as_bool_free_number(key: str, value, allow_inf: bool = False) -> float:
     # means something (gamma_s = inf is noise-free sensing)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # an int past the largest double, read as a float literal is: +-inf
+        value = math.inf if value > 0 else -math.inf
     if not (math.isfinite(value) or (allow_inf and value == math.inf)):
         raise ConfigError(f"{key} must be finite" + (" or +Infinity" if allow_inf else ""))
     return value
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer")
-    return value
+def _as_count(key: str, value, low: int) -> int:
+    try:
+        return check_integer(value, key, low)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _as_str(key: str, value) -> str:
@@ -213,24 +219,13 @@ def _parse_sweep(raw_sweep, experiment: str) -> tuple[str, tuple[float, ...]]:
     raw_grid = raw_sweep["grid"]
     if not isinstance(raw_grid, list) or not raw_grid:
         raise ConfigError("sweep.grid must be a non-empty list")
-    grid = tuple(
-        _as_bool_free_number("sweep.grid entry", g, allow_inf=variable == "gamma_s")
-        for g in raw_grid
-    )
+    if variable in ("N", "L"):
+        grid = tuple(_as_count("sweep.grid entry", g, 1) for g in raw_grid)
+    else:
+        allow_inf = variable == "gamma_s" and experiment not in ("schemes", "sdr-compare")
+        grid = tuple(_as_bool_free_number("sweep.grid entry", g, allow_inf) for g in raw_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep.grid must be strictly increasing")
-    if variable in ("N", "L"):
-        if any(not float(g).is_integer() or g < 1 for g in grid):
-            raise ConfigError(f"sweep.grid for {variable} must hold integers >= 1")
-    elif variable == "K":
-        if any(g < 0.0 for g in grid):
-            raise ConfigError("sweep.grid for K must hold values >= 0")
-    else:
-        if any(g <= 0.0 for g in grid):
-            raise ConfigError(f"sweep.grid for {variable} must hold values > 0")
-        if variable == "gamma_s" and experiment in ("schemes", "sdr-compare"):
-            if any(math.isinf(g) for g in grid):
-                raise ConfigError(f"sweep.grid for gamma_s must be finite for {experiment}")
     return variable, grid
 
 
@@ -244,6 +239,14 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     figure).  Any other key, conflicting keys (a quantity given both
     directly and through an SNR) and keys a sweep would overwrite are
     all rejected.
+
+    Here the config's JSON shapes are checked; each value rule is raised
+    by the code that owns it, as a ConfigError.  The counts (num_sensors,
+    num_antennas, trials, channel_draws, seed, figure_id, the n_list and
+    N or L grid entries) go through model.check_integer.  Each sweep
+    point is checked as the network _params_at builds there
+    (NetworkParams.at_gamma_s for gamma_s, NetworkParams for gamma_c, N
+    and L, the antenna cap for beta) or as ChannelModel.ricean for K.
     """
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -269,8 +272,8 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     if experiment == "figure":
         if "figure_id" not in raw:
             raise ConfigError("figure requires figure_id")
-        figure_id = _as_int("figure_id", raw["figure_id"])
-        if not 2 <= figure_id <= 9:
+        figure_id = _as_count("figure_id", raw["figure_id"], 2)
+        if figure_id > 9:
             raise ConfigError("figure_id must lie in 2..9")
 
     sweep_variable = None
@@ -319,51 +322,35 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown noise kind {noise!r}")
 
-    num_sensors = _as_int("num_sensors", raw.get("num_sensors", 200))
-    num_antennas = _as_int("num_antennas", raw.get("num_antennas", 1))
-    if sweep_variable == "beta":
-        for beta in sweep_grid:
-            # compares the float L / beta, since round() raises on inf:
-            # round(r) > cap exactly when r > cap + 0.5 (round(8192.5) = 8192)
-            if num_sensors / beta > _MAX_ASYMPTOTIC_ANTENNAS + 0.5:
-                raise ConfigError(
-                    f"beta = {beta!r} needs N = round(L / beta) > {_MAX_ASYMPTOTIC_ANTENNAS}"
-                )
+    num_sensors = _as_count("num_sensors", raw.get("num_sensors", 200), 1)
+    num_antennas = _as_count("num_antennas", raw.get("num_antennas", 1), 1)
 
     n_list = None
     if "n_list" in given:
         raw_list = raw["n_list"]
         if not isinstance(raw_list, list) or not raw_list:
             raise ConfigError("n_list must be a non-empty list of integers")
-        ns = tuple(_as_int("n_list entry", n) for n in raw_list)
-        if any(n < 1 for n in ns) or len(set(ns)) != len(ns):
-            raise ConfigError("n_list entries must be distinct integers >= 1")
-        n_list = ns
+        n_list = tuple(_as_count("n_list entry", n, 1) for n in raw_list)
+        if len(set(n_list)) != len(n_list):
+            raise ConfigError("n_list entries must be distinct")
 
-    trials = _as_int("trials", raw.get("trials", 10_000))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    needs_montecarlo = experiment == "montecarlo" or figure_id == 2
-    if needs_montecarlo and trials < 1000:
+    trials = _as_count("trials", raw.get("trials", 10_000), 1)
+    if (experiment == "montecarlo" or figure_id == 2) and trials < 1000:
         raise ConfigError("montecarlo experiments require trials >= 1000")
 
     channel_draws = None
     if "channel_draws" in given:
-        channel_draws = _as_int("channel_draws", raw["channel_draws"])
-        if channel_draws < 1:
-            raise ConfigError("channel_draws must be >= 1")
+        channel_draws = _as_count("channel_draws", raw["channel_draws"], 1)
 
-    seed = _as_int("seed", raw.get("seed", 0))
+    seed = _as_count("seed", raw.get("seed", 0), 0)
 
     output = _as_str("output", raw["output"]) if "output" in given else None
     fmt = _as_str("format", raw.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
 
-    # the model types validate the seed and the network; every sweep point
-    # must be a valid network too
+    # the model types validate the network and every sweep point
     try:
-        RandomSource(seed)
         model = ChannelModel.awgn() if channel == "awgn" else ChannelModel.ricean(ricean_k)
         params = NetworkParams(
             num_sensors=num_sensors,
@@ -381,6 +368,8 @@ def parse_config(raw, experiment: str) -> ExperimentConfig:
     for x in sweep_grid or ():
         try:
             _params_at(params, sweep_variable, x)
+            if sweep_variable == "K":
+                ChannelModel.ricean(x)
         except ValueError as exc:
             raise ConfigError(f"{exc} at {sweep_variable} = {x!r}") from exc
 
@@ -414,8 +403,9 @@ def _read_json(path: str):
 
 
 def _params_at(params: NetworkParams, variable: str, x: float) -> NetworkParams:
-    """The network at point x of a sweep over `variable`; K and beta
-    leave it unchanged."""
+    """The network at point x of a sweep over `variable`: a beta point
+    has N = max(1, round(L / beta)) antennas, at most
+    _MAX_ASYMPTOTIC_ANTENNAS; K leaves it unchanged."""
     if variable == "gamma_s":
         return params.at_gamma_s(x)
     if variable == "gamma_c":
@@ -424,6 +414,15 @@ def _params_at(params: NetworkParams, variable: str, x: float) -> NetworkParams:
         return dataclasses.replace(params, num_antennas=int(x))
     if variable == "L":
         return dataclasses.replace(params, num_sensors=int(x))
+    if variable == "beta":
+        if not x > 0.0:
+            raise ValueError(f"beta must be > 0, not {x!r}")
+        # the cap is checked on the float L / beta, since round() raises on
+        # inf: round(r) > cap exactly when r > cap + 0.5 (round(8192.5) = 8192)
+        ratio = params.num_sensors / x
+        if ratio > _MAX_ASYMPTOTIC_ANTENNAS + 0.5:
+            raise ValueError(f"N = round(L / beta) exceeds {_MAX_ASYMPTOTIC_ANTENNAS}")
+        return dataclasses.replace(params, num_antennas=max(1, round(ratio)))
     return params
 
 
@@ -625,7 +624,7 @@ def _run_asymptotic(cfg: ExperimentConfig) -> list[ResultRow]:
             ("G_inf_bound", gain_inf_bound(beta, zeta)),
         ):
             rows.append(_row(cfg, series, "beta", beta, value))
-        n = max(1, round(num_sensors / beta))
+        n = _params_at(params, "beta", beta).num_antennas
         lams = []
         for d in range(draws):
             h = sample_channel(cfg.model, n, num_sensors, base.substream("asymptotic", i, d)).entries

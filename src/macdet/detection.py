@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocation import alpha_uniform
-from .forms import item, quadratic_forms, sensing_argument
+from .forms import item, quadratic_forms
 from .model import (
     ChannelModel, NetworkParams, RandomSource, SensingNoiseModel, check_integer, sample_channel
 )
@@ -282,7 +282,6 @@ def empirical_exponent(
     model: ChannelModel,
     l_grid,
     rng: RandomSource,
-    noise: SensingNoiseModel | None = None,
     draws: int = 1,
 ) -> ExponentCurve:
     """Error exponent of the uniform-gain scheme measured from the
@@ -302,22 +301,17 @@ def empirical_exponent(
         raise ValueError("largest grid point must be >= 200")
     check_integer(draws, "draws", 1)
     l_max = grid[-1]
-    if noise is not None and noise.dimension < l_max:
-        raise ValueError("correlated noise model smaller than the largest grid point")
 
     # uniform gains of every grid size, zero beyond it: each row scores
-    # the leading columns of a draw (and of a correlated R_eta) at its L
+    # the leading columns of a draw at its L
     gains = np.zeros((len(grid), l_max), dtype=np.complex128)
     for i, l in enumerate(grid):
         gains[i, :l] = alpha_uniform(replace(base_params, num_sensors=l)).values
     params = replace(base_params, num_sensors=l_max)
-    if noise is not None:
-        noise = SensingNoiseModel(noise.r_eta[:l_max, :l_max])
-    sensing = sensing_argument(params, noise)
     log_pe = np.empty((draws, len(grid)))
     for d in range(draws):
         h = sample_channel(model, params.num_antennas, l_max, rng.substream("exponent", d)).entries
-        q = quadratic_forms(h, gains, sensing, params.sigma_nu_sq)[1]
+        q = quadratic_forms(h, gains, params.sigma_eta_sq, params.sigma_nu_sq)[1]
         log_pe[d] = _log_pe(params, params.theta, q)
     values = -_log_mean_exp(log_pe) / np.asarray(grid, dtype=float)
     return ExponentCurve(

@@ -18,7 +18,6 @@ from .numerics import scaled_by_power_of_two
 __all__ = [
     "shaped",
     "checked_channel",
-    "sensing_argument",
     "item",
     "quadratic_forms",
     "exponent_statistic",
@@ -39,26 +38,23 @@ def checked_channel(channel, params: NetworkParams) -> np.ndarray:
     return shaped("channel", h, params.num_antennas, params.num_sensors)
 
 
-def sensing_argument(params: NetworkParams, noise: SensingNoiseModel | None):
-    """The core's sensing argument: sigma_eta_sq under iid sensing noise
-    (noise=None), the Cholesky factor S of R_eta under correlated noise."""
-    return params.sigma_eta_sq if noise is None else noise.scale_factor(params.num_sensors)
-
-
 def item(channel, alpha, params: NetworkParams, noise: SensingNoiseModel | None):
     """The start of every single-item entry point: the channel entries h
     (N, L) and gains a (L,) checked against params, and the core's
-    sensing argument for (params, noise).  alpha is a gain vector (its
-    `values` are read) or a vector-like."""
+    sensing argument for (params, noise): sigma_eta_sq under iid sensing
+    noise (noise=None), the Cholesky factor S of R_eta under correlated
+    noise.  alpha is a gain vector (its `values` are read) or a
+    vector-like."""
     a = np.asarray(getattr(alpha, "values", alpha), dtype=np.complex128)
     gains = shaped("gain", a, params.num_sensors)
-    return checked_channel(channel, params), gains, sensing_argument(params, noise)
+    sensing = params.sigma_eta_sq if noise is None else noise.scale_factor(params.num_sensors)
+    return checked_channel(channel, params), gains, sensing
 
 
 def quadratic_forms(h, a, sensing, sigma_nu_sq: float, solve: bool = False):
     """q = v^H R^-1 v with v = H a and R = H D(a) S S^H D(a)^H H^H +
     sigma_nu_sq I, for channels (..., N, L) broadcast against gains
-    (..., L) and the sensing argument of sensing_argument: the complex
+    (..., L) and the sensing argument that item returns: the complex
     factor S, or sigma_eta_sq (S = sqrt(sigma_eta_sq) I) as a float or as
     a real array broadcast against the batch, one power per item.
     Returns (v, q), or (v, R^-1 v, q) when `solve`.
@@ -127,7 +123,9 @@ def _spectral_form(h, a, sensing, sigma_nu_sq, solve):
     overflows nor loses the sigma_nu_sq term.  H u lies in the range of B,
     and terms with lambda_i <= L eps lambda_max are rounding.  It runs on
     H 2^-j with sigma_nu_sq 4^-j (scaled_by_power_of_two), which leave q
-    as it is and keep B B^H finite; R^-1 v is scaled back by 2^-j."""
+    as it is and keep B B^H finite; R^-1 v is scaled back by 2^-j.
+    Only q itself can still overflow (noise-free sensing on a huge
+    channel, where q grows as |H|^2): ValueError says so."""
     (g,), (j,) = scaled_by_power_of_two(h[np.newaxis])
     sigma_nu_sq = np.ldexp(sigma_nu_sq, -2 * j)
     p = float(np.sum(a.real**2 + a.imag**2))
@@ -140,8 +138,12 @@ def _spectral_form(h, a, sensing, sigma_nu_sq, solve):
     lam, vecs = np.linalg.eigh(b @ b.conj().T)
     keep = lam > g.shape[1] * np.finfo(float).eps * lam[-1]
     c = vecs[:, keep].conj().T @ (g @ u)
-    k = 1.0 / (sensing * lam[keep] + sigma_nu_sq / p)
-    q = np.sum((c.real**2 + c.imag**2) * k)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k = 1.0 / (sensing * lam[keep] + sigma_nu_sq / p)
+        q = np.sum((c.real**2 + c.imag**2) * k)
+    if not np.isfinite(q):
+        # the inputs are finite, so only q itself can be out of range
+        raise ValueError("the quadratic form v^H R^-1 v overflows a double")
     return (h @ a, vecs[:, keep] @ (k * c) / np.ldexp(root, j), q) if solve else (h @ a, q)
 
 

@@ -30,7 +30,7 @@ from macdet.allocation import (
     _method_grid,
 )
 from macdet.detection import log_pe_conditional
-from macdet.forms import exponent_statistic, item, quadratic_forms, sensing_argument
+from macdet.forms import exponent_statistic, item, quadratic_forms
 from macdet.exponents import e_awgn, SnrPoint
 from macdet.model import (
     ChannelModel,
@@ -432,6 +432,18 @@ class TestHugeChannels:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
             assert np.linalg.norm(got_w - want_w) <= 1e-12 * np.linalg.norm(want_w)
 
+    @pytest.mark.parametrize("k", [520, 1000])
+    def test_noise_free_overflow_is_named(self, k):
+        # without sensing noise q grows as 4^k: finite at k = 500, past a
+        # double at k = 520 (an overflow), and at k = 1000 sigma_nu_sq
+        # 4^-j underflows to 0 (a division by zero); the suite turns a
+        # NumPy warning into an error, so none may come first
+        params = make_params(l=8, n=2, sigma_eta_sq=0.0, total_power=1.0)
+        h = sample_channel(ChannelModel.rayleigh(), 2, 8, RandomSource(1).substream("x")).entries
+        assert 0.0 < finite_exponent(h * 2.0**500, alpha_uniform(params), params) < math.inf
+        with pytest.raises(ValueError, match="overflows a double"):
+            finite_exponent(h * 2.0**k, alpha_uniform(params), params)
+
 
 class TestBatchedCore:
     """exponent_statistic gives each item the bits of finite_exponent on
@@ -453,7 +465,7 @@ class TestBatchedCore:
     @staticmethod
     def assert_solve_matches_items(hs, gains, params, noise):
         # the core (solve=True) on the stack against the core per item
-        sensing = sensing_argument(params, noise)
+        sensing = item(hs[0], gains[0], params, noise)[2]
         v, w, q = quadratic_forms(hs, gains, sensing, params.sigma_nu_sq, solve=True)
         for k, (h, a) in enumerate(zip(hs, gains)):
             v_k, w_k, q_k = solved_form(h, a, params, noise)

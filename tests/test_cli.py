@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -793,6 +794,10 @@ OVERFLOW_CASES = {
     "gain-budget-overflows": {"total_power": 1e308, "gamma_s": 1e10, "theta": 1e-3},
     "gamma_c-grid-point-overflows": {"sigma_nu_sq": 1e10, "sweep": sweep("gamma_c", [1.0, 1e300])},
     "gamma_c-overflows": {"total_power": 1e10, "sigma_nu_sq": 1e-300},
+    # json reads these as ints that no double holds (float() raised
+    # OverflowError); as float literals they would read as +-Infinity
+    "theta-int-past-a-double": {"theta": 10**400},
+    "p1-negative-int-past-a-double": {"p1": -(10**400)},
 }
 
 
@@ -813,6 +818,81 @@ class TestOverflowConfig:
         # just inside the limits: theta^2 and 10^(db/10) stay finite
         cfg = cli.parse_config({**MC_BASE, "theta": 1e150, "gamma_c_db": 3000.0}, "montecarlo")
         assert math.isfinite(cfg.params.gain_budget) and cfg.params.gain_budget > 0.0
+
+
+def _count_config(key, value):
+    """(experiment, config, key named in the error) with `value` at one
+    count of the config language."""
+    if key == "figure_id":
+        return "figure", {"figure_id": value}, key
+    if key == "trials-figure":
+        return "figure", {"figure_id": 5, "trials": value}, "trials"
+    if key == "n_list":
+        return "exponent-sweep", {"n_list": [value, 2], **BASE_SWEEP}, "n_list entry"
+    if key == "N":
+        return "exponent-sweep", {"sweep": sweep("N", [value])}, "sweep.grid entry"
+    if key == "L":
+        return "montecarlo", {**MC_NO_SWEEP, "sweep": sweep("L", [value])}, "sweep.grid entry"
+    if key == "num_sensors":
+        return "montecarlo", {**MC_BASE, "sweep": sweep("gamma_c", [1.0]), key: value}, key
+    return "montecarlo", {**MC_BASE, key: value}, key
+
+
+# each count with its low: trials' low is 1000 in a Monte Carlo run
+COUNT_LOWS = {
+    "num_sensors": 1, "num_antennas": 1, "trials": 1000, "trials-figure": 1, "channel_draws": 1,
+    "seed": 0, "figure_id": 2, "n_list": 1, "N": 1, "L": 1,
+}
+
+
+class TestConfigCounts:
+    """Every count of a config is read through model.check_integer: a
+    float (even 2.0), a bool and a value below the count's low are
+    config errors naming the key."""
+
+    @pytest.mark.parametrize("kind", ["float", "bool", "low"])
+    @pytest.mark.parametrize("key", COUNT_LOWS)
+    def test_rejected_naming_the_key(self, tmp_path, capsys, key, kind):
+        value = {"float": 2.0, "bool": True, "low": COUNT_LOWS[key] - 1}[kind]
+        experiment, raw, name = _count_config(key, value)
+        with pytest.raises(cli.ConfigError, match=re.escape(name)):
+            cli.parse_config(raw, experiment)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main([experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key", COUNT_LOWS)
+    def test_the_low_itself_parses(self, key):
+        experiment, raw, _ = _count_config(key, COUNT_LOWS[key])
+        cli.parse_config(raw, experiment)
+
+
+# a value outside each sweep variable's range, and the words of the type
+# that owns the rule
+SWEEP_POINT_RULES = {
+    "gamma_s": ("montecarlo", MC_NO_SWEEP, 0.0, "gamma_s must be > 0"),
+    "gamma_c": ("montecarlo", MC_NO_SWEEP, -1.0, "total_power must be > 0"),
+    "K": ("exponent-sweep", {"channel": "ricean"}, -1.0, "K-factor must be >= 0"),
+    "beta": ("asymptotic", {}, 0.0, "beta must be > 0"),
+    "beta-cap": ("asymptotic", {"num_sensors": 20}, 20 / 8193, "exceeds 8192"),
+}
+
+
+class TestSweepPointRules:
+    """Each sweep point is checked by the code that owns its rule, and the
+    error names the point."""
+
+    @pytest.mark.parametrize("name", SWEEP_POINT_RULES)
+    def test_rule_names_the_point(self, name):
+        experiment, base, value, words = SWEEP_POINT_RULES[name]
+        variable = name.split("-")[0]
+        raw = {**base, "sweep": sweep(variable, [value, 1e3])}
+        with pytest.raises(cli.ConfigError, match=re.escape(words)) as info:
+            cli.parse_config(raw, experiment)
+        assert str(info.value).endswith(f" at {variable} = {value!r}")
 
 
 class TestUnwritableOutput:
@@ -1333,6 +1413,26 @@ class TestAsymptoticExperiment:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o.csv").exists()
+
+    def test_draws_the_antennas_of_params_at(self, monkeypatch):
+        # N = max(1, round(L / beta)) at L = 20: 66.7, 13.3, 8, 2.86, 0.4
+        drawn = []
+
+        def spy(model, num_antennas, num_sensors, rng):
+            drawn.append(num_antennas)
+            return sample(model, num_antennas, num_sensors, rng)
+
+        sample = cli.sample_channel
+        monkeypatch.setattr(cli, "sample_channel", spy)
+        grid = [0.3, 1.5, 2.5, 7.0, 50.0]
+        cfg = parse(
+            {"channel": "rayleigh", "num_sensors": 20, "channel_draws": 1,
+             "sweep": sweep("beta", grid)},
+            experiment="asymptotic",
+        )
+        cli.run(cfg)
+        assert drawn == [cli._params_at(cfg.params, "beta", b).num_antennas for b in grid]
+        assert drawn == [67, 13, 8, 3, 1]
 
     def test_beta_at_the_cap_still_parses(self):
         # parsed, never run: round(20 / beta) = 8192 antennas is allowed

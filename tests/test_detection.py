@@ -701,14 +701,6 @@ class TestEmpiricalExponent:
             empirical_exponent(params, model, [50, 100, 300, 200], rng)
         with pytest.raises(ValueError):
             empirical_exponent(params, model, [50, 100, 200, 300], rng, draws=0)
-        with pytest.raises(ValueError):
-            empirical_exponent(
-                params,
-                model,
-                [50, 100, 200, 300],
-                rng,
-                noise=SensingNoiseModel(r_eta=ar1_covariance(100, 0.4)),
-            )
 
     def test_unit_channel_curve_is_flat_beyond_two_hundred(self):
         params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=5)
@@ -750,15 +742,13 @@ class TestEmpiricalExponent:
         limit = e_nocsis(SnrPoint.from_params(params, k_factor=1.0).with_antennas(2))
         assert 1.8 <= curve.plateau / limit <= 2.2
 
-    @pytest.mark.parametrize("correlated", [False, True], ids=["iid", "ar1"])
-    def test_matches_the_per_size_loop(self, correlated):
+    def test_matches_the_per_size_loop(self):
         # the reference: log_pe_conditional on each draw's leading columns
-        # with that size's uniform gains (and leading block of R_eta)
+        # with that size's uniform gains
         grid = [200, 210, 220, 240]
         params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=3)
-        noise = SensingNoiseModel(r_eta=ar1_covariance(260, 0.4)) if correlated else None
         curve = empirical_exponent(
-            params, ChannelModel.ricean(1.0), grid, RandomSource(25), noise=noise, draws=2
+            params, ChannelModel.ricean(1.0), grid, RandomSource(25), draws=2
         )
         log_pe = np.empty((2, len(grid)))
         for d in range(2):
@@ -767,25 +757,9 @@ class TestEmpiricalExponent:
             ).entries
             for i, l in enumerate(grid):
                 params_l = replace(params, num_sensors=l)
-                noise_l = SensingNoiseModel(r_eta=noise.r_eta[:l, :l]) if correlated else None
-                log_pe[d, i] = log_pe_conditional(
-                    h[:, :l], alpha_uniform(params_l), params_l, noise_l
-                )
+                log_pe[d, i] = log_pe_conditional(h[:, :l], alpha_uniform(params_l), params_l)
         expected = -(np.logaddexp(log_pe[0], log_pe[1]) - math.log(2)) / np.asarray(grid)
         assert np.allclose(curve.values, expected, rtol=1e-12, atol=0.0)
-
-    def test_correlated_noise_is_accepted_and_changes_curve(self):
-        grid = [200, 210, 220, 240]
-        params = params_for(gamma_s=1.0, gamma_c=10.0, l=10, n=2)
-        noise = SensingNoiseModel(r_eta=ar1_covariance(240, 0.4))
-        corr = empirical_exponent(
-            params, ChannelModel.ricean(1.0), grid, RandomSource(24), noise=noise
-        )
-        iid = empirical_exponent(
-            params, ChannelModel.ricean(1.0), grid, RandomSource(24)
-        )
-        assert np.all(np.isfinite(corr.values))
-        assert not np.allclose(corr.values, iid.values)
 
 
 if __name__ == "__main__":
